@@ -141,14 +141,13 @@ def cmd_product_graph(args) -> int:
 def _check_one_graph(graph, tol: float, dense_cap: int) -> tuple[dict, object]:
     if graph.n_vertices() > dense_cap:
         return {"skipped": True, "n_vertices": graph.n_vertices()}, None
-    structure = graphs.structure_predicates(graph)
     report = spectral.ramanujan_check(graph, tol=tol)
     out = spectral.spectral_report_to_dict(report)
     out.update(
         {
             "skipped": False,
-            "connected": structure.connected,
-            "non_bipartite": not structure.bipartite,
+            "connected": report.structure.connected,
+            "non_bipartite": not report.structure.bipartite,
         }
     )
     return out, report

@@ -46,17 +46,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul_zp(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_divmod_zp(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """Division with remainder in Z_p[x]; b must be nonzero."""
     a = list(a)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -71,8 +72,7 @@ class UGraph:
         return a
 
     def regular_degree(self) -> int | None:
-        a = self.adjacency()
-        degrees = a.sum(axis=1)
+        degrees = np.bincount([o for o, _, _ in self.darts], minlength=self.n_vertices())
         d = int(degrees[0])
         return d if bool((degrees == d).all()) else None
 
@@ -389,8 +389,8 @@ def ugraph_to_dot(graph: UGraph, name: str = "level_graph", header: str | None =
 
 
 def ugraph_to_json_dict(graph: UGraph) -> dict:
-    a = graph.adjacency()
-    coo = [[int(i), int(j), int(a[i, j])] for i, j in zip(*np.nonzero(a))]
+    counts = Counter((o, t) for o, t, _ in graph.darts)
+    coo = [[i, j, mult] for (i, j), mult in sorted(counts.items())]
     return {
         "vertices": list(graph.vertex_labels),
         "darts": [[o, t, label] for o, t, label in graph.darts],

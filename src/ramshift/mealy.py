@@ -427,28 +427,3 @@ def mealy_to_dot(m: Mealy, name: str = "automaton", header: str | None = None) -
 
 def word_label(word: Word, alphabet: list[str]) -> str:
     return ".".join(alphabet[x] for x in word) if word else "e"
-
-
-def digraph_to_json_dict(g: LabeledDigraph, alphabet: list[str] | None = None) -> dict:
-    def vlabel(v):
-        return word_label(v, alphabet) if alphabet is not None else str(v)
-
-    return {
-        "vertices": [vlabel(v) for v in g.vertices],
-        "edges": [[src, dst, g.state_labels[st]] for src, dst, st in g.edges],
-    }
-
-
-def digraph_to_dot(g: LabeledDigraph, alphabet: list[str] | None = None, name: str = "action_graph", header: str | None = None) -> str:
-    lines = [f"digraph {name} {{"]
-    if header:
-        lines.insert(0, f"// {header}")
-    for v in g.vertices:
-        label = word_label(v, alphabet) if alphabet is not None else str(v)
-        lines.append(f'  "{label}";')
-    for src, dst, st in g.edges:
-        lsrc = word_label(g.vertices[src], alphabet) if alphabet is not None else str(g.vertices[src])
-        ldst = word_label(g.vertices[dst], alphabet) if alphabet is not None else str(g.vertices[dst])
-        lines.append(f'  "{lsrc}" -> "{ldst}" [label="{g.state_labels[st]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

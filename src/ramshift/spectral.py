@@ -1,24 +1,31 @@
 """Eigenvalue computation and spectral verdicts: Ramanujan checks, the
 Bass-Ihara transfer to non-backtracking spectra, second-largest modulus for
-directed regular graphs, and exact deviation norms for mixing tables.
+directed regular graphs, and exact walk counts and deviation norms for
+mixing tables.
 
 Tolerance policy: eigenvalue comparisons on integer matrices use an absolute
 tolerance (default 1e-8); every Ramanujan verdict also reports the margin
-2 sqrt(d) - max|lambda_nontrivial| so borderline cases stay visible.  The
-deviation norm is computed in exact big-integer arithmetic and returned as a
-rational, so the mixing claims carry no floating error.  All solvers are
-dense and deterministic; resource caps reject instances beyond desk scale.
+2 sqrt(d) - max|lambda_nontrivial| so borderline cases stay visible.
+
+Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
+row vectors through x -> x A by predecessor gathers, one sum of d entries
+per column of a d-regular matrix, in Python integers, so deviation norms
+and cylinder correlations are exact rationals with no floating error.  All
+eigensolvers are dense and deterministic; resource caps reject instances
+beyond desk scale.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import sqrt
 
 import numpy as np
 
-from .graphs import DartGraph, UGraph, nb_matrix, structure_predicates
+from .graphs import DartGraph, StructureReport, UGraph, nb_matrix, structure_predicates
 
 
 class SizeCapExceeded(RuntimeError):
@@ -66,6 +73,7 @@ class SpectralReport:
     ramanujan: bool
     bipartite: bool
     tol: float
+    structure: StructureReport | None  # None for raw-matrix input
 
     def __repr__(self) -> str:
         verdict = "ramanujan" if self.ramanujan else "NOT ramanujan"
@@ -82,10 +90,11 @@ def ramanujan_check(graph: UGraph | np.ndarray, tol: float = 1e-8) -> SpectralRe
     The Perron eigenvalue d+1 must be simple (connectivity is rejected
     otherwise); -(d+1) is flagged as the bipartite eigenvalue.
     """
+    structure = None
     if isinstance(graph, UGraph):
-        report = structure_predicates(graph)
-        if not report.connected:
-            raise ValueError(f"graph is disconnected ({report.n_components} components)")
+        structure = structure_predicates(graph)
+        if not structure.connected:
+            raise ValueError(f"graph is disconnected ({structure.n_components} components)")
         a = graph.adjacency()
     else:
         a = np.asarray(graph)
@@ -116,6 +125,7 @@ def ramanujan_check(graph: UGraph | np.ndarray, tol: float = 1e-8) -> SpectralRe
         ramanujan=second <= bound + tol,
         bipartite=bipartite,
         tol=tol,
+        structure=structure,
     )
 
 
@@ -222,78 +232,69 @@ def second_modulus_directed(a: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact deviation norms
+# exact walk counts and deviation norms
 
 
-def _int_matrix(a) -> list[list[int]]:
-    mat = [[int(x) for x in row] for row in np.asarray(a).tolist()]
-    return mat
+def walk_counts(a, start, n: int, limit: int = EXACT_POWER_LIMIT):
+    """Yield start, start A, start A^2, ..., start A^n exactly, for a
+    d-regular nonnegative integer matrix A of dimension m <= limit.
 
-
-def _mat_mul_int(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    n = len(x)
-    cols = list(zip(*y))
-    return [[sum(map(lambda p, q: p * q, row, col)) for col in cols] for row in x]
+    `start` is a length-m vector or a (rows, m) block.  Entries are Python
+    ints in numpy object arrays, so the counts are exact at any size.  Row
+    j of the (m, d) predecessor array lists each i, repeated A[i, j] times
+    (multigraphs work), so one step is a gather and a sum: rows m d
+    additions instead of rows m^2 multiplications."""
+    mat = np.asarray(a)
+    m = mat.shape[0]
+    if m > limit:
+        raise SizeCapExceeded(f"exact matrix powers capped at dimension {limit}")
+    rows = mat.sum(axis=1)
+    cols = mat.sum(axis=0)
+    d = int(rows[0])
+    if mat.shape != (m, m) or (mat < 0).any() or not ((rows == d).all() and (cols == d).all()):
+        raise ValueError("exact walk counts need a d-regular nonnegative matrix")
+    if n < 0:
+        raise ValueError("need n >= 0")
+    preds = np.repeat(np.tile(np.arange(m), m), mat.T.ravel()).reshape(m, d)
+    block = np.asarray(start).astype(object)
+    yield block
+    for _ in range(n):
+        block = block[..., preds].sum(axis=-1)
+        yield block
 
 
 def matrix_power_int(a, n: int) -> list[list[int]]:
-    """A^n over the integers (exact)."""
-    mat = _int_matrix(a)
-    size = len(mat)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = mat
-    while n:
-        if n & 1:
-            result = _mat_mul_int(result, base)
-        base = _mat_mul_int(base, base)
-        n >>= 1
-    return result
+    """A^n over the integers (exact), for any square integer matrix."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return np.linalg.matrix_power(np.asarray(a).astype(object), n).tolist()
+
+
+def _identity_walks(a, n: int, limit: int = EXACT_POWER_LIMIT):
+    return walk_counts(a, np.eye(len(a), dtype=np.int64), n, limit)
+
+
+def _deviation(power) -> Fraction:
+    # every row of A^n sums to d^n, and |x/d^n - 1/m| = |x m - d^n| / (m d^n)
+    # is largest at the largest or the smallest entry
+    m = power.shape[0]
+    dn = power[0].sum()
+    return Fraction(max(power.max() * m - dn, dn - power.min() * m), m * dn)
 
 
 def deviation_norm(a, n: int, exact_limit: int = EXACT_POWER_LIMIT) -> Fraction:
     """max_ij | A^n_ij / d^n - 1/m | as an exact rational, for a d-regular
-    0/1 matrix A of dimension m.
+    nonnegative integer matrix A of dimension m.
 
     This is the sup-norm distance between the n-step normalized transition
     matrix and the flat matrix J/m, the quantity controlling correlation
     decay of the associated vertex shift."""
-    mat = np.asarray(a)
-    m = mat.shape[0]
-    if m > exact_limit:
-        raise SizeCapExceeded(f"exact matrix powers capped at dimension {exact_limit}")
-    rows = mat.sum(axis=1)
-    cols = mat.sum(axis=0)
-    d = int(rows[0])
-    if not ((rows == d).all() and (cols == d).all()):
-        raise ValueError("deviation norm needs a d-regular matrix")
-    if n < 0:
-        raise ValueError("need n >= 0")
-    power = matrix_power_int(mat, n)
-    dn = d**n
-    # |a/d^n - 1/m| = |a m - d^n| / (m d^n)
-    worst = max(abs(entry * m - dn) for row in power for entry in row)
-    return Fraction(worst, m * dn)
+    return _deviation(deque(_identity_walks(a, n, exact_limit), maxlen=1).pop())
 
 
 def deviation_table(a, n_max: int) -> list[Fraction]:
     """deviation_norm for n = 1..n_max, sharing the iterated powers."""
-    mat = _int_matrix(a)
-    m = len(mat)
-    rows = [sum(r) for r in mat]
-    d = rows[0]
-    if any(r != d for r in rows) or any(sum(col) != d for col in zip(*mat)):
-        raise ValueError("deviation table needs a d-regular matrix")
-    if m > EXACT_POWER_LIMIT:
-        raise SizeCapExceeded(f"exact matrix powers capped at dimension {EXACT_POWER_LIMIT}")
-    out = []
-    power = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    dn = 1
-    for _ in range(1, n_max + 1):
-        power = _mat_mul_int(power, mat)
-        dn *= d
-        worst = max(abs(entry * m - dn) for row in power for entry in row)
-        out.append(Fraction(worst, m * dn))
-    return out
+    return [_deviation(power) for power in islice(_identity_walks(a, n_max), 1, None)]
 
 
 # ---------------------------------------------------------------------------

@@ -27,19 +27,14 @@ non-backtracking clauses gives the full Wang shift of the tileset.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
-from .spectral import (
-    SizeCapExceeded,
-    EXACT_POWER_LIMIT,
-    deviation_table,
-    matrix_power_int,
-    second_modulus_directed,
-)
+from .spectral import SizeCapExceeded, deviation_table, second_modulus_directed, walk_counts
 from .vhdatum import VHDatum, validate_datum
 
 Pattern = tuple[tuple[int, ...], ...]  # columns, bottom-to-top within a column
@@ -393,7 +388,7 @@ def correlation(
     Both patterns must have the same height k, and n must exceed the width
     of C1 so the supports do not touch.  The joint measure is computed from
     first principles: completions of the gap are counted as paths in the
-    height-k strip graph by an exact big-integer matrix power, and each full
+    height-k strip graph by exact walk counts from e_v, and each full
     (n + m2, k) rectangle carries 1 / (s d^(W-1) d^(k-1)).  Vertical offsets
     go through `MatrixSubshift.transposed`.
     """
@@ -415,8 +410,9 @@ def correlation(
     v = index[tuple(p1[-1])]
     u = index[tuple(p2[0])]
     gap = n - m1
-    power = matrix_power_int(graph.adjacency, gap + 1)
-    n_paths = power[v][u]
+    start = np.zeros(len(graph.patterns), dtype=np.int64)
+    start[v] = 1
+    n_paths = deque(walk_counts(graph.adjacency, start, gap + 1), maxlen=1).pop()[u]
     width = n + m2
     joint = Fraction(n_paths, shift.s * d ** (width - 1) * d ** (k - 1))
     return abs(joint - mu1 * mu2)
@@ -491,8 +487,6 @@ def mixing_table(
         raise ValueError("need n_max >= 1")
     graph = transition_graph(shift, direction, k)
     adj = graph.adjacency
-    if adj.shape[0] > EXACT_POWER_LIMIT:
-        raise SizeCapExceeded(f"exact matrix powers capped at dimension {EXACT_POWER_LIMIT}")
     d = int(adj.sum(axis=1)[0])
     devs = deviation_table(adj, n_max)
     theta = 1.0 / sqrt(d)
@@ -536,16 +530,3 @@ def mixing_table_to_csv(table: CorrelationTable, header: str | None = None) -> s
             f"{row.deviation_float!r},{row.envelope_float!r},{'ok' if row.ok else 'VIOLATION'}"
         )
     return "\n".join(lines) + "\n"
-
-
-def shift_to_json_dict(shift: MatrixSubshift) -> dict:
-    def coo(mat):
-        return [[int(i), int(j), 1] for i, j in zip(*np.nonzero(mat))]
-
-    report = regularity_report(shift)
-    return {
-        "s": shift.s,
-        "d": report.degree,
-        "A": coo(shift.A),
-        "B": coo(shift.B),
-    }

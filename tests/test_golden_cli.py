@@ -1,0 +1,57 @@
+"""Golden CLI outputs: each command's --no-timestamp stdout must match the
+checked-in file under tests/data/golden byte for byte.
+
+The outputs go to stdout, never --out, so no path enters the embedded
+config.  To re-record after an intended output change, run
+`PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from ramshift.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# name -> (argv, exit code)
+CASES = {
+    **{
+        f"mixing_q3_k{k}_{direction}.csv": (
+            ["mixing", "--k", str(k), "--max-n", "20", "--direction", direction], 0
+        )
+        for k in (1, 2, 3)
+        for direction in ("horizontal", "vertical")
+    },
+    "graph_q3_A3.json": (["graph", "--level", "3", "--side", "A", "--format", "json"], 0),
+    "product_graph_q5_levels_1_1.json": (
+        ["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "1,1"], 0
+    ),
+    "verify_ramanujan_q3_1_4.json": (["verify-ramanujan", "--levels", "1:4"], 0),
+}
+
+
+def run_case(name: str) -> tuple[int, str]:
+    argv, _ = CASES[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--no-timestamp"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    code, text = run_case(name)
+    assert code == CASES[name][1]
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name in sorted(CASES):
+        code, text = run_case(name)
+        if code != CASES[name][1]:
+            raise SystemExit(f"{name}: exit code {code}, expected {CASES[name][1]}")
+        (GOLDEN / name).write_text(text, encoding="utf-8")

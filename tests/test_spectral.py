@@ -9,6 +9,7 @@ import pytest
 
 from ramshift.graphs import UGraph, level_graph, nb_matrix
 from ramshift.spectral import (
+    EXACT_POWER_LIMIT,
     SizeCapExceeded,
     bass_ihara,
     deviation_norm,
@@ -19,6 +20,7 @@ from ramshift.spectral import (
     nb_transfer_report,
     ramanujan_check,
     second_modulus_directed,
+    walk_counts,
 )
 from test_graphs import complete_bipartite, cycle, petersen
 
@@ -174,6 +176,22 @@ def test_matrix_power_int():
     a = [[0, 1], [1, 1]]
     p10 = matrix_power_int(a, 10)
     assert p10 == [[34, 55], [55, 89]]  # Fibonacci
+    fib = [0, 1]
+    while len(fib) < 102:
+        fib.append(fib[-1] + fib[-2])
+    # F(101) is past 2^63: the entries must stay exact Python ints
+    assert matrix_power_int(a, 100) == [[fib[99], fib[100]], [fib[100], fib[101]]]
+    assert matrix_power_int(a, 0) == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        matrix_power_int(a, -1)
+
+
+def deviation_from_powers(a, n: int) -> Fraction:
+    """Reference deviation norm through the general matrix_power_int."""
+    m = len(a)
+    dn = int(np.asarray(a).sum(axis=1)[0]) ** n
+    power = matrix_power_int(a, n)
+    return Fraction(max(abs(x * m - dn) for row in power for x in row), m * dn)
 
 
 def test_deviation_norm_basics():
@@ -198,8 +216,32 @@ def test_deviation_norm_envelope(d12_q3):
     assert table[0] == dev1 and table[9] == dev10
 
 
+@pytest.mark.parametrize("datum, k", [("d12_q3", 2), ("d12_q5", 1)])
+def test_deviation_table_matches_matrix_powers(datum, k, request):
+    from ramshift.subshift import build_xd, transition_graph
+
+    adj = transition_graph(build_xd(request.getfixturevalue(datum)), "horizontal", k).adjacency
+    n_max = 8
+    assert deviation_table(adj, n_max) == [deviation_from_powers(adj, n) for n in range(1, n_max + 1)]
+
+
+def test_walk_counts_on_a_multigraph():
+    # 3-regular with a double loop: A^n has (3^n + 1) / 2 on the diagonal
+    # and (3^n - 1) / 2 off it, so the deviation is 1 / (2 * 3^n)
+    a = np.array([[2, 1], [1, 2]])
+    for n in range(6):
+        assert deviation_norm(a, n) == deviation_from_powers(a, n) == Fraction(1, 2 * 3**n)
+    rows = [row.tolist() for row in walk_counts(a, [1, 0], 5)]
+    assert rows == [matrix_power_int(a, n)[0] for n in range(6)]
+
+
 def test_deviation_norm_caps_and_validation():
     with pytest.raises(SizeCapExceeded):
         deviation_norm(np.ones((4, 4), dtype=int), 2, exact_limit=3)
-    with pytest.raises(ValueError, match="regular"):
-        deviation_norm(np.array([[1, 1], [1, 0]]), 2)
+    with pytest.raises(SizeCapExceeded):
+        deviation_table(np.ones((EXACT_POWER_LIMIT + 1,) * 2, dtype=int), 1)
+    for bad in (np.array([[1, 1], [1, 0]]), np.array([[2, -1], [-1, 2]])):
+        with pytest.raises(ValueError, match="regular"):
+            deviation_norm(bad, 2)
+        with pytest.raises(ValueError, match="regular"):
+            deviation_table(bad, 2)
