@@ -11,7 +11,8 @@ and nothing is randomized, so reruns with the same flags are byte-identical
 modulo the timestamp.  No color is ever emitted.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
-error, 3 resource cap exceeded.
+error, 3 resource cap exceeded (including any graph that verify-ramanujan
+skipped above --dense-cap).
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ def _datum_from_args(args) -> vhdatum.VHDatum:
 def _parse_levels(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
+        levels = list(range(int(lo), int(hi) + 1))
+        if not levels:
+            raise ValueError(f"empty level range {text}")
+        return levels
     return [int(x) for x in text.split(",")]
 
 
@@ -185,12 +189,19 @@ def cmd_verify_ramanujan(args) -> int:
                     if not entry["ramanujan"]:
                         violated = True
                 verdicts.append(entry)
+    skipped = sum(entry["skipped"] for entry in verdicts)
     if args.format == "csv":
         blocks = [f"# {name}\n{spectral.spectral_report_to_csv(rep)}" for name, rep in spectra]
         _emit(args, f"# {_header(args)}\n" + "".join(blocks))
     else:
-        _emit_json(args, {"verdicts": verdicts, "all_pass": not violated})
-    return EXIT_VIOLATION if violated else EXIT_OK
+        _emit_json(args, {"verdicts": verdicts, "all_pass": not (violated or skipped)})
+    if violated:
+        return EXIT_VIOLATION
+    if skipped:
+        print(f"resource cap: {skipped} graph(s) above --dense-cap {args.dense_cap} "
+              "were skipped", file=sys.stderr)
+        return EXIT_CAP
+    return EXIT_OK
 
 
 def cmd_bass_ihara(args) -> int:
@@ -211,8 +222,7 @@ def cmd_bass_ihara(args) -> int:
 
 def cmd_subshift_check(args) -> int:
     datum = _datum_from_args(args)
-    shift = subshift.build_xd(datum)
-    report = subshift.regularity_report(shift)
+    report = subshift.build_xd(datum).report
     payload = {
         "s": report.n_symbols,
         "degree": report.degree,

@@ -41,14 +41,24 @@ from .vhdatum import VHDatum, build_quaternionic_datum, atomic_write
 
 @dataclass
 class UGraph:
-    """Undirected multigraph as a list of darts with an inversion pairing."""
+    """Undirected multigraph as a list of darts with an inversion pairing.
+
+    Construction checks the vertex list, the dart endpoints and the pairing
+    once, so every consumer may index with them freely."""
 
     vertex_labels: list[str]
     darts: list[tuple[int, int, str]]  # (origin, terminus, label)
     inv: list[int]                     # dart index -> inverse dart index
 
     def __post_init__(self):
+        n, m = len(self.vertex_labels), len(self.darts)
+        if n == 0:
+            raise ValueError("a graph needs at least one vertex")
+        if len(self.inv) != m or not all(0 <= j < m for j in self.inv):
+            raise ValueError(f"dart inversion must give one dart in 0..{m - 1} per dart")
         for e, (o, t, _) in enumerate(self.darts):
+            if not (0 <= o < n and 0 <= t < n):
+                raise ValueError(f"dart {e} has an endpoint outside 0..{n - 1}")
             j = self.inv[e]
             if j == e or self.inv[j] != e:
                 raise ValueError("dart inversion must be a fixed-point-free involution")
@@ -148,10 +158,8 @@ def nb_matrix(graph: UGraph) -> DartGraph:
         for f in by_origin[t]:
             if f != graph.inv[e]:
                 h[e, f] = 1
-    d = deg - 1
-    if not ((h.sum(axis=0) == d).all() and (h.sum(axis=1) == d).all()):
-        raise RuntimeError("dart graph is not d-regular")  # cannot happen for valid darts
-    return DartGraph(graph, h, d)
+    # rows and columns sum to deg - 1 because UGraph checked the pairing
+    return DartGraph(graph, h, deg - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +172,9 @@ def level_digraph(datum: VHDatum, side: str, n: int) -> LabeledDigraph:
     if n < 1:
         raise ValueError("levels start at n = 1; the rose is handled by lifting")
     m = from_datum(datum)
-    if side in ("A", "V-action"):
+    if side == "A":
         auto = m
-    elif side in ("B", "H-action"):
+    elif side == "B":
         auto = dual(m)
     else:
         raise ValueError("side must be 'A' (V-action) or 'B' (H-action)")
@@ -177,7 +185,7 @@ def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
     """The undirected level graph A_n or B_n; (q+1)-regular with
     (q+1) q^(n-1) vertices for a quaternionic datum."""
     g = level_digraph(datum, side, n)
-    labels = datum.H if side in ("A", "V-action") else datum.V
+    labels = datum.H if side == "A" else datum.V
     graph = UGraph.from_action_graph(g, label_fn=lambda w: word_label(w, labels))
     expected = len(g.state_labels)
     if graph.regular_degree() != expected:

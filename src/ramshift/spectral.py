@@ -73,7 +73,7 @@ class SpectralReport:
     ramanujan: bool
     bipartite: bool
     tol: float
-    structure: StructureReport | None  # None for raw-matrix input
+    structure: StructureReport
 
     def __repr__(self) -> str:
         verdict = "ramanujan" if self.ramanujan else "NOT ramanujan"
@@ -83,29 +83,24 @@ class SpectralReport:
         )
 
 
-def ramanujan_check(graph: UGraph | np.ndarray, tol: float = 1e-8) -> SpectralReport:
+def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
     """Is a connected (d+1)-regular graph Ramanujan: every eigenvalue either
     +-(d+1) or of modulus at most 2 sqrt(d) (within tol)?
 
-    The Perron eigenvalue d+1 must be simple (connectivity is rejected
-    otherwise); -(d+1) is flagged as the bipartite eigenvalue.
+    The size cap is checked before any work; connectivity and regularity
+    come from one `structure_predicates` pass.  The Perron eigenvalue d+1
+    must be simple; -(d+1) is flagged as the bipartite eigenvalue.
     """
-    structure = None
-    if isinstance(graph, UGraph):
-        structure = structure_predicates(graph)
-        if not structure.connected:
-            raise ValueError(f"graph is disconnected ({structure.n_components} components)")
-        a = graph.adjacency()
-    else:
-        a = np.asarray(graph)
-    if a.shape[0] > DENSE_EIG_LIMIT:
+    if graph.n_vertices() > DENSE_EIG_LIMIT:
         raise SizeCapExceeded(f"dense eigensolve capped at {DENSE_EIG_LIMIT} vertices")
-    degrees = a.sum(axis=1)
-    if not (degrees == degrees[0]).all():
+    structure = structure_predicates(graph)
+    if not structure.connected:
+        raise ValueError(f"graph is disconnected ({structure.n_components} components)")
+    if structure.regular_degree is None:
         raise ValueError("ramanujan_check needs a regular graph")
-    k = int(degrees[0])  # k = d + 1
+    k = structure.regular_degree  # k = d + 1
     d = k - 1
-    eigs = eig_symmetric(a)
+    eigs = eig_symmetric(graph.adjacency())
     top = [x for x in eigs if abs(x - k) <= tol]
     if len(top) != 1:
         raise ValueError("Perron eigenvalue is not simple; graph must be connected")
@@ -116,7 +111,7 @@ def ramanujan_check(graph: UGraph | np.ndarray, tol: float = 1e-8) -> SpectralRe
     bound = 2.0 * sqrt(d)
     return SpectralReport(
         degree=k,
-        n_vertices=a.shape[0],
+        n_vertices=graph.n_vertices(),
         eigenvalues=eigs,
         trivial=[float(k)] + ([-float(k)] if bipartite else []),
         second_modulus=second,
@@ -156,10 +151,10 @@ def bass_ihara(spectrum, d: int) -> list[complex]:
     return [value for value, _ in bass_ihara_pairs(spectrum, d)]
 
 
-def nb_spectrum_direct(h: DartGraph | np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
+def nb_spectrum_direct(h: DartGraph, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
     """Dense nonsymmetric eigensolve of a dart adjacency; eigenvalues may be
     complex.  Only for small instances; beyond the cap use bass_ihara."""
-    a = h.adjacency if isinstance(h, DartGraph) else np.asarray(h)
+    a = h.adjacency
     if a.shape[0] > dense_limit:
         raise SizeCapExceeded(
             f"direct dart spectrum capped at {dense_limit}; use bass_ihara instead"
@@ -185,7 +180,13 @@ class TransferReport:
 def nb_transfer_report(graph: UGraph) -> TransferReport:
     """Compare the directly computed dart spectrum of a regular graph with
     the Bass-Ihara transfer of its adjacency spectrum (set inclusion both
-    ways), and measure how far nontrivial dart moduli sit from {1, sqrt(d)}."""
+    ways), and measure how far nontrivial dart moduli sit from {1, sqrt(d)}.
+    The dart count is checked against the cap before the dense dart matrix
+    is built."""
+    if graph.n_darts() > DENSE_EIG_LIMIT:
+        raise SizeCapExceeded(
+            f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara instead"
+        )
     dart = nb_matrix(graph)
     d = dart.degree
     direct = nb_spectrum_direct(dart)

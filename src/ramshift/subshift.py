@@ -1,4 +1,4 @@
-"""Matrix subshifts in one and two dimensions: regularity and consistency
+"""Matrix subshifts in two dimensions: regularity and consistency
 checks, unique extendability, transition graphs, pattern enumeration, the
 nearest-neighbor shift of a VH-datum, exact cylinder measures, and
 correlation-decay tables.
@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
 from .spectral import SizeCapExceeded, deviation_table, second_modulus_directed, walk_counts
-from .vhdatum import VHDatum, validate_datum
+from .vhdatum import VHDatum
 
 Pattern = tuple[tuple[int, ...], ...]  # columns, bottom-to-top within a column
 
@@ -43,42 +43,36 @@ Pattern = tuple[tuple[int, ...], ...]  # columns, bottom-to-top within a column
 @dataclass
 class MatrixSubshift:
     """A pair of 0/1 transition matrices over a common alphabet; A rules
-    horizontal transitions, B vertical ones.  B may be None for a
-    one-dimensional shift."""
+    horizontal transitions, B vertical ones.
+
+    The matrices are checked and the regularity report is computed once,
+    here; every consumer reads `report`, so the matrices must not be
+    changed after construction."""
 
     symbols: list[str]
     A: np.ndarray
-    B: np.ndarray | None = None
+    B: np.ndarray
+    report: RegularityReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.int64)
-        mats = [("A", self.A)]
-        if self.B is not None:
-            self.B = np.asarray(self.B, dtype=np.int64)
-            mats.append(("B", self.B))
+        self.B = np.asarray(self.B, dtype=np.int64)
         s = len(self.symbols)
-        for name, mat in mats:
+        for name, mat in (("A", self.A), ("B", self.B)):
             if mat.shape != (s, s):
                 raise ValueError(f"{name} must be {s}x{s}")
             if not ((mat == 0) | (mat == 1)).all():
                 raise ValueError(f"{name} must be a 0/1 matrix")
             if (mat.sum(axis=1) == 0).any() or (mat.sum(axis=0) == 0).any():
                 raise ValueError(f"{name} has a zero row or column")
+        self.report = regularity_report(self)
 
     @property
     def s(self) -> int:
         return len(self.symbols)
 
-    def transposed(self) -> "MatrixSubshift":
-        """Swap the two directions (used to get vertical correlations from
-        the horizontal machinery)."""
-        if self.B is None:
-            raise ValueError("one-dimensional shift has no transpose")
-        return MatrixSubshift(list(self.symbols), self.B, self.A)
-
     def __repr__(self) -> str:
-        dims = "Z^2" if self.B is not None else "Z"
-        return f"MatrixSubshift({self.s} symbols, {dims})"
+        return f"MatrixSubshift({self.s} symbols, Z^2)"
 
 
 def tile_label(datum: VHDatum, t: tuple[int, int, int, int]) -> str:
@@ -89,40 +83,24 @@ def tile_label(datum: VHDatum, t: tuple[int, int, int, int]) -> str:
 def build_xd(datum: VHDatum) -> MatrixSubshift:
     """The nearest-neighbor shift of a datum over the tile alphabet R,
     with backtracking (consecutive inverse colors) forbidden."""
-    report = validate_datum(datum)
-    if not report.ok:
-        raise ValueError(f"invalid datum: {report.violations[0]}")
-    r = datum.R
-    s = len(r)
-    a_mat = np.zeros((s, s), dtype=np.int64)
-    b_mat = np.zeros((s, s), dtype=np.int64)
-    ih, iv = datum.inv_H, datum.inv_V
-    for i, (a, b, c, d) in enumerate(r):
-        for j, (a2, b2, c2, d2) in enumerate(r):
-            if d == a2 and c2 != ih[c]:
-                a_mat[i, j] = 1
-            if b == c2 and a2 != iv[a]:
-                b_mat[i, j] = 1
-    return MatrixSubshift([tile_label(datum, t) for t in r], a_mat, b_mat)
+    return _tile_shift(datum, backtracking=False)
 
 
 def build_wang_shift(datum: VHDatum) -> MatrixSubshift:
     """The full tiling shift of the datum's Wang tileset (colors must match,
     backtracking allowed)."""
-    report = validate_datum(datum)
-    if not report.ok:
-        raise ValueError(f"invalid datum: {report.violations[0]}")
-    r = datum.R
-    s = len(r)
-    a_mat = np.zeros((s, s), dtype=np.int64)
-    b_mat = np.zeros((s, s), dtype=np.int64)
-    for i, (a, b, c, d) in enumerate(r):
-        for j, (a2, b2, c2, d2) in enumerate(r):
-            if d == a2:
-                a_mat[i, j] = 1
-            if b == c2:
-                b_mat[i, j] = 1
-    return MatrixSubshift([tile_label(datum, t) for t in r], a_mat, b_mat)
+    return _tile_shift(datum, backtracking=True)
+
+
+def _tile_shift(datum: VHDatum, backtracking: bool) -> MatrixSubshift:
+    # row t, column t': A needs d = a' (and c' != c^-1), B needs b = c' (and a' != a^-1)
+    a, b, c, d = np.array(datum.R, dtype=np.int64).reshape(-1, 4).T
+    a_mat = d[:, None] == a[None, :]
+    b_mat = b[:, None] == c[None, :]
+    if not backtracking:
+        a_mat &= c[None, :] != np.array(datum.inv_H)[c][:, None]
+        b_mat &= a[None, :] != np.array(datum.inv_V)[a][:, None]
+    return MatrixSubshift([tile_label(datum, t) for t in datum.R], a_mat, b_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +128,6 @@ def regularity_report(shift: MatrixSubshift) -> RegularityReport:
     matrix criteria.  Consistency (positive commutation with B and B^T) is
     equivalent to extendability of the shift; 0/1 products pin it down to
     unique extendability, in which case the products commute exactly."""
-    if shift.B is None:
-        raise ValueError("regularity report needs a two-dimensional shift")
     a, b = shift.A, shift.B
     degree = None
     sums = [a.sum(axis=1), a.sum(axis=0), b.sum(axis=1), b.sum(axis=0)]
@@ -214,15 +190,13 @@ def transition_graph(shift: MatrixSubshift, direction: str, k: int) -> Transitio
     For non-extendable shifts locally admissible strips need not occur in
     any configuration, so k >= 2 is rejected there; k = 1 is always the
     symbol graph (A or B itself)."""
-    if shift.B is None:
-        raise ValueError("transition graphs need a two-dimensional shift")
     if direction == "horizontal":
         along, across = shift.A, shift.B
     elif direction == "vertical":
         along, across = shift.B, shift.A
     else:
         raise ValueError("direction must be 'horizontal' or 'vertical'")
-    if k >= 2 and not regularity_report(shift).uniquely_extendable:
+    if k >= 2 and not shift.report.uniquely_extendable:
         raise ValueError("strip transition graphs beyond k = 1 need unique extendability")
     patterns = chains(across, k)
     n = len(patterns)
@@ -249,8 +223,6 @@ def _extend_strip(p: tuple[int, ...], succ: list[list[int]]):
 def admissible_patterns(shift: MatrixSubshift, m: int, n: int) -> list[Pattern]:
     """Explicitly enumerate all admissible (m, n) patterns (m columns of
     height n).  Exhaustive; capped at m*n <= 12 cells."""
-    if shift.B is None:
-        raise ValueError("pattern enumeration needs a two-dimensional shift")
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     if m * n > 12:
@@ -303,9 +275,7 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
     symbol.  Completion proceeds corner by corner; every step is forced for
     a uniquely extendable shift, and any ambiguity is reported as an
     internal inconsistency."""
-    if shift.B is None:
-        raise ValueError("fill_rectangle needs a two-dimensional shift")
-    if not regularity_report(shift).uniquely_extendable:
+    if not shift.report.uniquely_extendable:
         raise ValueError("fill_rectangle needs a uniquely extendable shift")
     if not h_trace or not v_trace:
         raise ValueError("traces must be nonempty")
@@ -359,19 +329,14 @@ class CylinderSpec:
         return (len(self.pattern), len(self.pattern[0]))
 
 
-def _regular_degree(shift: MatrixSubshift) -> int:
-    report = regularity_report(shift)
-    if report.degree is None:
-        raise ValueError("measure machinery needs a d-regular shift")
-    return report.degree
-
-
 def cylinder_measure(shift: MatrixSubshift, cyl: CylinderSpec | Pattern) -> Fraction:
     """mu of an (m, n) cylinder: 1 / (s d^(m-1) d^(n-1)) when the pattern is
     admissible, 0 (with a warning) otherwise.  Under mu all admissible
     one-step extensions of a rectangle are equally likely."""
     pattern = cyl.pattern if isinstance(cyl, CylinderSpec) else cyl
-    d = _regular_degree(shift)
+    d = shift.report.degree
+    if d is None:
+        raise ValueError("measure machinery needs a d-regular shift")
     m, n = len(pattern), len(pattern[0])
     if not is_admissible(shift, pattern):
         warnings.warn("inadmissible pattern has measure zero")
@@ -389,19 +354,19 @@ def correlation(
     of C1 so the supports do not touch.  The joint measure is computed from
     first principles: completions of the gap are counted as paths in the
     height-k strip graph by exact walk counts from e_v, and each full
-    (n + m2, k) rectangle carries 1 / (s d^(W-1) d^(k-1)).  Vertical offsets
-    go through `MatrixSubshift.transposed`.
+    (n + m2, k) rectangle carries 1 / (s d^(W-1) d^(k-1)).  For vertical
+    offsets pass the transposed shift `MatrixSubshift(symbols, B, A)`, with
+    the patterns transposed to match.
     """
     p1 = c1.pattern if isinstance(c1, CylinderSpec) else c1
     p2 = c2.pattern if isinstance(c2, CylinderSpec) else c2
-    d = _regular_degree(shift)
     k = len(p1[0])
     if len(p2[0]) != k:
         raise ValueError("patterns must be padded to a common vertical extent")
     m1, m2 = len(p1), len(p2)
     if n <= m1:
         raise ValueError(f"offset {n} overlaps the first pattern (width {m1})")
-    mu1 = cylinder_measure(shift, p1)
+    mu1 = cylinder_measure(shift, p1)  # rejects a shift that is not d-regular
     mu2 = cylinder_measure(shift, p2)
     if mu1 == 0 or mu2 == 0:
         return Fraction(0)
@@ -414,6 +379,7 @@ def correlation(
     start[v] = 1
     n_paths = deque(walk_counts(graph.adjacency, start, gap + 1), maxlen=1).pop()[u]
     width = n + m2
+    d = shift.report.degree
     joint = Fraction(n_paths, shift.s * d ** (width - 1) * d ** (k - 1))
     return abs(joint - mu1 * mu2)
 

@@ -41,6 +41,16 @@ from .quaternion import QuatElem, proportional
 
 @dataclass
 class VHDatum:
+    """A VH-datum: side alphabets V and H with their involutions, and the
+    relation tuples R = {(a, b, c, d)}.
+
+    `validate_datum` runs where a datum enters the library:
+    `build_quaternionic_datum` checks what it builds, `datum_from_dict`
+    (and so `read_datum`) checks what it reads, and `mealy.from_datum`
+    checks every datum it turns into an automaton; `direct_product_datum`
+    is valid by construction.  Consumers downstream of those (`build_xd`,
+    `build_wang_shift`, `wang_tiles`) trust the datum they are given."""
+
     V: list[str]
     H: list[str]
     inv_V: list[int]
@@ -323,9 +333,6 @@ class WangTileSet:
 
 def wang_tiles(datum: VHDatum) -> WangTileSet:
     """One tile per relation tuple: left a, top b, bottom c, right d."""
-    report = validate_datum(datum)
-    if not report.ok:
-        raise ValueError(f"cannot tile an invalid datum: {report.violations[0]}")
     tiles = [
         WangTile(left=datum.V[a], top=datum.H[b], bottom=datum.H[c], right=datum.V[d])
         for a, b, c, d in datum.R

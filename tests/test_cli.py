@@ -171,3 +171,69 @@ def test_datum_roundtrip_through_cli(tmp_path, capsys):
     )
     assert code == 0
     assert len(json.loads(stdout)["vertices"]) == 4
+
+
+def test_verify_ramanujan_skipped_level_is_not_a_pass(capsys):
+    # A_7 has 2916 vertices, above the default dense cap
+    code, stdout, err = run(
+        capsys, "verify-ramanujan", "--levels", "7:7", "--side", "A", "--no-timestamp",
+    )
+    assert code == 3
+    payload = json.loads(stdout)
+    assert not payload["all_pass"]
+    assert payload["verdicts"][0]["skipped"]
+    assert "skipped" in err
+
+
+def test_verify_ramanujan_zero_dense_cap_is_not_a_pass(capsys):
+    code, stdout, _ = run(
+        capsys, "verify-ramanujan", "--levels", "1", "--side", "A",
+        "--dense-cap", "0", "--no-timestamp",
+    )
+    assert code == 3
+    assert not json.loads(stdout)["all_pass"]
+
+
+def test_verify_ramanujan_empty_level_range(capsys):
+    code, stdout, err = run(capsys, "verify-ramanujan", "--levels", "3:1", "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
+def test_bass_ihara_checks_cap_before_building_darts(monkeypatch, capsys):
+    from ramshift import spectral
+
+    def no_dart_matrix(graph):
+        raise AssertionError("the dart matrix must not be built above the cap")
+
+    monkeypatch.setattr(spectral, "nb_matrix", no_dart_matrix)
+    # A_6 has 972 vertices and 3888 darts
+    code, stdout, err = run(capsys, "bass-ihara", "--level", "6", "--no-timestamp")
+    assert code == 3
+    assert stdout == ""
+    assert "cap" in err
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_graph_json_without_vertices_is_an_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path / "empty.json", {"vertices": [], "darts": [], "inv": []})
+    code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_graph_json_with_dart_outside_vertices_is_an_input_error(tmp_path, capsys):
+    path = _write_json(
+        tmp_path / "bad.json",
+        {"vertices": ["a", "b"], "darts": [[0, 5, "g"], [5, 0, "g'"]], "inv": [1, 0]},
+    )
+    code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "outside" in err

@@ -26,6 +26,12 @@ CASES = {
         for direction in ("horizontal", "vertical")
     },
     "graph_q3_A3.json": (["graph", "--level", "3", "--side", "A", "--format", "json"], 0),
+    "graph_q3_A3.dot": (["graph", "--level", "3", "--format", "dot"], 0),
+    "datum_q3.json": (["datum"], 0),
+    "automaton_q3_A.dot": (["automaton", "--side", "A"], 0),
+    "automaton_q3_B.dot": (["automaton", "--side", "B"], 0),
+    "tiles_q3.svg": (["tiles"], 0),
+    "subshift_check_q3.json": (["subshift-check"], 0),
     "product_graph_q5_levels_1_1.json": (
         ["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "1,1"], 0
     ),

@@ -40,6 +40,24 @@ def test_dart_involution_validation():
         UGraph(["v"], [(0, 0, "e")], [0])
 
 
+def test_ugraph_checks_vertices_and_dart_endpoints():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        UGraph([], [], [])
+    with pytest.raises(ValueError, match="outside"):
+        UGraph(["a", "b"], [(0, 5, "g"), (5, 0, "g'")], [1, 0])
+    with pytest.raises(ValueError, match="outside"):
+        UGraph(["a", "b"], [(0, -1, "g"), (-1, 0, "g'")], [1, 0])
+    with pytest.raises(ValueError, match="dart inversion"):
+        UGraph(["a", "b"], [(0, 1, "g"), (1, 0, "g'")], [1])
+    with pytest.raises(ValueError, match="dart inversion"):
+        UGraph(["a", "b"], [(0, 1, "g"), (1, 0, "g'")], [1, 2])
+
+
+def test_level_graph_sides_are_a_and_b(d12_q3):
+    with pytest.raises(ValueError, match="side"):
+        level_digraph(d12_q3, "V-action", 1)
+
+
 def test_adjacency_conventions():
     loop = UGraph.from_edges(1, [(0, 0), (0, 0)])
     a = loop.adjacency()

@@ -107,6 +107,23 @@ def test_ramanujan_check_rejects_disconnected():
         ramanujan_check(two_triangles)
 
 
+def test_ramanujan_check_caps_before_any_work(monkeypatch):
+    from ramshift import spectral
+
+    def no_bfs(graph):
+        raise AssertionError("structure_predicates must not run above the cap")
+
+    monkeypatch.setattr(spectral, "structure_predicates", no_bfs)
+    with pytest.raises(SizeCapExceeded, match="dense eigensolve"):
+        ramanujan_check(cycle(spectral.DENSE_EIG_LIMIT + 1))
+
+
+def test_ramanujan_check_rejects_irregular():
+    path = UGraph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="regular graph"):
+        ramanujan_check(path)
+
+
 def test_bass_ihara_provenance():
     from ramshift.spectral import bass_ihara_pairs
 

@@ -48,6 +48,40 @@ def test_xd_q3_regularity(xd_q3):
     assert (abt == xd_q3.B.T @ xd_q3.A).all()
 
 
+def test_regularity_report_runs_once_at_construction(d12_q3, monkeypatch):
+    from ramshift import subshift
+
+    shift = build_xd(d12_q3)
+    assert shift.report == regularity_report(shift)
+    calls = []
+    monkeypatch.setattr(subshift, "regularity_report", lambda s: calls.append(s))
+    tile = ((0,),)
+    transition_graph(shift, "horizontal", 2)
+    fill_rectangle(shift, (0,), (0,))
+    cylinder_measure(shift, tile)
+    correlation(shift, tile, tile, 3)
+    assert calls == []
+    MatrixSubshift(list(shift.symbols), shift.A, shift.B)
+    assert len(calls) == 1
+
+
+def test_matrix_subshift_needs_both_directions():
+    with pytest.raises(TypeError):
+        MatrixSubshift(list("ab"), np.ones((2, 2), dtype=int))
+
+
+@pytest.mark.parametrize("datum", ["d12_q3", "d12_q5", "f2f2"])
+def test_tile_shift_matrices_match_the_definition(datum, request):
+    datum = direct_product_datum(2, 2) if datum == "f2f2" else request.getfixturevalue(datum)
+    r, ih, iv = datum.R, datum.inv_H, datum.inv_V
+    xd, wang = build_xd(datum), build_wang_shift(datum)
+    for i, (a, b, c, d) in enumerate(r):
+        for j, (a2, b2, c2, d2) in enumerate(r):
+            assert wang.A[i, j] == (d == a2) and wang.B[i, j] == (b == c2)
+            assert xd.A[i, j] == (d == a2 and c2 != ih[c])
+            assert xd.B[i, j] == (b == c2 and a2 != iv[a])
+
+
 def test_non_extendable_example():
     shift = MatrixSubshift([str(i) for i in range(4)], A4, B4)
     report = regularity_report(shift)
