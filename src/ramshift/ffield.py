@@ -3,12 +3,18 @@ extension F_q[Z] defined by Z^2 = c for a fixed non-square c.
 
 Conventions
 -----------
-* An element of F_q is a coefficient tuple of length e (low degree first),
-  reduced modulo a fixed monic irreducible modulus over Z_p.
+* An element of F_q is defined by a coefficient tuple of length e (low
+  degree first), reduced modulo a fixed monic irreducible modulus over Z_p.
 * The canonical ordering of F_q enumerates elements by the integer encoding
   c_0 + c_1*p + ... + c_{e-1}*p^{e-1}, so the prime subfield 0, 1, ..., p-1
   comes first.  This ordering is used everywhere symbols or vertices need a
   reproducible order.
+* Elements are held as these encodings: an `FqElem` stores one, an
+  `Fq2Elem` u + vZ stores those of u and v.  Each `FieldSpec` builds flat
+  add, mul, neg, inverse and norm tables once (q^2 entries for the binary
+  ones) from the coefficient-tuple arithmetic, and every operation is a
+  table lookup.  `coeffs`, `.u`, `.v` and the labels are read off the
+  encodings.
 * The modulus is the lexicographically smallest monic irreducible of its
   degree (coefficients compared low degree first); for e = 1 it is the
   variable itself.  c is the first non-square in the canonical ordering.
@@ -17,12 +23,11 @@ Conventions
 * Conjugation on F_q[Z] is the Frobenius x -> x^q, which fixes F_q and sends
   Z to -Z.  The norm N(x) = x * conj(x) lands in F_q.
 
-All values are immutable and all operations are pure.
+All values are immutable by convention and all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -90,22 +95,55 @@ def _is_irreducible_zp(f: list[int], p: int) -> bool:
 # the field F_q
 
 
+def _encode(coeffs, p: int) -> int:
+    """The canonical encoding c_0 + c_1*p + ... of a coefficient sequence."""
+    return sum(x * p**i for i, x in enumerate(coeffs))
+
+
+def _poly_mulmod_zp(a, b, modulus: tuple[int, ...], p: int) -> list[int]:
+    """a * b reduced modulo the monic modulus in Z_p[x]: the definition the
+    multiplication table is built from."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _poly_divmod_zp(prod, list(modulus), p)[1]
+
+
 class FieldSpec:
     """The field F_q, q = p^e odd, together with the fixed non-square c.
 
-    Carries the raw tuple arithmetic; `FqElem` and `Fq2Elem` wrap it with
-    operators.  Instances are immutable by convention and compare by their
-    defining data (p, e, modulus, c).
+    Elements are held as their canonical encodings 0..q-1.  The constructor
+    builds the arithmetic once as flat lists indexed by encodings (a*q + b
+    for two operands), defined on coefficient tuples: addition digit by
+    digit mod p, multiplication as polynomials reduced by the modulus.
+    `FqElem` and `Fq2Elem` operators are lookups into these tables.  The
+    modulus must be monic irreducible of degree e; `make_field` picks it.
+    Instances are immutable by convention and compare by their defining
+    data (p, e, modulus, c).
     """
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...], c: tuple[int, ...]):
-        self.p = p
-        self.e = e
-        self.q = p**e
-        self.modulus = modulus
-        self.c = c
-        # x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
-        self._fold = tuple((-m) % p for m in modulus[:e])
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
+        q = p**e
+        self.p, self.e, self.q, self.modulus = p, e, q, tuple(modulus)
+        self._coeffs = coeffs = [tuple(n // p**i % p for i in range(e)) for n in range(q)]
+        self._neg = [_encode([-x % p for x in a], p) for a in coeffs]
+        self._add = [_encode([(x + y) % p for x, y in zip(a, b)], p) for a in coeffs for b in coeffs]
+        self._mul = mul = [_encode(_poly_mulmod_zp(a, b, self.modulus, p), p)
+                           for a in coeffs for b in coeffs]
+        self._inv = [None] * q  # zero has no inverse
+        for ab, prod in enumerate(mul):
+            if prod == 1:
+                self._inv[ab // q] = ab % q
+        # c is the first non-square in the canonical ordering
+        squares = {mul[a * q + a] for a in range(q)}
+        c = next(n for n in range(1, q) if n not in squares)
+        self.c = coeffs[c]
+        self._cmul = [mul[c * q + n] for n in range(q)]
+        # N(u + vZ) = u^2 - c v^2, indexed by the F_q[Z] encoding u + q*v
+        self._norm = [self._add[mul[u * q + u] * q + self._neg[self._cmul[mul[v * q + v]]]]
+                      for v in range(q) for u in range(q)]
+        self._hash = hash(self._key())
 
     # -- identity ----------------------------------------------------------
 
@@ -113,153 +151,120 @@ class FieldSpec:
         return (self.p, self.e, self.modulus, self.c)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FieldSpec) and self._key() == other._key()
+        return self is other or (isinstance(other, FieldSpec) and self._key() == other._key())
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus}, c={self.c})"
 
-    # -- raw coefficient-tuple arithmetic -----------------------------------
-
-    def _zero(self) -> tuple[int, ...]:
-        return (0,) * self.e
-
-    def _one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.e - 1)
-
-    def _add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _sub(self, a, b) -> tuple[int, ...]:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def _neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % self.p for x in a)
-
-    def _mul(self, a, b) -> tuple[int, ...]:
-        e, p = self.e, self.p
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce degree >= e using x^e = fold
-        for k in range(2 * e - 2, e - 1, -1):
-            coeff = prod[k]
-            if coeff:
-                prod[k] = 0
-                for i, fi in enumerate(self._fold):
-                    prod[k - e + i] = (prod[k - e + i] + coeff * fi) % p
-        return tuple(prod[:e])
-
-    def _pow(self, a, n: int) -> tuple[int, ...]:
-        result = self._one()
-        base = a
-        while n:
-            if n & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            n >>= 1
-        return result
-
-    def _inv(self, a) -> tuple[int, ...]:
-        if not any(a):
-            raise ZeroDivisionError("inversion of zero in F_q")
-        return self._pow(a, self.q - 2)
-
-    # -- canonical enumeration ----------------------------------------------
-
-    def _enc(self, a) -> int:
-        return sum(coeff * self.p**i for i, coeff in enumerate(a))
-
-    def _dec(self, n: int) -> tuple[int, ...]:
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return tuple(coeffs)
-
     # -- element-level API ---------------------------------------------------
 
-    def elem(self, value) -> "FqElem":
-        """Coerce an int (canonical encoding) or coefficient sequence."""
+    def _code(self, value) -> int:
+        """Canonical encoding of an int (taken mod q), a coefficient
+        sequence, or an element of this field."""
+        if isinstance(value, int):
+            return value % self.q
         if isinstance(value, FqElem):
             if value.spec != self:
                 raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FqElem(self, self._dec(value % self.q))
-        coeffs = tuple(int(x) % self.p for x in value)
+            return value.n
+        coeffs = [int(x) % self.p for x in value]
         if len(coeffs) != self.e:
             raise ValueError(f"coefficient sequence must have length {self.e}")
-        return FqElem(self, coeffs)
+        return _encode(coeffs, self.p)
+
+    def elem(self, value) -> "FqElem":
+        """Coerce an int (canonical encoding) or coefficient sequence."""
+        return FqElem(self, self._code(value))
 
     def zero(self) -> "FqElem":
-        return FqElem(self, self._zero())
+        return FqElem(self, 0)
 
     def one(self) -> "FqElem":
-        return FqElem(self, self._one())
+        return FqElem(self, 1)
 
     def c_elem(self) -> "FqElem":
-        return FqElem(self, self.c)
+        return FqElem(self, self._cmul[1])  # c * 1
 
     def elements(self) -> list["FqElem"]:
         """All of F_q in canonical order."""
-        return [FqElem(self, self._dec(n)) for n in range(self.q)]
+        return [FqElem(self, n) for n in range(self.q)]
 
     def ext_elements(self) -> list["Fq2Elem"]:
         """All of F_q[Z] in canonical order (u varies fastest)."""
-        out = []
-        for nv in range(self.q):
-            v = FqElem(self, self._dec(nv))
-            for nu in range(self.q):
-                out.append(Fq2Elem(self, FqElem(self, self._dec(nu)), v))
-        return out
+        q = self.q
+        return [Fq2Elem(self, n % q, n // q) for n in range(q * q)]
 
     def ext(self, u, v=0) -> "Fq2Elem":
-        return Fq2Elem(self, self.elem(u), self.elem(v))
+        """u + vZ from encodings, coefficient sequences or elements."""
+        if isinstance(u, int) and isinstance(v, int):  # the common case: constants
+            return Fq2Elem(self, u % self.q, v % self.q)
+        return Fq2Elem(self, self._code(u), self._code(v))
 
 
-@dataclass(frozen=True)
 class FqElem:
-    """An element of F_q as a reduced coefficient tuple."""
+    """An element of F_q held as its canonical encoding n; immutable by
+    convention."""
 
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("spec", "n")
 
-    def _wrap(self, coeffs) -> "FqElem":
-        return FqElem(self.spec, coeffs)
+    def __init__(self, spec: FieldSpec, n: int):
+        self.spec = spec
+        self.n = n
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The reduced coefficient tuple, low degree first."""
+        return self.spec._coeffs[self.n]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FqElem) and self.n == other.n
+                and (self.spec is other.spec or self.spec == other.spec))
+
+    def __hash__(self) -> int:
+        return hash(self.n)
 
     def __add__(self, other: "FqElem") -> "FqElem":
-        return self._wrap(self.spec._add(self.coeffs, other.coeffs))
+        s = self.spec
+        return FqElem(s, s._add[self.n * s.q + other.n])
 
     def __sub__(self, other: "FqElem") -> "FqElem":
-        return self._wrap(self.spec._sub(self.coeffs, other.coeffs))
+        s = self.spec
+        return FqElem(s, s._add[self.n * s.q + s._neg[other.n]])
 
     def __neg__(self) -> "FqElem":
-        return self._wrap(self.spec._neg(self.coeffs))
+        return FqElem(self.spec, self.spec._neg[self.n])
 
     def __mul__(self, other: "FqElem") -> "FqElem":
-        return self._wrap(self.spec._mul(self.coeffs, other.coeffs))
+        s = self.spec
+        return FqElem(s, s._mul[self.n * s.q + other.n])
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FqElem":
-        return self._wrap(self.spec._pow(self.coeffs, n))
+        s = self.spec
+        mul, q = s._mul, s.q
+        result, base = 1, self.n
+        while n:
+            if n & 1:
+                result = mul[result * q + base]
+            base = mul[base * q + base]
+            n >>= 1
+        return FqElem(s, result)
 
     def inverse(self) -> "FqElem":
-        return self._wrap(self.spec._inv(self.coeffs))
+        if not self.n:
+            raise ZeroDivisionError("inversion of zero in F_q")
+        return FqElem(self.spec, self.spec._inv[self.n])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.n
 
     def encoding(self) -> int:
-        return self.spec._enc(self.coeffs)
+        return self.n
 
     def is_square(self) -> bool:
         """Nonzero squares only; zero counts as a square."""
@@ -275,57 +280,82 @@ class FqElem:
         return f"Fq({fq_label(self)})"
 
 
-@dataclass(frozen=True)
 class Fq2Elem:
-    """An element u + vZ of F_q[Z], Z^2 = c."""
+    """An element u + vZ of F_q[Z], Z^2 = c, held as the encodings nu, nv
+    of u and v; immutable by convention."""
 
-    spec: FieldSpec
-    u: FqElem
-    v: FqElem
+    __slots__ = ("spec", "nu", "nv")
 
-    def _wrap(self, u: FqElem, v: FqElem) -> "Fq2Elem":
-        return Fq2Elem(self.spec, u, v)
+    def __init__(self, spec: FieldSpec, nu: int, nv: int):
+        self.spec = spec
+        self.nu = nu
+        self.nv = nv
+
+    @property
+    def u(self) -> FqElem:
+        return FqElem(self.spec, self.nu)
+
+    @property
+    def v(self) -> FqElem:
+        return FqElem(self.spec, self.nv)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Fq2Elem) and self.nu == other.nu and self.nv == other.nv
+                and (self.spec is other.spec or self.spec == other.spec))
+
+    def __hash__(self) -> int:
+        return hash((self.nu, self.nv))
 
     def __add__(self, other: "Fq2Elem") -> "Fq2Elem":
-        return self._wrap(self.u + other.u, self.v + other.v)
+        s = self.spec
+        add, q = s._add, s.q
+        return Fq2Elem(s, add[self.nu * q + other.nu], add[self.nv * q + other.nv])
 
     def __sub__(self, other: "Fq2Elem") -> "Fq2Elem":
-        return self._wrap(self.u - other.u, self.v - other.v)
+        s = self.spec
+        add, neg, q = s._add, s._neg, s.q
+        return Fq2Elem(s, add[self.nu * q + neg[other.nu]], add[self.nv * q + neg[other.nv]])
 
     def __neg__(self) -> "Fq2Elem":
-        return self._wrap(-self.u, -self.v)
+        neg = self.spec._neg
+        return Fq2Elem(self.spec, neg[self.nu], neg[self.nv])
 
     def __mul__(self, other: "Fq2Elem") -> "Fq2Elem":
-        c = self.spec.c_elem()
-        u = self.u * other.u + c * (self.v * other.v)
-        v = self.u * other.v + self.v * other.u
-        return self._wrap(u, v)
+        # (a + bZ)(c + dZ) = (ac + c_Z bd) + (ad + bc)Z, c_Z the non-square
+        s = self.spec
+        add, mul, q = s._add, s._mul, s.q
+        a, b, c, d = self.nu, self.nv, other.nu, other.nv
+        u = add[mul[a * q + c] * q + s._cmul[mul[b * q + d]]]
+        v = add[mul[a * q + d] * q + mul[b * q + c]]
+        return Fq2Elem(s, u, v)
 
     def __truediv__(self, other: "Fq2Elem") -> "Fq2Elem":
         return self * other.inverse()
 
     def conj(self) -> "Fq2Elem":
         """Frobenius conjugate: u + vZ -> u - vZ."""
-        return self._wrap(self.u, -self.v)
+        return Fq2Elem(self.spec, self.nu, self.spec._neg[self.nv])
 
     def norm(self) -> FqElem:
         """N(u + vZ) = u^2 - c v^2, an element of F_q."""
-        c = self.spec.c_elem()
-        return self.u * self.u - c * (self.v * self.v)
+        s = self.spec
+        return FqElem(s, s._norm[self.nu + s.q * self.nv])
 
     def inverse(self) -> "Fq2Elem":
-        n = self.norm()
-        if n.is_zero():
+        """conj(x) / N(x)."""
+        s = self.spec
+        mul, q = s._mul, s.q
+        n = s._norm[self.nu + q * self.nv]
+        if not n:
             raise ZeroDivisionError("inversion of zero in F_q[Z]")
-        ninv = n.inverse()
-        conj = self.conj()
-        return self._wrap(conj.u * ninv, conj.v * ninv)
+        ninv = s._inv[n]
+        return Fq2Elem(s, mul[self.nu * q + ninv], mul[s._neg[self.nv] * q + ninv])
 
     def is_zero(self) -> bool:
-        return self.u.is_zero() and self.v.is_zero()
+        return not (self.nu or self.nv)
 
     def encoding(self) -> int:
-        return self.u.encoding() + self.spec.q * self.v.encoding()
+        return self.nu + self.spec.q * self.nv
 
     def __str__(self) -> str:
         return fq2_label(self)
@@ -394,15 +424,7 @@ def make_field(p: int, e: int = 1) -> FieldSpec:
                 break
         if modulus is None:  # cannot happen: irreducibles exist in every degree
             raise RuntimeError("no irreducible modulus found")
-    spec = FieldSpec(p, e, modulus, (0,) * e)
-    c = None
-    for a in spec.elements():
-        if not a.is_zero() and not a.is_square():
-            c = a
-            break
-    if c is None:
-        raise RuntimeError("no non-square found")  # impossible for odd q
-    spec = FieldSpec(p, e, modulus, c.coeffs)
+    spec = FieldSpec(p, e, modulus)
     # non-square certificate: c^((q-1)/2) = -1
     cert = spec.c_elem() ** ((spec.q - 1) // 2)
     if cert != -spec.one():
@@ -419,7 +441,8 @@ def norm_fiber(spec: FieldSpec, target: FqElem) -> list[Fq2Elem]:
     target = spec.elem(target)
     if target.is_zero():
         raise ValueError("norm fiber of zero is not used; target must be nonzero")
-    fiber = [x for x in spec.ext_elements() if x.norm() == target]
+    q, t = spec.q, target.n
+    fiber = [Fq2Elem(spec, n % q, n // q) for n, norm in enumerate(spec._norm) if norm == t]
     if len(fiber) != spec.q + 1:
         raise RuntimeError("norm fiber has unexpected size")  # would signal a field bug
     return fiber

@@ -181,6 +181,16 @@ def level_digraph(datum: VHDatum, side: str, n: int) -> LabeledDigraph:
     return action_graph(auto, n, reduced=True)
 
 
+def level_size(datum: VHDatum, side: str, n: int) -> int:
+    """Vertices of A_n or B_n without building it: the reduced words of
+    length n over s symbols with a fixed-point-free involution number
+    s (s - 1)^(n-1), which is (q+1) q^(n-1) for a quaternionic datum."""
+    if n < 1:
+        raise ValueError("levels start at n = 1; the rose is handled by lifting")
+    s = len(datum.H if side == "A" else datum.V)
+    return s * (s - 1) ** (n - 1)
+
+
 def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
     """The undirected level graph A_n or B_n; (q+1)-regular with
     (q+1) q^(n-1) vertices for a quaternionic datum."""

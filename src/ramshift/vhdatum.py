@@ -31,7 +31,7 @@ import json
 import os
 from dataclasses import dataclass, field as _field
 
-from .ffield import FieldSpec, FqElem, Fq2Elem, fq2_label, norm_fiber
+from .ffield import FieldSpec, FqElem, Fq2Elem, fq2_label, make_field, norm_fiber
 from .quaternion import QuatElem, proportional
 
 
@@ -439,6 +439,29 @@ def dumps_datum(datum: VHDatum) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field_from_dict(f: dict, n_v: int, n_h: int, n_r: int) -> FieldSpec:
+    """The field of a datum file, rebuilt with `make_field`; the file's
+    modulus and non-square must be the ones `make_field` picks.
+
+    A quaternionic datum over F_q has q + 1 symbols a side and (q + 1)^2
+    tuples, so the sizes are checked before any field table (q^2 entries)
+    is built: a table is never larger than the file."""
+    p, e = int(f["p"]), int(f["e"])
+    if not (n_v == n_h and n_r == n_v * n_h and 1 <= e <= n_v.bit_length() and p ** e == n_v - 1):
+        raise ValueError(
+            f"field p={p}, e={e} does not fit |V| = {n_v}, |H| = {n_h}, |R| = {n_r}; "
+            "a datum over F_q has |V| = |H| = q + 1 and |R| = (q + 1)^2"
+        )
+    spec = make_field(p, e)
+    modulus, c = tuple(int(x) for x in f["modulus"]), tuple(int(x) for x in f["c"])
+    if (modulus, c) != (spec.modulus, spec.c):
+        raise ValueError(
+            f"field modulus {list(modulus)} and non-square {list(c)} differ from "
+            f"the canonical {list(spec.modulus)} and {list(spec.c)} of F_{spec.q}"
+        )
+    return spec
+
+
 def datum_from_dict(data: dict) -> VHDatum:
     try:
         inv_v = [int(i) for i in data["inv_V"]]
@@ -447,10 +470,9 @@ def datum_from_dict(data: dict) -> VHDatum:
         if any(len(t) != 4 for t in tuples):
             raise ValueError("R entries must be 4-tuples")
         if "field" in data:
-            f = data["field"]
-            spec = FieldSpec(int(f["p"]), int(f["e"]), tuple(int(x) for x in f["modulus"]), tuple(int(x) for x in f["c"]))
-            v_elems = [Fq2Elem(spec, spec.elem(u), spec.elem(v)) for u, v in data["V"]]
-            h_elems = [Fq2Elem(spec, spec.elem(u), spec.elem(v)) for u, v in data["H"]]
+            spec = _field_from_dict(data["field"], len(data["V"]), len(data["H"]), len(tuples))
+            v_elems = [spec.ext(u, v) for u, v in data["V"]]
+            h_elems = [spec.ext(u, v) for u, v in data["H"]]
             datum = VHDatum(
                 V=[fq2_label(x) for x in v_elems],
                 H=[fq2_label(x) for x in h_elems],

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ramshift.cli import main
 from ramshift.graphs import UGraph, write_ugraph
 
@@ -237,3 +239,102 @@ def test_graph_json_with_dart_outside_vertices_is_an_input_error(tmp_path, capsy
     assert code == 2
     assert stdout == ""
     assert err.startswith("error:") and "outside" in err
+
+
+def _edited_datum_file(tmp_path, capsys, edit):
+    path = tmp_path / "d.json"
+    assert run(capsys, "datum", "--write", str(path), "--no-timestamp")[0] == 0
+    data = json.loads(path.read_text())
+    edit(data)
+    return _write_json(tmp_path / "edited.json", data)
+
+
+def _field_edit(**changes):
+    return lambda data: data["field"].update(changes)
+
+
+def _drop_last_v(data):
+    data["V"].pop()
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(_field_edit(p=9), "does not fit", id="p9"),  # F_9 needs 10 symbols a side
+    pytest.param(_field_edit(p=4), "does not fit", id="p4"),
+    pytest.param(_field_edit(p=9, e=0), "does not fit", id="e0"),
+    pytest.param(_field_edit(modulus=[1, 1]), "modulus", id="modulus"),
+    pytest.param(_field_edit(c=[1]), "non-square", id="c"),
+    pytest.param(_drop_last_v, "does not fit", id="fiber-size"),
+])
+def test_datum_file_with_a_bad_field_block_is_an_input_error(tmp_path, capsys, edit, message):
+    path = _edited_datum_file(tmp_path, capsys, edit)
+    code, stdout, err = run(capsys, "datum", "--datum", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_datum_file_sizes_are_checked_before_any_field_table(tmp_path, capsys, monkeypatch):
+    from ramshift import ffield
+
+    path = _edited_datum_file(tmp_path, capsys, _field_edit(p=1000003))
+
+    def no_tables(*args):
+        raise AssertionError("no field may be built for a file that cannot be over it")
+
+    monkeypatch.setattr(ffield.FieldSpec, "__init__", no_tables)
+    code, _, err = run(capsys, "datum", "--datum", path, "--no-timestamp")
+    assert code == 2 and "does not fit" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--datum", "FILE"]])
+def test_datum_command_validates_once(tmp_path, capsys, monkeypatch, extra):
+    from ramshift import vhdatum
+
+    path = tmp_path / "d.json"
+    assert run(capsys, "datum", "--write", str(path), "--no-timestamp")[0] == 0
+    calls = []
+    original = vhdatum.validate_datum
+
+    def counting(datum):
+        calls.append(datum)
+        return original(datum)
+
+    monkeypatch.setattr(vhdatum, "validate_datum", counting)
+    argv = [str(path) if a == "FILE" else a for a in extra]
+    code, stdout, _ = run(capsys, "datum", *argv, "--no-timestamp")
+    assert code == 0 and json.loads(stdout)["valid"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("source", [["--levels", "6:7", "--side", "A"], ["--graph-json", "G"]])
+def test_dense_cap_above_the_eigensolver_limit_is_a_usage_error(tmp_path, capsys, source):
+    graph = tmp_path / "g.json"
+    write_ugraph(circular_ladder(4), str(graph))
+    argv = [str(graph) if a == "G" else a for a in source]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ramanujan", *argv, "--dense-cap", "5000", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--dense-cap" in captured.err and "2000" in captured.err
+
+
+def test_verify_ramanujan_skips_without_building_the_level(capsys, monkeypatch):
+    from ramshift import graphs
+
+    original = graphs.level_graph
+    built = []
+
+    def recording(datum, side, n):
+        built.append((side, n))
+        return original(datum, side, n)
+
+    monkeypatch.setattr(graphs, "level_graph", recording)
+    code, stdout, _ = run(
+        capsys, "verify-ramanujan", "--levels", "6:7", "--side", "A", "--no-timestamp",
+    )
+    assert code == 3
+    verdicts = json.loads(stdout)["verdicts"]
+    assert [v["skipped"] for v in verdicts] == [False, True]
+    assert verdicts[1]["n_vertices"] == 2916  # 4 * 3^6
+    assert built == [("A", 6)]

@@ -133,3 +133,121 @@ def test_fibers_partition_the_units(fixture, request):
         assert seen.isdisjoint(fiber)
         seen.update(fiber)
     assert len(seen) == spec.q * spec.q - 1
+
+
+# ---------------------------------------------------------------------------
+# the tables against the coefficient-tuple definition
+
+
+class TupleField:
+    """F_q and F_q[Z] on coefficient tuples: schoolbook products folded by
+    x^e = -(m_0 + ... + m_{e-1} x^{e-1}), inverses by a^(q-2).  Independent
+    of the tables the field builds."""
+
+    def __init__(self, spec):
+        self.p, self.e, self.q, self.c = spec.p, spec.e, spec.q, spec.c
+        self.fold = [(-m) % spec.p for m in spec.modulus[:spec.e]]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        e, p = self.e, self.p
+        prod = [0] * (2 * e - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for k in range(2 * e - 2, e - 1, -1):
+            coeff, prod[k] = prod[k], 0
+            for i, fi in enumerate(self.fold):
+                prod[k - e + i] = (prod[k - e + i] + coeff * fi) % p
+        return tuple(prod[:e])
+
+    def inv(self, a):
+        result, n = (1,) + (0,) * (self.e - 1), self.q - 2
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a, n = self.mul(a, a), n >> 1
+        return result
+
+    def mul2(self, x, y):
+        (a, b), (c, d) = x, y
+        return (self.add(self.mul(a, c), self.mul(self.c, self.mul(b, d))),
+                self.add(self.mul(a, d), self.mul(b, c)))
+
+    def norm2(self, x):
+        u, v = x
+        return self.sub(self.mul(u, u), self.mul(self.c, self.mul(v, v)))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
+def test_tables_match_the_tuple_definition_on_every_pair(p, e):
+    spec = make_field(p, e)
+    ref = TupleField(spec)
+    elems = spec.elements()
+    assert [a.coeffs for a in elems] == sorted({a.coeffs for a in elems}, key=lambda c: c[::-1])
+    for a in elems:
+        assert (-a).coeffs == ref.neg(a.coeffs)
+        if not a.is_zero():
+            assert a.inverse().coeffs == ref.inv(a.coeffs)
+        for b in elems:
+            assert (a + b).coeffs == ref.add(a.coeffs, b.coeffs)
+            assert (a - b).coeffs == ref.sub(a.coeffs, b.coeffs)
+            assert (a * b).coeffs == ref.mul(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_extension_ops_match_the_tuple_definition_on_every_pair(p, e):
+    spec = make_field(p, e)
+    ref = TupleField(spec)
+    pair = lambda x: (x.u.coeffs, x.v.coeffs)
+    elems = spec.ext_elements()
+    for x in elems:
+        assert pair(x.conj()) == (x.u.coeffs, ref.neg(x.v.coeffs))
+        assert x.norm().coeffs == ref.norm2(pair(x))
+        for y in elems:
+            prod = x * y
+            assert pair(prod) == ref.mul2(pair(x), pair(y))
+            if not y.is_zero():
+                # x / y is the z with z * y = x
+                assert ref.mul2(pair(x / y), pair(y)) == pair(x)
+
+
+def test_elements_keep_their_encoding_api(f9):
+    x = f9.ext(f9.elem((1, 1)), (2, 1))
+    assert (x.u.encoding(), x.v.encoding(), x.encoding()) == (4, 5, 4 + 9 * 5)
+    assert f9.ext(4, 5) == x and hash(f9.ext(4, 5)) == hash(x)
+    assert str(x) == "1+w+(2+w)Z"
+    assert f9.elem(13) == f9.elem(4)  # ints are taken mod q
+    with pytest.raises(ValueError, match="length 2"):
+        f9.elem((1, 1, 1))
+
+
+def test_equal_encodings_in_different_fields_differ(f3, f5):
+    assert f3.elem(1) != f5.elem(1)
+    assert f3.ext(1, 1) != f5.ext(1, 1)
+    assert make_field(3, 1).elem(2) == f3.elem(2)  # equal fields built twice
+    with pytest.raises(ValueError, match="different field"):
+        f5.elem(f3.elem(1))
+
+
+def test_make_field_builds_the_tables_once(monkeypatch):
+    from ramshift import ffield
+
+    built = []
+    original = ffield.FieldSpec.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(ffield.FieldSpec, "__init__", counting)
+    make_field(3, 3)
+    assert len(built) == 1

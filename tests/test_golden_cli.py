@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from ramshift.cli import main
+from ramshift.ffield import make_field
+from ramshift.vhdatum import build_quaternionic_datum, dumps_datum
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -28,6 +30,10 @@ CASES = {
     "graph_q3_A3.json": (["graph", "--level", "3", "--side", "A", "--format", "json"], 0),
     "graph_q3_A3.dot": (["graph", "--level", "3", "--format", "dot"], 0),
     "datum_q3.json": (["datum"], 0),
+    "datum_q9.json": (["datum", "--p", "3", "--e", "2"], 0),
+    "datum_q27.json": (["datum", "--p", "3", "--e", "3"], 0),
+    "automaton_q9_A.dot": (["automaton", "--p", "3", "--e", "2"], 0),
+    "automaton_q27_A.dot": (["automaton", "--p", "3", "--e", "3"], 0),
     "automaton_q3_A.dot": (["automaton", "--side", "A"], 0),
     "automaton_q3_B.dot": (["automaton", "--side", "B"], 0),
     "tiles_q3.svg": (["tiles"], 0),
@@ -37,6 +43,9 @@ CASES = {
     ),
     "verify_ramanujan_q3_1_4.json": (["verify-ramanujan", "--levels", "1:4"], 0),
 }
+
+# name -> (p, e) of the canonical datum file D_{1,2} over F_{p^e}
+DATUM_FILES = {"datum_file_q9.json": (3, 2), "datum_file_q27.json": (3, 3)}
 
 
 def run_case(name: str) -> tuple[int, str]:
@@ -54,6 +63,15 @@ def test_cli_output_matches_golden(name):
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def datum_file_text(name: str) -> str:
+    return dumps_datum(build_quaternionic_datum(make_field(*DATUM_FILES[name]), 1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(DATUM_FILES))
+def test_datum_file_matches_golden(name):
+    assert datum_file_text(name) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in sorted(CASES):
@@ -61,3 +79,5 @@ if __name__ == "__main__":
         if code != CASES[name][1]:
             raise SystemExit(f"{name}: exit code {code}, expected {CASES[name][1]}")
         (GOLDEN / name).write_text(text, encoding="utf-8")
+    for name in sorted(DATUM_FILES):
+        (GOLDEN / name).write_text(datum_file_text(name), encoding="utf-8")

@@ -224,3 +224,15 @@ def test_reduced_subgraph_matches_level_digraph(d12_q3):
     g = level_digraph(d12_q3, "B", 2)
     u = level_graph(d12_q3, "B", 2)
     assert u.n_darts() == len(g.edges)
+
+
+def test_level_size_counts_without_building(d12_q3, d12_q5):
+    from ramshift.graphs import level_graph, level_size
+    from ramshift.vhdatum import direct_product_datum
+
+    for datum, levels in ((d12_q3, (1, 2, 3, 4)), (d12_q5, (1, 2)), (direct_product_datum(2, 3), (1, 2, 3))):
+        for side in ("A", "B"):
+            for n in levels:
+                assert level_size(datum, side, n) == level_graph(datum, side, n).n_vertices()
+    with pytest.raises(ValueError, match="n = 1"):
+        level_size(d12_q3, "A", 0)
