@@ -3,7 +3,9 @@
 Commands: datum, automaton, graph, product-graph, verify-ramanujan,
 bass-ihara, subshift-check, mixing, tiles.  Formats: JSON for reports and
 datum files, DOT for graphs and automata, CSV for spectra and mixing
-tables, SVG for tiles.
+tables, SVG for tiles.  Every JSON report goes through one writer,
+`vhdatum.json_text`: stdlib json's sorted-key, one-space-indent text,
+with the long flat lists of a graph made by the C encoder.
 
 Every output embeds the resolved run configuration for provenance (plus a
 timestamp unless --no-timestamp is given), files are written atomically,
@@ -24,7 +26,7 @@ from datetime import datetime, timezone
 
 from . import graphs, mealy, spectral, subshift, vhdatum
 from .ffield import make_field
-from .vhdatum import atomic_write
+from .vhdatum import atomic_write, json_text
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -49,7 +51,7 @@ def _emit(args, text: str) -> None:
 def _emit_json(args, payload: dict) -> None:
     payload = dict(payload)
     payload["config"] = _config_dict(args)
-    _emit(args, json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
+    _emit(args, json_text(payload) + "\n")
 
 
 def _header(args) -> str:

@@ -12,9 +12,9 @@ Conventions
 * Elements are held as these encodings: an `FqElem` stores one, an
   `Fq2Elem` u + vZ stores those of u and v.  Each `FieldSpec` builds flat
   add, mul, neg, inverse and norm tables once (q^2 entries for the binary
-  ones) from the coefficient-tuple arithmetic, and every operation is a
-  table lookup.  `coeffs`, `.u`, `.v` and the labels are read off the
-  encodings.
+  ones) from the coefficient-tuple arithmetic, or for a prime field from
+  residue arithmetic mod p, and every operation is a table lookup.
+  `coeffs`, `.u`, `.v` and the labels are read off the encodings.
 * The modulus is the lexicographically smallest monic irreducible of its
   degree (coefficients compared low degree first); for e = 1 it is the
   variable itself.  c is the first non-square in the canonical ordering.
@@ -116,7 +116,8 @@ class FieldSpec:
     Elements are held as their canonical encodings 0..q-1.  The constructor
     builds the arithmetic once as flat lists indexed by encodings (a*q + b
     for two operands), defined on coefficient tuples: addition digit by
-    digit mod p, multiplication as polynomials reduced by the modulus.
+    digit mod p, multiplication as polynomials reduced by the modulus.  A
+    prime field (e = 1) fills the same tables from residues mod p directly.
     `FqElem` and `Fq2Elem` operators are lookups into these tables.  The
     modulus must be monic irreducible of degree e; `make_field` picks it.
     Instances are immutable by convention and compare by their defining
@@ -128,21 +129,31 @@ class FieldSpec:
         self.p, self.e, self.q, self.modulus = p, e, q, tuple(modulus)
         self._coeffs = coeffs = [tuple(n // p**i % p for i in range(e)) for n in range(q)]
         self._neg = [_encode([-x % p for x in a], p) for a in coeffs]
-        self._add = [_encode([(x + y) % p for x, y in zip(a, b)], p) for a in coeffs for b in coeffs]
-        self._mul = mul = [_encode(_poly_mulmod_zp(a, b, self.modulus, p), p)
-                           for a in coeffs for b in coeffs]
         self._inv = [None] * q  # zero has no inverse
-        for ab, prod in enumerate(mul):
-            if prod == 1:
-                self._inv[ab // q] = ab % q
+        if e == 1:
+            # Z_p itself: encodings are residues, so nothing is reduced by the
+            # modulus; the entries are items of `res`, which shares their ints
+            res = list(range(p))
+            self._add = [x for a in res for x in res[a:] + res[:a]]
+            self._mul = mul = [res[a * b % p] for a in res for b in res]
+            self._inv[1:] = [pow(a, p - 2, p) for a in res[1:]]
+        else:
+            self._add = [_encode([(x + y) % p for x, y in zip(a, b)], p)
+                         for a in coeffs for b in coeffs]
+            self._mul = mul = [_encode(_poly_mulmod_zp(a, b, self.modulus, p), p)
+                               for a in coeffs for b in coeffs]
+            for ab, prod in enumerate(mul):
+                if prod == 1:
+                    self._inv[ab // q] = ab % q
         # c is the first non-square in the canonical ordering
-        squares = {mul[a * q + a] for a in range(q)}
+        squared = [mul[u * q + u] for u in range(q)]
+        squares = set(squared)
         c = next(n for n in range(1, q) if n not in squares)
         self.c = coeffs[c]
         self._cmul = [mul[c * q + n] for n in range(q)]
         # N(u + vZ) = u^2 - c v^2, indexed by the F_q[Z] encoding u + q*v
-        self._norm = [self._add[mul[u * q + u] * q + self._neg[self._cmul[mul[v * q + v]]]]
-                      for v in range(q) for u in range(q)]
+        self._norm = [self._add[s * q + t] for t in (self._neg[self._cmul[x]] for x in squared)
+                      for s in squared]
         self._hash = hash(self._key())
 
     # -- identity ----------------------------------------------------------

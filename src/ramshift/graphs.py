@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -36,7 +35,7 @@ from .mealy import (
     reduced_words,
     word_label,
 )
-from .vhdatum import VHDatum, build_quaternionic_datum, atomic_write
+from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, json_text
 
 
 @dataclass
@@ -407,8 +406,11 @@ def ugraph_to_dot(graph: UGraph, name: str = "level_graph", header: str | None =
 
 
 def ugraph_to_json_dict(graph: UGraph) -> dict:
-    counts = Counter((o, t) for o, t, _ in graph.darts)
-    coo = [[i, j, mult] for (i, j), mult in sorted(counts.items())]
+    n = graph.n_vertices()
+    ends = np.array([(o, t) for o, t, _ in graph.darts], dtype=np.int64).reshape(-1, 2)
+    # one key per (origin, terminus); np.unique returns them in (i, j) order
+    keys, mult = np.unique(ends[:, 0] * n + ends[:, 1], return_counts=True)
+    coo = np.column_stack([keys // n, keys % n, mult]).tolist()
     return {
         "vertices": list(graph.vertex_labels),
         "darts": [[o, t, label] for o, t, label in graph.darts],
@@ -418,7 +420,7 @@ def ugraph_to_json_dict(graph: UGraph) -> dict:
 
 
 def ugraph_to_json(graph: UGraph) -> str:
-    return json.dumps(ugraph_to_json_dict(graph), sort_keys=True, indent=1) + "\n"
+    return json_text(ugraph_to_json_dict(graph)) + "\n"
 
 
 def ugraph_from_json(text: str) -> UGraph:

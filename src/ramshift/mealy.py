@@ -205,12 +205,13 @@ def act(m: Mealy, state: int, word: Word) -> tuple[Word, int]:
     """Left-to-right transduction; returns (output word, end state)."""
     if not 0 <= state < m.n_states():
         raise ValueError(f"state index {state} out of range")
+    n_letters, out, delta = m.n_letters(), m.out, m.delta
     output = []
     for letter in word:
-        if not 0 <= letter < m.n_letters():
+        if not 0 <= letter < n_letters:
             raise ValueError(f"letter index {letter} not in the alphabet")
-        output.append(m.out[state][letter])
-        state = m.delta[state][letter]
+        output.append(out[state][letter])
+        state = delta[state][letter]
     return tuple(output), state
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field as _field
+from json.encoder import encode_basestring_ascii
 
 from .ffield import FieldSpec, FqElem, Fq2Elem, fq2_label, make_field, norm_fiber
 from .quaternion import QuatElem, proportional
@@ -399,6 +400,43 @@ def atomic_write(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def json_text(payload) -> str:
+    """The indented JSON text of every report and graph file: byte for byte
+    `json.dumps(payload, sort_keys=True, indent=1, default=str)`.
+
+    The json module drops to its pure-Python encoder whenever an indent is
+    given.  Here dicts with str keys are walked by hand, and a flat list of
+    exact ints and strs, or a list of non-empty such rows, is one C-encoder
+    call with the indent folded into the item separator.  Anything else is
+    the stdlib text re-indented by its depth.  The re-indenting replaces are
+    safe because an ASCII-encoded JSON string never holds a raw newline.
+    """
+    return _json_at(payload, "\n")
+
+
+_SCALARS = {int, str}  # exact types the C encoder writes as stdlib does
+
+
+def _json_at(value, nl: str) -> str:
+    """`value`'s text when its line breaks are `nl` (newline + its depth)."""
+    inner = nl + " "
+    if type(value) is dict and value and {type(k) for k in value} == {str}:
+        items = [encode_basestring_ascii(k) + ": " + _json_at(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(value) is list and value:
+        types = {type(x) for x in value}
+        if types <= _SCALARS:
+            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+            return "[" + inner + body + nl + "]"
+        if types == {list} and all(value) and {type(x) for row in value for x in row} <= _SCALARS:
+            deeper = inner + " "
+            body = json.dumps(value, separators=("," + deeper, ": "))[2:-2]
+            body = body.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+            return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
+    return json.dumps(value, sort_keys=True, indent=1, default=str).replace("\n", nl)
 
 
 def datum_to_dict(datum: VHDatum) -> dict:

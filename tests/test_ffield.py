@@ -4,7 +4,7 @@ brute-force oracles computed inside the tests."""
 
 import pytest
 
-from ramshift.ffield import make_field, norm_fiber
+from ramshift.ffield import _poly_mulmod_zp, make_field, norm_fiber
 
 
 def brute_nonresidue(p):
@@ -201,6 +201,21 @@ def test_tables_match_the_tuple_definition_on_every_pair(p, e):
             assert (a + b).coeffs == ref.add(a.coeffs, b.coeffs)
             assert (a - b).coeffs == ref.sub(a.coeffs, b.coeffs)
             assert (a * b).coeffs == ref.mul(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("p", [7, 11, 31, 101])
+def test_prime_field_tables_match_the_polynomial_definition(p):
+    # prime fields fill their tables with residue arithmetic; extension
+    # fields reduce coefficient tuples by the modulus, which for e = 1 is x
+    spec = make_field(p, 1)
+    residue = lambda coeffs: coeffs[0] if coeffs else 0
+    mul = [residue(_poly_mulmod_zp((a,), (b,), spec.modulus, p)) for a in range(p) for b in range(p)]
+    assert spec._mul == mul
+    assert spec._add == [(a + b) % p for a in range(p) for b in range(p)]
+    assert spec._neg == [-a % p for a in range(p)]
+    assert spec._inv[0] is None
+    for a in range(1, p):
+        assert mul[a * p + spec._inv[a]] == 1
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])

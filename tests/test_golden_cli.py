@@ -38,8 +38,14 @@ CASES = {
     "automaton_q3_B.dot": (["automaton", "--side", "B"], 0),
     "tiles_q3.svg": (["tiles"], 0),
     "subshift_check_q3.json": (["subshift-check"], 0),
+    "graph_q5_B2.json": (
+        ["graph", "--p", "5", "--level", "2", "--side", "B", "--format", "json"], 0
+    ),
     "product_graph_q5_levels_1_1.json": (
         ["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "1,1"], 0
+    ),
+    "product_graph_q5_levels_2_1.json": (
+        ["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "2,1"], 0
     ),
     "verify_ramanujan_q3_1_4.json": (["verify-ramanujan", "--levels", "1:4"], 0),
 }
