@@ -11,7 +11,11 @@ everywhere; nothing is simplified.
 Level graphs: A_n is the action graph of the datum automaton on reduced
 words of length n over H (one dart per V-state), glued into an undirected
 graph via the state involution; B_n is the same for the dual automaton on
-reduced words over V.  Vertices carry canonical integer ids coming from the
+reduced words over V.  Both are built by the array lift `mealy.lift_arrays`
+(`mealy.action_graph` is the reference transducer the tests compare it
+with), and product levels thread the state through one lift per component.
+Dart v * s + a leaves vertex v with state a, and its inverse is dart
+dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
 reproducible across runs.
 """
@@ -26,15 +30,7 @@ from math import gcd
 import numpy as np
 
 from .ffield import FieldSpec
-from .mealy import (
-    LabeledDigraph,
-    act,
-    action_graph,
-    dual,
-    from_datum,
-    reduced_words,
-    word_label,
-)
+from .mealy import LabeledDigraph, Mealy, dual, from_datum, lift_arrays, word_labels
 from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, json_text
 
 
@@ -43,27 +39,37 @@ class UGraph:
     """Undirected multigraph as a list of darts with an inversion pairing.
 
     Construction checks the vertex list, the dart endpoints and the pairing
-    once, so every consumer may index with them freely."""
+    once, on int64 arrays it keeps as `origin`, `terminus` and `inv_dart`,
+    so every consumer may index with them freely."""
 
     vertex_labels: list[str]
     darts: list[tuple[int, int, str]]  # (origin, terminus, label)
     inv: list[int]                     # dart index -> inverse dart index
+    origin: np.ndarray = field(init=False, repr=False, compare=False)
+    terminus: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_dart: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = len(self.vertex_labels), len(self.darts)
         if n == 0:
             raise ValueError("a graph needs at least one vertex")
-        if len(self.inv) != m or not all(0 <= j < m for j in self.inv):
+        # an index beyond int64 raises OverflowError in these conversions;
+        # ugraph_from_json reports it as a malformed file
+        inv = np.array(self.inv, dtype=np.int64)
+        if len(inv) != m or ((inv < 0) | (inv >= m)).any():
             raise ValueError(f"dart inversion must give one dart in 0..{m - 1} per dart")
-        for e, (o, t, _) in enumerate(self.darts):
-            if not (0 <= o < n and 0 <= t < n):
-                raise ValueError(f"dart {e} has an endpoint outside 0..{n - 1}")
-            j = self.inv[e]
-            if j == e or self.inv[j] != e:
-                raise ValueError("dart inversion must be a fixed-point-free involution")
-            jo, jt, _ = self.darts[j]
-            if (jo, jt) != (t, o):
-                raise ValueError("inverse dart must reverse origin and terminus")
+        o = np.array([d[0] for d in self.darts], dtype=np.int64)
+        t = np.array([d[1] for d in self.darts], dtype=np.int64)
+        outside = np.flatnonzero((o < 0) | (o >= n) | (t < 0) | (t >= n))
+        if outside.size:
+            raise ValueError(f"dart {outside[0]} has an endpoint outside 0..{n - 1}")
+        e = np.arange(m)
+        if (inv == e).any() or (inv[inv] != e).any():
+            raise ValueError("dart inversion must be a fixed-point-free involution")
+        # for an involution, o[inv] == t also gives t[inv] == o
+        if (o[inv] != t).any():
+            raise ValueError("inverse dart must reverse origin and terminus")
+        self.origin, self.terminus, self.inv_dart = o, t, inv
 
     def n_vertices(self) -> int:
         return len(self.vertex_labels)
@@ -76,38 +82,13 @@ class UGraph:
         contributes two to its diagonal entry."""
         n = self.n_vertices()
         a = np.zeros((n, n), dtype=np.int64)
-        for o, t, _ in self.darts:
-            a[o, t] += 1
+        np.add.at(a, (self.origin, self.terminus), 1)
         return a
 
     def regular_degree(self) -> int | None:
-        degrees = np.bincount([o for o, _, _ in self.darts], minlength=self.n_vertices())
+        degrees = np.bincount(self.origin, minlength=self.n_vertices())
         d = int(degrees[0])
         return d if bool((degrees == d).all()) else None
-
-    @staticmethod
-    def from_action_graph(g: LabeledDigraph, label_fn=None) -> "UGraph":
-        """Glue a state-labeled action graph into an undirected graph: the
-        edge v --a--> u pairs with u --a^-1--> v.  Requires the state
-        involution and the full pairing to exist."""
-        if g.inv_state is None:
-            raise ValueError("gluing needs the state involution")
-        if label_fn is None:
-            label_fn = str
-        position = {}
-        for e, (src, dst, st) in enumerate(g.edges):
-            key = (src, dst, st)
-            if key in position:
-                raise ValueError(f"duplicate labeled edge {key}")
-            position[key] = e
-        inv = []
-        for src, dst, st in g.edges:
-            j = position.get((dst, src, g.inv_state[st]))
-            if j is None:
-                raise ValueError(f"edge ({src}, {dst}, state {st}) has no inverse edge")
-            inv.append(j)
-        darts = [(src, dst, g.state_labels[st]) for src, dst, st in g.edges]
-        return UGraph([label_fn(v) for v in g.vertices], darts, inv)
 
     @staticmethod
     def from_edges(n_vertices: int, edges: list[tuple[int, int]], labels: list[str] | None = None) -> "UGraph":
@@ -150,13 +131,12 @@ def nb_matrix(graph: UGraph) -> DartGraph:
         raise ValueError("non-backtracking matrix needs a regular graph")
     n = graph.n_darts()
     h = np.zeros((n, n), dtype=np.int64)
-    by_origin: list[list[int]] = [[] for _ in range(graph.n_vertices())]
-    for f, (o, _, _) in enumerate(graph.darts):
-        by_origin[o].append(f)
-    for e, (_, t, _) in enumerate(graph.darts):
-        for f in by_origin[t]:
-            if f != graph.inv[e]:
-                h[e, f] = 1
+    # row v holds the deg darts leaving v
+    by_origin = np.argsort(graph.origin).reshape(graph.n_vertices(), deg)
+    e = np.repeat(np.arange(n), deg)
+    f = by_origin[graph.terminus].ravel()
+    keep = f != graph.inv_dart[e]
+    h[e[keep], f[keep]] = 1
     # rows and columns sum to deg - 1 because UGraph checked the pairing
     return DartGraph(graph, h, deg - 1)
 
@@ -165,19 +145,23 @@ def nb_matrix(graph: UGraph) -> DartGraph:
 # level graphs
 
 
-def level_digraph(datum: VHDatum, side: str, n: int) -> LabeledDigraph:
-    """Directed labeled level graph: side "A" acts with the datum automaton
-    on reduced H-words, side "B" with the dual automaton on reduced V-words."""
+def _level_automaton(datum: VHDatum, side: str, n: int) -> Mealy:
     if n < 1:
         raise ValueError("levels start at n = 1; the rose is handled by lifting")
     m = from_datum(datum)
-    if side == "A":
-        auto = m
-    elif side == "B":
-        auto = dual(m)
-    else:
+    if side not in ("A", "B"):
         raise ValueError("side must be 'A' (V-action) or 'B' (H-action)")
-    return action_graph(auto, n, reduced=True)
+    return m if side == "A" else dual(m)
+
+
+def level_digraph(datum: VHDatum, side: str, n: int) -> LabeledDigraph:
+    """Directed labeled level graph: side "A" acts with the datum automaton
+    on reduced H-words, side "B" with the dual automaton on reduced V-words.
+    The lift `level_graph` is built from, with word tuples as vertices."""
+    auto = _level_automaton(datum, side, n)
+    lift = lift_arrays(auto, n)
+    edges = [(v, u, a) for v, row in enumerate(lift.dst.tolist()) for a, u in enumerate(row)]
+    return LabeledDigraph(list(map(tuple, lift.words.tolist())), edges, list(auto.states), list(auto.inv_states))
 
 
 def level_size(datum: VHDatum, side: str, n: int) -> int:
@@ -190,24 +174,45 @@ def level_size(datum: VHDatum, side: str, n: int) -> int:
     return s * (s - 1) ** (n - 1)
 
 
+def _lifted_graph(automata: list[Mealy], levels: tuple[int, ...], alphabets: list[list[str]]) -> UGraph:
+    """The one builder of A_n, B_n and product levels.  Vertices are tuples
+    of reduced words, one per automaton, indexed in mixed radix with the
+    first component most significant (itertools.product order).  Dart
+    v * s + a threads state a through the components' lifts in order, the
+    end state of each transduction starting the next (`mealy.product_act`);
+    its inverse is dart dst * s + a^-1, which UGraph's check confirms."""
+    lifts = [lift_arrays(auto, lv) for auto, lv in zip(automata, levels)]
+    s = automata[0].n_states()
+    total = int(np.prod([len(lift.words) for lift in lifts]))
+    vertex = np.arange(total)[:, None]
+    state = np.broadcast_to(np.arange(s), (total, s))
+    dst = np.zeros((total, s), dtype=np.intp)
+    stride = total
+    for lift in lifts:
+        size = len(lift.words)
+        stride //= size
+        component = vertex // stride % size
+        dst += lift.dst[component, state] * stride
+        state = lift.end[component, state]
+    labels = itertools.product(*(word_labels(lift.words, names) for lift, names in zip(lifts, alphabets)))
+    darts = zip(np.repeat(np.arange(total), s).tolist(), dst.ravel().tolist(), automata[0].states * total)
+    inv = (dst * s + np.asarray(automata[0].inv_states)).ravel().tolist()
+    return UGraph(list(map("|".join, labels)), list(darts), inv)
+
+
 def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
     """The undirected level graph A_n or B_n; (q+1)-regular with
-    (q+1) q^(n-1) vertices for a quaternionic datum."""
-    g = level_digraph(datum, side, n)
-    labels = datum.H if side == "A" else datum.V
-    graph = UGraph.from_action_graph(g, label_fn=lambda w: word_label(w, labels))
-    expected = len(g.state_labels)
-    if graph.regular_degree() != expected:
-        raise RuntimeError("level graph lost regularity; automaton is not bireversible")
-    return graph
+    (q+1) q^(n-1) vertices for a quaternionic datum (every vertex keeps one
+    dart per state, since the lift drops none)."""
+    auto = _level_automaton(datum, side, n)
+    return _lifted_graph([auto], (n,), [auto.alphabet])
 
 
-def product_level_digraph(
-    spec: FieldSpec, s0: list, tau, levels: tuple[int, ...]
-) -> tuple[LabeledDigraph, list[VHDatum]]:
-    """Directed labeled level graph for the diagonal action: vertices are
-    tuples of reduced words (one per sigma in s0 minus tau, lengths given by
-    `levels`), edges thread each V-generator through the automata in order."""
+def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...]) -> UGraph:
+    """Undirected multi-dimensional level graph for the diagonal action;
+    (q+1)-regular.  Vertices are tuples of reduced words, one per sigma in
+    s0 minus tau with lengths given by `levels`; each V-generator acts on
+    the components in order."""
     tau = spec.elem(tau)
     s0_elems = [spec.elem(s) for s in s0]
     if len({x.encoding() for x in s0_elems}) != len(s0_elems):
@@ -225,44 +230,7 @@ def product_level_digraph(
         raise ValueError("levels must be nonnegative")
 
     datums = [build_quaternionic_datum(spec, tau, sigma) for sigma in sigmas]
-    automata = [from_datum(d) for d in datums]
-    n_states = automata[0].n_states()
-    word_sets = [
-        reduced_words(lv, a.n_letters(), a.inv_alphabet)
-        for lv, a in zip(levels, automata)
-    ]
-    vertices = [tuple(ws) for ws in itertools.product(*word_sets)]
-    vindex = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, vtuple in enumerate(vertices):
-        for a in range(n_states):
-            state = a
-            outs = []
-            for auto, w in zip(automata, vtuple):
-                out_word, state = act(auto, state, w)
-                outs.append(out_word)
-            edges.append((i, vindex[tuple(outs)], a))
-    g = LabeledDigraph(
-        vertices=vertices,
-        edges=edges,
-        state_labels=list(automata[0].states),
-        inv_state=list(automata[0].inv_states),
-        vindex=vindex,
-    )
-    return g, datums
-
-
-def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...]) -> UGraph:
-    """Undirected multi-dimensional level graph; (q+1)-regular."""
-    g, datums = product_level_digraph(spec, s0, tau, levels)
-
-    def label(vtuple):
-        return "|".join(word_label(w, d.H) for w, d in zip(vtuple, datums))
-
-    graph = UGraph.from_action_graph(g, label_fn=label)
-    if graph.regular_degree() != spec.q + 1:
-        raise RuntimeError("product level graph lost regularity")
-    return graph
+    return _lifted_graph([from_datum(d) for d in datums], levels, [d.H for d in datums])
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +292,9 @@ def structure_predicates(graph: UGraph) -> StructureReport:
     period 2 when bipartite and 1 otherwise, so aperiodic = connected and
     non-bipartite."""
     n = graph.n_vertices()
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for o, t, _ in graph.darts:
-        neighbors[o].append(t)
+    ends = graph.terminus[np.argsort(graph.origin, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(graph.origin, minlength=n)).tolist()
+    neighbors = [ends[a:b] for a, b in zip([0] + bounds, bounds)]
     color = [-1] * n
     components = 0
     bipartite = True
@@ -407,9 +375,8 @@ def ugraph_to_dot(graph: UGraph, name: str = "level_graph", header: str | None =
 
 def ugraph_to_json_dict(graph: UGraph) -> dict:
     n = graph.n_vertices()
-    ends = np.array([(o, t) for o, t, _ in graph.darts], dtype=np.int64).reshape(-1, 2)
     # one key per (origin, terminus); np.unique returns them in (i, j) order
-    keys, mult = np.unique(ends[:, 0] * n + ends[:, 1], return_counts=True)
+    keys, mult = np.unique(graph.origin * n + graph.terminus, return_counts=True)
     coo = np.column_stack([keys // n, keys % n, mult]).tolist()
     return {
         "vertices": list(graph.vertex_labels),
@@ -428,7 +395,7 @@ def ugraph_from_json(text: str) -> UGraph:
         data = json.loads(text)
         darts = [(int(o), int(t), str(lab)) for o, t, lab in data["darts"]]
         graph = UGraph(list(map(str, data["vertices"])), darts, [int(i) for i in data["inv"]])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed graph file: {exc!r}") from exc
     return graph
 

@@ -16,13 +16,18 @@ The lifting system of a reversible automaton turns each state-labeled edge
 of a level graph into its |alphabet| lifted copies one level up:
 R_{a,x} sends v --a--> u to xv --b--> yu where delta(b, x) = a and
 y = lambda(b, x).  Iterating from the one-vertex rose reproduces the action
-graphs level by level.
+graphs level by level.  `lift_arrays` iterates that rule on integer arrays
+and is how the level graphs are built; `action_graph`, which transduces
+every (word, state) pair with `act`, and `apply_lift` on word tuples are the
+reference implementations it is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .vhdatum import VHDatum, validate_datum
 
@@ -337,6 +342,60 @@ def apply_lift(ls: LiftSystem, graph: LabeledDigraph, reduced: bool = False) -> 
     )
 
 
+@dataclass
+class LevelArrays:
+    """Level n of the reduced action graph: row i of `words` is vertex i's
+    word, in lexicographic order; dart i * s + a (the flat order of the
+    (N, s) tables) goes to vertex dst[i, a], the output of act(a, words[i]),
+    and the transduction ends in state end[i, a]."""
+
+    words: np.ndarray  # (N, n) letters
+    dst: np.ndarray    # (N, s) vertex indices
+    end: np.ndarray    # (N, s) state indices
+
+
+def lift_arrays(m: Mealy, n: int) -> LevelArrays:
+    """Iterate the lifting system n times from the rose, keeping the
+    reduced words: `action_graph(m, n, reduced=True)` as arrays.
+
+    One step puts the word x.v at index x * N + v and lifts dart (v, a) to
+    dart (x.v, b) with (b, y) = R_{a,x}, pointing to y.u for u = dst[v, a];
+    the end state carries over, since act(b, x.v) continues as act(a, v).
+    An automaton that maps a reduced word outside the reduced set makes a
+    lifted dart join a kept and a dropped word, and the lift raises."""
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    if m.inv_alphabet is None:
+        raise ValueError("reduced mode needs an alphabet involution")
+    rules = lift_system(m).rules
+    n_letters, n_states = m.n_letters(), m.n_states()
+    source = np.empty((n_letters, n_states), dtype=np.intp)  # R_{a,x} = (b, y): source[x, b] = a
+    image = np.empty((n_letters, n_states), dtype=np.intp)   # image[x, b] = y
+    for (a, x), (b, y) in rules.items():
+        source[x, b] = a
+        image[x, b] = y
+    inv_letter = np.asarray(m.inv_alphabet, dtype=np.intp)
+
+    # the rose: the empty word (no first letter), dart (0, a) -> 0 ending in a
+    words, first = np.zeros((1, 0), dtype=np.intp), np.full(1, -1)
+    dst = np.zeros((1, n_states), dtype=np.intp)
+    end = np.arange(n_states, dtype=np.intp).reshape(1, n_states)
+    for _ in range(n):
+        size = len(words)
+        # [x, v, b]: the lift of dart (v, source[x, b]) to dart (x.v, b)
+        lifted_dst = (image[:, None, :] * size + dst[:, source].transpose(1, 0, 2)).reshape(-1, n_states)
+        lifted_end = end[:, source].transpose(1, 0, 2).reshape(-1, n_states)
+        keep = (first[None, :] != inv_letter[:, None]).ravel()
+        if (keep[lifted_dst] != keep[:, None]).any():
+            raise RuntimeError("lift dropped one endpoint of an edge")  # broken automaton
+        dst = (np.cumsum(keep) - 1)[lifted_dst[keep]]
+        end = lifted_end[keep]
+        letters = np.repeat(np.arange(n_letters, dtype=np.intp), size)
+        words = np.column_stack([letters, np.tile(words, (n_letters, 1))])[keep]
+        first = letters[keep]
+    return LevelArrays(words, dst, end)
+
+
 def rose(m: Mealy) -> LabeledDigraph:
     """The level-0 graph: one vertex (the empty word), a loop per state."""
     return LabeledDigraph(
@@ -428,3 +487,10 @@ def mealy_to_dot(m: Mealy, name: str = "automaton", header: str | None = None) -
 
 def word_label(word: Word, alphabet: list[str]) -> str:
     return ".".join(alphabet[x] for x in word) if word else "e"
+
+
+def word_labels(words: np.ndarray, alphabet: list[str]) -> list[str]:
+    """`word_label` of every row of an (N, n) letter array."""
+    if not words.shape[1]:
+        return ["e"] * len(words)
+    return list(map(".".join, np.array(alphabet, dtype=object)[words].tolist()))

@@ -241,6 +241,19 @@ def test_graph_json_with_dart_outside_vertices_is_an_input_error(tmp_path, capsy
     assert err.startswith("error:") and "outside" in err
 
 
+@pytest.mark.parametrize(
+    "darts,inv",
+    [([[0, 2**70, "g"], [1, 0, "g'"]], [1, 0]), ([[0, 1, "g"], [1, 0, "g'"]], [2**70, 0])],
+    ids=["dart_endpoint", "inv_entry"],
+)
+def test_graph_json_with_an_index_beyond_int64_is_an_input_error(tmp_path, capsys, darts, inv):
+    path = _write_json(tmp_path / "huge.json", {"vertices": ["a", "b"], "darts": darts, "inv": inv})
+    code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: malformed graph file") and "Traceback" not in err
+
+
 def _edited_datum_file(tmp_path, capsys, edit):
     path = tmp_path / "d.json"
     assert run(capsys, "datum", "--write", str(path), "--no-timestamp")[0] == 0

@@ -41,11 +41,18 @@ CASES = {
     "graph_q5_B2.json": (
         ["graph", "--p", "5", "--level", "2", "--side", "B", "--format", "json"], 0
     ),
+    "graph_q9_B2.json": (
+        ["graph", "--p", "3", "--e", "2", "--level", "2", "--side", "B", "--format", "json"], 0
+    ),
     "product_graph_q5_levels_1_1.json": (
         ["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "1,1"], 0
     ),
     "product_graph_q5_levels_2_1.json": (
         ["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "2,1"], 0
+    ),
+    "product_graph_q5_s0_1234_levels_2_1_0.json": (
+        ["product-graph", "--p", "5", "--s0", "1,2,3,4", "--tau", "1", "--levels", "2,1,0",
+         "--format", "json"], 0
     ),
     "verify_ramanujan_q3_1_4.json": (["verify-ramanujan", "--levels", "1:4"], 0),
 }

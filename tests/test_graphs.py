@@ -53,6 +53,13 @@ def test_ugraph_checks_vertices_and_dart_endpoints():
         UGraph(["a", "b"], [(0, 1, "g"), (1, 0, "g'")], [1, 2])
 
 
+def test_ugraph_checks_that_inverse_darts_reverse_their_ends():
+    with pytest.raises(ValueError, match="inverse dart must reverse"):
+        UGraph(["a", "b"], [(0, 1, "g"), (0, 1, "g'")], [1, 0])
+    with pytest.raises(ValueError, match="inverse dart must reverse"):
+        UGraph(["a", "b", "c"], [(0, 1, "g"), (1, 2, "g'")], [1, 0])
+
+
 def test_level_graph_sides_are_a_and_b(d12_q3):
     with pytest.raises(ValueError, match="side"):
         level_digraph(d12_q3, "V-action", 1)
@@ -177,6 +184,72 @@ def test_product_level_graph_shapes(f5):
     single = product_level_graph(f5, [1, 2, 3], 1, (0, 0))
     assert single.n_vertices() == 1
     assert single.regular_degree() == 6  # loops carry the full degree
+
+
+@pytest.mark.parametrize(
+    "s0,tau,levels",
+    [([1, 2, 3], 1, (1, 0)), ([1, 2, 3], 1, (0, 2)), ([1, 2, 3], 2, (2, 1)), ([1, 2, 3, 4], 1, (1, 0, 1))],
+    ids=["levels_1_0", "levels_0_2", "tau_2", "four_places"],
+)
+def test_product_darts_equal_product_act(f5, s0, tau, levels):
+    from itertools import product
+
+    from ramshift.vhdatum import build_quaternionic_datum
+
+    g = product_level_graph(f5, s0, tau, levels)
+    datums = [build_quaternionic_datum(f5, tau, sigma) for sigma in s0 if sigma != tau]
+    automata = [mealy.from_datum(d) for d in datums]
+    words = [mealy.reduced_words(lv, len(d.H), d.inv_H) for lv, d in zip(levels, datums)]
+    vertices = list(product(*words))  # the first component is the most significant
+    index = {v: i for i, v in enumerate(vertices)}
+    s = automata[0].n_states()
+    assert g.n_darts() == len(vertices) * s
+    for i, v in enumerate(vertices):
+        assert g.vertex_labels[i] == "|".join(mealy.word_label(w, d.H) for w, d in zip(v, datums))
+        for a in range(s):
+            out, _ = mealy.product_act(datums, a, v)
+            assert g.darts[i * s + a] == (i, index[out], automata[0].states[a])
+
+
+def test_level_digraph_is_the_reference_action_graph(d12_q3):
+    m = mealy.from_datum(d12_q3)
+    for side, auto in (("A", m), ("B", mealy.dual(m))):
+        for n in (1, 2, 3):
+            g, ref = level_digraph(d12_q3, side, n), mealy.action_graph(auto, n, reduced=True)
+            assert (g.vertices, g.edges, g.state_labels, g.inv_state) == (
+                ref.vertices, ref.edges, ref.state_labels, ref.inv_state
+            )
+
+
+def _loop_adjacency(g):
+    a = np.zeros((g.n_vertices(), g.n_vertices()), dtype=np.int64)
+    for o, t, _ in g.darts:
+        a[o, t] += 1
+    return a
+
+
+def _loop_nb_matrix(g):
+    h = np.zeros((g.n_darts(), g.n_darts()), dtype=np.int64)
+    for e, (_, t, _) in enumerate(g.darts):
+        for f, (o, _, _) in enumerate(g.darts):
+            if o == t and f != g.inv[e]:
+                h[e, f] = 1
+    return h
+
+
+def test_array_consumers_match_the_dart_loops(d12_q3):
+    # a multigraph with a double edge, two loops and an isolated vertex
+    multi = UGraph.from_edges(4, [(0, 1), (0, 1), (1, 1), (2, 2), (0, 2)])
+    for g in (multi, cycle(5), petersen(), level_graph(d12_q3, "A", 2), level_graph(d12_q3, "B", 3)):
+        adjacency = g.adjacency()
+        assert adjacency.dtype == np.int64
+        assert (adjacency == _loop_adjacency(g)).all()
+        degrees = [sum(o == v for o, _, _ in g.darts) for v in range(g.n_vertices())]
+        assert g.regular_degree() == (degrees[0] if len(set(degrees)) == 1 else None)
+        if g.regular_degree() is not None:
+            assert (nb_matrix(g).adjacency == _loop_nb_matrix(g)).all()
+    report = structure_predicates(multi)
+    assert (report.n_components, report.bipartite, report.regular_degree) == (2, False, None)
 
 
 def test_product_level_graph_validation(f5):

@@ -21,6 +21,7 @@ from ramshift.mealy import (
     is_reduced,
     is_reversible,
     iterate,
+    lift_arrays,
     lift_system,
     product_act,
     reduced_words,
@@ -252,6 +253,52 @@ def test_reduced_lift_is_a_qfold_vertex_lift(m_q3):
         got = sorted((g.vertices[s], g.vertices[t], st) for s, t, st in g.edges)
         want = sorted((ref.vertices[s], ref.vertices[t], st) for s, t, st in ref.edges)
         assert got == want
+
+
+@pytest.mark.parametrize(
+    "p,e,n_max",
+    [(3, 1, 5), (5, 1, 3), (3, 2, 2), (None, None, 3)],
+    ids=["q3", "q5", "q9", "direct_2x3"],
+)
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_lift_arrays_equal_the_action_graph(p, e, n_max, side):
+    from ramshift.ffield import make_field
+
+    if p is None:
+        datum = direct_product_datum(2, 3)
+    else:
+        datum = build_quaternionic_datum(make_field(p, e), 1, 2)
+    m = from_datum(datum)
+    auto = m if side == "A" else dual(m)
+    s = auto.n_states()
+    for n in range(n_max + 1):
+        lift = lift_arrays(auto, n)
+        ref = action_graph(auto, n, reduced=True)
+        assert [tuple(w) for w in lift.words.tolist()] == ref.vertices
+        edges = [(v, u, a) for v in range(len(ref.vertices)) for a, u in enumerate(lift.dst[v].tolist())]
+        assert edges == ref.edges  # order included
+        ends = [act(auto, a, w)[1] for w in ref.vertices for a in range(s)]
+        assert lift.end.ravel().tolist() == ends
+
+
+def test_lift_arrays_need_a_reversible_automaton():
+    m = Mealy(states=["p", "q"], alphabet=["0", "1"], delta=[[0, 0], [0, 1]], out=[[0, 1], [1, 0]],
+              inv_alphabet=[1, 0])
+    with pytest.raises(ValueError, match="reversible"):
+        lift_arrays(m, 2)
+
+
+def test_lift_arrays_reject_an_automaton_that_leaves_the_reduced_words():
+    # one state, letters 0 <-> 1 and 2 <-> 3 inverse; the output swaps 1 and
+    # 2, so the reduced word (0, 2) is sent to (0, 1), which is not reduced
+    m = Mealy(states=["p"], alphabet=["0", "1", "2", "3"], delta=[[0, 0, 0, 0]], out=[[0, 2, 1, 3]],
+              inv_states=[0], inv_alphabet=[1, 0, 3, 2])
+    assert is_reversible(m)
+    lift_arrays(m, 1)  # every word of length one is reduced
+    ref = action_graph(m, 2, reduced=True)
+    assert len(ref.edges) < ref.n_vertices()  # the reference drops those darts
+    with pytest.raises(RuntimeError, match="lift dropped one endpoint"):
+        lift_arrays(m, 2)
 
 
 def test_product_act_empty(d12_q3):
