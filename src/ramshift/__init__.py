@@ -15,7 +15,7 @@ from .ffield import FieldSpec, Fq2Elem, FqElem, make_field, norm_fiber
 from .graphs import UGraph, level_graph, nb_matrix, product_level_graph, structure_predicates
 from .mealy import Mealy
 from .quaternion import QuatElem, proportional, reduced_norm
-from .spectral import bass_ihara, deviation_norm, eig_symmetric, ramanujan_check
+from .spectral import bass_ihara_pairs, deviation_norm, eig_symmetric, ramanujan_check
 from .subshift import MatrixSubshift, build_xd, mixing_table, regularity_report
 from .vhdatum import (
     VHDatum,
@@ -57,7 +57,7 @@ __all__ = [
     "structure_predicates",
     "eig_symmetric",
     "ramanujan_check",
-    "bass_ihara",
+    "bass_ihara_pairs",
     "deviation_norm",
     "MatrixSubshift",
     "build_xd",

@@ -277,13 +277,6 @@ class FqElem:
     def encoding(self) -> int:
         return self.n
 
-    def is_square(self) -> bool:
-        """Nonzero squares only; zero counts as a square."""
-        if self.is_zero():
-            return True
-        half = self**((self.spec.q - 1) // 2)
-        return half == self.spec.one()
-
     def __str__(self) -> str:
         return fq_label(self)
 

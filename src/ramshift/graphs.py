@@ -6,7 +6,8 @@ A dart is a directed half of an undirected edge; dart inversion is a
 fixed-point-free involution pairing (v --g--> u) with (u --g^-1--> v).
 A loop contributes two mutually inverse darts at the same vertex and hence
 two to the degree.  Multi-edges and loops are kept with multiplicities
-everywhere; nothing is simplified.
+everywhere; nothing is simplified.  Darts stay int arrays (origin, terminus,
+inverse) from the lift to the exporters, which alone turn them into lists.
 
 Level graphs: A_n is the action graph of the datum automaton on reduced
 words of length n over H (one dart per V-state), glued into an undirected
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -34,32 +35,31 @@ from .mealy import LabeledDigraph, Mealy, dual, from_datum, lift_arrays, word_la
 from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, json_text
 
 
-@dataclass
+@dataclass(eq=False)
 class UGraph:
-    """Undirected multigraph as a list of darts with an inversion pairing.
-
-    Construction checks the vertex list, the dart endpoints and the pairing
-    once, on int64 arrays it keeps as `origin`, `terminus` and `inv_dart`,
+    """Undirected multigraph on int dart arrays: dart e runs from origin[e]
+    to terminus[e] with label dart_labels[e], and inv[e] is its inverse.
+    Construction converts the index arrays to int64 once and checks them,
     so every consumer may index with them freely."""
 
     vertex_labels: list[str]
-    darts: list[tuple[int, int, str]]  # (origin, terminus, label)
-    inv: list[int]                     # dart index -> inverse dart index
-    origin: np.ndarray = field(init=False, repr=False, compare=False)
-    terminus: np.ndarray = field(init=False, repr=False, compare=False)
-    inv_dart: np.ndarray = field(init=False, repr=False, compare=False)
+    origin: np.ndarray
+    terminus: np.ndarray
+    inv: np.ndarray
+    dart_labels: list[str]
 
     def __post_init__(self):
-        n, m = len(self.vertex_labels), len(self.darts)
+        n = len(self.vertex_labels)
         if n == 0:
             raise ValueError("a graph needs at least one vertex")
         # an index beyond int64 raises OverflowError in these conversions;
         # ugraph_from_json reports it as a malformed file
-        inv = np.array(self.inv, dtype=np.int64)
+        o, t, inv = (np.asarray(x, dtype=np.int64) for x in (self.origin, self.terminus, self.inv))
+        m = len(o)
+        if len(t) != m or len(self.dart_labels) != m:
+            raise ValueError("origin, terminus and dart_labels must have one entry per dart")
         if len(inv) != m or ((inv < 0) | (inv >= m)).any():
             raise ValueError(f"dart inversion must give one dart in 0..{m - 1} per dart")
-        o = np.array([d[0] for d in self.darts], dtype=np.int64)
-        t = np.array([d[1] for d in self.darts], dtype=np.int64)
         outside = np.flatnonzero((o < 0) | (o >= n) | (t < 0) | (t >= n))
         if outside.size:
             raise ValueError(f"dart {outside[0]} has an endpoint outside 0..{n - 1}")
@@ -69,13 +69,13 @@ class UGraph:
         # for an involution, o[inv] == t also gives t[inv] == o
         if (o[inv] != t).any():
             raise ValueError("inverse dart must reverse origin and terminus")
-        self.origin, self.terminus, self.inv_dart = o, t, inv
+        self.origin, self.terminus, self.inv = o, t, inv
 
     def n_vertices(self) -> int:
         return len(self.vertex_labels)
 
     def n_darts(self) -> int:
-        return len(self.darts)
+        return len(self.origin)
 
     def adjacency(self) -> np.ndarray:
         """Symmetric integer adjacency; each dart adds one, so a loop
@@ -92,16 +92,13 @@ class UGraph:
 
     @staticmethod
     def from_edges(n_vertices: int, edges: list[tuple[int, int]], labels: list[str] | None = None) -> "UGraph":
-        """Build from an undirected edge list (loops allowed)."""
+        """Build from an undirected edge list (loops allowed): edge k = (u, v)
+        gives dart 2k from u to v, labelled ek, and its inverse 2k + 1."""
         if labels is None:
             labels = [str(i) for i in range(n_vertices)]
-        darts, inv = [], []
-        for u, v in edges:
-            e = len(darts)
-            darts.append((u, v, f"e{e // 2}"))
-            darts.append((v, u, f"e{e // 2}'"))
-            inv += [e + 1, e]
-        return UGraph(labels, darts, inv)
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        names = [f"e{k}{tick}" for k in range(len(ends)) for tick in ("", "'")]
+        return UGraph(labels, ends.ravel(), ends[:, ::-1].ravel(), np.arange(2 * len(ends)) ^ 1, names)
 
     def __repr__(self) -> str:
         return f"UGraph({self.n_vertices()} vertices, {self.n_darts() // 2} edges)"
@@ -112,7 +109,6 @@ class DartGraph:
     """The non-backtracking dart graph of an undirected regular graph:
     H[e, f] = 1 iff t(e) = o(f) and f != e^-1."""
 
-    base: UGraph
     adjacency: np.ndarray
     degree: int  # = d, one less than the base regularity
 
@@ -135,22 +131,26 @@ def nb_matrix(graph: UGraph) -> DartGraph:
     by_origin = np.argsort(graph.origin).reshape(graph.n_vertices(), deg)
     e = np.repeat(np.arange(n), deg)
     f = by_origin[graph.terminus].ravel()
-    keep = f != graph.inv_dart[e]
+    keep = f != graph.inv[e]
     h[e[keep], f[keep]] = 1
     # rows and columns sum to deg - 1 because UGraph checked the pairing
-    return DartGraph(graph, h, deg - 1)
+    return DartGraph(h, deg - 1)
 
 
 # ---------------------------------------------------------------------------
 # level graphs
 
 
-def _level_automaton(datum: VHDatum, side: str, n: int) -> Mealy:
+def _check_level(side: str, n: int) -> None:
     if n < 1:
         raise ValueError("levels start at n = 1; the rose is handled by lifting")
-    m = from_datum(datum)
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' (V-action) or 'B' (H-action)")
+
+
+def _level_automaton(datum: VHDatum, side: str, n: int) -> Mealy:
+    _check_level(side, n)
+    m = from_datum(datum)
     return m if side == "A" else dual(m)
 
 
@@ -168,8 +168,7 @@ def level_size(datum: VHDatum, side: str, n: int) -> int:
     """Vertices of A_n or B_n without building it: the reduced words of
     length n over s symbols with a fixed-point-free involution number
     s (s - 1)^(n-1), which is (q+1) q^(n-1) for a quaternionic datum."""
-    if n < 1:
-        raise ValueError("levels start at n = 1; the rose is handled by lifting")
+    _check_level(side, n)
     s = len(datum.H if side == "A" else datum.V)
     return s * (s - 1) ** (n - 1)
 
@@ -195,9 +194,9 @@ def _lifted_graph(automata: list[Mealy], levels: tuple[int, ...], alphabets: lis
         dst += lift.dst[component, state] * stride
         state = lift.end[component, state]
     labels = itertools.product(*(word_labels(lift.words, names) for lift, names in zip(lifts, alphabets)))
-    darts = zip(np.repeat(np.arange(total), s).tolist(), dst.ravel().tolist(), automata[0].states * total)
-    inv = (dst * s + np.asarray(automata[0].inv_states)).ravel().tolist()
-    return UGraph(list(map("|".join, labels)), list(darts), inv)
+    origin = np.repeat(np.arange(total), s)
+    inv = (dst * s + np.asarray(automata[0].inv_states)).ravel()
+    return UGraph(list(map("|".join, labels)), origin, dst.ravel(), inv, automata[0].states * total)
 
 
 def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
@@ -363,12 +362,13 @@ def ugraph_to_dot(graph: UGraph, name: str = "level_graph", header: str | None =
     lines = [f"graph {name} {{"]
     if header:
         lines.insert(0, f"// {header}")
-    for label in graph.vertex_labels:
-        lines.append(f'  "{label}";')
-    for e, (o, t, label) in enumerate(graph.darts):
-        if e < graph.inv[e]:
-            other = graph.darts[graph.inv[e]][2]
-            lines.append(f'  "{graph.vertex_labels[o]}" -- "{graph.vertex_labels[t]}" [label="{label}/{other}"];')
+    names, labels = graph.vertex_labels, graph.dart_labels
+    for name in names:
+        lines.append(f'  "{name}";')
+    origin, terminus = graph.origin.tolist(), graph.terminus.tolist()
+    for e, f in enumerate(graph.inv.tolist()):
+        if e < f:
+            lines.append(f'  "{names[origin[e]]}" -- "{names[terminus[e]]}" [label="{labels[e]}/{labels[f]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -378,10 +378,11 @@ def ugraph_to_json_dict(graph: UGraph) -> dict:
     # one key per (origin, terminus); np.unique returns them in (i, j) order
     keys, mult = np.unique(graph.origin * n + graph.terminus, return_counts=True)
     coo = np.column_stack([keys // n, keys % n, mult]).tolist()
+    darts = zip(graph.origin.tolist(), graph.terminus.tolist(), graph.dart_labels)
     return {
         "vertices": list(graph.vertex_labels),
-        "darts": [[o, t, label] for o, t, label in graph.darts],
-        "inv": list(graph.inv),
+        "darts": [[o, t, label] for o, t, label in darts],
+        "inv": graph.inv.tolist(),
         "adjacency_coo": coo,
     }
 
@@ -391,10 +392,19 @@ def ugraph_to_json(graph: UGraph) -> str:
 
 
 def ugraph_from_json(text: str) -> UGraph:
+    """Read a graph file.  Indices are not coerced: every dart must be an
+    [origin, terminus, label] row and every index a JSON integer."""
     try:
         data = json.loads(text)
-        darts = [(int(o), int(t), str(lab)) for o, t, lab in data["darts"]]
-        graph = UGraph(list(map(str, data["vertices"])), darts, [int(i) for i in data["inv"]])
+        vertices, darts, inv = data["vertices"], data["darts"], data["inv"]
+        if not (type(vertices) is type(darts) is type(inv) is list):
+            raise ValueError("vertices, darts and inv must be lists")
+        if any(type(row) is not list or len(row) != 3 for row in darts):
+            raise ValueError("every dart must be an [origin, terminus, label] row")
+        origin, terminus, labels = ([row[k] for row in darts] for k in range(3))
+        if any(type(i) is not int for i in itertools.chain(origin, terminus, inv)):
+            raise ValueError("dart endpoints and inv entries must be integers")
+        graph = UGraph(list(map(str, vertices)), origin, terminus, inv, list(map(str, labels)))
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed graph file: {exc!r}") from exc
     return graph

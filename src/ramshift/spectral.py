@@ -146,18 +146,13 @@ def bass_ihara_pairs(spectrum, d: int) -> list[tuple[complex, float | None]]:
     return pairs
 
 
-def bass_ihara(spectrum, d: int) -> list[complex]:
-    """The transferred non-backtracking spectrum as a plain value list."""
-    return [value for value, _ in bass_ihara_pairs(spectrum, d)]
-
-
-def nb_spectrum_direct(h: DartGraph, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
+def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
     """Dense nonsymmetric eigensolve of a dart adjacency; eigenvalues may be
-    complex.  Only for small instances; beyond the cap use bass_ihara."""
+    complex.  Only for small instances; above DENSE_EIG_LIMIT use bass_ihara_pairs."""
     a = h.adjacency
-    if a.shape[0] > dense_limit:
+    if a.shape[0] > DENSE_EIG_LIMIT:
         raise SizeCapExceeded(
-            f"direct dart spectrum capped at {dense_limit}; use bass_ihara instead"
+            f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara_pairs instead"
         )
     return np.linalg.eigvals(a.astype(np.float64))
 
@@ -185,12 +180,12 @@ def nb_transfer_report(graph: UGraph) -> TransferReport:
     is built."""
     if graph.n_darts() > DENSE_EIG_LIMIT:
         raise SizeCapExceeded(
-            f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara instead"
+            f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara_pairs instead"
         )
     dart = nb_matrix(graph)
     d = dart.degree
     direct = nb_spectrum_direct(dart)
-    transfer = np.array(bass_ihara(eig_symmetric(graph.adjacency()), d))
+    transfer = np.array([value for value, _ in bass_ihara_pairs(eig_symmetric(graph.adjacency()), d)])
 
     def max_min_dist(xs, ys):
         return max(float(np.abs(ys - x).min()) for x in xs)

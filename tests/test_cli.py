@@ -1,11 +1,13 @@
 """Command surface: exit codes, determinism, and output formats."""
 
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
 
 from ramshift.cli import main
-from ramshift.graphs import UGraph, write_ugraph
+from ramshift.graphs import UGraph, ugraph_to_json_dict, write_ugraph
 
 
 def run(capsys, *argv):
@@ -248,6 +250,33 @@ def test_graph_json_with_dart_outside_vertices_is_an_input_error(tmp_path, capsy
 )
 def test_graph_json_with_an_index_beyond_int64_is_an_input_error(tmp_path, capsys, darts, inv):
     path = _write_json(tmp_path / "huge.json", {"vertices": ["a", "b"], "darts": darts, "inv": inv})
+    code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: malformed graph file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "keys,value",
+    [
+        (("darts", 0, 1), 1.7),
+        (("darts", 1, 0), True),
+        (("darts", 0, 1), "1"),
+        (("inv", 0), 1.7),
+        (("vertices",), "abc"),
+        (("darts", 0), "01g"),
+        (("darts", 0), [0, 1, "e0", "extra"]),
+    ],
+    ids=["float_endpoint", "bool_endpoint", "string_endpoint", "float_inv", "string_vertices",
+         "string_dart_row", "four_item_dart_row"],
+)
+def test_graph_json_without_exact_integer_indices_is_an_input_error(tmp_path, capsys, keys, value):
+    # the triangle passes as it stands, so only the edit can fail it
+    data = ugraph_to_json_dict(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"]))
+    good = _write_json(tmp_path / "triangle.json", data)
+    assert run(capsys, "verify-ramanujan", "--graph-json", good, "--no-timestamp")[0] == 0
+    reduce(getitem, keys[:-1], data)[keys[-1]] = value
+    path = _write_json(tmp_path / "edited.json", data)
     code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
     assert code == 2
     assert stdout == ""

@@ -37,32 +37,43 @@ def complete_bipartite(a, b):
 
 def test_dart_involution_validation():
     with pytest.raises(ValueError, match="involution"):
-        UGraph(["v"], [(0, 0, "e")], [0])
+        UGraph(["v"], [0], [0], [0], ["e"])
 
 
 def test_ugraph_checks_vertices_and_dart_endpoints():
     with pytest.raises(ValueError, match="at least one vertex"):
-        UGraph([], [], [])
+        UGraph([], [], [], [], [])
     with pytest.raises(ValueError, match="outside"):
-        UGraph(["a", "b"], [(0, 5, "g"), (5, 0, "g'")], [1, 0])
+        UGraph(["a", "b"], [0, 5], [5, 0], [1, 0], ["g", "g'"])
     with pytest.raises(ValueError, match="outside"):
-        UGraph(["a", "b"], [(0, -1, "g"), (-1, 0, "g'")], [1, 0])
+        UGraph(["a", "b"], [0, -1], [-1, 0], [1, 0], ["g", "g'"])
     with pytest.raises(ValueError, match="dart inversion"):
-        UGraph(["a", "b"], [(0, 1, "g"), (1, 0, "g'")], [1])
+        UGraph(["a", "b"], [0, 1], [1, 0], [1], ["g", "g'"])
     with pytest.raises(ValueError, match="dart inversion"):
-        UGraph(["a", "b"], [(0, 1, "g"), (1, 0, "g'")], [1, 2])
+        UGraph(["a", "b"], [0, 1], [1, 0], [1, 2], ["g", "g'"])
+    with pytest.raises(ValueError, match="one entry per dart"):
+        UGraph(["a", "b"], [0, 1], [1], [1, 0], ["g", "g'"])
+    with pytest.raises(ValueError, match="one entry per dart"):
+        UGraph(["a", "b"], [0, 1], [1, 0], [1, 0], ["g"])
 
 
 def test_ugraph_checks_that_inverse_darts_reverse_their_ends():
     with pytest.raises(ValueError, match="inverse dart must reverse"):
-        UGraph(["a", "b"], [(0, 1, "g"), (0, 1, "g'")], [1, 0])
+        UGraph(["a", "b"], [0, 0], [1, 1], [1, 0], ["g", "g'"])
     with pytest.raises(ValueError, match="inverse dart must reverse"):
-        UGraph(["a", "b", "c"], [(0, 1, "g"), (1, 2, "g'")], [1, 0])
+        UGraph(["a", "b", "c"], [0, 1], [1, 2], [1, 0], ["g", "g'"])
 
 
-def test_level_graph_sides_are_a_and_b(d12_q3):
+def test_level_graph_sides_are_a_and_b(d12_q3, monkeypatch):
     with pytest.raises(ValueError, match="side"):
         level_digraph(d12_q3, "V-action", 1)
+
+    def no_automaton(datum):
+        raise AssertionError("the side must be checked before the automaton is built")
+
+    monkeypatch.setattr(graphs, "from_datum", no_automaton)
+    with pytest.raises(ValueError, match="side"):
+        level_graph(d12_q3, "C", 1)
 
 
 def test_adjacency_conventions():
@@ -208,7 +219,8 @@ def test_product_darts_equal_product_act(f5, s0, tau, levels):
         assert g.vertex_labels[i] == "|".join(mealy.word_label(w, d.H) for w, d in zip(v, datums))
         for a in range(s):
             out, _ = mealy.product_act(datums, a, v)
-            assert g.darts[i * s + a] == (i, index[out], automata[0].states[a])
+            e = i * s + a
+            assert (g.origin[e], g.terminus[e], g.dart_labels[e]) == (i, index[out], automata[0].states[a])
 
 
 def test_level_digraph_is_the_reference_action_graph(d12_q3):
@@ -223,15 +235,15 @@ def test_level_digraph_is_the_reference_action_graph(d12_q3):
 
 def _loop_adjacency(g):
     a = np.zeros((g.n_vertices(), g.n_vertices()), dtype=np.int64)
-    for o, t, _ in g.darts:
+    for o, t in zip(g.origin, g.terminus):
         a[o, t] += 1
     return a
 
 
 def _loop_nb_matrix(g):
     h = np.zeros((g.n_darts(), g.n_darts()), dtype=np.int64)
-    for e, (_, t, _) in enumerate(g.darts):
-        for f, (o, _, _) in enumerate(g.darts):
+    for e, t in enumerate(g.terminus):
+        for f, o in enumerate(g.origin):
             if o == t and f != g.inv[e]:
                 h[e, f] = 1
     return h
@@ -244,7 +256,7 @@ def test_array_consumers_match_the_dart_loops(d12_q3):
         adjacency = g.adjacency()
         assert adjacency.dtype == np.int64
         assert (adjacency == _loop_adjacency(g)).all()
-        degrees = [sum(o == v for o, _, _ in g.darts) for v in range(g.n_vertices())]
+        degrees = [sum(o == v for o in g.origin) for v in range(g.n_vertices())]
         assert g.regular_degree() == (degrees[0] if len(set(degrees)) == 1 else None)
         if g.regular_degree() is not None:
             assert (nb_matrix(g).adjacency == _loop_nb_matrix(g)).all()
@@ -282,13 +294,22 @@ def test_level_graphs_for_larger_fields(p, e):
             assert verdict.margin >= -1e-8
 
 
-def test_exports_round_trip(d12_q3):
-    g = level_graph(d12_q3, "A", 2)
-    text = ugraph_to_json(g)
-    back = ugraph_from_json(text)
-    assert (back.adjacency() == g.adjacency()).all()
-    dot = ugraph_to_dot(g)
-    assert dot.count(" -- ") == g.n_darts() // 2
+def test_exports_round_trip(d12_q3, f5):
+    # the JSON file keeps every dart of a level graph, a product level, and
+    # a multigraph with a double edge, two loops and an isolated vertex
+    level = level_graph(d12_q3, "A", 2)
+    multi = UGraph.from_edges(4, [(0, 1), (0, 1), (1, 1), (2, 2), (0, 2)])
+    for g in (level, product_level_graph(f5, [1, 2, 3], 1, (2, 1)), multi):
+        back = ugraph_from_json(ugraph_to_json(g))
+        assert (back.adjacency() == g.adjacency()).all()
+        for name in ("origin", "terminus", "inv"):
+            got, want = getattr(back, name), getattr(g, name)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+        assert back.dart_labels == g.dart_labels
+        assert back.vertex_labels == g.vertex_labels
+    dot = ugraph_to_dot(level)
+    assert dot.count(" -- ") == level.n_darts() // 2
     assert dot.startswith("graph")
 
 
@@ -309,3 +330,5 @@ def test_level_size_counts_without_building(d12_q3, d12_q5):
                 assert level_size(datum, side, n) == level_graph(datum, side, n).n_vertices()
     with pytest.raises(ValueError, match="n = 1"):
         level_size(d12_q3, "A", 0)
+    with pytest.raises(ValueError, match="side"):
+        level_size(d12_q3, "C", 3)

@@ -105,7 +105,7 @@ def test_graph_file_matches_stdlib_and_coo_counts_darts():
     # a multigraph: a double edge, a loop and a vertex with no edges
     g = UGraph.from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 2)])
     data = ugraph_to_json_dict(g)
-    counts = Counter((o, t) for o, t, _ in g.darts)
+    counts = Counter(zip(g.origin.tolist(), g.terminus.tolist()))
     assert data["adjacency_coo"] == [[i, j, m] for (i, j), m in sorted(counts.items())]
     assert all(type(x) is int for row in data["adjacency_coo"] for x in row)
     assert ugraph_to_json(g) == json.dumps(data, sort_keys=True, indent=1) + "\n"

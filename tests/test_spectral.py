@@ -11,7 +11,7 @@ from ramshift.graphs import UGraph, level_graph, nb_matrix
 from ramshift.spectral import (
     EXACT_POWER_LIMIT,
     SizeCapExceeded,
-    bass_ihara,
+    bass_ihara_pairs,
     deviation_norm,
     deviation_table,
     eig_symmetric,
@@ -125,33 +125,34 @@ def test_ramanujan_check_rejects_irregular():
 
 
 def test_bass_ihara_provenance():
-    from ramshift.spectral import bass_ihara_pairs
-
     pairs = bass_ihara_pairs([4.0, 0.0], 3)
     assert [src for _, src in pairs] == [4.0, 4.0, 0.0, 0.0, None, None]
     assert {v for v, src in pairs if src == 4.0} == {3.0, 1.0}
 
 
 def test_bass_ihara_values():
-    got = bass_ihara([4.0], 3)
+    got = [x for x, _ in bass_ihara_pairs([4.0], 3)]
     assert {round(x.real, 9) for x in got if abs(x.imag) < 1e-12} == {3.0, 1.0, -1.0}
-    got0 = bass_ihara([0.0], 3)
+    got0 = [x for x, _ in bass_ihara_pairs([0.0], 3)]
     roots = [x for x in got0 if abs(x.imag) > 1e-9]
     assert sorted(x.imag for x in roots) == pytest.approx([-sqrt(3), sqrt(3)])
     # conjugate roots multiply to d, so inside the Ramanujan window the
     # modulus is exactly sqrt(d)
     for lam in np.linspace(-2 * sqrt(3), 2 * sqrt(3), 7):
-        pair = bass_ihara([lam], 3)[:2]
-        for root in pair:
+        pair = bass_ihara_pairs([lam], 3)[:2]
+        for root, _ in pair:
             assert abs(root) == pytest.approx(sqrt(3), abs=1e-9)
 
 
-def test_nb_spectrum_direct_counts_and_cap(d12_q3):
+def test_nb_spectrum_direct_counts_and_cap(d12_q3, monkeypatch):
+    from ramshift import spectral
+
     dart = nb_matrix(level_graph(d12_q3, "A", 1))
     eigs = nb_spectrum_direct(dart)
     assert len(eigs) == 16
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 4)
     with pytest.raises(SizeCapExceeded, match="bass_ihara"):
-        nb_spectrum_direct(dart, dense_limit=4)
+        nb_spectrum_direct(dart)
 
 
 def test_nb_spectrum_c5_on_unit_circle():
