@@ -12,7 +12,6 @@ from pathlib import Path
 
 from ramshift import build_quaternionic_datum, make_field
 from ramshift.subshift import (
-    CylinderSpec,
     admissible_patterns,
     build_xd,
     correlation,
@@ -37,7 +36,7 @@ for m, n in [(1, 1), (2, 2), (2, 3), (3, 3)]:
     print(f"  ({m},{n}): {pattern_count(shift, m, n)}")
 
 pattern = admissible_patterns(shift, 2, 2)[0]
-print(f"\nmu of one 2x2 cylinder: {cylinder_measure(shift, CylinderSpec(pattern))}")
+print(f"\nmu of one 2x2 cylinder: {cylinder_measure(shift, pattern)}")
 total = sum(cylinder_measure(shift, p) for p in admissible_patterns(shift, 2, 2))
 print(f"sum over all 2x2 cylinders: {total}")
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 from . import graphs, mealy, spectral, subshift, vhdatum
 from .ffield import make_field
@@ -144,59 +146,39 @@ def cmd_product_graph(args) -> int:
     return EXIT_OK
 
 
-def _check_one_graph(n_vertices: int, build, tol: float, dense_cap: int) -> tuple[dict, object]:
-    """Verdict on the graph `build()` returns, which is called only when its
-    n_vertices is within the cap."""
-    if n_vertices > dense_cap:
-        return {"skipped": True, "n_vertices": n_vertices}, None
-    report = spectral.ramanujan_check(build(), tol=tol)
-    out = spectral.spectral_report_to_dict(report)
-    out.update(
-        {
-            "skipped": False,
-            "connected": report.structure.connected,
-            "non_bipartite": not report.structure.bipartite,
-        }
-    )
-    return out, report
-
-
 def cmd_verify_ramanujan(args) -> int:
-    verdicts = []
-    spectra = []
-    violated = False
+    # one job per graph: (entry tags, CSV block name, vertex count, build);
+    # a level is built only when its closed-form size is within the cap
     if args.graph_json:
         with open(args.graph_json, "r", encoding="utf-8") as fh:
             graph = graphs.ugraph_from_json(fh.read())
-        entry, full = _check_one_graph(graph.n_vertices(), lambda: graph, args.tol, args.dense_cap)
-        entry["source"] = args.graph_json
-        if full is not None:
-            spectra.append((args.graph_json, full))
-            if not entry["ramanujan"]:
-                offending = max(
-                    (x for x in full.eigenvalues
-                     if abs(abs(x) - entry["second_modulus"]) <= args.tol),
-                    key=abs,
-                )
-                entry["offending_eigenvalue"] = float(offending)
-                violated = True
-        verdicts.append(entry)
+        jobs = [({"source": args.graph_json}, args.graph_json, graph.n_vertices(), lambda: graph)]
     else:
         datum = _datum_from_args(args)
-        for level in _parse_levels(args.levels):
-            for side in ("A", "B") if args.side == "both" else (args.side,):
-                entry, full = _check_one_graph(
-                    graphs.level_size(datum, side, level),
-                    lambda: graphs.level_graph(datum, side, level),
-                    args.tol, args.dense_cap,
-                )
-                entry.update({"side": side, "level": level})
-                if full is not None:
-                    spectra.append((f"{side}_{level}", full))
-                    if not entry["ramanujan"]:
-                        violated = True
-                verdicts.append(entry)
-    skipped = sum(entry["skipped"] for entry in verdicts)
+        sides = ("A", "B") if args.side == "both" else (args.side,)
+        jobs = [
+            ({"side": side, "level": level}, f"{side}_{level}", graphs.level_size(datum, side, level),
+             partial(graphs.level_graph, datum, side, level))
+            for level in _parse_levels(args.levels)
+            for side in sides
+        ]
+    verdicts = []
+    spectra = []
+    for tags, name, n_vertices, build in jobs:
+        if n_vertices > args.dense_cap:
+            verdicts.append({"skipped": True, "n_vertices": n_vertices, **tags})
+            continue
+        report = spectral.ramanujan_check(build(), tol=args.tol)
+        entry = spectral.spectral_report_to_dict(report)
+        entry.update(skipped=False, connected=report.structure.connected,
+                     non_bipartite=not report.bipartite, **tags)
+        if not report.ramanujan:
+            nontrivial = spectral.nontrivial_spectrum(report.eigenvalues, report.bipartite)
+            entry["offending_eigenvalue"] = float(max(nontrivial, key=abs))
+        verdicts.append(entry)
+        spectra.append((name, report))
+    violated = not all(report.ramanujan for _, report in spectra)
+    skipped = len(verdicts) - len(spectra)
     if args.format == "csv":
         blocks = [f"# {name}\n{spectral.spectral_report_to_csv(rep)}" for name, rep in spectra]
         _emit(args, f"# {_header(args)}\n" + "".join(blocks))
@@ -259,6 +241,13 @@ def cmd_tiles(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"{text} is not a finite tolerance >= 0")
+    return tol
 
 
 def _dense_cap(text: str) -> int:
@@ -324,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_datum_args(p)
     p.add_argument("--levels", default="1:4", help="range lo:hi or comma list")
     p.add_argument("--side", choices=("A", "B", "both"), default="both")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tol, default=1e-8)
     p.add_argument("--dense-cap", type=_dense_cap, default=spectral.DENSE_EIG_LIMIT,
                    help="skip levels with more vertices than this "
                         f"(at most {spectral.DENSE_EIG_LIMIT}, the dense eigensolver limit)")
@@ -338,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_datum_args(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--side", choices=("A", "B"), default="A")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tol, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_bass_ihara)
 

@@ -357,9 +357,9 @@ def digraph_period(adjacency: np.ndarray) -> tuple[bool, int]:
 # export
 
 
-def ugraph_to_dot(graph: UGraph, name: str = "level_graph", header: str | None = None) -> str:
+def ugraph_to_dot(graph: UGraph, header: str | None = None) -> str:
     """Undirected DOT; each dart pair collapses to one edge labeled g/g^-1."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph level_graph {"]
     if header:
         lines.insert(0, f"// {header}")
     names, labels = graph.vertex_labels, graph.dart_labels
@@ -392,8 +392,10 @@ def ugraph_to_json(graph: UGraph) -> str:
 
 
 def ugraph_from_json(text: str) -> UGraph:
-    """Read a graph file.  Indices are not coerced: every dart must be an
-    [origin, terminus, label] row and every index a JSON integer."""
+    """Read a graph file.  Nothing is coerced: every dart must be an
+    [origin, terminus, label] row, every index a JSON integer and every
+    label a JSON string, and vertex labels must be distinct (DOT names
+    vertices by label)."""
     try:
         data = json.loads(text)
         vertices, darts, inv = data["vertices"], data["darts"], data["inv"]
@@ -404,7 +406,11 @@ def ugraph_from_json(text: str) -> UGraph:
         origin, terminus, labels = ([row[k] for row in darts] for k in range(3))
         if any(type(i) is not int for i in itertools.chain(origin, terminus, inv)):
             raise ValueError("dart endpoints and inv entries must be integers")
-        graph = UGraph(list(map(str, vertices)), origin, terminus, inv, list(map(str, labels)))
+        if any(type(label) is not str for label in itertools.chain(vertices, labels)):
+            raise ValueError("vertex and dart labels must be strings")
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("vertex labels must be distinct")
+        graph = UGraph(vertices, origin, terminus, inv, labels)
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed graph file: {exc!r}") from exc
     return graph

@@ -367,13 +367,12 @@ def lift_arrays(m: Mealy, n: int) -> LevelArrays:
         raise ValueError("word length must be >= 0")
     if m.inv_alphabet is None:
         raise ValueError("reduced mode needs an alphabet involution")
-    rules = lift_system(m).rules
+    if not is_reversible(m):
+        raise ValueError("lifting system requires a reversible automaton")
     n_letters, n_states = m.n_letters(), m.n_states()
-    source = np.empty((n_letters, n_states), dtype=np.intp)  # R_{a,x} = (b, y): source[x, b] = a
-    image = np.empty((n_letters, n_states), dtype=np.intp)   # image[x, b] = y
-    for (a, x), (b, y) in rules.items():
-        source[x, b] = a
-        image[x, b] = y
+    # R_{a,x} = (b, y) with a = delta[b][x] and y = out[b][x]: source[x, b] = a, image[x, b] = y
+    source = np.asarray(m.delta, dtype=np.intp).T
+    image = np.asarray(m.out, dtype=np.intp).T
     inv_letter = np.asarray(m.inv_alphabet, dtype=np.intp)
 
     # the rose: the empty word (no first letter), dart (0, a) -> 0 ending in a
@@ -468,8 +467,8 @@ def product_act(datums: list[VHDatum], state: int, words: tuple[Word, ...]) -> t
 # export
 
 
-def mealy_to_dot(m: Mealy, name: str = "automaton", header: str | None = None) -> str:
-    lines = [f"digraph {name} {{"]
+def mealy_to_dot(m: Mealy, header: str | None = None) -> str:
+    lines = ["digraph automaton {"]
     if header:
         lines.insert(0, f"// {header}")
     lines.append("  rankdir=LR;")

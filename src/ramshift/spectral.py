@@ -3,9 +3,12 @@ Bass-Ihara transfer to non-backtracking spectra, second-largest modulus for
 directed regular graphs, and exact walk counts and deviation norms for
 mixing tables.
 
-Tolerance policy: eigenvalue comparisons on integer matrices use an absolute
-tolerance (default 1e-8); every Ramanujan verdict also reports the margin
-2 sqrt(d) - max|lambda_nontrivial| so borderline cases stay visible.
+Tolerance policy: which eigenvalues are trivial is decided exactly, from the
+graph's structure, never from the float spectrum: d+1 is the first
+eigenvalue of a connected graph and -(d+1) the last of a bipartite one.
+The tolerance (default 1e-8) enters one comparison only, second <= bound +
+tol, and every Ramanujan verdict also reports the margin 2 sqrt(d) -
+max|lambda_nontrivial| so borderline cases stay visible.
 
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
 row vectors through x -> x A by predecessor gathers, one sum of d entries
@@ -34,18 +37,19 @@ class SizeCapExceeded(RuntimeError):
 
 DENSE_EIG_LIMIT = 2000
 EXACT_POWER_LIMIT = 500
+EIG_RESIDUAL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
 # symmetric spectra
 
 
-def eig_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def eig_symmetric(a: np.ndarray) -> np.ndarray:
     """Full spectrum of a symmetric integer matrix, sorted descending.
 
     Every (lambda, v) pair is recomputed against A v = lambda v and must
-    satisfy the residual bound tol * ||A||_inf * dim; the trace identity is
-    checked as well.  Ordering is deterministic.
+    satisfy the residual bound EIG_RESIDUAL_TOL * ||A||_inf * dim; the trace
+    identity is checked as well.  Ordering is deterministic.
     """
     a = np.asarray(a)
     if a.shape[0] != a.shape[1] or not (a == a.T).all():
@@ -54,9 +58,9 @@ def eig_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     eigs, vecs = np.linalg.eigh(dense)
     scale = max(1.0, float(np.abs(a).max()) * a.shape[0])
     residual = np.abs(dense @ vecs - vecs * eigs).max()
-    if residual > tol * scale:
+    if residual > EIG_RESIDUAL_TOL * scale:
         raise RuntimeError(f"eigensolver residual {residual:.3e} above bound")
-    if abs(eigs.sum() - np.trace(a)) > tol * scale:
+    if abs(eigs.sum() - np.trace(a)) > EIG_RESIDUAL_TOL * scale:
         raise RuntimeError("eigensolver failed the trace identity")
     return eigs[::-1]
 
@@ -66,13 +70,11 @@ class SpectralReport:
     degree: int                 # d + 1 for undirected reports
     n_vertices: int
     eigenvalues: np.ndarray     # sorted descending
-    trivial: list[float]        # the Perron value, and -(d+1) when bipartite
     second_modulus: float       # max |lambda| over the nontrivial spectrum
     bound: float                # 2 sqrt(d)
     margin: float               # bound - second_modulus
     ramanujan: bool
-    bipartite: bool
-    tol: float
+    bipartite: bool             # structure.bipartite: -(d+1) is the last eigenvalue
     structure: StructureReport
 
     def __repr__(self) -> str:
@@ -87,9 +89,12 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
     """Is a connected (d+1)-regular graph Ramanujan: every eigenvalue either
     +-(d+1) or of modulus at most 2 sqrt(d) (within tol)?
 
-    The size cap is checked before any work; connectivity and regularity
-    come from one `structure_predicates` pass.  The Perron eigenvalue d+1
-    must be simple; -(d+1) is flagged as the bipartite eigenvalue.
+    The size cap is checked before any work; connectivity, regularity and
+    bipartiteness come exactly from one `structure_predicates` pass, and
+    they place the trivial eigenvalues in the descending spectrum: d+1 is
+    simple and first because the graph is connected, and -(d+1) is last
+    exactly when it is bipartite.  The nontrivial spectrum is the slice
+    between them, and tol enters only the verdict second <= bound + tol.
     """
     if graph.n_vertices() > DENSE_EIG_LIMIT:
         raise SizeCapExceeded(f"dense eigensolve capped at {DENSE_EIG_LIMIT} vertices")
@@ -99,29 +104,26 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
     if structure.regular_degree is None:
         raise ValueError("ramanujan_check needs a regular graph")
     k = structure.regular_degree  # k = d + 1
-    d = k - 1
     eigs = eig_symmetric(graph.adjacency())
-    top = [x for x in eigs if abs(x - k) <= tol]
-    if len(top) != 1:
-        raise ValueError("Perron eigenvalue is not simple; graph must be connected")
-    bottom = [x for x in eigs if abs(x + k) <= tol]
-    bipartite = bool(bottom)
-    nontrivial = [x for x in eigs if abs(x - k) > tol and abs(x + k) > tol]
-    second = max((abs(x) for x in nontrivial), default=0.0)
-    bound = 2.0 * sqrt(d)
+    second = max(np.abs(nontrivial_spectrum(eigs, structure.bipartite)), default=0.0)
+    bound = 2.0 * sqrt(k - 1)
     return SpectralReport(
         degree=k,
         n_vertices=graph.n_vertices(),
         eigenvalues=eigs,
-        trivial=[float(k)] + ([-float(k)] if bipartite else []),
         second_modulus=second,
         bound=bound,
         margin=bound - second,
         ramanujan=second <= bound + tol,
-        bipartite=bipartite,
-        tol=tol,
+        bipartite=structure.bipartite,
         structure=structure,
     )
+
+
+def nontrivial_spectrum(eigs: np.ndarray, bipartite: bool) -> np.ndarray:
+    """The descending spectrum of a connected regular graph without its
+    trivial eigenvalues: the first, and the last when it is bipartite."""
+    return eigs[1:len(eigs) - bipartite]
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +233,9 @@ def second_modulus_directed(a: np.ndarray) -> float:
 # exact walk counts and deviation norms
 
 
-def walk_counts(a, start, n: int, limit: int = EXACT_POWER_LIMIT):
+def walk_counts(a, start, n: int):
     """Yield start, start A, start A^2, ..., start A^n exactly, for a
-    d-regular nonnegative integer matrix A of dimension m <= limit.
+    d-regular nonnegative integer matrix A of dimension m <= EXACT_POWER_LIMIT.
 
     `start` is a length-m vector or a (rows, m) block.  Entries are Python
     ints in numpy object arrays, so the counts are exact at any size.  Row
@@ -242,8 +244,8 @@ def walk_counts(a, start, n: int, limit: int = EXACT_POWER_LIMIT):
     additions instead of rows m^2 multiplications."""
     mat = np.asarray(a)
     m = mat.shape[0]
-    if m > limit:
-        raise SizeCapExceeded(f"exact matrix powers capped at dimension {limit}")
+    if m > EXACT_POWER_LIMIT:
+        raise SizeCapExceeded(f"exact matrix powers capped at dimension {EXACT_POWER_LIMIT}")
     rows = mat.sum(axis=1)
     cols = mat.sum(axis=0)
     d = int(rows[0])
@@ -266,8 +268,8 @@ def matrix_power_int(a, n: int) -> list[list[int]]:
     return np.linalg.matrix_power(np.asarray(a).astype(object), n).tolist()
 
 
-def _identity_walks(a, n: int, limit: int = EXACT_POWER_LIMIT):
-    return walk_counts(a, np.eye(len(a), dtype=np.int64), n, limit)
+def _identity_walks(a, n: int):
+    return walk_counts(a, np.eye(len(a), dtype=np.int64), n)
 
 
 def _deviation(power) -> Fraction:
@@ -278,14 +280,14 @@ def _deviation(power) -> Fraction:
     return Fraction(max(power.max() * m - dn, dn - power.min() * m), m * dn)
 
 
-def deviation_norm(a, n: int, exact_limit: int = EXACT_POWER_LIMIT) -> Fraction:
+def deviation_norm(a, n: int) -> Fraction:
     """max_ij | A^n_ij / d^n - 1/m | as an exact rational, for a d-regular
     nonnegative integer matrix A of dimension m.
 
     This is the sup-norm distance between the n-step normalized transition
     matrix and the flat matrix J/m, the quantity controlling correlation
     decay of the associated vertex shift."""
-    return _deviation(deque(_identity_walks(a, n, exact_limit), maxlen=1).pop())
+    return _deviation(deque(_identity_walks(a, n), maxlen=1).pop())
 
 
 def deviation_table(a, n_max: int) -> list[Fraction]:
@@ -298,11 +300,13 @@ def deviation_table(a, n_max: int) -> list[Fraction]:
 
 
 def spectral_report_to_csv(report: SpectralReport) -> str:
-    """CSV spectrum dump: index, re, im, modulus, classification."""
+    """CSV spectrum dump: index, re, im, modulus, classification.  Row 0
+    (d+1) is trivial, and so is the last row (-(d+1)) of a bipartite graph."""
     lines = ["index,re,im,modulus,classification"]
+    last = len(report.eigenvalues) - 1
     for i, lam in enumerate(report.eigenvalues):
         lam = float(lam)
-        cls = "trivial" if any(abs(lam - t) <= report.tol for t in report.trivial) else "nontrivial"
+        cls = "trivial" if i == 0 or (report.bipartite and i == last) else "nontrivial"
         lines.append(f"{i},{lam!r},0.0,{abs(lam)!r},{cls}")
     return "\n".join(lines) + "\n"
 

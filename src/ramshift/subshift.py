@@ -316,24 +316,11 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
 # measures and correlations
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    """A rectangular cylinder: the pattern (column-major) pinned with its
-    lower-left cell at `anchor`."""
-
-    pattern: Pattern
-    anchor: tuple[int, int] = (0, 0)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.pattern), len(self.pattern[0]))
-
-
-def cylinder_measure(shift: MatrixSubshift, cyl: CylinderSpec | Pattern) -> Fraction:
-    """mu of an (m, n) cylinder: 1 / (s d^(m-1) d^(n-1)) when the pattern is
+def cylinder_measure(shift: MatrixSubshift, pattern: Pattern) -> Fraction:
+    """mu of the cylinder of an (m, n) pattern, its lower-left cell at the
+    origin: 1 / (s d^(m-1) d^(n-1)) when the pattern is
     admissible, 0 (with a warning) otherwise.  Under mu all admissible
     one-step extensions of a rectangle are equally likely."""
-    pattern = cyl.pattern if isinstance(cyl, CylinderSpec) else cyl
     d = shift.report.degree
     if d is None:
         raise ValueError("measure machinery needs a d-regular shift")
@@ -344,11 +331,10 @@ def cylinder_measure(shift: MatrixSubshift, cyl: CylinderSpec | Pattern) -> Frac
     return Fraction(1, shift.s * d ** (m - 1) * d ** (n - 1))
 
 
-def correlation(
-    shift: MatrixSubshift, c1: CylinderSpec | Pattern, c2: CylinderSpec | Pattern, n: int
-) -> Fraction:
-    """Exact deviation | mu(C1 and shifted C2) - mu(C1) mu(C2) | for a
-    horizontal offset n (C2's support starts n cells right of C1's anchor).
+def correlation(shift: MatrixSubshift, p1: Pattern, p2: Pattern, n: int) -> Fraction:
+    """Exact deviation | mu(C1 and shifted C2) - mu(C1) mu(C2) | for the
+    cylinders C1, C2 of patterns p1, p2 at a horizontal offset n (C2's
+    support starts n cells right of C1's anchor).
 
     Both patterns must have the same height k, and n must exceed the width
     of C1 so the supports do not touch.  The joint measure is computed from
@@ -358,8 +344,6 @@ def correlation(
     offsets pass the transposed shift `MatrixSubshift(symbols, B, A)`, with
     the patterns transposed to match.
     """
-    p1 = c1.pattern if isinstance(c1, CylinderSpec) else c1
-    p2 = c2.pattern if isinstance(c2, CylinderSpec) else c2
     k = len(p1[0])
     if len(p2[0]) != k:
         raise ValueError("patterns must be padded to a common vertical extent")

@@ -341,10 +341,10 @@ def wang_tiles(datum: VHDatum) -> WangTileSet:
     return WangTileSet(tiles)
 
 
-def tiles_to_svg(ts: WangTileSet, per_row: int = 4, header: str | None = None) -> str:
-    """Deterministic SVG: 100x100 squares with the four side labels,
-    `per_row` tiles per row."""
-    size, pad = 100, 20
+def tiles_to_svg(ts: WangTileSet, header: str | None = None) -> str:
+    """Deterministic SVG: 100x100 squares with the four side labels, four
+    tiles per row."""
+    size, pad, per_row = 100, 20, 4
     rows = (len(ts.tiles) + per_row - 1) // per_row
     width = per_row * (size + pad) + pad
     height = rows * (size + pad) + pad
@@ -477,6 +477,14 @@ def dumps_datum(datum: VHDatum) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _listed(kind: type, value, what: str) -> list:
+    """`value` itself when it is a list of exactly `kind` (int or str): a
+    float, a bool or a string is never truncated or coerced into an int."""
+    if type(value) is not list or any(type(x) is not kind for x in value):
+        raise TypeError(f"{what} must be a list of {kind.__name__}, got {value!r}")
+    return value
+
+
 def _field_from_dict(f: dict, n_v: int, n_h: int, n_r: int) -> FieldSpec:
     """The field of a datum file, rebuilt with `make_field`; the file's
     modulus and non-square must be the ones `make_field` picks.
@@ -484,14 +492,14 @@ def _field_from_dict(f: dict, n_v: int, n_h: int, n_r: int) -> FieldSpec:
     A quaternionic datum over F_q has q + 1 symbols a side and (q + 1)^2
     tuples, so the sizes are checked before any field table (q^2 entries)
     is built: a table is never larger than the file."""
-    p, e = int(f["p"]), int(f["e"])
+    p, e = _listed(int, [f["p"], f["e"]], "field p and e")
     if not (n_v == n_h and n_r == n_v * n_h and 1 <= e <= n_v.bit_length() and p ** e == n_v - 1):
         raise ValueError(
             f"field p={p}, e={e} does not fit |V| = {n_v}, |H| = {n_h}, |R| = {n_r}; "
             "a datum over F_q has |V| = |H| = q + 1 and |R| = (q + 1)^2"
         )
     spec = make_field(p, e)
-    modulus, c = tuple(int(x) for x in f["modulus"]), tuple(int(x) for x in f["c"])
+    modulus, c = tuple(_listed(int, f["modulus"], "field modulus")), tuple(_listed(int, f["c"], "field c"))
     if (modulus, c) != (spec.modulus, spec.c):
         raise ValueError(
             f"field modulus {list(modulus)} and non-square {list(c)} differ from "
@@ -501,16 +509,22 @@ def _field_from_dict(f: dict, n_v: int, n_h: int, n_r: int) -> FieldSpec:
 
 
 def datum_from_dict(data: dict) -> VHDatum:
+    """Read a datum file's dict.  Nothing is coerced: every index, field
+    parameter and coefficient must be a JSON integer, and the labels of a
+    datum without a field must be strings."""
     try:
-        inv_v = [int(i) for i in data["inv_V"]]
-        inv_h = [int(i) for i in data["inv_H"]]
-        tuples = [tuple(int(i) for i in t) for t in data["R"]]
+        inv_v = _listed(int, data["inv_V"], "inv_V")
+        inv_h = _listed(int, data["inv_H"], "inv_H")
+        tuples = [tuple(_listed(int, t, "an R entry")) for t in data["R"]]
         if any(len(t) != 4 for t in tuples):
             raise ValueError("R entries must be 4-tuples")
         if "field" in data:
             spec = _field_from_dict(data["field"], len(data["V"]), len(data["H"]), len(tuples))
-            v_elems = [spec.ext(u, v) for u, v in data["V"]]
-            h_elems = [spec.ext(u, v) for u, v in data["H"]]
+            v_elems, h_elems = (
+                [spec.ext(_listed(int, u, f"{key} coefficients"), _listed(int, v, f"{key} coefficients"))
+                 for u, v in data[key]]
+                for key in ("V", "H")
+            )
             datum = VHDatum(
                 V=[fq2_label(x) for x in v_elems],
                 H=[fq2_label(x) for x in h_elems],
@@ -518,15 +532,15 @@ def datum_from_dict(data: dict) -> VHDatum:
                 inv_H=inv_h,
                 R=tuples,
                 field=spec,
-                tau=spec.elem(data["tau"]),
-                sigma=spec.elem(data["sigma"]),
+                tau=spec.elem(_listed(int, data["tau"], "tau")),
+                sigma=spec.elem(_listed(int, data["sigma"], "sigma")),
                 V_elems=v_elems,
                 H_elems=h_elems,
             )
         else:
             datum = VHDatum(
-                V=[str(s) for s in data["V"]],
-                H=[str(s) for s in data["H"]],
+                V=_listed(str, data["V"], "V"),
+                H=_listed(str, data["H"], "H"),
                 inv_V=inv_v,
                 inv_H=inv_h,
                 R=tuples,

@@ -380,3 +380,98 @@ def test_verify_ramanujan_skips_without_building_the_level(capsys, monkeypatch):
     assert [v["skipped"] for v in verdicts] == [False, True]
     assert verdicts[1]["n_vertices"] == 2916  # 4 * 3^6
     assert built == [("A", 6)]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [["verify-ramanujan", "--levels", "1:2"], ["bass-ihara", "--level", "2"]],
+                         ids=["verify-ramanujan", "bass-ihara"])
+def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"--tol: {tol} is not a finite tolerance" in captured.err
+
+
+def test_verify_ramanujan_small_tol_passes_on_connected_levels(capsys):
+    # the computed Perron value is off by a few ulps; the verdict must not care
+    code, stdout, _ = run(capsys, "verify-ramanujan", "--levels", "1:6", "--tol", "1e-15", "--no-timestamp")
+    assert code == 0
+    assert json.loads(stdout)["all_pass"] is True
+
+
+def test_levels_and_files_share_the_verdict(tmp_path, capsys, monkeypatch):
+    # a level that breaks the bound reports its offending eigenvalue, as a file does
+    from ramshift import graphs
+
+    prism = circular_ladder(16)
+    path = tmp_path / "prism.json"
+    write_ugraph(prism, str(path))
+    monkeypatch.setattr(graphs, "level_size", lambda datum, side, n: prism.n_vertices())
+    monkeypatch.setattr(graphs, "level_graph", lambda datum, side, n: prism)
+    code, stdout, _ = run(capsys, "verify-ramanujan", "--levels", "1", "--side", "A", "--no-timestamp")
+    assert code == 1
+    level = json.loads(stdout)["verdicts"][0]
+    code, stdout, _ = run(capsys, "verify-ramanujan", "--graph-json", str(path), "--no-timestamp")
+    assert code == 1
+    file = json.loads(stdout)["verdicts"][0]
+    assert level.pop("side") == "A" and level.pop("level") == 1
+    assert file.pop("source") == str(path)
+    assert level == file
+    assert abs(level["offending_eigenvalue"]) == level["second_modulus"] > level["bound"]
+
+
+def _set(*keys, value):
+    return lambda data: reduce(getitem, keys[:-1], data).__setitem__(keys[-1], value)
+
+
+def _without_field(**changes):
+    # a datum without a field block names its symbols by string labels
+    return lambda data: (data.pop("field"), data.update(changes))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set("field", "p", value=3.9), id="float_p"),
+    pytest.param(_set("field", "e", value=True), id="bool_e"),
+    pytest.param(_set("field", "modulus", 1, value=1.0), id="float_modulus"),
+    pytest.param(_set("field", "c", 0, value="2"), id="string_c"),
+    pytest.param(_set("tau", value=[1.5]), id="float_tau"),
+    pytest.param(_set("sigma", 0, value=True), id="bool_sigma"),
+    pytest.param(_set("R", 0, 0, value=0.7), id="float_R_index"),
+    pytest.param(_set("inv_V", 0, value="1"), id="string_inv_V"),
+    pytest.param(_set("inv_H", 0, value=3.0), id="float_inv_H"),
+    pytest.param(_set("V", 0, 0, 0, value=True), id="bool_V_coefficient"),
+    pytest.param(_set("H", 1, 1, 0, value=1.0), id="float_H_coefficient"),
+    pytest.param(_without_field(), id="list_labels"),
+    pytest.param(_without_field(V=["a", "b", 3, "d"], H=["e", "f", "g", "h"]), id="int_label"),
+])
+def test_datum_file_values_of_the_wrong_json_type_are_an_input_error(tmp_path, capsys, edit):
+    path = _edited_datum_file(tmp_path, capsys, edit)
+    code, stdout, err = run(capsys, "graph", "--datum", path, "--level", "2", "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: malformed datum file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "keys,value",
+    [
+        (("vertices", 0), None),
+        (("vertices", 1), 1.5),
+        (("vertices", 2), False),
+        (("darts", 0, 2), None),
+        (("darts", 3, 2), 7),
+        (("vertices", 2), "a"),
+    ],
+    ids=["null_vertex", "float_vertex", "bool_vertex", "null_dart_label", "int_dart_label",
+         "duplicate_vertex"],
+)
+def test_graph_json_without_distinct_string_labels_is_an_input_error(tmp_path, capsys, keys, value):
+    data = ugraph_to_json_dict(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"]))
+    reduce(getitem, keys[:-1], data)[keys[-1]] = value
+    path = _write_json(tmp_path / "edited.json", data)
+    code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: malformed graph file") and "Traceback" not in err

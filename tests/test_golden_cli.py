@@ -1,8 +1,9 @@
 """Golden CLI outputs: each command's --no-timestamp stdout must match the
 checked-in file under tests/data/golden byte for byte.
 
-The outputs go to stdout, never --out, so no path enters the embedded
-config.  To re-record after an intended output change, run
+The outputs go to stdout, never --out, and each command runs in tests/data,
+so the one input file, c4.json, enters the embedded config by the same
+relative path wherever the suite runs.  To re-record after an intended output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
 """
 
@@ -55,6 +56,9 @@ CASES = {
          "--format", "json"], 0
     ),
     "verify_ramanujan_q3_1_4.json": (["verify-ramanujan", "--levels", "1:4"], 0),
+    "verify_ramanujan_q3_1_3.csv": (["verify-ramanujan", "--levels", "1:3", "--format", "csv"], 0),
+    # the 4-cycle is bipartite: its first and last eigenvalues are trivial
+    "verify_ramanujan_c4.csv": (["verify-ramanujan", "--graph-json", "c4.json", "--format", "csv"], 0),
 }
 
 # name -> (p, e) of the canonical datum file D_{1,2} over F_{p^e}
@@ -64,7 +68,7 @@ DATUM_FILES = {"datum_file_q9.json": (3, 2), "datum_file_q27.json": (3, 3)}
 def run_case(name: str) -> tuple[int, str]:
     argv, _ = CASES[name]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.chdir(GOLDEN.parent), contextlib.redirect_stdout(out):
         code = main(argv + ["--no-timestamp"])
     return code, out.getvalue()
 

@@ -253,9 +253,13 @@ def test_walk_counts_on_a_multigraph():
     assert rows == [matrix_power_int(a, n)[0] for n in range(6)]
 
 
-def test_deviation_norm_caps_and_validation():
+def test_deviation_norm_caps_and_validation(monkeypatch):
+    from ramshift import spectral
+
+    monkeypatch.setattr(spectral, "EXACT_POWER_LIMIT", 3)
     with pytest.raises(SizeCapExceeded):
-        deviation_norm(np.ones((4, 4), dtype=int), 2, exact_limit=3)
+        deviation_norm(np.ones((4, 4), dtype=int), 2)
+    monkeypatch.undo()
     with pytest.raises(SizeCapExceeded):
         deviation_table(np.ones((EXACT_POWER_LIMIT + 1,) * 2, dtype=int), 1)
     for bad in (np.array([[1, 1], [1, 0]]), np.array([[2, -1], [-1, 2]])):

@@ -12,7 +12,6 @@ import pytest
 from ramshift.graphs import level_digraph, level_graph, nb_matrix
 from ramshift.spectral import SizeCapExceeded
 from ramshift.subshift import (
-    CylinderSpec,
     MatrixSubshift,
     admissible_patterns,
     build_wang_shift,
@@ -317,7 +316,7 @@ def test_every_corner_pair_has_exactly_one_completion(xd_q3):
 
 def test_cylinder_measures(xd_q3):
     pat = ((3,),)
-    assert cylinder_measure(xd_q3, CylinderSpec(pat)) == Fraction(1, 16)
+    assert cylinder_measure(xd_q3, pat) == Fraction(1, 16)
     two_by_three = admissible_patterns(xd_q3, 2, 3)[0]
     assert cylinder_measure(xd_q3, two_by_three) == Fraction(1, 16 * 3 * 9)
     with warnings.catch_warnings(record=True) as caught:
