@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 from . import graphs, mealy, spectral, subshift, vhdatum
 from .ffield import make_field
@@ -272,7 +272,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp for byte-identical reruns")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse leaves it unchanged
+    while parsing, and the commands it binds read the library's modules
+    when they run, not when it is built."""
     parser = argparse.ArgumentParser(
         prog="ramshift",
         description="quaternionic VH-data, Mealy lifts, Ramanujan level graphs, and regular shifts",

@@ -22,13 +22,21 @@ Conventions
   bit-reproducible.
 * Conjugation on F_q[Z] is the Frobenius x -> x^q, which fixes F_q and sends
   Z to -Z.  The norm N(x) = x * conj(x) lands in F_q.
+* Many F_q[Z] values at once are a pair (nu, nv) of int arrays of one shape.
+  `FieldSpec.arrays` holds numpy copies of the tables, built on first use,
+  and the `pair_*` methods gather from them elementwise with exactly the
+  formulas of the `Fq2Elem` operators, so a batch of products or inverses
+  is a handful of table gathers over whole arrays.
 
 All values are immutable by convention and all operations are pure.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 
 def _is_prime(n: int) -> bool:
@@ -98,6 +106,22 @@ def _is_irreducible_zp(f: list[int], p: int) -> bool:
 def _encode(coeffs, p: int) -> int:
     """The canonical encoding c_0 + c_1*p + ... of a coefficient sequence."""
     return sum(x * p**i for i, x in enumerate(coeffs))
+
+
+class FieldArrays(NamedTuple):
+    """numpy copies of a `FieldSpec`'s tables, indexed like the lists (inv
+    holds 0 at 0, where the list holds None)."""
+
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+    inv: np.ndarray
+    cmul: np.ndarray
+    norm: np.ndarray
+
+
+# (nu, nv): int arrays of one shape holding the F_q[Z] values nu + nv Z
+Pair = tuple[np.ndarray, np.ndarray]
 
 
 def _poly_mulmod_zp(a, b, modulus: tuple[int, ...], p: int) -> list[int]:
@@ -213,6 +237,52 @@ class FieldSpec:
         if isinstance(u, int) and isinstance(v, int):  # the common case: constants
             return Fq2Elem(self, u % self.q, v % self.q)
         return Fq2Elem(self, self._code(u), self._code(v))
+
+    # -- array API: F_q[Z] values as pairs (nu, nv) of int arrays ------------
+
+    @cached_property
+    def arrays(self) -> FieldArrays:
+        """The tables as int arrays, built on first use."""
+        inv = [0] + self._inv[1:]
+        return FieldArrays(*(np.array(t, dtype=np.intp) for t in
+                             (self._add, self._mul, self._neg, inv, self._cmul, self._norm)))
+
+    def pair(self, elems) -> Pair:
+        """The pair of arrays holding a sequence of `Fq2Elem`s."""
+        return (np.array([x.nu for x in elems], dtype=np.intp),
+                np.array([x.nv for x in elems], dtype=np.intp))
+
+    def pair_add(self, x: Pair, y: Pair) -> Pair:
+        add, q = self.arrays.add, self.q
+        return add[x[0] * q + y[0]], add[x[1] * q + y[1]]
+
+    def pair_neg(self, x: Pair) -> Pair:
+        neg = self.arrays.neg
+        return neg[x[0]], neg[x[1]]
+
+    def pair_mul(self, x: Pair, y: Pair) -> Pair:
+        """Elementwise `Fq2Elem.__mul__`; the operands broadcast."""
+        t, q = self.arrays, self.q
+        (a, b), (c, d) = x, y
+        u = t.add[t.mul[a * q + c] * q + t.cmul[t.mul[b * q + d]]]
+        v = t.add[t.mul[a * q + d] * q + t.mul[b * q + c]]
+        return u, v
+
+    def pair_conj(self, x: Pair) -> Pair:
+        return x[0], self.arrays.neg[x[1]]
+
+    def pair_norm(self, x: Pair) -> np.ndarray:
+        """The encodings of N(x) in F_q."""
+        return self.arrays.norm[x[0] + self.q * x[1]]
+
+    def pair_inverse(self, x: Pair) -> Pair:
+        """Elementwise `Fq2Elem.inverse`: conj(x) / N(x)."""
+        t, q = self.arrays, self.q
+        n = self.pair_norm(x)
+        if not n.all():
+            raise ZeroDivisionError("inversion of zero in F_q[Z]")
+        ninv = t.inv[n]
+        return t.mul[x[0] * q + ninv], t.mul[t.neg[x[1]] * q + ninv]
 
 
 class FqElem:

@@ -11,13 +11,23 @@ form is implemented.  Arithmetic is exact; t is never evaluated.
 
 Polynomials are tuples of Fq2Elem coefficients, low degree first, with
 trailing zeros trimmed (the zero polynomial is the empty tuple).
+
+`QuatBatch` holds N such elements at once, each component as a pair of int
+arrays of shape (N, L) (see `ffield.Pair`), padded with zero coefficients
+instead of trimmed.  Its product uses the formula above and
+`proportional_batch` the same test as `proportional`, both as table gathers
+over whole columns, so certifying many relations costs a few dozen numpy
+calls instead of one `QuatElem` product per relation.  `QuatElem` and
+`proportional` stay the element API and the reference for the batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ffield import FieldSpec, Fq2Elem, FqElem, fq2_label
+import numpy as np
+
+from .ffield import FieldSpec, Fq2Elem, FqElem, Pair, fq2_label
 
 
 Poly = tuple[Fq2Elem, ...]
@@ -163,3 +173,83 @@ def proportional(g1: QuatElem, g2: QuatElem) -> bool:
     if (not g1.u) != (not g2.u) or (not g1.x) != (not g2.x):
         return False
     return p_mul(g1.u, g2.x) == p_mul(g2.u, g1.x)
+
+
+# ---------------------------------------------------------------------------
+# batches: polynomial components as pairs of (N, L) int arrays
+
+
+def _pad(a: Pair, length: int) -> Pair:
+    """Zero coefficients appended up to `length` columns."""
+    extra = length - a[0].shape[1]
+    return a if not extra else tuple(np.pad(c, ((0, 0), (0, extra))) for c in a)
+
+
+def _batch_add(spec: FieldSpec, a: Pair, b: Pair) -> Pair:
+    length = max(a[0].shape[1], b[0].shape[1])
+    return spec.pair_add(_pad(a, length), _pad(b, length))
+
+
+def _batch_mul(spec: FieldSpec, a: Pair, b: Pair) -> Pair:
+    """Row-wise polynomial product: (N, La) by (N, Lb) gives (N, La + Lb - 1)."""
+    n, la = a[0].shape
+    lb = b[0].shape[1]
+    out = np.zeros((2, n, la + lb - 1), dtype=np.intp)
+    for i in range(la):
+        term = spec.pair_mul((a[0][:, i:i + 1], a[1][:, i:i + 1]), b)
+        out[:, :, i:i + lb] = spec.pair_add((out[0, :, i:i + lb], out[1, :, i:i + lb]), term)
+    return out[0], out[1]
+
+
+def _batch_shift(a: Pair) -> Pair:
+    """Multiply by t."""
+    return tuple(np.pad(c, ((0, 0), (1, 0))) for c in a)
+
+
+def _zero_rows(a: Pair) -> np.ndarray:
+    return ~(a[0].any(axis=1) | a[1].any(axis=1))
+
+
+@dataclass(frozen=True, eq=False)
+class QuatBatch:
+    """N elements u(t) + x(t)F: row n of the polynomial batches u and x
+    (pairs of (N, L) int arrays, one length L >= 1 per component, zero
+    padded) is element n."""
+
+    spec: FieldSpec
+    u: Pair
+    x: Pair
+
+    @staticmethod
+    def generators(spec: FieldSpec, alpha: Pair) -> "QuatBatch":
+        """The generators 1 + alpha_n F for a pair of 1-d arrays alpha."""
+        one = np.ones((len(alpha[0]), 1), dtype=np.intp)
+        return QuatBatch(spec, (one, np.zeros_like(one)), (alpha[0][:, None], alpha[1][:, None]))
+
+    def __mul__(self, other: "QuatBatch") -> "QuatBatch":
+        """Row-wise `QuatElem.__mul__`."""
+        if self.spec != other.spec:
+            raise ValueError("quaternion operands live over different fields")
+        s = self.spec
+        u = _batch_add(s, _batch_mul(s, self.u, other.u),
+                       _batch_shift(_batch_mul(s, self.x, s.pair_conj(other.x))))
+        x = _batch_add(s, _batch_mul(s, self.u, other.x), _batch_mul(s, self.x, s.pair_conj(other.u)))
+        return QuatBatch(s, u, x)
+
+    def is_scalar(self) -> np.ndarray:
+        """Row-wise `QuatElem.is_scalar`."""
+        return _zero_rows(self.x)
+
+
+def proportional_batch(g1: QuatBatch, g2: QuatBatch) -> np.ndarray:
+    """Row-wise `proportional`: True where row n of g2 is a nonzero
+    F_q(t)-multiple of row n of g1.  A zero row in either is rejected."""
+    zu1, zx1, zu2, zx2 = (_zero_rows(c) for c in (g1.u, g1.x, g2.u, g2.x))
+    if (zu1 & zx1).any() or (zu2 & zx2).any():
+        raise ValueError("proportionality is only defined for nonzero elements")
+    a = _batch_mul(g1.spec, g1.u, g2.x)
+    b = _batch_mul(g1.spec, g2.u, g1.x)
+    length = max(a[0].shape[1], b[0].shape[1])
+    (au, av), (bu, bv) = _pad(a, length), _pad(b, length)
+    cross = ((au == bu) & (av == bv)).all(axis=1)
+    return (zu1 == zu2) & (zx1 == zx2) & cross

@@ -114,7 +114,7 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
         second_modulus=second,
         bound=bound,
         margin=bound - second,
-        ramanujan=second <= bound + tol,
+        ramanujan=bool(second <= bound + tol),
         bipartite=structure.bipartite,
         structure=structure,
     )

@@ -23,6 +23,14 @@ tau^-1 and sigma^-1 in F_q[Z], negation as the involutions, and
 with the unit-norm twist zeta_a(b) = (1 + a/b) / (1 + conj(a)/conj(b)).
 Every tuple is certified against the quaternion identity
 (1 + alpha F)(1 + beta F) ~ (1 + gamma F)(1 + delta F) by `verify_relations`.
+Both steps run on whole fibers at once: the build computes every gamma and
+delta as pairs of int arrays (`ffield.Pair`) and finds them in the fibers
+through an encoding-to-index array, and the certification decides all
+relations with one `QuatBatch` product and proportionality test.  `zeta`,
+`QuatElem` and `proportional` remain the element-level reference.
+
+A datum file of a field datum stores each coefficient as an integer in
+0..p-1, and on reading its V and H must be the norm fibers of its places.
 """
 
 from __future__ import annotations
@@ -32,8 +40,10 @@ import os
 from dataclasses import dataclass, field as _field
 from json.encoder import encode_basestring_ascii
 
-from .ffield import FieldSpec, FqElem, Fq2Elem, fq2_label, make_field, norm_fiber
-from .quaternion import QuatElem, proportional
+import numpy as np
+
+from .ffield import FieldSpec, FqElem, Fq2Elem, Pair, fq2_label, make_field, norm_fiber
+from .quaternion import QuatBatch, QuatElem, proportional_batch
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +122,29 @@ def zeta(alpha: Fq2Elem, beta: Fq2Elem) -> Fq2Elem:
     return (one + alpha / beta) / (one + alpha.conj() / beta.conj())
 
 
+def _zeta_pairs(spec: FieldSpec, alpha: Pair, beta: Pair) -> Pair:
+    """`zeta` elementwise over pairs of arrays, with its preconditions checked
+    on every element."""
+    norm_b = spec.pair_norm(beta)
+    if not norm_b.all():
+        raise ValueError("zeta twist needs beta nonzero")
+    if (spec.pair_norm(alpha) == norm_b).any():
+        raise ValueError("zeta twist needs N(alpha) != N(beta)")
+    one = (1, 0)
+    num = spec.pair_add(one, spec.pair_mul(alpha, spec.pair_inverse(beta)))
+    den = spec.pair_add(one, spec.pair_mul(spec.pair_conj(alpha), spec.pair_inverse(spec.pair_conj(beta))))
+    return spec.pair_mul(num, spec.pair_inverse(den))
+
+
 def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
     """The datum D_{tau,sigma}: V, H the norm fibers of tau^-1 and sigma^-1,
     negation involutions, and R generated by the zeta twist.
 
     tau and sigma must be distinct nonzero elements of F_q (ints accepted
-    via the canonical encoding).  The result passes `validate_datum`.
+    via the canonical encoding).  gamma = zeta_alpha(beta) beta and
+    delta = zeta_beta(alpha) alpha are computed for every (alpha, beta) at
+    once and found in the fibers by their F_q[Z] encodings.  The result
+    passes `validate_datum`.
     """
     tau = spec.elem(tau)
     sigma = spec.elem(sigma)
@@ -128,23 +155,32 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
 
     v_elems = norm_fiber(spec, tau.inverse())
     h_elems = norm_fiber(spec, sigma.inverse())
-    v_index = {x: i for i, x in enumerate(v_elems)}
-    h_index = {x: i for i, x in enumerate(h_elems)}
-    inv_v = [v_index[-x] for x in v_elems]
-    inv_h = [h_index[-x] for x in h_elems]
+    q = spec.q
+    v, h = spec.pair(v_elems), spec.pair(h_elems)
 
-    tuples = []
-    for ia, alpha in enumerate(v_elems):
-        for ib, beta in enumerate(h_elems):
-            gamma = zeta(alpha, beta) * beta
-            delta = zeta(beta, alpha) * alpha
-            tuples.append((ia, ib, h_index[gamma], v_index[delta]))
+    def indices(elems: list[Fq2Elem], values: Pair) -> np.ndarray:
+        # the position in `elems` of every value, by its encoding nu + q nv
+        index = np.full(q * q, -1, dtype=np.intp)
+        index[[x.encoding() for x in elems]] = np.arange(len(elems))
+        found = index[values[0] + q * values[1]]
+        if (found < 0).any():
+            raise RuntimeError("a zeta twist left its norm fiber")  # would signal a field bug
+        return found.ravel()
+
+    # alpha runs over the rows and beta over the columns, so R is in (ia, ib) order
+    alpha = (v[0][:, None], v[1][:, None])
+    beta = (h[0][None, :], h[1][None, :])
+    gamma = spec.pair_mul(_zeta_pairs(spec, alpha, beta), beta)
+    delta = spec.pair_mul(_zeta_pairs(spec, beta, alpha), alpha)
+    ia, ib = np.divmod(np.arange(len(v_elems) * len(h_elems)), len(h_elems))
+    tuples = list(zip(ia.tolist(), ib.tolist(), indices(h_elems, gamma).tolist(),
+                      indices(v_elems, delta).tolist()))
 
     datum = VHDatum(
         V=[fq2_label(x) for x in v_elems],
         H=[fq2_label(x) for x in h_elems],
-        inv_V=inv_v,
-        inv_H=inv_h,
+        inv_V=indices(v_elems, spec.pair_neg(v)).tolist(),
+        inv_H=indices(h_elems, spec.pair_neg(h)).tolist(),
         R=tuples,
         field=spec,
         tau=tau,
@@ -238,30 +274,34 @@ def verify_relations(datum: VHDatum) -> DatumReport:
     For every (alpha, beta, gamma, delta) in R the products
     (1 + alpha F)(1 + beta F) and (1 + gamma F)(1 + delta F) must be
     proportional, and for every fiber element xi the product
-    (1 + xi F)(1 - xi F) must be a scalar.
+    (1 + xi F)(1 - xi F) must be a scalar.  Each family is decided by one
+    `QuatBatch` product and test; only a failing row is multiplied out
+    again as `QuatElem`s, to name it in its violation.
     """
     if not datum.is_arithmetic():
         raise ValueError("verify_relations needs a datum with field values")
     spec = datum.field
     bad: list[str] = []
-    checked = 0
     gen = lambda x: QuatElem.one_plus_alpha_f(spec, x)
+    v, h = spec.pair(datum.V_elems), spec.pair(datum.H_elems)
+    rows = np.array(datum.R, dtype=np.intp).reshape(-1, 4)
+    side = lambda pair, col: QuatBatch.generators(spec, (pair[0][rows[:, col]], pair[1][rows[:, col]]))
 
-    for ia, ib, ic, idd in datum.R:
-        checked += 1
+    square = proportional_batch(side(v, 0) * side(h, 1), side(h, 2) * side(v, 3))
+    for n in np.flatnonzero(~square).tolist():
+        ia, ib, ic, idd = datum.R[n]
         lhs = gen(datum.V_elems[ia]) * gen(datum.H_elems[ib])
         rhs = gen(datum.H_elems[ic]) * gen(datum.V_elems[idd])
-        if not proportional(lhs, rhs):
-            bad.append(
-                f"square relation fails for ({datum.V[ia]}, {datum.H[ib]}, "
-                f"{datum.H[ic]}, {datum.V[idd]}): lhs = {lhs}, rhs = {rhs}"
-            )
-    for xi in list(datum.V_elems) + list(datum.H_elems):
-        checked += 1
-        prod = gen(xi) * gen(-xi)
-        if not prod.is_scalar():
-            bad.append(f"inverse relation fails for {fq2_label(xi)}: {prod}")
-    return DatumReport(bad, checked)
+        bad.append(
+            f"square relation fails for ({datum.V[ia]}, {datum.H[ib]}, "
+            f"{datum.H[ic]}, {datum.V[idd]}): lhs = {lhs}, rhs = {rhs}"
+        )
+    xis = list(datum.V_elems) + list(datum.H_elems)
+    xi = (np.concatenate([v[0], h[0]]), np.concatenate([v[1], h[1]]))
+    inverse = (QuatBatch.generators(spec, xi) * QuatBatch.generators(spec, spec.pair_neg(xi))).is_scalar()
+    for n in np.flatnonzero(~inverse).tolist():
+        bad.append(f"inverse relation fails for {fq2_label(xis[n])}: {gen(xis[n]) * gen(-xis[n])}")
+    return DatumReport(bad, len(datum.R) + len(xis))
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +548,49 @@ def _field_from_dict(f: dict, n_v: int, n_h: int, n_r: int) -> FieldSpec:
     return spec
 
 
+def _coefficients(spec: FieldSpec, value, what: str) -> list[int]:
+    """`value` itself when it is the coefficient list of an element of
+    F_q: e JSON integers in 0..p-1.  Nothing is reduced mod p."""
+    coeffs = _listed(int, value, what)
+    if len(coeffs) != spec.e or not all(0 <= x < spec.p for x in coeffs):
+        raise TypeError(f"{what} must be {spec.e} integer(s) in 0..{spec.p - 1}, got {value!r}")
+    return coeffs
+
+
+def _side_elements(spec: FieldSpec, entries, key: str) -> list[Fq2Elem]:
+    """The F_q[Z] elements of a file's V or H: pairs [u, v] of coefficient
+    lists."""
+    elems = []
+    for entry in _listed(list, entries, key):
+        if len(entry) != 2:
+            raise TypeError(f"{key} entries must be pairs [u, v] of coefficient lists, got {entry!r}")
+        u, v = (_coefficients(spec, c, f"{key} coefficients") for c in entry)
+        elems.append(spec.ext(u, v))
+    return elems
+
+
+def _check_places(spec: FieldSpec, tau: FqElem, sigma: FqElem,
+                  v_elems: list[Fq2Elem], h_elems: list[Fq2Elem]) -> None:
+    """A file's V and H must be the norm fibers of tau^-1 and sigma^-1 for
+    distinct nonzero places.  With |V| = |H| = q + 1 (checked with the
+    field), distinct elements of the right norm are the whole fiber."""
+    if tau.is_zero() or sigma.is_zero() or tau == sigma:
+        raise ValueError(f"datum file places tau = {tau} and sigma = {sigma} must be nonzero and distinct")
+    for key, name, place, elems in (("V", "tau", tau, v_elems), ("H", "sigma", sigma, h_elems)):
+        target = place.inverse()
+        off = np.flatnonzero(spec.pair_norm(spec.pair(elems)) != target.n)
+        if off.size:
+            x = elems[off[0]]
+            raise ValueError(f"datum file {key}[{off[0]}] = {x} has norm {x.norm()}, not {name}^-1 = {target}")
+        if len(set(elems)) != len(elems):
+            raise ValueError(f"datum file {key} repeats an element")
+
+
 def datum_from_dict(data: dict) -> VHDatum:
     """Read a datum file's dict.  Nothing is coerced: every index, field
-    parameter and coefficient must be a JSON integer, and the labels of a
-    datum without a field must be strings."""
+    parameter and coefficient must be a JSON integer, each coefficient in
+    0..p-1, and the labels of a datum without a field must be strings.  A
+    field datum's V and H must be the norm fibers of its places."""
     try:
         inv_v = _listed(int, data["inv_V"], "inv_V")
         inv_h = _listed(int, data["inv_H"], "inv_H")
@@ -520,11 +599,9 @@ def datum_from_dict(data: dict) -> VHDatum:
             raise ValueError("R entries must be 4-tuples")
         if "field" in data:
             spec = _field_from_dict(data["field"], len(data["V"]), len(data["H"]), len(tuples))
-            v_elems, h_elems = (
-                [spec.ext(_listed(int, u, f"{key} coefficients"), _listed(int, v, f"{key} coefficients"))
-                 for u, v in data[key]]
-                for key in ("V", "H")
-            )
+            v_elems, h_elems = (_side_elements(spec, data[key], key) for key in ("V", "H"))
+            tau, sigma = (spec.elem(_coefficients(spec, data[key], key)) for key in ("tau", "sigma"))
+            _check_places(spec, tau, sigma, v_elems, h_elems)
             datum = VHDatum(
                 V=[fq2_label(x) for x in v_elems],
                 H=[fq2_label(x) for x in h_elems],
@@ -532,8 +609,8 @@ def datum_from_dict(data: dict) -> VHDatum:
                 inv_H=inv_h,
                 R=tuples,
                 field=spec,
-                tau=spec.elem(_listed(int, data["tau"], "tau")),
-                sigma=spec.elem(_listed(int, data["sigma"], "sigma")),
+                tau=tau,
+                sigma=sigma,
                 V_elems=v_elems,
                 H_elems=h_elems,
             )

@@ -475,3 +475,68 @@ def test_graph_json_without_distinct_string_labels_is_an_input_error(tmp_path, c
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: malformed graph file") and "Traceback" not in err
+
+
+# one process, many commands: what a benchmark pass or a script does
+SEQUENCE = [
+    ["datum", "--p", "5"],
+    ["graph", "--level", "2", "--format", "json"],
+    ["verify-ramanujan", "--levels", "1:3", "--dense-cap", "20"],
+    ["mixing", "--k", "1", "--max-n", "4"],
+    ["verify-ramanujan", "--levels", "1:2"],
+    ["bass-ihara", "--level", "1", "--tol", "1e-3"],
+    ["datum", "--tau", "1", "--sigma", "1"],
+    ["graph", "--level", "2"],
+]
+
+
+def test_commands_in_one_process_print_what_each_prints_alone(capsys):
+    from ramshift import cli
+
+    alone = []
+    for argv in SEQUENCE:
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv, "--no-timestamp"))
+    cli.build_parser.cache_clear()
+    together = [run(capsys, *argv, "--no-timestamp") for argv in SEQUENCE]
+    assert together == alone
+    assert [code for code, _, _ in alone] == [0, 0, 3, 0, 0, 0, 2, 0]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set("V", value="abcd"), id="string_V"),
+    pytest.param(_set("H", 2, value=[[1]]), id="one_item_entry"),
+    pytest.param(lambda data: data["V"][1].append([0]), id="three_item_entry"),
+    pytest.param(_set("V", 0, 1, value=[0, 1]), id="long_coefficient_list"),
+    pytest.param(_set("H", 3, 0, value=[]), id="empty_coefficient_list"),
+    pytest.param(lambda data: data["V"][0][0].__setitem__(0, data["V"][0][0][0] + 3), id="coefficient_p_above"),
+    pytest.param(lambda data: data["H"][1][1].__setitem__(0, data["H"][1][1][0] - 3), id="negative_coefficient"),
+    pytest.param(_set("tau", 0, value=4), id="tau_above_p"),
+    pytest.param(_set("sigma", 0, value=-1), id="negative_sigma"),
+])
+def test_datum_file_coefficients_outside_the_field_are_an_input_error(tmp_path, capsys, edit):
+    path = _edited_datum_file(tmp_path, capsys, edit)
+    code, stdout, err = run(capsys, "datum", "--datum", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: malformed datum file") and "Traceback" not in err
+
+
+def _swap(*keys):
+    return lambda data: data.update(zip(keys, [data[k] for k in reversed(keys)]))
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(_set("tau", value=[2]), "nonzero and distinct", id="sigma_equals_tau"),
+    pytest.param(_set("sigma", value=[0]), "nonzero and distinct", id="zero_sigma"),
+    pytest.param(_swap("tau", "sigma"), "has norm", id="swapped_places"),
+    pytest.param(lambda data: data["V"].__setitem__(0, data["H"][0]), "V[0]", id="H_element_in_V"),
+    pytest.param(lambda data: data["H"].__setitem__(3, data["H"][0]), "H repeats", id="repeated_H_element"),
+])
+def test_datum_file_sides_must_be_the_fibers_of_its_places(tmp_path, capsys, edit, message):
+    path = _edited_datum_file(tmp_path, capsys, edit)
+    code, stdout, err = run(capsys, "datum", "--datum", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: datum file") and message in err and "Traceback" not in err

@@ -266,3 +266,33 @@ def test_make_field_builds_the_tables_once(monkeypatch):
     monkeypatch.setattr(ffield.FieldSpec, "__init__", counting)
     make_field(3, 3)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2)])
+def test_pair_ops_match_the_element_ops_on_every_pair(p, e):
+    spec = make_field(p, e)
+    elems = spec.ext_elements()
+    xs = [x for x in elems for _ in elems]
+    ys = elems * len(elems)
+    x, y = spec.pair(xs), spec.pair(ys)
+    as_list = lambda pair: list(zip(pair[0].tolist(), pair[1].tolist()))
+    codes = lambda values: [(z.nu, z.nv) for z in values]
+    assert as_list(spec.pair_add(x, y)) == codes(a + b for a, b in zip(xs, ys))
+    assert as_list(spec.pair_mul(x, y)) == codes(a * b for a, b in zip(xs, ys))
+    assert as_list(spec.pair_neg(x)) == codes(-a for a in xs)
+    assert as_list(spec.pair_conj(x)) == codes(a.conj() for a in xs)
+    assert spec.pair_norm(x).tolist() == [a.norm().n for a in xs]
+    units = elems[1:]
+    assert as_list(spec.pair_inverse(spec.pair(units))) == codes(a.inverse() for a in units)
+    with pytest.raises(ZeroDivisionError, match="zero"):
+        spec.pair_inverse(spec.pair(elems))
+
+
+def test_pair_ops_broadcast_like_numpy(f5):
+    # a column times a row is the table of all products
+    elems = f5.ext_elements()[:6]
+    u, v = f5.pair(elems)
+    table = f5.pair_mul((u[:, None], v[:, None]), (u[None, :], v[None, :]))
+    assert table[0].shape == table[1].shape == (6, 6)
+    assert [list(zip(*row)) for row in zip(table[0].tolist(), table[1].tolist())] == \
+        [[((a * b).nu, (a * b).nv) for b in elems] for a in elems]

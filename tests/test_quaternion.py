@@ -4,9 +4,11 @@ F a = conj(a) F."""
 
 import random
 
+import numpy as np
 import pytest
 
-from ramshift.quaternion import QuatElem, proportional, reduced_norm
+from ramshift.ffield import make_field
+from ramshift.quaternion import QuatBatch, QuatElem, proportional, proportional_batch, reduced_norm
 
 
 def gen(spec, alpha):
@@ -132,3 +134,83 @@ def test_inverse_relation_is_scalar(f3):
             expected = QuatElem(f3, (f3.ext(1, 0), f3.ext((-alpha.norm()).coeffs, 0)), ())
             assert proportional(prod, QuatElem.one(f3))
             assert prod == expected
+
+
+# ---------------------------------------------------------------------------
+# batches against the element API
+
+
+def batch_of(spec, quats):
+    """The QuatBatch whose rows are `quats`, components zero padded."""
+    def component(polys):
+        length = max(1, *(len(p) for p in polys))
+        rows = [list(p) + [spec.ext(0, 0)] * (length - len(p)) for p in polys]
+        return tuple(np.array([[getattr(c, part) for c in row] for row in rows], dtype=np.intp)
+                     for part in ("nu", "nv"))
+    return QuatBatch(spec, component([g.u for g in quats]), component([g.x for g in quats]))
+
+
+def rows_of(batch):
+    """The QuatElems of a batch's rows, trimmed."""
+    spec = batch.spec
+
+    def poly(pair, n):
+        return _trimmed([spec.ext(a, b) for a, b in zip(pair[0][n].tolist(), pair[1][n].tolist())])
+    return [QuatElem(spec, poly(batch.u, n), poly(batch.x, n)) for n in range(len(batch.u[0]))]
+
+
+def _trimmed(coeffs):
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2)])
+def test_three_generator_products_match_quat_elem(p, e):
+    spec = make_field(p, e)
+    rng = random.Random(31 * p + e)
+    elems = spec.ext_elements()
+    alphas = [[rng.choice(elems) for _ in range(3)] for _ in range(150)]
+    gens = [QuatBatch.generators(spec, spec.pair([row[i] for row in alphas])) for i in range(3)]
+    expected = [gen(spec, a) * gen(spec, b) * gen(spec, c) for a, b, c in alphas]
+    assert rows_of(gens[0] * gens[1] * gens[2]) == expected
+    assert rows_of(gens[0] * (gens[1] * gens[2])) == expected
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_batch_products_of_longer_polynomials_match_quat_elem(p):
+    spec = make_field(p, 1)
+    rng = random.Random(5 + p)
+    left = [_random_quat(spec, rng, max_deg=3) for _ in range(60)]
+    right = [_random_quat(spec, rng, max_deg=2) for _ in range(60)]
+    # a zero component pads to a zero row
+    left[0] = QuatElem(spec, (), left[0].x or (spec.ext(1, 0),))
+    assert rows_of(batch_of(spec, left) * batch_of(spec, right)) == [a * b for a, b in zip(left, right)]
+
+
+def test_proportional_batch_matches_the_scalar_test(f5):
+    rng = random.Random(11)
+    elems = f5.ext_elements()[1:]
+    firsts, seconds = [], []
+    for _ in range(80):
+        g = gen(f5, rng.choice(elems)) * gen(f5, rng.choice(elems))
+        scale = QuatElem.scalar(f5, rng.choice(elems))
+        other = gen(f5, rng.choice(elems)) * gen(f5, rng.choice(elems))
+        firsts += [g, g, g, QuatElem.one(f5), gen(f5, rng.choice(elems))]
+        seconds += [scale * g, other, g * scale, scale, QuatElem(f5, (), (rng.choice(elems),))]
+    verdicts = proportional_batch(batch_of(f5, firsts), batch_of(f5, seconds))
+    assert verdicts.tolist() == [proportional(a, b) for a, b in zip(firsts, seconds)]
+    assert verdicts.any() and not verdicts.all()
+
+
+def test_proportional_batch_rejects_zero_rows(f3):
+    ones = [QuatElem.one(f3)] * 3
+    zero = QuatElem(f3, (), ())
+    for first, second in ((ones, ones[:2] + [zero]), (ones[:2] + [zero], ones)):
+        with pytest.raises(ValueError, match="nonzero"):
+            proportional_batch(batch_of(f3, first), batch_of(f3, second))
+
+
+def test_batch_operands_over_different_fields_are_rejected(f3, f5):
+    with pytest.raises(ValueError, match="different fields"):
+        batch_of(f3, [QuatElem.one(f3)]) * batch_of(f5, [QuatElem.one(f5)])

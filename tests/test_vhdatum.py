@@ -1,11 +1,19 @@
 """Datum construction, the twist formula, validation, relation
 certification, Wang tiles, and the file format."""
 
+import random
+from dataclasses import replace
+from functools import cache
+
+import numpy as np
 import pytest
 
-from ramshift.quaternion import QuatElem, proportional
+from ramshift.ffield import fq2_label, make_field
+from ramshift.quaternion import QuatBatch, QuatElem, proportional, proportional_batch
 from ramshift.vhdatum import (
+    DatumReport,
     VHDatum,
+    _zeta_pairs,
     build_quaternionic_datum,
     datum_from_dict,
     datum_to_dict,
@@ -231,3 +239,112 @@ def test_all_relations_certified_by_the_oracle(d12_q3):
         lhs = QuatElem.one_plus_alpha_f(spec, d12_q3.V_elems[a]) * QuatElem.one_plus_alpha_f(spec, d12_q3.H_elems[b])
         rhs = QuatElem.one_plus_alpha_f(spec, d12_q3.H_elems[c]) * QuatElem.one_plus_alpha_f(spec, d12_q3.V_elems[d])
         assert proportional(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the batched oracle against the element API
+
+# every odd prime power q <= 31 as (p, e): the fields of the datum benchmark
+FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
+          (5, 2), (3, 3), (29, 1), (31, 1)]
+
+
+def _places(q):
+    return [(1, 2), (q - 1, 1)]
+
+
+@cache
+def _datum(p, e, tau, sigma):
+    return build_quaternionic_datum(make_field(p, e), tau, sigma)
+
+
+def _gen(spec, x):
+    return QuatElem.one_plus_alpha_f(spec, x)
+
+
+def scalar_verify_relations(datum):
+    """One QuatElem product at a time: the reference for `verify_relations`."""
+    spec = datum.field
+    bad = []
+    checked = 0
+    for ia, ib, ic, idd in datum.R:
+        checked += 1
+        lhs = _gen(spec, datum.V_elems[ia]) * _gen(spec, datum.H_elems[ib])
+        rhs = _gen(spec, datum.H_elems[ic]) * _gen(spec, datum.V_elems[idd])
+        if not proportional(lhs, rhs):
+            bad.append(
+                f"square relation fails for ({datum.V[ia]}, {datum.H[ib]}, "
+                f"{datum.H[ic]}, {datum.V[idd]}): lhs = {lhs}, rhs = {rhs}"
+            )
+    for xi in list(datum.V_elems) + list(datum.H_elems):
+        checked += 1
+        prod = _gen(spec, xi) * _gen(spec, -xi)
+        if not prod.is_scalar():
+            bad.append(f"inverse relation fails for {fq2_label(xi)}: {prod}")
+    return DatumReport(bad, checked)
+
+
+@pytest.mark.parametrize("p,e", FIELDS, ids=[f"q{p ** e}" for p, e in FIELDS])
+def test_build_matches_the_scalar_zeta_loop(p, e):
+    for tau, sigma in _places(p ** e):
+        datum = _datum(p, e, tau, sigma)
+        v_index = {x: i for i, x in enumerate(datum.V_elems)}
+        h_index = {x: i for i, x in enumerate(datum.H_elems)}
+        assert datum.R == [
+            (ia, ib, h_index[zeta(alpha, beta) * beta], v_index[zeta(beta, alpha) * alpha])
+            for ia, alpha in enumerate(datum.V_elems)
+            for ib, beta in enumerate(datum.H_elems)
+        ]
+        assert datum.inv_V == [v_index[-x] for x in datum.V_elems]
+        assert datum.inv_H == [h_index[-x] for x in datum.H_elems]
+
+
+@pytest.mark.parametrize("p,e", FIELDS, ids=[f"q{p ** e}" for p, e in FIELDS])
+def test_batched_verdicts_match_scalar_proportional(p, e):
+    for tau, sigma in _places(p ** e):
+        datum = _datum(p, e, tau, sigma)
+        spec, n_h = datum.field, len(datum.H)
+        # every relation, then every relation with gamma moved to the next H symbol
+        rows = datum.R + [(a, b, (c + 1) % n_h, d) for a, b, c, d in datum.R]
+        sides = (datum.V_elems, datum.H_elems, datum.H_elems, datum.V_elems)
+        gens = [QuatBatch.generators(spec, spec.pair([side[row[i]] for row in rows]))
+                for i, side in enumerate(sides)]
+        verdicts = proportional_batch(gens[0] * gens[1], gens[2] * gens[3]).tolist()
+        expected = [
+            proportional(_gen(spec, datum.V_elems[a]) * _gen(spec, datum.H_elems[b]),
+                         _gen(spec, datum.H_elems[c]) * _gen(spec, datum.V_elems[d]))
+            for a, b, c, d in rows
+        ]
+        assert verdicts == expected
+        assert all(expected[:len(datum.R)]) and not any(expected[len(datum.R):])
+        assert verify_relations(datum).ok
+
+
+@pytest.mark.parametrize("p,e,tau,sigma", [(3, 1, 1, 2), (5, 1, 2, 3), (3, 2, 1, 2), (7, 1, 6, 1)])
+def test_violations_of_altered_relations_match_the_scalar_loop(p, e, tau, sigma):
+    datum = _datum(p, e, tau, sigma)
+    rng = random.Random(p * 100 + tau)
+    R = list(datum.R)
+    n_v, n_h = len(datum.V), len(datum.H)
+    for n in rng.sample(range(len(R)), 6):
+        a, b, c, d = R[n]
+        R[n] = rng.choice([(a, b, c, datum.inv_V[d]), (a, b, (c + 1) % n_h, d),
+                           (a, b, c, (d + 2) % n_v), (a, c, b, d)])
+    broken = replace(datum, R=R)
+    report = verify_relations(broken)
+    reference = scalar_verify_relations(broken)
+    assert report.violations == reference.violations and report.violations
+    assert report.checked == reference.checked == len(R) + n_v + n_h
+    assert verify_relations(datum).violations == [] and verify_relations(datum).checked == report.checked
+
+
+def test_batched_zeta_keeps_the_preconditions(f3):
+    one, zero, two = (np.array([x]) for x in (1, 0, 2))
+    with pytest.raises(ValueError, match="nonzero"):
+        _zeta_pairs(f3, (one, zero), (np.array([1, 0]), np.array([1, 0])))
+    with pytest.raises(ValueError, match="N\\(alpha\\)"):
+        _zeta_pairs(f3, (one, zero), (two, zero))  # both norm 1
+    alpha, beta = f3.ext(1, 0), f3.ext(1, 1)
+    got = _zeta_pairs(f3, f3.pair([alpha, beta]), f3.pair([beta, alpha]))
+    assert list(zip(*(c.tolist() for c in got))) == \
+        [(z.nu, z.nv) for z in (zeta(alpha, beta), zeta(beta, alpha))]
