@@ -13,8 +13,10 @@ and nothing is randomized, so reruns with the same flags are byte-identical
 modulo the timestamp.  No color is ever emitted.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
-error, 3 resource cap exceeded (including any graph that verify-ramanujan
-skipped above --dense-cap).
+error (a --tau, --sigma or --s0 place outside 1..q-1 among them), 3
+resource cap exceeded (including any graph that verify-ramanujan skipped
+above --dense-cap).  Sizes are counted before anything is built:
+verify-ramanujan's vertices, bass-ihara's darts and mixing's strips.
 """
 
 from __future__ import annotations
@@ -60,11 +62,20 @@ def _header(args) -> str:
     return f"config: {json.dumps(_config_dict(args), sort_keys=True, default=str)}"
 
 
+def _place(spec, flag: str, value: int) -> int:
+    """A place given on the command line: the canonical encoding of a
+    nonzero element of F_q, so 1..q-1 (never reduced mod q)."""
+    if not 1 <= value < spec.q:
+        raise ValueError(f"{flag} {value} is not a nonzero element of F_{spec.q}: places are 1..{spec.q - 1}")
+    return value
+
+
 def _datum_from_args(args) -> vhdatum.VHDatum:
     if getattr(args, "datum", None):
         return vhdatum.read_datum(args.datum)
     spec = make_field(args.p, args.e)
-    return vhdatum.build_quaternionic_datum(spec, args.tau, args.sigma)
+    tau, sigma = _place(spec, "--tau", args.tau), _place(spec, "--sigma", args.sigma)
+    return vhdatum.build_quaternionic_datum(spec, tau, sigma)
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -131,9 +142,9 @@ def cmd_graph(args) -> int:
 
 def cmd_product_graph(args) -> int:
     spec = make_field(args.p, args.e)
-    s0 = [int(x) for x in args.s0.split(",")]
+    s0 = [_place(spec, "--s0", int(x)) for x in args.s0.split(",")]
     levels = tuple(int(x) for x in args.levels.split(","))
-    graph = graphs.product_level_graph(spec, s0, args.tau, levels)
+    graph = graphs.product_level_graph(spec, s0, _place(spec, "--tau", args.tau), levels)
     if args.format == "dot":
         _emit(args, graphs.ugraph_to_dot(graph, header=_header(args)))
     else:
@@ -195,6 +206,9 @@ def cmd_verify_ramanujan(args) -> int:
 
 def cmd_bass_ihara(args) -> int:
     datum = _datum_from_args(args)
+    # darts in closed form: one per vertex and automaton state (V for A_n, H for B_n)
+    n_states = len(datum.V if args.side == "A" else datum.H)
+    spectral.check_dart_cap(graphs.level_size(datum, args.side, args.level) * n_states)
     graph = graphs.level_graph(datum, args.side, args.level)
     report = spectral.nb_transfer_report(graph)
     payload = {

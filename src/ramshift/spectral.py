@@ -174,16 +174,21 @@ class TransferReport:
         )
 
 
+def check_dart_cap(n_darts: int) -> None:
+    """Refuse a direct dart spectrum of more than DENSE_EIG_LIMIT darts."""
+    if n_darts > DENSE_EIG_LIMIT:
+        raise SizeCapExceeded(
+            f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara_pairs instead"
+        )
+
+
 def nb_transfer_report(graph: UGraph) -> TransferReport:
     """Compare the directly computed dart spectrum of a regular graph with
     the Bass-Ihara transfer of its adjacency spectrum (set inclusion both
     ways), and measure how far nontrivial dart moduli sit from {1, sqrt(d)}.
     The dart count is checked against the cap before the dense dart matrix
     is built."""
-    if graph.n_darts() > DENSE_EIG_LIMIT:
-        raise SizeCapExceeded(
-            f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara_pairs instead"
-        )
+    check_dart_cap(graph.n_darts())
     dart = nb_matrix(graph)
     d = dart.degree
     direct = nb_spectrum_direct(dart)
@@ -233,6 +238,12 @@ def second_modulus_directed(a: np.ndarray) -> float:
 # exact walk counts and deviation norms
 
 
+def check_exact_cap(m: int) -> None:
+    """Refuse exact walk counts in a dimension above EXACT_POWER_LIMIT."""
+    if m > EXACT_POWER_LIMIT:
+        raise SizeCapExceeded(f"exact matrix powers capped at dimension {EXACT_POWER_LIMIT}")
+
+
 def walk_counts(a, start, n: int):
     """Yield start, start A, start A^2, ..., start A^n exactly, for a
     d-regular nonnegative integer matrix A of dimension m <= EXACT_POWER_LIMIT.
@@ -244,8 +255,7 @@ def walk_counts(a, start, n: int):
     additions instead of rows m^2 multiplications."""
     mat = np.asarray(a)
     m = mat.shape[0]
-    if m > EXACT_POWER_LIMIT:
-        raise SizeCapExceeded(f"exact matrix powers capped at dimension {EXACT_POWER_LIMIT}")
+    check_exact_cap(m)
     rows = mat.sum(axis=1)
     cols = mat.sum(axis=0)
     d = int(rows[0])

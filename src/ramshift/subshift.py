@@ -22,6 +22,11 @@ For a datum D the alphabet is the relation set R (one symbol per tile) and
 which forbids consecutive mutually inverse side colors.  For a (d,d)-datum
 this shift is (2d-1)-regular and uniquely extendable.  Dropping the two
 non-backtracking clauses gives the full Wang shift of the tileset.
+
+Strips are the words of one matrix (`chains`).  Strip q may follow strip p
+when the other matrix allows p[r] -> q[r] on every row r; `_compatible`
+holds that rule for all pairs at once, as the strip transition graph, and
+the (m, n) patterns are its length-m words over the height-n columns.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from math import sqrt
 
 import numpy as np
 
-from .spectral import SizeCapExceeded, deviation_table, second_modulus_directed, walk_counts
+from .spectral import SizeCapExceeded, check_exact_cap, deviation_table, second_modulus_directed, walk_counts
 from .vhdatum import VHDatum
 
 Pattern = tuple[tuple[int, ...], ...]  # columns, bottom-to-top within a column
@@ -157,12 +162,45 @@ def chains(mat: np.ndarray, k: int) -> list[tuple[int, ...]]:
     lexicographic order."""
     if k < 1:
         raise ValueError("need k >= 1")
-    s = mat.shape[0]
-    succ = [np.nonzero(mat[i])[0].tolist() for i in range(s)]
-    words = [(i,) for i in range(s)]
+    words = np.arange(len(mat))[:, None]
     for _ in range(k - 1):
-        words = [w + (j,) for w in words for j in succ[w[-1]]]
-    return words
+        # row-major nonzeros keep the words in lexicographic order
+        prefix, last = np.nonzero(mat[words[:, -1]])
+        words = np.column_stack([words[prefix], last])
+    return list(map(tuple, words.tolist()))
+
+
+def _compatible(along: np.ndarray, strips) -> np.ndarray:
+    """The (N, N) bool matrix of strip pairs (p, q) with along[p[r], q[r]]
+    = 1 on every row r: strip q may follow strip p."""
+    allowed = np.asarray(along, dtype=bool)
+    ok = np.ones((len(strips),) * 2, dtype=bool)
+    for row in np.asarray(strips).T:
+        ok &= allowed[np.ix_(row, row)]
+    return ok
+
+
+def _strip_matrices(shift: MatrixSubshift, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """(along, across) for strips moving in `direction`: strips are words of
+    `across`, and neighbors are related row by row through `along`."""
+    if direction == "horizontal":
+        return shift.A, shift.B
+    if direction == "vertical":
+        return shift.B, shift.A
+    raise ValueError("direction must be 'horizontal' or 'vertical'")
+
+
+def _check_strip_dimension(shift: MatrixSubshift, direction: str, k: int) -> None:
+    """Refuse a height-k strip graph above the exact kernel's cap before it
+    is built.  The strips are the length-k words of `across`; their number
+    never falls as k grows (no row is zero), so the count stops at the first
+    length past the cap."""
+    across = _strip_matrices(shift, direction)[1]
+    ends = np.ones(len(across), dtype=np.int64)  # words ending in each symbol
+    for _ in range(k - 1):
+        check_exact_cap(int(ends.sum()))
+        ends = ends @ across
+    check_exact_cap(int(ends.sum()))
 
 
 @dataclass
@@ -190,55 +228,26 @@ def transition_graph(shift: MatrixSubshift, direction: str, k: int) -> Transitio
     For non-extendable shifts locally admissible strips need not occur in
     any configuration, so k >= 2 is rejected there; k = 1 is always the
     symbol graph (A or B itself)."""
-    if direction == "horizontal":
-        along, across = shift.A, shift.B
-    elif direction == "vertical":
-        along, across = shift.B, shift.A
-    else:
-        raise ValueError("direction must be 'horizontal' or 'vertical'")
+    along, across = _strip_matrices(shift, direction)
     if k >= 2 and not shift.report.uniquely_extendable:
         raise ValueError("strip transition graphs beyond k = 1 need unique extendability")
     patterns = chains(across, k)
-    n = len(patterns)
-    adj = np.zeros((n, n), dtype=np.int64)
-    index = {p: i for i, p in enumerate(patterns)}
-    # an edge needs along[p[r], p'[r]] = 1 on every row r
-    succ = [np.nonzero(along[i])[0].tolist() for i in range(shift.s)]
-    for i, p in enumerate(patterns):
-        candidates = [q for q in _extend_strip(p, succ) if q in index]
-        for q in candidates:
-            adj[i, index[q]] = 1
-    return TransitionGraph(direction, k, patterns, adj)
-
-
-def _extend_strip(p: tuple[int, ...], succ: list[list[int]]):
-    """All symbol tuples q with along[p[r], q[r]] = 1 for every r."""
-    options = [succ[sym] for sym in p]
-    out = [()]
-    for opts in options:
-        out = [q + (j,) for q in out for j in opts]
-    return out
+    return TransitionGraph(direction, k, patterns, _compatible(along, patterns).astype(np.int64))
 
 
 def admissible_patterns(shift: MatrixSubshift, m: int, n: int) -> list[Pattern]:
     """Explicitly enumerate all admissible (m, n) patterns (m columns of
-    height n).  Exhaustive; capped at m*n <= 12 cells."""
+    height n): the length-m words of the column compatibility matrix.
+    Exhaustive; capped at m*n <= 12 cells."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     if m * n > 12:
         raise SizeCapExceeded("exhaustive pattern enumeration capped at 12 cells")
     columns = chains(shift.B, n)
-    succ = [np.nonzero(shift.A[i])[0].tolist() for i in range(shift.s)]
-    column_set = set(columns)
-    patterns: list[Pattern] = [(c,) for c in columns]
-    for _ in range(m - 1):
-        grown = []
-        for pat in patterns:
-            for q in _extend_strip(pat[-1], succ):
-                if q in column_set:
-                    grown.append(pat + (q,))
-        patterns = grown
-    return patterns
+    if m == 1:
+        return list(zip(columns))
+    by_index = np.fromiter(columns, dtype=object, count=len(columns))
+    return list(map(tuple, by_index[chains(_compatible(shift.A, columns), m)]))
 
 
 def pattern_count(shift: MatrixSubshift, m: int, n: int) -> int:
@@ -248,21 +257,10 @@ def pattern_count(shift: MatrixSubshift, m: int, n: int) -> int:
 
 
 def is_admissible(shift: MatrixSubshift, pattern: Pattern) -> bool:
-    cols = len(pattern)
-    if cols == 0:
+    if len(pattern) == 0 or any(len(col) != len(pattern[0]) for col in pattern):
         return False
-    height = len(pattern[0])
-    if any(len(col) != height for col in pattern):
-        return False
-    for col in pattern:
-        for j in range(height - 1):
-            if not shift.B[col[j], col[j + 1]]:
-                return False
-    for i in range(cols - 1):
-        for j in range(height):
-            if not shift.A[pattern[i][j], pattern[i + 1][j]]:
-                return False
-    return True
+    grid = np.asarray(pattern, dtype=np.intp)  # grid[x, y], y upward
+    return bool(shift.B[grid[:, :-1], grid[:, 1:]].all() and shift.A[grid[:-1], grid[1:]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +279,24 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
         raise ValueError("traces must be nonempty")
     if h_trace[0] != v_trace[0]:
         raise ValueError("traces must share the corner symbol")
-    for i in range(len(h_trace) - 1):
-        if not shift.A[h_trace[i], h_trace[i + 1]]:
-            raise ValueError("h_trace is not an admissible horizontal word")
-    for j in range(len(v_trace) - 1):
-        if not shift.B[v_trace[j], v_trace[j + 1]]:
-            raise ValueError("v_trace is not an admissible vertical word")
+    if not is_admissible(shift, tuple((t,) for t in h_trace)):
+        raise ValueError("h_trace is not an admissible horizontal word")
+    if not is_admissible(shift, (tuple(v_trace),)):
+        raise ValueError("v_trace is not an admissible vertical word")
 
     m, n = len(h_trace), len(v_trace)
-    grid = [[-1] * n for _ in range(m)]
-    grid[0] = list(v_trace)
-    for i in range(m):
-        grid[i][0] = h_trace[i]
+    grid = np.empty((m, n), dtype=np.intp)
+    grid[0] = v_trace
+    grid[:, 0] = h_trace
     for i in range(1, m):
         for j in range(1, n):
-            left, below = grid[i - 1][j], grid[i][j - 1]
-            cands = [
-                t
-                for t in range(shift.s)
-                if shift.A[left, t] and shift.B[below, t]
-            ]
+            cands = np.flatnonzero(shift.A[grid[i - 1, j]] & shift.B[grid[i, j - 1]])
             if len(cands) != 1:
                 raise RuntimeError(
                     f"internal inconsistency: corner ({i},{j}) has {len(cands)} completions"
                 )
-            grid[i][j] = cands[0]
-    pattern = tuple(tuple(col) for col in grid)
+            grid[i, j] = cands[0]
+    pattern = tuple(map(tuple, grid.tolist()))
     if not is_admissible(shift, pattern):
         raise RuntimeError("internal inconsistency: completed rectangle is inadmissible")
     return pattern
@@ -354,6 +344,7 @@ def correlation(shift: MatrixSubshift, p1: Pattern, p2: Pattern, n: int) -> Frac
     mu2 = cylinder_measure(shift, p2)
     if mu1 == 0 or mu2 == 0:
         return Fraction(0)
+    _check_strip_dimension(shift, "horizontal", k)
     graph = transition_graph(shift, "horizontal", k)
     index = graph.index()
     v = index[tuple(p1[-1])]
@@ -435,6 +426,7 @@ def mixing_table(
         shift = build_xd(datum_or_shift)
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    _check_strip_dimension(shift, direction, k)
     graph = transition_graph(shift, direction, k)
     adj = graph.adjacency
     d = int(adj.sum(axis=1)[0])

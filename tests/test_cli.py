@@ -540,3 +540,49 @@ def test_datum_file_sides_must_be_the_fibers_of_its_places(tmp_path, capsys, edi
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: datum file") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    pytest.param(["datum", "--p", "3", "--tau", "4", "--sigma", "2"], "--tau", 4, id="tau_is_q_plus_1"),
+    pytest.param(["datum", "--tau", "-2", "--sigma", "5"], "--tau", -2, id="negative_tau"),
+    pytest.param(["datum", "--p", "5", "--sigma", "7"], "--sigma", 7, id="sigma_above_q"),
+    pytest.param(["graph", "--level", "1", "--sigma", "5"], "--sigma", 5, id="graph_sigma_above_q"),
+    pytest.param(["mixing", "--k", "1", "--max-n", "2", "--tau", "3", "--sigma", "2"], "--tau", 3, id="mixing_tau_is_q"),
+    pytest.param(["product-graph", "--p", "3", "--s0", "1,5", "--tau", "1", "--levels", "1"], "--s0", 5,
+                 id="s0_above_q"),
+    pytest.param(["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "6", "--levels", "1,1"], "--tau", 6,
+                 id="product_tau_above_q"),
+])
+def test_places_outside_one_to_q_minus_one_are_an_input_error(capsys, argv, flag, value):
+    code, stdout, err = run(capsys, *argv, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {flag} {value} is not a nonzero element of F_")
+
+
+def test_bass_ihara_counts_darts_before_building_the_level(monkeypatch, capsys):
+    from ramshift import graphs
+
+    def no_level(*args):
+        raise AssertionError("a level above the dart cap must not be built")
+
+    monkeypatch.setattr(graphs, "level_graph", no_level)
+    for argv in (["--level", "6"], ["--level", "12"], ["--level", "6", "--side", "B"]):
+        code, stdout, err = run(capsys, "bass-ihara", *argv, "--no-timestamp")
+        assert code == 3
+        assert stdout == ""
+        assert err == "resource cap: direct dart spectrum capped at 2000; use bass_ihara_pairs instead\n"
+
+
+@pytest.mark.parametrize("k", ["7", "8", "40"])
+def test_mixing_counts_strips_before_building_the_strip_graph(monkeypatch, capsys, k):
+    from ramshift import subshift
+
+    def no_strip_graph(*args):
+        raise AssertionError("a strip graph above the exact cap must not be built")
+
+    monkeypatch.setattr(subshift, "transition_graph", no_strip_graph)
+    code, stdout, err = run(capsys, "mixing", "--k", k, "--max-n", "3", "--no-timestamp")
+    assert code == 3
+    assert stdout == ""
+    assert err == "resource cap: exact matrix powers capped at dimension 500\n"

@@ -163,6 +163,105 @@ def test_transition_graph_rejects_non_extendable_beyond_k1():
         transition_graph(shift, "horizontal", 2)
 
 
+# ---------------------------------------------------------------------------
+# the candidate-product strip algorithm, kept as the reference
+
+
+def reference_chains(mat, k):
+    succ = [np.nonzero(mat[i])[0].tolist() for i in range(mat.shape[0])]
+    words = [(i,) for i in range(mat.shape[0])]
+    for _ in range(k - 1):
+        words = [w + (j,) for w in words for j in succ[w[-1]]]
+    return words
+
+
+def _extend_strip(p, succ):
+    """All symbol tuples q with along[p[r], q[r]] = 1 for every r."""
+    out = [()]
+    for sym in p:
+        out = [q + (j,) for q in out for j in succ[sym]]
+    return out
+
+
+def reference_transition_graph(shift, direction, k):
+    along, across = (shift.A, shift.B) if direction == "horizontal" else (shift.B, shift.A)
+    patterns = reference_chains(across, k)
+    adj = np.zeros((len(patterns),) * 2, dtype=np.int64)
+    index = {p: i for i, p in enumerate(patterns)}
+    succ = [np.nonzero(along[i])[0].tolist() for i in range(shift.s)]
+    for i, p in enumerate(patterns):
+        for q in _extend_strip(p, succ):
+            if q in index:
+                adj[i, index[q]] = 1
+    return patterns, adj
+
+
+def reference_admissible_patterns(shift, m, n):
+    columns = reference_chains(shift.B, n)
+    succ = [np.nonzero(shift.A[i])[0].tolist() for i in range(shift.s)]
+    column_set = set(columns)
+    patterns = [(c,) for c in columns]
+    for _ in range(m - 1):
+        patterns = [pat + (q,) for pat in patterns for q in _extend_strip(pat[-1], succ) if q in column_set]
+    return patterns
+
+
+def _reference_shift(name, request):
+    if name == "wang_q3":
+        return build_wang_shift(request.getfixturevalue("d12_q3"))
+    if name == "f2f2":
+        return build_xd(direct_product_datum(2, 2))
+    return build_xd(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("name, k_max", [("d12_q3", 4), ("d12_q5", 3), ("wang_q3", 3), ("f2f2", 3)])
+@pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+def test_strip_graphs_match_the_candidate_product_reference(name, k_max, direction, request):
+    shift = _reference_shift(name, request)
+    for k in range(1, k_max + 1):
+        graph = transition_graph(shift, direction, k)
+        patterns, adj = reference_transition_graph(shift, direction, k)
+        assert graph.patterns == patterns == chains(shift.B if direction == "horizontal" else shift.A, k)
+        assert graph.adjacency.dtype == np.int64 and (graph.adjacency == adj).all()
+
+
+@pytest.mark.parametrize("name", ["xd_q3", "non_extendable"])
+def test_admissible_patterns_match_the_grow_loop(name, request):
+    shift = MatrixSubshift([str(i) for i in range(4)], A4, B4) if name == "non_extendable" \
+        else request.getfixturevalue(name)
+    for m in range(1, 9):
+        for n in range(1, 8 // m + 1):
+            assert admissible_patterns(shift, m, n) == reference_admissible_patterns(shift, m, n), (m, n)
+
+
+def test_single_column_patterns_build_no_compatibility_matrix(xd_q3, monkeypatch):
+    from ramshift import subshift
+
+    def refuse(*args):
+        raise AssertionError("one column needs no compatibility matrix")
+
+    monkeypatch.setattr(subshift, "_compatible", refuse)
+    assert admissible_patterns(xd_q3, 1, 8) == [(c,) for c in chains(xd_q3.B, 8)]
+
+
+def test_is_admissible_edge_shapes(xd_q3):
+    col = chains(xd_q3.B, 2)[0]
+    assert is_admissible(xd_q3, (col,))
+    assert not is_admissible(xd_q3, (col, col[:1]))  # ragged
+    assert not is_admissible(xd_q3, ())  # no columns
+    assert is_admissible(xd_q3, ((),)) and is_admissible(xd_q3, ((), ()))  # no pair to violate
+
+
+def test_is_admissible_against_the_definition(xd_q3):
+    # every 2x2 grid over the first four symbols and every admissible 2x3 one
+    grids = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(4), repeat=4)]
+    for pattern in grids + admissible_patterns(xd_q3, 2, 3):
+        want = all(xd_q3.B[col[j], col[j + 1]] for col in pattern for j in range(len(col) - 1)) and all(
+            xd_q3.A[left[j], right[j]] for left, right in zip(pattern, pattern[1:]) for j in range(len(left))
+        )
+        assert is_admissible(xd_q3, pattern) == want
+
+
 def _strip_to_dart_maps(datum, shift, k):
     """The canonical bijections: a height-k column of the datum shift is a
     dart of B_k (left colors top-to-bottom, state = top color); a width-k
@@ -439,3 +538,26 @@ def test_mixing_csv_format(d12_q3):
 def test_mixing_table_cap(d12_q3):
     with pytest.raises(SizeCapExceeded):
         mixing_table(d12_q3, 5, 3)  # 16 * 81 = 1296 > 500
+
+
+@pytest.fixture
+def no_strip_graph(monkeypatch):
+    from ramshift import subshift
+
+    def refuse(*args):
+        raise AssertionError("the strip graph must not be built above the cap")
+
+    monkeypatch.setattr(subshift, "transition_graph", refuse)
+
+
+@pytest.mark.parametrize("k", [5, 8, 40])
+@pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+def test_mixing_counts_strips_before_building_the_strip_graph(d12_q3, no_strip_graph, k, direction):
+    with pytest.raises(SizeCapExceeded, match="capped at dimension 500"):
+        mixing_table(d12_q3, k, 3, direction=direction)
+
+
+def test_correlation_counts_strips_before_building_the_strip_graph(xd_q3, no_strip_graph):
+    column = (chains(xd_q3.B, 5)[0],)  # 16 * 3^4 = 1296 strips of height 5
+    with pytest.raises(SizeCapExceeded, match="capped at dimension 500"):
+        correlation(xd_q3, column, column, 3)
