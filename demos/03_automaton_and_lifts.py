@@ -14,13 +14,11 @@ from ramshift.graphs import covering_check
 from ramshift.mealy import (
     act,
     action_graph,
-    apply_lift,
     dual,
     from_datum,
     is_bireversible,
-    lift_system,
+    lift_arrays,
     mealy_to_dot,
-    rose,
     word_label,
 )
 
@@ -40,26 +38,21 @@ print(f"  output {word_label(output, m.alphabet)}, end state {m.states[end]}")
 print("\nThe dual automaton swaps states and letters:")
 print(dual(m))
 
-rules = lift_system(m)
-print(f"\n{rules}; for example the rules lifting an edge labeled '1':")
+# R_{a,x} = (b, y) for the one state b with delta(b, x) = a, and y = out(b, x)
+print(f"\n{m.n_states() * m.n_letters()} lifting rules; for example those lifting an edge labeled '1':")
 a = datum.V.index("1")
-for x in range(4):
-    b, y = rules.rules[(a, x)]
+for x in range(m.n_letters()):
+    b = next(b for b in range(m.n_states()) if m.delta[b][x] == a)
+    y = m.out[b][x]
     print(f"  prepend {m.alphabet[x]:>4}: v --1--> u lifts to "
           f"[{m.alphabet[x]}]v --{m.states[b]}--> [{m.alphabet[y]}]u")
 
-graph = rose(m)
 for n in range(1, 5):
-    graph = apply_lift(rules, graph, reduced=True)
-    reference = action_graph(m, n, reduced=True)
-    same = sorted(
-        (graph.vertices[s], graph.vertices[t], st) for s, t, st in graph.edges
-    ) == sorted(
-        (reference.vertices[s], reference.vertices[t], st) for s, t, st in reference.edges
-    )
-    print(f"level {n}: {graph.n_vertices():>3} vertices, equals the action graph: {same}")
+    lift, reference = lift_arrays(m, n), action_graph(m, n, reduced=True)
+    same = all((getattr(lift, k) == getattr(reference, k)).all() for k in ("words", "dst", "end"))
+    print(f"level {n}: {len(lift.words):>3} vertices, equals the action graph: {same}")
 
-big, small = action_graph(m, 4, reduced=True), action_graph(m, 3, reduced=True)
+big, small = lift_arrays(m, 4), lift_arrays(m, 3)
 print("drop-last covering:", covering_check(big, small, "drop-last"))
 print("drop-first covering:", covering_check(big, small, "drop-first"))
 

@@ -12,9 +12,9 @@ inverse) from the lift to the exporters, which alone turn them into lists.
 Level graphs: A_n is the action graph of the datum automaton on reduced
 words of length n over H (one dart per V-state), glued into an undirected
 graph via the state involution; B_n is the same for the dual automaton on
-reduced words over V.  Both are built by the array lift `mealy.lift_arrays`
-(`mealy.action_graph` is the reference transducer the tests compare it
-with), and product levels thread the state through one lift per component.
+reduced words over V.  Both are built by the array lift `mealy.lift_arrays`,
+and product levels thread the state through one lift per component.
+Coverings between levels are checked on the lift's form, `mealy.LevelArrays`.
 Dart v * s + a leaves vertex v with state a, and its inverse is dart
 dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .ffield import FieldSpec
-from .mealy import LabeledDigraph, Mealy, dual, from_datum, lift_arrays, word_labels
+from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, word_labels
 from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, json_text
 
 
@@ -148,22 +148,6 @@ def _check_level(side: str, n: int) -> None:
         raise ValueError("side must be 'A' (V-action) or 'B' (H-action)")
 
 
-def _level_automaton(datum: VHDatum, side: str, n: int) -> Mealy:
-    _check_level(side, n)
-    m = from_datum(datum)
-    return m if side == "A" else dual(m)
-
-
-def level_digraph(datum: VHDatum, side: str, n: int) -> LabeledDigraph:
-    """Directed labeled level graph: side "A" acts with the datum automaton
-    on reduced H-words, side "B" with the dual automaton on reduced V-words.
-    The lift `level_graph` is built from, with word tuples as vertices."""
-    auto = _level_automaton(datum, side, n)
-    lift = lift_arrays(auto, n)
-    edges = [(v, u, a) for v, row in enumerate(lift.dst.tolist()) for a, u in enumerate(row)]
-    return LabeledDigraph(list(map(tuple, lift.words.tolist())), edges, list(auto.states), list(auto.inv_states))
-
-
 def level_size(datum: VHDatum, side: str, n: int) -> int:
     """Vertices of A_n or B_n without building it: the reduced words of
     length n over s symbols with a fixed-point-free involution number
@@ -173,7 +157,7 @@ def level_size(datum: VHDatum, side: str, n: int) -> int:
     return s * (s - 1) ** (n - 1)
 
 
-def _lifted_graph(automata: list[Mealy], levels: tuple[int, ...], alphabets: list[list[str]]) -> UGraph:
+def _lifted_graph(automata: list[Mealy], levels: tuple[int, ...]) -> UGraph:
     """The one builder of A_n, B_n and product levels.  Vertices are tuples
     of reduced words, one per automaton, indexed in mixed radix with the
     first component most significant (itertools.product order).  Dart
@@ -193,7 +177,7 @@ def _lifted_graph(automata: list[Mealy], levels: tuple[int, ...], alphabets: lis
         component = vertex // stride % size
         dst += lift.dst[component, state] * stride
         state = lift.end[component, state]
-    labels = itertools.product(*(word_labels(lift.words, names) for lift, names in zip(lifts, alphabets)))
+    labels = itertools.product(*(word_labels(lift.words, auto.alphabet) for lift, auto in zip(lifts, automata)))
     origin = np.repeat(np.arange(total), s)
     inv = (dst * s + np.asarray(automata[0].inv_states)).ravel()
     return UGraph(list(map("|".join, labels)), origin, dst.ravel(), inv, automata[0].states * total)
@@ -203,8 +187,9 @@ def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
     """The undirected level graph A_n or B_n; (q+1)-regular with
     (q+1) q^(n-1) vertices for a quaternionic datum (every vertex keeps one
     dart per state, since the lift drops none)."""
-    auto = _level_automaton(datum, side, n)
-    return _lifted_graph([auto], (n,), [auto.alphabet])
+    _check_level(side, n)
+    auto = from_datum(datum) if side == "A" else dual(from_datum(datum))
+    return _lifted_graph([auto], (n,))
 
 
 def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...]) -> UGraph:
@@ -228,48 +213,62 @@ def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...])
     if any(lv < 0 for lv in levels):
         raise ValueError("levels must be nonnegative")
 
-    datums = [build_quaternionic_datum(spec, tau, sigma) for sigma in sigmas]
-    return _lifted_graph([from_datum(d) for d in datums], levels, [d.H for d in datums])
+    automata = [from_datum(build_quaternionic_datum(spec, tau, sigma)) for sigma in sigmas]
+    return _lifted_graph(automata, levels)
 
 
 # ---------------------------------------------------------------------------
 # covering checks
 
 
-def covering_check(big: LabeledDigraph, small: LabeledDigraph, projection: str) -> bool:
+def covering_check(big: LevelArrays, small: LevelArrays, projection: str) -> bool:
     """Is the word projection a covering map big -> small?
 
     `projection` is "drop-last" (remove the rightmost letter) or
-    "drop-first".  The map must send vertices onto vertices, edges to edges,
-    and restrict to a bijection on the out-star and the in-star of every
-    vertex (labels are not required to be preserved: dropping the first
-    letter conjugates the acting state).
+    "drop-first".  Every projected word must be a vertex of `small`, and
+    the map must send the out-star and the in-star of every vertex
+    bijectively onto those of its image (state labels are not required to
+    be preserved: dropping the first letter conjugates the acting state).
+    Words are matched by their mixed-radix value, which must fit in int64.
     """
     if projection == "drop-last":
-        proj = lambda w: w[:-1]
+        projected = big.words[:, :-1]
     elif projection == "drop-first":
-        proj = lambda w: w[1:]
+        projected = big.words[:, 1:]
     else:
         raise ValueError("projection must be 'drop-last' or 'drop-first'")
-
-    try:
-        pmap = [small.vindex[proj(w)] for w in big.vertices]
-    except (KeyError, TypeError):
+    length = small.words.shape[1]
+    if projected.shape[1] != length:
         return False
+    radix = 1 + max(int(big.words.max(initial=0)), int(small.words.max(initial=0)))
+    if radix ** length >= 2**63:
+        raise ValueError(f"words of length {length} over {radix} letters overflow an int64 key")
+    place = radix ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    keys, wanted = (words.astype(np.int64) @ place for words in (small.words, projected))
+    order = np.argsort(keys)
+    pmap = order[np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)]
+    if (keys[pmap] != wanted).any():
+        return False  # a projected word is not a vertex of small
+    big_src, small_src = (np.repeat(np.arange(len(g.dst)), g.dst.shape[1]) for g in (big, small))
+    out_stars = (big_src, big.dst.ravel(), small_src, small.dst.ravel())
+    in_stars = (big.dst.ravel(), big_src, small.dst.ravel(), small_src)
+    return all(_stars_correspond(pmap, len(small.dst), *darts) for darts in (out_stars, in_stars))
 
-    small_out = [sorted(dst for dst, _ in star) for star in small.out_edges()]
-    small_in = [sorted(src for src, _ in star) for star in small.in_edges()]
-    big_out: list[list[int]] = [[] for _ in big.vertices]
-    big_in: list[list[int]] = [[] for _ in big.vertices]
-    for src, dst, _ in big.edges:
-        big_out[src].append(pmap[dst])
-        big_in[dst].append(pmap[src])
-    for v in range(len(big.vertices)):
-        if sorted(big_out[v]) != small_out[pmap[v]]:
-            return False
-        if sorted(big_in[v]) != small_in[pmap[v]]:
-            return False
-    return True
+
+def _stars_correspond(pmap, n_small, big_tail, big_head, small_tail, small_head) -> bool:
+    """Does pmap send the multiset of heads of the darts at each big vertex
+    onto that at its image?  Both sides become one array sorted by (tail,
+    head), a row per vertex, and the row of pmap[v] is gathered for each v."""
+    big_deg = np.bincount(big_tail, minlength=len(pmap))
+    small_deg = np.bincount(small_tail, minlength=n_small)
+    if (big_deg != small_deg[pmap]).any():
+        return False
+    heads = pmap[big_head]
+    big_rows = heads[np.lexsort((heads, big_tail))]
+    small_rows = small_head[np.lexsort((small_head, small_tail))]
+    start = np.cumsum(small_deg) - small_deg
+    offset = np.arange(len(big_rows)) - np.repeat(np.cumsum(big_deg) - big_deg, big_deg)
+    return bool((big_rows == small_rows[np.repeat(start[pmap], big_deg) + offset]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -6,26 +6,20 @@ bireversible and respect the involutions: a --b/c--> d iff
 d --b^-1/c^-1--> a, which is what lets action graphs be glued into
 undirected level graphs.
 
-Words over the alphabet are tuples of letter indices.  A word is *reduced*
-when no letter is followed by its inverse.  For datum automata the action of
-any state maps reduced words to reduced words bijectively; `action_graph`
-relies on this in reduced mode and drops any edge whose endpoint leaves the
-reduced set (spanned-subgraph semantics).
-
-The lifting system of a reversible automaton turns each state-labeled edge
-of a level graph into its |alphabet| lifted copies one level up:
-R_{a,x} sends v --a--> u to xv --b--> yu where delta(b, x) = a and
-y = lambda(b, x).  Iterating from the one-vertex rose reproduces the action
-graphs level by level.  `lift_arrays` iterates that rule on integer arrays
-and is how the level graphs are built; `action_graph`, which transduces
-every (word, state) pair with `act`, and `apply_lift` on word tuples are the
-reference implementations it is tested against.
+Words are tuples of letter indices, and a word is *reduced* when no letter
+is followed by its inverse.  An action graph has one form, `LevelArrays`:
+the words of length n as an int array and, for every (word, state) dart,
+the index of the image word and the end state.  The lifting rule R_{a,x}
+sends v --a--> u to xv --b--> yu where delta(b, x) = a and y = lambda(b, x);
+`lift_arrays` iterates it from the one-vertex rose and builds every level
+graph, and `action_graph`, which transduces every (word, state) pair with
+`act`, is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,40 +45,6 @@ class Mealy:
 
     def __repr__(self) -> str:
         return f"Mealy({self.n_states()} states, {self.n_letters()} letters)"
-
-
-@dataclass
-class LabeledDigraph:
-    """Directed multigraph with state-labeled edges and hashable vertex ids
-    (word tuples for action graphs)."""
-
-    vertices: list
-    edges: list[tuple[int, int, int]]  # (src index, dst index, state index)
-    state_labels: list[str]
-    inv_state: list[int] | None = None
-    vindex: dict = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.vindex is None:
-            self.vindex = {v: i for i, v in enumerate(self.vertices)}
-
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    def out_edges(self) -> list[list[tuple[int, int]]]:
-        star: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for src, dst, st in self.edges:
-            star[src].append((dst, st))
-        return star
-
-    def in_edges(self) -> list[list[tuple[int, int]]]:
-        star: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for src, dst, st in self.edges:
-            star[dst].append((src, st))
-        return star
-
-    def __repr__(self) -> str:
-        return f"LabeledDigraph({self.n_vertices()} vertices, {len(self.edges)} edges)"
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +180,6 @@ def act(m: Mealy, state: int, word: Word) -> tuple[Word, int]:
     return tuple(output), state
 
 
-def is_reduced(word: Word, inv: list[int]) -> bool:
-    return all(word[i + 1] != inv[word[i]] for i in range(len(word) - 1))
-
-
 def reduced_words(n: int, size: int, inv: list[int]) -> list[Word]:
     """All reduced words of length n over an alphabet of `size` letters, in
     lexicographic order; count is size * (size-1)^(n-1)."""
@@ -235,117 +191,10 @@ def reduced_words(n: int, size: int, inv: list[int]) -> list[Word]:
     return words
 
 
-def action_graph(m: Mealy, n: int, reduced: bool = False) -> LabeledDigraph:
-    """The action graph G_n: one vertex per word of length n, one edge
-    v -> M_a(v) per state a.
-
-    In reduced mode the vertex set is the reduced words and the graph is the
-    subgraph spanned by them (edges into non-reduced words are dropped; for
-    datum automata nothing is dropped).  n = 0 gives a single vertex with a
-    loop per state.
-    """
-    if n < 0:
-        raise ValueError("word length must be >= 0")
-    if reduced:
-        if m.inv_alphabet is None:
-            raise ValueError("reduced mode needs an alphabet involution")
-        vertices = reduced_words(n, m.n_letters(), m.inv_alphabet)
-    else:
-        vertices = [tuple(w) for w in itertools.product(range(m.n_letters()), repeat=n)]
-    vindex = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, v in enumerate(vertices):
-        for a in range(m.n_states()):
-            out_word, _ = act(m, a, v)
-            j = vindex.get(out_word)
-            if j is None:
-                continue  # image left the reduced set; edge not spanned
-            edges.append((i, j, a))
-    return LabeledDigraph(
-        vertices=vertices,
-        edges=edges,
-        state_labels=list(m.states),
-        inv_state=list(m.inv_states) if m.inv_states else None,
-        vindex=vindex,
-    )
-
-
-# ---------------------------------------------------------------------------
-# lifting system
-
-
-@dataclass
-class LiftSystem:
-    """Rules R_{a,x}: (v --a--> u) -> (xv --b--> yu) with delta(b,x) = a and
-    y = out(b,x); well-defined exactly when the automaton is reversible."""
-
-    automaton: Mealy
-    rules: dict[tuple[int, int], tuple[int, int]]
-
-    def __repr__(self) -> str:
-        return f"LiftSystem({len(self.rules)} rules)"
-
-
-def lift_system(m: Mealy) -> LiftSystem:
-    if not is_reversible(m):
-        raise ValueError("lifting system requires a reversible automaton")
-    rules = {}
-    for b in range(m.n_states()):
-        for x in range(m.n_letters()):
-            a = m.delta[b][x]
-            rules[(a, x)] = (b, m.out[b][x])
-    return LiftSystem(m, rules)
-
-
-def apply_lift(ls: LiftSystem, graph: LabeledDigraph, reduced: bool = False) -> LabeledDigraph:
-    """One lifting step: vertex set alphabet x V(graph) (words grown on the
-    left), every edge lifted once per letter.
-
-    Reduced mode keeps only vertices that are still reduced words and drops
-    edges incident to discarded vertices; the automaton's reduced-word
-    bijectivity means a kept edge never touches a dropped vertex, which is
-    asserted.
-    """
-    m = ls.automaton
-    inv = m.inv_alphabet
-    if reduced and inv is None:
-        raise ValueError("reduced mode needs an alphabet involution")
-
-    def keep(word: Word) -> bool:
-        return not reduced or len(word) < 2 or word[1] != inv[word[0]]
-
-    vertices = []
-    for x in range(m.n_letters()):
-        for v in graph.vertices:
-            w = (x,) + v
-            if keep(w):
-                vertices.append(w)
-    vindex = {v: i for i, v in enumerate(vertices)}
-
-    edges = []
-    for src, dst, a in graph.edges:
-        v, u = graph.vertices[src], graph.vertices[dst]
-        for x in range(m.n_letters()):
-            b, y = ls.rules[(a, x)]
-            wsrc, wdst = (x,) + v, (y,) + u
-            i, j = vindex.get(wsrc), vindex.get(wdst)
-            if (i is None) != (j is None):
-                raise RuntimeError("lift dropped one endpoint of an edge")  # broken automaton
-            if i is not None:
-                edges.append((i, j, b))
-    return LabeledDigraph(
-        vertices=vertices,
-        edges=edges,
-        state_labels=list(m.states),
-        inv_state=list(m.inv_states) if m.inv_states else None,
-        vindex=vindex,
-    )
-
-
 @dataclass
 class LevelArrays:
-    """Level n of the reduced action graph: row i of `words` is vertex i's
-    word, in lexicographic order; dart i * s + a (the flat order of the
+    """An action graph on the words of length n: row i of `words` is vertex
+    i's word, in lexicographic order; dart i * s + a (the flat order of the
     (N, s) tables) goes to vertex dst[i, a], the output of act(a, words[i]),
     and the transduction ends in state end[i, a]."""
 
@@ -354,15 +203,51 @@ class LevelArrays:
     end: np.ndarray    # (N, s) state indices
 
 
-def lift_arrays(m: Mealy, n: int) -> LevelArrays:
-    """Iterate the lifting system n times from the rose, keeping the
-    reduced words: `action_graph(m, n, reduced=True)` as arrays.
+def action_graph(m: Mealy, n: int, reduced: bool = False) -> LevelArrays:
+    """The action graph G_n: one vertex per word of length n, one dart
+    v -> M_a(v) per state a, found by transducing every (word, state) pair
+    with `act`, independently of the lift.
 
-    One step puts the word x.v at index x * N + v and lifts dart (v, a) to
-    dart (x.v, b) with (b, y) = R_{a,x}, pointing to y.u for u = dst[v, a];
-    the end state carries over, since act(b, x.v) continues as act(a, v).
-    An automaton that maps a reduced word outside the reduced set makes a
-    lifted dart join a kept and a dropped word, and the lift raises."""
+    In reduced mode the vertices are the reduced words, and a state that
+    maps a reduced word outside them raises (datum automata never do).
+    n = 0 gives a single vertex with a loop per state.
+    """
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    if reduced:
+        if m.inv_alphabet is None:
+            raise ValueError("reduced mode needs an alphabet involution")
+        words = reduced_words(n, m.n_letters(), m.inv_alphabet)
+    else:
+        words = list(itertools.product(range(m.n_letters()), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    images = [act(m, a, w) for w in words for a in range(m.n_states())]
+    try:
+        dst = [index[out] for out, _ in images]
+    except KeyError as exc:
+        raise RuntimeError(f"a reduced word is mapped to {exc.args[0]}, outside the reduced words") from None
+    shape = (len(words), m.n_states())
+    return LevelArrays(
+        np.array(words, dtype=np.intp).reshape(len(words), n),
+        np.array(dst, dtype=np.intp).reshape(shape),
+        np.array([end for _, end in images], dtype=np.intp).reshape(shape),
+    )
+
+
+# ---------------------------------------------------------------------------
+# lifting
+
+
+def lift_arrays(m: Mealy, n: int) -> LevelArrays:
+    """Iterate the lifting rule n times from the rose, keeping the reduced
+    words: `action_graph(m, n, reduced=True)` as arrays.
+
+    The rules R_{a,x} are well defined exactly when m is reversible.  One
+    step puts the word x.v at index x * N + v and lifts dart (v, a) to dart
+    (x.v, b), pointing to y.u for u = dst[v, a]; the end state carries
+    over, since act(b, x.v) continues as act(a, v).  An automaton that maps
+    a reduced word outside the reduced set makes a lifted dart join a kept
+    and a dropped word, and the lift raises."""
     if n < 0:
         raise ValueError("word length must be >= 0")
     if m.inv_alphabet is None:
@@ -393,16 +278,6 @@ def lift_arrays(m: Mealy, n: int) -> LevelArrays:
         words = np.column_stack([letters, np.tile(words, (n_letters, 1))])[keep]
         first = letters[keep]
     return LevelArrays(words, dst, end)
-
-
-def rose(m: Mealy) -> LabeledDigraph:
-    """The level-0 graph: one vertex (the empty word), a loop per state."""
-    return LabeledDigraph(
-        vertices=[()],
-        edges=[(0, 0, a) for a in range(m.n_states())],
-        state_labels=list(m.states),
-        inv_state=list(m.inv_states) if m.inv_states else None,
-    )
 
 
 def dual_negation_check(d_ts: VHDatum, d_st: VHDatum) -> bool:

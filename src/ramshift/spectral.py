@@ -44,6 +44,12 @@ EIG_RESIDUAL_TOL = 1e-10
 # symmetric spectra
 
 
+def check_dense_cap(n_vertices: int) -> None:
+    """Refuse a dense eigensolve of more than DENSE_EIG_LIMIT vertices."""
+    if n_vertices > DENSE_EIG_LIMIT:
+        raise SizeCapExceeded(f"dense eigensolve capped at {DENSE_EIG_LIMIT} vertices")
+
+
 def eig_symmetric(a: np.ndarray) -> np.ndarray:
     """Full spectrum of a symmetric integer matrix, sorted descending.
 
@@ -96,8 +102,7 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
     exactly when it is bipartite.  The nontrivial spectrum is the slice
     between them, and tol enters only the verdict second <= bound + tol.
     """
-    if graph.n_vertices() > DENSE_EIG_LIMIT:
-        raise SizeCapExceeded(f"dense eigensolve capped at {DENSE_EIG_LIMIT} vertices")
+    check_dense_cap(graph.n_vertices())
     structure = structure_predicates(graph)
     if not structure.connected:
         raise ValueError(f"graph is disconnected ({structure.n_components} components)")
@@ -148,15 +153,19 @@ def bass_ihara_pairs(spectrum, d: int) -> list[tuple[complex, float | None]]:
     return pairs
 
 
-def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
-    """Dense nonsymmetric eigensolve of a dart adjacency; eigenvalues may be
-    complex.  Only for small instances; above DENSE_EIG_LIMIT use bass_ihara_pairs."""
-    a = h.adjacency
-    if a.shape[0] > DENSE_EIG_LIMIT:
+def check_dart_cap(n_darts: int) -> None:
+    """Refuse a direct dart spectrum of more than DENSE_EIG_LIMIT darts."""
+    if n_darts > DENSE_EIG_LIMIT:
         raise SizeCapExceeded(
             f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara_pairs instead"
         )
-    return np.linalg.eigvals(a.astype(np.float64))
+
+
+def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
+    """Dense nonsymmetric eigensolve of a dart adjacency; eigenvalues may be
+    complex.  Only for small instances; above DENSE_EIG_LIMIT use bass_ihara_pairs."""
+    check_dart_cap(h.n_darts())
+    return np.linalg.eigvals(h.adjacency.astype(np.float64))
 
 
 @dataclass
@@ -171,14 +180,6 @@ class TransferReport:
         return (
             self.max_dist_direct_to_transfer <= tol
             and self.max_dist_transfer_to_direct <= tol
-        )
-
-
-def check_dart_cap(n_darts: int) -> None:
-    """Refuse a direct dart spectrum of more than DENSE_EIG_LIMIT darts."""
-    if n_darts > DENSE_EIG_LIMIT:
-        raise SizeCapExceeded(
-            f"direct dart spectrum capped at {DENSE_EIG_LIMIT}; use bass_ihara_pairs instead"
         )
 
 
@@ -223,8 +224,7 @@ def second_modulus_directed(a: np.ndarray) -> float:
     m = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
-    if m > DENSE_EIG_LIMIT:
-        raise SizeCapExceeded(f"dense eigensolve capped at {DENSE_EIG_LIMIT}")
+    check_dense_cap(m)
     rows = a.sum(axis=1)
     cols = a.sum(axis=0)
     d = int(rows[0])

@@ -306,6 +306,13 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
 # measures and correlations
 
 
+def _shape(pattern: Pattern) -> tuple[int, int]:
+    """(columns, height) of a pattern with at least one cell in every column."""
+    if not pattern or not all(map(len, pattern)):
+        raise ValueError("a pattern needs at least one column and a cell in every column")
+    return len(pattern), len(pattern[0])
+
+
 def cylinder_measure(shift: MatrixSubshift, pattern: Pattern) -> Fraction:
     """mu of the cylinder of an (m, n) pattern, its lower-left cell at the
     origin: 1 / (s d^(m-1) d^(n-1)) when the pattern is
@@ -314,7 +321,7 @@ def cylinder_measure(shift: MatrixSubshift, pattern: Pattern) -> Fraction:
     d = shift.report.degree
     if d is None:
         raise ValueError("measure machinery needs a d-regular shift")
-    m, n = len(pattern), len(pattern[0])
+    m, n = _shape(pattern)
     if not is_admissible(shift, pattern):
         warnings.warn("inadmissible pattern has measure zero")
         return Fraction(0)
@@ -334,10 +341,9 @@ def correlation(shift: MatrixSubshift, p1: Pattern, p2: Pattern, n: int) -> Frac
     offsets pass the transposed shift `MatrixSubshift(symbols, B, A)`, with
     the patterns transposed to match.
     """
-    k = len(p1[0])
-    if len(p2[0]) != k:
+    (m1, k), (m2, k2) = _shape(p1), _shape(p2)
+    if k2 != k:
         raise ValueError("patterns must be padded to a common vertical extent")
-    m1, m2 = len(p1), len(p2)
     if n <= m1:
         raise ValueError(f"offset {n} overlaps the first pattern (width {m1})")
     mu1 = cylinder_measure(shift, p1)  # rejects a shift that is not d-regular

@@ -9,13 +9,12 @@ import numpy as np
 from ramshift.ffield import make_field
 from ramshift.graphs import (
     covering_check,
-    level_digraph,
     level_graph,
     nb_matrix,
     product_level_graph,
     structure_predicates,
 )
-from ramshift.mealy import action_graph, apply_lift, from_datum, lift_system
+from ramshift.mealy import action_graph, from_datum, lift_arrays
 from ramshift.quaternion import QuatElem, proportional
 from ramshift.spectral import (
     bass_ihara_pairs,
@@ -166,16 +165,16 @@ def test_criterion_06_covering_and_lift_structure():
             small = action_graph(automaton, n, reduced=reduced)
             assert covering_check(big, small, "drop-last")
             assert covering_check(big, small, "drop-first")
-    rules = lift_system(automaton)
-    graph = level_digraph(datum, "A", 1)
+    before = lift_arrays(automaton, 1)
     for n in (2, 3, 4):
-        before = graph.n_vertices()
-        graph = apply_lift(rules, graph, reduced=True)
-        assert graph.n_vertices() == 3 * before  # a q-fold vertex lift
-        ref = level_digraph(datum, "A", n)
-        got = sorted((graph.vertices[s], graph.vertices[t], st) for s, t, st in graph.edges)
-        want = sorted((ref.vertices[s], ref.vertices[t], st) for s, t, st in ref.edges)
-        assert got == want  # equal as labeled graphs
+        lift = lift_arrays(automaton, n)
+        assert len(lift.words) == 3 * len(before.words)  # a q-fold vertex lift
+        assert covering_check(lift, before, "drop-first")  # the lifted darts cover the level below
+        ref = action_graph(automaton, n, reduced=True)
+        for name in ("words", "dst", "end"):  # equal as labeled graphs
+            assert (getattr(lift, name) == getattr(ref, name)).all()
+        assert (level_graph(datum, "A", n).terminus == lift.dst.ravel()).all()
+        before = lift
     report(
         "criterion 6 PASS: drop-last and drop-first coverings hold for "
         "G_n -> G_(n-1), n<=5, full and reduced; iterated reduced lifts "

@@ -9,7 +9,6 @@ from ramshift.graphs import (
     UGraph,
     covering_check,
     digraph_period,
-    level_digraph,
     level_graph,
     nb_matrix,
     product_level_graph,
@@ -66,7 +65,7 @@ def test_ugraph_checks_that_inverse_darts_reverse_their_ends():
 
 def test_level_graph_sides_are_a_and_b(d12_q3, monkeypatch):
     with pytest.raises(ValueError, match="side"):
-        level_digraph(d12_q3, "V-action", 1)
+        level_graph(d12_q3, "V-action", 1)
 
     def no_automaton(datum):
         raise AssertionError("the side must be checked before the automaton is built")
@@ -175,9 +174,51 @@ def test_covering_check_detects_retargeted_edge(d12_q3):
     m = mealy.from_datum(d12_q3)
     big = mealy.action_graph(m, 2)
     small = mealy.action_graph(m, 1)
-    src, dst, st = big.edges[0]
-    big.edges[0] = (src, (dst + 1) % big.n_vertices(), st)
+    big.dst[0, 0] = (big.dst[0, 0] + 1) % len(big.words)
     assert not covering_check(big, small, "drop-last")
+    # swapping two targets keeps every degree but breaks two out-stars
+    big = mealy.action_graph(m, 2)
+    big.dst[5, 1], big.dst[10, 2] = big.dst[10, 2], big.dst[5, 1]  # 1.1 -> 2.3 and 2.2 -> 0.1
+    assert not covering_check(big, small, "drop-last")
+
+
+def test_covering_check_compares_in_stars():
+    # both words project to the one vertex of the rose, and each out-star
+    # maps onto its loop, but vertex 0 receives both darts
+    rose = mealy.LevelArrays(np.zeros((1, 0), dtype=np.intp), np.array([[0]]), np.array([[0]]))
+    big = mealy.LevelArrays(np.array([[0], [1]]), np.array([[0], [0]]), np.array([[0], [0]]))
+    assert not covering_check(big, rose, "drop-last")
+    big.dst[1, 0] = 1
+    assert covering_check(big, rose, "drop-last")
+
+
+def test_covering_check_needs_every_projected_word(d12_q3):
+    m = mealy.from_datum(d12_q3)
+    # non-reduced prefixes of the full level 3 are no vertices of reduced level 2
+    assert not covering_check(mealy.action_graph(m, 3), mealy.action_graph(m, 2, reduced=True), "drop-last")
+    small = mealy.action_graph(m, 1)
+    small.words[0, 0] = 9  # a letter that no word of big ends with
+    assert not covering_check(mealy.action_graph(m, 2), small, "drop-first")
+    # one loop over one loop: only the words tell 0.0 -> 1 from 1.0 -> 1
+    loop = np.zeros((1, 1), dtype=np.intp)
+    small = mealy.LevelArrays(np.array([[1]]), loop, loop)
+    assert not covering_check(mealy.LevelArrays(np.array([[0, 0]]), loop, loop), small, "drop-last")
+    assert covering_check(mealy.LevelArrays(np.array([[1, 0]]), loop, loop), small, "drop-last")
+
+
+def test_covering_check_refuses_keys_beyond_int64():
+    def level(length, letters):
+        return mealy.LevelArrays(np.full((1, length), letters - 1), np.zeros((1, 1), dtype=np.intp), np.zeros((1, 1)))
+
+    assert covering_check(level(19, 9), level(18, 9), "drop-last")  # 9^18 < 2^63
+    with pytest.raises(ValueError, match="int64"):
+        covering_check(level(20, 10), level(19, 10), "drop-last")  # 10^19 > 2^63
+
+
+@pytest.mark.parametrize("projection", ["drop-last", "drop-first"])
+def test_covering_between_lifted_levels_q3(d12_q3, projection):
+    m = mealy.from_datum(d12_q3)
+    assert covering_check(mealy.lift_arrays(m, 8), mealy.lift_arrays(m, 7), projection)
 
 
 def test_covering_check_rejects_bad_projection(d12_q3):
@@ -223,14 +264,17 @@ def test_product_darts_equal_product_act(f5, s0, tau, levels):
             assert (g.origin[e], g.terminus[e], g.dart_labels[e]) == (i, index[out], automata[0].states[a])
 
 
-def test_level_digraph_is_the_reference_action_graph(d12_q3):
+def test_level_graph_darts_are_the_reference_action_graph(d12_q3):
+    # side A acts with the datum automaton on H-words, side B with its dual
+    # on V-words; the undirected gluing keeps one dart per directed edge
     m = mealy.from_datum(d12_q3)
     for side, auto in (("A", m), ("B", mealy.dual(m))):
         for n in (1, 2, 3):
-            g, ref = level_digraph(d12_q3, side, n), mealy.action_graph(auto, n, reduced=True)
-            assert (g.vertices, g.edges, g.state_labels, g.inv_state) == (
-                ref.vertices, ref.edges, ref.state_labels, ref.inv_state
-            )
+            g, ref = level_graph(d12_q3, side, n), mealy.action_graph(auto, n, reduced=True)
+            assert g.terminus.tolist() == ref.dst.ravel().tolist()
+            assert g.vertex_labels == mealy.word_labels(ref.words, auto.alphabet)
+            assert g.dart_labels == auto.states * len(ref.words)
+            assert g.inv.tolist() == (ref.dst * auto.n_states() + auto.inv_states).ravel().tolist()
 
 
 def _loop_adjacency(g):
@@ -311,13 +355,6 @@ def test_exports_round_trip(d12_q3, f5):
     dot = ugraph_to_dot(level)
     assert dot.count(" -- ") == level.n_darts() // 2
     assert dot.startswith("graph")
-
-
-def test_reduced_subgraph_matches_level_digraph(d12_q3):
-    # the undirected gluing keeps one dart per directed edge
-    g = level_digraph(d12_q3, "B", 2)
-    u = level_graph(d12_q3, "B", 2)
-    assert u.n_darts() == len(g.edges)
 
 
 def test_level_size_counts_without_building(d12_q3, d12_q5):

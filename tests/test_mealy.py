@@ -4,6 +4,7 @@ reversibility, action graphs, lifts, and the diagonal product action."""
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from ramshift import mealy
@@ -11,21 +12,17 @@ from ramshift.mealy import (
     Mealy,
     act,
     action_graph,
-    apply_lift,
     compose,
     dual,
     dual_negation_check,
     from_datum,
     is_bireversible,
     is_dual_reversible,
-    is_reduced,
     is_reversible,
     iterate,
     lift_arrays,
-    lift_system,
     product_act,
     reduced_words,
-    rose,
 )
 from ramshift.vhdatum import build_quaternionic_datum, direct_product_datum
 
@@ -62,7 +59,8 @@ def test_dual_unlabeled_graph_is_g1(m_q3):
     dm = dual(m_q3)
     g1 = action_graph(m_q3, 1)
     dual_edges = sorted((x, dm.delta[x][a]) for x in range(dm.n_states()) for a in range(dm.n_letters()))
-    g1_edges = sorted((g1.vertices[s][0], g1.vertices[t][0]) for s, t, _ in g1.edges)
+    letter = g1.words[:, 0]
+    g1_edges = sorted(zip(np.repeat(letter, m_q3.n_states()).tolist(), letter[g1.dst.ravel()].tolist()))
     assert dual_edges == g1_edges
 
 
@@ -134,7 +132,8 @@ def test_iterated_automaton_graph_equals_dual_action_graph(m_q3, n):
         for x in range(mn.n_letters())
     )
     gd = action_graph(dual(m_q3), n)
-    gd_edges = sorted((gd.vertices[s], gd.vertices[t]) for s, t, _ in gd.edges)
+    words = list(map(tuple, gd.words.tolist()))
+    gd_edges = sorted((words[v], words[u]) for v, row in enumerate(gd.dst.tolist()) for u in row)
     assert mn_edges == gd_edges
 
 
@@ -162,10 +161,13 @@ def test_act_rejects_foreign_letters(m_q3):
 def test_act_preserves_reducedness_exhaustively(m_q3):
     inv = m_q3.inv_alphabet
     for n in range(1, 5):
-        for w in reduced_words(n, 4, inv):
+        reduced = set(reduced_words(n, 4, inv))
+        assert len(reduced) == 4 * 3 ** (n - 1)
+        assert all(w[i + 1] != inv[w[i]] for w in reduced for i in range(n - 1))  # no letter then its inverse
+        for w in reduced:
             for a in range(4):
                 out, _ = act(m_q3, a, w)
-                assert is_reduced(out, inv)
+                assert out in reduced
 
 
 def test_act_is_a_bijection_on_words(m_q3):
@@ -199,16 +201,19 @@ def test_edge_inverse_symmetry(d12_q3, m_q3):
 
 def test_action_graph_counts(m_q3):
     g0 = action_graph(m_q3, 0, reduced=True)
-    assert g0.n_vertices() == 1 and len(g0.edges) == 4
-    assert all(s == t for s, t, _ in g0.edges)
+    assert g0.words.shape == (1, 0) and g0.dst.tolist() == [[0, 0, 0, 0]]
+    assert g0.end.tolist() == [[0, 1, 2, 3]]
     g2 = action_graph(m_q3, 2)
-    assert g2.n_vertices() == 16
+    assert g2.words.tolist() == [list(w) for w in product(range(4), repeat=2)]  # lexicographic
     g3 = action_graph(m_q3, 3, reduced=True)
-    assert g3.n_vertices() == 36  # (q+1) q^(n-1)
-    out_deg = [0] * 36
-    for s, _, _ in g3.edges:
-        out_deg[s] += 1
-    assert set(out_deg) == {4}
+    assert g3.words.tolist() == [list(w) for w in reduced_words(3, 4, m_q3.inv_alphabet)]
+    assert g3.dst.shape == (36, 4)  # (q+1) q^(n-1) vertices, one dart per state
+    for g in (g2, g3):
+        words = list(map(tuple, g.words.tolist()))
+        for v, w in enumerate(words):
+            for a in range(4):
+                out, end = act(m_q3, a, w)
+                assert (words[g.dst[v, a]], g.end[v, a]) == (out, end)
 
 
 def test_reduced_mode_needs_involution():
@@ -218,41 +223,24 @@ def test_reduced_mode_needs_involution():
 
 
 def test_lift_rules_are_the_inverted_transitions(m_q3):
-    ls = lift_system(m_q3)
-    assert len(ls.rules) == 16
-    for (a, x), (b, y) in ls.rules.items():
-        assert m_q3.delta[b][x] == a
-        assert m_q3.out[b][x] == y
-
-
-def test_lift_system_needs_reversibility():
-    m = Mealy(states=["p", "q"], alphabet=["0", "1"], delta=[[0, 0], [0, 1]], out=[[0, 1], [1, 0]])
-    with pytest.raises(ValueError, match="reversible"):
-        lift_system(m)
-
-
-def test_full_lift_iterates_to_action_graphs(m_q3):
-    ls = lift_system(m_q3)
-    g = rose(m_q3)
-    for n in (1, 2, 3):
-        g = apply_lift(ls, g)
-        ref = action_graph(m_q3, n)
-        got = sorted((g.vertices[s], g.vertices[t], st) for s, t, st in g.edges)
-        want = sorted((ref.vertices[s], ref.vertices[t], st) for s, t, st in ref.edges)
-        assert got == want
+    # one lift of the rose applies R_{a,x} = (b, y) to its loop a: the dart
+    # (x, b) points to the word y and ends in a, where delta(b, x) = a and
+    # y = out(b, x); for each x the rules permute the 4 states
+    lift = lift_arrays(m_q3, 1)
+    for x in range(4):
+        assert lift.dst[x].tolist() == [m_q3.out[b][x] for b in range(4)]
+        assert lift.end[x].tolist() == [m_q3.delta[b][x] for b in range(4)]
+        assert sorted(lift.end[x].tolist()) == [0, 1, 2, 3]
 
 
 def test_reduced_lift_is_a_qfold_vertex_lift(m_q3):
-    ls = lift_system(m_q3)
-    g = action_graph(m_q3, 1, reduced=True)
+    before = lift_arrays(m_q3, 1)
     for n in (2, 3, 4):
-        prev = g.n_vertices()
-        g = apply_lift(ls, g, reduced=True)
-        assert g.n_vertices() == 3 * prev  # q-fold
+        lift = lift_arrays(m_q3, n)
+        assert len(lift.words) == 3 * len(before.words)  # q-fold
         ref = action_graph(m_q3, n, reduced=True)
-        got = sorted((g.vertices[s], g.vertices[t], st) for s, t, st in g.edges)
-        want = sorted((ref.vertices[s], ref.vertices[t], st) for s, t, st in ref.edges)
-        assert got == want
+        assert (lift.words == ref.words).all() and (lift.dst == ref.dst).all()
+        before = lift
 
 
 @pytest.mark.parametrize(
@@ -274,11 +262,10 @@ def test_lift_arrays_equal_the_action_graph(p, e, n_max, side):
     for n in range(n_max + 1):
         lift = lift_arrays(auto, n)
         ref = action_graph(auto, n, reduced=True)
-        assert [tuple(w) for w in lift.words.tolist()] == ref.vertices
-        edges = [(v, u, a) for v in range(len(ref.vertices)) for a, u in enumerate(lift.dst[v].tolist())]
-        assert edges == ref.edges  # order included
-        ends = [act(auto, a, w)[1] for w in ref.vertices for a in range(s)]
-        assert lift.end.ravel().tolist() == ends
+        assert lift.words.shape == ref.words.shape == (len(ref.words), n)
+        assert lift.dst.shape == lift.end.shape == (len(ref.words), s)
+        for name in ("words", "dst", "end"):  # order included
+            assert getattr(lift, name).tolist() == getattr(ref, name).tolist()
 
 
 def test_lift_arrays_need_a_reversible_automaton():
@@ -295,10 +282,12 @@ def test_lift_arrays_reject_an_automaton_that_leaves_the_reduced_words():
               inv_states=[0], inv_alphabet=[1, 0, 3, 2])
     assert is_reversible(m)
     lift_arrays(m, 1)  # every word of length one is reduced
-    ref = action_graph(m, 2, reduced=True)
-    assert len(ref.edges) < ref.n_vertices()  # the reference drops those darts
+    action_graph(m, 1, reduced=True)
     with pytest.raises(RuntimeError, match="lift dropped one endpoint"):
         lift_arrays(m, 2)
+    with pytest.raises(RuntimeError, match="outside the reduced words"):
+        action_graph(m, 2, reduced=True)
+    assert len(action_graph(m, 2).words) == 16  # all words: nothing leaves them
 
 
 def test_product_act_empty(d12_q3):

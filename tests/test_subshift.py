@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ramshift.graphs import level_digraph, level_graph, nb_matrix
+from ramshift import mealy
+from ramshift.graphs import covering_check, level_graph, nb_matrix
 from ramshift.spectral import SizeCapExceeded
 from ramshift.subshift import (
     MatrixSubshift,
@@ -267,10 +268,14 @@ def _strip_to_dart_maps(datum, shift, k):
     dart of B_k (left colors top-to-bottom, state = top color); a width-k
     row is a dart of A_k (bottom colors, state = inverse of the left
     color)."""
-    gb = level_digraph(datum, "B", k)
-    b_darts = {(gb.vertices[s], st): e for e, (s, _, st) in enumerate(gb.edges)}
-    ga = level_digraph(datum, "A", k)
-    a_darts = {(ga.vertices[s], st): e for e, (s, _, st) in enumerate(ga.edges)}
+    def darts(auto):
+        # (word, state) -> dart v * s + state, v the word's row in the action graph
+        s = auto.n_states()
+        words = mealy.action_graph(auto, k, reduced=True).words.tolist()
+        return {(tuple(w), st): v * s + st for v, w in enumerate(words) for st in range(s)}
+
+    automaton = mealy.from_datum(datum)
+    b_darts, a_darts = darts(mealy.dual(automaton)), darts(automaton)
 
     def column_to_b_dart(col):
         tiles = [datum.R[s] for s in col]
@@ -315,20 +320,14 @@ def test_three_way_extendability_agreement(fixture, request):
 
 def test_transition_graphs_form_covering_families(xd_q3):
     # dropping the outermost strip symbol is a covering H_(k+1) -> H_k
-    from ramshift.graphs import covering_check
-    from ramshift.mealy import LabeledDigraph
-
-    def as_digraph(tg):
-        edges = [
-            (i, j, 0)
-            for i in range(len(tg.patterns))
-            for j in np.nonzero(tg.adjacency[i])[0]
-        ]
-        return LabeledDigraph(vertices=list(tg.patterns), edges=edges, state_labels=["-"])
+    def as_level(tg):
+        _, successors = np.nonzero(tg.adjacency)  # row by row, d to a row
+        dst = successors.reshape(len(tg.patterns), -1)
+        return mealy.LevelArrays(np.array(tg.patterns), dst, np.zeros_like(dst))
 
     for direction in ("horizontal", "vertical"):
-        big = as_digraph(transition_graph(xd_q3, direction, 3))
-        small = as_digraph(transition_graph(xd_q3, direction, 2))
+        big = as_level(transition_graph(xd_q3, direction, 3))
+        small = as_level(transition_graph(xd_q3, direction, 2))
         assert covering_check(big, small, "drop-last")
         assert covering_check(big, small, "drop-first")
 
@@ -424,6 +423,9 @@ def test_cylinder_measures(xd_q3):
         mu = cylinder_measure(xd_q3, bad if not is_admissible(xd_q3, bad) else ((0, 0),))
     assert mu == 0
     assert any("measure zero" in str(w.message) for w in caught)
+    for empty in ((), ((),), ((),) * 2, ((3,), ())):
+        with pytest.raises(ValueError, match="at least one column"):
+            cylinder_measure(xd_q3, empty)
 
 
 def test_measures_sum_to_one(xd_q3):
@@ -499,6 +501,10 @@ def test_correlation_validations(xd_q3):
     tall = ((0, 0),) if is_admissible(xd_q3, ((0, 0),)) else None
     with pytest.raises(ValueError, match="vertical extent"):
         correlation(xd_q3, tile, ((0, xd_q3.B[0].argmax()),), 3)
+    for empty in ((), ((),), ((3,), ())):
+        for p1, p2 in ((empty, tile), (tile, empty)):
+            with pytest.raises(ValueError, match="at least one column"):
+                correlation(xd_q3, p1, p2, 3)
 
 
 def test_mixing_tables_q3(d12_q3):
