@@ -264,7 +264,7 @@ def test_product_darts_equal_product_act(f5, s0, tau, levels):
             assert (g.origin[e], g.terminus[e], g.dart_labels[e]) == (i, index[out], automata[0].states[a])
 
 
-def test_level_graph_darts_are_the_reference_action_graph(d12_q3):
+def test_level_digraph_is_the_reference_action_graph(d12_q3):
     # side A acts with the datum automaton on H-words, side B with its dual
     # on V-words; the undirected gluing keeps one dart per directed edge
     m = mealy.from_datum(d12_q3)
@@ -355,6 +355,13 @@ def test_exports_round_trip(d12_q3, f5):
     dot = ugraph_to_dot(level)
     assert dot.count(" -- ") == level.n_darts() // 2
     assert dot.startswith("graph")
+
+
+def test_reduced_subgraph_matches_level_digraph(d12_q3):
+    # the undirected gluing keeps one dart per directed edge
+    g = mealy.action_graph(mealy.dual(mealy.from_datum(d12_q3)), 2, reduced=True)
+    u = level_graph(d12_q3, "B", 2)
+    assert (u.n_vertices(), u.n_darts()) == (len(g.words), g.dst.size)
 
 
 def test_level_size_counts_without_building(d12_q3, d12_q5):

@@ -275,6 +275,17 @@ def test_lift_arrays_need_a_reversible_automaton():
         lift_arrays(m, 2)
 
 
+def test_lift_system_needs_reversibility():
+    # every output map is a bijection, but delta_1 sends both states to q:
+    # the rules R_{a,x} are undefined, so no length is lifted
+    m = Mealy(states=["p", "q"], alphabet=["0", "1"], delta=[[0, 0], [0, 1]], out=[[0, 1], [1, 0]],
+              inv_alphabet=[1, 0])
+    assert is_dual_reversible(m) and not is_reversible(m)
+    for n in range(4):
+        with pytest.raises(ValueError, match="reversible"):
+            lift_arrays(m, n)
+
+
 def test_lift_arrays_reject_an_automaton_that_leaves_the_reduced_words():
     # one state, letters 0 <-> 1 and 2 <-> 3 inverse; the output swaps 1 and
     # 2, so the reduced word (0, 2) is sent to (0, 1), which is not reduced
