@@ -10,7 +10,12 @@ arithmetic; no floating error enters the deviations.
 
 from pathlib import Path
 
+from fractions import Fraction
+
+import numpy as np
+
 from ramshift import build_quaternionic_datum, make_field
+from ramshift.spectral import matrix_power_int
 from ramshift.subshift import (
     admissible_patterns,
     build_xd,
@@ -56,3 +61,15 @@ print(f"  d = {table.d}, dimension {table.dimension}, lambda = {table.second_mod
 print(f"  envelope C n (1/sqrt(3))^n with C = {table.c_float:.6f}, all within: {table.all_ok}")
 (out / "mixing_q3_k2.csv").write_text(mixing_table_to_csv(table))
 print(f"  wrote {out / 'mixing_q3_k2.csv'}")
+
+print("\nInt64 until the overflow bound, Python integers after (3^39 < 2^63 < 3^40):")
+table = mixing_table(shift, k=1, n_max=41)
+h1 = shift.strip_graph("horizontal", 1).adjacency
+m = len(h1)
+for n in (39, 40, 41):
+    dev = table.rows[n - 1].deviation
+    power = np.array(matrix_power_int(h1, n), dtype=object)
+    check = Fraction(int(abs(power * m - 3**n).max()), m * 3**n)
+    print(f"  n = {n}: deviation = {dev} ~ {float(dev):.3e}, "
+          f"equals matrix_power_int: {dev == check}")
+    assert dev == check

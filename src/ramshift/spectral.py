@@ -11,9 +11,12 @@ tol, and every Ramanujan verdict also reports the margin 2 sqrt(d) -
 max|lambda_nontrivial| so borderline cases stay visible.
 
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
-row vectors through x -> x A by predecessor gathers, one sum of d entries
-per column of a d-regular matrix, in Python integers, so deviation norms
-and cylinder correlations are exact rationals with no floating error.  All
+integer row vectors through x -> x A by predecessor gathers, one sum of d
+entries per column of a d-regular matrix.  Every entry of x A^j, and every
+partial sum that forms it, is bounded by max|x| d^j, so the block steps in
+int64 while that bound is below 2^63 and in Python integers (numpy object
+arrays) from the first step that could pass it.  Deviation norms and
+cylinder correlations are exact rationals with no floating error.  All
 eigensolvers are dense and deterministic; resource caps reject instances
 beyond desk scale.
 """
@@ -244,15 +247,10 @@ def check_exact_cap(m: int) -> None:
         raise SizeCapExceeded(f"exact matrix powers capped at dimension {EXACT_POWER_LIMIT}")
 
 
-def walk_counts(a, start, n: int):
-    """Yield start, start A, start A^2, ..., start A^n exactly, for a
-    d-regular nonnegative integer matrix A of dimension m <= EXACT_POWER_LIMIT.
-
-    `start` is a length-m vector or a (rows, m) block.  Entries are Python
-    ints in numpy object arrays, so the counts are exact at any size.  Row
-    j of the (m, d) predecessor array lists each i, repeated A[i, j] times
-    (multigraphs work), so one step is a gather and a sum: rows m d
-    additions instead of rows m^2 multiplications."""
+def predecessors(a) -> np.ndarray:
+    """The (m, d) predecessor array of a d-regular nonnegative integer
+    matrix A of dimension m <= EXACT_POWER_LIMIT: row j lists each i,
+    repeated A[i, j] times (multigraphs work)."""
     mat = np.asarray(a)
     m = mat.shape[0]
     check_exact_cap(m)
@@ -261,12 +259,41 @@ def walk_counts(a, start, n: int):
     d = int(rows[0])
     if mat.shape != (m, m) or (mat < 0).any() or not ((rows == d).all() and (cols == d).all()):
         raise ValueError("exact walk counts need a d-regular nonnegative matrix")
+    return np.repeat(np.tile(np.arange(m), m), mat.T.ravel()).reshape(m, d)
+
+
+def walk_counts(a, start, n: int):
+    """Yield start, start A, start A^2, ..., start A^n exactly, for a
+    d-regular nonnegative integer matrix A of dimension m <= EXACT_POWER_LIMIT.
+
+    `start` is a length-m integer vector or a (rows, m) block; a start that
+    is not integer (floats included) is refused, not truncated.  One step
+    is a gather and a sum over the `predecessors` array: rows m d additions
+    instead of rows m^2 multiplications.  Block j is int64 while
+    max|start| d^j < 2^63: a column of A sums d predecessor entries, each at
+    most max|start| d^(j-1) in modulus, so every entry and every partial sum
+    stays within the bound.  From the first step that could pass it, the
+    block holds Python ints in a numpy object array.  Both dtypes step
+    through the same gather-sum."""
+    return walks(predecessors(a), start, n)
+
+
+def walks(preds: np.ndarray, start, n: int):
+    """`walk_counts` on a `predecessors` array that is already built."""
     if n < 0:
         raise ValueError("need n >= 0")
-    preds = np.repeat(np.tile(np.arange(m), m), mat.T.ravel()).reshape(m, d)
-    block = np.asarray(start).astype(object)
+    block = np.asarray(start)
+    if block.dtype.kind not in "biu" and not (
+        block.dtype == object and all(isinstance(x, (int, np.integer)) for x in block.flat)
+    ):
+        raise ValueError("exact walk counts need an integer start")
+    bound = max(-int(block.min()), int(block.max())) if block.size else 0
+    block = block.astype(np.int64) if bound < 2**63 else np.frompyfunc(int, 1, 1)(block)
+    d = preds.shape[1]
     yield block
-    for _ in range(n):
+    for j in range(1, n + 1):
+        if block.dtype != object and bound * d**j >= 2**63:
+            block = block.astype(object)
         block = block[..., preds].sum(axis=-1)
         yield block
 
@@ -284,10 +311,11 @@ def _identity_walks(a, n: int):
 
 def _deviation(power) -> Fraction:
     # every row of A^n sums to d^n, and |x/d^n - 1/m| = |x m - d^n| / (m d^n)
-    # is largest at the largest or the smallest entry
+    # is largest at the largest or the smallest entry; all in Python ints,
+    # since an int64 block bounds its entries, not m times them
     m = power.shape[0]
-    dn = power[0].sum()
-    return Fraction(max(power.max() * m - dn, dn - power.min() * m), m * dn)
+    dn = sum(power[0].tolist())
+    return Fraction(max(int(power.max()) * m - dn, dn - int(power.min()) * m), m * dn)
 
 
 def deviation_norm(a, n: int) -> Fraction:

@@ -35,11 +35,19 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
-from .spectral import SizeCapExceeded, check_exact_cap, deviation_table, second_modulus_directed, walk_counts
+from .spectral import (
+    SizeCapExceeded,
+    check_exact_cap,
+    deviation_table,
+    predecessors,
+    second_modulus_directed,
+    walks,
+)
 from .vhdatum import VHDatum
 
 Pattern = tuple[tuple[int, ...], ...]  # columns, bottom-to-top within a column
@@ -52,12 +60,19 @@ class MatrixSubshift:
 
     The matrices are checked and the regularity report is computed once,
     here; every consumer reads `report`, so the matrices must not be
-    changed after construction."""
+    changed after construction.  For the same reason the shift holds each
+    strip graph it is asked for, once per (direction, k): `strip_graph`
+    checks the strip count against the exact cap, builds the graph with
+    `transition_graph` and keeps it, with its pattern index and predecessor
+    array once they are first read.  The graph depends on A, B, the
+    direction and k alone, and its adjacency is read-only, so every later
+    request gets the graph a fresh build would give."""
 
     symbols: list[str]
     A: np.ndarray
     B: np.ndarray
     report: RegularityReport = field(init=False, repr=False, compare=False)
+    _strips: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.int64)
@@ -75,6 +90,15 @@ class MatrixSubshift:
     @property
     def s(self) -> int:
         return len(self.symbols)
+
+    def strip_graph(self, direction: str, k: int) -> TransitionGraph:
+        """The height-k strip graph in `direction`, built on the first
+        request only; see the class docstring."""
+        key = (direction, k)
+        if key not in self._strips:
+            _check_strip_dimension(self, direction, k)
+            self._strips[key] = transition_graph(self, direction, k)
+        return self._strips[key]
 
     def __repr__(self) -> str:
         return f"MatrixSubshift({self.s} symbols, Z^2)"
@@ -208,15 +232,29 @@ class TransitionGraph:
     """Directed transition graph on strip patterns: for direction
     "horizontal" the vertices are height-k columns and an edge means the
     right neighbor is admissible; for "vertical" the vertices are width-k
-    rows and an edge means the upper neighbor is admissible."""
+    rows and an edge means the upper neighbor is admissible.
+
+    The adjacency is read-only, so the pattern index and the predecessor
+    array derived from it are computed once, when first read."""
 
     direction: str
     k: int
     patterns: list[tuple[int, ...]]
     adjacency: np.ndarray
 
+    def __post_init__(self):
+        self.adjacency.setflags(write=False)
+
+    @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         return {p: i for i, p in enumerate(self.patterns)}
+
+    @cached_property
+    def preds(self) -> np.ndarray:
+        """`spectral.predecessors` of the adjacency, for exact walks."""
+        preds = predecessors(self.adjacency)
+        preds.setflags(write=False)
+        return preds
 
     def __repr__(self) -> str:
         return f"TransitionGraph({self.direction}, k={self.k}, {len(self.patterns)} vertices)"
@@ -350,15 +388,13 @@ def correlation(shift: MatrixSubshift, p1: Pattern, p2: Pattern, n: int) -> Frac
     mu2 = cylinder_measure(shift, p2)
     if mu1 == 0 or mu2 == 0:
         return Fraction(0)
-    _check_strip_dimension(shift, "horizontal", k)
-    graph = transition_graph(shift, "horizontal", k)
-    index = graph.index()
-    v = index[tuple(p1[-1])]
-    u = index[tuple(p2[0])]
+    graph = shift.strip_graph("horizontal", k)
+    v = graph.index[tuple(p1[-1])]
+    u = graph.index[tuple(p2[0])]
     gap = n - m1
     start = np.zeros(len(graph.patterns), dtype=np.int64)
     start[v] = 1
-    n_paths = deque(walk_counts(graph.adjacency, start, gap + 1), maxlen=1).pop()[u]
+    n_paths = int(deque(walks(graph.preds, start, gap + 1), maxlen=1).pop()[u])
     width = n + m2
     d = shift.report.degree
     joint = Fraction(n_paths, shift.s * d ** (width - 1) * d ** (k - 1))
@@ -432,9 +468,7 @@ def mixing_table(
         shift = build_xd(datum_or_shift)
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    _check_strip_dimension(shift, direction, k)
-    graph = transition_graph(shift, direction, k)
-    adj = graph.adjacency
+    adj = shift.strip_graph(direction, k).adjacency
     d = int(adj.sum(axis=1)[0])
     devs = deviation_table(adj, n_max)
     theta = 1.0 / sqrt(d)

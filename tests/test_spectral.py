@@ -253,6 +253,50 @@ def test_walk_counts_on_a_multigraph():
     assert rows == [matrix_power_int(a, n)[0] for n in range(6)]
 
 
+def test_walk_counts_refuses_a_non_integer_start():
+    a = [[1, 1], [1, 1]]
+    for start in ([0.5, 0.5], [1.0, 0.0], np.array([1, 0.5], dtype=object), ["1", "0"]):
+        with pytest.raises(ValueError, match="integer start"):
+            list(walk_counts(a, start, 2))
+    for start in ([True, False], [1, 0], np.array([1, 0], dtype=object)):
+        assert [row.tolist() for row in walk_counts(a, start, 2)] == [[1, 0], [1, 1], [2, 2]]
+
+
+# two 2-regular matrices: a double loop, whose entries reach d^j exactly
+# (2^63 at j = 63 does not fit int64), and a directed triangle with loops
+TWO_REGULAR = [np.array([[2, 0], [0, 2]]), np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])]
+
+
+@pytest.mark.parametrize("a", TWO_REGULAR, ids=["double-loop", "triangle"])
+@pytest.mark.parametrize("big, last_int64", [(False, 62), (True, 23)])
+def test_walk_counts_switch_to_python_ints_at_the_overflow_bound(a, big, last_int64):
+    # block j is int64 exactly while max|start| 2^j < 2^63, and object after
+    m = len(a)
+    start = [0] * m
+    start[0] = 1
+    if big:
+        start[0], start[-1] = -(2**40 - 5), 2**39 + 7  # max|start| = 2^40 - 5
+    bound = max(map(abs, start))
+    assert bound * 2**last_int64 < 2**63 <= bound * 2 ** (last_int64 + 1)
+    blocks = list(walk_counts(a, start, 70))
+    for j, block in enumerate(blocks):
+        assert block.dtype == (np.int64 if j <= last_int64 else object)
+        want = np.array(start, dtype=object) @ np.array(matrix_power_int(a, j), dtype=object)
+        assert block.tolist() == want.tolist()
+
+
+def test_deviation_table_crosses_the_int64_bound(d12_q3):
+    # 3^39 < 2^63 < 3^40: the identity block steps in int64 through n = 39
+    # and in Python ints from n = 40 on
+    from ramshift.subshift import build_xd, transition_graph
+
+    adj = transition_graph(build_xd(d12_q3), "horizontal", 1).adjacency
+    assert 3**39 < 2**63 < 3**40
+    blocks = list(walk_counts(adj, np.eye(len(adj), dtype=np.int64), 45))
+    assert [block.dtype == object for block in blocks] == [n >= 40 for n in range(46)]
+    assert deviation_table(adj, 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
+
+
 def test_deviation_norm_caps_and_validation(monkeypatch):
     from ramshift import spectral
 

@@ -546,6 +546,46 @@ def test_mixing_table_cap(d12_q3):
         mixing_table(d12_q3, 5, 3)  # 16 * 81 = 1296 > 500
 
 
+def test_strip_graphs_are_built_once_per_direction_and_height(d12_q3, monkeypatch):
+    from ramshift import subshift
+
+    # a fresh shift: the session fixture may already hold strip graphs
+    shift = build_xd(d12_q3)
+    built = []
+
+    def counting(*args):
+        built.append(args[1:])
+        return transition_graph(*args)
+
+    monkeypatch.setattr(subshift, "transition_graph", counting)
+    tiles = [((t,),) for t in range(shift.s)]
+    held = {
+        (c1, c2, n): correlation(shift, c1, c2, n)
+        for n in range(2, 7) for c1 in tiles for c2 in tiles
+    }
+    table = mixing_table(shift, 1, 6)
+    assert built == [("horizontal", 1)]
+    mixing_table(shift, 1, 3, direction="vertical")
+    mixing_table(shift, 2, 3, direction="vertical")
+    assert built == [("horizontal", 1), ("vertical", 1), ("vertical", 2)]
+
+    def fresh():
+        return MatrixSubshift(shift.symbols, shift.A, shift.B)
+
+    for (c1, c2, n), value in held.items():
+        assert correlation(fresh(), c1, c2, n) == value
+    assert mixing_table(fresh(), 1, 6) == table
+
+
+def test_held_strip_graphs_are_read_only(xd_q3):
+    graph = xd_q3.strip_graph("horizontal", 2)
+    assert xd_q3.strip_graph("horizontal", 2) is graph
+    assert graph.index is graph.index and graph.preds is graph.preds
+    for array in (graph.adjacency, graph.preds):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
 @pytest.fixture
 def no_strip_graph(monkeypatch):
     from ramshift import subshift
