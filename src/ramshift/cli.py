@@ -5,7 +5,7 @@ bass-ihara, subshift-check, mixing, tiles.  Formats: JSON for reports and
 datum files, DOT for graphs and automata, CSV for spectra and mixing
 tables, SVG for tiles.  Every JSON report goes through one writer,
 `vhdatum.json_text`: stdlib json's sorted-key, one-space-indent text,
-with the long flat lists of a graph made by the C encoder.
+with a graph's dart and adjacency arrays written straight from numpy.
 
 Every output embeds the resolved run configuration for provenance (plus a
 timestamp unless --no-timestamp is given), files are written atomically,

@@ -7,7 +7,8 @@ fixed-point-free involution pairing (v --g--> u) with (u --g^-1--> v).
 A loop contributes two mutually inverse darts at the same vertex and hence
 two to the degree.  Multi-edges and loops are kept with multiplicities
 everywhere; nothing is simplified.  Darts stay int arrays (origin, terminus,
-inverse) from the lift to the exporters, which alone turn them into lists.
+inverse) from the lift to the files: the JSON writer formats the arrays
+themselves, and the DOT writer gathers its edge lines from them.
 
 Level graphs: A_n is the action graph of the datum automaton on reduced
 words of length n over H (one dart per V-state), glued into an undirected
@@ -32,7 +33,7 @@ import numpy as np
 
 from .ffield import FieldSpec
 from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, word_labels
-from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, json_text
+from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, dot_escaped, json_text
 
 
 @dataclass(eq=False)
@@ -40,7 +41,8 @@ class UGraph:
     """Undirected multigraph on int dart arrays: dart e runs from origin[e]
     to terminus[e] with label dart_labels[e], and inv[e] is its inverse.
     Construction converts the index arrays to int64 once and checks them,
-    so every consumer may index with them freely."""
+    so every consumer may index with them freely, and checks that every
+    label is a str, so every file written can be read back."""
 
     vertex_labels: list[str]
     origin: np.ndarray
@@ -52,6 +54,8 @@ class UGraph:
         n = len(self.vertex_labels)
         if n == 0:
             raise ValueError("a graph needs at least one vertex")
+        if set(map(type, itertools.chain(self.vertex_labels, self.dart_labels))) - {str}:
+            raise ValueError("vertex and dart labels must be strings")
         # an index beyond int64 raises OverflowError in these conversions;
         # ugraph_from_json reports it as a malformed file
         o, t, inv = (np.asarray(x, dtype=np.int64) for x in (self.origin, self.terminus, self.inv))
@@ -357,32 +361,40 @@ def digraph_period(adjacency: np.ndarray) -> tuple[bool, int]:
 
 
 def ugraph_to_dot(graph: UGraph, header: str | None = None) -> str:
-    """Undirected DOT; each dart pair collapses to one edge labeled g/g^-1."""
-    lines = ["graph level_graph {"]
-    if header:
-        lines.insert(0, f"// {header}")
-    names, labels = graph.vertex_labels, graph.dart_labels
-    for name in names:
-        lines.append(f'  "{name}";')
-    origin, terminus = graph.origin.tolist(), graph.terminus.tolist()
-    for e, f in enumerate(graph.inv.tolist()):
-        if e < f:
-            lines.append(f'  "{names[origin[e]]}" -- "{names[terminus[e]]}" [label="{labels[e]}/{labels[f]}"];')
+    """Undirected DOT; each dart pair collapses to one edge labeled g/g^-1.
+    Every label is escaped once, and the edges are gathered from the dart
+    arrays."""
+    lines = [f"// {header}"] if header else []
+    names = np.array([dot_escaped(name) for name in graph.vertex_labels], dtype=object)
+    escaped = {label: dot_escaped(label) for label in dict.fromkeys(graph.dart_labels)}
+    labels = np.array(list(map(escaped.__getitem__, graph.dart_labels)), dtype=object)
+    e = np.flatnonzero(np.arange(graph.n_darts()) < graph.inv)
+    f = graph.inv[e]
+    ends = (x.tolist() for x in (names[graph.origin[e]], names[graph.terminus[e]], labels[e], labels[f]))
+    lines.append("graph level_graph {")
+    lines += [f'  "{name}";' for name in names.tolist()]
+    lines += [f'  "{a}" -- "{b}" [label="{g}/{h}"];' for a, b, g, h in zip(*ends)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def ugraph_to_json_dict(graph: UGraph) -> dict:
+    """The graph file's payload for `json_text`, as arrays: `darts` is a
+    record array of (origin, terminus, label) rows, `inv` is the graph's own
+    array and `adjacency_coo` the (K, 3) array of (i, j, multiplicity) rows."""
     n = graph.n_vertices()
     # one key per (origin, terminus); np.unique returns them in (i, j) order
     keys, mult = np.unique(graph.origin * n + graph.terminus, return_counts=True)
-    coo = np.column_stack([keys // n, keys % n, mult]).tolist()
-    darts = zip(graph.origin.tolist(), graph.terminus.tolist(), graph.dart_labels)
+    # np.zeros, not np.empty: with an object field np.empty took ten times as
+    # long on the 35k darts of A_8
+    record = [("origin", np.int64), ("terminus", np.int64), ("label", object)]
+    darts = np.zeros(graph.n_darts(), dtype=record)
+    darts["origin"], darts["terminus"], darts["label"] = graph.origin, graph.terminus, graph.dart_labels
     return {
         "vertices": list(graph.vertex_labels),
-        "darts": [[o, t, label] for o, t, label in darts],
-        "inv": graph.inv.tolist(),
-        "adjacency_coo": coo,
+        "darts": darts,
+        "inv": graph.inv,
+        "adjacency_coo": np.column_stack([keys // n, keys % n, mult]),
     }
 
 
@@ -405,8 +417,6 @@ def ugraph_from_json(text: str) -> UGraph:
         origin, terminus, labels = ([row[k] for row in darts] for k in range(3))
         if any(type(i) is not int for i in itertools.chain(origin, terminus, inv)):
             raise ValueError("dart endpoints and inv entries must be integers")
-        if any(type(label) is not str for label in itertools.chain(vertices, labels)):
-            raise ValueError("vertex and dart labels must be strings")
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex labels must be distinct")
         graph = UGraph(vertices, origin, terminus, inv, labels)

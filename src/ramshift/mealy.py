@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vhdatum import VHDatum, validate_datum
+from .vhdatum import VHDatum, dot_escaped, validate_datum
 
 Word = tuple[int, ...]
 
@@ -347,13 +347,14 @@ def mealy_to_dot(m: Mealy, header: str | None = None) -> str:
     if header:
         lines.insert(0, f"// {header}")
     lines.append("  rankdir=LR;")
-    for s in m.states:
+    states, letters = [dot_escaped(s) for s in m.states], [dot_escaped(x) for x in m.alphabet]
+    for s in states:
         lines.append(f'  "{s}";')
     for a in range(m.n_states()):
         for x in range(m.n_letters()):
             lines.append(
-                f'  "{m.states[a]}" -> "{m.states[m.delta[a][x]]}"'
-                f' [label="{m.alphabet[x]} / {m.alphabet[m.out[a][x]]}"];'
+                f'  "{states[a]}" -> "{states[m.delta[a][x]]}"'
+                f' [label="{letters[x]} / {letters[m.out[a][x]]}"];'
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -442,41 +442,102 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def dot_escaped(label: str) -> str:
+    """`label` inside a DOT quoted ID: backslash and double quote escaped."""
+    return label.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def json_text(payload) -> str:
     """The indented JSON text of every report and graph file: byte for byte
-    `json.dumps(payload, sort_keys=True, indent=1, default=str)`.
+    `json.dumps(payload, sort_keys=True, indent=1, default=str)` with every
+    numpy array in `payload` first replaced by its `tolist()`.
 
     The json module drops to its pure-Python encoder whenever an indent is
     given.  Here dicts with str keys are walked by hand, and a flat list of
-    exact ints and strs, or a list of non-empty such rows, is one C-encoder
-    call with the indent folded into the item separator.  Anything else is
-    the stdlib text re-indented by its depth.  The re-indenting replaces are
-    safe because an ASCII-encoded JSON string never holds a raw newline.
+    exact ints and strs is one C-encoder call with the indent folded into
+    the item separator.  A 1-D or 2-D array, or a 1-D record array (one row
+    per record), whose columns hold ints or strs is one `%` over a row
+    template: `%d` for an int column, and `%s` for a str column, each
+    distinct str encoded once.  Anything else is the stdlib text re-indented
+    by its depth.  The re-indenting replace is safe because an ASCII-encoded
+    JSON string never holds a raw newline.  The pieces are joined once at
+    the end, so no level copies the text of the values inside it.
     """
-    return _json_at(payload, "\n")
+    pieces: list[str] = []
+    _write(payload, "\n", pieces)
+    return "".join(pieces)
 
 
 _SCALARS = {int, str}  # exact types the C encoder writes as stdlib does
 
 
-def _json_at(value, nl: str) -> str:
-    """`value`'s text when its line breaks are `nl` (newline + its depth)."""
+def _write(value, nl: str, out: list[str]) -> None:
+    """Append the pieces of `value`'s text, whose line breaks are `nl`
+    (newline + its depth), to `out`."""
     inner = nl + " "
     if type(value) is dict and value and {type(k) for k in value} == {str}:
-        items = [encode_basestring_ascii(k) + ": " + _json_at(value[k], inner)
-                 for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if type(value) is list and value:
-        types = {type(x) for x in value}
-        if types <= _SCALARS:
-            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
-            return "[" + inner + body + nl + "]"
-        if types == {list} and all(value) and {type(x) for row in value for x in row} <= _SCALARS:
-            deeper = inner + " "
-            body = json.dumps(value, separators=("," + deeper, ": "))[2:-2]
-            body = body.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-            return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
-    return json.dumps(value, sort_keys=True, indent=1, default=str).replace("\n", nl)
+        opening = "{"
+        for k in sorted(value):
+            out.append(opening + inner + encode_basestring_ascii(k) + ": ")
+            _write(value[k], inner, out)
+            opening = ","
+        out.append(nl + "}")
+    elif type(value) is np.ndarray and (text := _array_text(value, nl)) is not None:
+        out.append(text)
+    elif type(value) is list and value and set(map(type, value)) <= _SCALARS:
+        out.append("[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + nl + "]")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=1, default=_listed_or_str).replace("\n", nl))
+
+
+def _listed_or_str(value):
+    return value.tolist() if isinstance(value, np.ndarray) else str(value)
+
+
+def _array_text(a: np.ndarray, nl: str) -> str | None:
+    """The text of a flat array, or of a 2-D or record array (a row per
+    record), whose columns hold ints or strs; None for any other array."""
+    flat = a.ndim == 1 and not a.dtype.names
+    if flat:
+        columns = [a]
+    elif a.ndim == 1:
+        columns = [a[name] for name in a.dtype.names]
+    elif a.ndim == 2 and a.shape[1]:
+        columns = list(a.T)
+    else:
+        return None
+    if not len(a):
+        return "[]"
+    cells = [_cells(column) for column in columns]
+    if None in cells:
+        return None
+    inner = nl + " "
+    deeper = inner + " "
+    row = cells[0][0] if flat else "[" + deeper + ("," + deeper).join(fmt for fmt, _ in cells) + inner + "]"
+    items = [None] * (len(a) * len(cells))
+    for j, (_, values) in enumerate(cells):
+        items[j::len(cells)] = values
+    # the brackets belong to the template, so the text is made in one piece
+    return ("[" + inner + ("," + inner).join([row] * len(a)) + nl + "]") % tuple(items)
+
+
+def _cells(column: np.ndarray) -> tuple[str, list] | None:
+    """The `%` format and values of an int column, or of an object column of
+    strs (each distinct str encoded once); None for any other column."""
+    if column.dtype.kind in "iu":
+        return "%d", column.tolist()
+    if column.dtype.kind != "O":
+        return None
+    values = column.tolist()
+    try:
+        text = dict.fromkeys(values)
+    except TypeError:  # an unhashable entry is no str
+        return None
+    if any(type(s) is not str for s in text):
+        return None
+    for s in text:
+        text[s] = encode_basestring_ascii(s)
+    return "%s", list(map(text.__getitem__, values))
 
 
 def datum_to_dict(datum: VHDatum) -> dict:

@@ -1,13 +1,16 @@
 """Command surface: exit codes, determinism, and output formats."""
 
 import json
+import re
 from functools import reduce
 from operator import getitem
 
 import pytest
 
 from ramshift.cli import main
-from ramshift.graphs import UGraph, ugraph_to_json_dict, write_ugraph
+from ramshift.graphs import UGraph, level_graph, ugraph_to_json, write_ugraph
+from ramshift.mealy import from_datum
+from ramshift.vhdatum import direct_product_datum, dumps_datum, read_datum
 
 
 def run(capsys, *argv):
@@ -272,7 +275,7 @@ def test_graph_json_with_an_index_beyond_int64_is_an_input_error(tmp_path, capsy
 )
 def test_graph_json_without_exact_integer_indices_is_an_input_error(tmp_path, capsys, keys, value):
     # the triangle passes as it stands, so only the edit can fail it
-    data = ugraph_to_json_dict(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"]))
+    data = json.loads(ugraph_to_json(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
     good = _write_json(tmp_path / "triangle.json", data)
     assert run(capsys, "verify-ramanujan", "--graph-json", good, "--no-timestamp")[0] == 0
     reduce(getitem, keys[:-1], data)[keys[-1]] = value
@@ -468,13 +471,53 @@ def test_datum_file_values_of_the_wrong_json_type_are_an_input_error(tmp_path, c
          "duplicate_vertex"],
 )
 def test_graph_json_without_distinct_string_labels_is_an_input_error(tmp_path, capsys, keys, value):
-    data = ugraph_to_json_dict(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"]))
+    data = json.loads(ugraph_to_json(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
     reduce(getitem, keys[:-1], data)[keys[-1]] = value
     path = _write_json(tmp_path / "edited.json", data)
     code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: malformed graph file") and "Traceback" not in err
+
+
+def _labelled_datum(tmp_path):
+    """A datum without a field whose V and H labels hold quotes and backslashes."""
+    data = json.loads(dumps_datum(direct_product_datum(2, 2)))
+    data["V"] = ['v"0', "v1", 'v\\2"', "v3"]
+    data["H"] = ["h\\0", "h1", 'h"2', "h3"]
+    return _write_json(tmp_path / "labels.json", data)
+
+
+QUOTED_ID = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def _dot_ids(line):
+    """The quoted IDs of a DOT line, unescaped."""
+    return [re.sub(r"\\(.)", r"\1", text) for text in QUOTED_ID.findall(line)]
+
+
+def test_dot_writers_escape_quotes_and_backslashes(tmp_path, capsys):
+    path = _labelled_datum(tmp_path)
+    code, out, _ = run(capsys, "graph", "--datum", path, "--level", "2", "--format", "dot",
+                       "--no-timestamp")
+    assert code == 0
+    g = level_graph(read_datum(path), "A", 2)
+    body = out.splitlines()[2:-1]  # between the header comment line and the closing brace
+    names, labels = g.vertex_labels, g.dart_labels
+    assert [_dot_ids(line) for line in body if " -- " not in line] == [[v] for v in names]
+    darts = zip(g.origin.tolist(), g.terminus.tolist(), g.inv.tolist())
+    edges = [[names[o], names[t], f"{labels[e]}/{labels[f]}"] for e, (o, t, f) in enumerate(darts) if e < f]
+    assert [_dot_ids(line) for line in body if " -- " in line] == edges
+    assert '"h\\\\0.h\\"2"' in out  # the word h\0.h"2 as written
+
+    code, out, _ = run(capsys, "automaton", "--datum", path, "--no-timestamp")
+    assert code == 0
+    m = from_datum(read_datum(path))
+    body = out.splitlines()[3:-1]  # after the header, the opening line and rankdir
+    assert [_dot_ids(line) for line in body if " -> " not in line] == [[s] for s in m.states]
+    transitions = [[m.states[a], m.states[m.delta[a][x]], f"{m.alphabet[x]} / {m.alphabet[m.out[a][x]]}"]
+                   for a in range(m.n_states()) for x in range(m.n_letters())]
+    assert [_dot_ids(line) for line in body if " -> " in line] == transitions
 
 
 # one process, many commands: what a benchmark pass or a script does

@@ -56,6 +56,17 @@ def test_ugraph_checks_vertices_and_dart_endpoints():
         UGraph(["a", "b"], [0, 1], [1, 0], [1, 0], ["g"])
 
 
+def test_ugraph_labels_must_be_strings():
+    # a graph the writer would write but its own reader would refuse
+    with pytest.raises(ValueError, match="labels must be strings"):
+        UGraph.from_edges(2, [(0, 1)], labels=[1, 2])
+    with pytest.raises(ValueError, match="labels must be strings"):
+        UGraph(["a", "b"], [0, 1], [1, 0], [1, 0], ["g", None])
+    with pytest.raises(ValueError, match="labels must be strings"):
+        UGraph(["a", b"b"], [0, 1], [1, 0], [1, 0], ["g", "g'"])
+    assert UGraph.from_edges(2, [(0, 1)], labels=["1", "2"]).vertex_labels == ["1", "2"]
+
+
 def test_ugraph_checks_that_inverse_darts_reverse_their_ends():
     with pytest.raises(ValueError, match="inverse dart must reverse"):
         UGraph(["a", "b"], [0, 0], [1, 1], [1, 0], ["g", "g'"])

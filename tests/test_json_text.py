@@ -1,6 +1,7 @@
 """The one indented JSON writer: `json_text(x)` must equal
-`json.dumps(x, sort_keys=True, indent=1, default=str)` byte for byte, on
-edge cases, on every indent-1 golden file and on real CLI payloads."""
+`json.dumps(x, sort_keys=True, indent=1, default=str)` byte for byte, with
+every numpy array in `x` first replaced by its `tolist()`, on edge cases, on
+every indent-1 golden file, on graph files and on real CLI payloads."""
 
 import contextlib
 import io
@@ -13,13 +14,24 @@ import pytest
 
 from ramshift import cli
 from ramshift.graphs import UGraph, ugraph_to_json, ugraph_to_json_dict
-from ramshift.vhdatum import json_text
+from ramshift.vhdatum import direct_product_datum, dumps_datum, json_text
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def stdlib(value) -> str:
     return json.dumps(value, sort_keys=True, indent=1, default=str)
+
+
+def listed(value):
+    """`value` with every numpy array replaced by its `tolist()`."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: listed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(listed, value))
+    return value
 
 
 EDGE_CASES = {
@@ -56,6 +68,53 @@ def test_edge_cases_match_stdlib_at_every_depth(name):
         assert json_text(payload) == stdlib(payload)
 
 
+def _records(*rows):
+    out = np.zeros(len(rows), dtype=[("origin", np.int64), ("terminus", np.int64), ("label", object)])
+    for k, row in enumerate(rows):
+        out[k] = row
+    return out
+
+
+LABELS = ['say "hi"', "back\\slash", "\\", '"', "tab\there", "\x00", "end\x00", "\x1f\n",
+          "é", "∞", "😀", "100%d", "%s%%", ""]
+ARRAYS = {
+    "ints": np.array([3, -1, 0, 7]),
+    "int64_extremes": np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+    "uint64_max": np.array([np.iinfo(np.uint64).max, 0], dtype=np.uint64),
+    "int32_rows": np.arange(12, dtype=np.int32).reshape(4, 3),
+    "uint8_rows": np.arange(6, dtype=np.uint8).reshape(2, 3),
+    "one_row": np.array([[5, 6]]),
+    "one_column": np.array([[5], [6]]),
+    "empty": np.array([], dtype=np.int64),
+    "empty_rows": np.zeros((0, 3), dtype=np.int64),
+    "rows_without_columns": np.zeros((2, 0), dtype=np.int64),
+    "str_objects": np.array(LABELS, dtype=object),
+    "str_object_rows": np.array([LABELS[:2], LABELS[2:4]], dtype=object),
+    "records": _records(*((k, -k, label) for k, label in enumerate(LABELS))),
+    "empty_records": _records(),
+    "records_with_none": _records((0, 1, "a"), (1, 0, None)),
+    "records_with_int_label": _records((0, 1, 1), (1, 0, True)),
+    "records_with_list_label": _records((0, 1, "a"), (1, 0, ["b"])),
+    "str_subclass": np.array([np.str_("a"), "a", "b"], dtype=object),
+    "bools": np.array([True, False]),
+    "floats": np.array([0.1, -0.0, 1e300, np.nan]),
+    "float_rows": np.array([[0.5, 2.0], [np.inf, 3.0]]),
+    "unicode_dtype": np.array(["a", "é"]),
+    "zero_d": np.array(5),
+    "three_d": np.arange(8).reshape(2, 2, 2),
+    "in_list": [np.array([1, 2]), np.array([[3]])],
+    "int_keys": {1: np.array([1, 2])},
+    "tuple_of_arrays": (np.array([1]), np.array(["x"], dtype=object)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_arrays_are_written_as_their_lists_at_every_depth(name):
+    value = ARRAYS[name]
+    for payload in (value, {"k": value}, {"a": {"b": [value]}, "z": {"y": value}}):
+        assert json_text(payload) == stdlib(listed(payload))
+
+
 def test_dict_keys_are_sorted_and_escaped():
     payload = {"b": 1, "a": {"é\n": [1], '"q"': "x"}, "A": [[0, "\\"]]}
     assert json_text(payload) == stdlib(payload)
@@ -82,8 +141,8 @@ REAL = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REAL))
-def test_real_cli_payloads_match_stdlib(name, monkeypatch):
+def _recorded_run(argv, monkeypatch):
+    """(payload, stdout) of one CLI run, recording what it hands the writer."""
     payloads = []
 
     def recording(payload):
@@ -93,19 +152,60 @@ def test_real_cli_payloads_match_stdlib(name, monkeypatch):
     monkeypatch.setattr(cli, "json_text", recording)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(REAL[name] + ["--no-timestamp"]) == 0
+        assert cli.main(argv + ["--no-timestamp"]) == 0
     (payload,) = payloads
-    assert out.getvalue() == stdlib(payload) + "\n"
+    return payload, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(REAL))
+def test_real_cli_payloads_match_stdlib(name, monkeypatch):
+    payload, out = _recorded_run(REAL[name], monkeypatch)
+    assert out == stdlib(listed(payload)) + "\n"
     if name.startswith("verify"):
         assert all(type(v["ramanujan"]) is bool for v in payload["verdicts"])
-        assert '"ramanujan": true' in out.getvalue()
+        assert '"ramanujan": true' in out
+    else:  # a graph file is written from the graph's arrays
+        assert all(type(payload[key]) is np.ndarray for key in ("darts", "inv", "adjacency_coo"))
+
+
+def test_graph_file_of_a_datum_with_escaped_labels_matches_stdlib(tmp_path, monkeypatch):
+    data = json.loads(dumps_datum(direct_product_datum(2, 2)))
+    data["V"] = ['v"0', "v\\1", "v\x01\n", "vé😀"]
+    data["H"] = ["h\\0", 'h"1', "h%d\t", "h∞"]
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for side in ("A", "B"):
+        argv = ["graph", "--datum", str(path), "--level", "3", "--side", side, "--format", "json"]
+        payload, out = _recorded_run(argv, monkeypatch)
+        assert out == stdlib(listed(payload)) + "\n"
+        assert "v\\u00e9\\ud83d\\ude00" in out and '\\"' in out
 
 
 def test_graph_file_matches_stdlib_and_coo_counts_darts():
     # a multigraph: a double edge, a loop and a vertex with no edges
     g = UGraph.from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 2)])
-    data = ugraph_to_json_dict(g)
+    data = json.loads(ugraph_to_json(g))
     counts = Counter(zip(g.origin.tolist(), g.terminus.tolist()))
     assert data["adjacency_coo"] == [[i, j, m] for (i, j), m in sorted(counts.items())]
     assert all(type(x) is int for row in data["adjacency_coo"] for x in row)
     assert ugraph_to_json(g) == json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+GRAPHS = {
+    "one_vertex_no_darts": UGraph(["v"], [], [], [], []),
+    "loops_and_double_edges": UGraph.from_edges(3, [(0, 0), (0, 1), (1, 0), (2, 2), (2, 2), (0, 0)]),
+    "labels": UGraph(LABELS[:4], [0, 1, 2, 2, 3, 0], [1, 0, 2, 2, 0, 3], [1, 0, 3, 2, 5, 4], LABELS[4:10]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_graph_files_match_stdlib_on_the_list_form(name):
+    g = GRAPHS[name]
+    data = ugraph_to_json_dict(g)
+    text = ugraph_to_json(g)
+    assert text == stdlib(listed(data)) + "\n"
+    rows = zip(g.origin.tolist(), g.terminus.tolist(), g.dart_labels)
+    assert json.loads(text)["darts"] == [list(row) for row in rows]
+    if not g.n_darts():
+        for key in ("darts", "inv", "adjacency_coo"):
+            assert f'"{key}": []' in text
