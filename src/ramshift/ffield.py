@@ -10,11 +10,12 @@ Conventions
   comes first.  This ordering is used everywhere symbols or vertices need a
   reproducible order.
 * Elements are held as these encodings: an `FqElem` stores one, an
-  `Fq2Elem` u + vZ stores those of u and v.  Each `FieldSpec` builds flat
-  add, mul, neg, inverse and norm tables once (q^2 entries for the binary
-  ones) from the coefficient-tuple arithmetic, or for a prime field from
-  residue arithmetic mod p, and every operation is a table lookup.
-  `coeffs`, `.u`, `.v` and the labels are read off the encodings.
+  `Fq2Elem` u + vZ stores those of u and v.  Each `FieldSpec` builds one
+  set of add, mul, neg, inverse and norm tables, numpy arrays (q x q for
+  the binary ones), once from the (q, e) digit array of the encodings; the
+  same builder serves every q = p^e, and q is capped at FIELD_SIZE_LIMIT.
+  Every operation is a table lookup.  `coeffs`, `.u`, `.v` and the labels
+  are read off the encodings.
 * The modulus is the lexicographically smallest monic irreducible of its
   degree (coefficients compared low degree first); for e = 1 it is the
   variable itself.  c is the first non-square in the canonical ordering.
@@ -23,17 +24,16 @@ Conventions
 * Conjugation on F_q[Z] is the Frobenius x -> x^q, which fixes F_q and sends
   Z to -Z.  The norm N(x) = x * conj(x) lands in F_q.
 * Many F_q[Z] values at once are a pair (nu, nv) of int arrays of one shape.
-  `FieldSpec.arrays` holds numpy copies of the tables, built on first use,
-  and the `pair_*` methods gather from them elementwise with exactly the
-  formulas of the `Fq2Elem` operators, so a batch of products or inverses
-  is a handful of table gathers over whole arrays.
+  The `pair_*` methods gather from the tables in `FieldSpec.arrays`
+  elementwise with exactly the formulas of the `Fq2Elem` operators, which
+  read single entries of the same tables, so a batch of products or
+  inverses is a handful of table gathers over whole arrays.
 
 All values are immutable by convention and all operations are pure.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -103,14 +103,23 @@ def _is_irreducible_zp(f: list[int], p: int) -> bool:
 # the field F_q
 
 
+FIELD_SIZE_LIMIT = 2048
+
+
+class SizeCapExceeded(RuntimeError):
+    """Raised when an instance is larger than a configured resource limit."""
+
+
 def _encode(coeffs, p: int) -> int:
     """The canonical encoding c_0 + c_1*p + ... of a coefficient sequence."""
     return sum(x * p**i for i, x in enumerate(coeffs))
 
 
 class FieldArrays(NamedTuple):
-    """numpy copies of a `FieldSpec`'s tables, indexed like the lists (inv
-    holds 0 at 0, where the list holds None)."""
+    """The arithmetic of a `FieldSpec` as int arrays indexed by encodings:
+    add[a, b] and mul[a, b] are (q, q); neg, inv (0 at 0) and cmul (c
+    times each element) are (q,); norm is (q*q,), indexed by the F_q[Z]
+    encoding u + q*v."""
 
     add: np.ndarray
     mul: np.ndarray
@@ -124,60 +133,52 @@ class FieldArrays(NamedTuple):
 Pair = tuple[np.ndarray, np.ndarray]
 
 
-def _poly_mulmod_zp(a, b, modulus: tuple[int, ...], p: int) -> list[int]:
-    """a * b reduced modulo the monic modulus in Z_p[x]: the definition the
-    multiplication table is built from."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod_zp(prod, list(modulus), p)[1]
-
-
 class FieldSpec:
     """The field F_q, q = p^e odd, together with the fixed non-square c.
 
     Elements are held as their canonical encodings 0..q-1.  The constructor
-    builds the arithmetic once as flat lists indexed by encodings (a*q + b
-    for two operands), defined on coefficient tuples: addition digit by
-    digit mod p, multiplication as polynomials reduced by the modulus.  A
-    prime field (e = 1) fills the same tables from residues mod p directly.
-    `FqElem` and `Fq2Elem` operators are lookups into these tables.  The
-    modulus must be monic irreducible of degree e; `make_field` picks it.
-    Instances are immutable by convention and compare by their defining
-    data (p, e, modulus, c).
+    builds the arithmetic once, as the `FieldArrays` tables in `arrays`,
+    from the (q, e) array of coefficient digits: addition digit by digit
+    mod p, multiplication as schoolbook polynomial products reduced by the
+    modulus from the top degree down.  The same builder serves every e,
+    prime fields included (their modulus is x).  `FqElem` and `Fq2Elem`
+    operators read single entries of these tables.  The modulus must be
+    monic irreducible of degree e; `make_field` picks it.  Instances are
+    immutable by convention and compare by their defining data (p, e,
+    modulus, c).
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         q = p**e
         self.p, self.e, self.q, self.modulus = p, e, q, tuple(modulus)
-        self._coeffs = coeffs = [tuple(n // p**i % p for i in range(e)) for n in range(q)]
-        self._neg = [_encode([-x % p for x in a], p) for a in coeffs]
-        self._inv = [None] * q  # zero has no inverse
-        if e == 1:
-            # Z_p itself: encodings are residues, so nothing is reduced by the
-            # modulus; the entries are items of `res`, which shares their ints
-            res = list(range(p))
-            self._add = [x for a in res for x in res[a:] + res[:a]]
-            self._mul = mul = [res[a * b % p] for a in res for b in res]
-            self._inv[1:] = [pow(a, p - 2, p) for a in res[1:]]
-        else:
-            self._add = [_encode([(x + y) % p for x, y in zip(a, b)], p)
-                         for a in coeffs for b in coeffs]
-            self._mul = mul = [_encode(_poly_mulmod_zp(a, b, self.modulus, p), p)
-                               for a in coeffs for b in coeffs]
-            for ab, prod in enumerate(mul):
-                if prod == 1:
-                    self._inv[ab // q] = ab % q
+        powers = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // powers % p  # (q, e), low degree first
+        self._coeffs = list(map(tuple, digits.tolist()))
+        add = (digits[:, None] + digits[None]) % p @ powers
+        neg = -digits % p @ powers
+        # schoolbook products, then x^k = x^(k-e) * -(m_0 + ... + m_{e-1} x^(e-1))
+        # for k from the top degree down, keeping every digit below p
+        prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+        for i in range(e):
+            prod[:, :, i:i + e] += digits[:, None, i, None] * digits[None]
+        prod %= p
+        fold = -np.array(self.modulus[:e]) % p
+        for k in range(2 * e - 2, e - 1, -1):
+            prod[:, :, k - e:k] += prod[:, :, k, None] * fold
+            prod[:, :, k - e:k] %= p
+        mul = prod[:, :, :e] @ powers
+        del prod
+        inv = np.argmax(mul == 1, axis=1)  # 0 at 0, which has no inverse
         # c is the first non-square in the canonical ordering
-        squared = [mul[u * q + u] for u in range(q)]
-        squares = set(squared)
-        c = next(n for n in range(1, q) if n not in squares)
-        self.c = coeffs[c]
-        self._cmul = [mul[c * q + n] for n in range(q)]
+        sq = np.diagonal(mul)
+        is_square = np.zeros(q, dtype=bool)
+        is_square[sq] = True
+        c = int(np.argmin(is_square))
+        self.c = self._coeffs[c]
+        cmul = mul[c]
         # N(u + vZ) = u^2 - c v^2, indexed by the F_q[Z] encoding u + q*v
-        self._norm = [self._add[s * q + t] for t in (self._neg[self._cmul[x]] for x in squared)
-                      for s in squared]
+        norm = add[sq[None, :], neg[cmul[sq]][:, None]].ravel()
+        self.arrays = FieldArrays(add, mul, neg, inv, cmul, norm)
         self._hash = hash(self._key())
 
     # -- identity ----------------------------------------------------------
@@ -221,7 +222,7 @@ class FieldSpec:
         return FqElem(self, 1)
 
     def c_elem(self) -> "FqElem":
-        return FqElem(self, self._cmul[1])  # c * 1
+        return FqElem(self, self.arrays.cmul.item(1))  # c * 1
 
     def elements(self) -> list["FqElem"]:
         """All of F_q in canonical order."""
@@ -240,21 +241,14 @@ class FieldSpec:
 
     # -- array API: F_q[Z] values as pairs (nu, nv) of int arrays ------------
 
-    @cached_property
-    def arrays(self) -> FieldArrays:
-        """The tables as int arrays, built on first use."""
-        inv = [0] + self._inv[1:]
-        return FieldArrays(*(np.array(t, dtype=np.intp) for t in
-                             (self._add, self._mul, self._neg, inv, self._cmul, self._norm)))
-
     def pair(self, elems) -> Pair:
         """The pair of arrays holding a sequence of `Fq2Elem`s."""
         return (np.array([x.nu for x in elems], dtype=np.intp),
                 np.array([x.nv for x in elems], dtype=np.intp))
 
     def pair_add(self, x: Pair, y: Pair) -> Pair:
-        add, q = self.arrays.add, self.q
-        return add[x[0] * q + y[0]], add[x[1] * q + y[1]]
+        add = self.arrays.add
+        return add[x[0], y[0]], add[x[1], y[1]]
 
     def pair_neg(self, x: Pair) -> Pair:
         neg = self.arrays.neg
@@ -262,10 +256,10 @@ class FieldSpec:
 
     def pair_mul(self, x: Pair, y: Pair) -> Pair:
         """Elementwise `Fq2Elem.__mul__`; the operands broadcast."""
-        t, q = self.arrays, self.q
+        t = self.arrays
         (a, b), (c, d) = x, y
-        u = t.add[t.mul[a * q + c] * q + t.cmul[t.mul[b * q + d]]]
-        v = t.add[t.mul[a * q + d] * q + t.mul[b * q + c]]
+        u = t.add[t.mul[a, c], t.cmul[t.mul[b, d]]]
+        v = t.add[t.mul[a, d], t.mul[b, c]]
         return u, v
 
     def pair_conj(self, x: Pair) -> Pair:
@@ -277,12 +271,12 @@ class FieldSpec:
 
     def pair_inverse(self, x: Pair) -> Pair:
         """Elementwise `Fq2Elem.inverse`: conj(x) / N(x)."""
-        t, q = self.arrays, self.q
+        t = self.arrays
         n = self.pair_norm(x)
         if not n.all():
             raise ZeroDivisionError("inversion of zero in F_q[Z]")
         ninv = t.inv[n]
-        return t.mul[x[0] * q + ninv], t.mul[t.neg[x[1]] * q + ninv]
+        return t.mul[x[0], ninv], t.mul[t.neg[x[1]], ninv]
 
 
 class FqElem:
@@ -308,38 +302,35 @@ class FqElem:
         return hash(self.n)
 
     def __add__(self, other: "FqElem") -> "FqElem":
-        s = self.spec
-        return FqElem(s, s._add[self.n * s.q + other.n])
+        return FqElem(self.spec, self.spec.arrays.add.item(self.n, other.n))
 
     def __sub__(self, other: "FqElem") -> "FqElem":
-        s = self.spec
-        return FqElem(s, s._add[self.n * s.q + s._neg[other.n]])
+        t = self.spec.arrays
+        return FqElem(self.spec, t.add.item(self.n, t.neg.item(other.n)))
 
     def __neg__(self) -> "FqElem":
-        return FqElem(self.spec, self.spec._neg[self.n])
+        return FqElem(self.spec, self.spec.arrays.neg.item(self.n))
 
     def __mul__(self, other: "FqElem") -> "FqElem":
-        s = self.spec
-        return FqElem(s, s._mul[self.n * s.q + other.n])
+        return FqElem(self.spec, self.spec.arrays.mul.item(self.n, other.n))
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FqElem":
-        s = self.spec
-        mul, q = s._mul, s.q
+        mul = self.spec.arrays.mul.item
         result, base = 1, self.n
         while n:
             if n & 1:
-                result = mul[result * q + base]
-            base = mul[base * q + base]
+                result = mul(result, base)
+            base = mul(base, base)
             n >>= 1
-        return FqElem(s, result)
+        return FqElem(self.spec, result)
 
     def inverse(self) -> "FqElem":
         if not self.n:
             raise ZeroDivisionError("inversion of zero in F_q")
-        return FqElem(self.spec, self.spec._inv[self.n])
+        return FqElem(self.spec, self.spec.arrays.inv.item(self.n))
 
     def is_zero(self) -> bool:
         return not self.n
@@ -381,49 +372,47 @@ class Fq2Elem:
         return hash((self.nu, self.nv))
 
     def __add__(self, other: "Fq2Elem") -> "Fq2Elem":
-        s = self.spec
-        add, q = s._add, s.q
-        return Fq2Elem(s, add[self.nu * q + other.nu], add[self.nv * q + other.nv])
+        add = self.spec.arrays.add.item
+        return Fq2Elem(self.spec, add(self.nu, other.nu), add(self.nv, other.nv))
 
     def __sub__(self, other: "Fq2Elem") -> "Fq2Elem":
-        s = self.spec
-        add, neg, q = s._add, s._neg, s.q
-        return Fq2Elem(s, add[self.nu * q + neg[other.nu]], add[self.nv * q + neg[other.nv]])
+        t = self.spec.arrays
+        add, neg = t.add.item, t.neg.item
+        return Fq2Elem(self.spec, add(self.nu, neg(other.nu)), add(self.nv, neg(other.nv)))
 
     def __neg__(self) -> "Fq2Elem":
-        neg = self.spec._neg
-        return Fq2Elem(self.spec, neg[self.nu], neg[self.nv])
+        neg = self.spec.arrays.neg.item
+        return Fq2Elem(self.spec, neg(self.nu), neg(self.nv))
 
     def __mul__(self, other: "Fq2Elem") -> "Fq2Elem":
         # (a + bZ)(c + dZ) = (ac + c_Z bd) + (ad + bc)Z, c_Z the non-square
-        s = self.spec
-        add, mul, q = s._add, s._mul, s.q
+        t = self.spec.arrays
+        add, mul = t.add.item, t.mul.item
         a, b, c, d = self.nu, self.nv, other.nu, other.nv
-        u = add[mul[a * q + c] * q + s._cmul[mul[b * q + d]]]
-        v = add[mul[a * q + d] * q + mul[b * q + c]]
-        return Fq2Elem(s, u, v)
+        u = add(mul(a, c), t.cmul.item(mul(b, d)))
+        v = add(mul(a, d), mul(b, c))
+        return Fq2Elem(self.spec, u, v)
 
     def __truediv__(self, other: "Fq2Elem") -> "Fq2Elem":
         return self * other.inverse()
 
     def conj(self) -> "Fq2Elem":
         """Frobenius conjugate: u + vZ -> u - vZ."""
-        return Fq2Elem(self.spec, self.nu, self.spec._neg[self.nv])
+        return Fq2Elem(self.spec, self.nu, self.spec.arrays.neg.item(self.nv))
 
     def norm(self) -> FqElem:
         """N(u + vZ) = u^2 - c v^2, an element of F_q."""
         s = self.spec
-        return FqElem(s, s._norm[self.nu + s.q * self.nv])
+        return FqElem(s, s.arrays.norm.item(self.nu + s.q * self.nv))
 
     def inverse(self) -> "Fq2Elem":
         """conj(x) / N(x)."""
-        s = self.spec
-        mul, q = s._mul, s.q
-        n = s._norm[self.nu + q * self.nv]
+        s, t = self.spec, self.spec.arrays
+        n = t.norm.item(self.nu + s.q * self.nv)
         if not n:
             raise ZeroDivisionError("inversion of zero in F_q[Z]")
-        ninv = s._inv[n]
-        return Fq2Elem(s, mul[self.nu * q + ninv], mul[s._neg[self.nv] * q + ninv])
+        ninv = t.inv.item(n)
+        return Fq2Elem(s, t.mul.item(self.nu, ninv), t.mul.item(t.neg.item(self.nv), ninv))
 
     def is_zero(self) -> bool:
         return not (self.nu or self.nv)
@@ -443,10 +432,8 @@ class Fq2Elem:
 
 
 def fq_label(a: FqElem) -> str:
-    """Render a base-field element: an integer for prime fields, a
-    polynomial in w otherwise."""
-    if a.spec.e == 1:
-        return str(a.coeffs[0])
+    """Render a base-field element as a polynomial in w, so an element of
+    the prime subfield (every element of a prime field) as an integer."""
     parts = []
     for i, coeff in enumerate(a.coeffs):
         if coeff == 0:
@@ -482,22 +469,19 @@ def fq2_label(x: Fq2Elem) -> str:
 def make_field(p: int, e: int = 1) -> FieldSpec:
     """Build F_q for q = p^e with the deterministic modulus and non-square.
 
-    Raises ValueError unless p is an odd prime and e >= 1.
+    Raises ValueError unless p is an odd prime and e >= 1, and
+    SizeCapExceeded when q exceeds FIELD_SIZE_LIMIT; both are decided
+    before any modulus is searched or any table is built.
     """
-    if not _is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    if e == 1:
-        modulus = (0, 1)
-    else:
-        modulus = None
-        for f in _monic_polys_zp(e, p):
-            if _is_irreducible_zp(f, p):
-                modulus = tuple(f)
-                break
-        if modulus is None:  # cannot happen: irreducibles exist in every degree
-            raise RuntimeError("no irreducible modulus found")
+    # p^e > 2^e, so e at the limit's bit length is over it: no huge power
+    if p ** min(e, FIELD_SIZE_LIMIT.bit_length()) > FIELD_SIZE_LIMIT:
+        raise SizeCapExceeded(f"fields capped at q = {FIELD_SIZE_LIMIT} elements")
+    if not _is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    # irreducibles exist in every degree; for e = 1 the first is x itself
+    modulus = next(tuple(f) for f in _monic_polys_zp(e, p) if _is_irreducible_zp(f, p))
     spec = FieldSpec(p, e, modulus)
     # non-square certificate: c^((q-1)/2) = -1
     cert = spec.c_elem() ** ((spec.q - 1) // 2)
@@ -515,8 +499,9 @@ def norm_fiber(spec: FieldSpec, target: FqElem) -> list[Fq2Elem]:
     target = spec.elem(target)
     if target.is_zero():
         raise ValueError("norm fiber of zero is not used; target must be nonzero")
-    q, t = spec.q, target.n
-    fiber = [Fq2Elem(spec, n % q, n // q) for n, norm in enumerate(spec._norm) if norm == t]
+    q = spec.q
+    codes = np.flatnonzero(spec.arrays.norm == target.n).tolist()
+    fiber = [Fq2Elem(spec, n % q, n // q) for n in codes]
     if len(fiber) != spec.q + 1:
         raise RuntimeError("norm fiber has unexpected size")  # would signal a field bug
     return fiber

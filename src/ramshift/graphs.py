@@ -42,7 +42,8 @@ class UGraph:
     to terminus[e] with label dart_labels[e], and inv[e] is its inverse.
     Construction converts the index arrays to int64 once and checks them,
     so every consumer may index with them freely, and checks that every
-    label is a str, so every file written can be read back."""
+    label is a str and that vertex labels are distinct (DOT names vertices
+    by label), so every file written can be read back."""
 
     vertex_labels: list[str]
     origin: np.ndarray
@@ -56,6 +57,8 @@ class UGraph:
             raise ValueError("a graph needs at least one vertex")
         if set(map(type, itertools.chain(self.vertex_labels, self.dart_labels))) - {str}:
             raise ValueError("vertex and dart labels must be strings")
+        if len(set(self.vertex_labels)) != n:
+            raise ValueError("vertex labels must be distinct")
         # an index beyond int64 raises OverflowError in these conversions;
         # ugraph_from_json reports it as a malformed file
         o, t, inv = (np.asarray(x, dtype=np.int64) for x in (self.origin, self.terminus, self.inv))
@@ -404,9 +407,9 @@ def ugraph_to_json(graph: UGraph) -> str:
 
 def ugraph_from_json(text: str) -> UGraph:
     """Read a graph file.  Nothing is coerced: every dart must be an
-    [origin, terminus, label] row, every index a JSON integer and every
-    label a JSON string, and vertex labels must be distinct (DOT names
-    vertices by label)."""
+    [origin, terminus, label] row and every index a JSON integer, and
+    `UGraph` then requires string labels, distinct vertex labels (DOT names
+    vertices by label) and a valid dart pairing."""
     try:
         data = json.loads(text)
         vertices, darts, inv = data["vertices"], data["darts"], data["inv"]
@@ -417,8 +420,6 @@ def ugraph_from_json(text: str) -> UGraph:
         origin, terminus, labels = ([row[k] for row in darts] for k in range(3))
         if any(type(i) is not int for i in itertools.chain(origin, terminus, inv)):
             raise ValueError("dart endpoints and inv entries must be integers")
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("vertex labels must be distinct")
         graph = UGraph(vertices, origin, terminus, inv, labels)
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed graph file: {exc!r}") from exc

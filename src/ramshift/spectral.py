@@ -31,12 +31,8 @@ from math import sqrt
 
 import numpy as np
 
+from .ffield import SizeCapExceeded
 from .graphs import DartGraph, StructureReport, UGraph, nb_matrix, structure_predicates
-
-
-class SizeCapExceeded(RuntimeError):
-    """Raised when an instance is larger than the configured dense limit."""
-
 
 DENSE_EIG_LIMIT = 2000
 EXACT_POWER_LIMIT = 500

@@ -295,7 +295,11 @@ def pattern_count(shift: MatrixSubshift, m: int, n: int) -> int:
 
 
 def is_admissible(shift: MatrixSubshift, pattern: Pattern) -> bool:
+    """True for a rectangular pattern of symbols in 0..s-1 whose vertical
+    and horizontal neighbours are all allowed."""
     if len(pattern) == 0 or any(len(col) != len(pattern[0]) for col in pattern):
+        return False
+    if not all(0 <= x < shift.s for col in pattern for x in col):
         return False
     grid = np.asarray(pattern, dtype=np.intp)  # grid[x, y], y upward
     return bool(shift.B[grid[:, :-1], grid[:, 1:]].all() and shift.A[grid[:-1], grid[1:]].all())
@@ -344,10 +348,13 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
 # measures and correlations
 
 
-def _shape(pattern: Pattern) -> tuple[int, int]:
-    """(columns, height) of a pattern with at least one cell in every column."""
+def _shape(shift: MatrixSubshift, pattern: Pattern) -> tuple[int, int]:
+    """(columns, height) of a pattern with at least one cell in every column
+    and every symbol in the alphabet 0..s-1."""
     if not pattern or not all(map(len, pattern)):
         raise ValueError("a pattern needs at least one column and a cell in every column")
+    if not all(0 <= x < shift.s for col in pattern for x in col):
+        raise ValueError(f"pattern symbols must lie in 0..{shift.s - 1}")
     return len(pattern), len(pattern[0])
 
 
@@ -359,7 +366,7 @@ def cylinder_measure(shift: MatrixSubshift, pattern: Pattern) -> Fraction:
     d = shift.report.degree
     if d is None:
         raise ValueError("measure machinery needs a d-regular shift")
-    m, n = _shape(pattern)
+    m, n = _shape(shift, pattern)
     if not is_admissible(shift, pattern):
         warnings.warn("inadmissible pattern has measure zero")
         return Fraction(0)
@@ -379,13 +386,13 @@ def correlation(shift: MatrixSubshift, p1: Pattern, p2: Pattern, n: int) -> Frac
     offsets pass the transposed shift `MatrixSubshift(symbols, B, A)`, with
     the patterns transposed to match.
     """
-    (m1, k), (m2, k2) = _shape(p1), _shape(p2)
+    mu1 = cylinder_measure(shift, p1)  # checks each pattern; rejects a shift that is not d-regular
+    mu2 = cylinder_measure(shift, p2)
+    (m1, k), (m2, k2) = (len(p1), len(p1[0])), (len(p2), len(p2[0]))
     if k2 != k:
         raise ValueError("patterns must be padded to a common vertical extent")
     if n <= m1:
         raise ValueError(f"offset {n} overlaps the first pattern (width {m1})")
-    mu1 = cylinder_measure(shift, p1)  # rejects a shift that is not d-regular
-    mu2 = cylinder_measure(shift, p2)
     if mu1 == 0 or mu2 == 0:
         return Fraction(0)
     graph = shift.strip_graph("horizontal", k)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from functools import reduce
 from operator import getitem
 
@@ -206,6 +207,16 @@ def test_verify_ramanujan_empty_level_range(capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", [("--p", "2053"), ("--p", "3", "--e", "8")], ids=["q2053", "q3e8"])
+def test_datum_above_the_field_size_cap_exits_at_once(field, capsys):
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "datum", *field, "--no-timestamp")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert stdout == ""
+    assert err == "resource cap: fields capped at q = 2048 elements\n"
 
 
 def test_bass_ihara_checks_cap_before_building_darts(monkeypatch, capsys):

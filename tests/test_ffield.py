@@ -4,7 +4,8 @@ brute-force oracles computed inside the tests."""
 
 import pytest
 
-from ramshift.ffield import _poly_mulmod_zp, make_field, norm_fiber
+from ramshift import ffield
+from ramshift.ffield import FIELD_SIZE_LIMIT, SizeCapExceeded, make_field, norm_fiber
 
 
 def brute_nonresidue(p):
@@ -187,8 +188,11 @@ class TupleField:
         return self.sub(self.mul(u, u), self.mul(self.c, self.mul(v, v)))
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (11, 1), (31, 1), (101, 1),
+                                 (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
 def test_tables_match_the_tuple_definition_on_every_pair(p, e):
+    # one builder for every p^e: prime fields reduce by the modulus x, and
+    # e = 3, 4 take more than one reduction step
     spec = make_field(p, e)
     ref = TupleField(spec)
     elems = spec.elements()
@@ -201,21 +205,6 @@ def test_tables_match_the_tuple_definition_on_every_pair(p, e):
             assert (a + b).coeffs == ref.add(a.coeffs, b.coeffs)
             assert (a - b).coeffs == ref.sub(a.coeffs, b.coeffs)
             assert (a * b).coeffs == ref.mul(a.coeffs, b.coeffs)
-
-
-@pytest.mark.parametrize("p", [7, 11, 31, 101])
-def test_prime_field_tables_match_the_polynomial_definition(p):
-    # prime fields fill their tables with residue arithmetic; extension
-    # fields reduce coefficient tuples by the modulus, which for e = 1 is x
-    spec = make_field(p, 1)
-    residue = lambda coeffs: coeffs[0] if coeffs else 0
-    mul = [residue(_poly_mulmod_zp((a,), (b,), spec.modulus, p)) for a in range(p) for b in range(p)]
-    assert spec._mul == mul
-    assert spec._add == [(a + b) % p for a in range(p) for b in range(p)]
-    assert spec._neg == [-a % p for a in range(p)]
-    assert spec._inv[0] is None
-    for a in range(1, p):
-        assert mul[a * p + spec._inv[a]] == 1
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -254,8 +243,6 @@ def test_equal_encodings_in_different_fields_differ(f3, f5):
 
 
 def test_make_field_builds_the_tables_once(monkeypatch):
-    from ramshift import ffield
-
     built = []
     original = ffield.FieldSpec.__init__
 
@@ -266,6 +253,24 @@ def test_make_field_builds_the_tables_once(monkeypatch):
     monkeypatch.setattr(ffield.FieldSpec, "__init__", counting)
     make_field(3, 3)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("p,e", [(2053, 1), (3, 7), (3, 8), (3, 10**9), (4099, 3)])
+def test_fields_above_the_size_cap_are_refused_before_any_work(p, e, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no modulus search and no table above the cap")
+
+    monkeypatch.setattr(ffield, "_monic_polys_zp", refuse)
+    monkeypatch.setattr(ffield.FieldSpec, "__init__", refuse)
+    with pytest.raises(SizeCapExceeded, match=f"capped at q = {FIELD_SIZE_LIMIT}"):
+        make_field(p, e)
+
+
+def test_the_largest_prime_field_under_the_cap_builds():
+    spec = make_field(2039)
+    assert spec.q == 2039 and spec.arrays.add.shape == spec.arrays.mul.shape == (2039, 2039)
+    assert spec.c == (brute_nonresidue(2039),)
+    assert len(norm_fiber(spec, spec.one())) == 2040
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2)])

@@ -67,6 +67,14 @@ def test_ugraph_labels_must_be_strings():
     assert UGraph.from_edges(2, [(0, 1)], labels=["1", "2"]).vertex_labels == ["1", "2"]
 
 
+def test_ugraph_vertex_labels_must_be_distinct():
+    # DOT would merge the two "a" vertices and the reader would refuse the file
+    with pytest.raises(ValueError, match="vertex labels must be distinct"):
+        UGraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "a", "b"])
+    g = UGraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
+    assert ugraph_from_json(ugraph_to_json(g)).vertex_labels == ["a", "b", "c"]
+
+
 def test_ugraph_checks_that_inverse_darts_reverse_their_ends():
     with pytest.raises(ValueError, match="inverse dart must reverse"):
         UGraph(["a", "b"], [0, 0], [1, 1], [1, 0], ["g", "g'"])

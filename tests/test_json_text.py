@@ -6,6 +6,7 @@ every indent-1 golden file, on graph files and on real CLI payloads."""
 import contextlib
 import io
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +22,28 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 def stdlib(value) -> str:
     return json.dumps(value, sort_keys=True, indent=1, default=str)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Exact equality of two texts.  A failure names only the first
+    differing offset with 40 characters on each side: pytest's own diff of
+    two texts of a megabyte runs for minutes."""
+    if got != want:
+        k = len(os.path.commonprefix((got, want)))
+        lo = max(0, k - 40)
+        pytest.fail(f"texts differ at offset {k} (lengths {len(got)} and {len(want)}):\n"
+                    f"  got:  {got[lo:k + 40]!r}\n  want: {want[lo:k + 40]!r}", pytrace=False)
+
+
+def test_text_comparison_names_the_first_difference():
+    assert_same_text("x" * 10**6, "x" * 10**6)
+    with pytest.raises(pytest.fail.Exception) as caught:
+        assert_same_text("a" * 100 + "b" + "c" * 10**6, "a" * 100 + "B" + "c" * 10**6)
+    message = str(caught.value)
+    assert "offset 100 " in message and len(message) < 300
+    assert repr("a" * 40 + "b" + "c" * 39) in message and repr("a" * 40 + "B" + "c" * 39) in message
+    with pytest.raises(pytest.fail.Exception, match="offset 3 .lengths 3 and 4"):
+        assert_same_text("abc", "abcd")
 
 
 def listed(value):
@@ -130,7 +153,7 @@ def test_golden_json_files_are_all_found():
 @pytest.mark.parametrize("name", INDENT_ONE)
 def test_golden_files_round_trip(name):
     text = (GOLDEN / name).read_text(encoding="utf-8")
-    assert json_text(json.loads(text)) + "\n" == text
+    assert_same_text(json_text(json.loads(text)) + "\n", text)
 
 
 REAL = {
@@ -160,7 +183,7 @@ def _recorded_run(argv, monkeypatch):
 @pytest.mark.parametrize("name", sorted(REAL))
 def test_real_cli_payloads_match_stdlib(name, monkeypatch):
     payload, out = _recorded_run(REAL[name], monkeypatch)
-    assert out == stdlib(listed(payload)) + "\n"
+    assert_same_text(out, stdlib(listed(payload)) + "\n")
     if name.startswith("verify"):
         assert all(type(v["ramanujan"]) is bool for v in payload["verdicts"])
         assert '"ramanujan": true' in out
@@ -177,7 +200,7 @@ def test_graph_file_of_a_datum_with_escaped_labels_matches_stdlib(tmp_path, monk
     for side in ("A", "B"):
         argv = ["graph", "--datum", str(path), "--level", "3", "--side", side, "--format", "json"]
         payload, out = _recorded_run(argv, monkeypatch)
-        assert out == stdlib(listed(payload)) + "\n"
+        assert_same_text(out, stdlib(listed(payload)) + "\n")
         assert "v\\u00e9\\ud83d\\ude00" in out and '\\"' in out
 
 

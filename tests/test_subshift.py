@@ -507,6 +507,20 @@ def test_correlation_validations(xd_q3):
                 correlation(xd_q3, p1, p2, 3)
 
 
+@pytest.mark.parametrize("symbol", [99, -1, 16])
+def test_patterns_with_symbols_outside_the_alphabet(xd_q3, symbol):
+    assert xd_q3.s == 16
+    bad = ((symbol,),)
+    assert not is_admissible(xd_q3, bad)
+    assert not is_admissible(xd_q3, ((0, symbol),))  # -1 must not wrap to 15
+    with pytest.raises(ValueError, match=r"symbols must lie in 0\.\.15"):
+        cylinder_measure(xd_q3, bad)
+    tile = ((0,),)
+    for p1, p2 in ((bad, tile), (tile, bad)):
+        with pytest.raises(ValueError, match=r"symbols must lie in 0\.\.15"):
+            correlation(xd_q3, p1, p2, 3)
+
+
 def test_mixing_tables_q3(d12_q3):
     for k in (1, 2):
         table = mixing_table(d12_q3, k, 20)
