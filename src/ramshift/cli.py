@@ -27,6 +27,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from functools import cache, partial
+from itertools import islice
 
 from . import graphs, mealy, spectral, subshift, vhdatum
 from .ffield import make_field
@@ -157,29 +158,46 @@ def cmd_product_graph(args) -> int:
     return EXIT_OK
 
 
+def _tower_checks(datum, side: str, tol: float):
+    """ramanujan_check of a level of one side, from a covering tower built
+    from level 1 up to the highest level asked for so far: a level's
+    spectrum does not depend on which levels were requested."""
+    tower, built = spectral.tower_spectra(graphs.level_tower(datum, side)), []
+
+    def check(level: int) -> spectral.SpectralReport:
+        built.extend(islice(tower, max(0, level - len(built))))
+        graph, eigs = built[level - 1]
+        return spectral.ramanujan_check(graph, tol=tol, eigenvalues=eigs)
+
+    return check
+
+
 def cmd_verify_ramanujan(args) -> int:
-    # one job per graph: (entry tags, CSV block name, vertex count, build);
-    # a level is built only when its closed-form size is within the cap
+    # one job per graph: (entry tags, CSV block name, vertex count, check);
+    # a level is checked, and its tower built up to it, only when its
+    # closed-form size is within the cap
     if args.graph_json:
         with open(args.graph_json, "r", encoding="utf-8") as fh:
             graph = graphs.ugraph_from_json(fh.read())
-        jobs = [({"source": args.graph_json}, args.graph_json, graph.n_vertices(), lambda: graph)]
+        jobs = [({"source": args.graph_json}, args.graph_json, graph.n_vertices(),
+                 partial(spectral.ramanujan_check, graph, tol=args.tol))]
     else:
         datum = _datum_from_args(args)
         sides = ("A", "B") if args.side == "both" else (args.side,)
+        checks = {side: _tower_checks(datum, side, args.tol) for side in sides}
         jobs = [
             ({"side": side, "level": level}, f"{side}_{level}", graphs.level_size(datum, side, level),
-             partial(graphs.level_graph, datum, side, level))
+             partial(checks[side], level))
             for level in _parse_levels(args.levels)
             for side in sides
         ]
     verdicts = []
     spectra = []
-    for tags, name, n_vertices, build in jobs:
+    for tags, name, n_vertices, check in jobs:
         if n_vertices > args.dense_cap:
             verdicts.append({"skipped": True, "n_vertices": n_vertices, **tags})
             continue
-        report = spectral.ramanujan_check(build(), tol=args.tol)
+        report = check()
         entry = spectral.spectral_report_to_dict(report)
         entry.update(skipped=False, connected=report.structure.connected,
                      non_bipartite=not report.bipartite, **tags)

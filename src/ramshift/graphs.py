@@ -15,7 +15,9 @@ words of length n over H (one dart per V-state), glued into an undirected
 graph via the state involution; B_n is the same for the dual automaton on
 reduced words over V.  Both are built by the array lift `mealy.lift_arrays`,
 and product levels thread the state through one lift per component.
-Coverings between levels are checked on the lift's form, `mealy.LevelArrays`.
+Coverings between levels are checked on the lift's form, `mealy.LevelArrays`,
+and, for `level_tower`'s levels with their parent arrays, on the graphs'
+darts (`cover_fiber`).
 Dart v * s + a leaves vertex v with state a, and its inverse is dart
 dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
@@ -26,13 +28,14 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from .ffield import FieldSpec
-from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, word_labels
+from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, lift_levels, word_labels
 from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, dot_escaped, json_text
 
 
@@ -164,14 +167,14 @@ def level_size(datum: VHDatum, side: str, n: int) -> int:
     return s * (s - 1) ** (n - 1)
 
 
-def _lifted_graph(automata: list[Mealy], levels: tuple[int, ...]) -> UGraph:
-    """The one builder of A_n, B_n and product levels.  Vertices are tuples
-    of reduced words, one per automaton, indexed in mixed radix with the
-    first component most significant (itertools.product order).  Dart
-    v * s + a threads state a through the components' lifts in order, the
-    end state of each transduction starting the next (`mealy.product_act`);
-    its inverse is dart dst * s + a^-1, which UGraph's check confirms."""
-    lifts = [lift_arrays(auto, lv) for auto, lv in zip(automata, levels)]
+def _lifted_graph(automata: list[Mealy], lifts: list[LevelArrays]) -> UGraph:
+    """The one builder of A_n, B_n and product levels, from one lift per
+    automaton.  Vertices are tuples of reduced words, one per automaton,
+    indexed in mixed radix with the first component most significant
+    (itertools.product order).  Dart v * s + a threads state a through the
+    components' lifts in order, the end state of each transduction
+    starting the next (`mealy.product_act`); its inverse is dart
+    dst * s + a^-1, which UGraph's check confirms."""
     s = automata[0].n_states()
     total = int(np.prod([len(lift.words) for lift in lifts]))
     vertex = np.arange(total)[:, None]
@@ -190,13 +193,29 @@ def _lifted_graph(automata: list[Mealy], levels: tuple[int, ...]) -> UGraph:
     return UGraph(list(map("|".join, labels)), origin, dst.ravel(), inv, automata[0].states * total)
 
 
+def _side_automaton(datum: VHDatum, side: str) -> Mealy:
+    return from_datum(datum) if side == "A" else dual(from_datum(datum))
+
+
 def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
     """The undirected level graph A_n or B_n; (q+1)-regular with
     (q+1) q^(n-1) vertices for a quaternionic datum (every vertex keeps one
     dart per state, since the lift drops none)."""
     _check_level(side, n)
-    auto = from_datum(datum) if side == "A" else dual(from_datum(datum))
-    return _lifted_graph([auto], (n,))
+    auto = _side_automaton(datum, side)
+    return _lifted_graph([auto], [lift_arrays(auto, n)])
+
+
+def level_tower(datum: VHDatum, side: str) -> Iterator[tuple[UGraph, np.ndarray | None]]:
+    """The rose, then A_1, A_2, ... (B_n for side "B") from one lift, each
+    level with its parent array: parent[v] is the vertex of the level below
+    under v, its word without the first letter (None for the rose).  The
+    rose is one vertex with a loop dart per state; every fiber of parent
+    has q words, and q + 1 at level 1, for a quaternionic datum."""
+    _check_level(side, 1)
+    auto = _side_automaton(datum, side)
+    for lift in lift_levels(auto):
+        yield _lifted_graph([auto], [lift]), lift.parent
 
 
 def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...]) -> UGraph:
@@ -221,7 +240,7 @@ def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...])
         raise ValueError("levels must be nonnegative")
 
     automata = [from_datum(build_quaternionic_datum(spec, tau, sigma)) for sigma in sigmas]
-    return _lifted_graph(automata, levels)
+    return _lifted_graph(automata, [lift_arrays(auto, lv) for auto, lv in zip(automata, levels)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +279,24 @@ def covering_check(big: LevelArrays, small: LevelArrays, projection: str) -> boo
     out_stars = (big_src, big.dst.ravel(), small_src, small.dst.ravel())
     in_stars = (big.dst.ravel(), big_src, small.dst.ravel(), small_src)
     return all(_stars_correspond(pmap, len(small.dst), *darts) for darts in (out_stars, in_stars))
+
+
+def cover_fiber(graph: UGraph, lower: UGraph, parent: np.ndarray) -> int:
+    """The fiber size f of `parent` as a covering map graph -> lower with
+    equal fibers, so that A P = P A_lower for the 0/1 matrix P of parent:
+    every fiber has f vertices, and the out-star of every vertex maps onto
+    the out-star of its image (the check `covering_check` makes; for an
+    undirected graph the in-stars follow).  Raises ValueError otherwise."""
+    n_low = lower.n_vertices()
+    parent = np.asarray(parent)
+    if parent.shape != (graph.n_vertices(),) or parent.min() < 0 or parent.max() >= n_low:
+        raise ValueError(f"parent must map the {graph.n_vertices()} vertices into 0..{n_low - 1}")
+    fibers = np.bincount(parent, minlength=n_low)
+    if (fibers != fibers[0]).any():
+        raise ValueError("parent is not a covering map: its fibers differ in size")
+    if not _stars_correspond(parent, n_low, graph.origin, graph.terminus, lower.origin, lower.terminus):
+        raise ValueError("parent is not a covering map: an out-star does not map onto its image's")
+    return int(fibers[0])
 
 
 def _stars_correspond(pmap, n_small, big_tail, big_head, small_tail, small_head) -> bool:

@@ -11,14 +11,16 @@ is followed by its inverse.  An action graph has one form, `LevelArrays`:
 the words of length n as an int array and, for every (word, state) dart,
 the index of the image word and the end state.  The lifting rule R_{a,x}
 sends v --a--> u to xv --b--> yu where delta(b, x) = a and y = lambda(b, x);
-`lift_arrays` iterates it from the one-vertex rose and builds every level
-graph, and `action_graph`, which transduces every (word, state) pair with
+`lift_levels` iterates it from the one-vertex rose, handing out each level
+with its drop-first projection to the level below, and builds every level
+graph; `action_graph`, which transduces every (word, state) pair with
 `act`, is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,11 +198,14 @@ class LevelArrays:
     """An action graph on the words of length n: row i of `words` is vertex
     i's word, in lexicographic order; dart i * s + a (the flat order of the
     (N, s) tables) goes to vertex dst[i, a], the output of act(a, words[i]),
-    and the transduction ends in state end[i, a]."""
+    and the transduction ends in state end[i, a].  A lifted level also
+    holds its drop-first projection: parent[i] is the index, at level
+    n - 1, of word i without its first letter."""
 
     words: np.ndarray  # (N, n) letters
     dst: np.ndarray    # (N, s) vertex indices
     end: np.ndarray    # (N, s) state indices
+    parent: np.ndarray | None = None  # (N,) vertex indices at level n - 1; None unless lifted from it
 
 
 def action_graph(m: Mealy, n: int, reduced: bool = False) -> LevelArrays:
@@ -240,16 +245,24 @@ def action_graph(m: Mealy, n: int, reduced: bool = False) -> LevelArrays:
 
 def lift_arrays(m: Mealy, n: int) -> LevelArrays:
     """Iterate the lifting rule n times from the rose, keeping the reduced
-    words: `action_graph(m, n, reduced=True)` as arrays.
+    words: `action_graph(m, n, reduced=True)` as arrays, with the
+    projection to level n - 1 (see `lift_levels`)."""
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    return next(itertools.islice(lift_levels(m), n, None))
+
+
+def lift_levels(m: Mealy) -> Iterator[LevelArrays]:
+    """The rose and then every level in turn, each lifted from the one
+    before it: `lift_arrays(m, n)` for n = 0, 1, 2, ...
 
     The rules R_{a,x} are well defined exactly when m is reversible.  One
     step puts the word x.v at index x * N + v and lifts dart (v, a) to dart
     (x.v, b), pointing to y.u for u = dst[v, a]; the end state carries
-    over, since act(b, x.v) continues as act(a, v).  An automaton that maps
-    a reduced word outside the reduced set makes a lifted dart join a kept
-    and a dropped word, and the lift raises."""
-    if n < 0:
-        raise ValueError("word length must be >= 0")
+    over, since act(b, x.v) continues as act(a, v).  The kept words x.v
+    keep v as their parent.  An automaton that maps a reduced word outside
+    the reduced set makes a lifted dart join a kept and a dropped word, and
+    the lift raises."""
     if m.inv_alphabet is None:
         raise ValueError("reduced mode needs an alphabet involution")
     if not is_reversible(m):
@@ -264,7 +277,8 @@ def lift_arrays(m: Mealy, n: int) -> LevelArrays:
     words, first = np.zeros((1, 0), dtype=np.intp), np.full(1, -1)
     dst = np.zeros((1, n_states), dtype=np.intp)
     end = np.arange(n_states, dtype=np.intp).reshape(1, n_states)
-    for _ in range(n):
+    yield LevelArrays(words, dst, end)
+    while True:
         size = len(words)
         # [x, v, b]: the lift of dart (v, source[x, b]) to dart (x.v, b)
         lifted_dst = (image[:, None, :] * size + dst[:, source].transpose(1, 0, 2)).reshape(-1, n_states)
@@ -277,7 +291,7 @@ def lift_arrays(m: Mealy, n: int) -> LevelArrays:
         letters = np.repeat(np.arange(n_letters, dtype=np.intp), size)
         words = np.column_stack([letters, np.tile(words, (n_letters, 1))])[keep]
         first = letters[keep]
-    return LevelArrays(words, dst, end)
+        yield LevelArrays(words, dst, end, np.flatnonzero(keep) % size)
 
 
 def dual_negation_check(d_ts: VHDatum, d_st: VHDatum) -> bool:

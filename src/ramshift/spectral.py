@@ -10,6 +10,15 @@ The tolerance (default 1e-8) enters one comparison only, second <= bound +
 tol, and every Ramanujan verdict also reports the margin 2 sqrt(d) -
 max|lambda_nontrivial| so borderline cases stay visible.
 
+Covering tower: each level graph covers the one below by the drop-first
+map, so its spectrum is the lower level's together with that of the new
+block, A on the functions that sum to zero on every fiber.  `tower_spectra`
+starts at the rose, whose one eigenvalue d+1 is exact, and eigensolves
+only each new block (dimension N_n - N_{n-1}, built from the darts and
+symmetrised exactly) with the same symmetry, residual and trace checks,
+after the covering itself has been checked.  A graph with no known cover
+is solved whole.
+
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
 integer row vectors through x -> x A by predecessor gathers, one sum of d
 entries per column of a d-regular matrix.  Every entry of x A^j, and every
@@ -24,6 +33,7 @@ beyond desk scale.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -32,7 +42,7 @@ from math import sqrt
 import numpy as np
 
 from .ffield import SizeCapExceeded
-from .graphs import DartGraph, StructureReport, UGraph, nb_matrix, structure_predicates
+from .graphs import DartGraph, StructureReport, UGraph, cover_fiber, nb_matrix, structure_predicates
 
 DENSE_EIG_LIMIT = 2000
 EXACT_POWER_LIMIT = 500
@@ -50,11 +60,12 @@ def check_dense_cap(n_vertices: int) -> None:
 
 
 def eig_symmetric(a: np.ndarray) -> np.ndarray:
-    """Full spectrum of a symmetric integer matrix, sorted descending.
+    """Full spectrum of a symmetric real matrix, sorted descending.
 
-    Every (lambda, v) pair is recomputed against A v = lambda v and must
-    satisfy the residual bound EIG_RESIDUAL_TOL * ||A||_inf * dim; the trace
-    identity is checked as well.  Ordering is deterministic.
+    The matrix must equal its transpose exactly.  Every (lambda, v) pair is
+    recomputed against A v = lambda v and must satisfy the residual bound
+    EIG_RESIDUAL_TOL * ||A||_max * dim; the trace identity is checked as
+    well.  Ordering is deterministic.
     """
     a = np.asarray(a)
     if a.shape[0] != a.shape[1] or not (a == a.T).all():
@@ -68,6 +79,62 @@ def eig_symmetric(a: np.ndarray) -> np.ndarray:
     if abs(eigs.sum() - np.trace(a)) > EIG_RESIDUAL_TOL * scale:
         raise RuntimeError("eigensolver failed the trace identity")
     return eigs[::-1]
+
+
+def _helmert(f: int) -> np.ndarray:
+    """The f x (f - 1) Helmert block: orthonormal columns orthogonal to the
+    constant vector.  Column k - 1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1))
+    with k ones."""
+    k = np.arange(1, f)
+    i = np.arange(f)[:, None]
+    return np.where(i < k, 1.0, np.where(i == k, -k, 0.0)) / np.sqrt(k * (k + 1))
+
+
+def cover_block(graph: UGraph, lower: UGraph, parent: np.ndarray) -> np.ndarray:
+    """The new block M = Q^T A Q of a covering graph -> lower, of dimension
+    N - N_lower.  The functions that sum to zero on every fiber of parent
+    form an invariant subspace of A (its complement, the pullbacks from
+    lower, is one because A P = P A_lower), so the spectrum of A is that of
+    lower together with that of M.  Q has one Helmert block per fiber.
+    M is assembled from the darts: each pair of fibers (a, b) joined by a
+    dart gets the block H^T C H, where C counts the darts by their
+    origin's and terminus' places in the two fibers, so no dense N x N
+    matrix is built.  The result is (M + M^T) / 2, exactly symmetric.
+    `graphs.cover_fiber` first checks that parent is a covering with equal
+    fibers and raises ValueError when it is not."""
+    parent = np.asarray(parent)
+    f = cover_fiber(graph, lower, parent)
+    n_low = lower.n_vertices()
+    slot = np.empty(len(parent), dtype=np.intp)  # each vertex's place in its fiber
+    slot[np.argsort(parent, kind="stable")] = np.arange(len(parent)) % f
+    pairs, pair = np.unique(parent[graph.origin] * n_low + parent[graph.terminus], return_inverse=True)
+    cell = (pair * f + slot[graph.origin]) * f + slot[graph.terminus]
+    counts = np.bincount(cell, minlength=len(pairs) * f * f).reshape(-1, f, f)
+    h = _helmert(f)
+    block = np.zeros((n_low, f - 1, n_low, f - 1))
+    block[pairs // n_low, :, pairs % n_low, :] = h.T @ counts @ h
+    block = block.reshape(n_low * (f - 1), n_low * (f - 1))
+    return (block + block.T) / 2
+
+
+def tower_spectra(levels: Iterator[tuple[UGraph, np.ndarray | None]]) -> Iterator[tuple[UGraph, np.ndarray]]:
+    """(graph, spectrum) for every level after the first of a covering
+    tower, such as `graphs.level_tower`: the rose, then each level with its
+    parent array into the one before.  The rose, one vertex with k loop
+    darts, contributes the trivial eigenvalue k exactly; every later level
+    eigensolves only its new block (`cover_block`) and merges its
+    eigenvalues with those of the level below.  Spectra are descending.
+    Each level is capped like a dense eigensolve of its vertices."""
+    rose, _ = next(levels)
+    if rose.n_vertices() != 1:
+        raise ValueError("a covering tower starts at a one-vertex rose")
+    lower, eigs = rose, np.array([float(rose.n_darts())])
+    for graph, parent in levels:
+        check_dense_cap(graph.n_vertices())
+        new = eig_symmetric(cover_block(graph, lower, parent))
+        eigs = np.sort(np.concatenate([eigs, new]))[::-1]
+        yield graph, eigs
+        lower = graph
 
 
 @dataclass
@@ -90,7 +157,7 @@ class SpectralReport:
         )
 
 
-def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
+def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | None = None) -> SpectralReport:
     """Is a connected (d+1)-regular graph Ramanujan: every eigenvalue either
     +-(d+1) or of modulus at most 2 sqrt(d) (within tol)?
 
@@ -100,6 +167,11 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
     simple and first because the graph is connected, and -(d+1) is last
     exactly when it is bipartite.  The nontrivial spectrum is the slice
     between them, and tol enters only the verdict second <= bound + tol.
+
+    The spectrum is `eig_symmetric` of the adjacency, unless the graph is a
+    level of a covering tower whose descending spectrum `tower_spectra` has
+    already merged from its new blocks: then that is `eigenvalues`, and
+    its first entry is the rose's exact d+1.
     """
     check_dense_cap(graph.n_vertices())
     structure = structure_predicates(graph)
@@ -108,7 +180,9 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8) -> SpectralReport:
     if structure.regular_degree is None:
         raise ValueError("ramanujan_check needs a regular graph")
     k = structure.regular_degree  # k = d + 1
-    eigs = eig_symmetric(graph.adjacency())
+    eigs = eig_symmetric(graph.adjacency()) if eigenvalues is None else eigenvalues
+    if len(eigs) != graph.n_vertices():
+        raise ValueError(f"{len(eigs)} eigenvalues given for {graph.n_vertices()} vertices")
     second = max(np.abs(nontrivial_spectrum(eigs, structure.bipartite)), default=0.0)
     bound = 2.0 * sqrt(k - 1)
     return SpectralReport(

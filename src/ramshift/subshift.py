@@ -301,8 +301,11 @@ def is_admissible(shift: MatrixSubshift, pattern: Pattern) -> bool:
         return False
     if not all(0 <= x < shift.s for col in pattern for x in col):
         return False
-    grid = np.asarray(pattern, dtype=np.intp)  # grid[x, y], y upward
-    return bool(shift.B[grid[:, :-1], grid[:, 1:]].all() and shift.A[grid[:-1], grid[1:]].all())
+    # pattern[x][y], y upward: B joins a column's neighbours, A a row's
+    above, beside = shift.B.item, shift.A.item
+    return all(above(a, b) for col in pattern for a, b in zip(col, col[1:])) and all(
+        beside(a, b) for left, right in zip(pattern, pattern[1:]) for a, b in zip(left, right)
+    )
 
 
 # ---------------------------------------------------------------------------

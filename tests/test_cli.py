@@ -4,8 +4,10 @@ import json
 import re
 import time
 from functools import reduce
+from math import cos, pi
 from operator import getitem
 
+import numpy as np
 import pytest
 
 from ramshift.cli import main
@@ -378,14 +380,15 @@ def test_dense_cap_above_the_eigensolver_limit_is_a_usage_error(tmp_path, capsys
 def test_verify_ramanujan_skips_without_building_the_level(capsys, monkeypatch):
     from ramshift import graphs
 
-    original = graphs.level_graph
+    original = graphs.level_tower
     built = []
 
-    def recording(datum, side, n):
-        built.append((side, n))
-        return original(datum, side, n)
+    def recording(datum, side):
+        for graph, parent in original(datum, side):
+            built.append((side, graph.n_vertices()))
+            yield graph, parent
 
-    monkeypatch.setattr(graphs, "level_graph", recording)
+    monkeypatch.setattr(graphs, "level_tower", recording)
     code, stdout, _ = run(
         capsys, "verify-ramanujan", "--levels", "6:7", "--side", "A", "--no-timestamp",
     )
@@ -393,7 +396,8 @@ def test_verify_ramanujan_skips_without_building_the_level(capsys, monkeypatch):
     verdicts = json.loads(stdout)["verdicts"]
     assert [v["skipped"] for v in verdicts] == [False, True]
     assert verdicts[1]["n_vertices"] == 2916  # 4 * 3^6
-    assert built == [("A", 6)]
+    # the tower from the rose up to A_6; A_7 is never built
+    assert built == [("A", 4 * 3 ** (n - 1) if n else 1) for n in range(7)]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -415,15 +419,24 @@ def test_verify_ramanujan_small_tol_passes_on_connected_levels(capsys):
     assert json.loads(stdout)["all_pass"] is True
 
 
+def double_cycle(n):
+    """C_n with every edge doubled: 4-regular, and a cover of the rose with
+    two loops (every fiber is all of it)."""
+    return UGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] * 2)
+
+
 def test_levels_and_files_share_the_verdict(tmp_path, capsys, monkeypatch):
-    # a level that breaks the bound reports its offending eigenvalue, as a file does
+    # a level that breaks the bound reports its offending eigenvalue, as a
+    # file does; the doubled 15-cycle has 4 cos(14 pi / 15) = -3.91 below
+    # -2 sqrt(3), and is not bipartite
     from ramshift import graphs
 
-    prism = circular_ladder(16)
-    path = tmp_path / "prism.json"
-    write_ugraph(prism, str(path))
-    monkeypatch.setattr(graphs, "level_size", lambda datum, side, n: prism.n_vertices())
-    monkeypatch.setattr(graphs, "level_graph", lambda datum, side, n: prism)
+    violator = double_cycle(15)
+    rose = UGraph(["e"], [0] * 4, [0] * 4, [1, 0, 3, 2], ["a", "a'", "b", "b'"])
+    path = tmp_path / "violator.json"
+    write_ugraph(violator, str(path))
+    monkeypatch.setattr(graphs, "level_size", lambda datum, side, n: violator.n_vertices())
+    monkeypatch.setattr(graphs, "level_tower", lambda datum, side: iter([(rose, None), (violator, np.zeros(15, int))]))
     code, stdout, _ = run(capsys, "verify-ramanujan", "--levels", "1", "--side", "A", "--no-timestamp")
     assert code == 1
     level = json.loads(stdout)["verdicts"][0]
@@ -432,8 +445,11 @@ def test_levels_and_files_share_the_verdict(tmp_path, capsys, monkeypatch):
     file = json.loads(stdout)["verdicts"][0]
     assert level.pop("side") == "A" and level.pop("level") == 1
     assert file.pop("source") == str(path)
-    assert level == file
+    # the level's spectrum is merged from the tower's new block, the file's
+    # is one eigensolve of the adjacency: the floats agree to rounding
+    assert level == pytest.approx(file, rel=0, abs=1e-12)
     assert abs(level["offending_eigenvalue"]) == level["second_modulus"] > level["bound"]
+    assert level["offending_eigenvalue"] == pytest.approx(4 * cos(14 * pi / 15), abs=1e-12)
 
 
 def _set(*keys, value):

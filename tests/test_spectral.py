@@ -1,17 +1,23 @@
 """Spectral verdicts: closed-form spectra as oracles, the Ramanujan check,
 the Bass-Ihara transfer, and exact deviation norms."""
 
+import json
 from fractions import Fraction
+from itertools import islice
 from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
 
-from ramshift.graphs import UGraph, level_graph, nb_matrix
+from ramshift import build_quaternionic_datum, make_field
+from ramshift.cli import main
+from ramshift.graphs import UGraph, level_graph, level_size, level_tower, nb_matrix
 from ramshift.spectral import (
+    DENSE_EIG_LIMIT,
     EXACT_POWER_LIMIT,
     SizeCapExceeded,
     bass_ihara_pairs,
+    cover_block,
     deviation_norm,
     deviation_table,
     eig_symmetric,
@@ -20,6 +26,7 @@ from ramshift.spectral import (
     nb_transfer_report,
     ramanujan_check,
     second_modulus_directed,
+    tower_spectra,
     walk_counts,
 )
 from test_graphs import complete_bipartite, cycle, petersen
@@ -122,6 +129,80 @@ def test_ramanujan_check_rejects_irregular():
     path = UGraph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="regular graph"):
         ramanujan_check(path)
+
+
+# q -> (p, e, the highest level under the dense cap)
+TOWER_FIELDS = {3: (3, 1, 6), 5: (5, 1, 4), 7: (7, 1, 3), 9: (3, 2, 3), 13: (13, 1, 2)}
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("q", sorted(TOWER_FIELDS))
+def test_tower_spectrum_equals_the_full_eigensolve(q, side):
+    p, e, top = TOWER_FIELDS[q]
+    datum = build_quaternionic_datum(make_field(p, e), 1, 2)
+    assert level_size(datum, side, top) <= DENSE_EIG_LIMIT < level_size(datum, side, top + 1)
+    levels = list(islice(level_tower(datum, side), top + 1))  # the rose and levels 1..top
+    spectra = list(tower_spectra(iter(levels)))
+    assert len(spectra) == top
+    for (lower, _), (graph, parent), (same, eigs) in zip(levels, levels[1:], spectra):
+        assert same is graph
+        block = cover_block(graph, lower, parent)
+        assert block.shape == (graph.n_vertices() - lower.n_vertices(),) * 2
+        assert (block == block.T).all()
+        assert eigs[0] == q + 1  # the rose's, exactly
+        assert (np.diff(eigs) <= 0).all()
+        assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
+
+
+def test_tower_fibers_have_q_words_and_q_plus_one_over_the_rose(d12_q3):
+    levels = list(islice(level_tower(d12_q3, "A"), 4))
+    assert levels[0][1] is None and levels[0][0].n_vertices() == 1
+    assert [np.bincount(parent).tolist() for _, parent in levels[1:]] == [[4], [3] * 4, [3] * 12]
+    for (lower, _), (graph, parent) in zip(levels[1:], levels[2:]):
+        # the parent of a word is the word without its first letter
+        assert [label.split(".", 1)[1] for label in graph.vertex_labels] == [
+            lower.vertex_labels[v] for v in parent
+        ]
+
+
+def test_a_parent_that_is_no_covering_raises(d12_q3):
+    levels = list(islice(level_tower(d12_q3, "A"), 4))
+    (lower, _), (graph, parent) = levels[2], levels[3]
+    swapped = parent.copy()
+    swapped[[0, -1]] = parent[[-1, 0]]
+    assert swapped[0] != parent[0]  # two vertices of different fibers trade places
+    with pytest.raises(ValueError, match="not a covering"):
+        cover_block(graph, lower, swapped)
+    with pytest.raises(ValueError, match="not a covering"):
+        list(tower_spectra(iter(levels[:3] + [(graph, swapped)])))
+    uneven = parent.copy()
+    uneven[0] = parent[-1]
+    with pytest.raises(ValueError, match="fibers differ"):
+        cover_block(graph, lower, uneven)
+    with pytest.raises(ValueError, match="into 0..11"):
+        cover_block(graph, lower, parent + 1)
+
+
+def test_verify_ramanujan_level_does_not_depend_on_the_range(capsys):
+    entries = {}
+    for levels in ("4:4", "1:4"):
+        assert main(["verify-ramanujan", "--levels", levels, "--no-timestamp"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        entries[levels] = [json.dumps(v, sort_keys=True) for v in verdicts if v["level"] == 4]
+    assert len(entries["4:4"]) == 2
+    assert entries["4:4"] == entries["1:4"]
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_bass_ihara_transfer_of_the_tower_spectrum(d12_q3, side):
+    # an independent check of the split: the dart spectrum, solved directly,
+    # against the transfer of the merged tower spectrum
+    for n, (graph, eigs) in zip(range(1, 5), tower_spectra(level_tower(d12_q3, side))):
+        direct = nb_spectrum_direct(nb_matrix(graph))
+        transfer = np.array([x for x, _ in bass_ihara_pairs(eigs, 3)])
+        assert len(direct) == 4 * graph.n_vertices()
+        assert max(np.abs(transfer - x).min() for x in direct) < 1e-6
+        assert max(np.abs(direct - x).min() for x in transfer) < 1e-6
 
 
 def test_bass_ihara_provenance():

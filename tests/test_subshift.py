@@ -263,6 +263,27 @@ def test_is_admissible_against_the_definition(xd_q3):
         assert is_admissible(xd_q3, pattern) == want
 
 
+def test_is_admissible_equals_the_grid_gather(xd_q3):
+    # the neighbour pairs read one at a time against one gather per
+    # direction over the whole grid, on random patterns of up to 3 x 3
+    # cells: admissible ones, and the same with one cell changed
+    rng = np.random.default_rng(0)
+    pools = {(m, n): admissible_patterns(xd_q3, m, n) for m in (1, 2, 3) for n in (1, 2, 3)}
+    agree = admissible = 0
+    for _ in range(20000):
+        m, n = rng.integers(1, 4, size=2)
+        pool = pools[m, n]
+        grid = np.array(pool[rng.integers(len(pool))])
+        if rng.random() < 0.5:
+            grid[rng.integers(m), rng.integers(n)] = rng.integers(xd_q3.s)
+        want = bool(xd_q3.B[grid[:, :-1], grid[:, 1:]].all() and xd_q3.A[grid[:-1], grid[1:]].all())
+        got = is_admissible(xd_q3, tuple(map(tuple, grid.tolist())))
+        agree += got == want
+        admissible += want
+    assert agree == 20000
+    assert 10000 < admissible < 20000  # both answers are exercised
+
+
 def _strip_to_dart_maps(datum, shift, k):
     """The canonical bijections: a height-k column of the datum shift is a
     dart of B_k (left colors top-to-bottom, state = top color); a width-k
