@@ -166,7 +166,7 @@ def _tower_checks(datum, side: str, tol: float):
 
     def check(level: int) -> spectral.SpectralReport:
         built.extend(islice(tower, max(0, level - len(built))))
-        graph, eigs = built[level - 1]
+        graph, eigs, _ = built[level - 1]
         return spectral.ramanujan_check(graph, tol=tol, eigenvalues=eigs)
 
     return check

@@ -16,8 +16,8 @@ graph via the state involution; B_n is the same for the dual automaton on
 reduced words over V.  Both are built by the array lift `mealy.lift_arrays`,
 and product levels thread the state through one lift per component.
 Coverings between levels are checked on the lift's form, `mealy.LevelArrays`,
-and, for `level_tower`'s levels with their parent arrays, on the graphs'
-darts (`cover_fiber`).
+and, for `level_tower`'s levels with their drop-first and drop-last parent
+arrays, on the graphs' darts (`cover_fiber`).
 Dart v * s + a leaves vertex v with state a, and its inverse is dart
 dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
@@ -31,6 +31,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,16 +207,46 @@ def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
     return _lifted_graph([auto], [lift_arrays(auto, n)])
 
 
-def level_tower(datum: VHDatum, side: str) -> Iterator[tuple[UGraph, np.ndarray | None]]:
+class TowerLevel(NamedTuple):
+    """A level of a covering tower with its maps: `parent` and `last_parent`
+    send each vertex to one of the level below (None for the rose), and
+    `inversion` is a vertex permutation offered as an automorphism, or
+    None.  Consumers check every map before they use it."""
+
+    graph: UGraph
+    parent: np.ndarray | None
+    last_parent: np.ndarray | None
+    inversion: np.ndarray | None
+
+
+def level_tower(datum: VHDatum, side: str) -> Iterator[TowerLevel]:
     """The rose, then A_1, A_2, ... (B_n for side "B") from one lift, each
-    level with its parent array: parent[v] is the vertex of the level below
-    under v, its word without the first letter (None for the rose).  The
-    rose is one vertex with a loop dart per state; every fiber of parent
-    has q words, and q + 1 at level 1, for a quaternionic datum."""
+    level with three maps: parent[v] (the lift's) and last_parent[v] are the
+    vertices of the level below under v, its word without the first and
+    without the last letter, and inversion[v] is its word with every letter
+    inverted.  The last two follow the lift, which places x.v by its first
+    letter x and its parent v: x.v -> x.last_parent(v) and
+    x.v -> x^-1 . inversion(v).  The rose is one vertex with a
+    loop dart per state.  Both projections have fibers of q words, and
+    q + 1 at level 1, for a quaternionic datum, and from level 3 on their
+    fibers are the rows and columns of a q x q grid of words x.m.y per
+    middle word m.  Letter-wise inversion is an automorphism of every
+    quaternionic level tried, but not of every level of a generic datum."""
     _check_level(side, 1)
     auto = _side_automaton(datum, side)
-    for lift in lift_levels(auto):
-        yield _lifted_graph([auto], [lift]), lift.parent
+    inv_letter = np.asarray(auto.inv_alphabet)
+    lifts = lift_levels(auto)
+    yield TowerLevel(_lifted_graph([auto], [next(lifts)]), None, None, None)
+    size, inversion, below = 1, np.zeros(1, dtype=np.intp), None
+    for lift in lifts:
+        first, parent = lift.words[:, 0], lift.parent
+        index = np.empty(len(inv_letter) * size, dtype=np.intp)  # x * size + v -> the word x.v
+        index[first * size + parent] = np.arange(len(parent))
+        inversion = index[inv_letter[first] * size + inversion[parent]]
+        # x.v drops its last letter to x.u, for u the last_parent of v
+        last = np.zeros_like(parent) if below is None else below[0][first * below[1] + last[parent]]
+        yield TowerLevel(_lifted_graph([auto], [lift]), parent, last, inversion)
+        below, size = (index, size), len(parent)
 
 
 def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...]) -> UGraph:
@@ -297,6 +328,17 @@ def cover_fiber(graph: UGraph, lower: UGraph, parent: np.ndarray) -> int:
     if not _stars_correspond(parent, n_low, graph.origin, graph.terminus, lower.origin, lower.terminus):
         raise ValueError("parent is not a covering map: an out-star does not map onto its image's")
     return int(fibers[0])
+
+
+def is_automorphism(graph: UGraph, perm: np.ndarray) -> bool:
+    """Is perm a permutation of the vertices that maps the darts onto the
+    darts: the heads of the darts at each v, mapped by perm, the heads of
+    those at perm[v] (as multisets)?"""
+    n = graph.n_vertices()
+    perm = np.asarray(perm)
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        return False
+    return _stars_correspond(perm, n, graph.origin, graph.terminus, graph.origin, graph.terminus)
 
 
 def _stars_correspond(pmap, n_small, big_tail, big_head, small_tail, small_head) -> bool:

@@ -12,12 +12,18 @@ max|lambda_nontrivial| so borderline cases stay visible.
 
 Covering tower: each level graph covers the one below by the drop-first
 map, so its spectrum is the lower level's together with that of the new
-block, A on the functions that sum to zero on every fiber.  `tower_spectra`
-starts at the rose, whose one eigenvalue d+1 is exact, and eigensolves
-only each new block (dimension N_n - N_{n-1}, built from the darts and
-symmetrised exactly) with the same symmetry, residual and trace checks,
-after the covering itself has been checked.  A graph with no known cover
-is solved whole.
+block, A on the functions that sum to zero on every fiber.  It also covers
+it by the drop-last map, and from level 3 on the two covers meet exactly
+in the pullbacks from two levels down, so the new spectrum is the previous
+level's new spectrum together with that of the doubly-new block: A on the
+functions with zero row and column sums in each middle word's grid of
+words x.m.y (dimension N_{n-2} (q - 1)^2).  Where letter-wise inversion
+is a verified automorphism, that block splits into two halves.
+`tower_spectra` starts at the rose, whose one eigenvalue d+1 is exact,
+checks both coverings and the grid, and eigensolves only the new blocks of
+levels 1 and 2 and the doubly-new blocks after them (all assembled from
+the darts by `dart_block` and symmetrised exactly) with the same symmetry,
+residual and trace checks.  A graph with no known cover is solved whole.
 
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
 integer row vectors through x -> x A by predecessor gathers, one sum of d
@@ -38,11 +44,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .ffield import SizeCapExceeded
-from .graphs import DartGraph, StructureReport, UGraph, cover_fiber, nb_matrix, structure_predicates
+from .graphs import (
+    DartGraph, StructureReport, TowerLevel, UGraph, cover_fiber, is_automorphism, nb_matrix, structure_predicates,
+)
 
 DENSE_EIG_LIMIT = 2000
 EXACT_POWER_LIMIT = 500
@@ -90,51 +99,166 @@ def _helmert(f: int) -> np.ndarray:
     return np.where(i < k, 1.0, np.where(i == k, -k, 0.0)) / np.sqrt(k * (k + 1))
 
 
+def _fiber_slots(proj: np.ndarray, f: int) -> np.ndarray:
+    """Each vertex's place 0..f-1 in its fiber of proj, whose fibers all
+    have f vertices."""
+    slot = np.empty(len(proj), dtype=np.intp)
+    slot[np.argsort(proj, kind="stable")] = np.arange(len(proj)) % f
+    return slot
+
+
+def dart_block(graph: UGraph, group: np.ndarray, slot: np.ndarray, basis: np.ndarray,
+               weight: np.ndarray | None = None) -> np.ndarray:
+    """The one block assembler of the covering tower: Q^T A Q for the Q
+    whose column (g, k) is basis[slot[v], k] on every vertex v of group g.
+    It is summed from the darts, never from a dense N x N matrix: each pair
+    of groups (a, b) joined by a dart gets the block B^T C B, where C
+    counts the darts by their origin's and terminus' slots (each dart
+    counting weight[e] when weights are given; darts of weight 0 are left
+    out).  The result is (M + M^T) / 2, exactly symmetric."""
+    origin, terminus = graph.origin, graph.terminus
+    if weight is not None:
+        used = weight != 0
+        origin, terminus, weight = origin[used], terminus[used], weight[used]
+    g, k = basis.shape
+    n_groups = int(group.max()) + 1
+    pairs, pair = np.unique(group[origin] * n_groups + group[terminus], return_inverse=True)
+    cell = (pair * g + slot[origin]) * g + slot[terminus]
+    counts = np.bincount(cell, weights=weight, minlength=len(pairs) * g * g).reshape(-1, g, g)
+    block = np.zeros((n_groups, k, n_groups, k))
+    block[pairs // n_groups, :, pairs % n_groups, :] = basis.T @ counts @ basis
+    block = block.reshape(n_groups * k, n_groups * k)
+    return (block + block.T) / 2
+
+
 def cover_block(graph: UGraph, lower: UGraph, parent: np.ndarray) -> np.ndarray:
     """The new block M = Q^T A Q of a covering graph -> lower, of dimension
     N - N_lower.  The functions that sum to zero on every fiber of parent
     form an invariant subspace of A (its complement, the pullbacks from
     lower, is one because A P = P A_lower), so the spectrum of A is that of
-    lower together with that of M.  Q has one Helmert block per fiber.
-    M is assembled from the darts: each pair of fibers (a, b) joined by a
-    dart gets the block H^T C H, where C counts the darts by their
-    origin's and terminus' places in the two fibers, so no dense N x N
-    matrix is built.  The result is (M + M^T) / 2, exactly symmetric.
-    `graphs.cover_fiber` first checks that parent is a covering with equal
-    fibers and raises ValueError when it is not."""
+    lower together with that of M.  Q has one Helmert block per fiber, and
+    `dart_block` assembles M.  `graphs.cover_fiber` first checks that
+    parent is a covering with equal fibers and raises ValueError when it
+    is not."""
     parent = np.asarray(parent)
     f = cover_fiber(graph, lower, parent)
-    n_low = lower.n_vertices()
-    slot = np.empty(len(parent), dtype=np.intp)  # each vertex's place in its fiber
-    slot[np.argsort(parent, kind="stable")] = np.arange(len(parent)) % f
-    pairs, pair = np.unique(parent[graph.origin] * n_low + parent[graph.terminus], return_inverse=True)
-    cell = (pair * f + slot[graph.origin]) * f + slot[graph.terminus]
-    counts = np.bincount(cell, minlength=len(pairs) * f * f).reshape(-1, f, f)
-    h = _helmert(f)
-    block = np.zeros((n_low, f - 1, n_low, f - 1))
-    block[pairs // n_low, :, pairs % n_low, :] = h.T @ counts @ h
-    block = block.reshape(n_low * (f - 1), n_low * (f - 1))
-    return (block + block.T) / 2
+    return dart_block(graph, parent, _fiber_slots(parent, f), _helmert(f))
 
 
-def tower_spectra(levels: Iterator[tuple[UGraph, np.ndarray | None]]) -> Iterator[tuple[UGraph, np.ndarray]]:
-    """(graph, spectrum) for every level after the first of a covering
-    tower, such as `graphs.level_tower`: the rose, then each level with its
-    parent array into the one before.  The rose, one vertex with k loop
-    darts, contributes the trivial eigenvalue k exactly; every later level
-    eigensolves only its new block (`cover_block`) and merges its
-    eigenvalues with those of the level below.  Spectra are descending.
-    Each level is capped like a dense eigensolve of its vertices."""
-    rose, _ = next(levels)
-    if rose.n_vertices() != 1:
+def _induced(perm: np.ndarray, proj: np.ndarray, size: int) -> np.ndarray | None:
+    """The map m -> proj[perm[v]] for any v with proj[v] = m, on a
+    surjective proj onto 0..size-1, or None when it depends on v."""
+    image = np.empty(size, dtype=np.intp)
+    image[proj] = proj[perm]
+    return image if (image[proj] == proj[perm]).all() else None
+
+
+def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[np.ndarray]:
+    """The doubly-new block of a tower level n >= 3, or its two halves.
+
+    Each vertex is x.m.y for a middle m at level n - 2, reached both ways
+    round the square parent / last_parent.  Its left slot is the place of
+    x.m in its drop-first fiber at level n - 1, its right slot the place of
+    m.y in its drop-last fiber, and every (middle, left, right) cell must
+    hold exactly one vertex: each middle owns an f x f grid whose columns
+    are the drop-first fibers and whose rows the drop-last fibers at level
+    n.  The pullbacks of both projections meet exactly in those from level
+    n - 2 (a function constant on the rows and columns of a grid is
+    constant on it), so A on the functions with zero row and column sums in
+    every grid, with basis H (x) H per middle (Helmert H), carries the
+    spectrum of level n beyond spec A_{n-1} and the new block of level
+    n - 1.  A broken grid raises ValueError.
+
+    When `level.inversion` is a fixed-point-free involutive automorphism
+    that maps fibers to fibers of both projections, and so grids to grids,
+    the block commutes with it and splits into the halves M+ and M-, each
+    assembled from the darts that leave one representative middle of each
+    pair {m, iota m}: the slots of iota m are carried over from m, and a
+    dart counts +1, or +-1 when its terminus lies in a middle that is not
+    the representative.  An inversion that fails a check only forgoes the
+    split."""
+    graph, parent, last = level.graph, level.parent, level.last_parent
+    middle = lower.parent[last]
+    if (middle != lower.last_parent[parent]).any():
+        raise ValueError("parent and last_parent are not a covering grid: the two ways down differ")
+    n_lower = lower.graph.n_vertices()
+    f = n_lower // n_middles
+    cell = (middle * f + _fiber_slots(lower.parent, f)[last]) * f + _fiber_slots(lower.last_parent, f)[parent]
+    if graph.n_vertices() != n_middles * f * f or (np.bincount(cell, minlength=n_middles * f * f) != 1).any():
+        raise ValueError("parent and last_parent are not a covering grid: a cell does not hold one vertex")
+    slot = cell % (f * f)
+    basis = np.kron(_helmert(f), _helmert(f))
+    partner = _inversion_partner(level, middle, n_lower, n_middles)
+    if partner is None:
+        return [dart_block(graph, middle, slot, basis)]
+    chosen = np.arange(n_middles) < partner  # one representative per pair {m, iota m}
+    here = chosen[middle]
+    group = (np.cumsum(chosen) - 1)[np.minimum(middle, partner[middle])]
+    slot = np.where(here, slot, slot[level.inversion])
+    origin_here, terminus_here = here[graph.origin], here[graph.terminus]
+    return [dart_block(graph, group, slot, basis, origin_here * np.where(terminus_here, 1.0, sign))
+            for sign in (1.0, -1.0)]
+
+
+def _inversion_partner(level: TowerLevel, middle: np.ndarray, n_lower: int, n_middles: int) -> np.ndarray | None:
+    """The map m -> iota m that level.inversion induces on the middles, when
+    it is an involutive automorphism of the graph that maps the fibers of
+    both projections to fibers and moves every middle; else None."""
+    graph, iota = level.graph, level.inversion
+    n = graph.n_vertices()
+    if iota is None:
+        return None
+    iota = np.asarray(iota)
+    if iota.shape != (n,) or iota.min() < 0 or iota.max() >= n or (iota[iota] != np.arange(n)).any():
+        return None
+    if any(_induced(iota, proj, n_lower) is None for proj in (level.parent, level.last_parent)):
+        return None
+    partner = _induced(iota, middle, n_middles)
+    if partner is None or (partner == np.arange(n_middles)).any() or not is_automorphism(graph, iota):
+        return None
+    return partner
+
+
+class TowerSpectrum(NamedTuple):
+    graph: UGraph
+    eigenvalues: np.ndarray  # descending
+    blocks: tuple[int, ...]  # the dimensions of the blocks eigensolved for this level
+
+
+def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
+    """(graph, spectrum, solved block dimensions) for every level after the
+    first of a covering tower, such as `graphs.level_tower`: the rose, then
+    each level with its drop-first and drop-last parents into the one
+    before and an optional inversion.  Both parents are checked as
+    coverings with equal fibers (`graphs.cover_fiber`) on every level.
+
+    The rose, one vertex with k loop darts, contributes the trivial
+    eigenvalue k exactly.  Levels 1 and 2 eigensolve the new block of the
+    drop-first cover (`cover_block`, dimension N_n - N_{n-1}).  From level
+    3 on, spec A_n is spec A_{n-1}, the previous level's new spectrum and
+    the spectrum of the doubly-new block (`_grid_blocks`, dimension
+    N_{n-2} (f - 1)^2 for fibers of f), which alone is solved, in two halves
+    when the inversion checks out.  Every block goes through
+    `eig_symmetric`'s checks.  Spectra are descending, and each level is
+    capped like a dense eigensolve of its vertices."""
+    lower = next(levels)
+    if lower.graph.n_vertices() != 1:
         raise ValueError("a covering tower starts at a one-vertex rose")
-    lower, eigs = rose, np.array([float(rose.n_darts())])
-    for graph, parent in levels:
+    eigs, new = np.array([float(lower.graph.n_darts())]), np.empty(0)
+    below = None  # the graph two levels down
+    for n, level in enumerate(levels, 1):
+        graph = level.graph
         check_dense_cap(graph.n_vertices())
-        new = eig_symmetric(cover_block(graph, lower, parent))
+        for proj in (level.parent, level.last_parent):
+            cover_fiber(graph, lower.graph, proj)
+        if n < 3:  # the new spectrum is the new block's alone
+            blocks, new = [cover_block(graph, lower.graph, level.parent)], np.empty(0)
+        else:
+            blocks = _grid_blocks(level, lower, below.n_vertices())
+        new = np.concatenate([new, *(eig_symmetric(block) for block in blocks)])
         eigs = np.sort(np.concatenate([eigs, new]))[::-1]
-        yield graph, eigs
-        lower = graph
+        yield TowerSpectrum(graph, eigs, tuple(len(block) for block in blocks))
+        below, lower = lower.graph, level
 
 
 @dataclass

@@ -13,7 +13,8 @@ import pytest
 from ramshift.cli import main
 from ramshift.graphs import UGraph, level_graph, ugraph_to_json, write_ugraph
 from ramshift.mealy import from_datum
-from ramshift.vhdatum import direct_product_datum, dumps_datum, read_datum
+from ramshift.spectral import ramanujan_check, spectral_report_to_dict
+from ramshift.vhdatum import direct_product_datum, dumps_datum, read_datum, write_datum
 
 
 def run(capsys, *argv):
@@ -384,9 +385,9 @@ def test_verify_ramanujan_skips_without_building_the_level(capsys, monkeypatch):
     built = []
 
     def recording(datum, side):
-        for graph, parent in original(datum, side):
-            built.append((side, graph.n_vertices()))
-            yield graph, parent
+        for level in original(datum, side):
+            built.append((side, level.graph.n_vertices()))
+            yield level
 
     monkeypatch.setattr(graphs, "level_tower", recording)
     code, stdout, _ = run(
@@ -436,7 +437,8 @@ def test_levels_and_files_share_the_verdict(tmp_path, capsys, monkeypatch):
     path = tmp_path / "violator.json"
     write_ugraph(violator, str(path))
     monkeypatch.setattr(graphs, "level_size", lambda datum, side, n: violator.n_vertices())
-    monkeypatch.setattr(graphs, "level_tower", lambda datum, side: iter([(rose, None), (violator, np.zeros(15, int))]))
+    tower = [graphs.TowerLevel(rose, None, None, None), graphs.TowerLevel(violator, *[np.zeros(15, int)] * 2, None)]
+    monkeypatch.setattr(graphs, "level_tower", lambda datum, side: iter(tower))
     code, stdout, _ = run(capsys, "verify-ramanujan", "--levels", "1", "--side", "A", "--no-timestamp")
     assert code == 1
     level = json.loads(stdout)["verdicts"][0]
@@ -450,6 +452,25 @@ def test_levels_and_files_share_the_verdict(tmp_path, capsys, monkeypatch):
     assert level == pytest.approx(file, rel=0, abs=1e-12)
     assert abs(level["offending_eigenvalue"]) == level["second_modulus"] > level["bound"]
     assert level["offending_eigenvalue"] == pytest.approx(4 * cos(14 * pi / 15), abs=1e-12)
+
+
+def test_verify_ramanujan_of_a_datum_without_the_inversion(tmp_path, capsys, datum_without_inversion):
+    # a generic datum whose levels do not split: every level entry equals the
+    # verdict on the whole level graph, and the exit code follows them
+    path = tmp_path / "generic.json"
+    write_datum(datum_without_inversion, str(path))
+    code, stdout, _ = run(
+        capsys, "verify-ramanujan", "--datum", str(path), "--levels", "1:4", "--side", "both", "--no-timestamp",
+    )
+    verdicts = json.loads(stdout)["verdicts"]
+    assert len(verdicts) == 8
+    for entry in verdicts:
+        report = ramanujan_check(level_graph(datum_without_inversion, entry["side"], entry["level"]))
+        assert entry["n_vertices"] == 6 * 5 ** (entry["level"] - 1) and entry["connected"]
+        assert {k: entry[k] for k in spectral_report_to_dict(report)} == pytest.approx(
+            spectral_report_to_dict(report), rel=0, abs=1e-12
+        )
+    assert code == (0 if all(v["ramanujan"] for v in verdicts) else 1)
 
 
 def _set(*keys, value):

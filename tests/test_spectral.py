@@ -144,7 +144,7 @@ def test_tower_spectrum_equals_the_full_eigensolve(q, side):
     levels = list(islice(level_tower(datum, side), top + 1))  # the rose and levels 1..top
     spectra = list(tower_spectra(iter(levels)))
     assert len(spectra) == top
-    for (lower, _), (graph, parent), (same, eigs) in zip(levels, levels[1:], spectra):
+    for (lower, *_), (graph, parent, *_), (same, eigs, _) in zip(levels, levels[1:], spectra):
         assert same is graph
         block = cover_block(graph, lower, parent)
         assert block.shape == (graph.n_vertices() - lower.n_vertices(),) * 2
@@ -157,8 +157,8 @@ def test_tower_spectrum_equals_the_full_eigensolve(q, side):
 def test_tower_fibers_have_q_words_and_q_plus_one_over_the_rose(d12_q3):
     levels = list(islice(level_tower(d12_q3, "A"), 4))
     assert levels[0][1] is None and levels[0][0].n_vertices() == 1
-    assert [np.bincount(parent).tolist() for _, parent in levels[1:]] == [[4], [3] * 4, [3] * 12]
-    for (lower, _), (graph, parent) in zip(levels[1:], levels[2:]):
+    assert [np.bincount(parent).tolist() for _, parent, *_ in levels[1:]] == [[4], [3] * 4, [3] * 12]
+    for (lower, *_), (graph, parent, *_) in zip(levels[1:], levels[2:]):
         # the parent of a word is the word without its first letter
         assert [label.split(".", 1)[1] for label in graph.vertex_labels] == [
             lower.vertex_labels[v] for v in parent
@@ -167,20 +167,103 @@ def test_tower_fibers_have_q_words_and_q_plus_one_over_the_rose(d12_q3):
 
 def test_a_parent_that_is_no_covering_raises(d12_q3):
     levels = list(islice(level_tower(d12_q3, "A"), 4))
-    (lower, _), (graph, parent) = levels[2], levels[3]
+    (lower, *_), (graph, parent, *_) = levels[2], levels[3]
     swapped = parent.copy()
     swapped[[0, -1]] = parent[[-1, 0]]
     assert swapped[0] != parent[0]  # two vertices of different fibers trade places
     with pytest.raises(ValueError, match="not a covering"):
         cover_block(graph, lower, swapped)
     with pytest.raises(ValueError, match="not a covering"):
-        list(tower_spectra(iter(levels[:3] + [(graph, swapped)])))
+        list(tower_spectra(iter(levels[:3] + [levels[3]._replace(parent=swapped)])))
     uneven = parent.copy()
     uneven[0] = parent[-1]
     with pytest.raises(ValueError, match="fibers differ"):
         cover_block(graph, lower, uneven)
     with pytest.raises(ValueError, match="into 0..11"):
         cover_block(graph, lower, parent + 1)
+
+
+def _tower_against_whole_graphs(datum, side, top):
+    """The tower's spectra of levels 1..top, each checked against the
+    eigensolve of the whole adjacency; returns the solved block dimensions."""
+    spectra = list(islice(tower_spectra(level_tower(datum, side)), top))
+    for graph, eigs, _ in spectra:
+        assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
+    return [blocks for _, _, blocks in spectra]
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("p, e, places, top", [(5, 1, (2, 4), 4), (3, 2, (2, 5), 3)], ids=["q5", "q9"])
+def test_tower_spectrum_at_other_places(p, e, places, top, side):
+    datum = build_quaternionic_datum(make_field(p, e), *places)
+    assert len(_tower_against_whole_graphs(datum, side, top)) == top
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("q", sorted(TOWER_FIELDS))
+def test_tower_splits_every_quaternionic_level_from_3_on(q, side):
+    # the inversion split is what quarters the work; a broken inversion
+    # falls back to the whole doubly-new block without a sound, so this
+    # pins the two halves of N_{n-2} (q - 1)^2 / 2 on every level n >= 3
+    p, e, top = TOWER_FIELDS[q]
+    datum = build_quaternionic_datum(make_field(p, e), 1, 2)
+    blocks = [b for _, _, b in islice(tower_spectra(level_tower(datum, side)), top)]
+    assert blocks[:2] == [(q,), ((q + 1) * q - (q + 1),)][:top]
+    for n, solved in enumerate(blocks[2:], 3):
+        half = level_size(datum, side, n - 2) * (q - 1) ** 2 // 2
+        assert solved == (half, half)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_datum_without_the_inversion_is_solved_unsplit(datum_without_inversion, side):
+    # letter-wise inversion is no automorphism of this datum's levels 3 and 4
+    # (the fixture checks level 3 independently), so nothing splits
+    blocks = _tower_against_whole_graphs(datum_without_inversion, side, 4)
+    assert blocks[2:] == [(6 * 4 ** 2,), (6 * 5 * 4 ** 2,)]
+
+
+def test_a_drop_last_parent_that_is_no_covering_raises(d12_q3):
+    levels = list(islice(level_tower(d12_q3, "A"), 4))
+    last = levels[3].last_parent
+    swapped = last.copy()
+    swapped[[0, -1]] = last[[-1, 0]]
+    assert swapped[0] != last[0]  # two vertices of different fibers trade places
+    with pytest.raises(ValueError, match="not a covering"):
+        list(tower_spectra(iter(levels[:3] + [levels[3]._replace(last_parent=swapped)])))
+
+
+def test_a_grid_that_is_not_a_product_raises(d12_q3):
+    levels = list(islice(level_tower(d12_q3, "A"), 4))
+    # the drop-first parent passed as the drop-last one on level 3 alone:
+    # both are coverings, but the two ways down to level 1 differ
+    crossed = levels[:3] + [levels[3]._replace(last_parent=levels[3].parent)]
+    with pytest.raises(ValueError, match="not a covering grid: the two ways down differ"):
+        list(tower_spectra(iter(crossed)))
+    # on levels 2 and 3 both: the square commutes, but the q words x.m.y
+    # with one m.y share a (middle, left, right) cell
+    doubled = levels[:2] + [level._replace(last_parent=level.parent) for level in levels[2:]]
+    with pytest.raises(ValueError, match="not a covering grid: a cell does not hold one vertex"):
+        list(tower_spectra(iter(doubled)))
+
+
+def test_a_broken_inversion_is_refused_and_the_spectrum_stays_exact(d12_q3):
+    levels = list(islice(level_tower(d12_q3, "A"), 5))
+    inversion = levels[4].inversion.copy()
+    inversion[[0, 1]] = inversion[[1, 0]]
+    broken = levels[:4] + [levels[4]._replace(inversion=inversion)]
+    (graph, eigs, blocks), = islice(tower_spectra(iter(broken)), 3, 4)
+    assert blocks == (level_size(d12_q3, "A", 2) * 2 ** 2,)  # the whole doubly-new block
+    assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
+
+
+def test_tower_last_parents_and_inversions_follow_the_words(d12_q3):
+    levels = list(islice(level_tower(d12_q3, "B"), 5))
+    inverse = dict(zip(d12_q3.V, (d12_q3.V[i] for i in d12_q3.inv_V)))
+    assert levels[1].last_parent.tolist() == [0] * 4
+    for (lower, *_), (graph, _, last, inversion) in zip(levels[1:], levels[2:]):
+        labels = [label.split(".") for label in graph.vertex_labels]
+        assert [".".join(word[:-1]) for word in labels] == [lower.vertex_labels[v] for v in last]
+        assert [".".join(map(inverse.get, word)) for word in labels] == [graph.vertex_labels[v] for v in inversion]
 
 
 def test_verify_ramanujan_level_does_not_depend_on_the_range(capsys):
@@ -197,7 +280,7 @@ def test_verify_ramanujan_level_does_not_depend_on_the_range(capsys):
 def test_bass_ihara_transfer_of_the_tower_spectrum(d12_q3, side):
     # an independent check of the split: the dart spectrum, solved directly,
     # against the transfer of the merged tower spectrum
-    for n, (graph, eigs) in zip(range(1, 5), tower_spectra(level_tower(d12_q3, side))):
+    for n, (graph, eigs, _) in zip(range(1, 5), tower_spectra(level_tower(d12_q3, side))):
         direct = nb_spectrum_direct(nb_matrix(graph))
         transfer = np.array([x for x, _ in bass_ihara_pairs(eigs, 3)])
         assert len(direct) == 4 * graph.n_vertices()
