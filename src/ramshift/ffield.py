@@ -104,6 +104,7 @@ def _is_irreducible_zp(f: list[int], p: int) -> bool:
 
 
 FIELD_SIZE_LIMIT = 2048
+_BLOCK_DIGITS = 1 << 18  # entries of one digit temporary in the table builder
 
 
 class SizeCapExceeded(RuntimeError):
@@ -154,20 +155,26 @@ class FieldSpec:
         powers = p ** np.arange(e)
         digits = np.arange(q)[:, None] // powers % p  # (q, e), low degree first
         self._coeffs = list(map(tuple, digits.tolist()))
-        add = (digits[:, None] + digits[None]) % p @ powers
         neg = -digits % p @ powers
-        # schoolbook products, then x^k = x^(k-e) * -(m_0 + ... + m_{e-1} x^(e-1))
-        # for k from the top degree down, keeping every digit below p
-        prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
-        for i in range(e):
-            prod[:, :, i:i + e] += digits[:, None, i, None] * digits[None]
-        prod %= p
         fold = -np.array(self.modulus[:e]) % p
-        for k in range(2 * e - 2, e - 1, -1):
-            prod[:, :, k - e:k] += prod[:, :, k, None] * fold
-            prod[:, :, k - e:k] %= p
-        mul = prod[:, :, :e] @ powers
-        del prod
+        add = np.empty((q, q), dtype=np.int64)
+        mul = np.empty((q, q), dtype=np.int64)
+        # a block of rows at a time, so that no digit temporary holds more
+        # than _BLOCK_DIGITS entries (every field up to q = 31 is one block)
+        step = max(1, _BLOCK_DIGITS // (q * (2 * e - 1)))
+        for r in range(0, q, step):
+            rows = digits[r:r + step]
+            add[r:r + step] = (rows[:, None] + digits[None]) % p @ powers
+            # schoolbook products, then x^k = x^(k-e) * -(m_0 + ... + m_{e-1} x^(e-1))
+            # for k from the top degree down, keeping every digit below p
+            prod = np.zeros((len(rows), q, 2 * e - 1), dtype=np.int64)
+            for i in range(e):
+                prod[:, :, i:i + e] += rows[:, None, i, None] * digits[None]
+            prod %= p
+            for k in range(2 * e - 2, e - 1, -1):
+                prod[:, :, k - e:k] += prod[:, :, k, None] * fold
+                prod[:, :, k - e:k] %= p
+            mul[r:r + step] = prod[:, :, :e] @ powers
         inv = np.argmax(mul == 1, axis=1)  # 0 at 0, which has no inverse
         # c is the first non-square in the canonical ordering
         sq = np.diagonal(mul)
@@ -434,8 +441,12 @@ class Fq2Elem:
 def fq_label(a: FqElem) -> str:
     """Render a base-field element as a polynomial in w, so an element of
     the prime subfield (every element of a prime field) as an integer."""
+    return _fq_text(a.coeffs)
+
+
+def _fq_text(coeffs: tuple[int, ...]) -> str:
     parts = []
-    for i, coeff in enumerate(a.coeffs):
+    for i, coeff in enumerate(coeffs):
         if coeff == 0:
             continue
         if i == 0:
@@ -448,18 +459,25 @@ def fq_label(a: FqElem) -> str:
 
 def fq2_label(x: Fq2Elem) -> str:
     """Render u + vZ, e.g. '2+2Z', 'Z', '0', '(1+w)Z'."""
-    if x.v.is_zero():
-        return fq_label(x.u)
-    vlab = fq_label(x.v)
-    if vlab == "1":
-        ztxt = "Z"
-    elif "+" in vlab:
-        ztxt = f"({vlab})Z"
-    else:
-        ztxt = f"{vlab}Z"
-    if x.u.is_zero():
-        return ztxt
-    return f"{fq_label(x.u)}+{ztxt}"
+    return _fq2_text(fq_label(x.u), fq_label(x.v))
+
+
+def fq2_labels(elems: list[Fq2Elem]) -> list[str]:
+    """`fq2_label` of each element of one field, with each F_q coefficient
+    rendered once."""
+    if not elems:
+        return []
+    coeffs = elems[0].spec._coeffs
+    text = {n: _fq_text(coeffs[n]) for n in {x.nu for x in elems} | {x.nv for x in elems}}
+    return [_fq2_text(text[x.nu], text[x.nv]) for x in elems]
+
+
+def _fq2_text(u: str, v: str) -> str:
+    """The label of u + vZ from the labels of u and v ("0" only for zero)."""
+    if v == "0":
+        return u
+    ztxt = "Z" if v == "1" else f"({v})Z" if "+" in v else f"{v}Z"
+    return ztxt if u == "0" else f"{u}+{ztxt}"
 
 
 # ---------------------------------------------------------------------------

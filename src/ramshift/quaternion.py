@@ -15,10 +15,14 @@ trailing zeros trimmed (the zero polynomial is the empty tuple).
 `QuatBatch` holds N such elements at once, each component as a pair of int
 arrays of shape (N, L) (see `ffield.Pair`), padded with zero coefficients
 instead of trimmed.  Its product uses the formula above and
-`proportional_batch` the same test as `proportional`, both as table gathers
-over whole columns, so certifying many relations costs a few dozen numpy
-calls instead of one `QuatElem` product per relation.  `QuatElem` and
-`proportional` stay the element API and the reference for the batches.
+`proportional_batch` the same test as `proportional` (the cross product
+u1 x2 - u2 x1 must vanish), both as table gathers over whole columns.
+Each component of a product is a sum of polynomial products t^k a b,
+accumulated column by column into one preallocated zero batch, so no
+batch is ever padded or shifted by copying.  Certifying many relations
+costs a few dozen numpy calls instead of one `QuatElem` product per
+relation.  `QuatElem` and `proportional` stay the element API and the
+reference for the batches.
 """
 
 from __future__ import annotations
@@ -179,31 +183,20 @@ def proportional(g1: QuatElem, g2: QuatElem) -> bool:
 # batches: polynomial components as pairs of (N, L) int arrays
 
 
-def _pad(a: Pair, length: int) -> Pair:
-    """Zero coefficients appended up to `length` columns."""
-    extra = length - a[0].shape[1]
-    return a if not extra else tuple(np.pad(c, ((0, 0), (0, extra))) for c in a)
-
-
-def _batch_add(spec: FieldSpec, a: Pair, b: Pair) -> Pair:
-    length = max(a[0].shape[1], b[0].shape[1])
-    return spec.pair_add(_pad(a, length), _pad(b, length))
-
-
-def _batch_mul(spec: FieldSpec, a: Pair, b: Pair) -> Pair:
-    """Row-wise polynomial product: (N, La) by (N, Lb) gives (N, La + Lb - 1)."""
-    n, la = a[0].shape
-    lb = b[0].shape[1]
-    out = np.zeros((2, n, la + lb - 1), dtype=np.intp)
-    for i in range(la):
-        term = spec.pair_mul((a[0][:, i:i + 1], a[1][:, i:i + 1]), b)
-        out[:, :, i:i + lb] = spec.pair_add((out[0, :, i:i + lb], out[1, :, i:i + lb]), term)
+def _sum_of_products(spec: FieldSpec, terms) -> Pair:
+    """Row-wise sum of the polynomial products t^k a b over the terms
+    (a, b, k), each a and b an (N, L) batch, accumulated into one
+    preallocated zero batch as long as the longest term."""
+    n = terms[0][0][0].shape[0]
+    length = max(a[0].shape[1] + b[0].shape[1] - 1 + k for a, b, k in terms)
+    out = np.zeros((2, n, length), dtype=np.intp)
+    for a, b, k in terms:
+        lb = b[0].shape[1]
+        for i in range(a[0].shape[1]):
+            term = spec.pair_mul((a[0][:, i:i + 1], a[1][:, i:i + 1]), b)
+            j = slice(i + k, i + k + lb)
+            out[:, :, j] = spec.pair_add((out[0, :, j], out[1, :, j]), term)
     return out[0], out[1]
-
-
-def _batch_shift(a: Pair) -> Pair:
-    """Multiply by t."""
-    return tuple(np.pad(c, ((0, 0), (1, 0))) for c in a)
 
 
 def _zero_rows(a: Pair) -> np.ndarray:
@@ -231,10 +224,13 @@ class QuatBatch:
         if self.spec != other.spec:
             raise ValueError("quaternion operands live over different fields")
         s = self.spec
-        u = _batch_add(s, _batch_mul(s, self.u, other.u),
-                       _batch_shift(_batch_mul(s, self.x, s.pair_conj(other.x))))
-        x = _batch_add(s, _batch_mul(s, self.u, other.x), _batch_mul(s, self.x, s.pair_conj(other.u)))
+        u = _sum_of_products(s, [(self.u, other.u, 0), (self.x, s.pair_conj(other.x), 1)])
+        x = _sum_of_products(s, [(self.u, other.x, 0), (self.x, s.pair_conj(other.u), 0)])
         return QuatBatch(s, u, x)
+
+    def rows(self, index) -> "QuatBatch":
+        """The batch of the rows `index` (a slice or index array) selects."""
+        return QuatBatch(self.spec, (self.u[0][index], self.u[1][index]), (self.x[0][index], self.x[1][index]))
 
     def is_scalar(self) -> np.ndarray:
         """Row-wise `QuatElem.is_scalar`."""
@@ -247,9 +243,6 @@ def proportional_batch(g1: QuatBatch, g2: QuatBatch) -> np.ndarray:
     zu1, zx1, zu2, zx2 = (_zero_rows(c) for c in (g1.u, g1.x, g2.u, g2.x))
     if (zu1 & zx1).any() or (zu2 & zx2).any():
         raise ValueError("proportionality is only defined for nonzero elements")
-    a = _batch_mul(g1.spec, g1.u, g2.x)
-    b = _batch_mul(g1.spec, g2.u, g1.x)
-    length = max(a[0].shape[1], b[0].shape[1])
-    (au, av), (bu, bv) = _pad(a, length), _pad(b, length)
-    cross = ((au == bu) & (av == bv)).all(axis=1)
-    return (zu1 == zu2) & (zx1 == zx2) & cross
+    # the cross product u1 x2 - u2 x1 vanishes
+    cross = _sum_of_products(g1.spec, [(g1.u, g2.x, 0), (g1.spec.pair_neg(g2.u), g1.x, 0)])
+    return (zu1 == zu2) & (zx1 == zx2) & _zero_rows(cross)

@@ -3,8 +3,8 @@ involutions, their validation, the quaternionic construction, Wang-tile
 export, and the canonical JSON file format.
 
 A VH-datum D = (V, H, R) consists of symbol lists V (size 2m) and H (size
-2n), involutions a -> a^-1 on each, and a set R of quadruples
-(a, b, c, d) in V x H x H x V subject to:
+2n) of distinct labels, involutions a -> a^-1 on each, and a set R of
+quadruples (a, b, c, d) in V x H x H x V subject to:
 
   (1) closure: (a,b,c,d) in R forces (a^-1,c,b,d^-1), (d^-1,c^-1,b^-1,a^-1)
       and (d,b^-1,c^-1,a) into R;
@@ -29,8 +29,15 @@ through an encoding-to-index array, and the certification decides all
 relations with one `QuatBatch` product and proportionality test.  `zeta`,
 `QuatElem` and `proportional` remain the element-level reference.
 
+`validate_datum` is array passes too: it reads R as four index columns
+(`_index_columns`) and decides the axioms on them, and renders a violation
+only from a failing row.
+
 A datum file of a field datum stores each coefficient as an integer in
 0..p-1, and on reading its V and H must be the norm fibers of its places.
+Each list of a file (R, V, H) is checked as a whole, by type and length
+per nesting level; only a malformed list is walked entry by entry, to
+name its first bad entry.
 """
 
 from __future__ import annotations
@@ -38,11 +45,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field as _field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .ffield import FieldSpec, FqElem, Fq2Elem, Pair, fq2_label, make_field, norm_fiber
+from .ffield import FieldSpec, FqElem, Fq2Elem, Pair, fq2_label, fq2_labels, make_field, norm_fiber
 from .quaternion import QuatBatch, QuatElem, proportional_batch
 
 
@@ -52,8 +60,8 @@ from .quaternion import QuatBatch, QuatElem, proportional_batch
 
 @dataclass
 class VHDatum:
-    """A VH-datum: side alphabets V and H with their involutions, and the
-    relation tuples R = {(a, b, c, d)}.
+    """A VH-datum: side alphabets V and H (distinct labels on each side)
+    with their involutions, and the relation tuples R = {(a, b, c, d)}.
 
     `validate_datum` runs where a datum enters the library:
     `build_quaternionic_datum` checks what it builds, `datum_from_dict`
@@ -122,18 +130,26 @@ def zeta(alpha: Fq2Elem, beta: Fq2Elem) -> Fq2Elem:
     return (one + alpha / beta) / (one + alpha.conj() / beta.conj())
 
 
-def _zeta_pairs(spec: FieldSpec, alpha: Pair, beta: Pair) -> Pair:
-    """`zeta` elementwise over pairs of arrays, with its preconditions checked
-    on every element."""
-    norm_b = spec.pair_norm(beta)
-    if not norm_b.all():
-        raise ValueError("zeta twist needs beta nonzero")
-    if (spec.pair_norm(alpha) == norm_b).any():
+def _twisted_pairs(spec: FieldSpec, alpha: Pair, beta: Pair) -> tuple[Pair, Pair]:
+    """gamma = zeta_alpha(beta) beta and delta = zeta_beta(alpha) alpha
+    elementwise over pairs of arrays (the operands broadcast), with the
+    preconditions of both twists checked on every element.
+
+    With s = alpha + beta, zeta_alpha(beta) = (s / beta) / (conj(s) / conj(beta)),
+    so gamma = s conj(beta) / conj(s) = s^2 conj(beta) / N(s), and by
+    symmetry delta = s^2 conj(alpha) / N(s): both share s^2 / N(s).  s is
+    nonzero because N(alpha) != N(beta)."""
+    norm_a, norm_b = spec.pair_norm(alpha), spec.pair_norm(beta)
+    if not (norm_a.all() and norm_b.all()):
+        raise ValueError("zeta twist needs alpha and beta nonzero")
+    if (norm_a == norm_b).any():
         raise ValueError("zeta twist needs N(alpha) != N(beta)")
-    one = (1, 0)
-    num = spec.pair_add(one, spec.pair_mul(alpha, spec.pair_inverse(beta)))
-    den = spec.pair_add(one, spec.pair_mul(spec.pair_conj(alpha), spec.pair_inverse(spec.pair_conj(beta))))
-    return spec.pair_mul(num, spec.pair_inverse(den))
+    s = spec.pair_add(alpha, beta)
+    square = spec.pair_mul(s, s)
+    t = spec.arrays
+    scale = t.inv[spec.pair_norm(s)]
+    ratio = (t.mul[square[0], scale], t.mul[square[1], scale])
+    return spec.pair_mul(ratio, spec.pair_conj(beta)), spec.pair_mul(ratio, spec.pair_conj(alpha))
 
 
 def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
@@ -143,8 +159,8 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
     tau and sigma must be distinct nonzero elements of F_q (ints accepted
     via the canonical encoding).  gamma = zeta_alpha(beta) beta and
     delta = zeta_beta(alpha) alpha are computed for every (alpha, beta) at
-    once and found in the fibers by their F_q[Z] encodings.  The result
-    passes `validate_datum`.
+    once, by the shared closed form of `_twisted_pairs`, and found in the
+    fibers by their F_q[Z] encodings.  The result passes `validate_datum`.
     """
     tau = spec.elem(tau)
     sigma = spec.elem(sigma)
@@ -170,15 +186,14 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
     # alpha runs over the rows and beta over the columns, so R is in (ia, ib) order
     alpha = (v[0][:, None], v[1][:, None])
     beta = (h[0][None, :], h[1][None, :])
-    gamma = spec.pair_mul(_zeta_pairs(spec, alpha, beta), beta)
-    delta = spec.pair_mul(_zeta_pairs(spec, beta, alpha), alpha)
+    gamma, delta = _twisted_pairs(spec, alpha, beta)
     ia, ib = np.divmod(np.arange(len(v_elems) * len(h_elems)), len(h_elems))
     tuples = list(zip(ia.tolist(), ib.tolist(), indices(h_elems, gamma).tolist(),
                       indices(v_elems, delta).tolist()))
 
     datum = VHDatum(
-        V=[fq2_label(x) for x in v_elems],
-        H=[fq2_label(x) for x in h_elems],
+        V=fq2_labels(v_elems),
+        H=fq2_labels(h_elems),
         inv_V=indices(v_elems, spec.pair_neg(v)).tolist(),
         inv_H=indices(h_elems, spec.pair_neg(h)).tolist(),
         R=tuples,
@@ -198,74 +213,142 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
 # validation
 
 
-def validate_datum(datum: VHDatum) -> DatumReport:
-    """Check the involution axioms and datum properties (1)-(3).
+# Pair keys read off the columns [a, b, c, d, a', b', c', d'] of R (' the
+# inverse letter): keys 0-3 are first * |H| + second, the (a, b) of the
+# tuple and of its companions (a', c, b, d'), (d', c', b', a') and
+# (d, b', c', a); keys 4-7 are first * |V| + second, their (c, d).
+_FIRST = np.array([0, 4, 7, 3, 2, 1, 5, 6])
+_SECOND = np.array([1, 2, 6, 5, 3, 7, 4, 0])
+_SIDES = np.array([0, 1, 1, 0])[:, None]  # the alphabet of each tuple position: 0 = V, 1 = H
+_PROJECTIONS = (("(a,b)", 0, 1), ("(c,d)", 2, 3), ("(a,c)", 0, 2), ("(b,d)", 1, 3))
 
-    Violations are collected into the report rather than raised, so a
-    broken datum can be inspected.
+
+def validate_datum(datum: VHDatum) -> DatumReport:
+    """Check the involution axioms, distinct labels on each side, and datum
+    properties (1)-(3).
+
+    R is decided by whole-array passes over its four index columns: the
+    range by one maximum; the (a, b) projection by one `bincount` of its
+    pair keys; the three companions of every tuple by gathering through the
+    (a, b) -> row index; degeneracy by one comparison.  Once (a, b) is a
+    bijection and every companion is present, the other three projections
+    are bijections too: each companion map is an involution of R, and it
+    carries the (a, b) projection to (a', c), (d', c') or (d, b').  Only a
+    datum that fails there is looked at further: its collisions by sorting
+    each projection's keys, and, when two tuples share (a, b), its
+    duplicates and companions through a set of the tuples.  Violations are
+    collected into the report rather than raised, so a broken datum can be
+    inspected, and each is rendered from its failing row only.  They come
+    in this order: the involutions, even sizes and labels (any of these
+    ends the check); duplicate tuples, or the first tuple out of range
+    (which ends it); per tuple in R order, its missing companions and its
+    degeneracy; |R|; per projection, its collisions in R order.
     """
     bad: list[str] = []
-    checked = 0
     nv, nh = len(datum.V), len(datum.H)
-
-    def tup_label(t):
-        a, b, c, d = t
-        return f"({datum.V[a]}, {datum.H[b]}, {datum.H[c]}, {datum.V[d]})"
-
     for name, size, inv in (("inv_V", nv, datum.inv_V), ("inv_H", nh, datum.inv_H)):
-        checked += 1
         if len(inv) != size or sorted(inv) != list(range(size)):
             bad.append(f"{name} is not a permutation of 0..{size - 1}")
             continue
         for i, j in enumerate(inv):
             if j == i:
                 bad.append(f"{name} has fixed point at index {i}")
-            if inv[j] != i:
+            elif inv[j] != i:
                 bad.append(f"{name} is not an involution at index {i}")
     if nv % 2 or nh % 2:
         bad.append("V and H must have even size")
+    for name, labels in (("V", datum.V), ("H", datum.H)):
+        if len(set(labels)) != len(labels):
+            seen: set = set()
+            repeated = next(x for x in labels if x in seen or seen.add(x))
+            bad.append(f"{name} labels are not distinct: {repeated!r} repeats")
     if bad:
-        return DatumReport(bad, checked)
+        return DatumReport(bad, 2)
 
-    rset = set(datum.R)
-    if len(rset) != len(datum.R):
-        bad.append("R contains duplicate tuples")
-    for t in datum.R:
-        a, b, c, d = t
-        if not (0 <= a < nv and 0 <= d < nv and 0 <= b < nh and 0 <= c < nh):
-            bad.append(f"tuple {t} has out-of-range indices")
-            return DatumReport(bad, checked)
+    n = len(datum.R)
+    cols = _index_columns(datum.R)
+    # a negative index is above every bound as an unsigned int
+    if cols is None or n and cols.view(np.uint64).max() >= min(nv, nh) and any(
+            x >= y for x, y in zip(cols.view(np.uint64).max(axis=1).tolist(), (nv, nh, nh, nv))):
+        if len(set(datum.R)) != n:
+            bad.append("R contains duplicate tuples")
+        outside = next((t for t in datum.R if not (0 <= t[0] < nv and 0 <= t[3] < nv
+                                                   and 0 <= t[1] < nh and 0 <= t[2] < nh)), None)
+        if outside is None:
+            raise TypeError("R indices must be ints")
+        bad.append(f"tuple {outside} has out-of-range indices")
+        return DatumReport(bad, 2)
 
-    ia, ih = datum.inv_V, datum.inv_H
-    for t in datum.R:
-        a, b, c, d = t
-        checked += 1
-        # property (1): the three companion tuples
-        for comp in ((ia[a], c, b, ia[d]), (ia[d], ih[c], ih[b], ia[a]), (d, ih[b], ih[c], a)):
-            if comp not in rset:
-                bad.append(f"property (1): companion {tup_label(comp)} of {tup_label(t)} missing")
-        # property (2)
-        if c == ih[b] and d == ia[a]:
-            bad.append(f"property (2): degenerate tuple {tup_label(t)}")
+    # each letter's inverse, looked up in its own alphabet's row
+    width = max(nv, nh)
+    inverse = np.array([[*datum.inv_V, *[0] * (width - nv)], [*datum.inv_H, *[0] * (width - nh)]])
+    full = np.concatenate([cols, inverse[_SIDES, cols]])
+    keys = full.take(_FIRST, axis=0)
+    keys[:4] *= nh
+    keys[4:] *= nv
+    keys += full.take(_SECOND, axis=0)
+    # (c, d) = (b', a'): the tuple is degenerate
+    degenerate = keys[4] == keys[6]
+    if n == nv * nh and np.count_nonzero(np.bincount(keys[0])) == n:
+        # (a, b) -> row is a bijection: a tuple lies in R iff it is the row of its (a, b)
+        missing = keys[4][keys[0].argsort()[keys[1:4]]] != keys[5:]
+    else:
+        # two tuples share (a, b), or |R| != |V||H|: property (3) fails
+        rset = set(datum.R)
+        if len(rset) != n:
+            bad.append("R contains duplicate tuples")
+        companions = full[[4, 2, 1, 7, 7, 6, 5, 4, 3, 5, 6, 0]].reshape(3, 4, n).transpose(0, 2, 1)
+        missing = ~np.fromiter(map(rset.__contains__, map(tuple, companions.reshape(-1, 4).tolist())),
+                               dtype=bool, count=3 * n).reshape(3, n)
+    if not (np.count_nonzero(missing) or np.count_nonzero(degenerate) or n != nv * nh):
+        return DatumReport(bad, 2 + n + 4)
+
+    def label(a, b, c, d):
+        return f"({datum.V[a]}, {datum.H[b]}, {datum.H[c]}, {datum.V[d]})"
+
+    # property (1): the three companion tuples; property (2): degeneracy
+    for r in np.flatnonzero(missing.any(axis=0) | degenerate).tolist():
+        a, b, c, d, ia, ib, ic, id_ = full[:, r].tolist()
+        t = label(a, b, c, d)
+        for comp, miss in zip(((ia, c, b, id_), (id_, ic, ib, ia), (d, ib, ic, a)), missing[:, r].tolist()):
+            if miss:
+                bad.append(f"property (1): companion {label(*comp)} of {t} missing")
+        if degenerate[r]:
+            bad.append(f"property (2): degenerate tuple {t}")
 
     # property (3): the four projections are bijections
-    if len(datum.R) != nv * nh:
-        bad.append(f"|R| = {len(datum.R)} but |V||H| = {nv * nh}")
-    for name, proj in (
-        ("(a,b)", lambda t: (t[0], t[1])),
-        ("(c,d)", lambda t: (t[2], t[3])),
-        ("(a,c)", lambda t: (t[0], t[2])),
-        ("(b,d)", lambda t: (t[1], t[3])),
-    ):
-        checked += 1
-        seen: dict[tuple[int, int], tuple] = {}
-        for t in datum.R:
-            key = proj(t)
-            if key in seen:
-                bad.append(f"property (3): projection {name} collides on {tup_label(t)} and {tup_label(seen[key])}")
-            seen[key] = t
+    if n != nv * nh:
+        bad.append(f"|R| = {n} but |V||H| = {nv * nh}")
+    for name, i, j in _PROJECTIONS:
+        later, earlier = _collisions(cols[i] * (nh if j in (1, 2) else nv) + cols[j])
+        for r, s in zip(later.tolist(), earlier.tolist()):
+            bad.append(f"property (3): projection {name} collides on "
+                       f"{label(*cols[:, r].tolist())} and {label(*cols[:, s].tolist())}")
+    return DatumReport(bad, 2 + n + 4)
 
-    return DatumReport(bad, checked)
+
+def _index_columns(R) -> np.ndarray | None:
+    """The four index columns a, b, c, d of R as a (4, |R|) int64 array;
+    None when an entry holds something other than an int64 (a float, or an
+    int beyond int64).  Raises ValueError unless every entry has 4 items."""
+    if not R:
+        return np.zeros((4, 0), dtype=np.int64)
+    if set(map(len, R)) != {4}:
+        raise ValueError("R entries must be 4-tuples")
+    cols = np.array(list(zip(*R)))
+    if cols.dtype.kind == "b":
+        cols = cols.astype(np.int64)
+    return cols if cols.dtype.kind == "i" else None
+
+
+def _collisions(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows whose key an earlier row holds, in order, each with the
+    latest such earlier row."""
+    order = np.argsort(key, kind="stable")
+    same = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    later, earlier = order[same + 1], order[same]
+    first = np.argsort(later)
+    return later[first], earlier[first]
 
 
 def verify_relations(datum: VHDatum) -> DatumReport:
@@ -274,9 +357,11 @@ def verify_relations(datum: VHDatum) -> DatumReport:
     For every (alpha, beta, gamma, delta) in R the products
     (1 + alpha F)(1 + beta F) and (1 + gamma F)(1 + delta F) must be
     proportional, and for every fiber element xi the product
-    (1 + xi F)(1 - xi F) must be a scalar.  Each family is decided by one
-    `QuatBatch` product and test; only a failing row is multiplied out
-    again as `QuatElem`s, to name it in its violation.
+    (1 + xi F)(1 - xi F) must be a scalar.  All three families are one
+    `QuatBatch` product, rows (alpha, beta), then (gamma, delta), then
+    (xi, -xi), decided by one proportionality and one scalar test; only a
+    failing row is multiplied out again as `QuatElem`s, to name it in its
+    violation.
     """
     if not datum.is_arithmetic():
         raise ValueError("verify_relations needs a datum with field values")
@@ -284,12 +369,16 @@ def verify_relations(datum: VHDatum) -> DatumReport:
     bad: list[str] = []
     gen = lambda x: QuatElem.one_plus_alpha_f(spec, x)
     v, h = spec.pair(datum.V_elems), spec.pair(datum.H_elems)
-    rows = np.array(datum.R, dtype=np.intp).reshape(-1, 4)
-    side = lambda pair, col: QuatBatch.generators(spec, (pair[0][rows[:, col]], pair[1][rows[:, col]]))
-
-    square = proportional_batch(side(v, 0) * side(h, 1), side(h, 2) * side(v, 3))
-    for n in np.flatnonzero(~square).tolist():
-        ia, ib, ic, idd = datum.R[n]
+    a, b, c, d = _index_columns(datum.R)
+    n = len(datum.R)
+    xi = (np.concatenate([v[0], h[0]]), np.concatenate([v[1], h[1]]))
+    minus_xi = spec.pair_neg(xi)
+    left = tuple(np.concatenate([v[k][a], h[k][c], xi[k]]) for k in (0, 1))
+    right = tuple(np.concatenate([h[k][b], v[k][d], minus_xi[k]]) for k in (0, 1))
+    products = QuatBatch.generators(spec, left) * QuatBatch.generators(spec, right)
+    square = proportional_batch(products.rows(slice(0, n)), products.rows(slice(n, 2 * n)))
+    for r in np.flatnonzero(~square).tolist():
+        ia, ib, ic, idd = datum.R[r]
         lhs = gen(datum.V_elems[ia]) * gen(datum.H_elems[ib])
         rhs = gen(datum.H_elems[ic]) * gen(datum.V_elems[idd])
         bad.append(
@@ -297,11 +386,10 @@ def verify_relations(datum: VHDatum) -> DatumReport:
             f"{datum.H[ic]}, {datum.V[idd]}): lhs = {lhs}, rhs = {rhs}"
         )
     xis = list(datum.V_elems) + list(datum.H_elems)
-    xi = (np.concatenate([v[0], h[0]]), np.concatenate([v[1], h[1]]))
-    inverse = (QuatBatch.generators(spec, xi) * QuatBatch.generators(spec, spec.pair_neg(xi))).is_scalar()
-    for n in np.flatnonzero(~inverse).tolist():
-        bad.append(f"inverse relation fails for {fq2_label(xis[n])}: {gen(xis[n]) * gen(-xis[n])}")
-    return DatumReport(bad, len(datum.R) + len(xis))
+    inverse = products.rows(slice(2 * n, None)).is_scalar()
+    for r in np.flatnonzero(~inverse).tolist():
+        bad.append(f"inverse relation fails for {fq2_label(xis[r])}: {gen(xis[r]) * gen(-xis[r])}")
+    return DatumReport(bad, n + len(xis))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +543,8 @@ def json_text(payload) -> str:
     The json module drops to its pure-Python encoder whenever an indent is
     given.  Here dicts with str keys are walked by hand, and a flat list of
     exact ints and strs is one C-encoder call with the indent folded into
-    the item separator.  A 1-D or 2-D array, or a 1-D record array (one row
+    the item separator, and so is a scalar or an empty list or dict, whose
+    text no indent changes.  A 1-D or 2-D array, or a 1-D record array (one row
     per record), whose columns hold ints or strs is one `%` over a row
     template: `%d` for an int column, and `%s` for a str column, each
     distinct str encoded once.  Anything else is the stdlib text re-indented
@@ -469,6 +558,9 @@ def json_text(payload) -> str:
 
 
 _SCALARS = {int, str}  # exact types the C encoder writes as stdlib does
+# exact types whose text no indent changes, written without the indenting
+# pure-Python encoder
+_PLAIN = {int, str, float, bool, type(None)}
 
 
 def _write(value, nl: str, out: list[str]) -> None:
@@ -486,6 +578,8 @@ def _write(value, nl: str, out: list[str]) -> None:
         out.append(text)
     elif type(value) is list and value and set(map(type, value)) <= _SCALARS:
         out.append("[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + nl + "]")
+    elif type(value) in _PLAIN or type(value) in (list, dict) and not value:
+        out.append(json.dumps(value))
     else:
         out.append(json.dumps(value, sort_keys=True, indent=1, default=_listed_or_str).replace("\n", nl))
 
@@ -618,9 +712,26 @@ def _coefficients(spec: FieldSpec, value, what: str) -> list[int]:
     return coeffs
 
 
+def _nested_ints(value, *lengths) -> list | None:
+    """The leaves of `value`, flattened, when it is lists nested to the
+    given lengths (None: any length) with exact ints as leaves; None for any
+    other shape or leaf.  Each level is one pass over a whole list."""
+    level = [value]
+    for length in lengths:
+        if set(map(type, level)) - {list} or length is not None and set(map(len, level)) - {length}:
+            return None
+        level = list(chain.from_iterable(level))
+    return None if set(map(type, level)) - {int} else level
+
+
 def _side_elements(spec: FieldSpec, entries, key: str) -> list[Fq2Elem]:
     """The F_q[Z] elements of a file's V or H: pairs [u, v] of coefficient
-    lists."""
+    lists.  A well-formed side is checked and encoded as whole lists; any
+    other is walked entry by entry, to name its first bad entry."""
+    digits = _nested_ints(entries, None, 2, spec.e)
+    if digits is not None and (not digits or 0 <= min(digits) and max(digits) < spec.p):
+        codes = np.array(digits, dtype=np.intp).reshape(-1, 2, spec.e) @ spec.p ** np.arange(spec.e)
+        return [Fq2Elem(spec, nu, nv) for nu, nv in codes.tolist()]
     elems = []
     for entry in _listed(list, entries, key):
         if len(entry) != 2:
@@ -655,17 +766,20 @@ def datum_from_dict(data: dict) -> VHDatum:
     try:
         inv_v = _listed(int, data["inv_V"], "inv_V")
         inv_h = _listed(int, data["inv_H"], "inv_H")
-        tuples = [tuple(_listed(int, t, "an R entry")) for t in data["R"]]
-        if any(len(t) != 4 for t in tuples):
-            raise ValueError("R entries must be 4-tuples")
+        if _nested_ints(data["R"], None, 4) is not None:
+            tuples = list(map(tuple, data["R"]))
+        else:  # names the first entry that is no list of ints
+            tuples = [tuple(_listed(int, t, "an R entry")) for t in data["R"]]
+            if set(map(len, tuples)) - {4}:
+                raise ValueError("R entries must be 4-tuples")
         if "field" in data:
             spec = _field_from_dict(data["field"], len(data["V"]), len(data["H"]), len(tuples))
             v_elems, h_elems = (_side_elements(spec, data[key], key) for key in ("V", "H"))
             tau, sigma = (spec.elem(_coefficients(spec, data[key], key)) for key in ("tau", "sigma"))
             _check_places(spec, tau, sigma, v_elems, h_elems)
             datum = VHDatum(
-                V=[fq2_label(x) for x in v_elems],
-                H=[fq2_label(x) for x in h_elems],
+                V=fq2_labels(v_elems),
+                H=fq2_labels(h_elems),
                 inv_V=inv_v,
                 inv_H=inv_h,
                 R=tuples,

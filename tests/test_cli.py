@@ -614,6 +614,43 @@ def test_datum_file_coefficients_outside_the_field_are_an_input_error(tmp_path, 
     assert err.startswith("error: malformed datum file") and "Traceback" not in err
 
 
+def _r_entry_error(entry):
+    return f"malformed datum file: TypeError({f'an R entry must be a list of int, got {entry!r}'!r})"
+
+
+@pytest.mark.parametrize("edit,expected", [
+    pytest.param(_set("R", 3, value=5), lambda R: _r_entry_error(5), id="non_list_entry"),
+    pytest.param(_set("R", 2, 1, value=True), lambda R: _r_entry_error(R[2]), id="bool"),
+    pytest.param(_set("R", 4, 0, value=1.0), lambda R: _r_entry_error(R[4]), id="float"),
+    pytest.param(lambda data: data["R"][1].pop(), lambda R: "R entries must be 4-tuples", id="three_tuple"),
+    pytest.param(lambda data: data["R"][6].append(0), lambda R: "R entries must be 4-tuples", id="five_tuple"),
+    pytest.param(_set("R", 5, 2, value=[1]), lambda R: _r_entry_error(R[5]), id="nested_list"),
+    pytest.param(_set("R", value="abc"), lambda R: _r_entry_error("a"), id="string_R"),
+    # a type error anywhere is named before any entry of the wrong length
+    pytest.param(lambda data: (data["R"][1].pop(), data["R"][7].__setitem__(3, 0.5)),
+                 lambda R: _r_entry_error(R[7]), id="short_entry_then_float"),
+])
+def test_malformed_datum_file_R_entries_are_named(tmp_path, capsys, edit, expected):
+    path = _edited_datum_file(tmp_path, capsys, edit)
+    R = json.loads(open(path, encoding="utf-8").read())["R"]
+    code, stdout, err = run(capsys, "datum", "--datum", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {expected(R)}\n"
+
+
+@pytest.mark.parametrize("side", ["V", "H"])
+def test_repeated_labels_in_a_datum_file_are_an_input_error(tmp_path, capsys, side):
+    data = json.loads(dumps_datum(direct_product_datum(2, 2)))
+    data[side][1] = data[side][0]
+    path = _write_json(tmp_path / "repeated.json", data)
+    message = f"error: datum file fails validation: {side} labels are not distinct: {data[side][0]!r} repeats\n"
+    for argv in (["datum"], ["automaton"], ["tiles"], ["graph", "--side", "B", "--level", "1"],
+                 ["verify-ramanujan", "--levels", "1"]):
+        code, stdout, err = run(capsys, *argv, "--datum", path, "--no-timestamp")
+        assert (code, stdout, err) == (2, "", message), argv
+
+
 def _swap(*keys):
     return lambda data: data.update(zip(keys, [data[k] for k in reversed(keys)]))
 

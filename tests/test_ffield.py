@@ -2,6 +2,7 @@
 conjugation, norms, and norm fibers.  Expected values are frozen from
 brute-force oracles computed inside the tests."""
 
+import numpy as np
 import pytest
 
 from ramshift import ffield
@@ -301,3 +302,25 @@ def test_pair_ops_broadcast_like_numpy(f5):
     assert table[0].shape == table[1].shape == (6, 6)
     assert [list(zip(*row)) for row in zip(table[0].tolist(), table[1].tolist())] == \
         [[((a * b).nu, (a * b).nv) for b in elems] for a in elems]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_batch_labels_match_the_element_labels(p, e):
+    spec = make_field(p, e)
+    elems = spec.ext_elements()
+    assert ffield.fq2_labels(elems) == [ffield.fq2_label(x) for x in elems]
+    assert ffield.fq2_labels(elems[::-7]) == [ffield.fq2_label(x) for x in elems[::-7]]
+    assert ffield.fq2_labels([]) == []
+    assert len(set(ffield.fq2_labels(elems))) == spec.q ** 2
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (31, 1), (3, 3), (5, 2), (3, 4)])
+def test_tables_built_in_row_blocks_are_the_one_block_tables(p, e, monkeypatch):
+    whole = make_field(p, e).arrays
+    for rows in (1, 2, 7):
+        # blocks of one row, of two, and of seven with a shorter last block
+        monkeypatch.setattr(ffield, "_BLOCK_DIGITS", rows * p ** e * (2 * e - 1))
+        blocked = make_field(p, e).arrays
+        for name, table in zip(whole._fields, whole):
+            assert getattr(blocked, name).dtype == table.dtype
+            assert np.array_equal(getattr(blocked, name), table), name

@@ -214,3 +214,11 @@ def test_proportional_batch_rejects_zero_rows(f3):
 def test_batch_operands_over_different_fields_are_rejected(f3, f5):
     with pytest.raises(ValueError, match="different fields"):
         batch_of(f3, [QuatElem.one(f3)]) * batch_of(f5, [QuatElem.one(f5)])
+
+
+def test_batch_rows_select_elements(f5):
+    rng = random.Random(17)
+    quats = [_random_quat(f5, rng, max_deg=2) for _ in range(9)]
+    batch = batch_of(f5, quats)
+    assert rows_of(batch.rows(slice(2, 6))) == rows_of(batch)[2:6]
+    assert rows_of(batch.rows(np.array([8, 0, 8]))) == [rows_of(batch)[k] for k in (8, 0, 8)]

@@ -7,13 +7,14 @@ from functools import cache
 
 import numpy as np
 import pytest
+from conftest import random_vh_datum
 
 from ramshift.ffield import fq2_label, make_field
 from ramshift.quaternion import QuatBatch, QuatElem, proportional, proportional_batch
 from ramshift.vhdatum import (
     DatumReport,
     VHDatum,
-    _zeta_pairs,
+    _twisted_pairs,
     build_quaternionic_datum,
     datum_from_dict,
     datum_to_dict,
@@ -98,6 +99,147 @@ def test_validate_flags_broken_involution():
     )
     report = validate_datum(datum)
     assert any("fixed point" in v for v in report.violations)
+
+
+def loop_validate_datum(datum):
+    """One tuple at a time, with a set of the tuples and a dict per
+    projection: the reference for `validate_datum` (which also requires
+    distinct labels, a check this loop leaves out)."""
+    bad = []
+    checked = 0
+    nv, nh = len(datum.V), len(datum.H)
+
+    def tup_label(t):
+        a, b, c, d = t
+        return f"({datum.V[a]}, {datum.H[b]}, {datum.H[c]}, {datum.V[d]})"
+
+    for name, size, inv in (("inv_V", nv, datum.inv_V), ("inv_H", nh, datum.inv_H)):
+        checked += 1
+        if len(inv) != size or sorted(inv) != list(range(size)):
+            bad.append(f"{name} is not a permutation of 0..{size - 1}")
+            continue
+        for i, j in enumerate(inv):
+            if j == i:
+                bad.append(f"{name} has fixed point at index {i}")
+            if inv[j] != i:
+                bad.append(f"{name} is not an involution at index {i}")
+    if nv % 2 or nh % 2:
+        bad.append("V and H must have even size")
+    if bad:
+        return DatumReport(bad, checked)
+
+    rset = set(datum.R)
+    if len(rset) != len(datum.R):
+        bad.append("R contains duplicate tuples")
+    for t in datum.R:
+        a, b, c, d = t
+        if not (0 <= a < nv and 0 <= d < nv and 0 <= b < nh and 0 <= c < nh):
+            bad.append(f"tuple {t} has out-of-range indices")
+            return DatumReport(bad, checked)
+
+    ia, ih = datum.inv_V, datum.inv_H
+    for t in datum.R:
+        a, b, c, d = t
+        checked += 1
+        for comp in ((ia[a], c, b, ia[d]), (ia[d], ih[c], ih[b], ia[a]), (d, ih[b], ih[c], a)):
+            if comp not in rset:
+                bad.append(f"property (1): companion {tup_label(comp)} of {tup_label(t)} missing")
+        if c == ih[b] and d == ia[a]:
+            bad.append(f"property (2): degenerate tuple {tup_label(t)}")
+
+    if len(datum.R) != nv * nh:
+        bad.append(f"|R| = {len(datum.R)} but |V||H| = {nv * nh}")
+    for name, proj in (
+        ("(a,b)", lambda t: (t[0], t[1])),
+        ("(c,d)", lambda t: (t[2], t[3])),
+        ("(a,c)", lambda t: (t[0], t[2])),
+        ("(b,d)", lambda t: (t[1], t[3])),
+    ):
+        checked += 1
+        seen = {}
+        for t in datum.R:
+            key = proj(t)
+            if key in seen:
+                bad.append(f"property (3): projection {name} collides on {tup_label(t)} and {tup_label(seen[key])}")
+            seen[key] = t
+    return DatumReport(bad, checked)
+
+
+def _mutations(datum, rng):
+    """Single mutations of a valid datum, each with its name: one kind of
+    fault at a time, at seeded random places."""
+    R, nv, nh = datum.R, len(datum.V), len(datum.H)
+    j, k = rng.sample(range(len(R)), 2)
+    a, b, c, d = R[k]
+    other = R[j]
+
+    def at(t):
+        return replace(datum, R=R[:k] + [t] + R[k + 1:])
+
+    yield "duplicate", at(other)
+    yield "appended_duplicate", replace(datum, R=R + [R[k]])
+    yield "short", replace(datum, R=R[:k] + R[k + 1:])
+    for name, value in (("minus_one", -1), ("size", None), ("huge", 2 ** 70)):
+        for pos in range(4):
+            t = list(R[k])
+            t[pos] = (nv if pos in (0, 3) else nh) if value is None else value
+            yield f"out_of_range_{name}_{pos}", at(tuple(t))
+    yield "missing_companion", at((a, b, (c + 1) % nh, d))
+    yield "degenerate", at((a, b, datum.inv_H[b], datum.inv_V[a]))
+    yield "collision_ab", at((other[0], other[1], c, d))
+    yield "collision_cd", at((a, b, other[2], other[3]))
+    yield "collision_ac", at((other[0], b, other[2], d))
+    yield "collision_bd", at((a, other[1], c, other[3]))
+    for key, size in (("inv_V", nv), ("inv_H", nh)):
+        inv = getattr(datum, key)
+        i = rng.randrange(size)
+        fixed = list(inv)
+        fixed[i], fixed[inv[i]] = i, inv[i]
+        yield f"fixed_point_{key}", replace(datum, **{key: fixed})
+        cycle = list(inv)
+        x, y = i, next(z for z in range(size) if z not in (i, inv[i]))
+        cycle[x], cycle[y] = cycle[y], cycle[x]  # two 2-cycles become a 4-cycle
+        yield f"non_involution_{key}", replace(datum, **{key: cycle})
+        huge = list(inv)
+        huge[i] = 2 ** 70
+        yield f"huge_{key}", replace(datum, **{key: huge})
+    yield "odd_V", replace(datum, V=datum.V + ["odd"], inv_V=datum.inv_V + [nv])
+    yield "odd_H", replace(datum, H=datum.H[:-1], inv_H=datum.inv_H[:-1])
+
+
+EQUIVALENCE_DATA = [("q3", 3, 1), ("q5", 5, 1), ("q9", 3, 2), ("random_6x6", 6, 6), ("random_4x8", 4, 8),
+                    ("random_6x4", 6, 4)]
+
+
+@pytest.mark.parametrize("name,x,y", EQUIVALENCE_DATA, ids=[name for name, _, _ in EQUIVALENCE_DATA])
+def test_validation_matches_the_tuple_loop(name, x, y):
+    rng = random.Random(name)
+    if name.startswith("q"):
+        datum = build_quaternionic_datum(make_field(x, y), 1, 2)
+    else:
+        datum = random_vh_datum(rng, x, y)
+    report = validate_datum(datum)
+    assert report.ok and report.checked == 2 + len(datum.R) + 4
+    assert (report.violations, report.checked) == (loop_validate_datum(datum).violations,
+                                                   loop_validate_datum(datum).checked)
+    kinds = 0
+    for _ in range(3):
+        for kind, broken in _mutations(datum, rng):
+            got, want = validate_datum(broken), loop_validate_datum(broken)
+            assert got.violations, kind
+            assert (got.violations, got.checked) == (want.violations, want.checked), kind
+            kinds += 1
+    assert kinds == 3 * 29
+
+
+def test_repeated_labels_are_a_violation():
+    datum = direct_product_datum(2, 2)
+    for side in ("V", "H"):
+        labels = list(getattr(datum, side))
+        labels[1] = labels[0]
+        report = validate_datum(replace(datum, **{side: labels}))
+        assert report.violations == [f"{side} labels are not distinct: {labels[0]!r} repeats"]
+        assert report.checked == 2
 
 
 def test_verify_relations_catches_altered_tuple(f3, d12_q3):
@@ -341,10 +483,14 @@ def test_violations_of_altered_relations_match_the_scalar_loop(p, e, tau, sigma)
 def test_batched_zeta_keeps_the_preconditions(f3):
     one, zero, two = (np.array([x]) for x in (1, 0, 2))
     with pytest.raises(ValueError, match="nonzero"):
-        _zeta_pairs(f3, (one, zero), (np.array([1, 0]), np.array([1, 0])))
+        _twisted_pairs(f3, (one, zero), (np.array([1, 0]), np.array([1, 0])))
+    with pytest.raises(ValueError, match="nonzero"):
+        _twisted_pairs(f3, (np.array([1, 0]), np.array([1, 0])), (one, zero))
     with pytest.raises(ValueError, match="N\\(alpha\\)"):
-        _zeta_pairs(f3, (one, zero), (two, zero))  # both norm 1
+        _twisted_pairs(f3, (one, zero), (two, zero))  # both norm 1
     alpha, beta = f3.ext(1, 0), f3.ext(1, 1)
-    got = _zeta_pairs(f3, f3.pair([alpha, beta]), f3.pair([beta, alpha]))
-    assert list(zip(*(c.tolist() for c in got))) == \
-        [(z.nu, z.nv) for z in (zeta(alpha, beta), zeta(beta, alpha))]
+    gamma, delta = _twisted_pairs(f3, f3.pair([alpha, beta]), f3.pair([beta, alpha]))
+    assert list(zip(*(c.tolist() for c in gamma))) == \
+        [(z.nu, z.nv) for z in (zeta(alpha, beta) * beta, zeta(beta, alpha) * alpha)]
+    assert list(zip(*(c.tolist() for c in delta))) == \
+        [(z.nu, z.nv) for z in (zeta(beta, alpha) * alpha, zeta(alpha, beta) * beta)]
