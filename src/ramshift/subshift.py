@@ -31,6 +31,7 @@ the (m, n) patterns are its length-m words over the height-n columns.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -63,10 +64,13 @@ class MatrixSubshift:
     changed after construction.  For the same reason the shift holds each
     strip graph it is asked for, once per (direction, k): `strip_graph`
     checks the strip count against the exact cap, builds the graph with
-    `transition_graph` and keeps it, with its pattern index and predecessor
-    array once they are first read.  The graph depends on A, B, the
-    direction and k alone, and its adjacency is read-only, so every later
-    request gets the graph a fresh build would give."""
+    `transition_graph` and keeps it, with its pattern index, predecessor
+    array and held power rows once they are first read.  The graph depends
+    on A, B, the direction and k alone, and its adjacency is read-only, so
+    every later request gets the graph a fresh build would give.  Each held
+    graph of dimension m keeps at most one m x m power (see
+    `TransitionGraph.power_row`), so the rows `correlation` reads cost at
+    most m^2 entries per strip graph, m <= EXACT_POWER_LIMIT."""
 
     symbols: list[str]
     A: np.ndarray
@@ -235,12 +239,16 @@ class TransitionGraph:
     rows and an edge means the upper neighbor is admissible.
 
     The adjacency is read-only, so the pattern index and the predecessor
-    array derived from it are computed once, when first read."""
+    array derived from it are computed once, when first read.  The rows of
+    one power of the adjacency are held as well (`power_row`): at most m
+    rows of m exact entries, for the last step count asked."""
 
     direction: str
     k: int
     patterns: list[tuple[int, ...]]
     adjacency: np.ndarray
+    _rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _row_steps: int | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.adjacency.setflags(write=False)
@@ -255,6 +263,22 @@ class TransitionGraph:
         preds = predecessors(self.adjacency)
         preds.setflags(write=False)
         return preds
+
+    def power_row(self, v: int, j: int) -> np.ndarray:
+        """Row v of A^j, exact: walked once by `walks` from e_v and held,
+        read-only, while j is the step count asked last.  A new j drops the
+        held rows, so the graph never holds more than one m x m power."""
+        j = operator.index(j)
+        if j != self._row_steps:
+            self._rows, self._row_steps = {}, j
+        row = self._rows.get(v)
+        if row is None:
+            start = np.zeros(len(self.patterns), dtype=np.int64)
+            start[v] = 1
+            row = deque(walks(self.preds, start, j), maxlen=1).pop()
+            row.setflags(write=False)
+            self._rows[v] = row
+        return row
 
     def __repr__(self) -> str:
         return f"TransitionGraph({self.direction}, k={self.k}, {len(self.patterns)} vertices)"
@@ -294,13 +318,24 @@ def pattern_count(shift: MatrixSubshift, m: int, n: int) -> int:
     return len(admissible_patterns(shift, m, n))
 
 
+def _is_int(x) -> bool:
+    """An integer symbol: a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def is_admissible(shift: MatrixSubshift, pattern: Pattern) -> bool:
-    """True for a rectangular pattern of symbols in 0..s-1 whose vertical
-    and horizontal neighbours are all allowed."""
+    """True for a rectangular pattern of integer symbols in 0..s-1 whose
+    vertical and horizontal neighbours are all allowed."""
     if len(pattern) == 0 or any(len(col) != len(pattern[0]) for col in pattern):
         return False
-    if not all(0 <= x < shift.s for col in pattern for x in col):
+    if not all(_is_int(x) and 0 <= x < shift.s for col in pattern for x in col):
         return False
+    return _neighbours_allowed(shift, pattern)
+
+
+def _neighbours_allowed(shift: MatrixSubshift, pattern: Pattern) -> bool:
+    """The neighbour rule of `is_admissible` on a pattern whose shape and
+    symbols are already checked."""
     # pattern[x][y], y upward: B joins a column's neighbours, A a row's
     above, beside = shift.B.item, shift.A.item
     return all(above(a, b) for col in pattern for a, b in zip(col, col[1:])) and all(
@@ -352,13 +387,36 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
 
 
 def _shape(shift: MatrixSubshift, pattern: Pattern) -> tuple[int, int]:
-    """(columns, height) of a pattern with at least one cell in every column
-    and every symbol in the alphabet 0..s-1."""
+    """(columns, height) of a rectangular pattern with at least one cell in
+    every column and every symbol an integer in the alphabet 0..s-1."""
     if not pattern or not all(map(len, pattern)):
         raise ValueError("a pattern needs at least one column and a cell in every column")
-    if not all(0 <= x < shift.s for col in pattern for x in col):
+    height = len(pattern[0])
+    if any(len(col) != height for col in pattern):
+        raise ValueError("pattern columns must all have the same height")
+    cells = [x for col in pattern for x in col]
+    if not all(map(_is_int, cells)):
+        raise ValueError("pattern symbols must be integers")
+    if not all(0 <= x < shift.s for x in cells):
         raise ValueError(f"pattern symbols must lie in 0..{shift.s - 1}")
-    return len(pattern), len(pattern[0])
+    return len(pattern), height
+
+
+def _measured_shape(shift: MatrixSubshift, pattern: Pattern) -> tuple[int, int, bool]:
+    """`_shape` and admissibility of a pattern, checked once; an
+    inadmissible pattern is warned about, since its measure is zero."""
+    m, n = _shape(shift, pattern)
+    admissible = _neighbours_allowed(shift, pattern)
+    if not admissible:
+        warnings.warn("inadmissible pattern has measure zero")
+    return m, n, admissible
+
+
+def _degree(shift: MatrixSubshift) -> int:
+    d = shift.report.degree
+    if d is None:
+        raise ValueError("measure machinery needs a d-regular shift")
+    return d
 
 
 def cylinder_measure(shift: MatrixSubshift, pattern: Pattern) -> Fraction:
@@ -366,12 +424,9 @@ def cylinder_measure(shift: MatrixSubshift, pattern: Pattern) -> Fraction:
     origin: 1 / (s d^(m-1) d^(n-1)) when the pattern is
     admissible, 0 (with a warning) otherwise.  Under mu all admissible
     one-step extensions of a rectangle are equally likely."""
-    d = shift.report.degree
-    if d is None:
-        raise ValueError("measure machinery needs a d-regular shift")
-    m, n = _shape(shift, pattern)
-    if not is_admissible(shift, pattern):
-        warnings.warn("inadmissible pattern has measure zero")
+    d = _degree(shift)
+    m, n, admissible = _measured_shape(shift, pattern)
+    if not admissible:
         return Fraction(0)
     return Fraction(1, shift.s * d ** (m - 1) * d ** (n - 1))
 
@@ -381,34 +436,40 @@ def correlation(shift: MatrixSubshift, p1: Pattern, p2: Pattern, n: int) -> Frac
     cylinders C1, C2 of patterns p1, p2 at a horizontal offset n (C2's
     support starts n cells right of C1's anchor).
 
-    Both patterns must have the same height k, and n must exceed the width
-    of C1 so the supports do not touch.  The joint measure is computed from
-    first principles: completions of the gap are counted as paths in the
-    height-k strip graph by exact walk counts from e_v, and each full
-    (n + m2, k) rectangle carries 1 / (s d^(W-1) d^(k-1)).  For vertical
-    offsets pass the transposed shift `MatrixSubshift(symbols, B, A)`, with
-    the patterns transposed to match.
+    Both patterns must have the same height k, and the integer n must
+    exceed the width m1 of C1 so the supports do not touch.  The joint
+    measure is computed from first principles: completions of the gap are
+    counted as paths in the height-k strip graph, read from row v of its
+    (n - m1 + 1)-th power (`TransitionGraph.power_row`, exact walk counts
+    from e_v), and each full (n + m2, k) rectangle carries
+    1 / (s d^(n+m2-1) d^(k-1)).  The held graph keeps the rows of the last
+    offset asked, so a sweep over start columns at one offset walks each
+    start once; at most m^2 entries are held for an m-strip graph.  The
+    result is formed over the common denominator s^2 d^E in integers.  For
+    vertical offsets pass the transposed shift `MatrixSubshift(symbols, B,
+    A)`, with the patterns transposed to match.
     """
-    mu1 = cylinder_measure(shift, p1)  # checks each pattern; rejects a shift that is not d-regular
-    mu2 = cylinder_measure(shift, p2)
-    (m1, k), (m2, k2) = (len(p1), len(p1[0])), (len(p2), len(p2[0]))
+    d = _degree(shift)
+    m1, k, ok1 = _measured_shape(shift, p1)
+    m2, k2, ok2 = _measured_shape(shift, p2)
     if k2 != k:
         raise ValueError("patterns must be padded to a common vertical extent")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"offset must be an integer, not {n!r}") from None
     if n <= m1:
         raise ValueError(f"offset {n} overlaps the first pattern (width {m1})")
-    if mu1 == 0 or mu2 == 0:
+    if not (ok1 and ok2):
         return Fraction(0)
     graph = shift.strip_graph("horizontal", k)
-    v = graph.index[tuple(p1[-1])]
-    u = graph.index[tuple(p2[0])]
-    gap = n - m1
-    start = np.zeros(len(graph.patterns), dtype=np.int64)
-    start[v] = 1
-    n_paths = int(deque(walks(graph.preds, start, gap + 1), maxlen=1).pop()[u])
-    width = n + m2
-    d = shift.report.degree
-    joint = Fraction(n_paths, shift.s * d ** (width - 1) * d ** (k - 1))
-    return abs(joint - mu1 * mu2)
+    row = graph.power_row(graph.index[tuple(p1[-1])], n - m1 + 1)
+    n_paths = int(row[graph.index[tuple(p2[0])]])
+    # joint = n_paths / (s d^e_joint), product = 1 / (s^2 d^e_product)
+    e_joint, e_product = n + m2 + k - 2, m1 + m2 + 2 * k - 4
+    e = max(e_joint, e_product)
+    s = shift.s
+    return Fraction(abs(n_paths * s * d ** (e - e_joint) - d ** (e - e_product)), s * s * d**e)
 
 
 # ---------------------------------------------------------------------------

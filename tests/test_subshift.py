@@ -11,7 +11,7 @@ import pytest
 
 from ramshift import mealy
 from ramshift.graphs import covering_check, level_graph, nb_matrix
-from ramshift.spectral import SizeCapExceeded
+from ramshift.spectral import SizeCapExceeded, matrix_power_int, walks
 from ramshift.subshift import (
     MatrixSubshift,
     admissible_patterns,
@@ -513,6 +513,13 @@ def test_correlation_zero_for_flat_transitions():
     one_tile = ((0,),)
     for n in (2, 3, 5):
         assert correlation(shift, one_tile, one_tile, n) == 0
+    # k = 1 only: the flat shift is not uniquely extendable
+    oracle = _correlation_oracle(shift)
+    patterns = admissible_patterns(shift, 1, 1) + admissible_patterns(shift, 2, 1)
+    for n in (3, 5, 4):
+        for p1 in patterns:
+            for p2 in patterns:
+                assert correlation(shift, p1, p2, n) == oracle(p1, p2, n) == 0
 
 
 def test_correlation_validations(xd_q3):
@@ -540,6 +547,147 @@ def test_patterns_with_symbols_outside_the_alphabet(xd_q3, symbol):
     for p1, p2 in ((bad, tile), (tile, bad)):
         with pytest.raises(ValueError, match=r"symbols must lie in 0\.\.15"):
             correlation(xd_q3, p1, p2, 3)
+
+
+@pytest.mark.parametrize("symbol", [1.5, "1", True, np.float64(2.0), None])
+def test_patterns_with_symbols_that_are_not_integers(xd_q3, symbol):
+    bad = ((symbol,),)
+    assert not is_admissible(xd_q3, bad)
+    assert not is_admissible(xd_q3, ((symbol, 2),))
+    assert not is_admissible(xd_q3, ((0,), (symbol,)))
+    for pattern in (bad, ((symbol, 2),)):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            cylinder_measure(xd_q3, pattern)
+    tile = ((1,),)
+    for p1, p2 in ((bad, tile), (tile, bad)):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            correlation(xd_q3, p1, p2, 3)
+
+
+def test_numpy_integer_symbols_and_offsets_are_accepted(xd_q3):
+    tile, np_tile = ((3,),), ((np.int64(3),),)
+    assert is_admissible(xd_q3, np_tile)
+    assert cylinder_measure(xd_q3, np_tile) == cylinder_measure(xd_q3, tile) == Fraction(1, 16)
+    other = ((np.int32(7),),)
+    assert correlation(xd_q3, np_tile, other, np.int64(3)) == correlation(xd_q3, tile, ((7,),), 3)
+    assert type(xd_q3.strip_graph("horizontal", 1)._row_steps) is int
+
+
+def test_ragged_patterns_are_refused(xd_q3):
+    col = chains(xd_q3.B, 2)[0]
+    ragged = (col, col[:1])
+    assert not is_admissible(xd_q3, ragged)
+    with pytest.raises(ValueError, match="same height"):
+        cylinder_measure(xd_q3, ragged)
+    for p1, p2 in ((ragged, (col,)), ((col,), ragged)):
+        with pytest.raises(ValueError, match="same height"):
+            correlation(xd_q3, p1, p2, 4)
+
+
+@pytest.mark.parametrize("offset", [3.0, 2.5, "3", None, Fraction(3)])
+def test_non_integer_offsets_are_refused_before_any_row_is_held(d12_q3, offset):
+    shift = build_xd(d12_q3)
+    tile = ((0,),)
+    correlation(shift, tile, tile, 4)
+    graph = shift.strip_graph("horizontal", 1)
+    held, steps = dict(graph._rows), graph._row_steps
+    with pytest.raises(ValueError, match="offset must be an integer"):
+        correlation(shift, tile, tile, offset)
+    assert graph._row_steps == steps == 4
+    assert graph._rows.keys() == held.keys()
+
+
+def _correlation_oracle(shift):
+    """The Fraction definition from from-scratch strip graphs and their
+    exact powers (one `matrix_power_int` per height and step count):
+    joint / (s d^(W-1) d^(k-1)) against the product of the two cylinder
+    measures, all read off the definition."""
+    s, d = shift.s, shift.report.degree
+    powers = {}
+
+    def value(p1, p2, n):
+        (m1, k), m2 = (len(p1), len(p1[0])), len(p2)
+        if (k, n - m1) not in powers:
+            graph = transition_graph(shift, "horizontal", k)
+            powers[k, n - m1] = graph.patterns, matrix_power_int(graph.adjacency, n - m1 + 1)
+        patterns, power = powers[k, n - m1]
+        paths = power[patterns.index(tuple(p1[-1]))][patterns.index(tuple(p2[0]))]
+        joint = Fraction(paths, s * d ** (n + m2 - 1) * d ** (k - 1))
+        mu1 = Fraction(1, s * d ** (m1 - 1) * d ** (k - 1))
+        mu2 = Fraction(1, s * d ** (m2 - 1) * d ** (k - 1))
+        return abs(joint - mu1 * mu2)
+
+    return value
+
+
+def test_held_rows_match_the_matrix_power_oracle(d12_q3):
+    # offsets revisit 2 after 6 (the held rows were dropped) and end at 45,
+    # where the walk has switched from int64 to Python ints (3^44 >= 2^63)
+    shift = build_xd(d12_q3)
+    oracle = _correlation_oracle(shift)
+    tiles = [((t,),) for t in range(shift.s)]
+    for n in (2, 6, 2, 3, 45):
+        for c1 in tiles:
+            for c2 in tiles:
+                assert correlation(shift, c1, c2, n) == oracle(c1, c2, n)
+    assert shift.strip_graph("horizontal", 1).power_row(0, 45).dtype == object
+    assert 3**44 >= 2**63 > 3**39
+
+    cols = chains(shift.B, 2)
+    wide = admissible_patterns(shift, 2, 2)[::9]
+    for n in (3, 4, 7):
+        for c1 in cols[::5]:
+            for c2 in cols[::7]:
+                assert correlation(shift, (c1,), (c2,), n) == oracle((c1,), (c2,), n)
+        for p1 in wide:
+            for p2 in wide:
+                assert correlation(shift, p1, p2, n) == oracle(p1, p2, n)
+
+
+def test_held_rows_on_vertical_offsets_match_the_oracle(xd_q3):
+    # vertical offsets through the transposed shift: rows of the original
+    # become columns, and its vertical strip graph is the oracle's graph
+    transposed = MatrixSubshift(xd_q3.symbols, xd_q3.B, xd_q3.A)
+    oracle = _correlation_oracle(transposed)
+    for k in (1, 2):
+        rows = chains(xd_q3.A, k)
+        for n in (2, 5, 3):
+            for r1 in rows[::3]:
+                for r2 in rows[::4]:
+                    assert correlation(transposed, (r1,), (r2,), n) == oracle((r1,), (r2,), n)
+    vertical = transition_graph(xd_q3, "vertical", 2)
+    assert (transposed.strip_graph("horizontal", 2).adjacency == vertical.adjacency).all()
+
+
+def test_a_tile_sweep_walks_once_per_start_tile(d12_q3, monkeypatch):
+    from ramshift import subshift
+
+    shift = build_xd(d12_q3)
+    tiles = [((t,),) for t in range(shift.s)]
+    starts = []
+
+    def counting(preds, start, n):
+        starts.append((int(np.flatnonzero(start)[0]), n))
+        return walks(preds, start, n)
+
+    monkeypatch.setattr(subshift, "walks", counting)
+    first = [correlation(shift, c1, c2, 3) for c1 in tiles for c2 in tiles]
+    assert sorted(starts) == [(v, 3) for v in range(shift.s)]
+    graph = shift.strip_graph("horizontal", 1)
+    assert len(graph._rows) == shift.s
+
+    starts.clear()
+    [correlation(shift, c1, c2, 6) for c1 in tiles for c2 in tiles]
+    assert len(starts) == shift.s and graph._row_steps == 6
+    assert len(graph._rows) == shift.s  # the offset-3 rows were dropped
+    starts.clear()
+    assert [correlation(shift, c1, c2, 3) for c1 in tiles for c2 in tiles] == first
+    assert len(starts) == shift.s
+
+    row = graph.power_row(0, 3)
+    assert graph.power_row(0, 3) is row
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0
 
 
 def test_mixing_tables_q3(d12_q3):
