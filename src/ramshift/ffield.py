@@ -27,7 +27,7 @@ Conventions
   The `pair_*` methods gather from the tables in `FieldSpec.arrays`
   elementwise with exactly the formulas of the `Fq2Elem` operators, which
   read single entries of the same tables, so a batch of products or
-  inverses is a handful of table gathers over whole arrays.
+  norms is a handful of table gathers over whole arrays.
 
 All values are immutable by convention and all operations are pure.
 """
@@ -275,15 +275,6 @@ class FieldSpec:
     def pair_norm(self, x: Pair) -> np.ndarray:
         """The encodings of N(x) in F_q."""
         return self.arrays.norm[x[0] + self.q * x[1]]
-
-    def pair_inverse(self, x: Pair) -> Pair:
-        """Elementwise `Fq2Elem.inverse`: conj(x) / N(x)."""
-        t = self.arrays
-        n = self.pair_norm(x)
-        if not n.all():
-            raise ZeroDivisionError("inversion of zero in F_q[Z]")
-        ninv = t.inv[n]
-        return t.mul[x[0], ninv], t.mul[t.neg[x[1]], ninv]
 
 
 class FqElem:

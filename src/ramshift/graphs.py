@@ -21,7 +21,8 @@ arrays, on the graphs' darts (`cover_fiber`).
 Dart v * s + a leaves vertex v with state a, and its inverse is dart
 dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
-reproducible across runs.
+reproducible across runs.  Both traversals, `structure_predicates` and
+`digraph_period`, run one breadth-first search, a whole frontier per step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -370,32 +370,42 @@ class StructureReport:
     regular_degree: int | None
 
 
+def _bfs_depths(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, int]:
+    """Breadth-first depths over the darts tail -> head, one frontier at a
+    time from a root, restarted from the first unreached vertex until every
+    vertex is reached; returns the depths and the number of roots.  A
+    vertex with no dart to another vertex is a root at depth 0 from the
+    start (in an undirected graph it is a component by itself), which
+    spares a restart per vertex of the all-loop levels of a direct product."""
+    heads, degree = head[np.argsort(tail, kind="stable")], np.bincount(tail, minlength=n)
+    first = np.cumsum(degree) - degree  # the first of each vertex's darts in heads
+    alone = np.bincount(tail[tail != head], minlength=n) == 0
+    depth = np.where(alone, 0, -1)
+    roots, root, slot = int(alone.sum()), 0, np.empty(n, dtype=np.intp)
+    while (pending := np.flatnonzero(depth[root:] < 0)).size:
+        root += int(pending[0])
+        depth[root], roots = 0, roots + 1
+        frontier, level = np.array([root]), 0
+        while frontier.size:
+            counts, level = degree[frontier], level + 1
+            darts = np.arange(counts.sum()) + np.repeat(first[frontier] - np.cumsum(counts) + counts, counts)
+            reached = heads[darts]
+            reached = reached[depth[reached] < 0]
+            slot[reached] = np.arange(len(reached))  # one of the writes to each vertex wins
+            frontier = reached[slot[reached] == np.arange(len(reached))]
+            depth[frontier] = level
+    return depth, roots
+
+
 def structure_predicates(graph: UGraph) -> StructureReport:
-    """Connectivity by BFS, bipartiteness by 2-coloring (a loop or any odd
-    closed walk breaks it).  As a shift, a connected undirected graph has
-    period 2 when bipartite and 1 otherwise, so aperiodic = connected and
-    non-bipartite."""
-    n = graph.n_vertices()
-    ends = graph.terminus[np.argsort(graph.origin, kind="stable")].tolist()
-    bounds = np.cumsum(np.bincount(graph.origin, minlength=n)).tolist()
-    neighbors = [ends[a:b] for a, b in zip([0] + bounds, bounds)]
-    color = [-1] * n
-    components = 0
-    bipartite = True
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        components += 1
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in neighbors[v]:
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    bipartite = False
+    """Components are the roots of one breadth-first search, and the graph
+    is bipartite iff no dart joins two depths of equal parity (a loop or any
+    odd closed walk makes one).  As a shift, a connected undirected graph
+    has period 2 when bipartite and 1 otherwise, so aperiodic = connected
+    and non-bipartite."""
+    depth, components = _bfs_depths(graph.n_vertices(), graph.origin, graph.terminus)
+    parity = depth % 2
+    bipartite = not (parity[graph.origin] == parity[graph.terminus]).any()
     connected = components == 1
     return StructureReport(
         connected=connected,
@@ -407,35 +417,17 @@ def structure_predicates(graph: UGraph) -> StructureReport:
 
 
 def digraph_period(adjacency: np.ndarray) -> tuple[bool, int]:
-    """(strongly_connected, period) for a directed 0/1 graph; the period is
-    the gcd of closed-walk length differences, computed from BFS depths."""
+    """(strongly_connected, period) for a directed graph given by its
+    adjacency matrix.  It is strongly connected iff the searches along and
+    against the arcs each reach every vertex from vertex 0 alone; the
+    period is then the gcd of |d(u) + 1 - d(v)| over the arcs u -> v, for
+    d the depth along the arcs."""
     a = np.asarray(adjacency)
-    n = a.shape[0]
-    out_lists = [np.nonzero(a[v])[0] for v in range(n)]
-    in_lists = [np.nonzero(a[:, v])[0] for v in range(n)]
-
-    def bfs(adj_lists):
-        depth = [-1] * n
-        depth[0] = 0
-        queue = [0]
-        while queue:
-            v = queue.pop()
-            for u in adj_lists[v]:
-                if depth[u] == -1:
-                    depth[u] = depth[v] + 1
-                    queue.append(int(u))
-        return depth
-
-    fwd = bfs(out_lists)
-    bwd = bfs(in_lists)
-    strongly = all(d >= 0 for d in fwd) and all(d >= 0 for d in bwd)
-    if not strongly:
+    tail, head = np.nonzero(a)
+    depth, roots = _bfs_depths(len(a), tail, head)
+    if roots != 1 or _bfs_depths(len(a), head, tail)[1] != 1:
         return False, 0
-    period = 0
-    for v in range(n):
-        for u in out_lists[v]:
-            period = gcd(period, fwd[v] + 1 - fwd[u])
-    return True, abs(period)
+    return True, int(np.gcd.reduce(np.abs(depth[tail] + 1 - depth[head])))
 
 
 # ---------------------------------------------------------------------------

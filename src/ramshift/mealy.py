@@ -4,7 +4,9 @@ An automaton built from a VH-datum has states V, alphabet H, and one
 transition a --b/c--> d per relation tuple (a, b, c, d).  Such automata are
 bireversible and respect the involutions: a --b/c--> d iff
 d --b^-1/c^-1--> a, which is what lets action graphs be glued into
-undirected level graphs.
+undirected level graphs.  `Mealy` holds its tables as int arrays checked
+once, when it is built; duals, compositions, the lift and the level graphs
+read them without converting.
 
 Words are tuples of letter indices, and a word is *reduced* when no letter
 is followed by its inverse.  An action graph has one form, `LevelArrays`:
@@ -30,14 +32,31 @@ from .vhdatum import VHDatum, dot_escaped, validate_datum
 Word = tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class Mealy:
+    """In state a, letter x is written as out[a, x] and the automaton moves
+    to delta[a, x].  Construction copies both (states x letters) tables and
+    the optional involutions to read-only intp arrays, and raises
+    ValueError for a ragged or wrong-shape table, an entry out of range, or
+    an inverse that is not an involutive permutation."""
+
     states: list[str]
     alphabet: list[str]
-    delta: list[list[int]]  # delta[state][letter] -> next state
-    out: list[list[int]]    # out[state][letter] -> output letter
-    inv_states: list[int] | None = None
-    inv_alphabet: list[int] | None = None
+    delta: np.ndarray  # delta[state, letter] -> next state
+    out: np.ndarray    # out[state, letter] -> output letter
+    inv_states: np.ndarray | None = None
+    inv_alphabet: np.ndarray | None = None
+
+    def __post_init__(self):
+        ns, nl = len(self.states), len(self.alphabet)
+        self.delta = _checked_table("delta", self.delta, (ns, nl), ns)
+        self.out = _checked_table("out", self.out, (ns, nl), nl)
+        for name, size in (("inv_states", ns), ("inv_alphabet", nl)):
+            if getattr(self, name) is not None:
+                inv = _checked_table(name, getattr(self, name), (size,), size)
+                if (inv[inv] != np.arange(size)).any():
+                    raise ValueError(f"{name} must be an involutive permutation")
+                setattr(self, name, inv)
 
     def n_states(self) -> int:
         return len(self.states)
@@ -47,6 +66,18 @@ class Mealy:
 
     def __repr__(self) -> str:
         return f"Mealy({self.n_states()} states, {self.n_letters()} letters)"
+
+
+def _checked_table(name: str, values, shape: tuple[int, ...], bound: int) -> np.ndarray:
+    """A read-only intp copy of `values`, which must have `shape` and integer entries in 0..bound-1."""
+    table = np.array(values)
+    if table.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {table.shape}")
+    if table.size and (table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= bound):
+        raise ValueError(f"{name} entries must be integers in 0..{bound - 1}")
+    table = table.astype(np.intp, copy=False)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -59,42 +90,22 @@ def from_datum(datum: VHDatum) -> Mealy:
     report = validate_datum(datum)
     if not report.ok:
         raise ValueError(f"invalid datum: {report.violations[0]}")
-    nv, nh = len(datum.V), len(datum.H)
-    delta = [[-1] * nh for _ in range(nv)]
-    out = [[-1] * nh for _ in range(nv)]
-    for a, b, c, d in datum.R:
-        delta[a][b] = d
-        out[a][b] = c
-    return Mealy(
-        states=list(datum.V),
-        alphabet=list(datum.H),
-        delta=delta,
-        out=out,
-        inv_states=list(datum.inv_V),
-        inv_alphabet=list(datum.inv_H),
-    )
+    a, b, c, d = np.array(datum.R, dtype=np.intp).reshape(-1, 4).T
+    delta, out = np.full((2, len(datum.V), len(datum.H)), -1, dtype=np.intp)
+    delta[a, b], out[a, b] = d, c
+    return Mealy(list(datum.V), list(datum.H), delta, out, datum.inv_V, datum.inv_H)
 
 
 def dual(m: Mealy) -> Mealy:
     """Swap the roles of states and letters:
     delta*(x, a) = out(a, x), out*(x, a) = delta(a, x)."""
-    ns, nl = m.n_states(), m.n_letters()
-    delta = [[m.out[a][x] for a in range(ns)] for x in range(nl)]
-    out = [[m.delta[a][x] for a in range(ns)] for x in range(nl)]
-    return Mealy(
-        states=list(m.alphabet),
-        alphabet=list(m.states),
-        delta=delta,
-        out=out,
-        inv_states=list(m.inv_alphabet) if m.inv_alphabet else None,
-        inv_alphabet=list(m.inv_states) if m.inv_states else None,
-    )
+    return Mealy(list(m.alphabet), list(m.states), m.out.T, m.delta.T, m.inv_alphabet, m.inv_states)
 
 
 def compose(m1: Mealy, m2: Mealy) -> Mealy:
     """Serial composition: input goes through m2 first, its output through m1.
 
-    States are pairs (a1, a2) with
+    States are pairs (a1, a2), at index a1 * |m2 states| + a2, with
         delta((a1,a2), x) = (delta1(a1, out2(a2,x)), delta2(a2, x)),
         out((a1,a2), x)   = out1(a1, out2(a2,x)).
     Acting from (a1, a2) equals acting with a2 then a1.
@@ -102,32 +113,17 @@ def compose(m1: Mealy, m2: Mealy) -> Mealy:
     if m1.alphabet != m2.alphabet:
         raise ValueError("composition needs identical alphabets")
     n2 = m2.n_states()
-    states = [f"({s1},{s2})" for s1 in m1.states for s2 in m2.states]
-    delta, out = [], []
-    for a1 in range(m1.n_states()):
-        for a2 in range(n2):
-            drow, orow = [], []
-            for x in range(m1.n_letters()):
-                y = m2.out[a2][x]
-                drow.append(m1.delta[a1][y] * n2 + m2.delta[a2][x])
-                orow.append(m1.out[a1][y])
-            delta.append(drow)
-            out.append(orow)
-    inv_states = None
-    if m1.states == m2.states and m1.inv_states and m2.inv_states:
-        # the inverse of "a2 then a1" is "a1^-1 then a2^-1"
-        inv_states = [
-            m1.inv_states[a2] * n2 + m2.inv_states[a1]
-            for a1 in range(m1.n_states())
-            for a2 in range(n2)
-        ]
+    shape = (m1.n_states() * n2, m1.n_letters())
+    # with shared states, the inverse of "a2 then a1" is "a1^-1 then a2^-1"
+    shared = m1.states == m2.states and m1.inv_states is not None and np.array_equal(m1.inv_states, m2.inv_states)
+    # [a1, a2, x]: m1 reads the letter y = out2(a2, x)
     return Mealy(
-        states=states,
+        states=[f"({s1},{s2})" for s1 in m1.states for s2 in m2.states],
         alphabet=list(m1.alphabet),
-        delta=delta,
-        out=out,
-        inv_states=inv_states,
-        inv_alphabet=list(m1.inv_alphabet) if m1.inv_alphabet else None,
+        delta=(m1.delta[:, m2.out] * n2 + m2.delta).reshape(shape),
+        out=m1.out[:, m2.out].reshape(shape),
+        inv_states=(m1.inv_states * n2 + m1.inv_states[:, None]).ravel() if shared else None,
+        inv_alphabet=m1.inv_alphabet,
     )
 
 
@@ -147,17 +143,12 @@ def iterate(m: Mealy, n: int) -> Mealy:
 
 def is_reversible(m: Mealy) -> bool:
     """Each delta_x: state -> state is a bijection."""
-    ns = m.n_states()
-    for x in range(m.n_letters()):
-        if len({m.delta[a][x] for a in range(ns)}) != ns:
-            return False
-    return True
+    return bool((np.sort(m.delta, axis=0) == np.arange(m.n_states())[:, None]).all())
 
 
 def is_dual_reversible(m: Mealy) -> bool:
     """Each lambda_a: letter -> letter is a bijection."""
-    nl = m.n_letters()
-    return all(len(set(m.out[a])) == nl for a in range(m.n_states()))
+    return bool((np.sort(m.out, axis=1) == np.arange(m.n_letters())).all())
 
 
 def is_bireversible(m: Mealy) -> bool:
@@ -169,7 +160,7 @@ def is_bireversible(m: Mealy) -> bool:
 
 
 def act(m: Mealy, state: int, word: Word) -> tuple[Word, int]:
-    """Left-to-right transduction; returns (output word, end state)."""
+    """Left-to-right transduction; returns (output word, end state) as Python ints."""
     if not 0 <= state < m.n_states():
         raise ValueError(f"state index {state} out of range")
     n_letters, out, delta = m.n_letters(), m.out, m.delta
@@ -177,8 +168,8 @@ def act(m: Mealy, state: int, word: Word) -> tuple[Word, int]:
     for letter in word:
         if not 0 <= letter < n_letters:
             raise ValueError(f"letter index {letter} not in the alphabet")
-        output.append(out[state][letter])
-        state = delta[state][letter]
+        output.append(int(out[state, letter]))
+        state = int(delta[state, letter])
     return tuple(output), state
 
 
@@ -268,10 +259,8 @@ def lift_levels(m: Mealy) -> Iterator[LevelArrays]:
     if not is_reversible(m):
         raise ValueError("lifting system requires a reversible automaton")
     n_letters, n_states = m.n_letters(), m.n_states()
-    # R_{a,x} = (b, y) with a = delta[b][x] and y = out[b][x]: source[x, b] = a, image[x, b] = y
-    source = np.asarray(m.delta, dtype=np.intp).T
-    image = np.asarray(m.out, dtype=np.intp).T
-    inv_letter = np.asarray(m.inv_alphabet, dtype=np.intp)
+    # R_{a,x} = (b, y) with a = delta[b, x] and y = out[b, x]: source[x, b] = a, image[x, b] = y
+    source, image, inv_letter = m.delta.T, m.out.T, m.inv_alphabet
 
     # the rose: the empty word (no first letter), dart (0, a) -> 0 ending in a
     words, first = np.zeros((1, 0), dtype=np.intp), np.full(1, -1)
@@ -311,16 +300,12 @@ def dual_negation_check(d_ts: VHDatum, d_st: VHDatum) -> bool:
     try:
         v_index = {x: i for i, x in enumerate(d_st.V_elems)}
         h_index = {x: i for i, x in enumerate(d_st.H_elems)}
-        phi_states = [v_index[-x] for x in d_ts.H_elems]
-        phi_letters = [h_index[-x] for x in d_ts.V_elems]
+        phi_states = np.array([v_index[-x] for x in d_ts.H_elems], dtype=np.intp)
+        phi_letters = np.array([h_index[-x] for x in d_ts.V_elems], dtype=np.intp)
     except KeyError:
         return False  # fibers do not match up
-    return all(
-        m2.delta[phi_states[x]][phi_letters[a]] == phi_states[dm.delta[x][a]]
-        and m2.out[phi_states[x]][phi_letters[a]] == phi_letters[dm.out[x][a]]
-        for x in range(dm.n_states())
-        for a in range(dm.n_letters())
-    )
+    mapped = np.ix_(phi_states, phi_letters)
+    return bool((m2.delta[mapped] == phi_states[dm.delta]).all() and (m2.out[mapped] == phi_letters[dm.out]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +349,8 @@ def mealy_to_dot(m: Mealy, header: str | None = None) -> str:
     states, letters = [dot_escaped(s) for s in m.states], [dot_escaped(x) for x in m.alphabet]
     for s in states:
         lines.append(f'  "{s}";')
-    for a in range(m.n_states()):
-        for x in range(m.n_letters()):
-            lines.append(
-                f'  "{states[a]}" -> "{states[m.delta[a][x]]}"'
-                f' [label="{letters[x]} / {letters[m.out[a][x]]}"];'
-            )
+    for a, x in itertools.product(range(m.n_states()), range(m.n_letters())):
+        lines.append(f'  "{states[a]}" -> "{states[m.delta[a, x]]}" [label="{letters[x]} / {letters[m.out[a, x]]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

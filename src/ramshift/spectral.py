@@ -81,8 +81,8 @@ def eig_symmetric(a: np.ndarray) -> np.ndarray:
         raise ValueError("eig_symmetric needs a symmetric matrix")
     dense = a.astype(np.float64)
     eigs, vecs = np.linalg.eigh(dense)
-    scale = max(1.0, float(np.abs(a).max()) * a.shape[0])
-    residual = np.abs(dense @ vecs - vecs * eigs).max()
+    scale = max(1.0, float(np.abs(a).max(initial=0)) * a.shape[0])
+    residual = np.abs(dense @ vecs - vecs * eigs).max(initial=0)
     if residual > EIG_RESIDUAL_TOL * scale:
         raise RuntimeError(f"eigensolver residual {residual:.3e} above bound")
     if abs(eigs.sum() - np.trace(a)) > EIG_RESIDUAL_TOL * scale:

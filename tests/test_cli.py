@@ -1,9 +1,11 @@
 """Command surface: exit codes, determinism, and output formats."""
 
 import json
+import random
 import re
 import time
 from functools import reduce
+from itertools import islice
 from math import cos, pi
 from operator import getitem
 
@@ -11,9 +13,10 @@ import numpy as np
 import pytest
 
 from ramshift.cli import main
-from ramshift.graphs import UGraph, level_graph, ugraph_to_json, write_ugraph
+from conftest import random_vh_datum
+from ramshift.graphs import UGraph, level_graph, level_tower, ugraph_to_json, write_ugraph
 from ramshift.mealy import from_datum
-from ramshift.spectral import ramanujan_check, spectral_report_to_dict
+from ramshift.spectral import eig_symmetric, ramanujan_check, spectral_report_to_dict, tower_spectra
 from ramshift.vhdatum import direct_product_datum, dumps_datum, read_datum, write_datum
 
 
@@ -399,6 +402,23 @@ def test_verify_ramanujan_skips_without_building_the_level(capsys, monkeypatch):
     assert verdicts[1]["n_vertices"] == 2916  # 4 * 3^6
     # the tower from the rose up to A_6; A_7 is never built
     assert built == [("A", 4 * 3 ** (n - 1) if n else 1) for n in range(7)]
+
+
+def test_verify_ramanujan_with_empty_new_blocks(tmp_path, capsys):
+    # two letters leave two reduced words at every level: each fiber has
+    # one vertex, so every level's new block from A_2 on is 0 x 0
+    datum = random_vh_datum(random.Random(0), 2, 2)
+    path = tmp_path / "d22.json"
+    write_datum(datum, str(path))
+    code, stdout, _ = run(capsys, "verify-ramanujan", "--datum", str(path), "--levels", "1:4", "--side", "A",
+                          "--no-timestamp")
+    assert code == 0
+    verdicts = json.loads(stdout)["verdicts"]
+    assert [(v["n_vertices"], v["ramanujan"]) for v in verdicts] == [(2, True)] * 4
+    tower = list(islice(tower_spectra(level_tower(datum, "A")), 4))
+    assert [sum(blocks) for _, _, blocks in tower] == [1, 0, 0, 0]
+    for graph, eigs, _ in tower:
+        assert np.allclose(eigs, [2, -2]) and np.allclose(eigs, eig_symmetric(graph.adjacency()))
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

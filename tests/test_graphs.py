@@ -174,9 +174,89 @@ def test_digraph_period():
     assert digraph_period(shift) == (True, 4)
     # NB graph of C5 is two disjoint directed cycles
     assert digraph_period(nb_matrix(cycle(5)).adjacency)[0] is False
+    # 0 -> 1 <-> 2: every vertex is reached from 0, but 0 from no other
+    assert digraph_period(np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]])) == (False, 0)
+    assert digraph_period(np.array([[1]])) == (True, 1) and digraph_period(np.array([[0]])) == (True, 0)
     # reuse a tiny complete-ish graph: K4 (3-regular, non-bipartite)
     k4 = UGraph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert digraph_period(nb_matrix(k4).adjacency) == (True, 1)
+
+
+def random_multigraph(rng, sizes):
+    """One component per size, on shuffled vertices: a random spanning tree
+    plus random extra edges, which in about half the components respect the
+    tree's 2-colouring and otherwise may be loops or close odd cycles."""
+    n = sum(sizes)
+    order, edges, start = rng.permutation(n), [], 0
+    for size in sizes:
+        members, start = order[start:start + size], start + size
+        colour = np.zeros(size, dtype=int)
+        for i in range(1, size):
+            j = rng.integers(i)
+            colour[i] = 1 - colour[j]
+            edges.append((members[i], members[j]))
+        two_sided = rng.random() < 0.5
+        for _ in range(rng.integers(4)):
+            i, j = rng.integers(size, size=2)
+            if not two_sided or colour[i] != colour[j]:
+                edges.append((members[i], members[j]))
+    return UGraph.from_edges(n, edges)
+
+
+def nullity(m):
+    return len(m) - np.linalg.matrix_rank(m)
+
+
+def test_structure_predicates_match_the_laplacians():
+    rng = np.random.default_rng(19)
+    seen = set()
+    for _ in range(60):
+        g = random_multigraph(rng, rng.integers(1, 8, size=rng.integers(1, 4)))
+        a = g.adjacency()
+        degree = np.diag(a.sum(axis=1))
+        report = structure_predicates(g)
+        assert report.n_components == nullity(degree - a)
+        assert report.bipartite == (nullity(degree + a) == nullity(degree - a))
+        assert report.aperiodic == (report.connected and not report.bipartite)
+        seen.add((report.n_components, report.bipartite))
+    assert seen == {(k, b) for k in (1, 2, 3) for b in (False, True)}
+
+
+def test_structure_predicates_on_loops_and_isolated_vertices():
+    lone = structure_predicates(UGraph.from_edges(3, [(1, 1), (0, 2)]))
+    assert lone.n_components == 2 and not lone.bipartite
+    bare = structure_predicates(UGraph.from_edges(3, [(0, 2)]))
+    assert bare.n_components == 2 and bare.bipartite
+
+
+def test_digraph_period_matches_the_walk_traces():
+    from ramshift.spectral import predecessors, walks
+
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(40):
+        # 2-regular: each component is p classes of s vertices, and two
+        # random bijections send each class onto the next
+        blocks = []
+        for _ in range(rng.integers(1, 4)):
+            p, size = rng.integers(1, 4), rng.integers(1, 4)
+            shift = np.roll(np.eye(p, dtype=np.int64), 1, axis=1)
+            blocks.append(sum(np.kron(shift, np.eye(size, dtype=np.int64)[rng.permutation(size)]) for _ in range(2)))
+        n = sum(map(len, blocks))
+        a = np.zeros((n, n), dtype=np.int64)
+        start = np.cumsum([0] + [len(b) for b in blocks])
+        for lo, b in zip(start, blocks):
+            a[lo:lo + len(b), lo:lo + len(b)] = b
+        perm = rng.permutation(n)
+        a = a[np.ix_(perm, perm)]
+        powers = list(walks(predecessors(a), np.eye(n, dtype=np.int64), 2 * n))
+        strongly = bool((sum(powers[:n]) > 0).all())
+        period = np.gcd.reduce([k for k in range(1, 2 * n + 1) if np.trace(powers[k]) > 0])
+        expected = (strongly, int(period) if strongly else 0)
+        assert digraph_period(a) == expected
+        assert digraph_period(a > 0) == expected
+        seen.add(expected)
+    assert {(True, 1), (True, 2), (True, 3), (False, 0)} <= seen
 
 
 @pytest.mark.parametrize("projection", ["drop-last", "drop-first"])

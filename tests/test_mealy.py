@@ -51,7 +51,7 @@ def test_totality(m_q3):
 
 def test_dual_is_an_involution(m_q3):
     dd = dual(dual(m_q3))
-    assert dd.delta == m_q3.delta and dd.out == m_q3.out
+    assert np.array_equal(dd.delta, m_q3.delta) and np.array_equal(dd.out, m_q3.out)
     assert dd.states == m_q3.states
 
 
@@ -147,6 +147,75 @@ def test_reversibility_verdicts(m_q3):
     )
     assert not is_reversible(collapsing)
     assert is_dual_reversible(collapsing) == is_reversible(dual(collapsing))
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(delta=[[0, 1], [1]]), "inhomogeneous|shape"),  # ragged
+        (dict(delta=[[0, 1]]), "shape"),
+        (dict(out=[[0, 1, 0], [1, 0, 1]]), "shape"),
+        (dict(delta=[[0, 2], [1, 0]]), "delta entries"),
+        (dict(out=[[0, -1], [1, 0]]), "out entries"),
+        (dict(out=[[0, 1.5], [1, 0]]), "out entries"),
+        (dict(delta=[[True, False], [False, True]]), "delta entries"),
+        (dict(inv_states=[0]), "shape"),
+        (dict(inv_states=[0, 2]), "inv_states entries"),
+        (dict(inv_alphabet=[1, 1]), "involutive permutation"),
+        (dict(inv_alphabet=[[1, 0]]), "shape"),
+        (dict(alphabet=["0", "1", "2"], delta=[[0, 0, 0], [1, 1, 1]], out=[[0, 1, 2], [0, 1, 2]],
+              inv_alphabet=[1, 2, 0]), "involutive permutation"),  # a three-cycle
+    ],
+)
+def test_construction_checks_the_tables(fields, message):
+    good = dict(states=["p", "q"], alphabet=["0", "1"], delta=[[0, 1], [1, 0]], out=[[1, 0], [0, 1]],
+                inv_states=[1, 0], inv_alphabet=[0, 1])
+    Mealy(**good)
+    with pytest.raises(ValueError, match=message):
+        Mealy(**{**good, **fields})
+
+
+def test_tables_are_read_only_intp_copies():
+    delta = np.array([[0, 1], [1, 0]])
+    m = Mealy(states=["p", "q"], alphabet=["0", "1"], delta=delta, out=[[1, 0], [0, 1]], inv_alphabet=[1, 0])
+    assert m.delta.dtype == m.out.dtype == m.inv_alphabet.dtype == np.intp
+    delta[0, 0] = 1  # the automaton keeps its own copy
+    assert m.delta[0, 0] == 0
+    for table in (m.delta, m.out, m.inv_alphabet):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+@pytest.mark.parametrize("fixture", ["f3", "f5", "f9"])
+def test_from_datum_reads_every_relation(fixture, request):
+    datum = build_quaternionic_datum(request.getfixturevalue(fixture), 1, 2)
+    m = from_datum(datum)
+    assert m.delta.shape == m.out.shape == (len(datum.V), len(datum.H))
+    assert all(m.delta[a, b] == d and m.out[a, b] == c for a, b, c, d in datum.R)
+    assert m.inv_states.tolist() == list(datum.inv_V) and m.inv_alphabet.tolist() == list(datum.inv_H)
+
+
+def test_compose_acts_as_its_factors_on_every_short_word(f5):
+    m1 = from_datum(build_quaternionic_datum(f5, 1, 2))
+    m2 = from_datum(build_quaternionic_datum(f5, 3, 2))  # same letters, other states
+    mm, n2 = compose(m1, m2), m2.n_states()
+    for word in (w for n in range(4) for w in product(range(6), repeat=n)):
+        for a1 in range(m1.n_states()):
+            for a2 in range(n2):
+                mid, end2 = act(m2, a2, word)
+                out, end1 = act(m1, a1, mid)
+                assert act(mm, a1 * n2 + a2, word) == (out, end1 * n2 + end2)
+    assert mm.inv_states is None  # the factors' states differ
+    square = compose(m1, m1)
+    for word in product(range(6), repeat=2):
+        for s in range(square.n_states()):
+            image, _ = act(square, s, word)
+            assert act(square, square.inv_states[s], image)[0] == word
+
+
+def test_act_returns_python_ints(m_q3):
+    out, end = act(m_q3, 1, (0, 2, 3))
+    assert {type(x) for x in (*out, end)} == {int}
 
 
 def test_act_empty_word(m_q3):
