@@ -6,7 +6,8 @@ is a connected, non-bipartite, (q+1)-regular Ramanujan graph: all
 nontrivial eigenvalues have modulus at most 2 sqrt(q).  Each side is walked
 as a covering tower: every level covers the one below by dropping its
 first and by dropping its last letter, so from level 3 on only the
-doubly-new block is eigensolved, in two halves by letter-wise inversion.
+doubly-new block is eigensolved, in four blocks by letter-wise inversion
+and reversal (reverse the word, invert every letter).
 The dart (non-backtracking) spectrum then sits on {+-1} and the circle of
 radius sqrt(q), which the quadratic transfer of the adjacency spectrum
 predicts exactly.
@@ -31,7 +32,7 @@ for q in (3, 5):
             verdict = ramanujan_check(graph, eigenvalues=eigs)
             shape = verdict.structure
             print(
-                f"  {side}_{n}: {graph.n_vertices():>4} vertices, solved blocks {' + '.join(map(str, blocks)):>9}, "
+                f"  {side}_{n}: {graph.n_vertices():>4} vertices, solved blocks {' + '.join(map(str, blocks)):>21}, "
                 f"connected={shape.connected}, bipartite={shape.bipartite}, "
                 f"max nontrivial |l| = {verdict.second_modulus:.6f}, "
                 f"margin = {verdict.margin:.6f}, ramanujan = {verdict.ramanujan}"

@@ -210,34 +210,40 @@ def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
 class TowerLevel(NamedTuple):
     """A level of a covering tower with its maps: `parent` and `last_parent`
     send each vertex to one of the level below (None for the rose), and
-    `inversion` is a vertex permutation offered as an automorphism, or
-    None.  Consumers check every map before they use it."""
+    `inversion` and `reversal` are vertex permutations offered as
+    automorphisms, or None.  Consumers check every map before they use it."""
 
     graph: UGraph
     parent: np.ndarray | None
     last_parent: np.ndarray | None
     inversion: np.ndarray | None
+    reversal: np.ndarray | None = None
 
 
 def level_tower(datum: VHDatum, side: str) -> Iterator[TowerLevel]:
     """The rose, then A_1, A_2, ... (B_n for side "B") from one lift, each
-    level with three maps: parent[v] (the lift's) and last_parent[v] are the
+    level with four maps: parent[v] (the lift's) and last_parent[v] are the
     vertices of the level below under v, its word without the first and
-    without the last letter, and inversion[v] is its word with every letter
-    inverted.  The last two follow the lift, which places x.v by its first
-    letter x and its parent v: x.v -> x.last_parent(v) and
-    x.v -> x^-1 . inversion(v).  The rose is one vertex with a
-    loop dart per state.  Both projections have fibers of q words, and
-    q + 1 at level 1, for a quaternionic datum, and from level 3 on their
-    fibers are the rows and columns of a q x q grid of words x.m.y per
-    middle word m.  Letter-wise inversion is an automorphism of every
-    quaternionic level tried, but not of every level of a generic datum."""
+    without the last letter, inversion[v] is its word with every letter
+    inverted, and reversal[v] its word reversed with every letter inverted.
+    The last three follow the lift, which places x.v by its first letter x
+    and its parent v: x.v -> x.last_parent(v), x.v -> x^-1 . inversion(v)
+    and u.y -> y^-1 . reversal(u) for u = last_parent(u.y).  The rose is one
+    vertex with a loop dart per state.  Both projections have fibers of q
+    words, and q + 1 at level 1, for a quaternionic datum, and from level 3
+    on their fibers are the rows and columns of a q x q grid of words x.m.y
+    per middle word m.  Reversal is an automorphism of every level of every
+    valid datum: a square a.b = c.d read backwards, d^-1 . c^-1 =
+    b^-1 . a^-1, is again one, so the dart w -> w' maps to the dart
+    reversal(w') -> reversal(w).  Letter-wise inversion is an automorphism
+    of every quaternionic level tried, but not of every level of a generic
+    datum."""
     _check_level(side, 1)
     auto = _side_automaton(datum, side)
     inv_letter = np.asarray(auto.inv_alphabet)
     lifts = lift_levels(auto)
     yield TowerLevel(_lifted_graph([auto], [next(lifts)]), None, None, None)
-    size, inversion, below = 1, np.zeros(1, dtype=np.intp), None
+    size, inversion, reversal, below = 1, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), None
     for lift in lifts:
         first, parent = lift.words[:, 0], lift.parent
         index = np.empty(len(inv_letter) * size, dtype=np.intp)  # x * size + v -> the word x.v
@@ -245,7 +251,8 @@ def level_tower(datum: VHDatum, side: str) -> Iterator[TowerLevel]:
         inversion = index[inv_letter[first] * size + inversion[parent]]
         # x.v drops its last letter to x.u, for u the last_parent of v
         last = np.zeros_like(parent) if below is None else below[0][first * below[1] + last[parent]]
-        yield TowerLevel(_lifted_graph([auto], [lift]), parent, last, inversion)
+        reversal = index[inv_letter[lift.words[:, -1]] * size + reversal[last]]
+        yield TowerLevel(_lifted_graph([auto], [lift]), parent, last, inversion, reversal)
         below, size = (index, size), len(parent)
 
 
@@ -343,15 +350,17 @@ def is_automorphism(graph: UGraph, perm: np.ndarray) -> bool:
 
 def _stars_correspond(pmap, n_small, big_tail, big_head, small_tail, small_head) -> bool:
     """Does pmap send the multiset of heads of the darts at each big vertex
-    onto that at its image?  Both sides become one array sorted by (tail,
-    head), a row per vertex, and the row of pmap[v] is gathered for each v."""
+    onto that at its image?  Each side becomes one array of heads sorted by
+    the int64 key tail * n_small + head, a row per vertex, and the row of
+    pmap[v] is gathered for each v.  Keys stay below
+    max(len(pmap), n_small) * n_small, under 2^63 for fewer than 3e9
+    vertices a side."""
     big_deg = np.bincount(big_tail, minlength=len(pmap))
     small_deg = np.bincount(small_tail, minlength=n_small)
     if (big_deg != small_deg[pmap]).any():
         return False
-    heads = pmap[big_head]
-    big_rows = heads[np.lexsort((heads, big_tail))]
-    small_rows = small_head[np.lexsort((small_head, small_tail))]
+    big_rows = np.sort(big_tail * n_small + pmap[big_head]) % n_small
+    small_rows = np.sort(small_tail * n_small + small_head) % n_small
     start = np.cumsum(small_deg) - small_deg
     offset = np.arange(len(big_rows)) - np.repeat(np.cumsum(big_deg) - big_deg, big_deg)
     return bool((big_rows == small_rows[np.repeat(start[pmap], big_deg) + offset]).all())

@@ -152,7 +152,11 @@ def is_dual_reversible(m: Mealy) -> bool:
 
 
 def is_bireversible(m: Mealy) -> bool:
-    return is_reversible(m) and is_dual_reversible(m) and is_reversible(dual(m)) and is_dual_reversible(dual(m))
+    """Reversible, invertible, and with a reversible inverse.  The inverse
+    reads out[a, x], writes x and moves to delta[a, x], so it is reversible
+    exactly when the pairs (out[a, x], delta[a, x]) are all distinct."""
+    pairs = m.out * m.n_states() + m.delta
+    return is_reversible(m) and is_dual_reversible(m) and len(np.unique(pairs)) == pairs.size
 
 
 # ---------------------------------------------------------------------------

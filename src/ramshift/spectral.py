@@ -17,13 +17,16 @@ it by the drop-last map, and from level 3 on the two covers meet exactly
 in the pullbacks from two levels down, so the new spectrum is the previous
 level's new spectrum together with that of the doubly-new block: A on the
 functions with zero row and column sums in each middle word's grid of
-words x.m.y (dimension N_{n-2} (q - 1)^2).  Where letter-wise inversion
-is a verified automorphism, that block splits into two halves.
-`tower_spectra` starts at the rose, whose one eigenvalue d+1 is exact,
-checks both coverings and the grid, and eigensolves only the new blocks of
-levels 1 and 2 and the doubly-new blocks after them (all assembled from
-the darts by `dart_block` and symmetrised exactly) with the same symmetry,
-residual and trace checks.  A graph with no known cover is solved whole.
+words x.m.y (dimension N_{n-2} (q - 1)^2).  Letter-wise inversion and
+reversal (reverse the word, invert every letter) commute with A where they
+are verified automorphisms, and that block splits into four, one per
+character of the Klein group they generate; a symmetry that fails a check
+only coarsens the split.  `tower_spectra` starts at the rose, whose one
+eigenvalue d+1 is exact, checks both coverings and the grid, and
+eigensolves only the new blocks of levels 1 and 2 and the doubly-new
+blocks after them (all assembled from the darts by `dart_blocks` and
+symmetrised exactly) with the same symmetry, residual and trace checks.
+A graph with no known cover is solved whole.
 
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
 integer row vectors through x -> x A by predecessor gathers, one sum of d
@@ -107,28 +110,32 @@ def _fiber_slots(proj: np.ndarray, f: int) -> np.ndarray:
     return slot
 
 
-def dart_block(graph: UGraph, group: np.ndarray, slot: np.ndarray, basis: np.ndarray,
-               weight: np.ndarray | None = None) -> np.ndarray:
-    """The one block assembler of the covering tower: Q^T A Q for the Q
-    whose column (g, k) is basis[slot[v], k] on every vertex v of group g.
-    It is summed from the darts, never from a dense N x N matrix: each pair
-    of groups (a, b) joined by a dart gets the block B^T C B, where C
-    counts the darts by their origin's and terminus' slots (each dart
-    counting weight[e] when weights are given; darts of weight 0 are left
-    out).  The result is (M + M^T) / 2, exactly symmetric."""
-    origin, terminus = graph.origin, graph.terminus
-    if weight is not None:
-        used = weight != 0
-        origin, terminus, weight = origin[used], terminus[used], weight[used]
-    g, k = basis.shape
+def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slot: np.ndarray, basis: np.ndarray,
+                weights: np.ndarray | None = None, width: np.ndarray | None = None) -> list[np.ndarray]:
+    """The one block assembler of the covering tower: Q^T A_w Q for each
+    row w of weights (one unweighted block when weights is None), where A_w
+    counts the dart origin[e] -> terminus[e] with weight w[e] and Q has the
+    columns (g, k) for k < width[g] (every column of basis when width is
+    None), column (g, k) being basis[slot[v], k] on every vertex v of group
+    g.  It is summed from the darts, never from a dense N x N matrix: the
+    darts between each pair of groups (a, b) are counted by their origin's
+    and terminus' slots into C, for every row at once, and give the block
+    B^T C B; the columns beyond a group's width are dropped last.  Each
+    block is (M + M^T) / 2, exactly symmetric."""
+    weights = np.ones((1, len(origin))) if weights is None else weights
+    (g, k), rows = basis.shape, len(weights)
     n_groups = int(group.max()) + 1
     pairs, pair = np.unique(group[origin] * n_groups + group[terminus], return_inverse=True)
-    cell = (pair * g + slot[origin]) * g + slot[terminus]
-    counts = np.bincount(cell, weights=weight, minlength=len(pairs) * g * g).reshape(-1, g, g)
-    block = np.zeros((n_groups, k, n_groups, k))
-    block[pairs // n_groups, :, pairs % n_groups, :] = basis.T @ counts @ basis
-    block = block.reshape(n_groups * k, n_groups * k)
-    return (block + block.T) / 2
+    cell = (np.arange(rows)[:, None] * len(pairs) + pair) * g * g + slot[origin] * g + slot[terminus]
+    counts = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=rows * len(pairs) * g * g)
+    projected = basis.T @ counts.reshape(rows, len(pairs), g, g) @ basis
+    block = np.zeros((rows, n_groups, k, n_groups, k))
+    block[:, pairs // n_groups, :, pairs % n_groups, :] = projected.transpose(1, 0, 2, 3)
+    block = block.reshape(rows, n_groups * k, n_groups * k)
+    if width is not None and (width < k).any():
+        keep = (np.arange(k) < width[:, None]).ravel()
+        block = block[:, keep][:, :, keep]
+    return list((block + block.transpose(0, 2, 1)) / 2)
 
 
 def cover_block(graph: UGraph, lower: UGraph, parent: np.ndarray) -> np.ndarray:
@@ -137,24 +144,43 @@ def cover_block(graph: UGraph, lower: UGraph, parent: np.ndarray) -> np.ndarray:
     form an invariant subspace of A (its complement, the pullbacks from
     lower, is one because A P = P A_lower), so the spectrum of A is that of
     lower together with that of M.  Q has one Helmert block per fiber, and
-    `dart_block` assembles M.  `graphs.cover_fiber` first checks that
+    `dart_blocks` assembles M.  `graphs.cover_fiber` first checks that
     parent is a covering with equal fibers and raises ValueError when it
     is not."""
     parent = np.asarray(parent)
     f = cover_fiber(graph, lower, parent)
-    return dart_block(graph, parent, _fiber_slots(parent, f), _helmert(f))
+    return dart_blocks(graph.origin, graph.terminus, parent, _fiber_slots(parent, f), _helmert(f))[0]
 
 
-def _induced(perm: np.ndarray, proj: np.ndarray, size: int) -> np.ndarray | None:
-    """The map m -> proj[perm[v]] for any v with proj[v] = m, on a
-    surjective proj onto 0..size-1, or None when it depends on v."""
+def _induced(perm: np.ndarray, proj: np.ndarray, size: int, target: np.ndarray | None = None) -> np.ndarray | None:
+    """The map m -> target[perm[v]] for any v with proj[v] = m (target is
+    proj unless given), on a surjective proj onto 0..size-1, or None when it
+    depends on v."""
+    target = proj if target is None else target
     image = np.empty(size, dtype=np.intp)
-    image[proj] = proj[perm]
-    return image if (image[proj] == proj[perm]).all() else None
+    image[proj] = target[perm]
+    return image if (image[proj] == target[perm]).all() else None
+
+
+def _grid_basis(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrised Helmert basis of the functions with zero row and
+    column sums on an f x f grid of slots left * f + right: the f (f - 1) / 2
+    columns H_k (x) H_l + H_l (x) H_k for k <= l (over 2 when k = l, else
+    over sqrt 2), which the slot transpose fixes, and the (f - 1)(f - 2) / 2
+    columns (H_k (x) H_l - H_l (x) H_k) / sqrt 2 for k < l, which it
+    negates.  Together they span what kron(H, H) spans."""
+    h = _helmert(f)
+    pair = np.kron(h, h)  # column k (f - 1) + l is H_k (x) H_l
+    k, l = np.divmod(np.arange((f - 1) ** 2), f - 1)
+    swapped = pair[:, l * (f - 1) + k]
+    upper = k <= l
+    even = (pair + swapped)[:, upper] / np.where(k == l, 2.0, sqrt(2))[upper]
+    return even, (pair - swapped)[:, k < l] / sqrt(2)
 
 
 def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[np.ndarray]:
-    """The doubly-new block of a tower level n >= 3, or its two halves.
+    """The doubly-new block of a tower level n >= 3, whole or split by the
+    characters of the group that inversion and reversal generate.
 
     Each vertex is x.m.y for a middle m at level n - 2, reached both ways
     round the square parent / last_parent.  Its left slot is the place of
@@ -165,18 +191,23 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     n.  The pullbacks of both projections meet exactly in those from level
     n - 2 (a function constant on the rows and columns of a grid is
     constant on it), so A on the functions with zero row and column sums in
-    every grid, with basis H (x) H per middle (Helmert H), carries the
+    every grid, with the basis `_grid_basis` per middle, carries the
     spectrum of level n beyond spec A_{n-1} and the new block of level
     n - 1.  A broken grid raises ValueError.
 
-    When `level.inversion` is a fixed-point-free involutive automorphism
-    that maps fibers to fibers of both projections, and so grids to grids,
-    the block commutes with it and splits into the halves M+ and M-, each
-    assembled from the darts that leave one representative middle of each
-    pair {m, iota m}: the slots of iota m are carried over from m, and a
-    dart counts +1, or +-1 when its terminus lies in a middle that is not
-    the representative.  An inversion that fails a check only forgoes the
-    split."""
+    `_grid_symmetries` keeps those of inversion iota and reversal rho that
+    are automorphisms mapping grids to grids.  The block commutes with the
+    group G they generate, at most the Klein group {1, iota, rho, iota rho},
+    and splits into one block per character chi of G: four in the order
+    (+, +), (-, +), (+, -), (-, -) of (chi(iota), chi(rho)), two halves for
+    one symmetry, or the whole block for none.  Each is assembled from
+    the darts that leave one representative grid per orbit of middles: a
+    vertex g u, for u in a representative grid, takes the slot of u, and a
+    dart counts chi(g) for its terminus' g times sqrt(|orbit of its origin|
+    / |orbit of its terminus|), the ratio of the two normalisations.  A
+    middle that r = iota rho fixes (a palindromic one) has an orbit of two,
+    and since r acts on its grid as the slot transpose, its grid keeps only
+    the basis columns of parity chi(r)."""
     graph, parent, last = level.graph, level.parent, level.last_parent
     middle = lower.parent[last]
     if (middle != lower.last_parent[parent]).any():
@@ -187,36 +218,81 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     if graph.n_vertices() != n_middles * f * f or (np.bincount(cell, minlength=n_middles * f * f) != 1).any():
         raise ValueError("parent and last_parent are not a covering grid: a cell does not hold one vertex")
     slot = cell % (f * f)
-    basis = np.kron(_helmert(f), _helmert(f))
-    partner = _inversion_partner(level, middle, n_lower, n_middles)
-    if partner is None:
-        return [dart_block(graph, middle, slot, basis)]
-    chosen = np.arange(n_middles) < partner  # one representative per pair {m, iota m}
-    here = chosen[middle]
-    group = (np.cumsum(chosen) - 1)[np.minimum(middle, partner[middle])]
-    slot = np.where(here, slot, slot[level.inversion])
-    origin_here, terminus_here = here[graph.origin], here[graph.terminus]
-    return [dart_block(graph, group, slot, basis, origin_here * np.where(terminus_here, 1.0, sign))
-            for sign in (1.0, -1.0)]
+    # the group the symmetries generate: element e is the product of the
+    # symmetries i with bit i of e set, and character c negates those of
+    # the bits of c, so chi_c(e) = (-1)^|c & e|
+    vertex_maps, middle_maps = np.arange(len(slot))[None], np.arange(n_middles)[None]
+    for perm, moved in _grid_symmetries(level, middle, slot, f, n_lower, n_middles):
+        vertex_maps = np.vstack([vertex_maps, vertex_maps[:, perm]])
+        middle_maps = np.vstack([middle_maps, middle_maps[:, moved]])
+    n = len(middle_maps)
+    characters = np.array([[(-1.0) ** bin(c & e).count("1") for e in range(n)] for c in range(n)])
+    rep = middle_maps.min(axis=0)  # the least middle of each orbit represents it
+    to_rep = np.argmax(middle_maps == rep, axis=0)[middle]  # per vertex, an element taking it to a representative
+    size = n // (middle_maps == np.arange(n_middles)).sum(axis=0)  # orbit sizes
+    chosen = rep == np.arange(n_middles)
+    group = (np.cumsum(chosen) - 1)[rep[middle]]
+    slot = slot[vertex_maps[to_rep, np.arange(len(slot))]]
+    # only the darts that leave a representative grid are counted
+    darts = np.flatnonzero(chosen[middle[graph.origin]])
+    origin, terminus = graph.origin[darts], graph.terminus[darts]
+    weights = np.sqrt(size[middle[origin]] / size[middle[terminus]]) * characters[:, to_rep[terminus]]
+    even, odd = _grid_basis(f)
+    # element n - 1 is the product of all symmetries, r when there are two:
+    # the characters even on it keep the even columns on a grid r fixes,
+    # the others the odd ones, so those come first in the basis
+    blocks = [None] * n
+    for kept, other, parity in ((even, odd, 1.0), (odd, even, -1.0)):
+        these = np.flatnonzero(characters[:, -1] == parity)
+        if these.size:
+            width = np.where(size[chosen] < n, kept.shape[1], kept.shape[1] + other.shape[1])
+            basis = np.hstack([kept, other])[:, :width.max()]
+            for c, block in zip(these, dart_blocks(origin, terminus, group, slot, basis, weights[these], width)):
+                blocks[c] = block
+    return blocks
 
 
-def _inversion_partner(level: TowerLevel, middle: np.ndarray, n_lower: int, n_middles: int) -> np.ndarray | None:
-    """The map m -> iota m that level.inversion induces on the middles, when
-    it is an involutive automorphism of the graph that maps the fibers of
-    both projections to fibers and moves every middle; else None."""
-    graph, iota = level.graph, level.inversion
+def _grid_symmetries(level: TowerLevel, middle: np.ndarray, slot: np.ndarray, f: int,
+                     n_lower: int, n_middles: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(vertex map, middle map) of each of level.inversion and
+    level.reversal that `_grid_symmetry` accepts.  When both are accepted
+    they must also commute, and r = inversion . reversal must act as the
+    slot transpose on the grid of every middle it fixes; else reversal is
+    dropped."""
+    iota = _grid_symmetry(level, level.inversion, False, middle, n_lower, n_middles)
+    rho = _grid_symmetry(level, level.reversal, True, middle, n_lower, n_middles)
+    if iota is not None and rho is not None:
+        r = iota[0][rho[0]]
+        fixed = (iota[1][rho[1]] == np.arange(n_middles))[middle]
+        transposed = slot % f * f + slot // f
+        if (r != rho[0][iota[0]]).any() or (slot[r][fixed] != transposed[fixed]).any():
+            rho = None
+    return [symmetry for symmetry in (iota, rho) if symmetry is not None]
+
+
+def _grid_symmetry(level: TowerLevel, perm: np.ndarray | None, swaps: bool, middle: np.ndarray,
+                   n_lower: int, n_middles: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(perm, the map it induces on the middles) when perm is an involutive
+    automorphism of the graph that maps the fibers of parent and of
+    last_parent to fibers of the same projection (of the other one when
+    swaps) and moves every middle; else None."""
+    graph = level.graph
     n = graph.n_vertices()
-    if iota is None:
+    if perm is None:
         return None
-    iota = np.asarray(iota)
-    if iota.shape != (n,) or iota.min() < 0 or iota.max() >= n or (iota[iota] != np.arange(n)).any():
+    perm = np.asarray(perm)
+    if perm.shape != (n,) or perm.dtype.kind not in "iu" or perm.min() < 0 or perm.max() >= n:
         return None
-    if any(_induced(iota, proj, n_lower) is None for proj in (level.parent, level.last_parent)):
+    if (perm[perm] != np.arange(n)).any():  # an involution
         return None
-    partner = _induced(iota, middle, n_middles)
-    if partner is None or (partner == np.arange(n_middles)).any() or not is_automorphism(graph, iota):
+    projections = (level.parent, level.last_parent)
+    targets = projections[::-1] if swaps else projections
+    if any(_induced(perm, proj, n_lower, target) is None for proj, target in zip(projections, targets)):
         return None
-    return partner
+    moved = _induced(perm, middle, n_middles)
+    if moved is None or (moved == np.arange(n_middles)).any() or not is_automorphism(graph, perm):
+        return None
+    return perm, moved
 
 
 class TowerSpectrum(NamedTuple):
@@ -229,7 +305,7 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
     """(graph, spectrum, solved block dimensions) for every level after the
     first of a covering tower, such as `graphs.level_tower`: the rose, then
     each level with its drop-first and drop-last parents into the one
-    before and an optional inversion.  Both parents are checked as
+    before and an optional inversion and reversal.  Both parents are checked as
     coverings with equal fibers (`graphs.cover_fiber`) on every level.
 
     The rose, one vertex with k loop darts, contributes the trivial
@@ -237,8 +313,9 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
     drop-first cover (`cover_block`, dimension N_n - N_{n-1}).  From level
     3 on, spec A_n is spec A_{n-1}, the previous level's new spectrum and
     the spectrum of the doubly-new block (`_grid_blocks`, dimension
-    N_{n-2} (f - 1)^2 for fibers of f), which alone is solved, in two halves
-    when the inversion checks out.  Every block goes through
+    N_{n-2} (f - 1)^2 for fibers of f), which alone is solved: in four
+    blocks when the inversion and the reversal both check out, in two
+    halves when one does, whole otherwise.  Every block goes through
     `eig_symmetric`'s checks.  Spectra are descending, and each level is
     capped like a dense eigensolve of its vertices."""
     lower = next(levels)

@@ -75,13 +75,20 @@ def random_vh_datum(rng: random.Random, nv: int, nh: int) -> VHDatum:
     return VHDatum([f"a{i}" for i in range(nv)], [f"x{i}" for i in range(nh)], iv, ih, sorted(tuples))
 
 
-def _inversion_is_automorphism(datum: VHDatum, side: str, n: int) -> bool:
-    # letter-wise inversion read off the vertex labels, independently of the lift
-    graph = level_graph(datum, side, n)
+def letter_map(datum: VHDatum, side: str, graph, reverse: bool = False) -> list[int]:
+    """Letter-wise inversion of every vertex's word of a level graph, the
+    word reversed too when asked, read off the vertex labels independently
+    of the lift."""
     letters = datum.H if side == "A" else datum.V
     inverse = dict(zip(letters, (letters[i] for i in (datum.inv_H if side == "A" else datum.inv_V))))
     index = {label: i for i, label in enumerate(graph.vertex_labels)}
-    perm = [index[".".join(inverse[x] for x in label.split("."))] for label in graph.vertex_labels]
+    words = (label.split(".") for label in graph.vertex_labels)
+    return [index[".".join(map(inverse.get, word[::-1] if reverse else word))] for word in words]
+
+
+def _inversion_is_automorphism(datum: VHDatum, side: str, n: int) -> bool:
+    graph = level_graph(datum, side, n)
+    perm = letter_map(datum, side, graph)
     a = graph.adjacency()
     return bool((a[np.ix_(perm, perm)] == a).all())
 

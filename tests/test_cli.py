@@ -652,7 +652,8 @@ def _r_entry_error(entry):
 ])
 def test_malformed_datum_file_R_entries_are_named(tmp_path, capsys, edit, expected):
     path = _edited_datum_file(tmp_path, capsys, edit)
-    R = json.loads(open(path, encoding="utf-8").read())["R"]
+    with open(path, encoding="utf-8") as fh:
+        R = json.load(fh)["R"]
     code, stdout, err = run(capsys, "datum", "--datum", path, "--no-timestamp")
     assert code == 2
     assert stdout == ""

@@ -149,6 +149,37 @@ def test_reversibility_verdicts(m_q3):
     assert is_dual_reversible(collapsing) == is_reversible(dual(collapsing))
 
 
+def _brute_bireversible(m: Mealy) -> bool:
+    # build the inverse automaton state by state and test the three
+    # bijections by counting images
+    ns, nl = m.n_states(), m.n_letters()
+    delta, out = m.delta.tolist(), m.out.tolist()
+    invertible = all(len({out[a][x] for x in range(nl)}) == nl for a in range(ns))
+    reversible = all(len({delta[a][x] for a in range(ns)}) == ns for x in range(nl))
+    if not invertible:
+        return False
+    inverse_delta = [[None] * nl for _ in range(ns)]
+    for a in range(ns):
+        for x in range(nl):
+            inverse_delta[a][out[a][x]] = delta[a][x]
+    inverse_reversible = all(len({inverse_delta[a][y] for a in range(ns)}) == ns for y in range(nl))
+    return reversible and inverse_reversible
+
+
+def test_bireversibility_of_every_two_state_two_letter_automaton():
+    tables = list(product(range(2), repeat=4))
+    verdicts = []
+    for delta in tables:
+        for out in tables:
+            m = Mealy(["p", "q"], ["0", "1"], np.reshape(delta, (2, 2)), np.reshape(out, (2, 2)))
+            verdicts.append(is_bireversible(m))
+            assert verdicts[-1] == _brute_bireversible(m), (delta, out)
+    assert 0 < sum(verdicts) < len(verdicts)
+    # reversible and invertible, but the inverse repeats (out, next) = (0, 1)
+    swap = Mealy(["p", "q"], ["0", "1"], delta=[[0, 1], [1, 0]], out=[[0, 1], [1, 0]])
+    assert is_reversible(swap) and is_dual_reversible(swap) and not is_bireversible(swap)
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [

@@ -2,8 +2,9 @@
 the Bass-Ihara transfer, and exact deviation norms."""
 
 import json
+import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from ramshift import build_quaternionic_datum, make_field
 from ramshift.cli import main
-from ramshift.graphs import UGraph, level_graph, level_size, level_tower, nb_matrix
+from ramshift.graphs import TowerLevel, UGraph, level_graph, level_size, level_tower, nb_matrix
 from ramshift.spectral import (
     DENSE_EIG_LIMIT,
     EXACT_POWER_LIMIT,
@@ -29,6 +30,7 @@ from ramshift.spectral import (
     tower_spectra,
     walk_counts,
 )
+from conftest import letter_map, random_vh_datum
 from test_graphs import complete_bipartite, cycle, petersen
 
 
@@ -202,24 +204,29 @@ def test_tower_spectrum_at_other_places(p, e, places, top, side):
 @pytest.mark.parametrize("side", ["A", "B"])
 @pytest.mark.parametrize("q", sorted(TOWER_FIELDS))
 def test_tower_splits_every_quaternionic_level_from_3_on(q, side):
-    # the inversion split is what quarters the work; a broken inversion
-    # falls back to the whole doubly-new block without a sound, so this
-    # pins the two halves of N_{n-2} (q - 1)^2 / 2 on every level n >= 3
+    # the inversion and reversal split is what quarters the work; a broken
+    # symmetry falls back to a coarser split without a sound, so this pins
+    # the quarters of D = N_{n-2} (q - 1)^2 on every level n >= 3: the
+    # P_L = (q + 1) q^(ceil(L/2) - 1) palindromic middles of length L keep
+    # the q (q - 1) / 2 transpose-even or the (q - 1)(q - 2) / 2 odd
+    # functions of their grid, which moves E = P_{n-2} (q - 1) between them
     p, e, top = TOWER_FIELDS[q]
     datum = build_quaternionic_datum(make_field(p, e), 1, 2)
     blocks = [b for _, _, b in islice(tower_spectra(level_tower(datum, side)), top)]
     assert blocks[:2] == [(q,), ((q + 1) * q - (q + 1),)][:top]
     for n, solved in enumerate(blocks[2:], 3):
-        half = level_size(datum, side, n - 2) * (q - 1) ** 2 // 2
-        assert solved == (half, half)
+        d = level_size(datum, side, n - 2) * (q - 1) ** 2
+        e = (q + 1) * q ** (-(-(n - 2) // 2) - 1) * (q - 1)
+        assert solved == ((d + e) // 4, (d - e) // 4, (d - e) // 4, (d + e) // 4)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
-def test_a_datum_without_the_inversion_is_solved_unsplit(datum_without_inversion, side):
-    # letter-wise inversion is no automorphism of this datum's levels 3 and 4
-    # (the fixture checks level 3 independently), so nothing splits
+def test_a_datum_without_the_inversion_is_solved_in_reversal_halves(datum_without_inversion, side):
+    # letter-wise inversion is no automorphism of this datum's levels 3 and
+    # 4 (the fixture checks level 3 independently), but reversal is one of
+    # every valid datum's levels, so the doubly-new blocks split in halves
     blocks = _tower_against_whole_graphs(datum_without_inversion, side, 4)
-    assert blocks[2:] == [(6 * 4 ** 2,), (6 * 5 * 4 ** 2,)]
+    assert blocks[2:] == [(48, 48), (240, 240)]  # N_{n-2} 4^2 / 2 for N_1 = 6, N_2 = 30
 
 
 def test_a_drop_last_parent_that_is_no_covering_raises(d12_q3):
@@ -246,24 +253,100 @@ def test_a_grid_that_is_not_a_product_raises(d12_q3):
         list(tower_spectra(iter(doubled)))
 
 
-def test_a_broken_inversion_is_refused_and_the_spectrum_stays_exact(d12_q3):
-    levels = list(islice(level_tower(d12_q3, "A"), 5))
-    inversion = levels[4].inversion.copy()
-    inversion[[0, 1]] = inversion[[1, 0]]
-    broken = levels[:4] + [levels[4]._replace(inversion=inversion)]
-    (graph, eigs, blocks), = islice(tower_spectra(iter(broken)), 3, 4)
-    assert blocks == (level_size(d12_q3, "A", 2) * 2 ** 2,)  # the whole doubly-new block
+def _level_4_with_broken(datum, *names):
+    """The solved blocks of A_4, whose spectrum is checked against the whole
+    eigensolve, from a tower whose level 4 has two entries of each named
+    symmetry swapped."""
+    levels = list(islice(level_tower(datum, "A"), 5))
+    broken = {}
+    for name in names:
+        broken[name] = getattr(levels[4], name).copy()
+        broken[name][[0, 1]] = broken[name][[1, 0]]
+    (graph, eigs, blocks), = islice(tower_spectra(iter(levels[:4] + [levels[4]._replace(**broken)])), 3, 4)
     assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
+    return blocks
+
+
+def test_a_broken_inversion_is_refused_and_the_spectrum_stays_exact(d12_q3):
+    # reversal alone still splits the doubly-new block in halves
+    whole = level_size(d12_q3, "A", 2) * 2 ** 2
+    assert _level_4_with_broken(d12_q3, "inversion") == (whole // 2,) * 2
+
+
+@pytest.mark.parametrize("broken, n_blocks", [(("reversal",), 2), (("inversion", "reversal"), 1)],
+                         ids=["reversal", "both"])
+def test_a_broken_reversal_is_refused_and_the_spectrum_stays_exact(d12_q3, broken, n_blocks):
+    # inversion alone gives its halves, and with both broken the whole
+    # doubly-new block is solved
+    whole = level_size(d12_q3, "A", 2) * 2 ** 2
+    assert _level_4_with_broken(d12_q3, *broken) == (whole // n_blocks,) * n_blocks
+
+
+def test_a_malformed_reversal_is_refused_without_a_sound(d12_q3):
+    # the wrong length, floats, the identity (it maps no drop-first fiber
+    # onto a drop-last one) and inversion offered as reversal all leave
+    # inversion's halves
+    levels = list(islice(level_tower(d12_q3, "A"), 5))
+    top = levels[4]
+    n = top.graph.n_vertices()
+    for reversal in (np.arange(n + 1), top.reversal.astype(float), np.arange(n), top.inversion):
+        tower = levels[:4] + [top._replace(reversal=reversal)]
+        (_, _, blocks), = islice(tower_spectra(iter(tower)), 3, 4)
+        assert blocks == (level_size(d12_q3, "A", 2) * 2 ** 2 // 2,) * 2
+
+
+def test_reversal_is_dropped_where_r_is_no_slot_transpose(d12_q3):
+    # two words x.m and x'.m of level 3, for a palindromic m, trade places:
+    # the drop-first fiber of m is reordered but its drop-last fiber is not,
+    # so r = inversion . reversal no longer acts on the grids of m at level
+    # 4 as the slot transpose, and only inversion's halves are solved
+    levels = list(islice(level_tower(d12_q3, "A"), 5))
+    three, four = levels[3], levels[4]
+    m = next(v for v, label in enumerate(levels[2].graph.vertex_labels) if len(set(label.split("."))) == 1)
+    swap = np.arange(three.graph.n_vertices())
+    swap[np.flatnonzero(three.parent == m)[:2]] = np.flatnonzero(three.parent == m)[1::-1]
+    g = three.graph
+    three = TowerLevel(
+        UGraph([g.vertex_labels[v] for v in swap], swap[g.origin], swap[g.terminus], g.inv, g.dart_labels),
+        three.parent[swap], three.last_parent[swap], swap[three.inversion[swap]], swap[three.reversal[swap]],
+    )
+    four = four._replace(parent=swap[four.parent], last_parent=swap[four.last_parent])
+    spectra = list(tower_spectra(iter(levels[:3] + [three, four])))
+    assert [blocks for _, _, blocks in spectra[2:]] == [(6, 2, 2, 6), (24, 24)]
+    for graph, eigs, _ in spectra:
+        assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
 
 
 def test_tower_last_parents_and_inversions_follow_the_words(d12_q3):
     levels = list(islice(level_tower(d12_q3, "B"), 5))
     inverse = dict(zip(d12_q3.V, (d12_q3.V[i] for i in d12_q3.inv_V)))
     assert levels[1].last_parent.tolist() == [0] * 4
-    for (lower, *_), (graph, _, last, inversion) in zip(levels[1:], levels[2:]):
+    for (lower, *_), (graph, _, last, inversion, _) in zip(levels[1:], levels[2:]):
         labels = [label.split(".") for label in graph.vertex_labels]
         assert [".".join(word[:-1]) for word in labels] == [lower.vertex_labels[v] for v in last]
         assert [".".join(map(inverse.get, word)) for word in labels] == [graph.vertex_labels[v] for v in inversion]
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_tower_reversals_follow_the_words(d12_q3, side):
+    for graph, *_, reversal in islice(level_tower(d12_q3, side), 1, 5):
+        assert reversal.tolist() == letter_map(d12_q3, side, graph, reverse=True)
+
+
+def test_reversal_is_an_automorphism_of_every_valid_datum():
+    # a square read backwards is a square, so reversal maps the dart
+    # w -> w' to the dart reversal(w') -> reversal(w) on every level of
+    # every valid datum; letter-wise inversion fails on some of the same levels
+    fails = {True: 0, False: 0}
+    for (nv, nh), seed in product([(2, 4), (4, 4), (4, 6), (6, 4), (6, 6)], range(8)):
+        datum = random_vh_datum(random.Random(seed), nv, nh)
+        for side in "AB":
+            for graph, *_ in islice(level_tower(datum, side), 1, 5):
+                a = graph.adjacency()
+                for reverse in fails:
+                    perm = letter_map(datum, side, graph, reverse)
+                    fails[reverse] += not (a[np.ix_(perm, perm)] == a).all()
+    assert fails[True] == 0 and fails[False] > 0
 
 
 def test_verify_ramanujan_level_does_not_depend_on_the_range(capsys):

@@ -341,7 +341,8 @@ def test_golden_file_round_trip():
 
 
 def test_golden_file_matches_fresh_build(d12_q3):
-    assert dumps_datum(d12_q3) == open(GOLDEN, encoding="utf-8").read()
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert dumps_datum(d12_q3) == fh.read()
 
 
 def test_write_read_cycle(tmp_path, d12_q5):
