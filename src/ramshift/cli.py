@@ -227,8 +227,8 @@ def cmd_bass_ihara(args) -> int:
     # darts in closed form: one per vertex and automaton state (V for A_n, H for B_n)
     n_states = len(datum.V if args.side == "A" else datum.H)
     spectral.check_dart_cap(graphs.level_size(datum, args.side, args.level) * n_states)
-    graph = graphs.level_graph(datum, args.side, args.level)
-    report = spectral.nb_transfer_report(graph)
+    level = next(islice(graphs.level_tower(datum, args.side), args.level, None))
+    report = spectral.nb_transfer_report(level.graph, (level.inversion, level.reversal))
     payload = {
         "n_darts": report.n_darts,
         "d": report.d,

@@ -130,22 +130,45 @@ class DartGraph:
         return f"DartGraph({self.n_darts()} darts, {self.degree}-regular)"
 
 
-def nb_matrix(graph: UGraph) -> DartGraph:
-    """Non-backtracking (Bass-Hashimoto) matrix on the darts of a regular
-    graph; rows and columns each sum to d for a (d+1)-regular base."""
+def nb_arcs(graph: UGraph) -> tuple[np.ndarray, np.ndarray, int]:
+    """The arcs e -> f of the non-backtracking (Bass-Hashimoto) matrix of a
+    (d+1)-regular graph, t(e) = o(f) and f != e^-1, as two dart arrays
+    ordered by e, with d; every dart has d arcs out and d arcs in because
+    UGraph checked the pairing."""
     deg = graph.regular_degree()
     if deg is None:
         raise ValueError("non-backtracking matrix needs a regular graph")
-    n = graph.n_darts()
-    h = np.zeros((n, n), dtype=np.int64)
     # row v holds the deg darts leaving v
     by_origin = np.argsort(graph.origin).reshape(graph.n_vertices(), deg)
-    e = np.repeat(np.arange(n), deg)
+    e = np.repeat(np.arange(graph.n_darts()), deg)
     f = by_origin[graph.terminus].ravel()
     keep = f != graph.inv[e]
-    h[e[keep], f[keep]] = 1
-    # rows and columns sum to deg - 1 because UGraph checked the pairing
-    return DartGraph(h, deg - 1)
+    return e[keep], f[keep], deg - 1
+
+
+def nb_matrix(graph: UGraph) -> DartGraph:
+    """Non-backtracking (Bass-Hashimoto) matrix on the darts of a regular
+    graph; rows and columns each sum to d for a (d+1)-regular base."""
+    e, f, d = nb_arcs(graph)
+    n = graph.n_darts()
+    h = np.zeros((n, n), dtype=np.int64)
+    h[e, f] = 1
+    return DartGraph(h, d)
+
+
+def dart_map(graph: UGraph, perm: np.ndarray) -> np.ndarray:
+    """The dart permutation that a vertex automorphism perm induces: the
+    k-th dart from u to v (in dart order) goes to the k-th dart from perm[u]
+    to perm[v].  perm must pass `is_automorphism`, so that each class of
+    darts between two vertices has as many darts as its image."""
+    n = graph.n_vertices()
+    key = graph.origin * n + graph.terminus
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(ordered, ordered)
+    perm = np.asarray(perm)
+    return order[np.searchsorted(ordered, perm[graph.origin] * n + perm[graph.terminus]) + rank]
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +402,35 @@ class StructureReport:
     regular_degree: int | None
 
 
+_SMALL_FRONTIER = 32  # a frontier below this size is a small step
+_SMALL_STEPS = 64  # small steps taken as arrays before the search goes on in plain Python
+
+
 def _bfs_depths(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, int]:
     """Breadth-first depths over the darts tail -> head, one frontier at a
     time from a root, restarted from the first unreached vertex until every
     vertex is reached; returns the depths and the number of roots.  A
     vertex with no dart to another vertex is a root at depth 0 from the
     start (in an undirected graph it is a component by itself), which
-    spares a restart per vertex of the all-loop levels of a direct product."""
+    spares a restart per vertex of the all-loop levels of a direct product.
+    Frontiers are stepped as arrays, which pays numpy's call overhead per
+    step: after _SMALL_STEPS steps from frontiers of fewer than
+    _SMALL_FRONTIER vertices (every search starts with one), as on a long
+    cycle or on many small components, the search goes on in plain Python
+    (`_bfs_on_lists`).  The next root is looked for after the last one."""
     heads, degree = head[np.argsort(tail, kind="stable")], np.bincount(tail, minlength=n)
     first = np.cumsum(degree) - degree  # the first of each vertex's darts in heads
     alone = np.bincount(tail[tail != head], minlength=n) == 0
     depth = np.where(alone, 0, -1)
-    roots, root, slot = int(alone.sum()), 0, np.empty(n, dtype=np.intp)
-    while (pending := np.flatnonzero(depth[root:] < 0)).size:
-        root += int(pending[0])
+    roots, root, slot, small = int(alone.sum()), 0, np.empty(n, dtype=np.intp), 0
+    while (root := _next_unreached(depth, root)) < n:
         depth[root], roots = 0, roots + 1
         frontier, level = np.array([root]), 0
         while frontier.size:
+            small += frontier.size < _SMALL_FRONTIER
+            if small > _SMALL_STEPS:
+                lists = (x.tolist() for x in (depth, frontier, heads, first, first + degree))
+                return _bfs_on_lists(*lists, level, root, roots)
             counts, level = degree[frontier], level + 1
             darts = np.arange(counts.sum()) + np.repeat(first[frontier] - np.cumsum(counts) + counts, counts)
             reached = heads[darts]
@@ -404,6 +439,41 @@ def _bfs_depths(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray,
             frontier = reached[slot[reached] == np.arange(len(reached))]
             depth[frontier] = level
     return depth, roots
+
+
+def _next_unreached(depth: np.ndarray, start: int) -> int:
+    """The first vertex from start on with no depth yet (len(depth) when
+    there is none), scanned in windows that double in length."""
+    width = _SMALL_FRONTIER
+    while start < len(depth):
+        window = depth[start:start + width] < 0
+        if window.any():
+            return start + int(window.argmax())
+        start, width = start + width, 2 * width
+    return len(depth)
+
+
+def _bfs_on_lists(depth: list, frontier: list, heads: list, start: list, stop: list,
+                  level: int, root: int, roots: int) -> tuple[np.ndarray, int]:
+    """`_bfs_depths` continued vertex by vertex on Python lists, from the
+    frontier at depth level of the search from root: the heads of v's
+    darts are heads[start[v]:stop[v]]."""
+    n = len(depth)
+    while True:
+        while frontier:
+            level += 1
+            reached = []
+            for v in frontier:
+                for u in heads[start[v]:stop[v]]:
+                    if depth[u] < 0:
+                        depth[u] = level
+                        reached.append(u)
+            frontier = reached
+        while root < n and depth[root] >= 0:
+            root += 1
+        if root == n:
+            return np.array(depth), roots
+        depth[root], roots, frontier, level = 0, roots + 1, [root], 0
 
 
 def structure_predicates(graph: UGraph) -> StructureReport:

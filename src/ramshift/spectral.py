@@ -28,6 +28,21 @@ blocks after them (all assembled from the darts by `dart_blocks` and
 symmetrised exactly) with the same symmetry, residual and trace checks.
 A graph with no known cover is solved whole.
 
+Bass-Ihara: `nb_transfer_report` compares the non-backtracking (dart)
+spectrum, solved directly, with the quadratic transfer of the adjacency
+spectrum.  The direct spectrum is never taken from a dense darts x darts
+matrix.  A level's inversion and reversal, where they check out as
+automorphisms, lift to the darts (the k-th dart from u to v goes to the
+k-th dart between the images) and must be involutions that commute with
+dart inversion and with each other.  The non-backtracking matrix then
+commutes with the group they generate and splits into one block per
+character, each summed by one bincount over the arcs that leave an orbit
+representative and checked by the dimension count and a trace identity
+(`nb_blocks`).  A bare graph is solved as one block summed the same way.
+`bass-ihara` on q = 3 `A_4` (432 darts) solves four blocks of 108 instead
+of the whole: the command went from about 70 to about 23 ms on a 2-vCPU
+host, `A_5` from 0.91 to 0.20 s.
+
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
 integer row vectors through x -> x A by predecessor gathers, one sum of d
 entries per column of a d-regular matrix.  Every entry of x A^j, and every
@@ -53,7 +68,8 @@ import numpy as np
 
 from .ffield import SizeCapExceeded
 from .graphs import (
-    DartGraph, StructureReport, TowerLevel, UGraph, cover_fiber, is_automorphism, nb_matrix, structure_predicates,
+    DartGraph, StructureReport, TowerLevel, UGraph, cover_fiber, dart_map, is_automorphism, nb_arcs,
+    structure_predicates,
 )
 
 DENSE_EIG_LIMIT = 2000
@@ -110,8 +126,15 @@ def _fiber_slots(proj: np.ndarray, f: int) -> np.ndarray:
     return slot
 
 
+def group_pairs(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys group[origin] * n_groups + group[terminus] of the
+    darts, ascending, and each dart's index among them."""
+    return np.unique(group[origin] * (int(group.max()) + 1) + group[terminus], return_inverse=True)
+
+
 def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slot: np.ndarray, basis: np.ndarray,
-                weights: np.ndarray | None = None, width: np.ndarray | None = None) -> list[np.ndarray]:
+                weights: np.ndarray | None = None, width: np.ndarray | None = None,
+                pairs: tuple[np.ndarray, np.ndarray] | None = None) -> list[np.ndarray]:
     """The one block assembler of the covering tower: Q^T A_w Q for each
     row w of weights (one unweighted block when weights is None), where A_w
     counts the dart origin[e] -> terminus[e] with weight w[e] and Q has the
@@ -121,11 +144,13 @@ def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slo
     darts between each pair of groups (a, b) are counted by their origin's
     and terminus' slots into C, for every row at once, and give the block
     B^T C B; the columns beyond a group's width are dropped last.  Each
-    block is (M + M^T) / 2, exactly symmetric."""
+    block is (M + M^T) / 2, exactly symmetric.  A caller that assembles
+    over the same darts and groups more than once passes their
+    `group_pairs` as pairs."""
     weights = np.ones((1, len(origin))) if weights is None else weights
     (g, k), rows = basis.shape, len(weights)
     n_groups = int(group.max()) + 1
-    pairs, pair = np.unique(group[origin] * n_groups + group[terminus], return_inverse=True)
+    pairs, pair = group_pairs(origin, terminus, group) if pairs is None else pairs
     cell = (np.arange(rows)[:, None] * len(pairs) + pair) * g * g + slot[origin] * g + slot[terminus]
     counts = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=rows * len(pairs) * g * g)
     projected = basis.T @ counts.reshape(rows, len(pairs), g, g) @ basis
@@ -218,15 +243,12 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     if graph.n_vertices() != n_middles * f * f or (np.bincount(cell, minlength=n_middles * f * f) != 1).any():
         raise ValueError("parent and last_parent are not a covering grid: a cell does not hold one vertex")
     slot = cell % (f * f)
-    # the group the symmetries generate: element e is the product of the
-    # symmetries i with bit i of e set, and character c negates those of
-    # the bits of c, so chi_c(e) = (-1)^|c & e|
     vertex_maps, middle_maps = np.arange(len(slot))[None], np.arange(n_middles)[None]
     for perm, moved in _grid_symmetries(level, middle, slot, f, n_lower, n_middles):
         vertex_maps = np.vstack([vertex_maps, vertex_maps[:, perm]])
         middle_maps = np.vstack([middle_maps, middle_maps[:, moved]])
     n = len(middle_maps)
-    characters = np.array([[(-1.0) ** bin(c & e).count("1") for e in range(n)] for c in range(n)])
+    characters = _characters(n)  # element e is the product of the symmetries i with bit i of e set
     rep = middle_maps.min(axis=0)  # the least middle of each orbit represents it
     to_rep = np.argmax(middle_maps == rep, axis=0)[middle]  # per vertex, an element taking it to a representative
     size = n // (middle_maps == np.arange(n_middles)).sum(axis=0)  # orbit sizes
@@ -241,13 +263,14 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     # element n - 1 is the product of all symmetries, r when there are two:
     # the characters even on it keep the even columns on a grid r fixes,
     # the others the odd ones, so those come first in the basis
-    blocks = [None] * n
+    blocks, pairs = [None] * n, group_pairs(origin, terminus, group)
     for kept, other, parity in ((even, odd, 1.0), (odd, even, -1.0)):
         these = np.flatnonzero(characters[:, -1] == parity)
         if these.size:
             width = np.where(size[chosen] < n, kept.shape[1], kept.shape[1] + other.shape[1])
             basis = np.hstack([kept, other])[:, :width.max()]
-            for c, block in zip(these, dart_blocks(origin, terminus, group, slot, basis, weights[these], width)):
+            assembled = dart_blocks(origin, terminus, group, slot, basis, weights[these], width, pairs)
+            for c, block in zip(these, assembled):
                 blocks[c] = block
     return blocks
 
@@ -442,6 +465,118 @@ def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
     return np.linalg.eigvals(h.adjacency.astype(np.float64))
 
 
+def _characters(n: int) -> np.ndarray:
+    """The character table of the group of n = 2^k elements that k commuting
+    involutions generate: element e is the product of the involutions i
+    with bit i of e set, and character c negates those of the bits of c,
+    so chi_c(e) = (-1)^|c & e|."""
+    return np.array([[(-1.0) ** bin(c & e).count("1") for e in range(n)] for c in range(n)])
+
+
+def _dart_symmetries(graph: UGraph, perms) -> list[np.ndarray]:
+    """The dart maps (`graphs.dart_map`) of those vertex permutations in
+    perms that are automorphisms and whose dart map is an involution that
+    commutes with dart inversion and with every dart map kept before it;
+    the others are dropped, which only coarsens the split."""
+    darts, kept = np.arange(graph.n_darts()), []
+    for perm in perms:
+        if perm is None or np.asarray(perm).dtype.kind not in "iu" or not is_automorphism(graph, perm):
+            continue
+        sigma = dart_map(graph, perm)
+        if (sigma[sigma] != darts).any() or (sigma[graph.inv] != graph.inv[sigma]).any():
+            continue
+        if all((sigma[other] == other[sigma]).all() for other in kept):
+            kept.append(sigma)
+    return kept
+
+
+def nb_blocks(graph: UGraph, symmetries=()) -> list[np.ndarray]:
+    """The non-backtracking matrix H of a regular graph, split into one
+    block per character chi of the group G that the kept dart maps of
+    symmetries generate (`_dart_symmetries`; at most the Klein group of
+    inversion and reversal), in the order of `_characters`: the whole H as
+    one block when none is kept.
+
+    H commutes with G, so the image V_chi of the projector sum_g chi(g) P_g
+    is invariant (Serre, Linear Representations of Finite Groups, 2.6),
+    and spec H is the union of the spectra of H on the V_chi.  V_chi is
+    spanned by the v_r = sum_g chi(g) e_(g r) for the orbit representatives
+    r (least darts); v_r vanishes unless chi is trivial on the stabiliser
+    of r, which a dart that an element fixes may fail, and every dart when
+    two kept maps are equal, as inversion and reversal are on level 1.  The
+    others, scaled to w_r = v_r / |Stab r|, take chi(g) once on each dart
+    g r of the orbit and form a basis, in which H acts by the block whose
+    entry (s, r) is the sum of chi(g) over the arcs s -> g r: D^-1 V^T H V,
+    D = V^T V, up to a diagonal similarity.  One bincount over the arcs that
+    leave a representative sums every block at once.
+    The block dimensions must add up to the number of darts, and the trace
+    of each block must be (1 / |G|) sum_g chi(g) times the number of arcs
+    e -> g e, which counts over all the arcs; else RuntimeError."""
+    e, f, _ = nb_arcs(graph)
+    maps = np.arange(graph.n_darts())[None]
+    for sigma in _dart_symmetries(graph, symmetries):
+        maps = np.vstack([maps, maps[:, sigma]])
+    n, m = maps.shape
+    characters = _characters(n)
+    rep = maps.min(axis=0)
+    to_rep = np.argmax(maps == rep, axis=0)  # an element g with g x = rep, so that x = g rep
+    stabiliser = maps == np.arange(m)
+    valid = ((characters[:, :, None] > 0) | ~stabiliser).all(axis=1)  # chi trivial on the stabiliser
+    chosen = np.flatnonzero(rep == np.arange(m))
+    index = np.empty(m, dtype=np.intp)
+    index[chosen] = np.arange(len(chosen))
+    k = len(chosen)
+    leaving = rep[e] == e
+    s, r = e[leaving], f[leaving]
+    weights = characters[:, to_rep[r]]
+    cell = (np.arange(n)[:, None] * k + index[s]) * k + index[rep[r]]
+    summed = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=n * k * k).reshape(n, k, k)
+    blocks = [block[keep][:, keep] for block, keep in zip(summed, valid[:, chosen])]
+    if sum(map(len, blocks)) != m:
+        raise RuntimeError("the character blocks do not add up to the darts")
+    fixed_arcs = (maps[:, e] == f).sum(axis=1)
+    expected = characters @ fixed_arcs / n
+    if any(abs(np.trace(block) - trace) > 1e-9 * max(1.0, m) for block, trace in zip(blocks, expected)):
+        raise RuntimeError("a character block failed its trace identity")
+    return blocks
+
+
+def nb_spectrum(graph: UGraph, symmetries=()) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The non-backtracking spectrum of a regular graph of at most
+    DENSE_EIG_LIMIT darts, solved block by block (`nb_blocks`), and the
+    block dimensions.  Each block's eigenvalues must sum to its trace."""
+    check_dart_cap(graph.n_darts())
+    blocks = nb_blocks(graph, symmetries)
+    spectra = [np.linalg.eigvals(block) for block in blocks]
+    for block, eigs in zip(blocks, spectra):
+        scale = max(1.0, float(np.abs(block).max(initial=0)) * len(block))
+        if abs(eigs.sum() - np.trace(block)) > EIG_RESIDUAL_TOL * scale:
+            raise RuntimeError("eigensolver failed the trace identity")
+    return np.concatenate([np.empty(0, dtype=complex), *spectra]), tuple(map(len, blocks))
+
+
+_BROADCAST_CELLS = 1 << 17  # entries of one block of pairwise distances
+
+
+def max_min_dist(xs: np.ndarray, ys: np.ndarray) -> float:
+    """max over x in xs of min over y in ys of |y - x|, over pairwise
+    distances in row blocks of at most _BROADCAST_CELLS entries."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    step = max(1, _BROADCAST_CELLS // max(1, len(ys)))
+    return max(float(np.abs(ys - xs[i:i + step, None]).min(axis=1).max()) for i in range(0, len(xs), step))
+
+
+def modulus_defect(direct: np.ndarray, d: int) -> float:
+    """How far the moduli of a dart spectrum sit from {1, sqrt(d)}, leaving
+    out those within 1e-6 of d (the Perron value d, and -d for a bipartite
+    graph).  The moduli are hypot(re, im), as the scalar abs computes
+    them (numpy's vectorised complex abs may differ in the last bit)."""
+    direct = np.asarray(direct)
+    mod = np.hypot(direct.real, direct.imag)
+    defect = np.minimum(np.abs(mod - 1.0), np.abs(mod - sqrt(d)))
+    return float(defect[~(np.abs(mod - d) <= 1e-6)].max(initial=0.0))
+
+
 @dataclass
 class TransferReport:
     n_darts: int
@@ -449,6 +584,7 @@ class TransferReport:
     max_dist_direct_to_transfer: float
     max_dist_transfer_to_direct: float
     max_modulus_defect: float  # nontrivial moduli vs {1, sqrt(d)}
+    blocks: tuple[int, ...]  # the dimensions of the dart blocks solved
 
     def agrees(self, tol: float = 1e-6) -> bool:
         return (
@@ -457,33 +593,23 @@ class TransferReport:
         )
 
 
-def nb_transfer_report(graph: UGraph) -> TransferReport:
+def nb_transfer_report(graph: UGraph, symmetries=()) -> TransferReport:
     """Compare the directly computed dart spectrum of a regular graph with
     the Bass-Ihara transfer of its adjacency spectrum (set inclusion both
     ways), and measure how far nontrivial dart moduli sit from {1, sqrt(d)}.
-    The dart count is checked against the cap before the dense dart matrix
-    is built."""
-    check_dart_cap(graph.n_darts())
-    dart = nb_matrix(graph)
-    d = dart.degree
-    direct = nb_spectrum_direct(dart)
+    The dart spectrum is `nb_spectrum`'s, split by the vertex symmetries
+    given (a level's inversion and reversal), which checks the dart count
+    against the cap before anything is built."""
+    direct, blocks = nb_spectrum(graph, symmetries)
+    d = graph.regular_degree() - 1
     transfer = np.array([value for value, _ in bass_ihara_pairs(eig_symmetric(graph.adjacency()), d)])
-
-    def max_min_dist(xs, ys):
-        return max(float(np.abs(ys - x).min()) for x in xs)
-
-    defect = 0.0
-    for x in direct:
-        mod = abs(x)
-        if abs(mod - d) <= 1e-6:
-            continue  # Perron value d (and -d for bipartite graphs)
-        defect = max(defect, min(abs(mod - 1.0), abs(mod - sqrt(d))))
     return TransferReport(
-        n_darts=dart.n_darts(),
+        n_darts=graph.n_darts(),
         d=d,
         max_dist_direct_to_transfer=max_min_dist(direct, transfer),
         max_dist_transfer_to_direct=max_min_dist(transfer, direct),
-        max_modulus_defect=defect,
+        max_modulus_defect=modulus_defect(direct, d),
+        blocks=blocks,
     )
 
 

@@ -226,17 +226,38 @@ def test_datum_above_the_field_size_cap_exits_at_once(field, capsys):
 
 
 def test_bass_ihara_checks_cap_before_building_darts(monkeypatch, capsys):
-    from ramshift import spectral
+    from ramshift import graphs, spectral
 
     def no_dart_matrix(graph):
         raise AssertionError("the dart matrix must not be built above the cap")
 
-    monkeypatch.setattr(spectral, "nb_matrix", no_dart_matrix)
+    # the direct spectrum is summed from nb_arcs: neither the arcs nor the
+    # dense matrix may be built
+    for module, name in ((graphs, "nb_matrix"), (graphs, "nb_arcs"), (spectral, "nb_arcs")):
+        monkeypatch.setattr(module, name, no_dart_matrix)
     # A_6 has 972 vertices and 3888 darts
     code, stdout, err = run(capsys, "bass-ihara", "--level", "6", "--no-timestamp")
     assert code == 3
     assert stdout == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_bass_ihara_builds_no_dense_dart_matrix(monkeypatch, capsys, side):
+    from ramshift import graphs, spectral
+
+    def no_dart_matrix(*args):
+        raise AssertionError("the direct spectrum is summed from the arcs, block by block")
+
+    monkeypatch.setattr(graphs, "nb_matrix", no_dart_matrix)
+    monkeypatch.setattr(spectral, "nb_spectrum_direct", no_dart_matrix)
+    code, stdout, err = run(capsys, "bass-ihara", "--level", "4", "--side", side, "--no-timestamp")
+    assert (code, err) == (0, "")
+    payload = json.loads(stdout)
+    assert payload["agrees"] is True and payload["n_darts"] == 432 and payload["d"] == 3
+    assert payload["max_dist_direct_to_transfer"] < 1e-12 and payload["max_modulus_defect"] < 1e-12
+    assert sorted(payload) == ["agrees", "config", "d", "max_dist_direct_to_transfer",
+                               "max_dist_transfer_to_direct", "max_modulus_defect", "n_darts"]
 
 
 def _write_json(path, payload):
@@ -716,6 +737,7 @@ def test_bass_ihara_counts_darts_before_building_the_level(monkeypatch, capsys):
         raise AssertionError("a level above the dart cap must not be built")
 
     monkeypatch.setattr(graphs, "level_graph", no_level)
+    monkeypatch.setattr(graphs, "level_tower", no_level)
     for argv in (["--level", "6"], ["--level", "12"], ["--level", "6", "--side", "B"]):
         code, stdout, err = run(capsys, "bass-ihara", *argv, "--no-timestamp")
         assert code == 3

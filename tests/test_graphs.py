@@ -1,6 +1,8 @@
 """Dart graphs, level graphs, coverings, and structure predicates.
 Small classical graphs (cycles, K33, Petersen) are built here as oracles."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,73 @@ def test_structure_predicates_on_loops_and_isolated_vertices():
     assert lone.n_components == 2 and not lone.bipartite
     bare = structure_predicates(UGraph.from_edges(3, [(0, 2)]))
     assert bare.n_components == 2 and bare.bipartite
+
+
+def _reference_depths(n, tail, head):
+    """Breadth-first depths by a queue, vertex by vertex: vertices with no
+    dart to another vertex are roots at depth 0, then every unreached vertex
+    in order starts a search."""
+    out = [[] for _ in range(n)]
+    for u, v in zip(tail.tolist(), head.tolist()):
+        out[u].append(v)
+    depth = [0 if all(v == u for v in out[u]) else -1 for u in range(n)]
+    roots = depth.count(0)
+    for root in range(n):
+        if depth[root] < 0:
+            depth[root], roots, queue = 0, roots + 1, deque([root])
+            while queue:
+                u = queue.popleft()
+                for v in out[u]:
+                    if depth[v] < 0:
+                        depth[v] = depth[u] + 1
+                        queue.append(v)
+    return depth, roots
+
+
+def test_bfs_depths_match_a_queue_search():
+    # long paths hand the search over to plain Python in the middle of a
+    # search, and a hub after a path brings a large frontier after that
+    rng = np.random.default_rng(22)
+    for trial in range(12):
+        edges, start = [], 0
+        for _ in range(rng.integers(1, 5)):
+            kind, size = rng.integers(3), int(rng.integers(2, 300))
+            if kind == 0:  # a path ending in a hub with many leaves
+                edges += [(start + i, start + i + 1) for i in range(size - 1)]
+                edges += [(start + size - 1, start + size + i) for i in range(size)]
+                size *= 2
+            elif kind == 1:  # many small components
+                edges += [(start + i, start + i + 1) for i in range(0, size - 1, 2)]
+            else:  # a dense random component
+                edges += [(start + int(i), start + int(j)) for i, j in rng.integers(size, size=(3 * size, 2))]
+            start += size
+        perm = rng.permutation(start)
+        ends = perm[np.array(edges)]
+        tail, head = np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]])
+        for t, h in ((tail, head), (tail[::2], head[::2])):  # undirected, and the directed half
+            depth, roots = graphs._bfs_depths(start, t, h)
+            assert (depth.tolist(), roots) == _reference_depths(start, t, h)
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path", "disjoint_edges"])
+def test_structure_of_long_and_scattered_graphs(shape):
+    n = 20000 if shape != "disjoint_edges" else 4000
+    edges = {"cycle": [(i, (i + 1) % n) for i in range(n)], "path": [(i, i + 1) for i in range(n - 1)],
+             "disjoint_edges": [(2 * i, 2 * i + 1) for i in range(n // 2)]}[shape]
+    report = structure_predicates(UGraph.from_edges(n, edges))
+    assert report.n_components == (2000 if shape == "disjoint_edges" else 1)
+    assert report.bipartite and not report.aperiodic
+    # the same shapes directed, on 3000 vertices as a dense matrix
+    m = 3000
+    a = np.zeros((m, m), dtype=bool)
+    if shape == "disjoint_edges":
+        a[np.arange(0, m, 2), np.arange(1, m, 2)] = a[np.arange(1, m, 2), np.arange(0, m, 2)] = True
+    else:
+        a[np.arange(m - 1), np.arange(1, m)] = True
+        a[m - 1, 0] = shape == "cycle"
+    assert digraph_period(a) == {"cycle": (True, m), "path": (False, 0), "disjoint_edges": (False, 0)}[shape]
+    odd = UGraph.from_edges(n + 1, [*edges, (n, n - 1), (n, 0)] if shape != "disjoint_edges" else [*edges, (n, n)])
+    assert not structure_predicates(odd).bipartite
 
 
 def test_digraph_period_matches_the_walk_traces():

@@ -23,6 +23,10 @@ from ramshift.spectral import (
     deviation_table,
     eig_symmetric,
     matrix_power_int,
+    max_min_dist,
+    modulus_defect,
+    nb_blocks,
+    nb_spectrum,
     nb_spectrum_direct,
     nb_transfer_report,
     ramanujan_check,
@@ -413,6 +417,177 @@ def test_transfer_report(d12_q3):
             report = nb_transfer_report(level_graph(d12_q3, side, n))
             assert report.agrees(1e-6)
             assert report.max_modulus_defect <= 1e-6
+
+
+def test_grid_blocks_share_their_group_pairs_bit_for_bit(d12_q3, f9, monkeypatch):
+    from ramshift import spectral
+
+    towers = [list(islice(level_tower(datum, side), top))
+              for datum, top in ((d12_q3, 7), (build_quaternionic_datum(f9, 1, 2), 4)) for side in "AB"]
+
+    def grid_blocks():
+        return [spectral._grid_blocks(level, lower, below.graph.n_vertices())
+                for tower in towers for below, lower, level in zip(tower[1:], tower[2:], tower[3:])]
+
+    shared = grid_blocks()
+    assemble = spectral.dart_blocks
+    # each call finds its own group pairs again, as before they were shared
+    monkeypatch.setattr(spectral, "dart_blocks", lambda *args: assemble(*args[:7]))
+    alone = grid_blocks()
+    assert len(shared) == 10
+    for ours, theirs in zip(shared, alone):
+        assert len(ours) == len(theirs) and all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def _matched_distance(xs, ys) -> float:
+    """The largest distance in a one-to-one matching of two equally long
+    multisets of complex values, each x taking its nearest y not yet taken."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    assert len(xs) == len(ys)
+    taken, worst = np.zeros(len(ys), dtype=bool), 0.0
+    for x in xs:
+        dist = np.where(taken, np.inf, np.abs(ys - x))
+        j = int(np.argmin(dist))
+        taken[j], worst = True, max(worst, float(dist[j]))
+    return worst
+
+
+def _whole_dart_spectrum(graph):
+    return np.linalg.eigvals(nb_matrix(graph).adjacency.astype(np.float64))
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("p,e,top,tol", [(3, 1, 4, 1e-9), (5, 1, 3, 1e-9), (7, 1, 2, 1e-9), (3, 2, 2, 1e-6)],
+                         ids=["q3", "q5", "q7", "q9"])
+def test_split_dart_spectrum_matches_the_whole(p, e, top, tol, side):
+    # q = 9 has eigenvalues +-2 sqrt(q), whose dart eigenvalues +-sqrt(q)
+    # sit in 2 x 2 Jordan blocks, so both solves move them by ~sqrt(eps)
+    datum = build_quaternionic_datum(make_field(p, e), 1, 2)
+    for level in islice(level_tower(datum, side), 1, top + 1):
+        eigs, blocks = nb_spectrum(level.graph, (level.inversion, level.reversal))
+        assert len(blocks) == 4 and sum(blocks) == level.graph.n_darts()
+        assert _matched_distance(eigs, _whole_dart_spectrum(level.graph)) <= tol
+
+
+@pytest.mark.parametrize("p,e,n,blocks", [(3, 1, 4, (108, 108, 108, 108)), (3, 2, 1, (50, 0, 0, 50))],
+                         ids=["q3_A4", "q9_A1"])
+def test_dart_block_dimensions(p, e, n, blocks):
+    # on level 1 inversion and reversal agree, so the characters that
+    # differ on them have no vectors
+    datum = build_quaternionic_datum(make_field(p, e), 1, 2)
+    level = next(islice(level_tower(datum, "A"), n, None))
+    assert tuple(map(len, nb_blocks(level.graph, (level.inversion, level.reversal)))) == blocks
+
+
+def _reflection(n, shift=0):
+    return (shift - np.arange(n)) % n
+
+
+@pytest.mark.parametrize("symmetries,blocks", [
+    pytest.param([None], (16,), id="none"),
+    pytest.param([_reflection(8)], (8, 8), id="reflection"),
+    pytest.param([(np.arange(8) + 1) % 8, _reflection(8)], (8, 8), id="rotation_is_no_involution"),
+    pytest.param([np.array([2, 1, 0, 3, 4, 5, 6, 7]), _reflection(8)], (8, 8), id="swap_is_no_automorphism"),
+    pytest.param([_reflection(8), _reflection(8, 1)], (8, 8), id="reflections_do_not_commute"),
+    pytest.param([_reflection(8).astype(float)], (16,), id="float_map"),
+    pytest.param([np.arange(7)], (16,), id="wrong_length"),
+])
+def test_a_refused_dart_symmetry_only_coarsens_the_split(symmetries, blocks):
+    graph = cycle(8)
+    eigs, got = nb_spectrum(graph, symmetries)
+    assert got == blocks
+    assert _matched_distance(eigs, _whole_dart_spectrum(graph)) <= 1e-12
+
+
+def test_refused_level_symmetries_leave_the_dart_spectrum(d12_q3):
+    level = next(islice(level_tower(d12_q3, "A"), 3, None))
+    n = level.graph.n_vertices()
+    swap = np.arange(n)
+    swap[[0, 1]] = [1, 0]  # an involution, but no automorphism
+    whole = _whole_dart_spectrum(level.graph)
+    # r = inversion . reversal with inversion generates the same group, its
+    # characters in another order
+    for symmetries, blocks in [((swap, level.reversal), (72, 72)), ((level.inversion, swap), (72, 72)),
+                               ((level.inversion[level.reversal], level.inversion), (42, 30, 42, 30)),
+                               ((), (144,))]:
+        eigs, got = nb_spectrum(level.graph, symmetries)
+        assert got == blocks
+        assert _matched_distance(eigs, whole) <= 1e-9
+
+
+def test_darts_a_symmetry_fixes_keep_only_its_even_characters():
+    # swapping 0 and 1 in K4 fixes the darts 2 -> 3 and 3 -> 2, which the
+    # odd character has no vector for
+    k4 = UGraph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    eigs, blocks = nb_spectrum(k4, [np.array([1, 0, 2, 3])])
+    assert blocks == (7, 5)
+    assert _matched_distance(eigs, _whole_dart_spectrum(k4)) <= 1e-12
+
+
+def test_dart_blocks_on_loops_and_multiple_edges():
+    # two loops at 0 and a double edge 0 = 1 with a loop at 1: the dart
+    # maps pair darts by their place among those between the same ends
+    graph = UGraph.from_edges(2, [(0, 0), (0, 1), (0, 1), (1, 1), (0, 0), (1, 1)])
+    eigs, blocks = nb_spectrum(graph, [np.array([1, 0])])
+    assert blocks == (6, 6)
+    assert _matched_distance(eigs, _whole_dart_spectrum(graph)) <= 1e-9
+
+
+@pytest.mark.parametrize("crossed,blocks", [(False, (3, 3)), (True, (6,))], ids=["paired", "crossed"])
+def test_a_dart_map_must_commute_with_dart_inversion(crossed, blocks):
+    # a triple edge 0 = 1: the swap of its ends sends the k-th dart each way
+    # to the k-th dart back, which commutes with dart inversion only when
+    # inversion pairs the k-th darts; crossed, it pairs them by a 3-cycle
+    inv = np.array([4, 5, 3, 2, 0, 1]) if crossed else np.array([3, 4, 5, 0, 1, 2])
+    graph = UGraph(["0", "1"], [0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0], inv, list("abcdef"))
+    eigs, got = nb_spectrum(graph, [np.array([1, 0])])
+    assert got == blocks
+    assert _matched_distance(eigs, _whole_dart_spectrum(graph)) <= 1e-12
+
+
+def _max_min_dist_loop(xs, ys):
+    # the per-value loop that max_min_dist replaced
+    return max(float(np.abs(ys - x).min()) for x in xs)
+
+
+def _modulus_defect_loop(direct, d):
+    # the per-value loop that modulus_defect replaced
+    defect = 0.0
+    for x in direct:
+        mod = abs(x)
+        if abs(mod - d) <= 1e-6:
+            continue
+        defect = max(defect, min(abs(mod - 1.0), abs(mod - sqrt(d))))
+    return defect
+
+
+def test_spectrum_distances_equal_the_per_value_loops(d12_q3):
+    rng = np.random.default_rng(21)
+    cases = []
+    for size in (1, 7, 300, 1297, 2600):
+        xs = rng.normal(size=size) * 2 + 1j * rng.normal(size=size)
+        cases.append((xs, rng.normal(size=size + 3) * 2 + 1j * rng.normal(size=size + 3)))
+        cases.append((xs.real.copy(), xs[::-1].copy()))
+    level = next(islice(level_tower(d12_q3, "A"), 4, None))
+    direct, _ = nb_spectrum(level.graph, (level.inversion, level.reversal))
+    transfer = np.array([x for x, _ in bass_ihara_pairs(eig_symmetric(level.graph.adjacency()), 3)])
+    cases += [(direct, transfer), (transfer, direct)]
+    for xs, ys in cases:
+        assert max_min_dist(xs, ys) == _max_min_dist_loop(xs, ys)
+        assert modulus_defect(xs, 3) == _modulus_defect_loop(xs, 3)
+    # values within 1e-6 of d in modulus are the Perron values and left out
+    perron = np.array([3.0, -3.0 + 1e-7j, 1.5, 2.0j])
+    assert modulus_defect(perron, 3) == _modulus_defect_loop(perron, 3) == 2 - sqrt(3)
+
+
+def test_transfer_report_of_a_level_keeps_its_figures(d12_q3):
+    level = next(islice(level_tower(d12_q3, "B"), 3, None))
+    split = nb_transfer_report(level.graph, (level.inversion, level.reversal))
+    whole = nb_transfer_report(level.graph)
+    assert split.blocks == (42, 30, 30, 42) and whole.blocks == (144,)
+    assert split.n_darts == whole.n_darts == 144 and split.d == whole.d == 3
+    assert split.agrees(1e-12) and whole.agrees(1e-12)
+    assert split.max_modulus_defect < 1e-12 and whole.max_modulus_defect < 1e-12
 
 
 def test_second_modulus_directed():
