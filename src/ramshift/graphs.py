@@ -538,8 +538,9 @@ def ugraph_to_json_dict(graph: UGraph) -> dict:
     n = graph.n_vertices()
     # one key per (origin, terminus); np.unique returns them in (i, j) order
     keys, mult = np.unique(graph.origin * n + graph.terminus, return_counts=True)
-    # np.zeros, not np.empty: with an object field np.empty took ten times as
-    # long on the 35k darts of A_8
+    # np.zeros, not np.empty: with an object field np.empty took six times as
+    # long to fill on the 35k darts of A_8 (6.0 against 1.1 ms); json_text
+    # reads the columns and is the same either way
     record = [("origin", np.int64), ("terminus", np.int64), ("label", object)]
     darts = np.zeros(graph.n_darts(), dtype=record)
     darts["origin"], darts["terminus"], darts["label"] = graph.origin, graph.terminus, graph.dart_labels
@@ -571,7 +572,7 @@ def ugraph_from_json(text: str) -> UGraph:
         if any(type(i) is not int for i in itertools.chain(origin, terminus, inv)):
             raise ValueError("dart endpoints and inv entries must be integers")
         graph = UGraph(vertices, origin, terminus, inv, labels)
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed graph file: {exc!r}") from exc
     return graph
 

@@ -42,6 +42,7 @@ name its first bad entry.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field as _field
@@ -524,10 +525,17 @@ def export_tiles(ts: WangTileSet, path: str, header: str | None = None) -> None:
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write `text` to `path` through `<path>.tmp` and a rename; a failed
+    write (a lone surrogate in `text`, a full disk) leaves no temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def dot_escaped(label: str) -> str:
@@ -544,13 +552,13 @@ def json_text(payload) -> str:
     given.  Here dicts with str keys are walked by hand, and a flat list of
     exact ints and strs is one C-encoder call with the indent folded into
     the item separator, and so is a scalar or an empty list or dict, whose
-    text no indent changes.  A 1-D or 2-D array, or a 1-D record array (one row
-    per record), whose columns hold ints or strs is one `%` over a row
-    template: `%d` for an int column, and `%s` for a str column, each
-    distinct str encoded once.  Anything else is the stdlib text re-indented
-    by its depth.  The re-indenting replace is safe because an ASCII-encoded
-    JSON string never holds a raw newline.  The pieces are joined once at
-    the end, so no level copies the text of the values inside it.
+    text no indent changes.  A 1-D or 2-D array, or a 1-D record array (one
+    row per record), whose columns hold ints or strs is rendered as bytes
+    by `_array_pieces`, a block of rows at a time.  Anything else is the
+    stdlib text re-indented by its depth.  The re-indenting replace is safe
+    because an ASCII-encoded JSON string never holds a raw newline.  The
+    pieces are joined once at the end, so no level copies the text of the
+    values inside it.
     """
     pieces: list[str] = []
     _write(payload, "\n", pieces)
@@ -574,8 +582,8 @@ def _write(value, nl: str, out: list[str]) -> None:
             _write(value[k], inner, out)
             opening = ","
         out.append(nl + "}")
-    elif type(value) is np.ndarray and (text := _array_text(value, nl)) is not None:
-        out.append(text)
+    elif type(value) is np.ndarray and (pieces := _array_pieces(value, nl)) is not None:
+        out += pieces
     elif type(value) is list and value and set(map(type, value)) <= _SCALARS:
         out.append("[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + nl + "]")
     elif type(value) in _PLAIN or type(value) in (list, dict) and not value:
@@ -588,9 +596,22 @@ def _listed_or_str(value):
     return value.tolist() if isinstance(value, np.ndarray) else str(value)
 
 
-def _array_text(a: np.ndarray, nl: str) -> str | None:
+# bytes of padded row text rendered at a time: about 2^14 rows of a graph
+# file's darts, so the temporaries of a block stay in cache whatever the
+# array's length or the length of its longest label
+_BLOCK_BYTES = 1 << 19
+
+
+def _array_pieces(a: np.ndarray, nl: str) -> list[str] | None:
     """The text of a flat array, or of a 2-D or record array (a row per
-    record), whose columns hold ints or strs; None for any other array."""
+    record), whose columns hold ints or strs, in pieces; None for any other
+    array.
+
+    Each block of rows is one `uint8` matrix, a padded row of text per row:
+    the separators broadcast into their columns, each int column as digits
+    and each str column as its encoded labels, with NUL bytes as padding.
+    Dropping the NULs leaves the text, since ASCII-encoded JSON never holds
+    a raw NUL."""
     flat = a.ndim == 1 and not a.dtype.names
     if flat:
         columns = [a]
@@ -601,37 +622,110 @@ def _array_text(a: np.ndarray, nl: str) -> str | None:
     else:
         return None
     if not len(a):
-        return "[]"
-    cells = [_cells(column) for column in columns]
-    if None in cells:
+        return ["[]"]
+    renderers = [_renderer(column) for column in columns]
+    if None in renderers:
         return None
     inner = nl + " "
     deeper = inner + " "
-    row = cells[0][0] if flat else "[" + deeper + ("," + deeper).join(fmt for fmt, _ in cells) + inner + "]"
-    items = [None] * (len(a) * len(cells))
-    for j, (_, values) in enumerate(cells):
-        items[j::len(cells)] = values
-    # the brackets belong to the template, so the text is made in one piece
-    return ("[" + inner + ("," + inner).join([row] * len(a)) + nl + "]") % tuple(items)
+    # every row starts with ",": the first one's is turned into "["
+    head, sep, tail = ("," + inner, "", "") if flat else ("," + inner + "[" + deeper, "," + deeper, inner + "]")
+    parts = [head]  # separators and column renderers, in row order
+    for renderer in renderers:
+        parts += [renderer, sep]
+    parts[-1] = tail
+    width = sum(map(len, parts))
+    rows = max(1, _BLOCK_BYTES // width)
+    pieces = []
+    for lo in range(0, len(a), rows):
+        block = slice(lo, lo + rows)
+        buf = np.empty((min(rows, len(a) - lo), width), np.uint8)
+        start = 0
+        for part in parts:
+            end = start + len(part)
+            if type(part) is str:
+                buf[:, start:end] = np.frombuffer(part.encode("ascii"), np.uint8)
+            else:
+                part.fill(buf[:, start:end], block)
+            start = end
+        if not lo:
+            buf[0, 0] = ord("[")
+        text = buf.ravel()
+        pieces.append(str(text[text != 0], "ascii"))
+    pieces.append(nl + "]")
+    return pieces
 
 
-def _cells(column: np.ndarray) -> tuple[str, list] | None:
-    """The `%` format and values of an int column, or of an object column of
-    strs (each distinct str encoded once); None for any other column."""
+def _renderer(column: np.ndarray) -> _IntColumn | _StrColumn | None:
+    """The renderer of an int column, or of an object column of strs; None
+    for any other column."""
+    if column.ndim != 1:
+        return None
     if column.dtype.kind in "iu":
-        return "%d", column.tolist()
+        return _IntColumn(column)
     if column.dtype.kind != "O":
         return None
     values = column.tolist()
     try:
-        text = dict.fromkeys(values)
+        codes = dict.fromkeys(values)
     except TypeError:  # an unhashable entry is no str
         return None
-    if any(type(s) is not str for s in text):
+    if any(type(s) is not str for s in codes):
         return None
-    for s in text:
-        text[s] = encode_basestring_ascii(s)
-    return "%s", list(map(text.__getitem__, values))
+    return _StrColumn(codes, values)
+
+
+class _IntColumn:
+    """An int column as right-aligned decimal digits, a `-` in a sign column
+    when the column holds a negative value, and NULs for leading zeros."""
+
+    def __init__(self, column: np.ndarray):
+        self.column = column
+        low, high = int(column.min()), int(column.max())
+        self.signed = low < 0
+        top = max(high, -low)
+        self.digits = len(str(top))
+        self.dtype = np.uint32 if top < 2**32 else np.uint64
+
+    def __len__(self) -> int:
+        return self.signed + self.digits
+
+    def fill(self, out: np.ndarray, block: slice) -> None:
+        values = self.column[block]
+        if self.signed:
+            negative = values < 0
+            out[:, 0] = negative * ord("-")
+            # the magnitude of the unsigned view is exact for int64's minimum too
+            bits = values.astype(np.int64).view(np.uint64)
+            values = np.where(negative, -bits, bits)
+        x = values.astype(self.dtype)
+        for k in range(len(self) - 1, self.signed - 1, -1):
+            q = x // 10
+            digit = x - q * 10
+            digit += ord("0")
+            if k < len(self) - 1:
+                digit *= x != 0  # a leading zero: the value has no digit here
+            out[:, k] = digit
+            x = q
+
+
+class _StrColumn:
+    """A column of strs as their JSON strings, each distinct label encoded
+    once into a NUL-padded table gathered by label code."""
+
+    def __init__(self, codes: dict, values: list):
+        encoded = [encode_basestring_ascii(s).encode("ascii") for s in codes]
+        for k, s in enumerate(codes):
+            codes[s] = k
+        self.codes = np.fromiter(map(codes.__getitem__, values), np.intp, len(values))
+        table = np.array(encoded)
+        self.table = table.view(np.uint8).reshape(len(encoded), table.itemsize)
+
+    def __len__(self) -> int:
+        return self.table.shape[1]
+
+    def fill(self, out: np.ndarray, block: slice) -> None:
+        out[...] = self.table[self.codes[block]]
 
 
 def datum_to_dict(datum: VHDatum) -> dict:
@@ -810,6 +904,8 @@ def loads_datum(text: str) -> VHDatum:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed datum file: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # lists nested deeper than the decoder recurses
+        raise ValueError(f"malformed datum file: {exc!r}") from exc
     return datum_from_dict(data)
 
 

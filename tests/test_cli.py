@@ -514,6 +514,32 @@ def test_verify_ramanujan_of_a_datum_without_the_inversion(tmp_path, capsys, dat
     assert code == (0 if all(v["ramanujan"] for v in verdicts) else 1)
 
 
+@pytest.mark.parametrize("command,flag,kind", [
+    ("verify-ramanujan", "--graph-json", "graph"),
+    ("datum", "--datum", "datum"),
+])
+def test_input_files_nested_beyond_the_decoder_are_an_input_error(tmp_path, capsys, command, flag, kind):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, stdout, err = run(capsys, command, flag, str(path), "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: malformed {kind} file") and "Traceback" not in err
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # a lone surrogate survives the datum file's JSON but not UTF-8
+    path = _edited_datum_file(tmp_path, capsys, _without_field(V=["v\ud800", "b", "c", "d"],
+                                                                H=["e", "f", "g", "h"]))
+    out = tmp_path / "x.dot"
+    code, stdout, err = run(capsys, "graph", "--datum", path, "--level", "2", "--side", "B",
+                            "--format", "dot", "--out", str(out), "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert "surrogate" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "edited.json"]
+
+
 def _set(*keys, value):
     return lambda data: reduce(getitem, keys[:-1], data).__setitem__(keys[-1], value)
 

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ramshift import cli
-from ramshift.graphs import UGraph, ugraph_to_json, ugraph_to_json_dict
+from ramshift import cli, vhdatum
+from ramshift.graphs import UGraph, level_graph, ugraph_to_json, ugraph_to_json_dict
 from ramshift.vhdatum import direct_product_datum, dumps_datum, json_text
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -158,6 +158,7 @@ def test_golden_files_round_trip(name):
 
 REAL = {
     "graph_q3_A6": ["graph", "--level", "6", "--side", "A", "--format", "json"],
+    "graph_q3_A7": ["graph", "--level", "7", "--side", "A", "--format", "json"],
     "product_graph_q5_2_2": ["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1",
                              "--levels", "2,2"],
     "verify_ramanujan_q3_1_3": ["verify-ramanujan", "--levels", "1:3"],
@@ -232,3 +233,80 @@ def test_graph_files_match_stdlib_on_the_list_form(name):
     if not g.n_darts():
         for key in ("darts", "inv", "adjacency_coo"):
             assert f'"{key}": []' in text
+
+
+def _every_depth(value):
+    return (value, {"k": value}, {"a": {"b": [value]}, "z": {"y": value}})
+
+
+def _assert_listed_at_every_depth(value):
+    for payload in _every_depth(value):
+        assert_same_text(json_text(payload), stdlib(listed(payload)))
+
+
+_BOUNDARIES = [x for k in range(19) for x in (10**k - 1, 10**k, -(10**k))]
+_MATRIX = np.arange(-40, 80, dtype=np.int64).reshape(10, 12) * 987_654
+
+
+RENDERED = {
+    "digit_boundaries": np.array(_BOUNDARIES, dtype=np.int64),
+    "digit_boundary_rows": np.array(_BOUNDARIES[:57]).reshape(19, 3),
+    "zeros_only": np.zeros(7, dtype=np.int64),
+    "all_negative": np.array([-1, -10, -9, -123456789]),
+    "int8_min": np.array([np.iinfo(np.int8).min, 0, np.iinfo(np.int8).max], dtype=np.int8),
+    "int16_min": np.array([[np.iinfo(np.int16).min, 5], [1, -1]], dtype=np.int16),
+    "big_endian": np.array([-(2**40), 2**40, 3], dtype=">i8"),
+    "every_other_column": _MATRIX[:, ::2],
+    "transposed": _MATRIX.T,
+    "fortran_order": np.asfortranarray(_MATRIX),
+    "uint64_records": np.array([(np.iinfo(np.uint64).max, "a"), (0, "b"), (2**32, "c")],
+                               dtype=[("n", np.uint64), ("s", object)]),
+    "uneven_labels": _records(*((k, k, label) for k, label in enumerate(
+        ["", "\x00", "x" * 300, "y", '"' * 50, "", "é" * 20, "\x00" * 3]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED))
+def test_rendered_arrays_are_written_as_their_lists_at_every_depth(name):
+    _assert_listed_at_every_depth(RENDERED[name])
+
+
+@pytest.mark.parametrize("kind", ["ints", "records"])
+def test_rows_on_both_sides_of_every_block_boundary(kind, monkeypatch):
+    # 120 bytes hold 2 to 17 rows of these arrays at these depths, so every
+    # length below covers a block boundary, one row short and one row over
+    monkeypatch.setattr(vhdatum, "_BLOCK_BYTES", 120)
+    for n in range(1, 60):
+        if kind == "ints":
+            value = np.arange(n, dtype=np.int64) * 7 - 20
+        else:
+            value = _records(*((k, n - k, LABELS[k % len(LABELS)]) for k in range(n)))
+        _assert_listed_at_every_depth(value)
+
+
+def test_full_range_int64_array_spans_real_blocks():
+    values = np.random.default_rng(20260).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                                   size=10**5, endpoint=True, dtype=np.int64)
+    assert len(values) > 2 * vhdatum._BLOCK_BYTES // len(",\n  -9223372036854775808")
+    _assert_listed_at_every_depth(values)
+
+
+def test_graph_files_never_leave_the_array_renderer(d12_q3, monkeypatch):
+    """A graph file's `darts`, `inv` and `adjacency_coo` are rendered by
+    `json_text` itself: a fall back to the indenting stdlib encoder would
+    write the same bytes, but one call per array slower."""
+    graph = level_graph(d12_q3, "A", 5)  # 1296 darts
+    indented = []
+    dumps = json.dumps
+
+    def counting(value, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(value)
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    text = ugraph_to_json(graph)
+    assert indented == []
+    assert max(json.loads(text)["inv"]) >= 1000
+    monkeypatch.setattr(json, "dumps", dumps)
+    assert_same_text(text, stdlib(listed(ugraph_to_json_dict(graph))) + "\n")
