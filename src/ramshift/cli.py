@@ -10,7 +10,9 @@ with a graph's dart and adjacency arrays written straight from numpy.
 Every output embeds the resolved run configuration for provenance (plus a
 timestamp unless --no-timestamp is given), files are written atomically,
 and nothing is randomized, so reruns with the same flags are byte-identical
-modulo the timestamp.  No color is ever emitted.
+modulo the timestamp, for the same BLAS thread count: the last digits of
+eigenvalues and of the distances that bass-ihara reports can change with
+the number of threads (OPENBLAS_NUM_THREADS).  No color is ever emitted.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
 error (a --tau, --sigma or --s0 place outside 1..q-1 among them), 3
@@ -284,9 +286,9 @@ def _tol(text: str) -> float:
 
 def _dense_cap(text: str) -> int:
     cap = int(text)
-    if cap > spectral.DENSE_EIG_LIMIT:
+    if not 0 <= cap <= spectral.DENSE_EIG_LIMIT:
         raise argparse.ArgumentTypeError(
-            f"{cap} is above the dense eigensolver limit {spectral.DENSE_EIG_LIMIT}"
+            f"{cap} is not a vertex count from 0 to the dense eigensolver limit {spectral.DENSE_EIG_LIMIT}"
         )
     return cap
 

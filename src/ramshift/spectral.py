@@ -17,31 +17,33 @@ it by the drop-last map, and from level 3 on the two covers meet exactly
 in the pullbacks from two levels down, so the new spectrum is the previous
 level's new spectrum together with that of the doubly-new block: A on the
 functions with zero row and column sums in each middle word's grid of
-words x.m.y (dimension N_{n-2} (q - 1)^2).  Letter-wise inversion and
-reversal (reverse the word, invert every letter) commute with A where they
-are verified automorphisms, and that block splits into four, one per
-character of the Klein group they generate; a symmetry that fails a check
-only coarsens the split.  `tower_spectra` starts at the rose, whose one
-eigenvalue d+1 is exact, checks both coverings and the grid, and
-eigensolves only the new blocks of levels 1 and 2 and the doubly-new
-blocks after them (all assembled from the darts by `dart_blocks` and
-symmetrised exactly) with the same symmetry, residual and trace checks.
-A graph with no known cover is solved whole.
+words x.m.y (dimension N_{n-2} (q - 1)^2).  `tower_spectra` starts at the
+rose, whose one eigenvalue d+1 is exact, checks both coverings and the
+grid, and eigensolves only the new blocks of levels 1 and 2 and the
+doubly-new blocks after them, with eig_symmetric's residual and trace
+checks.  A graph with no known cover is solved whole.
 
-Bass-Ihara: `nb_transfer_report` compares the non-backtracking (dart)
-spectrum, solved directly, with the quadratic transfer of the adjacency
-spectrum.  The direct spectrum is never taken from a dense darts x darts
-matrix.  A level's inversion and reversal, where they check out as
-automorphisms, lift to the darts (the k-th dart from u to v goes to the
-k-th dart between the images) and must be involutions that commute with
-dart inversion and with each other.  The non-backtracking matrix then
-commutes with the group they generate and splits into one block per
-character, each summed by one bincount over the arcs that leave an orbit
-representative and checked by the dimension count and a trace identity
-(`nb_blocks`).  A bare graph is solved as one block summed the same way.
-`bass-ihara` on q = 3 `A_4` (432 darts) solves four blocks of 108 instead
-of the whole: the command went from about 70 to about 23 ms on a 2-vCPU
-host, `A_5` from 0.91 to 0.20 s.
+Klein split: letter-wise inversion and reversal (reverse the word, invert
+every letter), where they check out, generate a group of commuting
+involutions, at most the Klein group, that commutes with A and, lifted to
+the darts, with the non-backtracking matrix H.  Both matrices then split
+into one block per character of that group (Serre, Linear Representations
+of Finite Groups, 2.6), and the tower's doubly-new blocks and the direct
+dart spectrum of `nb_blocks` are split the same way, by three shared
+pieces: `_involutions` keeps the offered maps that are involutions of the
+right size, commute with those kept before and pass the caller's own test
+(grids to grids for the tower, commuting with dart inversion for the
+darts), so a refused map only coarsens the split; `_orbits` builds the
+group, its characters and its orbits; and `dart_blocks`, the one
+assembler, sums every block from the darts that leave an orbit
+representative, never from a dense matrix.  The tower's blocks are then
+symmetrised exactly; the dart blocks are checked by their dimension count
+and a trace identity.
+
+Bass-Ihara: `nb_transfer_report` compares the dart spectrum, solved
+directly and blockwise as above, with the quadratic transfer of the
+adjacency spectrum.  `bass-ihara` on q = 3 `A_4` (432 darts) solves four
+blocks of 108.
 
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
 integer row vectors through x -> x A by predecessor gathers, one sum of d
@@ -129,27 +131,26 @@ def _fiber_slots(proj: np.ndarray, f: int) -> np.ndarray:
 def group_pairs(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys group[origin] * n_groups + group[terminus] of the
     darts, ascending, and each dart's index among them."""
-    return np.unique(group[origin] * (int(group.max()) + 1) + group[terminus], return_inverse=True)
+    return np.unique(group[origin] * (int(group.max(initial=-1)) + 1) + group[terminus], return_inverse=True)
 
 
 def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slot: np.ndarray, basis: np.ndarray,
-                weights: np.ndarray | None = None, width: np.ndarray | None = None,
+                weights: np.ndarray | None = None, keep: np.ndarray | None = None,
                 pairs: tuple[np.ndarray, np.ndarray] | None = None) -> list[np.ndarray]:
-    """The one block assembler of the covering tower: Q^T A_w Q for each
-    row w of weights (one unweighted block when weights is None), where A_w
-    counts the dart origin[e] -> terminus[e] with weight w[e] and Q has the
-    columns (g, k) for k < width[g] (every column of basis when width is
-    None), column (g, k) being basis[slot[v], k] on every vertex v of group
-    g.  It is summed from the darts, never from a dense N x N matrix: the
-    darts between each pair of groups (a, b) are counted by their origin's
-    and terminus' slots into C, for every row at once, and give the block
-    B^T C B; the columns beyond a group's width are dropped last.  Each
-    block is (M + M^T) / 2, exactly symmetric.  A caller that assembles
-    over the same darts and groups more than once passes their
-    `group_pairs` as pairs."""
+    """The one block assembler: Q^T A_w Q for each row w of weights (one
+    unweighted block when weights is None), where A_w counts the dart
+    origin[e] -> terminus[e] with weight w[e] and Q has the columns (g, k),
+    column (g, k) being basis[slot[v], k] on every vertex v of group g.
+    keep, a boolean mask over those columns (one row per block, or one for
+    all), keeps only the columns it marks.  It is summed from the darts,
+    never from a dense N x N matrix: the darts between each pair of groups
+    (a, b) are counted by their origin's and terminus' slots into C, for
+    every row at once, and give the block B^T C B; the columns keep drops
+    go last.  A caller that assembles over the same darts and groups more
+    than once passes their `group_pairs` as pairs."""
     weights = np.ones((1, len(origin))) if weights is None else weights
     (g, k), rows = basis.shape, len(weights)
-    n_groups = int(group.max()) + 1
+    n_groups = int(group.max(initial=-1)) + 1
     pairs, pair = group_pairs(origin, terminus, group) if pairs is None else pairs
     cell = (np.arange(rows)[:, None] * len(pairs) + pair) * g * g + slot[origin] * g + slot[terminus]
     counts = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=rows * len(pairs) * g * g)
@@ -157,24 +158,45 @@ def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slo
     block = np.zeros((rows, n_groups, k, n_groups, k))
     block[:, pairs // n_groups, :, pairs % n_groups, :] = projected.transpose(1, 0, 2, 3)
     block = block.reshape(rows, n_groups * k, n_groups * k)
-    if width is not None and (width < k).any():
-        keep = (np.arange(k) < width[:, None]).ravel()
-        block = block[:, keep][:, :, keep]
-    return list((block + block.transpose(0, 2, 1)) / 2)
+    if keep is None:
+        return list(block)
+    return [b[cols][:, cols] for b, cols in zip(block, np.broadcast_to(keep, (rows, n_groups * k)))]
 
 
-def cover_block(graph: UGraph, lower: UGraph, parent: np.ndarray) -> np.ndarray:
-    """The new block M = Q^T A Q of a covering graph -> lower, of dimension
-    N - N_lower.  The functions that sum to zero on every fiber of parent
-    form an invariant subspace of A (its complement, the pullbacks from
-    lower, is one because A P = P A_lower), so the spectrum of A is that of
-    lower together with that of M.  Q has one Helmert block per fiber, and
-    `dart_blocks` assembles M.  `graphs.cover_fiber` first checks that
-    parent is a covering with equal fibers and raises ValueError when it
-    is not."""
-    parent = np.asarray(parent)
-    f = cover_fiber(graph, lower, parent)
-    return dart_blocks(graph.origin, graph.terminus, parent, _fiber_slots(parent, f), _helmert(f))[0]
+def _involutions(offered, n: int, accept) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(map, accept(map)) for each map of offered that is an integer array
+    of n entries in 0..n-1, an involution, commutes with every map kept
+    before it, and passes the caller's own test accept, which returns what
+    the caller needs of the map (its dart map, the map it induces) or None.
+    Every other map is dropped, which only coarsens a split."""
+    kept = []
+    for perm in map(np.asarray, offered):  # None becomes a 0-d array of the wrong shape
+        if perm.shape != (n,) or perm.dtype.kind not in "iu" or not ((0 <= perm) & (perm < n)).all():
+            continue
+        if (perm[perm] != np.arange(n)).any() or any((perm[other] != other[perm]).any() for other, _ in kept):
+            continue
+        image = accept(perm)
+        if image is not None:
+            kept.append((perm, image))
+    return kept
+
+
+def _orbits(involutions, size: int) -> tuple[np.ndarray, ...]:
+    """The group that commuting involutions generate, acting on 0..size-1,
+    built by doubling: (maps, characters, rep, to_rep, stabiliser).  Row e
+    of maps is the element that is the product of the involutions i with
+    bit i of e set, and character c negates those of the bits of c, so
+    characters[c, e] = (-1)^|c & e|.  rep is the least point of each
+    point's orbit, which represents it, to_rep an element that carries the
+    representative to the point (and back: every element is an
+    involution), and stabiliser[e, x] whether element e fixes x."""
+    maps = np.arange(size)[None]
+    for sigma in involutions:
+        maps = np.vstack([maps, maps[:, sigma]])
+    n = len(maps)
+    characters = np.array([[(-1.0) ** bin(c & e).count("1") for e in range(n)] for c in range(n)])
+    rep = maps.min(axis=0)
+    return maps, characters, rep, np.argmax(maps == rep, axis=0), maps == np.arange(size)
 
 
 def _induced(perm: np.ndarray, proj: np.ndarray, size: int, target: np.ndarray | None = None) -> np.ndarray | None:
@@ -220,19 +242,22 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     spectrum of level n beyond spec A_{n-1} and the new block of level
     n - 1.  A broken grid raises ValueError.
 
-    `_grid_symmetries` keeps those of inversion iota and reversal rho that
-    are automorphisms mapping grids to grids.  The block commutes with the
-    group G they generate, at most the Klein group {1, iota, rho, iota rho},
-    and splits into one block per character chi of G: four in the order
-    (+, +), (-, +), (+, -), (-, -) of (chi(iota), chi(rho)), two halves for
-    one symmetry, or the whole block for none.  Each is assembled from
-    the darts that leave one representative grid per orbit of middles: a
-    vertex g u, for u in a representative grid, takes the slot of u, and a
-    dart counts chi(g) for its terminus' g times sqrt(|orbit of its origin|
-    / |orbit of its terminus|), the ratio of the two normalisations.  A
-    middle that r = iota rho fixes (a palindromic one) has an orbit of two,
-    and since r acts on its grid as the slot transpose, its grid keeps only
-    the basis columns of parity chi(r)."""
+    Of inversion iota and reversal rho, `_involutions` keeps those that are
+    automorphisms sending the fibers of each projection onto fibers of
+    one of them (so grids to grids) and moving every middle.  When both
+    are kept, r = iota rho must act as the slot transpose on the grid of
+    every middle it fixes; else reversal is dropped.  The block commutes
+    with the group G they generate, at most the Klein group
+    {1, iota, rho, r}, and splits into one block per character chi of G:
+    four in the order (+, +), (-, +), (+, -), (-, -) of (chi(iota),
+    chi(rho)), two halves for one symmetry, or the whole block for none.
+    Each is assembled from the darts that leave one representative grid
+    per orbit of middles (`_orbits`): a vertex g u, for u in a
+    representative grid, takes the slot of u, and a dart counts chi(g) for
+    its terminus' g times sqrt(|orbit of its origin| / |orbit of its
+    terminus|), the ratio of the two normalisations.  A middle that r fixes
+    (a palindromic one) has an orbit of two, and its grid keeps only the
+    basis columns of parity chi(r)."""
     graph, parent, last = level.graph, level.parent, level.last_parent
     middle = lower.parent[last]
     if (middle != lower.last_parent[parent]).any():
@@ -243,18 +268,31 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     if graph.n_vertices() != n_middles * f * f or (np.bincount(cell, minlength=n_middles * f * f) != 1).any():
         raise ValueError("parent and last_parent are not a covering grid: a cell does not hold one vertex")
     slot = cell % (f * f)
-    vertex_maps, middle_maps = np.arange(len(slot))[None], np.arange(n_middles)[None]
-    for perm, moved in _grid_symmetries(level, middle, slot, f, n_lower, n_middles):
-        vertex_maps = np.vstack([vertex_maps, vertex_maps[:, perm]])
-        middle_maps = np.vstack([middle_maps, middle_maps[:, moved]])
-    n = len(middle_maps)
-    characters = _characters(n)  # element e is the product of the symmetries i with bit i of e set
-    rep = middle_maps.min(axis=0)  # the least middle of each orbit represents it
-    to_rep = np.argmax(middle_maps == rep, axis=0)[middle]  # per vertex, an element taking it to a representative
-    size = n // (middle_maps == np.arange(n_middles)).sum(axis=0)  # orbit sizes
+
+    def moves_grids(perm: np.ndarray) -> np.ndarray | None:
+        ways = (parent, last)
+        if any(all(_induced(perm, proj, n_lower, target) is None for target in ways) for proj in ways):
+            return None
+        moved = _induced(perm, middle, n_middles)
+        if moved is None or (moved == np.arange(n_middles)).any() or not is_automorphism(graph, perm):
+            return None
+        return moved
+
+    symmetries = _involutions((level.inversion, level.reversal), len(slot), moves_grids)
+    if len(symmetries) == 2:
+        (iota, iota_moved), (rho, rho_moved) = symmetries
+        fixed = (iota_moved[rho_moved] == np.arange(n_middles))[middle]
+        if (slot[iota[rho]][fixed] != (slot % f * f + slot // f)[fixed]).any():
+            symmetries.pop()
+    _, characters, rep, to_rep, stabiliser = _orbits([moved for _, moved in symmetries], n_middles)
+    n = len(characters)
+    size = n // stabiliser.sum(axis=0)  # orbit sizes
     chosen = rep == np.arange(n_middles)
-    group = (np.cumsum(chosen) - 1)[rep[middle]]
-    slot = slot[vertex_maps[to_rep, np.arange(len(slot))]]
+    group, to_rep = (np.cumsum(chosen) - 1)[rep[middle]], to_rep[middle]
+    image = np.arange(len(slot))  # per vertex, its image under to_rep in a representative grid
+    for bit, (perm, _) in enumerate(symmetries):
+        image = np.where(to_rep >> bit & 1, perm[image], image)
+    slot = slot[image]
     # only the darts that leave a representative grid are counted
     darts = np.flatnonzero(chosen[middle[graph.origin]])
     origin, terminus = graph.origin[darts], graph.terminus[darts]
@@ -269,53 +307,10 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
         if these.size:
             width = np.where(size[chosen] < n, kept.shape[1], kept.shape[1] + other.shape[1])
             basis = np.hstack([kept, other])[:, :width.max()]
-            assembled = dart_blocks(origin, terminus, group, slot, basis, weights[these], width, pairs)
-            for c, block in zip(these, assembled):
-                blocks[c] = block
+            keep = (np.arange(width.max()) < width[:, None]).ravel()
+            for c, block in zip(these, dart_blocks(origin, terminus, group, slot, basis, weights[these], keep, pairs)):
+                blocks[c] = (block + block.T) / 2
     return blocks
-
-
-def _grid_symmetries(level: TowerLevel, middle: np.ndarray, slot: np.ndarray, f: int,
-                     n_lower: int, n_middles: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(vertex map, middle map) of each of level.inversion and
-    level.reversal that `_grid_symmetry` accepts.  When both are accepted
-    they must also commute, and r = inversion . reversal must act as the
-    slot transpose on the grid of every middle it fixes; else reversal is
-    dropped."""
-    iota = _grid_symmetry(level, level.inversion, False, middle, n_lower, n_middles)
-    rho = _grid_symmetry(level, level.reversal, True, middle, n_lower, n_middles)
-    if iota is not None and rho is not None:
-        r = iota[0][rho[0]]
-        fixed = (iota[1][rho[1]] == np.arange(n_middles))[middle]
-        transposed = slot % f * f + slot // f
-        if (r != rho[0][iota[0]]).any() or (slot[r][fixed] != transposed[fixed]).any():
-            rho = None
-    return [symmetry for symmetry in (iota, rho) if symmetry is not None]
-
-
-def _grid_symmetry(level: TowerLevel, perm: np.ndarray | None, swaps: bool, middle: np.ndarray,
-                   n_lower: int, n_middles: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(perm, the map it induces on the middles) when perm is an involutive
-    automorphism of the graph that maps the fibers of parent and of
-    last_parent to fibers of the same projection (of the other one when
-    swaps) and moves every middle; else None."""
-    graph = level.graph
-    n = graph.n_vertices()
-    if perm is None:
-        return None
-    perm = np.asarray(perm)
-    if perm.shape != (n,) or perm.dtype.kind not in "iu" or perm.min() < 0 or perm.max() >= n:
-        return None
-    if (perm[perm] != np.arange(n)).any():  # an involution
-        return None
-    projections = (level.parent, level.last_parent)
-    targets = projections[::-1] if swaps else projections
-    if any(_induced(perm, proj, n_lower, target) is None for proj, target in zip(projections, targets)):
-        return None
-    moved = _induced(perm, middle, n_middles)
-    if moved is None or (moved == np.arange(n_middles)).any() or not is_automorphism(graph, perm):
-        return None
-    return perm, moved
 
 
 class TowerSpectrum(NamedTuple):
@@ -333,9 +328,11 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
 
     The rose, one vertex with k loop darts, contributes the trivial
     eigenvalue k exactly.  Levels 1 and 2 eigensolve the new block of the
-    drop-first cover (`cover_block`, dimension N_n - N_{n-1}).  From level
-    3 on, spec A_n is spec A_{n-1}, the previous level's new spectrum and
-    the spectrum of the doubly-new block (`_grid_blocks`, dimension
+    drop-first cover, M = Q^T A Q of dimension N_n - N_{n-1}, for Q with
+    one Helmert block per fiber of the size that the covering check
+    counted.  From level 3 on, spec A_n is spec A_{n-1}, the previous
+    level's new spectrum and the spectrum of the doubly-new block
+    (`_grid_blocks`, dimension
     N_{n-2} (f - 1)^2 for fibers of f), which alone is solved: in four
     blocks when the inversion and the reversal both check out, in two
     halves when one does, whole otherwise.  Every block goes through
@@ -349,10 +346,11 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
     for n, level in enumerate(levels, 1):
         graph = level.graph
         check_dense_cap(graph.n_vertices())
-        for proj in (level.parent, level.last_parent):
-            cover_fiber(graph, lower.graph, proj)
+        f = cover_fiber(graph, lower.graph, level.parent)
+        cover_fiber(graph, lower.graph, level.last_parent)
         if n < 3:  # the new spectrum is the new block's alone
-            blocks, new = [cover_block(graph, lower.graph, level.parent)], np.empty(0)
+            block, = dart_blocks(graph.origin, graph.terminus, level.parent, _fiber_slots(level.parent, f), _helmert(f))
+            blocks, new = [(block + block.T) / 2], np.empty(0)
         else:
             blocks = _grid_blocks(level, lower, below.n_vertices())
         new = np.concatenate([new, *(eig_symmetric(block) for block in blocks)])
@@ -404,6 +402,8 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | 
     if structure.regular_degree is None:
         raise ValueError("ramanujan_check needs a regular graph")
     k = structure.regular_degree  # k = d + 1
+    if k < 1:
+        raise ValueError(f"ramanujan_check needs a regular degree of at least 1, not {k}")
     eigs = eig_symmetric(graph.adjacency()) if eigenvalues is None else eigenvalues
     if len(eigs) != graph.n_vertices():
         raise ValueError(f"{len(eigs)} eigenvalues given for {graph.n_vertices()} vertices")
@@ -465,37 +465,14 @@ def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
     return np.linalg.eigvals(h.adjacency.astype(np.float64))
 
 
-def _characters(n: int) -> np.ndarray:
-    """The character table of the group of n = 2^k elements that k commuting
-    involutions generate: element e is the product of the involutions i
-    with bit i of e set, and character c negates those of the bits of c,
-    so chi_c(e) = (-1)^|c & e|."""
-    return np.array([[(-1.0) ** bin(c & e).count("1") for e in range(n)] for c in range(n)])
-
-
-def _dart_symmetries(graph: UGraph, perms) -> list[np.ndarray]:
-    """The dart maps (`graphs.dart_map`) of those vertex permutations in
-    perms that are automorphisms and whose dart map is an involution that
-    commutes with dart inversion and with every dart map kept before it;
-    the others are dropped, which only coarsens the split."""
-    darts, kept = np.arange(graph.n_darts()), []
-    for perm in perms:
-        if perm is None or np.asarray(perm).dtype.kind not in "iu" or not is_automorphism(graph, perm):
-            continue
-        sigma = dart_map(graph, perm)
-        if (sigma[sigma] != darts).any() or (sigma[graph.inv] != graph.inv[sigma]).any():
-            continue
-        if all((sigma[other] == other[sigma]).all() for other in kept):
-            kept.append(sigma)
-    return kept
-
-
 def nb_blocks(graph: UGraph, symmetries=()) -> list[np.ndarray]:
     """The non-backtracking matrix H of a regular graph, split into one
-    block per character chi of the group G that the kept dart maps of
-    symmetries generate (`_dart_symmetries`; at most the Klein group of
-    inversion and reversal), in the order of `_characters`: the whole H as
-    one block when none is kept.
+    block per character chi of the group G generated by the dart maps
+    (`graphs.dart_map`) of those vertex permutations in symmetries that
+    `_involutions` keeps as automorphisms whose dart map commutes with dart
+    inversion (at most the Klein group of inversion and reversal), in the
+    order of `_orbits`' characters: the whole H as one block when none is
+    kept.
 
     H commutes with G, so the image V_chi of the projector sum_g chi(g) P_g
     is invariant (Serre, Linear Representations of Finite Groups, 2.6),
@@ -507,35 +484,32 @@ def nb_blocks(graph: UGraph, symmetries=()) -> list[np.ndarray]:
     others, scaled to w_r = v_r / |Stab r|, take chi(g) once on each dart
     g r of the orbit and form a basis, in which H acts by the block whose
     entry (s, r) is the sum of chi(g) over the arcs s -> g r: D^-1 V^T H V,
-    D = V^T V, up to a diagonal similarity.  One bincount over the arcs that
-    leave a representative sums every block at once.
+    D = V^T V, up to a diagonal similarity.  `dart_blocks` sums every block
+    at once over the arcs that leave a representative, one group per orbit
+    with the basis [[1]], keeping the representatives whose v_r survives.
     The block dimensions must add up to the number of darts, and the trace
     of each block must be (1 / |G|) sum_g chi(g) times the number of arcs
     e -> g e, which counts over all the arcs; else RuntimeError."""
     e, f, _ = nb_arcs(graph)
-    maps = np.arange(graph.n_darts())[None]
-    for sigma in _dart_symmetries(graph, symmetries):
-        maps = np.vstack([maps, maps[:, sigma]])
+
+    def lifts(perm: np.ndarray) -> np.ndarray | None:
+        if not is_automorphism(graph, perm):
+            return None
+        sigma = dart_map(graph, perm)
+        return sigma if (sigma[graph.inv] == graph.inv[sigma]).all() else None
+
+    kept = _involutions(symmetries, graph.n_vertices(), lifts)
+    maps, characters, rep, to_rep, stabiliser = _orbits([sigma for _, sigma in kept], graph.n_darts())
     n, m = maps.shape
-    characters = _characters(n)
-    rep = maps.min(axis=0)
-    to_rep = np.argmax(maps == rep, axis=0)  # an element g with g x = rep, so that x = g rep
-    stabiliser = maps == np.arange(m)
     valid = ((characters[:, :, None] > 0) | ~stabiliser).all(axis=1)  # chi trivial on the stabiliser
-    chosen = np.flatnonzero(rep == np.arange(m))
-    index = np.empty(m, dtype=np.intp)
-    index[chosen] = np.arange(len(chosen))
-    k = len(chosen)
-    leaving = rep[e] == e
+    chosen = rep == np.arange(m)
+    leaving = chosen[e]
     s, r = e[leaving], f[leaving]
-    weights = characters[:, to_rep[r]]
-    cell = (np.arange(n)[:, None] * k + index[s]) * k + index[rep[r]]
-    summed = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=n * k * k).reshape(n, k, k)
-    blocks = [block[keep][:, keep] for block, keep in zip(summed, valid[:, chosen])]
+    blocks = dart_blocks(s, r, (np.cumsum(chosen) - 1)[rep], np.zeros(m, dtype=np.intp), np.ones((1, 1)),
+                         characters[:, to_rep[r]], valid[:, chosen])
     if sum(map(len, blocks)) != m:
         raise RuntimeError("the character blocks do not add up to the darts")
-    fixed_arcs = (maps[:, e] == f).sum(axis=1)
-    expected = characters @ fixed_arcs / n
+    expected = characters @ (maps[:, e] == f).sum(axis=1) / n
     if any(abs(np.trace(block) - trace) > 1e-9 * max(1.0, m) for block, trace in zip(blocks, expected)):
         raise RuntimeError("a character block failed its trace identity")
     return blocks

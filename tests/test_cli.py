@@ -273,6 +273,15 @@ def test_graph_json_without_vertices_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_graph_json_without_darts_names_the_degree(tmp_path, capsys):
+    # a lone vertex is connected and 0-regular: no bound 2 sqrt(k - 1) exists
+    path = _write_json(tmp_path / "point.json", {"vertices": ["a"], "darts": [], "inv": []})
+    code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: ramanujan_check needs a regular degree of at least 1, not 0\n"
+
+
 def test_graph_json_with_dart_outside_vertices_is_an_input_error(tmp_path, capsys):
     path = _write_json(
         tmp_path / "bad.json",
@@ -400,6 +409,15 @@ def test_dense_cap_above_the_eigensolver_limit_is_a_usage_error(tmp_path, capsys
     assert exc.value.code == 2
     assert captured.out == ""
     assert "--dense-cap" in captured.err and "2000" in captured.err
+
+
+def test_negative_dense_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ramanujan", "--levels", "1", "--dense-cap", "-1", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--dense-cap" in captured.err and "-1 is not a vertex count" in captured.err
 
 
 def test_verify_ramanujan_skips_without_building_the_level(capsys, monkeypatch):

@@ -56,6 +56,8 @@ CASES = {
          "--format", "json"], 0
     ),
     "verify_ramanujan_q3_1_4.json": (["verify-ramanujan", "--levels", "1:4"], 0),
+    # the direct dart spectrum, split by inversion and reversal lifted to the darts
+    "bass_ihara_q3_A4.json": (["bass-ihara", "--level", "4"], 0),
     "verify_ramanujan_q3_1_3.csv": (["verify-ramanujan", "--levels", "1:3", "--format", "csv"], 0),
     # the 4-cycle is bipartite: its first and last eigenvalues are trivial
     "verify_ramanujan_c4.csv": (["verify-ramanujan", "--graph-json", "c4.json", "--format", "csv"], 0),

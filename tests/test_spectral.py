@@ -12,13 +12,12 @@ import pytest
 
 from ramshift import build_quaternionic_datum, make_field
 from ramshift.cli import main
-from ramshift.graphs import TowerLevel, UGraph, level_graph, level_size, level_tower, nb_matrix
+from ramshift.graphs import TowerLevel, UGraph, cover_fiber, level_graph, level_size, level_tower, nb_matrix
 from ramshift.spectral import (
     DENSE_EIG_LIMIT,
     EXACT_POWER_LIMIT,
     SizeCapExceeded,
     bass_ihara_pairs,
-    cover_block,
     deviation_norm,
     deviation_table,
     eig_symmetric,
@@ -150,11 +149,13 @@ def test_tower_spectrum_equals_the_full_eigensolve(q, side):
     levels = list(islice(level_tower(datum, side), top + 1))  # the rose and levels 1..top
     spectra = list(tower_spectra(iter(levels)))
     assert len(spectra) == top
-    for (lower, *_), (graph, parent, *_), (same, eigs, _) in zip(levels, levels[1:], spectra):
+    for n, (below, lower, (graph, *_), (same, eigs, blocks)) in enumerate(
+            zip([None] + levels, levels, levels[1:], spectra), 1):
         assert same is graph
-        block = cover_block(graph, lower, parent)
-        assert block.shape == (graph.n_vertices() - lower.n_vertices(),) * 2
-        assert (block == block.T).all()
+        # levels 1 and 2 solve the new block of the drop-first cover, later
+        # ones the doubly-new block (eig_symmetric refuses an asymmetric one)
+        new = graph.n_vertices() - lower.graph.n_vertices() if n < 3 else below.graph.n_vertices() * (q - 1) ** 2
+        assert sum(blocks) == new
         assert eigs[0] == q + 1  # the rose's, exactly
         assert (np.diff(eigs) <= 0).all()
         assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
@@ -178,15 +179,20 @@ def test_a_parent_that_is_no_covering_raises(d12_q3):
     swapped[[0, -1]] = parent[[-1, 0]]
     assert swapped[0] != parent[0]  # two vertices of different fibers trade places
     with pytest.raises(ValueError, match="not a covering"):
-        cover_block(graph, lower, swapped)
+        cover_fiber(graph, lower, swapped)
     with pytest.raises(ValueError, match="not a covering"):
         list(tower_spectra(iter(levels[:3] + [levels[3]._replace(parent=swapped)])))
     uneven = parent.copy()
     uneven[0] = parent[-1]
     with pytest.raises(ValueError, match="fibers differ"):
-        cover_block(graph, lower, uneven)
+        cover_fiber(graph, lower, uneven)
     with pytest.raises(ValueError, match="into 0..11"):
-        cover_block(graph, lower, parent + 1)
+        cover_fiber(graph, lower, parent + 1)
+    # level 2 builds its new block on the fibers that this check counted
+    two = levels[2].parent.copy()
+    two[0] = two[-1]
+    with pytest.raises(ValueError, match="fibers differ"):
+        list(tower_spectra(iter(levels[:2] + [levels[2]._replace(parent=two)])))
 
 
 def _tower_against_whole_graphs(datum, side, top):
@@ -287,16 +293,20 @@ def test_a_broken_reversal_is_refused_and_the_spectrum_stays_exact(d12_q3, broke
 
 
 def test_a_malformed_reversal_is_refused_without_a_sound(d12_q3):
-    # the wrong length, floats, the identity (it maps no drop-first fiber
-    # onto a drop-last one) and inversion offered as reversal all leave
-    # inversion's halves
+    # the wrong length, floats, the identity (it moves no middle) and the
+    # other symmetry offered in its place all leave the other's halves, for
+    # reversal and for inversion alike: the other one offered twice makes
+    # r = iota rho the identity, which fixes every grid but is not its slot
+    # transpose
     levels = list(islice(level_tower(d12_q3, "A"), 5))
     top = levels[4]
     n = top.graph.n_vertices()
-    for reversal in (np.arange(n + 1), top.reversal.astype(float), np.arange(n), top.inversion):
-        tower = levels[:4] + [top._replace(reversal=reversal)]
-        (_, _, blocks), = islice(tower_spectra(iter(tower)), 3, 4)
-        assert blocks == (level_size(d12_q3, "A", 2) * 2 ** 2 // 2,) * 2
+    for name, other in (("reversal", "inversion"), ("inversion", "reversal")):
+        for offered in (np.arange(n + 1), getattr(top, name).astype(float), np.arange(n), getattr(top, other)):
+            tower = levels[:4] + [top._replace(**{name: offered})]
+            (graph, eigs, blocks), = islice(tower_spectra(iter(tower)), 3, 4)
+            assert blocks == (level_size(d12_q3, "A", 2) * 2 ** 2 // 2,) * 2
+            assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
 
 
 def test_reversal_is_dropped_where_r_is_no_slot_transpose(d12_q3):
@@ -513,6 +523,16 @@ def test_refused_level_symmetries_leave_the_dart_spectrum(d12_q3):
         eigs, got = nb_spectrum(level.graph, symmetries)
         assert got == blocks
         assert _matched_distance(eigs, whole) <= 1e-9
+
+
+@pytest.mark.parametrize("symmetries, blocks", [
+    pytest.param([np.array([0])], (0, 0), id="identity"),
+    pytest.param([np.array([0.0]), np.arange(2), np.array([1]), None], (0,), id="refused"),
+])
+def test_a_graph_without_darts_splits_into_empty_blocks(symmetries, blocks):
+    point = UGraph(["a"], [], [], [], [])
+    assert tuple(map(len, nb_blocks(point, symmetries))) == blocks
+    assert nb_spectrum(point, symmetries)[1] == blocks
 
 
 def test_darts_a_symmetry_fixes_keep_only_its_even_characters():
