@@ -7,10 +7,11 @@ that turns the level-n graph into the level-(n+1) graph.  Iterating the
 rules from the one-vertex rose rebuilds every action graph.
 """
 
+from itertools import islice
 from pathlib import Path
 
 from ramshift import build_quaternionic_datum, make_field
-from ramshift.graphs import covering_check
+from ramshift.graphs import cover_fiber, level_tower
 from ramshift.mealy import (
     act,
     action_graph,
@@ -52,9 +53,11 @@ for n in range(1, 5):
     same = all((getattr(lift, k) == getattr(reference, k)).all() for k in ("words", "dst", "end"))
     print(f"level {n}: {len(lift.words):>3} vertices, equals the action graph: {same}")
 
-big, small = lift_arrays(m, 4), lift_arrays(m, 3)
-print("drop-last covering:", covering_check(big, small, "drop-last"))
-print("drop-first covering:", covering_check(big, small, "drop-first"))
+# A_4 covers A_3 by dropping its first and by dropping its last letter;
+# cover_fiber checks each and counts the q words over every vertex
+small, big = islice(level_tower(datum, "A"), 3, 5)
+print("drop-last covering, fiber:", cover_fiber(big.graph, small.graph, big.last_parent))
+print("drop-first covering, fiber:", cover_fiber(big.graph, small.graph, big.parent))
 
 (out / "automaton_q3.dot").write_text(mealy_to_dot(m))
 print(f"\nwrote {out / 'automaton_q3.dot'}")

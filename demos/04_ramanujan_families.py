@@ -6,15 +6,20 @@ is a connected, non-bipartite, (q+1)-regular Ramanujan graph: all
 nontrivial eigenvalues have modulus at most 2 sqrt(q).  Each side is walked
 as a covering tower: every level covers the one below by dropping its
 first and by dropping its last letter, so from level 3 on only the
-doubly-new block is eigensolved, in four blocks by letter-wise inversion
-and reversal (reverse the word, invert every letter).
+doubly-new block is eigensolved.  It is split by the characters of the
+group that the rotation (multiply every letter by a generator u of the
+norm-one torus, of order q + 1) and the reversal (reverse the word, invert
+every letter) generate: 2 (q + 1) blocks, and q + 1 for level 2, where the
+rotation alone splits the new block.  Of each pair of complex conjugate
+characters one block is solved, and its eigenvalues count for both.
 The dart (non-backtracking) spectrum then sits on {+-1} and the circle of
 radius sqrt(q), which the quadratic transfer of the adjacency spectrum
-predicts exactly.  It is solved in one block per character of the group
-that inversion and reversal, lifted to the darts, generate: four blocks,
-two of them empty at level 1, where the two maps agree.
+predicts exactly.  It is split the same way, the rotation and reversal
+lifted to the darts; on level 1 the reversal is the inversion, which is
+the rotation's (q + 1) / 2-th power, and adds nothing.
 """
 
+from collections import Counter
 from itertools import islice
 from math import sqrt
 
@@ -23,6 +28,13 @@ import numpy as np
 from ramshift import build_quaternionic_datum, make_field, ramanujan_check
 from ramshift.graphs import level_tower
 from ramshift.spectral import eig_symmetric, nb_transfer_report, tower_spectra
+
+
+
+def sizes(blocks) -> str:
+    """Block dimensions as counts, largest first: 4 x 7 + 4 x 5."""
+    return " + ".join(f"{count} x {dim}" for dim, count in sorted(Counter(blocks).items(), reverse=True))
+
 
 for q in (3, 5):
     datum = build_quaternionic_datum(make_field(q, 1), 1, 2)
@@ -34,7 +46,7 @@ for q in (3, 5):
             verdict = ramanujan_check(graph, eigenvalues=eigs)
             shape = verdict.structure
             print(
-                f"  {side}_{n}: {graph.n_vertices():>4} vertices, solved blocks {' + '.join(map(str, blocks)):>21}, "
+                f"  {side}_{n}: {graph.n_vertices():>4} vertices, blocks {sizes(blocks):>15}, "
                 f"connected={shape.connected}, bipartite={shape.bipartite}, "
                 f"max nontrivial |l| = {verdict.second_modulus:.6f}, "
                 f"margin = {verdict.margin:.6f}, ramanujan = {verdict.ramanujan}"
@@ -46,9 +58,9 @@ for q in (3, 5):
 print("Dart spectra vs the quadratic transfer (q = 3):")
 datum = build_quaternionic_datum(make_field(3, 1), 1, 2)
 for n, level in enumerate(islice(level_tower(datum, "A"), 1, 5), 1):
-    report = nb_transfer_report(level.graph, (level.inversion, level.reversal))
+    report = nb_transfer_report(level.graph, (level.inversion, level.reversal), level.rotation)
     print(
-        f"  A_{n}: {report.n_darts:>3} darts in blocks {' + '.join(map(str, report.blocks)):>19}, set distance "
+        f"  A_{n}: {report.n_darts:>3} darts in blocks {sizes(report.blocks):>15}, set distance "
         f"{max(report.max_dist_direct_to_transfer, report.max_dist_transfer_to_direct):.2e}, "
         f"nontrivial moduli off {{1, sqrt(3)}} by {report.max_modulus_defect:.2e}"
     )

@@ -82,13 +82,19 @@ def _datum_from_args(args) -> vhdatum.VHDatum:
 
 
 def _parse_levels(text: str) -> list[int]:
+    """verify-ramanujan's levels: a range lo:hi, or a comma list in which
+    each level appears once (each is one entry of the report)."""
     if ":" in text:
         lo, hi = text.split(":", 1)
         levels = list(range(int(lo), int(hi) + 1))
         if not levels:
             raise ValueError(f"empty level range {text}")
         return levels
-    return [int(x) for x in text.split(",")]
+    levels = [int(x) for x in text.split(",")]
+    repeated = next((n for i, n in enumerate(levels) if n in levels[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"level {repeated} is repeated in --levels {text}")
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +236,7 @@ def cmd_bass_ihara(args) -> int:
     n_states = len(datum.V if args.side == "A" else datum.H)
     spectral.check_dart_cap(graphs.level_size(datum, args.side, args.level) * n_states)
     level = next(islice(graphs.level_tower(datum, args.side), args.level, None))
-    report = spectral.nb_transfer_report(level.graph, (level.inversion, level.reversal))
+    report = spectral.nb_transfer_report(level.graph, (level.inversion, level.reversal), level.rotation)
     payload = {
         "n_darts": report.n_darts,
         "d": report.d,

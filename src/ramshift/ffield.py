@@ -499,6 +499,25 @@ def make_field(p: int, e: int = 1) -> FieldSpec:
     return spec
 
 
+def torus_generator(spec: FieldSpec) -> Pair:
+    """The generator u of the norm-one torus ker N in F_q[Z]^x, a cyclic
+    group of order q + 1, that comes first in the canonical order, as a
+    pair of 0-d arrays.  Every element of the torus is raised to the powers
+    1..q + 1 at once by `pair_mul`; u is the first whose first power equal
+    to 1 is the (q + 1)-th."""
+    q = spec.q
+    codes = np.flatnonzero(spec.arrays.norm == 1)  # 1 encodes the one of F_q
+    torus = (codes % q, codes // q)
+    order, power = np.zeros(len(codes), dtype=np.intp), torus
+    for k in range(1, q + 2):
+        order[(order == 0) & (power[0] == 1) & (power[1] == 0)] = k
+        power = spec.pair_mul(power, torus)
+    u = int(np.argmax(order == q + 1))
+    if order[u] != q + 1:
+        raise RuntimeError("the norm-one torus is not cyclic of order q + 1")  # would signal a field bug
+    return torus[0][u], torus[1][u]
+
+
 def norm_fiber(spec: FieldSpec, target: FqElem) -> list[Fq2Elem]:
     """All alpha in F_q[Z] with N(alpha) = target, in canonical order.
 

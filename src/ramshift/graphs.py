@@ -15,9 +15,9 @@ words of length n over H (one dart per V-state), glued into an undirected
 graph via the state involution; B_n is the same for the dual automaton on
 reduced words over V.  Both are built by the array lift `mealy.lift_arrays`,
 and product levels thread the state through one lift per component.
-Coverings between levels are checked on the lift's form, `mealy.LevelArrays`,
-and, for `level_tower`'s levels with their drop-first and drop-last parent
-arrays, on the graphs' darts (`cover_fiber`).
+Coverings between levels are checked on the graphs' darts, for
+`level_tower`'s levels with their drop-first and drop-last parent arrays
+(`cover_fiber`).
 Dart v * s + a leaves vertex v with state a, and its inverse is dart
 dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ffield import FieldSpec
+from .ffield import FieldSpec, torus_generator
 from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, lift_levels, word_labels
 from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, dot_escaped, json_text
 
@@ -157,18 +157,27 @@ def nb_matrix(graph: UGraph) -> DartGraph:
 
 
 def dart_map(graph: UGraph, perm: np.ndarray) -> np.ndarray:
-    """The dart permutation that a vertex automorphism perm induces: the
-    k-th dart from u to v (in dart order) goes to the k-th dart from perm[u]
-    to perm[v].  perm must pass `is_automorphism`, so that each class of
-    darts between two vertices has as many darts as its image."""
-    n = graph.n_vertices()
-    key = graph.origin * n + graph.terminus
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
+    """The dart permutation that a vertex automorphism perm induces, one
+    that commutes with dart inversion: an edge is a dart with its inverse,
+    and the k-th edge between u and v, in the order of their lesser darts,
+    goes to the k-th edge between perm[u] and perm[v], each dart to the
+    dart of that edge from the image of its origin (for a loop, the lesser
+    dart to the lesser dart).  The maps of commuting automorphisms commute,
+    and the map of perm^k is the k-th power of perm's.  perm must pass
+    `is_automorphism`, so that u and v have as many edges between them as
+    their images."""
+    n, m = graph.n_vertices(), graph.n_darts()
+    o, t, inv, perm = graph.origin, graph.terminus, graph.inv, np.asarray(perm)
+    first = np.flatnonzero(np.arange(m) < inv)  # the lesser dart of each edge, ascending
+    ends = np.minimum(o, t) * n + np.maximum(o, t)  # the two ends of a dart's edge, unordered
+    order = np.argsort(ends[first], kind="stable")
+    ordered = ends[first][order]
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - np.searchsorted(ordered, ordered)
-    perm = np.asarray(perm)
-    return order[np.searchsorted(ordered, perm[graph.origin] * n + perm[graph.terminus]) + rank]
+    moved = (np.minimum(perm[o], perm[t]) * n + np.maximum(perm[o], perm[t]))[first]
+    lesser = first[order[np.searchsorted(ordered, moved) + rank]][np.searchsorted(first, np.minimum(np.arange(m), inv))]
+    forward = np.where(o == t, np.arange(m) < inv, o[lesser] == perm[o])
+    return np.where(forward, lesser, inv[lesser])
 
 
 # ---------------------------------------------------------------------------
@@ -233,40 +242,69 @@ def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
 class TowerLevel(NamedTuple):
     """A level of a covering tower with its maps: `parent` and `last_parent`
     send each vertex to one of the level below (None for the rose), and
-    `inversion` and `reversal` are vertex permutations offered as
-    automorphisms, or None.  Consumers check every map before they use it."""
+    `inversion`, `reversal` and `rotation` are vertex permutations offered
+    as automorphisms, or None.  Consumers check every map before they use
+    it."""
 
     graph: UGraph
     parent: np.ndarray | None
     last_parent: np.ndarray | None
     inversion: np.ndarray | None
     reversal: np.ndarray | None = None
+    rotation: np.ndarray | None = None
+
+
+def _rotation_letters(datum: VHDatum, side: str) -> np.ndarray | None:
+    """The letter map x -> u x of the side's alphabet (H for side A, V for
+    side B), for the generator u of the norm-one torus that
+    `ffield.torus_generator` picks, found by the letters' F_q[Z]
+    encodings; None for a datum without a field, or if u x is no letter."""
+    if not datum.is_arithmetic():
+        return None
+    spec = datum.field
+    letters = spec.pair(datum.H_elems if side == "A" else datum.V_elems)
+    image = spec.pair_mul(torus_generator(spec), letters)
+    index = np.full(spec.q * spec.q, -1, dtype=np.intp)
+    index[letters[0] + spec.q * letters[1]] = np.arange(len(letters[0]))
+    rotated = index[image[0] + spec.q * image[1]]
+    return None if (rotated < 0).any() else rotated
 
 
 def level_tower(datum: VHDatum, side: str) -> Iterator[TowerLevel]:
     """The rose, then A_1, A_2, ... (B_n for side "B") from one lift, each
-    level with four maps: parent[v] (the lift's) and last_parent[v] are the
+    level with five maps: parent[v] (the lift's) and last_parent[v] are the
     vertices of the level below under v, its word without the first and
     without the last letter, inversion[v] is its word with every letter
-    inverted, and reversal[v] its word reversed with every letter inverted.
-    The last three follow the lift, which places x.v by its first letter x
-    and its parent v: x.v -> x.last_parent(v), x.v -> x^-1 . inversion(v)
-    and u.y -> y^-1 . reversal(u) for u = last_parent(u.y).  The rose is one
-    vertex with a loop dart per state.  Both projections have fibers of q
-    words, and q + 1 at level 1, for a quaternionic datum, and from level 3
-    on their fibers are the rows and columns of a q x q grid of words x.m.y
-    per middle word m.  Reversal is an automorphism of every level of every
-    valid datum: a square a.b = c.d read backwards, d^-1 . c^-1 =
-    b^-1 . a^-1, is again one, so the dart w -> w' maps to the dart
-    reversal(w') -> reversal(w).  Letter-wise inversion is an automorphism
-    of every quaternionic level tried, but not of every level of a generic
-    datum."""
+    inverted, reversal[v] its word reversed with every letter inverted, and
+    rotation[v] its word with every letter multiplied by the generator u of
+    the norm-one torus (None for a datum without a field).  The last four
+    follow the lift, which places x.v by its first letter x and its parent
+    v: x.v -> x.last_parent(v), x.v -> x^-1 . inversion(v),
+    u.y -> y^-1 . reversal(u) for u = last_parent(u.y), and
+    x.v -> ux . rotation(v).  The rose is one vertex with a loop dart per
+    state.  Both projections have fibers of q words, and q + 1 at level 1,
+    for a quaternionic datum, and from level 3 on their fibers are the rows
+    and columns of a q x q grid of words x.m.y per middle word m.
+
+    Reversal is an automorphism of every level of every valid datum: a
+    square a.b = c.d read backwards, d^-1 . c^-1 = b^-1 . a^-1, is again
+    one, so the dart w -> w' maps to the dart reversal(w') -> reversal(w).
+    Letter-wise inversion is an automorphism of every quaternionic level
+    tried, but not of every level of a generic datum.  The rotation comes
+    from the datum automorphism that multiplies both norm fibers V and H
+    by u: the twist zeta_alpha(beta) depends only on alpha / beta, so the
+    relations are kept.  It is one (q + 1)-cycle on the letters, and its
+    (q + 1) / 2-th power is negation, the inversion; it commutes with the
+    reversal.  It is computed here, on the tower's path, and never when a
+    datum is built."""
     _check_level(side, 1)
     auto = _side_automaton(datum, side)
     inv_letter = np.asarray(auto.inv_alphabet)
+    rot_letter = _rotation_letters(datum, side)
     lifts = lift_levels(auto)
     yield TowerLevel(_lifted_graph([auto], [next(lifts)]), None, None, None)
     size, inversion, reversal, below = 1, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), None
+    rotation = None if rot_letter is None else np.zeros(1, dtype=np.intp)
     for lift in lifts:
         first, parent = lift.words[:, 0], lift.parent
         index = np.empty(len(inv_letter) * size, dtype=np.intp)  # x * size + v -> the word x.v
@@ -275,7 +313,8 @@ def level_tower(datum: VHDatum, side: str) -> Iterator[TowerLevel]:
         # x.v drops its last letter to x.u, for u the last_parent of v
         last = np.zeros_like(parent) if below is None else below[0][first * below[1] + last[parent]]
         reversal = index[inv_letter[lift.words[:, -1]] * size + reversal[last]]
-        yield TowerLevel(_lifted_graph([auto], [lift]), parent, last, inversion, reversal)
+        rotation = None if rotation is None else index[rot_letter[first] * size + rotation[parent]]
+        yield TowerLevel(_lifted_graph([auto], [lift]), parent, last, inversion, reversal, rotation)
         below, size = (index, size), len(parent)
 
 
@@ -308,46 +347,13 @@ def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...])
 # covering checks
 
 
-def covering_check(big: LevelArrays, small: LevelArrays, projection: str) -> bool:
-    """Is the word projection a covering map big -> small?
-
-    `projection` is "drop-last" (remove the rightmost letter) or
-    "drop-first".  Every projected word must be a vertex of `small`, and
-    the map must send the out-star and the in-star of every vertex
-    bijectively onto those of its image (state labels are not required to
-    be preserved: dropping the first letter conjugates the acting state).
-    Words are matched by their mixed-radix value, which must fit in int64.
-    """
-    if projection == "drop-last":
-        projected = big.words[:, :-1]
-    elif projection == "drop-first":
-        projected = big.words[:, 1:]
-    else:
-        raise ValueError("projection must be 'drop-last' or 'drop-first'")
-    length = small.words.shape[1]
-    if projected.shape[1] != length:
-        return False
-    radix = 1 + max(int(big.words.max(initial=0)), int(small.words.max(initial=0)))
-    if radix ** length >= 2**63:
-        raise ValueError(f"words of length {length} over {radix} letters overflow an int64 key")
-    place = radix ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    keys, wanted = (words.astype(np.int64) @ place for words in (small.words, projected))
-    order = np.argsort(keys)
-    pmap = order[np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)]
-    if (keys[pmap] != wanted).any():
-        return False  # a projected word is not a vertex of small
-    big_src, small_src = (np.repeat(np.arange(len(g.dst)), g.dst.shape[1]) for g in (big, small))
-    out_stars = (big_src, big.dst.ravel(), small_src, small.dst.ravel())
-    in_stars = (big.dst.ravel(), big_src, small.dst.ravel(), small_src)
-    return all(_stars_correspond(pmap, len(small.dst), *darts) for darts in (out_stars, in_stars))
-
-
 def cover_fiber(graph: UGraph, lower: UGraph, parent: np.ndarray) -> int:
     """The fiber size f of `parent` as a covering map graph -> lower with
     equal fibers, so that A P = P A_lower for the 0/1 matrix P of parent:
     every fiber has f vertices, and the out-star of every vertex maps onto
-    the out-star of its image (the check `covering_check` makes; for an
-    undirected graph the in-stars follow).  Raises ValueError otherwise."""
+    the out-star of its image (for an undirected graph the in-stars
+    follow, as the in-star of a vertex is the inverses of its out-star).
+    Raises ValueError otherwise."""
     n_low = lower.n_vertices()
     parent = np.asarray(parent)
     if parent.shape != (graph.n_vertices(),) or parent.min() < 0 or parent.max() >= n_low:

@@ -23,27 +23,33 @@ grid, and eigensolves only the new blocks of levels 1 and 2 and the
 doubly-new blocks after them, with eig_symmetric's residual and trace
 checks.  A graph with no known cover is solved whole.
 
-Klein split: letter-wise inversion and reversal (reverse the word, invert
-every letter), where they check out, generate a group of commuting
-involutions, at most the Klein group, that commutes with A and, lifted to
-the darts, with the non-backtracking matrix H.  Both matrices then split
+Character split: the rotation u (multiply every letter by a generator of
+the norm-one torus, of order q + 1), letter-wise inversion iota = u^((q+1)/2)
+and reversal rho (reverse the word, invert every letter), where they check
+out, generate a finite abelian group that commutes with A and, lifted to
+the darts, with the non-backtracking matrix H: <u> x <rho>, of order
+2 (q + 1), on a quaternionic level, and at most the Klein group
+{1, iota, rho, iota rho} without the rotation.  Both matrices then split
 into one block per character of that group (Serre, Linear Representations
-of Finite Groups, 2.6), and the tower's doubly-new blocks and the direct
-dart spectrum of `nb_blocks` are split the same way, by three shared
-pieces: `_involutions` keeps the offered maps that are involutions of the
-right size, commute with those kept before and pass the caller's own test
-(grids to grids for the tower, commuting with dart inversion for the
-darts), so a refused map only coarsens the split; `_orbits` builds the
-group, its characters and its orbits; and `dart_blocks`, the one
-assembler, sums every block from the darts that leave an orbit
-representative, never from a dense matrix.  The tower's blocks are then
-symmetrised exactly; the dart blocks are checked by their dimension count
-and a trace identity.
+of Finite Groups, 2.6), and the tower's new and doubly-new blocks and the
+direct dart spectrum of `nb_blocks` are split the same way, by three
+shared pieces: `_symmetries` keeps the offered maps of the right order
+that commute with those kept before, add to their group and pass the
+caller's own test (grids or fibers to fibers for the tower, automorphisms
+for the darts), so a refused map only coarsens the split; `_orbits`
+builds the group, its complex characters and its orbits; and
+`dart_blocks`, the one assembler, sums every block from the darts that
+leave an orbit representative, never from a dense matrix, complex weights
+as two real counts.  A character and its complex conjugate have conjugate
+blocks, so one block of each pair is assembled and solved (`Split`): the
+tower's Hermitian blocks give the same eigenvalues twice, the dart blocks
+conjugate ones.  The tower's blocks are made exactly Hermitian; the dart
+blocks are checked by their dimension count and a trace identity.
 
 Bass-Ihara: `nb_transfer_report` compares the dart spectrum, solved
 directly and blockwise as above, with the quadratic transfer of the
-adjacency spectrum.  `bass-ihara` on q = 3 `A_4` (432 darts) solves four
-blocks of 108.
+adjacency spectrum.  `bass-ihara` on q = 3 `A_4` (432 darts) solves six
+blocks of 54 for its eight characters.
 
 Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
 integer row vectors through x -> x A by predecessor gathers, one sum of d
@@ -62,8 +68,9 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
-from math import sqrt
+from math import lcm, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -90,34 +97,39 @@ def check_dense_cap(n_vertices: int) -> None:
 
 
 def eig_symmetric(a: np.ndarray) -> np.ndarray:
-    """Full spectrum of a symmetric real matrix, sorted descending.
+    """Full spectrum of a real symmetric or complex Hermitian matrix,
+    sorted descending.
 
-    The matrix must equal its transpose exactly.  Every (lambda, v) pair is
-    recomputed against A v = lambda v and must satisfy the residual bound
-    EIG_RESIDUAL_TOL * ||A||_max * dim; the trace identity is checked as
-    well.  Ordering is deterministic.
+    The matrix must equal its conjugate transpose exactly.  Every
+    (lambda, v) pair is recomputed against A v = lambda v and must satisfy
+    the residual bound EIG_RESIDUAL_TOL * ||A||_max * dim; the trace
+    identity is checked as well.  Ordering is deterministic.
     """
     a = np.asarray(a)
-    if a.shape[0] != a.shape[1] or not (a == a.T).all():
-        raise ValueError("eig_symmetric needs a symmetric matrix")
-    dense = a.astype(np.float64)
+    hermitian = a.dtype.kind == "c"
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not (a == (a.T.conj() if hermitian else a.T)).all():
+        raise ValueError("eig_symmetric needs a symmetric or Hermitian matrix")
+    dense = a.astype(np.complex128 if hermitian else np.float64, copy=False)
     eigs, vecs = np.linalg.eigh(dense)
     scale = max(1.0, float(np.abs(a).max(initial=0)) * a.shape[0])
     residual = np.abs(dense @ vecs - vecs * eigs).max(initial=0)
     if residual > EIG_RESIDUAL_TOL * scale:
         raise RuntimeError(f"eigensolver residual {residual:.3e} above bound")
-    if abs(eigs.sum() - np.trace(a)) > EIG_RESIDUAL_TOL * scale:
+    if abs(eigs.sum() - np.trace(a).real) > EIG_RESIDUAL_TOL * scale:
         raise RuntimeError("eigensolver failed the trace identity")
     return eigs[::-1]
 
 
+@cache
 def _helmert(f: int) -> np.ndarray:
     """The f x (f - 1) Helmert block: orthonormal columns orthogonal to the
     constant vector.  Column k - 1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1))
-    with k ones."""
+    with k ones.  Read-only, as it is cached."""
     k = np.arange(1, f)
     i = np.arange(f)[:, None]
-    return np.where(i < k, 1.0, np.where(i == k, -k, 0.0)) / np.sqrt(k * (k + 1))
+    h = np.where(i < k, 1.0, np.where(i == k, -k, 0.0)) / np.sqrt(k * (k + 1))
+    h.setflags(write=False)
+    return h
 
 
 def _fiber_slots(proj: np.ndarray, f: int) -> np.ndarray:
@@ -128,15 +140,8 @@ def _fiber_slots(proj: np.ndarray, f: int) -> np.ndarray:
     return slot
 
 
-def group_pairs(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys group[origin] * n_groups + group[terminus] of the
-    darts, ascending, and each dart's index among them."""
-    return np.unique(group[origin] * (int(group.max(initial=-1)) + 1) + group[terminus], return_inverse=True)
-
-
 def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slot: np.ndarray, basis: np.ndarray,
-                weights: np.ndarray | None = None, keep: np.ndarray | None = None,
-                pairs: tuple[np.ndarray, np.ndarray] | None = None) -> list[np.ndarray]:
+                weights: np.ndarray | None = None, keep: np.ndarray | None = None) -> list[np.ndarray]:
     """The one block assembler: Q^T A_w Q for each row w of weights (one
     unweighted block when weights is None), where A_w counts the dart
     origin[e] -> terminus[e] with weight w[e] and Q has the columns (g, k),
@@ -145,58 +150,166 @@ def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slo
     all), keeps only the columns it marks.  It is summed from the darts,
     never from a dense N x N matrix: the darts between each pair of groups
     (a, b) are counted by their origin's and terminus' slots into C, for
-    every row at once, and give the block B^T C B; the columns keep drops
-    go last.  A caller that assembles over the same darts and groups more
-    than once passes their `group_pairs` as pairs."""
+    every row at once, and give the block B^T C B.  Complex weights are
+    summed as two real counts, real and imaginary parts; a row whose
+    weights are all real gives a real block."""
     weights = np.ones((1, len(origin))) if weights is None else weights
     (g, k), rows = basis.shape, len(weights)
     n_groups = int(group.max(initial=-1)) + 1
-    pairs, pair = group_pairs(origin, terminus, group) if pairs is None else pairs
-    cell = (np.arange(rows)[:, None] * len(pairs) + pair) * g * g + slot[origin] * g + slot[terminus]
-    counts = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=rows * len(pairs) * g * g)
-    projected = basis.T @ counts.reshape(rows, len(pairs), g, g) @ basis
-    block = np.zeros((rows, n_groups, k, n_groups, k))
+    pairs, pair = np.unique(group[origin] * n_groups + group[terminus], return_inverse=True)
+    # the real parts of every row, then the imaginary parts of a complex one
+    parts = np.concatenate([weights.real, weights.imag]) if weights.dtype.kind == "c" else weights
+    cell = ((np.arange(len(parts))[:, None] * len(pairs) + pair) * g * g + slot[origin] * g + slot[terminus]).ravel()
+    counts = np.bincount(cell, weights=parts.ravel(), minlength=len(parts) * len(pairs) * g * g)
+    projected = basis.T @ counts.reshape(len(parts), len(pairs), g, g) @ basis
+    if len(parts) > rows:
+        projected = projected[:rows] + 1j * projected[rows:]
+    block = np.zeros((rows, n_groups, k, n_groups, k), dtype=projected.dtype)
     block[:, pairs // n_groups, :, pairs % n_groups, :] = projected.transpose(1, 0, 2, 3)
     block = block.reshape(rows, n_groups * k, n_groups * k)
-    if keep is None:
-        return list(block)
-    return [b[cols][:, cols] for b, cols in zip(block, np.broadcast_to(keep, (rows, n_groups * k)))]
+    if keep is not None and np.ndim(keep) == 1:
+        cols = np.flatnonzero(keep)
+        block = block[:, cols][:, :, cols]
+    elif keep is not None:
+        block = [b[np.ix_(c, c)] for b, c in zip(block, map(np.flatnonzero, keep))]
+    return [b.real if real else b for b, real in zip(block, (weights.imag == 0).all(axis=1))]
 
 
-def _involutions(offered, n: int, accept) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(map, accept(map)) for each map of offered that is an integer array
-    of n entries in 0..n-1, an involution, commutes with every map kept
-    before it, and passes the caller's own test accept, which returns what
-    the caller needs of the map (its dart map, the map it induces) or None.
-    Every other map is dropped, which only coarsens a split."""
-    kept = []
-    for perm in map(np.asarray, offered):  # None becomes a 0-d array of the wrong shape
-        if perm.shape != (n,) or perm.dtype.kind not in "iu" or not ((0 <= perm) & (perm < n)).all():
+def _hermitian(block: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2, exactly Hermitian."""
+    return (block + (block.T.conj() if block.dtype.kind == "c" else block.T)) / 2
+
+
+def _powers(perm: np.ndarray, order: int) -> np.ndarray:
+    """perm^0, perm^1, ..., perm^order as the rows of one array."""
+    powers = np.empty((order + 1, len(perm)), dtype=np.intp)
+    powers[0] = np.arange(len(perm))
+    for k in range(order):
+        powers[k + 1] = perm[powers[k]]
+    return powers
+
+
+def _has_order(powers: np.ndarray) -> bool:
+    """Is the map whose `_powers` these are of exactly the order len - 1?"""
+    identity = (powers == powers[0]).all(axis=1)
+    return bool(identity[-1] and not identity[1:-1].any())
+
+
+def _symmetries(offered, n: int, accept) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(map, image, order) for each (map, order) of offered, in order, that
+    is an integer array of n entries in 0..n-1 of exactly that order,
+    commutes with every map kept before it and passes the caller's own test
+    accept, which returns the map it induces on the points the split acts
+    on (fibers, middles or darts) or None; the image must have the same
+    order and commute with the images kept before.  The kept maps generate
+    a direct product of cyclic groups, so a map with a power in the group
+    of those kept before, itself included, is passed over: letter
+    inversion, for one, is the rotation's (q + 1) / 2-th power and adds
+    nothing to it.  Every map left out only coarsens a split."""
+    kept, elements = [], np.arange(n)[None]
+    for perm, order in offered:
+        perm = _vertex_map(perm, n)
+        if perm is None:
             continue
-        if (perm[perm] != np.arange(n)).any() or any((perm[other] != other[perm]).any() for other, _ in kept):
+        powers = _powers(perm, order)
+        if not _has_order(powers) or any((perm[other] != other[perm]).any() for other, _, _ in kept):
+            continue
+        group = set(map(np.ndarray.tobytes, elements))
+        if any(power.tobytes() in group for power in powers[1:-1]):
             continue
         image = accept(perm)
-        if image is not None:
-            kept.append((perm, image))
+        if image is None or not _has_order(_powers(image, order)) or any(
+                (image[other] != other[image]).any() for _, other, _ in kept):
+            continue
+        kept.append((perm, image, order))
+        elements = powers[:-1][:, elements].reshape(-1, n)
     return kept
 
 
-def _orbits(involutions, size: int) -> tuple[np.ndarray, ...]:
-    """The group that commuting involutions generate, acting on 0..size-1,
-    built by doubling: (maps, characters, rep, to_rep, stabiliser).  Row e
-    of maps is the element that is the product of the involutions i with
-    bit i of e set, and character c negates those of the bits of c, so
-    characters[c, e] = (-1)^|c & e|.  rep is the least point of each
-    point's orbit, which represents it, to_rep an element that carries the
-    representative to the point (and back: every element is an
-    involution), and stabiliser[e, x] whether element e fixes x."""
+def _vertex_map(perm, n: int) -> np.ndarray | None:
+    """perm as an integer array of n entries in 0..n-1, or None if it is
+    none."""
+    perm = np.asarray(perm)  # None becomes a 0-d array of the wrong shape
+    if perm.shape != (n,) or perm.dtype.kind not in "iu" or not ((0 <= perm) & (perm < n)).all():
+        return None
+    return perm
+
+
+def _offered(rotation, involutions, degree: int | None, n: int) -> list[tuple[object, int]]:
+    """The maps offered to a split of a graph of n vertices, as (map,
+    order): the rotation first, of the order of the graph's regular degree
+    (q + 1 on a quaternionic level, where the torus acts simply
+    transitively on each norm fiber), then the involutions.  The rotation
+    is left out on an irregular graph and where it fails to commute with
+    one of the involutions, which would make the group non-abelian; the
+    split then falls back on the involutions alone."""
+    rotation = None if degree is None else _vertex_map(rotation, n)
+    for perm in (_vertex_map(perm, n) for perm in involutions):
+        if rotation is not None and perm is not None and (rotation[perm] != perm[rotation]).any():
+            rotation = None
+    return ([] if rotation is None else [(rotation, degree)]) + [(perm, 2) for perm in involutions]
+
+
+class _Group(NamedTuple):
+    """A finite abelian group acting on the points 0..size-1, with its
+    characters.  Element e and character c are mixed-radix numbers over the
+    generators' orders, the first generator least significant: element e
+    is the product of g_i^(a_i) for the digits a_i of e, and character c,
+    with digits j_i, takes the value exp(2 pi i sum_i a_i j_i / n_i) on it."""
+
+    maps: np.ndarray        # (|G|, size): each element's map of the points
+    characters: np.ndarray  # (|G|, |G|): characters[c, e], real when every generator is an involution
+    negated: np.ndarray     # the index with every digit negated: each element's inverse, each character's conjugate
+    rep: np.ndarray         # the least point of each point's orbit, which represents it
+    home: np.ndarray        # an element that carries each point to its representative
+    stabiliser: np.ndarray  # (|G|, size): does element e fix point x
+
+
+def _elements(generators, orders, size: int) -> np.ndarray:
+    """The maps of all elements of the group that commuting generators of
+    the given orders generate as a direct product, in `_Group`'s order."""
     maps = np.arange(size)[None]
-    for sigma in involutions:
-        maps = np.vstack([maps, maps[:, sigma]])
-    n = len(maps)
-    characters = np.array([[(-1.0) ** bin(c & e).count("1") for e in range(n)] for c in range(n)])
+    for perm, order in zip(generators, orders):
+        maps = _powers(perm, order - 1)[:, maps].reshape(-1, size)
+    return maps
+
+
+@cache
+def _character_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(characters, negated) of `_Group` for a direct product of cyclic
+    groups of the given orders, read-only.  Character values are exact at
+    multiples of a quarter turn, so the characters of involutions are
+    exactly +-1."""
+    size = prod(orders)
+    digits, rest = [], np.arange(size)
+    for order in orders:
+        rest, digit = np.divmod(rest, order)
+        digits.append(digit)
+    digits = np.array(digits, dtype=np.intp).reshape(len(orders), size)
+    place = np.cumprod((1,) + orders, dtype=np.intp)[:-1, None]
+    period = lcm(*orders)
+    scale = np.array([period // order for order in orders], dtype=np.intp)
+    phase = (digits.T * scale) @ digits % period  # phase[c, e] = sum_i j_i a_i period / n_i
+    if period <= 2:
+        roots = np.array([1.0, -1.0])[:period]
+    else:
+        turn = np.arange(period)
+        roots = np.exp(2j * np.pi * turn / period)
+        quarter = 4 * turn % period == 0
+        roots[quarter] = np.array([1, 1j, -1, -1j])[4 * turn[quarter] // period]
+    negated = (-digits % np.array(orders, dtype=np.intp).reshape(-1, 1) * place).sum(axis=0)
+    table = roots[phase], negated
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _orbits(generators, orders: tuple[int, ...], size: int) -> _Group:
+    """The `_Group` that commuting generators of the given orders, acting on
+    0..size-1 (maybe not faithfully), generate as a direct product."""
+    maps = _elements(generators, orders, size)
     rep = maps.min(axis=0)
-    return maps, characters, rep, np.argmax(maps == rep, axis=0), maps == np.arange(size)
+    return _Group(maps, *_character_table(orders), rep, np.argmax(maps == rep, axis=0), maps == np.arange(size))
 
 
 def _induced(perm: np.ndarray, proj: np.ndarray, size: int, target: np.ndarray | None = None) -> np.ndarray | None:
@@ -209,25 +322,151 @@ def _induced(perm: np.ndarray, proj: np.ndarray, size: int, target: np.ndarray |
     return image if (image[proj] == target[perm]).all() else None
 
 
-def _grid_basis(f: int) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _grid_basis(f: int) -> tuple[np.ndarray, int]:
     """The symmetrised Helmert basis of the functions with zero row and
     column sums on an f x f grid of slots left * f + right: the f (f - 1) / 2
     columns H_k (x) H_l + H_l (x) H_k for k <= l (over 2 when k = l, else
     over sqrt 2), which the slot transpose fixes, and the (f - 1)(f - 2) / 2
     columns (H_k (x) H_l - H_l (x) H_k) / sqrt 2 for k < l, which it
-    negates.  Together they span what kron(H, H) spans."""
+    negates.  Together they span what kron(H, H) spans.  Returns both side
+    by side, read-only as it is cached, and the number of even columns."""
     h = _helmert(f)
     pair = np.kron(h, h)  # column k (f - 1) + l is H_k (x) H_l
     k, l = np.divmod(np.arange((f - 1) ** 2), f - 1)
     swapped = pair[:, l * (f - 1) + k]
     upper = k <= l
     even = (pair + swapped)[:, upper] / np.where(k == l, 2.0, sqrt(2))[upper]
-    return even, (pair - swapped)[:, k < l] / sqrt(2)
+    basis = np.hstack([even, (pair - swapped)[:, k < l] / sqrt(2)])
+    basis.setflags(write=False)
+    return basis, even.shape[1]
 
 
-def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[np.ndarray]:
+class Split(NamedTuple):
+    """A matrix that commutes with a finite abelian group, split into one
+    block per character.  Only one block of each pair of complex conjugate
+    characters is assembled: the other is its complex conjugate, with the
+    same eigenvalues for a Hermitian matrix and the conjugate ones in
+    general."""
+
+    blocks: list[np.ndarray]  # one per self-conjugate character or conjugate pair, in character order
+    twins: tuple[bool, ...]   # per block: does it stand for a second, conjugate character too
+    dims: tuple[int, ...]     # the block dimension of every character, the conjugates included
+
+
+def _split(blocks: list[np.ndarray], solved: np.ndarray, negated: np.ndarray, total: int) -> Split:
+    """The `Split` of the blocks of the characters solved, those of `_Group`
+    index at most their conjugate's.  The dimensions of all the characters'
+    blocks, the conjugates' included, must add up to total, the dimension
+    of the matrix split; else RuntimeError."""
+    dims = np.array([len(block) for block in blocks], dtype=np.intp)
+    position = np.searchsorted(solved, np.minimum(np.arange(len(negated)), negated))
+    split = Split(blocks, tuple((negated[solved] != solved).tolist()), tuple(dims[position].tolist()))
+    if sum(split.dims) != total:
+        raise RuntimeError(f"the character blocks add up to {sum(split.dims)} dimensions, not {total}")
+    return split
+
+
+def _character_blocks(graph: UGraph, owner: np.ndarray, n_owners: int, slot: np.ndarray,
+                      basis: np.ndarray, n_even: int, kept: list, transposed: np.ndarray | None = None) -> Split:
+    """A on the functions that lie, on the vertices of each owner (a fiber
+    or a middle word's grid), in the span of the columns of basis, read at
+    the vertices' slots, split by the characters chi of the group G that
+    the kept `_symmetries` generate, acting on the owners by their images.
+
+    Each block is assembled from the darts that leave one representative
+    owner per orbit (`_orbits`): a vertex g u, for u of a representative,
+    takes the slot of u, and a dart counts chi(g) for its terminus' g times
+    sqrt(|orbit of its origin| / |orbit of its terminus|), the ratio of the
+    two normalisations.  An owner that an element s other than 1 fixes is
+    allowed only where transposed is given, the slot of every vertex's
+    image under s must be its transposed slot, and s must be the only one:
+    its orbit keeps the first n_even columns, the even ones, for
+    chi(s) = 1, and the odd ones after them else.  Where that fails, the
+    last kept map is dropped and the group built again.  One block is
+    assembled per conjugate pair of characters (`Split`), and made exactly
+    Hermitian; the dimensions of all the characters' blocks must add up to
+    the owners' columns (`_split`)."""
+    n = graph.n_vertices()
+    while kept:
+        orders = tuple(order for *_, order in kept)
+        group = _orbits([image for _, image, _ in kept], orders, n_owners)
+        vertex = _elements([perm for perm, _, _ in kept], orders, n)
+        fixing = group.stabiliser.sum(axis=0)  # per owner, the elements that fix it, 1 among them
+        other = np.argmax(group.stabiliser & (np.arange(len(vertex)) > 0)[:, None], axis=0)
+        fixed = (fixing == 2)[owner]
+        if (fixing <= (1 if transposed is None else 2)).all() and (
+                transposed is None or (slot[vertex[other[owner], np.arange(n)]] == transposed)[fixed].all()):
+            break
+        kept = kept[:-1]
+    else:  # no symmetry: the whole block
+        block, = dart_blocks(graph.origin, graph.terminus, owner, slot, basis)
+        return _split([_hermitian(block)], np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp),
+                      n_owners * basis.shape[1])
+    chosen = group.rep == np.arange(n_owners)
+    home = group.home[owner]
+    slot = slot[vertex[home, np.arange(n)]]  # the slot of the vertex's image in a representative
+    # only the darts that leave a representative are counted
+    darts = np.flatnonzero(chosen[owner[graph.origin]])
+    origin, terminus = graph.origin[darts], graph.terminus[darts]
+    size = len(vertex) // fixing  # orbit sizes
+    solved = np.flatnonzero(np.arange(len(vertex)) <= group.negated)
+    characters = group.characters[solved]
+    weights = np.sqrt(size[owner[origin]] / size[owner[terminus]]) * characters[:, group.negated[home[terminus]]]
+    # on an orbit that s fixes, the characters with chi(s) = 1 keep the even
+    # columns and the others the odd ones; characters that keep the same
+    # columns on every such orbit share one assembly, over the columns kept
+    stabilised = fixing[chosen] == 2
+    kept_even = characters[:, other[chosen]].real > 0
+    keep = np.where(stabilised[:, None], kept_even[:, :, None] == (np.arange(basis.shape[1]) < n_even), True)
+    orbit = (np.cumsum(chosen) - 1)[group.rep[owner]]
+    pattern, todo, blocks = kept_even[:, stabilised], np.ones(len(solved), dtype=bool), [None] * len(solved)
+    while todo.any():
+        these = np.flatnonzero(todo & (pattern == pattern[np.argmax(todo)]).all(axis=1))
+        todo[these] = False
+        used = keep[these[0]].any(axis=0)
+        assembled = dart_blocks(origin, terminus, orbit, slot, basis[:, used], weights[these],
+                                keep[these[0]][:, used].ravel())
+        for c, block in zip(these, assembled):
+            blocks[c] = block
+    return _split([_hermitian(block) for block in blocks], solved, group.negated, n_owners * basis.shape[1])
+
+
+def _moves_owners(graph: UGraph, ways: tuple[np.ndarray, ...], n_lower: int, owner: np.ndarray, n_owners: int):
+    """The caller's test of `_symmetries` on a tower level: is perm an
+    automorphism that sends the fibers of each projection in ways (into
+    the n_lower vertices below) onto fibers of one of them, and the owners
+    (fibers or middles) of the vertices onto owners, moving every one?
+    Returns the map it induces on the owners, or None."""
+    def accept(perm: np.ndarray) -> np.ndarray | None:
+        if any(all(_induced(perm, proj, n_lower, target) is None for target in ways) for proj in ways):
+            return None
+        moved = _induced(perm, owner, n_owners)
+        if moved is None or (moved == np.arange(n_owners)).any() or not is_automorphism(graph, perm):
+            return None
+        return moved
+
+    return accept
+
+
+def _fiber_blocks(level: TowerLevel, n_lower: int, f: int) -> Split:
+    """The new block of the drop-first cover of a tower level: A on the
+    functions that sum to zero on every fiber of parent, one Helmert block
+    per fiber of f vertices, split by the rotation where `_symmetries`
+    keeps it as an automorphism that sends fibers onto fibers and moves
+    every fiber.  On level 2 the q + 1 fibers over A_1 form one free orbit
+    of the rotation; level 1 has one fiber, which it fixes, and stays
+    whole."""
+    graph, parent, n = level.graph, level.parent, level.graph.n_vertices()
+    accept = _moves_owners(graph, (parent,), n_lower, parent, n_lower)
+    kept = _symmetries(_offered(level.rotation, (), graph.regular_degree(), n), n, accept)
+    return _character_blocks(graph, parent, n_lower, _fiber_slots(parent, f), _helmert(f), f - 1, kept)
+
+
+def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> Split:
     """The doubly-new block of a tower level n >= 3, whole or split by the
-    characters of the group that inversion and reversal generate.
+    characters of the group that the rotation, inversion and reversal
+    generate.
 
     Each vertex is x.m.y for a middle m at level n - 2, reached both ways
     round the square parent / last_parent.  Its left slot is the place of
@@ -242,22 +481,19 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     spectrum of level n beyond spec A_{n-1} and the new block of level
     n - 1.  A broken grid raises ValueError.
 
-    Of inversion iota and reversal rho, `_involutions` keeps those that are
-    automorphisms sending the fibers of each projection onto fibers of
-    one of them (so grids to grids) and moving every middle.  When both
-    are kept, r = iota rho must act as the slot transpose on the grid of
-    every middle it fixes; else reversal is dropped.  The block commutes
-    with the group G they generate, at most the Klein group
-    {1, iota, rho, r}, and splits into one block per character chi of G:
-    four in the order (+, +), (-, +), (+, -), (-, -) of (chi(iota),
-    chi(rho)), two halves for one symmetry, or the whole block for none.
-    Each is assembled from the darts that leave one representative grid
-    per orbit of middles (`_orbits`): a vertex g u, for u in a
-    representative grid, takes the slot of u, and a dart counts chi(g) for
-    its terminus' g times sqrt(|orbit of its origin| / |orbit of its
-    terminus|), the ratio of the two normalisations.  A middle that r fixes
-    (a palindromic one) has an orbit of two, and its grid keeps only the
-    basis columns of parity chi(r)."""
+    `_symmetries` keeps those of the offered maps (`_offered`: the rotation
+    u, then inversion iota and reversal rho) that are automorphisms
+    sending the fibers of each projection onto fibers of one of them (so
+    grids to grids) and moving every middle.  On a quaternionic level that
+    is u, of order q + 1, and rho: iota = u^((q + 1) / 2) adds nothing.
+    Only r = iota rho fixes middles, the palindromic ones, and it must act
+    on their grids as the slot transpose (`_character_blocks`).  The block
+    splits into one block per character chi of G = <u> x <rho>, with
+    chi(r) = (-1)^j chi(rho) for chi(u) = exp(2 pi i j / (q + 1)): 2 (q + 1)
+    blocks of about D / (2 (q + 1)), one solved per conjugate pair.  With
+    the rotation refused, G is at most the Klein group {1, iota, rho, r}:
+    four blocks in the order (+, +), (-, +), (+, -), (-, -) of (chi(iota),
+    chi(rho)), two halves for one symmetry, or the whole block for none."""
     graph, parent, last = level.graph, level.parent, level.last_parent
     middle = lower.parent[last]
     if (middle != lower.last_parent[parent]).any():
@@ -268,76 +504,39 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> list[n
     if graph.n_vertices() != n_middles * f * f or (np.bincount(cell, minlength=n_middles * f * f) != 1).any():
         raise ValueError("parent and last_parent are not a covering grid: a cell does not hold one vertex")
     slot = cell % (f * f)
-
-    def moves_grids(perm: np.ndarray) -> np.ndarray | None:
-        ways = (parent, last)
-        if any(all(_induced(perm, proj, n_lower, target) is None for target in ways) for proj in ways):
-            return None
-        moved = _induced(perm, middle, n_middles)
-        if moved is None or (moved == np.arange(n_middles)).any() or not is_automorphism(graph, perm):
-            return None
-        return moved
-
-    symmetries = _involutions((level.inversion, level.reversal), len(slot), moves_grids)
-    if len(symmetries) == 2:
-        (iota, iota_moved), (rho, rho_moved) = symmetries
-        fixed = (iota_moved[rho_moved] == np.arange(n_middles))[middle]
-        if (slot[iota[rho]][fixed] != (slot % f * f + slot // f)[fixed]).any():
-            symmetries.pop()
-    _, characters, rep, to_rep, stabiliser = _orbits([moved for _, moved in symmetries], n_middles)
-    n = len(characters)
-    size = n // stabiliser.sum(axis=0)  # orbit sizes
-    chosen = rep == np.arange(n_middles)
-    group, to_rep = (np.cumsum(chosen) - 1)[rep[middle]], to_rep[middle]
-    image = np.arange(len(slot))  # per vertex, its image under to_rep in a representative grid
-    for bit, (perm, _) in enumerate(symmetries):
-        image = np.where(to_rep >> bit & 1, perm[image], image)
-    slot = slot[image]
-    # only the darts that leave a representative grid are counted
-    darts = np.flatnonzero(chosen[middle[graph.origin]])
-    origin, terminus = graph.origin[darts], graph.terminus[darts]
-    weights = np.sqrt(size[middle[origin]] / size[middle[terminus]]) * characters[:, to_rep[terminus]]
-    even, odd = _grid_basis(f)
-    # element n - 1 is the product of all symmetries, r when there are two:
-    # the characters even on it keep the even columns on a grid r fixes,
-    # the others the odd ones, so those come first in the basis
-    blocks, pairs = [None] * n, group_pairs(origin, terminus, group)
-    for kept, other, parity in ((even, odd, 1.0), (odd, even, -1.0)):
-        these = np.flatnonzero(characters[:, -1] == parity)
-        if these.size:
-            width = np.where(size[chosen] < n, kept.shape[1], kept.shape[1] + other.shape[1])
-            basis = np.hstack([kept, other])[:, :width.max()]
-            keep = (np.arange(width.max()) < width[:, None]).ravel()
-            for c, block in zip(these, dart_blocks(origin, terminus, group, slot, basis, weights[these], keep, pairs)):
-                blocks[c] = (block + block.T) / 2
-    return blocks
+    offered = _offered(level.rotation, (level.inversion, level.reversal), graph.regular_degree(), len(slot))
+    kept = _symmetries(offered, len(slot), _moves_owners(graph, (parent, last), n_lower, middle, n_middles))
+    return _character_blocks(graph, middle, n_middles, slot, *_grid_basis(f), kept, slot % f * f + slot // f)
 
 
 class TowerSpectrum(NamedTuple):
     graph: UGraph
     eigenvalues: np.ndarray  # descending
-    blocks: tuple[int, ...]  # the dimensions of the blocks eigensolved for this level
+    blocks: tuple[int, ...]  # this level's block dimension per character (`Split.dims`), conjugates included
 
 
 def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
-    """(graph, spectrum, solved block dimensions) for every level after the
-    first of a covering tower, such as `graphs.level_tower`: the rose, then
-    each level with its drop-first and drop-last parents into the one
-    before and an optional inversion and reversal.  Both parents are checked as
-    coverings with equal fibers (`graphs.cover_fiber`) on every level.
+    """(graph, spectrum, block dimensions) for every level after the first
+    of a covering tower, such as `graphs.level_tower`: the rose, then each
+    level with its drop-first and drop-last parents into the one before and
+    an optional inversion, reversal and rotation.  Both parents are checked
+    as coverings with equal fibers (`graphs.cover_fiber`) on every level.
 
     The rose, one vertex with k loop darts, contributes the trivial
     eigenvalue k exactly.  Levels 1 and 2 eigensolve the new block of the
     drop-first cover, M = Q^T A Q of dimension N_n - N_{n-1}, for Q with
     one Helmert block per fiber of the size that the covering check
-    counted.  From level 3 on, spec A_n is spec A_{n-1}, the previous
-    level's new spectrum and the spectrum of the doubly-new block
-    (`_grid_blocks`, dimension
-    N_{n-2} (f - 1)^2 for fibers of f), which alone is solved: in four
-    blocks when the inversion and the reversal both check out, in two
-    halves when one does, whole otherwise.  Every block goes through
-    `eig_symmetric`'s checks.  Spectra are descending, and each level is
-    capped like a dense eigensolve of its vertices."""
+    counted: whole on level 1, and on level 2 split by the rotation where
+    it checks out (`_fiber_blocks`).  From level 3 on, spec A_n is
+    spec A_{n-1}, the previous level's new spectrum and the spectrum of the
+    doubly-new block (`_grid_blocks`, dimension N_{n-2} (f - 1)^2 for
+    fibers of f), which alone is solved: in one block per character of the
+    group that the rotation and reversal generate, of about
+    D / (2 (q + 1)), when they check out, else in the Klein quarters,
+    halves or whole.  One block of each pair of conjugate characters is
+    eigensolved, and its eigenvalues count for both.  Every solved block
+    goes through `eig_symmetric`'s checks.  Spectra are descending, and
+    each level is capped like a dense eigensolve of its vertices."""
     lower = next(levels)
     if lower.graph.n_vertices() != 1:
         raise ValueError("a covering tower starts at a one-vertex rose")
@@ -349,13 +548,13 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
         f = cover_fiber(graph, lower.graph, level.parent)
         cover_fiber(graph, lower.graph, level.last_parent)
         if n < 3:  # the new spectrum is the new block's alone
-            block, = dart_blocks(graph.origin, graph.terminus, level.parent, _fiber_slots(level.parent, f), _helmert(f))
-            blocks, new = [(block + block.T) / 2], np.empty(0)
+            split, new = _fiber_blocks(level, lower.graph.n_vertices(), f), np.empty(0)
         else:
-            blocks = _grid_blocks(level, lower, below.n_vertices())
-        new = np.concatenate([new, *(eig_symmetric(block) for block in blocks)])
+            split = _grid_blocks(level, lower, below.n_vertices())
+        solved = [eig_symmetric(block) for block in split.blocks]
+        new = np.concatenate([new, *solved, *(eig for eig, twin in zip(solved, split.twins) if twin)])
         eigs = np.sort(np.concatenate([eigs, new]))[::-1]
-        yield TowerSpectrum(graph, eigs, tuple(len(block) for block in blocks))
+        yield TowerSpectrum(graph, eigs, split.dims)
         below, lower = lower.graph, level
 
 
@@ -465,68 +664,74 @@ def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
     return np.linalg.eigvals(h.adjacency.astype(np.float64))
 
 
-def nb_blocks(graph: UGraph, symmetries=()) -> list[np.ndarray]:
+def nb_blocks(graph: UGraph, symmetries=(), rotation=None) -> Split:
     """The non-backtracking matrix H of a regular graph, split into one
     block per character chi of the group G generated by the dart maps
-    (`graphs.dart_map`) of those vertex permutations in symmetries that
-    `_involutions` keeps as automorphisms whose dart map commutes with dart
-    inversion (at most the Klein group of inversion and reversal), in the
-    order of `_orbits`' characters: the whole H as one block when none is
-    kept.
+    (`graphs.dart_map`) of the vertex permutations offered (`_offered`: the
+    rotation, of the order of the degree, then the involutions in
+    symmetries) that `_symmetries` keeps as automorphisms, in the order of
+    `_orbits`' characters:
+    the whole H as one block when none is kept.  On a quaternionic level
+    that is the group of the rotation and the reversal, of order 2 (q + 1),
+    and at most the Klein group of inversion and reversal without the
+    rotation.
 
     H commutes with G, so the image V_chi of the projector sum_g chi(g) P_g
     is invariant (Serre, Linear Representations of Finite Groups, 2.6),
     and spec H is the union of the spectra of H on the V_chi.  V_chi is
     spanned by the v_r = sum_g chi(g) e_(g r) for the orbit representatives
     r (least darts); v_r vanishes unless chi is trivial on the stabiliser
-    of r, which a dart that an element fixes may fail, and every dart when
-    two kept maps are equal, as inversion and reversal are on level 1.  The
-    others, scaled to w_r = v_r / |Stab r|, take chi(g) once on each dart
-    g r of the orbit and form a basis, in which H acts by the block whose
-    entry (s, r) is the sum of chi(g) over the arcs s -> g r: D^-1 V^T H V,
-    D = V^T V, up to a diagonal similarity.  `dart_blocks` sums every block
-    at once over the arcs that leave a representative, one group per orbit
-    with the basis [[1]], keeping the representatives whose v_r survives.
-    The block dimensions must add up to the number of darts, and the trace
-    of each block must be (1 / |G|) sum_g chi(g) times the number of arcs
-    e -> g e, which counts over all the arcs; else RuntimeError."""
-    e, f, _ = nb_arcs(graph)
+    of r, which a dart that an element fixes may fail.  The others, scaled
+    to w_r = v_r / |Stab r|, take chi(g) once on each dart g r of the orbit
+    and form a basis, in which H acts by the block whose entry (s, r) is
+    the sum of chi(g) over the arcs s -> g r: D^-1 V^H H V, D = V^H V, up to
+    a diagonal similarity.  `dart_blocks` sums the blocks of one character
+    of each conjugate pair at once over the arcs that leave a
+    representative, one group per orbit with the basis [[1]], keeping the
+    representatives whose v_r survives; the conjugate character's block is
+    the complex conjugate (`Split`).  The block dimensions of all the
+    characters must add up to the number of darts, and the trace of each
+    block must be (1 / |G|) sum_g chi(g) times the number of arcs e -> g e,
+    which counts over all the arcs; else RuntimeError."""
+    e, f, d = nb_arcs(graph)
 
     def lifts(perm: np.ndarray) -> np.ndarray | None:
-        if not is_automorphism(graph, perm):
-            return None
-        sigma = dart_map(graph, perm)
-        return sigma if (sigma[graph.inv] == graph.inv[sigma]).all() else None
+        return dart_map(graph, perm) if is_automorphism(graph, perm) else None
 
-    kept = _involutions(symmetries, graph.n_vertices(), lifts)
-    maps, characters, rep, to_rep, stabiliser = _orbits([sigma for _, sigma in kept], graph.n_darts())
-    n, m = maps.shape
-    valid = ((characters[:, :, None] > 0) | ~stabiliser).all(axis=1)  # chi trivial on the stabiliser
-    chosen = rep == np.arange(m)
+    vertices = graph.n_vertices()
+    kept = _symmetries(_offered(rotation, symmetries, d + 1, vertices), vertices, lifts)
+    group = _orbits([sigma for _, sigma, _ in kept], tuple(order for *_, order in kept), graph.n_darts())
+    n, m = group.maps.shape
+    solved = np.flatnonzero(np.arange(n) <= group.negated)
+    characters = group.characters[solved]
+    valid = ((characters[:, :, None] == 1) | ~group.stabiliser).all(axis=1)  # chi trivial on the stabiliser
+    chosen = group.rep == np.arange(m)
     leaving = chosen[e]
     s, r = e[leaving], f[leaving]
-    blocks = dart_blocks(s, r, (np.cumsum(chosen) - 1)[rep], np.zeros(m, dtype=np.intp), np.ones((1, 1)),
-                         characters[:, to_rep[r]], valid[:, chosen])
-    if sum(map(len, blocks)) != m:
-        raise RuntimeError("the character blocks do not add up to the darts")
-    expected = characters @ (maps[:, e] == f).sum(axis=1) / n
+    blocks = dart_blocks(s, r, (np.cumsum(chosen) - 1)[group.rep], np.zeros(m, dtype=np.intp), np.ones((1, 1)),
+                         characters[:, group.negated[group.home[r]]], valid[:, chosen])
+    split = _split(blocks, solved, group.negated, m)
+    expected = characters @ (group.maps[:, e] == f).sum(axis=1) / n
     if any(abs(np.trace(block) - trace) > 1e-9 * max(1.0, m) for block, trace in zip(blocks, expected)):
         raise RuntimeError("a character block failed its trace identity")
-    return blocks
+    return split
 
 
-def nb_spectrum(graph: UGraph, symmetries=()) -> tuple[np.ndarray, tuple[int, ...]]:
+def nb_spectrum(graph: UGraph, symmetries=(), rotation=None) -> tuple[np.ndarray, tuple[int, ...]]:
     """The non-backtracking spectrum of a regular graph of at most
     DENSE_EIG_LIMIT darts, solved block by block (`nb_blocks`), and the
-    block dimensions.  Each block's eigenvalues must sum to its trace."""
+    block dimension of every character.  Each solved block's eigenvalues
+    must sum to its trace; those of a block that stands for a conjugate
+    pair of characters count again, conjugated, for the other."""
     check_dart_cap(graph.n_darts())
-    blocks = nb_blocks(graph, symmetries)
-    spectra = [np.linalg.eigvals(block) for block in blocks]
-    for block, eigs in zip(blocks, spectra):
+    split = nb_blocks(graph, symmetries, rotation)
+    spectra = [np.linalg.eigvals(block) for block in split.blocks]
+    for block, eigs in zip(split.blocks, spectra):
         scale = max(1.0, float(np.abs(block).max(initial=0)) * len(block))
         if abs(eigs.sum() - np.trace(block)) > EIG_RESIDUAL_TOL * scale:
             raise RuntimeError("eigensolver failed the trace identity")
-    return np.concatenate([np.empty(0, dtype=complex), *spectra]), tuple(map(len, blocks))
+    twins = [eigs.conj() for eigs, twin in zip(spectra, split.twins) if twin]
+    return np.concatenate([np.empty(0, dtype=complex), *spectra, *twins]), split.dims
 
 
 _BROADCAST_CELLS = 1 << 17  # entries of one block of pairwise distances
@@ -558,7 +763,7 @@ class TransferReport:
     max_dist_direct_to_transfer: float
     max_dist_transfer_to_direct: float
     max_modulus_defect: float  # nontrivial moduli vs {1, sqrt(d)}
-    blocks: tuple[int, ...]  # the dimensions of the dart blocks solved
+    blocks: tuple[int, ...]  # the dart block dimension of every character, conjugates included
 
     def agrees(self, tol: float = 1e-6) -> bool:
         return (
@@ -567,14 +772,14 @@ class TransferReport:
         )
 
 
-def nb_transfer_report(graph: UGraph, symmetries=()) -> TransferReport:
+def nb_transfer_report(graph: UGraph, symmetries=(), rotation=None) -> TransferReport:
     """Compare the directly computed dart spectrum of a regular graph with
     the Bass-Ihara transfer of its adjacency spectrum (set inclusion both
     ways), and measure how far nontrivial dart moduli sit from {1, sqrt(d)}.
     The dart spectrum is `nb_spectrum`'s, split by the vertex symmetries
-    given (a level's inversion and reversal), which checks the dart count
-    against the cap before anything is built."""
-    direct, blocks = nb_spectrum(graph, symmetries)
+    given (a level's inversion and reversal, and its rotation), which
+    checks the dart count against the cap before anything is built."""
+    direct, blocks = nb_spectrum(graph, symmetries, rotation)
     d = graph.regular_degree() - 1
     transfer = np.array([value for value, _ in bass_ihara_pairs(eig_symmetric(graph.adjacency()), d)])
     return TransferReport(

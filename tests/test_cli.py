@@ -215,6 +215,16 @@ def test_verify_ramanujan_empty_level_range(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("levels, repeated", [("1,1", 1), ("2,1,3,1", 1), ("3,2,3", 3)])
+def test_verify_ramanujan_refuses_a_repeated_level(capsys, levels, repeated):
+    # each level is one entry of the report (and one block of the CSV)
+    for fmt in ("json", "csv"):
+        code, stdout, err = run(capsys, "verify-ramanujan", "--levels", levels, "--format", fmt, "--no-timestamp")
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: level {repeated} is repeated in --levels {levels}\n"
+
+
 @pytest.mark.parametrize("field", [("--p", "2053"), ("--p", "3", "--e", "8")], ids=["q2053", "q3e8"])
 def test_datum_above_the_field_size_cap_exits_at_once(field, capsys):
     start = time.perf_counter()

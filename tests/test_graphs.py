@@ -2,6 +2,7 @@
 Small classical graphs (cycles, K33, Petersen) are built here as oracles."""
 
 from collections import deque
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import pytest
 from ramshift import graphs, mealy
 from ramshift.graphs import (
     UGraph,
-    covering_check,
+    cover_fiber,
     digraph_period,
     level_graph,
+    level_tower,
     nb_matrix,
     product_level_graph,
     structure_predicates,
@@ -328,72 +330,83 @@ def test_digraph_period_matches_the_walk_traces():
     assert {(True, 1), (True, 2), (True, 3), (False, 0)} <= seen
 
 
+# the parent array of each projection on `level_tower`'s levels
+PARENTS = {"drop-first": "parent", "drop-last": "last_parent"}
+
+
 @pytest.mark.parametrize("projection", ["drop-last", "drop-first"])
-@pytest.mark.parametrize("reduced", [False, True])
-def test_covering_checks(d12_q3, projection, reduced):
-    m = mealy.from_datum(d12_q3)
-    for n in (1, 2, 3):
-        big = mealy.action_graph(m, n + 1, reduced=reduced)
-        small = mealy.action_graph(m, n, reduced=reduced)
-        assert covering_check(big, small, projection)
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_covering_checks(d12_q3, side, projection):
+    # every level covers the one below by both projections, with fibers of
+    # q + 1 words over the rose and of q words after it
+    levels = list(islice(level_tower(d12_q3, side), 6))
+    for lower, level in zip(levels, levels[1:]):
+        f = cover_fiber(level.graph, lower.graph, getattr(level, PARENTS[projection]))
+        assert f == (4 if lower.graph.n_vertices() == 1 else 3)
+
+
+def _retargeted(graph, e1, e2):
+    """The graph with the termini of darts e1 and e2 swapped, and the
+    origins of their inverses with them: a valid graph of the same degrees."""
+    terminus, origin = graph.terminus.copy(), graph.origin.copy()
+    terminus[[e1, e2]] = terminus[[e2, e1]]
+    origin[graph.inv[[e1, e2]]] = terminus[[e1, e2]]
+    return UGraph(graph.vertex_labels, origin, terminus, graph.inv, graph.dart_labels)
 
 
 def test_covering_check_detects_retargeted_edge(d12_q3):
-    m = mealy.from_datum(d12_q3)
-    big = mealy.action_graph(m, 2)
-    small = mealy.action_graph(m, 1)
-    big.dst[0, 0] = (big.dst[0, 0] + 1) % len(big.words)
-    assert not covering_check(big, small, "drop-last")
-    # swapping two targets keeps every degree but breaks two out-stars
-    big = mealy.action_graph(m, 2)
-    big.dst[5, 1], big.dst[10, 2] = big.dst[10, 2], big.dst[5, 1]  # 1.1 -> 2.3 and 2.2 -> 0.1
-    assert not covering_check(big, small, "drop-last")
+    # two edges whose far ends lie over different vertices trade those ends:
+    # every degree is kept, but two out-stars no longer map onto their
+    # images', for either projection
+    lower, level = islice(level_tower(d12_q3, "A"), 1, 3)
+    graph = level.graph
+    for parent in (level.parent, level.last_parent):
+        e1 = 0
+        e2 = int(np.flatnonzero((parent[graph.terminus] != parent[graph.terminus[e1]])
+                                & (graph.origin != graph.origin[e1]) & (graph.inv != e1))[0])
+        assert cover_fiber(graph, lower.graph, parent) == 3
+        with pytest.raises(ValueError, match="an out-star does not map onto its image's"):
+            cover_fiber(_retargeted(graph, e1, e2), lower.graph, parent)
 
 
-def test_covering_check_compares_in_stars():
-    # both words project to the one vertex of the rose, and each out-star
-    # maps onto its loop, but vertex 0 receives both darts
-    rose = mealy.LevelArrays(np.zeros((1, 0), dtype=np.intp), np.array([[0]]), np.array([[0]]))
-    big = mealy.LevelArrays(np.array([[0], [1]]), np.array([[0], [0]]), np.array([[0], [0]]))
-    assert not covering_check(big, rose, "drop-last")
-    big.dst[1, 0] = 1
-    assert covering_check(big, rose, "drop-last")
+def test_covering_check_compares_in_stars(d12_q3):
+    # cover_fiber compares out-stars only: on an undirected graph the
+    # in-star of a vertex is the inverses of its out-star, so the in-stars
+    # map onto their images' as well
+    levels = list(islice(level_tower(d12_q3, "B"), 5))
+    for lower, level in zip(levels, levels[1:]):
+        for parent in (level.parent, level.last_parent):
+            cover_fiber(level.graph, lower.graph, parent)
+            g, low = level.graph, lower.graph
+            assert graphs._stars_correspond(parent, low.n_vertices(), g.terminus, g.origin, low.terminus, low.origin)
 
 
 def test_covering_check_needs_every_projected_word(d12_q3):
-    m = mealy.from_datum(d12_q3)
-    # non-reduced prefixes of the full level 3 are no vertices of reduced level 2
-    assert not covering_check(mealy.action_graph(m, 3), mealy.action_graph(m, 2, reduced=True), "drop-last")
-    small = mealy.action_graph(m, 1)
-    small.words[0, 0] = 9  # a letter that no word of big ends with
-    assert not covering_check(mealy.action_graph(m, 2), small, "drop-first")
-    # one loop over one loop: only the words tell 0.0 -> 1 from 1.0 -> 1
-    loop = np.zeros((1, 1), dtype=np.intp)
-    small = mealy.LevelArrays(np.array([[1]]), loop, loop)
-    assert not covering_check(mealy.LevelArrays(np.array([[0, 0]]), loop, loop), small, "drop-last")
-    assert covering_check(mealy.LevelArrays(np.array([[1, 0]]), loop, loop), small, "drop-last")
-
-
-def test_covering_check_refuses_keys_beyond_int64():
-    def level(length, letters):
-        return mealy.LevelArrays(np.full((1, length), letters - 1), np.zeros((1, 1), dtype=np.intp), np.zeros((1, 1)))
-
-    assert covering_check(level(19, 9), level(18, 9), "drop-last")  # 9^18 < 2^63
-    with pytest.raises(ValueError, match="int64"):
-        covering_check(level(20, 10), level(19, 10), "drop-last")  # 10^19 > 2^63
+    # every vertex must map to a vertex of the level below, and every vertex
+    # below must be reached by as many as the others
+    lower, level = islice(level_tower(d12_q3, "A"), 2, 4)
+    graph, parent = level.graph, level.parent
+    for outside in (parent + 1, parent - 1):
+        with pytest.raises(ValueError, match="into 0..11"):
+            cover_fiber(graph, lower.graph, outside)
+    missed = parent.copy()
+    missed[parent == 0] = 1  # no word projects to vertex 0
+    with pytest.raises(ValueError, match="fibers differ"):
+        cover_fiber(graph, lower.graph, missed)
 
 
 @pytest.mark.parametrize("projection", ["drop-last", "drop-first"])
 def test_covering_between_lifted_levels_q3(d12_q3, projection):
-    m = mealy.from_datum(d12_q3)
-    assert covering_check(mealy.lift_arrays(m, 8), mealy.lift_arrays(m, 7), projection)
+    *_, (lower, *_), level = islice(level_tower(d12_q3, "A"), 9)
+    assert cover_fiber(level.graph, lower, getattr(level, PARENTS[projection])) == 3
 
 
 def test_covering_check_rejects_bad_projection(d12_q3):
-    m = mealy.from_datum(d12_q3)
-    g = mealy.action_graph(m, 1)
-    with pytest.raises(ValueError, match="projection"):
-        covering_check(g, g, "sideways")
+    # a parent array of the wrong length is no projection of the vertices
+    lower, level = islice(level_tower(d12_q3, "A"), 1, 3)
+    for parent in (level.parent[:-1], np.append(level.parent, 0), level.parent.reshape(4, 3)):
+        with pytest.raises(ValueError, match="parent must map the 12 vertices"):
+            cover_fiber(level.graph, lower.graph, parent)
 
 
 def test_product_level_graph_shapes(f5):

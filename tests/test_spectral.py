@@ -4,15 +4,18 @@ the Bass-Ihara transfer, and exact deviation norms."""
 import json
 import random
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, permutations, product
 from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
 
-from ramshift import build_quaternionic_datum, make_field
+from ramshift import build_quaternionic_datum, make_field, spectral
 from ramshift.cli import main
-from ramshift.graphs import TowerLevel, UGraph, cover_fiber, level_graph, level_size, level_tower, nb_matrix
+from ramshift.ffield import torus_generator
+from ramshift.graphs import (
+    TowerLevel, UGraph, cover_fiber, dart_map, is_automorphism, level_graph, level_size, level_tower, nb_matrix,
+)
 from ramshift.spectral import (
     DENSE_EIG_LIMIT,
     EXACT_POWER_LIMIT,
@@ -82,6 +85,22 @@ def test_eig_symmetric_petersen_against_char_poly():
 def test_eig_symmetric_rejects_nonsymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         eig_symmetric(np.array([[0, 1], [0, 0]]))
+
+
+def test_eig_symmetric_on_a_hermitian_circulant():
+    # the circulant with first row c, c_(n-k) = conj(c_k), is Hermitian with
+    # the eigenvalues sum_k c_k w^(jk), w = exp(2 pi i / n)
+    n = 7
+    c = np.array([2, 1 + 2j, 0.5j, 0, 0, -0.5j, 1 - 2j])
+    a = c[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    expected = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) @ c
+    assert np.abs(expected.imag).max() < 1e-12
+    assert np.abs(eig_symmetric(a) - np.sort(expected.real)[::-1]).max() < 1e-12
+    # a matrix equal to its transpose but not to its conjugate transpose,
+    # and one off by a single entry, are refused
+    for bad in (a + 1j * np.eye(n), a + np.eye(n, k=1)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_symmetric(bad)
 
 
 def test_trace_identities(d12_q3):
@@ -211,23 +230,213 @@ def test_tower_spectrum_at_other_places(p, e, places, top, side):
     assert len(_tower_against_whole_graphs(datum, side, top)) == top
 
 
+def _klein_quarters(datum, q, side, n):
+    """The Klein quarters of level n >= 3's doubly-new block
+    D = N_{n-2} (q - 1)^2, in the order (+, +), (-, +), (+, -), (-, -) of
+    (chi(iota), chi(rho)): the P_L = (q + 1) q^(ceil(L/2) - 1) palindromic
+    middles of length L keep the q (q - 1) / 2 transpose-even or the
+    (q - 1)(q - 2) / 2 odd functions of their grid, which moves
+    E = P_{n-2} (q - 1) between them."""
+    d = level_size(datum, side, n - 2) * (q - 1) ** 2
+    e = (q + 1) * q ** (-(-(n - 2) // 2) - 1) * (q - 1)
+    return (d + e) // 4, (d - e) // 4, (d - e) // 4, (d + e) // 4
+
+
+def _torus_characters(datum, q, side, n):
+    """The block dimension of each character chi of <u> x <rho> on level
+    n >= 3, in the order j + (q + 1) b for chi(u) = exp(2 pi i j / (q + 1))
+    and chi(rho) = (-1)^b: the middles of length L = n - 2 that are not
+    palindromes form free orbits of 2 (q + 1), each with all (q - 1)^2
+    functions of its grid, and the P_L palindromes orbits of q + 1, fixed
+    by r = iota rho, which keep the even or odd functions as
+    chi(r) = (-1)^j chi(rho) is 1 or -1."""
+    length = n - 2
+    palindromes = (q + 1) * q ** (-(-length // 2) - 1)
+    free = (level_size(datum, side, length) - palindromes) // (2 * (q + 1))
+    even, odd = q * (q - 1) // 2, (q - 1) * (q - 2) // 2
+    return tuple(free * (q - 1) ** 2 + palindromes // (q + 1) * (even if (-1) ** (j + b) == 1 else odd)
+                 for b in (0, 1) for j in range(q + 1))
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
 @pytest.mark.parametrize("q", sorted(TOWER_FIELDS))
 def test_tower_splits_every_quaternionic_level_from_3_on(q, side):
-    # the inversion and reversal split is what quarters the work; a broken
-    # symmetry falls back to a coarser split without a sound, so this pins
-    # the quarters of D = N_{n-2} (q - 1)^2 on every level n >= 3: the
-    # P_L = (q + 1) q^(ceil(L/2) - 1) palindromic middles of length L keep
-    # the q (q - 1) / 2 transpose-even or the (q - 1)(q - 2) / 2 odd
-    # functions of their grid, which moves E = P_{n-2} (q - 1) between them
+    # the rotation and reversal split is what divides the work by 2 (q + 1);
+    # a refused symmetry falls back to a coarser split without a sound, so
+    # this pins the blocks of every character on every level: level 1 is
+    # solved whole, level 2 in q + 1 blocks of q - 1 (one free orbit of
+    # fibers), and from level 3 on `_torus_characters`
     p, e, top = TOWER_FIELDS[q]
     datum = build_quaternionic_datum(make_field(p, e), 1, 2)
     blocks = [b for _, _, b in islice(tower_spectra(level_tower(datum, side)), top)]
-    assert blocks[:2] == [(q,), ((q + 1) * q - (q + 1),)][:top]
-    for n, solved in enumerate(blocks[2:], 3):
-        d = level_size(datum, side, n - 2) * (q - 1) ** 2
-        e = (q + 1) * q ** (-(-(n - 2) // 2) - 1) * (q - 1)
-        assert solved == ((d + e) // 4, (d - e) // 4, (d - e) // 4, (d + e) // 4)
+    assert blocks[:2] == [(q,), (q - 1,) * (q + 1)][:top]
+    for n, dims in enumerate(blocks[2:], 3):
+        assert dims == _torus_characters(datum, q, side, n)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("q", sorted(TOWER_FIELDS))
+def test_without_the_rotation_the_tower_keeps_the_klein_quarters(q, side):
+    # a tower whose levels offer no rotation is split as before it: level 2
+    # whole, the Klein quarters from level 3 on, and the same spectrum
+    p, e, top = TOWER_FIELDS[q]
+    datum = build_quaternionic_datum(make_field(p, e), 1, 2)
+    levels = list(islice(level_tower(datum, side), top + 1))
+    spectra = list(tower_spectra(iter([level._replace(rotation=None) for level in levels])))
+    assert [dims for *_, dims in spectra[:2]] == [(q,), ((q + 1) * (q - 1),)][:top]
+    for n, (graph, eigs, dims), (_, split, _) in zip(range(1, top + 1), spectra, tower_spectra(iter(levels))):
+        assert n < 3 or dims == _klein_quarters(datum, q, side, n)
+        assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
+        assert np.abs(eigs - split).max() < 1e-9  # the split by the rotation has the same spectrum
+
+
+# q -> (p, e, top): the levels checked at every place pair
+PLACE_FIELDS = {3: (3, 1, 5), 5: (5, 1, 3), 7: (7, 1, 3), 9: (3, 2, 3)}
+
+
+@pytest.mark.parametrize("q", sorted(PLACE_FIELDS))
+def test_the_rotation_splits_the_tower_at_every_place_pair(q):
+    # the benchmark draws its places at random: at every pair tau != sigma,
+    # on both sides, the rotation is kept from level 2 on (q + 1 characters
+    # there, 2 (q + 1) with reversal after it) and the spectrum is the whole
+    # adjacency's
+    p, e, top = PLACE_FIELDS[q]
+    spec = make_field(p, e)
+    for tau, sigma in permutations(range(1, q), 2):
+        datum = build_quaternionic_datum(spec, tau, sigma)
+        for side in "AB":
+            for n, (graph, eigs, dims) in enumerate(islice(tower_spectra(level_tower(datum, side)), top), 1):
+                assert len(dims) == (1, q + 1, 2 * (q + 1))[min(n, 3) - 1]
+                assert np.abs(eigs - np.linalg.eigvalsh(graph.adjacency())[::-1]).max() < 1e-9
+
+
+def _swaps(level, q):
+    """For two vertices v and w of a level whose orbits under the group
+    G = <u> x <rho> of its rotation and reversal are free and apart, the
+    involutions that swap g v and g w for every g of G, and for every g of
+    <u>: the first commutes with G, the second with <u> but not with rho."""
+    u, rho, n = level.rotation, level.reversal, level.graph.n_vertices()
+    group = spectral._elements([u, rho], (q + 1, 2), n)
+    free = [x for x in range(n) if len(set(group[:, x])) == len(group)]
+    v, w = free[0], next(x for x in free if x not in set(group[:, free[0]]))
+    swaps = []
+    for elements in (group, group[:q + 1]):  # the first q + 1 elements are <u>
+        swap = np.arange(n)
+        swap[elements[:, v]], swap[elements[:, w]] = elements[:, w], elements[:, v]
+        swaps.append(swap)
+    return swaps
+
+
+def test_a_refused_rotation_leaves_the_klein_split(d12_q5):
+    # maps offered as the rotation, each refused by one check, leave
+    # exactly the blocks and the spectrum of the tower without a rotation,
+    # and so do they for the dart blocks
+    q, levels = 5, list(islice(level_tower(d12_q5, "A"), 5))
+    *_, klein = tower_spectra(iter(levels[:4] + [levels[4]._replace(rotation=None)]))
+    assert klein.blocks == _klein_quarters(d12_q5, q, "A", 4)
+    for level in levels[3:]:
+        u, iota, rho = level.rotation, level.inversion, level.reversal
+        everywhere, only_u = _swaps(level, q)
+        # u times the first swap commutes with iota and rho and has order
+        # q + 1, but is no automorphism
+        no_automorphism = u[everywhere]
+        assert spectral._offered(no_automorphism, (iota, rho), q + 1, len(u))[0][1] == q + 1
+        assert not is_automorphism(level.graph, no_automorphism)
+        # u^2 is an automorphism, of order (q + 1) / 2
+        wrong_order = u[u]
+        assert is_automorphism(level.graph, wrong_order)
+        assert not spectral._has_order(spectral._powers(wrong_order, q + 1))
+        # u times the second swap commutes with iota and has order q + 1,
+        # but does not commute with rho
+        not_commuting = u[only_u]
+        assert (not_commuting[iota] == iota[not_commuting]).all() and (not_commuting[rho] != rho[not_commuting]).any()
+        assert [order for _, order in spectral._offered(not_commuting, (iota, rho), q + 1, len(u))] == [2, 2]
+        # and maps that are no rotation at all: floats, the wrong length, the
+        # identity (of order 1)
+        malformed = (u.astype(float), u[:-1], np.arange(len(u)), None)
+        for rotation in (no_automorphism, wrong_order, not_commuting, *malformed):
+            if level is levels[3]:  # the 900 darts of A_3
+                eigs, blocks = nb_spectrum(level.graph, (iota, rho), rotation)
+                darts = nb_spectrum(level.graph, (iota, rho))
+                assert blocks == darts[1] and np.array_equal(eigs, darts[0])
+            else:
+                *_, (_, eigs, blocks) = tower_spectra(iter(levels[:4] + [level._replace(rotation=rotation)]))
+                assert blocks == klein.blocks and np.array_equal(eigs, klein.eigenvalues)
+
+
+def test_a_map_is_kept_only_with_an_image_of_its_order_that_commutes():
+    # a 4-cycle whose image on the points the split acts on has order 2
+    # (a power acts trivially there) is refused; with an image of order 4
+    # it is kept
+    cycle4 = np.array([1, 2, 3, 0])
+    assert spectral._symmetries([(cycle4, 4)], 4, lambda perm: np.array([1, 0])) == []
+    assert [order for *_, order in spectral._symmetries([(cycle4, 4)], 4, lambda perm: perm)] == [4]
+    # two commuting swaps whose images do not commute: the second is refused
+    swaps = [(np.array([1, 0, 2, 3]), 2), (np.array([0, 1, 3, 2]), 2)]
+    crossed = {1: np.array([1, 0, 2]), 0: np.array([0, 2, 1])}  # by perm[0]
+    assert len(spectral._symmetries(swaps, 4, lambda perm: crossed[int(perm[0])])) == 1
+    assert len(spectral._symmetries(swaps, 4, lambda perm: perm)) == 2
+
+
+def test_a_broken_assembly_is_caught(d12_q3, monkeypatch):
+    # an assembler that loses a column, or changes an entry, fails the
+    # dimension count of the blocks (tower and darts) or the trace identity
+    # of the darts
+    levels = list(islice(level_tower(d12_q3, "A"), 4))
+    one, three = levels[1], levels[3]
+    assemble = spectral.dart_blocks
+
+    def narrower(*args):
+        return [block[1:, 1:] for block in assemble(*args)]
+
+    monkeypatch.setattr(spectral, "dart_blocks", narrower)
+    with pytest.raises(RuntimeError, match="character blocks add up to 2 dimensions, not 3"):
+        list(islice(tower_spectra(level_tower(d12_q3, "A")), 1))  # level 1, solved whole
+    with pytest.raises(RuntimeError, match="character blocks add up to 4 dimensions, not 8"):
+        spectral._fiber_blocks(levels[2], 4, 3)  # level 2, split by the rotation
+    with pytest.raises(RuntimeError, match="character blocks add up to 15 dimensions, not 16"):
+        nb_blocks(one.graph)
+
+    def shifted(*args):
+        blocks = assemble(*args)
+        blocks[0] = blocks[0] + np.eye(len(blocks[0]))
+        return blocks
+
+    monkeypatch.setattr(spectral, "dart_blocks", shifted)
+    with pytest.raises(RuntimeError, match="trace identity"):
+        nb_blocks(three.graph, (three.inversion, three.reversal), three.rotation)
+
+
+def test_a_datum_without_a_field_is_split_as_before(datum_without_inversion):
+    # no rotation is offered, so the blocks are the reversal halves they were
+    for datum, expected in ((datum_without_inversion, [(48, 48), (240, 240)]),
+                            (random_vh_datum(random.Random(3), 4, 4), None)):
+        for side in "AB":
+            levels = list(islice(level_tower(datum, side), 5))
+            assert all(level.rotation is None for level in levels)
+            spectra = list(tower_spectra(iter(levels)))
+            assert expected is None or [dims for *_, dims in spectra[2:]] == expected
+            for graph, eigs, dims in spectra:
+                assert len(dims) <= 4
+                assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
+
+
+def test_blocks_of_the_largest_levels_under_the_cap():
+    # q = 9 A_3: 20 characters of 28 or 36 where the Klein quarters were
+    # (180, 140, 140, 180); q = 5 A_4: 38 or 42 for (126, 114, 114, 126);
+    # q = 13 A_2: 14 blocks of 12 for one of 168.  One block of each pair of
+    # conjugate characters is solved, 12, 8 and 8 of them
+    for (p, e, n), count, total, largest, solved in [((3, 2, 3), 20, 640, 36, 12), ((5, 1, 4), 12, 480, 42, 8),
+                                                     ((13, 1, 2), 14, 168, 12, 8)]:
+        datum = build_quaternionic_datum(make_field(p, e), 1, 2)
+        for side in "AB":
+            levels = list(islice(level_tower(datum, side), n + 1))
+            *_, (graph, eigs, dims) = tower_spectra(iter(levels))
+            assert (len(dims), sum(dims), max(dims)) == (count, total, largest)
+            split = (spectral._fiber_blocks(levels[n], levels[n - 1].graph.n_vertices(), p ** e) if n == 2 else
+                     spectral._grid_blocks(levels[n], levels[n - 1], levels[n - 2].graph.n_vertices()))
+            assert len(split.blocks) == solved and split.dims == dims
+            assert sum(len(b) * (1 + twin) for b, twin in zip(split.blocks, split.twins)) == total
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -294,26 +503,32 @@ def test_a_broken_reversal_is_refused_and_the_spectrum_stays_exact(d12_q3, broke
 
 def test_a_malformed_reversal_is_refused_without_a_sound(d12_q3):
     # the wrong length, floats, the identity (it moves no middle) and the
-    # other symmetry offered in its place all leave the other's halves, for
-    # reversal and for inversion alike: the other one offered twice makes
-    # r = iota rho the identity, which fixes every grid but is not its slot
-    # transpose
+    # other symmetry offered in its place are each refused, or add nothing,
+    # for reversal and for inversion alike.  Without the rotation the other
+    # one's halves are left (the other one offered twice makes r = iota rho
+    # the identity, which fixes every grid but is not its slot transpose);
+    # with it, iota = u^2 adds nothing, so a malformed reversal leaves the
+    # four characters of <u> and a malformed inversion all eight of
+    # <u> x <rho>
     levels = list(islice(level_tower(d12_q3, "A"), 5))
-    top = levels[4]
-    n = top.graph.n_vertices()
-    for name, other in (("reversal", "inversion"), ("inversion", "reversal")):
-        for offered in (np.arange(n + 1), getattr(top, name).astype(float), np.arange(n), getattr(top, other)):
-            tower = levels[:4] + [top._replace(**{name: offered})]
-            (graph, eigs, blocks), = islice(tower_spectra(iter(tower)), 3, 4)
-            assert blocks == (level_size(d12_q3, "A", 2) * 2 ** 2 // 2,) * 2
-            assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
+    n = levels[4].graph.n_vertices()
+    whole = level_size(d12_q3, "A", 2) * 2 ** 2
+    expected = {"reversal": (whole // 4,) * 4, "inversion": _torus_characters(d12_q3, 3, "A", 4)}
+    for top in (levels[4], levels[4]._replace(rotation=None)):
+        for name, other in (("reversal", "inversion"), ("inversion", "reversal")):
+            for offered in (np.arange(n + 1), getattr(top, name).astype(float), np.arange(n), getattr(top, other)):
+                tower = levels[:4] + [top._replace(**{name: offered})]
+                (graph, eigs, blocks), = islice(tower_spectra(iter(tower)), 3, 4)
+                assert blocks == ((whole // 2,) * 2 if top.rotation is None else expected[name])
+                assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
 
 
 def test_reversal_is_dropped_where_r_is_no_slot_transpose(d12_q3):
     # two words x.m and x'.m of level 3, for a palindromic m, trade places:
     # the drop-first fiber of m is reordered but its drop-last fiber is not,
     # so r = inversion . reversal no longer acts on the grids of m at level
-    # 4 as the slot transpose, and only inversion's halves are solved
+    # 4 as the slot transpose, and reversal is dropped: only the characters
+    # of the rotation, which contains inversion, are solved
     levels = list(islice(level_tower(d12_q3, "A"), 5))
     three, four = levels[3], levels[4]
     m = next(v for v, label in enumerate(levels[2].graph.vertex_labels) if len(set(label.split("."))) == 1)
@@ -326,7 +541,8 @@ def test_reversal_is_dropped_where_r_is_no_slot_transpose(d12_q3):
     )
     four = four._replace(parent=swap[four.parent], last_parent=swap[four.last_parent])
     spectra = list(tower_spectra(iter(levels[:3] + [three, four])))
-    assert [blocks for _, _, blocks in spectra[2:]] == [(6, 2, 2, 6), (24, 24)]
+    # level 3 offers no rotation here; level 4 keeps the rotation's characters
+    assert [blocks for _, _, blocks in spectra[2:]] == [(6, 2, 2, 6), (12, 12, 12, 12)]
     for graph, eigs, _ in spectra:
         assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
 
@@ -335,16 +551,41 @@ def test_tower_last_parents_and_inversions_follow_the_words(d12_q3):
     levels = list(islice(level_tower(d12_q3, "B"), 5))
     inverse = dict(zip(d12_q3.V, (d12_q3.V[i] for i in d12_q3.inv_V)))
     assert levels[1].last_parent.tolist() == [0] * 4
-    for (lower, *_), (graph, _, last, inversion, _) in zip(levels[1:], levels[2:]):
+    for lower, level in zip(levels[1:], levels[2:]):
+        graph = level.graph
         labels = [label.split(".") for label in graph.vertex_labels]
-        assert [".".join(word[:-1]) for word in labels] == [lower.vertex_labels[v] for v in last]
-        assert [".".join(map(inverse.get, word)) for word in labels] == [graph.vertex_labels[v] for v in inversion]
+        assert [".".join(word[:-1]) for word in labels] == [lower.graph.vertex_labels[v] for v in level.last_parent]
+        assert [".".join(map(inverse.get, word)) for word in labels] == [
+            graph.vertex_labels[v] for v in level.inversion]
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_tower_reversals_follow_the_words(d12_q3, side):
-    for graph, *_, reversal in islice(level_tower(d12_q3, side), 1, 5):
-        assert reversal.tolist() == letter_map(d12_q3, side, graph, reverse=True)
+    for level in islice(level_tower(d12_q3, side), 1, 5):
+        assert level.reversal.tolist() == letter_map(d12_q3, side, level.graph, reverse=True)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2), (13, 1)])
+def test_tower_rotations_follow_the_words(p, e, side):
+    # every letter of the word multiplied by the torus generator u, which
+    # has norm 1 and order q + 1 in F_q[Z]^x, computed here on elements
+    spec = make_field(p, e)
+    datum = build_quaternionic_datum(spec, 1, 2)
+    u = spec.ext(*map(int, torus_generator(spec)))
+    assert u.norm() == spec.one()
+    powers = [u]
+    while powers[-1] != spec.ext(1):
+        powers.append(powers[-1] * u)
+    assert len(powers) == spec.q + 1
+    elems = datum.H_elems if side == "A" else datum.V_elems
+    letters = datum.H if side == "A" else datum.V
+    rotated = {letters[i]: letters[elems.index(u * x)] for i, x in enumerate(elems)}
+    for level in islice(level_tower(datum, side), 1, 4):
+        index = {label: v for v, label in enumerate(level.graph.vertex_labels)}
+        words = (label.split(".") for label in level.graph.vertex_labels)
+        assert level.rotation.tolist() == [index[".".join(map(rotated.get, word))] for word in words]
+
 
 
 def test_reversal_is_an_automorphism_of_every_valid_datum():
@@ -430,8 +671,9 @@ def test_transfer_report(d12_q3):
 
 
 def test_grid_blocks_share_their_group_pairs_bit_for_bit(d12_q3, f9, monkeypatch):
-    from ramshift import spectral
-
+    # the characters of one assembly share one grouping of the darts into
+    # pairs of orbits; assembled one character at a time, each finding its
+    # own, every block is the same to the bit
     towers = [list(islice(level_tower(datum, side), top))
               for datum, top in ((d12_q3, 7), (build_quaternionic_datum(f9, 1, 2), 4)) for side in "AB"]
 
@@ -441,12 +683,16 @@ def test_grid_blocks_share_their_group_pairs_bit_for_bit(d12_q3, f9, monkeypatch
 
     shared = grid_blocks()
     assemble = spectral.dart_blocks
-    # each call finds its own group pairs again, as before they were shared
-    monkeypatch.setattr(spectral, "dart_blocks", lambda *args: assemble(*args[:7]))
+
+    def one_at_a_time(origin, terminus, group, slot, basis, weights, keep):
+        return [assemble(origin, terminus, group, slot, basis, row[None], keep)[0] for row in weights]
+
+    monkeypatch.setattr(spectral, "dart_blocks", one_at_a_time)
     alone = grid_blocks()
     assert len(shared) == 10
     for ours, theirs in zip(shared, alone):
-        assert len(ours) == len(theirs) and all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert ours.dims == theirs.dims and ours.twins == theirs.twins
+        assert all(np.array_equal(a, b) for a, b in zip(ours.blocks, theirs.blocks))
 
 
 def _matched_distance(xs, ys) -> float:
@@ -472,21 +718,29 @@ def _whole_dart_spectrum(graph):
 def test_split_dart_spectrum_matches_the_whole(p, e, top, tol, side):
     # q = 9 has eigenvalues +-2 sqrt(q), whose dart eigenvalues +-sqrt(q)
     # sit in 2 x 2 Jordan blocks, so both solves move them by ~sqrt(eps)
+    # the rotation u and reversal, lifted to the darts, give 2 (q + 1)
+    # characters, and q + 1 on level 1, where reversal is inversion = u^((q + 1) / 2)
     datum = build_quaternionic_datum(make_field(p, e), 1, 2)
-    for level in islice(level_tower(datum, side), 1, top + 1):
-        eigs, blocks = nb_spectrum(level.graph, (level.inversion, level.reversal))
-        assert len(blocks) == 4 and sum(blocks) == level.graph.n_darts()
+    q = p ** e
+    for n, level in enumerate(islice(level_tower(datum, side), 1, top + 1), 1):
+        eigs, blocks = nb_spectrum(level.graph, (level.inversion, level.reversal), level.rotation)
+        assert len(blocks) == (q + 1) * (1 if n == 1 else 2) and sum(blocks) == level.graph.n_darts()
         assert _matched_distance(eigs, _whole_dart_spectrum(level.graph)) <= tol
 
 
-@pytest.mark.parametrize("p,e,n,blocks", [(3, 1, 4, (108, 108, 108, 108)), (3, 2, 1, (50, 0, 0, 50))],
+@pytest.mark.parametrize("p,e,n,blocks,solved", [(3, 1, 4, (54,) * 8, 6), (3, 2, 1, (10,) * 10, 6)],
                          ids=["q3_A4", "q9_A1"])
-def test_dart_block_dimensions(p, e, n, blocks):
-    # on level 1 inversion and reversal agree, so the characters that
-    # differ on them have no vectors
+def test_dart_block_dimensions(p, e, n, blocks, solved):
+    # the 432 darts of q = 3 A_4 in 8 characters of <u> x <rho>, where the
+    # Klein quarters were 108 each; on level 1 reversal is inversion, which
+    # is in <u>, so the 100 darts of q = 9 A_1 split by the 10 of <u> alone;
+    # of each pair of conjugate characters one block is assembled
     datum = build_quaternionic_datum(make_field(p, e), 1, 2)
     level = next(islice(level_tower(datum, "A"), n, None))
-    assert tuple(map(len, nb_blocks(level.graph, (level.inversion, level.reversal)))) == blocks
+    split = nb_blocks(level.graph, (level.inversion, level.reversal), level.rotation)
+    assert split.dims == blocks
+    assert len(split.blocks) == solved and len(split.blocks) + sum(split.twins) == len(blocks)
+    assert nb_blocks(level.graph, (level.inversion, level.reversal)).dims == ((108,) * 4 if n == 4 else (50, 50))
 
 
 def _reflection(n, shift=0):
@@ -526,12 +780,13 @@ def test_refused_level_symmetries_leave_the_dart_spectrum(d12_q3):
 
 
 @pytest.mark.parametrize("symmetries, blocks", [
-    pytest.param([np.array([0])], (0, 0), id="identity"),
+    pytest.param([np.array([0])], (0,), id="identity"),
     pytest.param([np.array([0.0]), np.arange(2), np.array([1]), None], (0,), id="refused"),
 ])
 def test_a_graph_without_darts_splits_into_empty_blocks(symmetries, blocks):
+    # the identity is no involution and adds nothing to the group
     point = UGraph(["a"], [], [], [], [])
-    assert tuple(map(len, nb_blocks(point, symmetries))) == blocks
+    assert nb_blocks(point, symmetries).dims == blocks
     assert nb_spectrum(point, symmetries)[1] == blocks
 
 
@@ -553,15 +808,18 @@ def test_dart_blocks_on_loops_and_multiple_edges():
     assert _matched_distance(eigs, _whole_dart_spectrum(graph)) <= 1e-9
 
 
-@pytest.mark.parametrize("crossed,blocks", [(False, (3, 3)), (True, (6,))], ids=["paired", "crossed"])
-def test_a_dart_map_must_commute_with_dart_inversion(crossed, blocks):
-    # a triple edge 0 = 1: the swap of its ends sends the k-th dart each way
-    # to the k-th dart back, which commutes with dart inversion only when
-    # inversion pairs the k-th darts; crossed, it pairs them by a 3-cycle
+@pytest.mark.parametrize("crossed", [False, True], ids=["paired", "crossed"])
+def test_a_dart_map_must_commute_with_dart_inversion(crossed):
+    # a triple edge 0 = 1, its darts paired by inversion in place or by a
+    # 3-cycle: the swap of its ends goes to the dart map that sends each
+    # edge to the edge of the same rank, so it commutes with dart inversion
+    # either way, and both split
     inv = np.array([4, 5, 3, 2, 0, 1]) if crossed else np.array([3, 4, 5, 0, 1, 2])
     graph = UGraph(["0", "1"], [0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0], inv, list("abcdef"))
+    sigma = dart_map(graph, np.array([1, 0]))
+    assert (sigma[graph.inv] == graph.inv[sigma]).all() and (sigma[sigma] == np.arange(6)).all()
     eigs, got = nb_spectrum(graph, [np.array([1, 0])])
-    assert got == blocks
+    assert got == (3, 3)
     assert _matched_distance(eigs, _whole_dart_spectrum(graph)) <= 1e-12
 
 
