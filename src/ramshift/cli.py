@@ -8,11 +8,13 @@ tables, SVG for tiles.  Every JSON report goes through one writer,
 with a graph's dart and adjacency arrays written straight from numpy.
 
 Every output embeds the resolved run configuration for provenance (plus a
-timestamp unless --no-timestamp is given), files are written atomically,
-and nothing is randomized, so reruns with the same flags are byte-identical
-modulo the timestamp, for the same BLAS thread count: the last digits of
-eigenvalues and of the distances that bass-ihara reports can change with
-the number of threads (OPENBLAS_NUM_THREADS).  No color is ever emitted.
+timestamp unless --no-timestamp is given): the options the run read, so
+not those that a --datum or --graph-json file replaces, which are usage
+errors beside it.  Files are written atomically, and nothing is
+randomized, so reruns with the same flags are byte-identical modulo the
+timestamp, for the same BLAS thread count: the last digits of eigenvalues
+and of the distances that bass-ihara reports can change with the number
+of threads (OPENBLAS_NUM_THREADS).  No color is ever emitted.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
 error (a --tau, --sigma or --s0 place outside 1..q-1 among them), 3
@@ -39,6 +41,34 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+
+# the options that a datum or graph file replaces, with their defaults when
+# no file replaces them; None leaves an option out of the run's config
+_DATUM_DEFAULTS = {"p": 3, "e": 1, "tau": 1, "sigma": 2}
+_REPLACED = {
+    "datum": _DATUM_DEFAULTS,
+    "graph_json": {"datum": None, **_DATUM_DEFAULTS, "levels": "1:4", "side": "both"},
+}
+
+
+def _resolve_replaced(args: argparse.Namespace) -> None:
+    """Refuse an option given beside a file that replaces it (ValueError),
+    and give each replaceable option that no file replaces its default, so
+    the run's config records exactly the options the run reads."""
+    replaced = set()
+    for source, names in _REPLACED.items():
+        if not getattr(args, source, None):  # as the commands read it: an empty path is none
+            continue
+        given = next((name for name in names if getattr(args, name, None) is not None), None)
+        if given is not None:
+            flag = "--" + given.replace("_", "-")
+            raise ValueError(f"{flag} cannot be given with --{source.replace('_', '-')}, which replaces it")
+        replaced.update(names)
+    for names in _REPLACED.values():
+        for name, default in names.items():
+            if name not in replaced and getattr(args, name, False) is None:
+                setattr(args, name, default)
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -301,10 +331,10 @@ def _dense_cap(text: str) -> int:
 
 def _add_datum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--datum", help="read the datum from a JSON file instead of building it")
-    p.add_argument("--p", type=int, default=3, help="odd prime characteristic")
-    p.add_argument("--e", type=int, default=1, help="extension degree (q = p^e)")
-    p.add_argument("--tau", type=int, default=1, help="first place (canonical encoding)")
-    p.add_argument("--sigma", type=int, default=2, help="second place")
+    p.add_argument("--p", type=int, help="odd prime characteristic (default 3)")
+    p.add_argument("--e", type=int, help="extension degree, q = p^e (default 1)")
+    p.add_argument("--tau", type=int, help="first place, canonical encoding (default 1)")
+    p.add_argument("--sigma", type=int, help="second place (default 2)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -355,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ramanujan", help="spectral verification campaign over level graphs")
     _add_datum_args(p)
-    p.add_argument("--levels", default="1:4", help="range lo:hi or comma list")
-    p.add_argument("--side", choices=("A", "B", "both"), default="both")
+    p.add_argument("--levels", help="range lo:hi or comma list (default 1:4)")
+    p.add_argument("--side", choices=("A", "B", "both"), help="default both")
     p.add_argument("--tol", type=_tol, default=1e-8)
     p.add_argument("--dense-cap", type=_dense_cap, default=spectral.DENSE_EIG_LIMIT,
                    help="skip levels with more vertices than this "
@@ -400,6 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_replaced(args)
         return args.func(args)
     except spectral.SizeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,10 +45,11 @@ from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, dot_escape
 class UGraph:
     """Undirected multigraph on int dart arrays: dart e runs from origin[e]
     to terminus[e] with label dart_labels[e], and inv[e] is its inverse.
-    Construction converts the index arrays to int64 once and checks them,
-    so every consumer may index with them freely, and checks that every
-    label is a str and that vertex labels are distinct (DOT names vertices
-    by label), so every file written can be read back."""
+    Construction copies the index arrays to read-only int64 arrays once and
+    checks them, so every consumer may index with them freely and a graph's
+    darts never change, and checks that every label is a str and that
+    vertex labels are distinct (DOT names vertices by label), so every file
+    written can be read back."""
 
     vertex_labels: list[str]
     origin: np.ndarray
@@ -64,8 +66,9 @@ class UGraph:
         if len(set(self.vertex_labels)) != n:
             raise ValueError("vertex labels must be distinct")
         # an index beyond int64 raises OverflowError in these conversions;
-        # ugraph_from_json reports it as a malformed file
-        o, t, inv = (np.asarray(x, dtype=np.int64) for x in (self.origin, self.terminus, self.inv))
+        # ugraph_from_json reports it as a malformed file.  They copy, so a
+        # caller's own array is never frozen
+        o, t, inv = (np.array(x, dtype=np.int64) for x in (self.origin, self.terminus, self.inv))
         m = len(o)
         if len(t) != m or len(self.dart_labels) != m:
             raise ValueError("origin, terminus and dart_labels must have one entry per dart")
@@ -80,7 +83,19 @@ class UGraph:
         # for an involution, o[inv] == t also gives t[inv] == o
         if (o[inv] != t).any():
             raise ValueError("inverse dart must reverse origin and terminus")
+        for x in (o, t, inv):
+            x.setflags(write=False)
         self.origin, self.terminus, self.inv = o, t, inv
+
+    @cached_property
+    def out_stars(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_out_stars` of the darts, read-only, computed once when first
+        read: the covering and automorphism checks gather the image side's
+        rows from it."""
+        stars = _out_stars(self.origin, self.terminus, self.n_vertices())
+        for x in stars:
+            x.setflags(write=False)
+        return stars
 
     def n_vertices(self) -> int:
         return len(self.vertex_labels)
@@ -148,7 +163,13 @@ def nb_arcs(graph: UGraph) -> tuple[np.ndarray, np.ndarray, int]:
 
 def nb_matrix(graph: UGraph) -> DartGraph:
     """Non-backtracking (Bass-Hashimoto) matrix on the darts of a regular
-    graph; rows and columns each sum to d for a (d+1)-regular base."""
+    graph; rows and columns each sum to d for a (d+1)-regular base.
+
+    No command reads it: `spectral.nb_blocks` sums its blocks from
+    `nb_arcs`.  It stays as the dense reference the tests compare the blocks
+    with, and because `benchmarks/tracing.TARGETS` wraps it by name, so
+    deleting it breaks
+    `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`."""
     e, f, d = nb_arcs(graph)
     n = graph.n_darts()
     h = np.zeros((n, n), dtype=np.int64)
@@ -361,7 +382,7 @@ def cover_fiber(graph: UGraph, lower: UGraph, parent: np.ndarray) -> int:
     fibers = np.bincount(parent, minlength=n_low)
     if (fibers != fibers[0]).any():
         raise ValueError("parent is not a covering map: its fibers differ in size")
-    if not _stars_correspond(parent, n_low, graph.origin, graph.terminus, lower.origin, lower.terminus):
+    if not _stars_correspond(parent, graph.origin, graph.terminus, lower.out_stars):
         raise ValueError("parent is not a covering map: an out-star does not map onto its image's")
     return int(fibers[0])
 
@@ -374,25 +395,33 @@ def is_automorphism(graph: UGraph, perm: np.ndarray) -> bool:
     perm = np.asarray(perm)
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         return False
-    return _stars_correspond(perm, n, graph.origin, graph.terminus, graph.origin, graph.terminus)
+    return _stars_correspond(perm, graph.origin, graph.terminus, graph.out_stars)
 
 
-def _stars_correspond(pmap, n_small, big_tail, big_head, small_tail, small_head) -> bool:
-    """Does pmap send the multiset of heads of the darts at each big vertex
-    onto that at its image?  Each side becomes one array of heads sorted by
-    the int64 key tail * n_small + head, a row per vertex, and the row of
+def _out_stars(tail: np.ndarray, head: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, degree) of the arcs tail[e] -> head[e] on n vertices: the
+    heads of the arcs at each vertex, sorted by the int64 key
+    tail * n + head, one vertex's row after another, and each vertex's
+    out-degree, the length of its row."""
+    return np.sort(tail * n + head) % n, np.bincount(tail, minlength=n)
+
+
+def _stars_correspond(pmap: np.ndarray, tail: np.ndarray, head: np.ndarray, stars) -> bool:
+    """Does pmap send the multiset of heads of the arcs tail -> head at
+    each vertex onto that at its image, whose `_out_stars` are stars?  The
+    mapped heads become rows like those, and the image's row of
     pmap[v] is gathered for each v.  Keys stay below
-    max(len(pmap), n_small) * n_small, under 2^63 for fewer than 3e9
-    vertices a side."""
-    big_deg = np.bincount(big_tail, minlength=len(pmap))
-    small_deg = np.bincount(small_tail, minlength=n_small)
-    if (big_deg != small_deg[pmap]).any():
+    max(len(pmap), n) * n for the image's n vertices, under 2^63 for fewer
+    than 3e9 vertices a side."""
+    heads, degree = stars
+    n = len(degree)
+    mapped_deg = np.bincount(tail, minlength=len(pmap))
+    if (mapped_deg != degree[pmap]).any():
         return False
-    big_rows = np.sort(big_tail * n_small + pmap[big_head]) % n_small
-    small_rows = np.sort(small_tail * n_small + small_head) % n_small
-    start = np.cumsum(small_deg) - small_deg
-    offset = np.arange(len(big_rows)) - np.repeat(np.cumsum(big_deg) - big_deg, big_deg)
-    return bool((big_rows == small_rows[np.repeat(start[pmap], big_deg) + offset]).all())
+    rows = np.sort(tail * n + pmap[head]) % n
+    start = np.cumsum(degree) - degree
+    offset = np.arange(len(rows)) - np.repeat(np.cumsum(mapped_deg) - mapped_deg, mapped_deg)
+    return bool((rows == heads[np.repeat(start[pmap], mapped_deg) + offset]).all())
 
 
 # ---------------------------------------------------------------------------

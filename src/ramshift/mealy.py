@@ -179,7 +179,12 @@ def act(m: Mealy, state: int, word: Word) -> tuple[Word, int]:
 
 def reduced_words(n: int, size: int, inv: list[int]) -> list[Word]:
     """All reduced words of length n over an alphabet of `size` letters, in
-    lexicographic order; count is size * (size-1)^(n-1)."""
+    lexicographic order; count is size * (size-1)^(n-1).
+
+    Only `action_graph` reads it: `lift_arrays` enumerates reduced words as
+    arrays.  It stays as the tests' reference for that order, and because
+    `benchmarks/tracing.TARGETS` wraps it by name, so deleting it breaks
+    `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`."""
     if n == 0:
         return [()]
     words = [(x,) for x in range(size)]
@@ -211,6 +216,11 @@ def action_graph(m: Mealy, n: int, reduced: bool = False) -> LevelArrays:
     In reduced mode the vertices are the reduced words, and a state that
     maps a reduced word outside them raises (datum automata never do).
     n = 0 gives a single vertex with a loop per state.
+
+    No command reads it: the level graphs come from `lift_arrays`.  It stays
+    as the reference the tests compare the lift with, and because
+    `benchmarks/tracing.TARGETS` wraps it by name, so deleting it breaks
+    `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")

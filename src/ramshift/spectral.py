@@ -24,27 +24,27 @@ doubly-new blocks after them, with eig_symmetric's residual and trace
 checks.  A graph with no known cover is solved whole.
 
 Character split: the rotation u (multiply every letter by a generator of
-the norm-one torus, of order q + 1), letter-wise inversion iota = u^((q+1)/2)
-and reversal rho (reverse the word, invert every letter), where they check
-out, generate a finite abelian group that commutes with A and, lifted to
-the darts, with the non-backtracking matrix H: <u> x <rho>, of order
-2 (q + 1), on a quaternionic level, and at most the Klein group
-{1, iota, rho, iota rho} without the rotation.  Both matrices then split
-into one block per character of that group (Serre, Linear Representations
-of Finite Groups, 2.6), and the tower's new and doubly-new blocks and the
-direct dart spectrum of `nb_blocks` are split the same way, by three
-shared pieces: `_symmetries` keeps the offered maps of the right order
-that commute with those kept before, add to their group and pass the
-caller's own test (grids or fibers to fibers for the tower, automorphisms
-for the darts), so a refused map only coarsens the split; `_orbits`
-builds the group, its complex characters and its orbits; and
-`dart_blocks`, the one assembler, sums every block from the darts that
-leave an orbit representative, never from a dense matrix, complex weights
-as two real counts.  A character and its complex conjugate have conjugate
-blocks, so one block of each pair is assembled and solved (`Split`): the
-tower's Hermitian blocks give the same eigenvalues twice, the dart blocks
-conjugate ones.  The tower's blocks are made exactly Hermitian; the dart
-blocks are checked by their dimension count and a trace identity.
+the norm-one torus, of order q + 1), letter-wise inversion
+iota = u^((q+1)/2) and reversal rho (reverse the word, invert every
+letter), where they check out, generate a finite abelian group that
+commutes with A and, lifted to the darts, with the non-backtracking matrix
+H: <u> x <rho>, of order 2 (q + 1), on a quaternionic level, and at most
+the Klein group {1, iota, rho, iota rho} without the rotation.  Both
+matrices split into one block per character of that group (Serre, Linear
+Representations of Finite Groups, 2.6) by one function,
+`_character_blocks`, whose owners are fibers, middle words' grids or
+darts: `_symmetries` keeps the offered maps of the right order that
+commute with those kept before, add to their group and pass the caller's
+own test, so a refused map only coarsens the split; `_orbits` builds the
+group, its complex characters and its orbits; one stabiliser rule (an
+element that fixes an owner acts on its slots as the identity or the
+transpose) says which columns an orbit keeps; and `dart_blocks`, the one
+assembler, sums every block from the arcs that leave a representative,
+never from a dense matrix, complex weights as two real counts.  One block
+of each pair of conjugate characters is assembled and solved (`Split`):
+the tower's Hermitian blocks give the same eigenvalues twice, the dart
+blocks conjugate ones.  Every split is checked by its dimension count, the
+dart blocks also by a trace identity.
 
 Bass-Ihara: `nb_transfer_report` compares the dart spectrum, solved
 directly and blockwise as above, with the quadratic transfer of the
@@ -141,19 +141,17 @@ def _fiber_slots(proj: np.ndarray, f: int) -> np.ndarray:
 
 
 def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slot: np.ndarray, basis: np.ndarray,
-                weights: np.ndarray | None = None, keep: np.ndarray | None = None) -> list[np.ndarray]:
-    """The one block assembler: Q^T A_w Q for each row w of weights (one
-    unweighted block when weights is None), where A_w counts the dart
-    origin[e] -> terminus[e] with weight w[e] and Q has the columns (g, k),
-    column (g, k) being basis[slot[v], k] on every vertex v of group g.
-    keep, a boolean mask over those columns (one row per block, or one for
-    all), keeps only the columns it marks.  It is summed from the darts,
-    never from a dense N x N matrix: the darts between each pair of groups
-    (a, b) are counted by their origin's and terminus' slots into C, for
-    every row at once, and give the block B^T C B.  Complex weights are
+                weights: np.ndarray, keep: np.ndarray | None = None) -> list[np.ndarray]:
+    """The one block assembler: Q^T A_w Q for each row w of weights, where
+    A_w counts the dart origin[e] -> terminus[e] with weight w[e] and Q has
+    the columns (g, k), column (g, k) being basis[slot[v], k] on every
+    vertex v of group g.  keep, one boolean mask over those columns for
+    every block, keeps only the columns it marks.  It is summed from the
+    darts, never from a dense N x N matrix: the darts between each pair of
+    groups (a, b) are counted by their origin's and terminus' slots into C,
+    for every row at once, and give the block B^T C B.  Complex weights are
     summed as two real counts, real and imaginary parts; a row whose
     weights are all real gives a real block."""
-    weights = np.ones((1, len(origin))) if weights is None else weights
     (g, k), rows = basis.shape, len(weights)
     n_groups = int(group.max(initial=-1)) + 1
     pairs, pair = np.unique(group[origin] * n_groups + group[terminus], return_inverse=True)
@@ -167,11 +165,9 @@ def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slo
     block = np.zeros((rows, n_groups, k, n_groups, k), dtype=projected.dtype)
     block[:, pairs // n_groups, :, pairs % n_groups, :] = projected.transpose(1, 0, 2, 3)
     block = block.reshape(rows, n_groups * k, n_groups * k)
-    if keep is not None and np.ndim(keep) == 1:
+    if keep is not None:
         cols = np.flatnonzero(keep)
         block = block[:, cols][:, :, cols]
-    elif keep is not None:
-        block = [b[np.ix_(c, c)] for b, c in zip(block, map(np.flatnonzero, keep))]
     return [b.real if real else b for b, real in zip(block, (weights.imag == 0).all(axis=1))]
 
 
@@ -257,7 +253,6 @@ class _Group(NamedTuple):
     is the product of g_i^(a_i) for the digits a_i of e, and character c,
     with digits j_i, takes the value exp(2 pi i sum_i a_i j_i / n_i) on it."""
 
-    maps: np.ndarray        # (|G|, size): each element's map of the points
     characters: np.ndarray  # (|G|, |G|): characters[c, e], real when every generator is an involution
     negated: np.ndarray     # the index with every digit negated: each element's inverse, each character's conjugate
     rep: np.ndarray         # the least point of each point's orbit, which represents it
@@ -309,7 +304,7 @@ def _orbits(generators, orders: tuple[int, ...], size: int) -> _Group:
     0..size-1 (maybe not faithfully), generate as a direct product."""
     maps = _elements(generators, orders, size)
     rep = maps.min(axis=0)
-    return _Group(maps, *_character_table(orders), rep, np.argmax(maps == rep, axis=0), maps == np.arange(size))
+    return _Group(*_character_table(orders), rep, np.argmax(maps == rep, axis=0), maps == np.arange(size))
 
 
 def _induced(perm: np.ndarray, proj: np.ndarray, size: int, target: np.ndarray | None = None) -> np.ndarray | None:
@@ -367,69 +362,71 @@ def _split(blocks: list[np.ndarray], solved: np.ndarray, negated: np.ndarray, to
     return split
 
 
-def _character_blocks(graph: UGraph, owner: np.ndarray, n_owners: int, slot: np.ndarray,
-                      basis: np.ndarray, n_even: int, kept: list, transposed: np.ndarray | None = None) -> Split:
-    """A on the functions that lie, on the vertices of each owner (a fiber
-    or a middle word's grid), in the span of the columns of basis, read at
-    the vertices' slots, split by the characters chi of the group G that
-    the kept `_symmetries` generate, acting on the owners by their images.
+def _character_blocks(origin: np.ndarray, terminus: np.ndarray, owner: np.ndarray, n_owners: int, slot: np.ndarray,
+                      basis: np.ndarray, kept: list, transposed: np.ndarray | None = None, n_even: int = 0) -> Split:
+    """The matrix that counts the arcs origin[e] -> terminus[e], on the
+    functions that lie, on the points of each owner (one point per slot),
+    in the span of the columns of basis read at the slots, split by the
+    characters chi of the group G that the kept `_symmetries` generate,
+    each a (map of the points, map of the owners, order).  Owners are
+    fibers or middle words' grids, or darts with the basis [[1]].
 
-    Each block is assembled from the darts that leave one representative
-    owner per orbit (`_orbits`): a vertex g u, for u of a representative,
-    takes the slot of u, and a dart counts chi(g) for its terminus' g times
-    sqrt(|orbit of its origin| / |orbit of its terminus|), the ratio of the
-    two normalisations.  An owner that an element s other than 1 fixes is
-    allowed only where transposed is given, the slot of every vertex's
-    image under s must be its transposed slot, and s must be the only one:
-    its orbit keeps the first n_even columns, the even ones, for
-    chi(s) = 1, and the odd ones after them else.  Where that fails, the
-    last kept map is dropped and the group built again.  One block is
-    assembled per conjugate pair of characters (`Split`), and made exactly
-    Hermitian; the dimensions of all the characters' blocks must add up to
-    the owners' columns (`_split`)."""
-    n = graph.n_vertices()
-    while kept:
+    Each block is assembled from the arcs that leave one representative
+    owner per orbit (`_orbits`): a point g u, for u of a representative,
+    takes the slot of u, and an arc counts chi(g) for its terminus' g times
+    sqrt(|orbit of its origin| / |orbit of its terminus|).  The stabiliser
+    rule: an element s that fixes a representative acts on its slots as
+    the identity or, where transposed (each point's transposed slot) is
+    given, as the transpose, of sign +1 on the first n_even columns and -1
+    on the others; the orbit keeps column k for chi when chi(s) is 1 for
+    every identity s and sign k for every transposing s.  Where an element
+    acts otherwise, the last kept map is dropped.  Characters that keep the
+    same columns share one assembly, and one block is assembled per
+    conjugate pair of characters (`Split`), checked by `_split`."""
+    n, width = len(owner), basis.shape[1]
+    while True:
         orders = tuple(order for *_, order in kept)
         group = _orbits([image for _, image, _ in kept], orders, n_owners)
-        vertex = _elements([perm for perm, _, _ in kept], orders, n)
+        point = _elements([perm for perm, _, _ in kept], orders, n)
+        solved = np.flatnonzero(np.arange(len(point)) <= group.negated)
+        characters = group.characters[solved]
+        chosen = group.rep == np.arange(n_owners)
         fixing = group.stabiliser.sum(axis=0)  # per owner, the elements that fix it, 1 among them
-        other = np.argmax(group.stabiliser & (np.arange(len(vertex)) > 0)[:, None], axis=0)
-        fixed = (fixing == 2)[owner]
-        if (fixing <= (1 if transposed is None else 2)).all() and (
-                transposed is None or (slot[vertex[other[owner], np.arange(n)]] == transposed)[fixed].all()):
+        stabilised = chosen & (fixing > 1)
+        if not stabilised.any():
+            break
+        fixed, points = np.flatnonzero(stabilised), np.flatnonzero(stabilised[owner])
+        points = points[np.argsort(owner[points], kind="stable")].reshape(len(fixed), -1)  # a row per fixed one
+        moved, stabiliser = slot[point[:, points]], group.stabiliser[:, fixed]
+        identity = (moved == slot[points]).all(axis=2)
+        transposing = ~identity & (False if transposed is None else (moved == transposed[points]).all(axis=2))
+        if (identity | transposing | ~stabiliser).all():
+            wanted = np.where(transposing[:, :, None], np.where(np.arange(width) < n_even, 1, -1), 1)
+            keep = ((characters[:, :, None, None] == wanted) | ~stabiliser[:, :, None]).all(axis=1)
             break
         kept = kept[:-1]
-    else:  # no symmetry: the whole block
-        block, = dart_blocks(graph.origin, graph.terminus, owner, slot, basis)
-        return _split([_hermitian(block)], np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp),
-                      n_owners * basis.shape[1])
-    chosen = group.rep == np.arange(n_owners)
     home = group.home[owner]
-    slot = slot[vertex[home, np.arange(n)]]  # the slot of the vertex's image in a representative
-    # only the darts that leave a representative are counted
-    darts = np.flatnonzero(chosen[owner[graph.origin]])
-    origin, terminus = graph.origin[darts], graph.terminus[darts]
-    size = len(vertex) // fixing  # orbit sizes
-    solved = np.flatnonzero(np.arange(len(vertex)) <= group.negated)
-    characters = group.characters[solved]
+    slot = slot[point[home, np.arange(n)]]  # the slot of the point's image in a representative
+    leaving = np.flatnonzero(chosen[owner[origin]])
+    origin, terminus = origin[leaving], terminus[leaving]
+    size = len(point) // fixing  # orbit sizes
     weights = np.sqrt(size[owner[origin]] / size[owner[terminus]]) * characters[:, group.negated[home[terminus]]]
-    # on an orbit that s fixes, the characters with chi(s) = 1 keep the even
-    # columns and the others the odd ones; characters that keep the same
-    # columns on every such orbit share one assembly, over the columns kept
-    stabilised = fixing[chosen] == 2
-    kept_even = characters[:, other[chosen]].real > 0
-    keep = np.where(stabilised[:, None], kept_even[:, :, None] == (np.arange(basis.shape[1]) < n_even), True)
-    orbit = (np.cumsum(chosen) - 1)[group.rep[owner]]
-    pattern, todo, blocks = kept_even[:, stabilised], np.ones(len(solved), dtype=bool), [None] * len(solved)
-    while todo.any():
-        these = np.flatnonzero(todo & (pattern == pattern[np.argmax(todo)]).all(axis=1))
-        todo[these] = False
-        used = keep[these[0]].any(axis=0)
-        assembled = dart_blocks(origin, terminus, orbit, slot, basis[:, used], weights[these],
-                                keep[these[0]][:, used].ravel())
-        for c, block in zip(these, assembled):
-            blocks[c] = block
-    return _split([_hermitian(block) for block in blocks], solved, group.negated, n_owners * basis.shape[1])
+    rank = np.cumsum(chosen) - 1  # each representative's orbit
+    orbit = rank[group.rep[owner]]
+    if not stabilised.any():  # every orbit keeps every column for every character
+        blocks = dart_blocks(origin, terminus, orbit, slot, basis, weights)
+    else:
+        pattern, todo, blocks = keep.reshape(len(solved), -1), np.ones(len(solved), dtype=bool), [None] * len(solved)
+        while todo.any():
+            these = np.flatnonzero(todo & (pattern == pattern[np.argmax(todo)]).all(axis=1))
+            todo[these] = False
+            mask = np.ones((np.count_nonzero(chosen), width), dtype=bool)
+            mask[rank[fixed]] = keep[these[0]]
+            used = mask.any(axis=0)
+            built = dart_blocks(origin, terminus, orbit, slot, basis[:, used], weights[these], mask[:, used].ravel())
+            for c, block in zip(these, built):
+                blocks[c] = block
+    return _split(blocks, solved, group.negated, n_owners * width)
 
 
 def _moves_owners(graph: UGraph, ways: tuple[np.ndarray, ...], n_lower: int, owner: np.ndarray, n_owners: int):
@@ -460,7 +457,7 @@ def _fiber_blocks(level: TowerLevel, n_lower: int, f: int) -> Split:
     graph, parent, n = level.graph, level.parent, level.graph.n_vertices()
     accept = _moves_owners(graph, (parent,), n_lower, parent, n_lower)
     kept = _symmetries(_offered(level.rotation, (), graph.regular_degree(), n), n, accept)
-    return _character_blocks(graph, parent, n_lower, _fiber_slots(parent, f), _helmert(f), f - 1, kept)
+    return _character_blocks(graph.origin, graph.terminus, parent, n_lower, _fiber_slots(parent, f), _helmert(f), kept)
 
 
 def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> Split:
@@ -486,8 +483,8 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> Split:
     sending the fibers of each projection onto fibers of one of them (so
     grids to grids) and moving every middle.  On a quaternionic level that
     is u, of order q + 1, and rho: iota = u^((q + 1) / 2) adds nothing.
-    Only r = iota rho fixes middles, the palindromic ones, and it must act
-    on their grids as the slot transpose (`_character_blocks`).  The block
+    Only r = iota rho fixes middles, the palindromic ones, and acts on
+    their grids as the slot transpose (`_character_blocks`).  The block
     splits into one block per character chi of G = <u> x <rho>, with
     chi(r) = (-1)^j chi(rho) for chi(u) = exp(2 pi i j / (q + 1)): 2 (q + 1)
     blocks of about D / (2 (q + 1)), one solved per conjugate pair.  With
@@ -506,7 +503,9 @@ def _grid_blocks(level: TowerLevel, lower: TowerLevel, n_middles: int) -> Split:
     slot = cell % (f * f)
     offered = _offered(level.rotation, (level.inversion, level.reversal), graph.regular_degree(), len(slot))
     kept = _symmetries(offered, len(slot), _moves_owners(graph, (parent, last), n_lower, middle, n_middles))
-    return _character_blocks(graph, middle, n_middles, slot, *_grid_basis(f), kept, slot % f * f + slot // f)
+    basis, n_even = _grid_basis(f)
+    return _character_blocks(graph.origin, graph.terminus, middle, n_middles, slot, basis, kept,
+                             slot % f * f + slot // f, n_even)
 
 
 class TowerSpectrum(NamedTuple):
@@ -551,7 +550,7 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
             split, new = _fiber_blocks(level, lower.graph.n_vertices(), f), np.empty(0)
         else:
             split = _grid_blocks(level, lower, below.n_vertices())
-        solved = [eig_symmetric(block) for block in split.blocks]
+        solved = [eig_symmetric(_hermitian(block)) for block in split.blocks]
         new = np.concatenate([new, *solved, *(eig for eig, twin in zip(solved, split.twins) if twin)])
         eigs = np.sort(np.concatenate([eigs, new]))[::-1]
         yield TowerSpectrum(graph, eigs, split.dims)
@@ -659,7 +658,11 @@ def check_dart_cap(n_darts: int) -> None:
 
 def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
     """Dense nonsymmetric eigensolve of a dart adjacency; eigenvalues may be
-    complex.  Only for small instances; above DENSE_EIG_LIMIT use bass_ihara_pairs."""
+    complex.  Only for small instances; above DENSE_EIG_LIMIT use bass_ihara_pairs.
+
+    No command reads it.  It stays as the tests' reference for `nb_spectrum`,
+    and `benchmarks/tracing.TARGETS` wraps it by name (deleting it fails
+    `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`)."""
     check_dart_cap(h.n_darts())
     return np.linalg.eigvals(h.adjacency.astype(np.float64))
 
@@ -670,49 +673,37 @@ def nb_blocks(graph: UGraph, symmetries=(), rotation=None) -> Split:
     (`graphs.dart_map`) of the vertex permutations offered (`_offered`: the
     rotation, of the order of the degree, then the involutions in
     symmetries) that `_symmetries` keeps as automorphisms, in the order of
-    `_orbits`' characters:
-    the whole H as one block when none is kept.  On a quaternionic level
-    that is the group of the rotation and the reversal, of order 2 (q + 1),
-    and at most the Klein group of inversion and reversal without the
-    rotation.
+    `_orbits`' characters: the whole H as one block when none is kept.  On
+    a quaternionic level that is the group of the rotation and the
+    reversal, of order 2 (q + 1), and at most the Klein group of inversion
+    and reversal without the rotation.
 
     H commutes with G, so the image V_chi of the projector sum_g chi(g) P_g
     is invariant (Serre, Linear Representations of Finite Groups, 2.6),
-    and spec H is the union of the spectra of H on the V_chi.  V_chi is
-    spanned by the v_r = sum_g chi(g) e_(g r) for the orbit representatives
-    r (least darts); v_r vanishes unless chi is trivial on the stabiliser
-    of r, which a dart that an element fixes may fail.  The others, scaled
-    to w_r = v_r / |Stab r|, take chi(g) once on each dart g r of the orbit
-    and form a basis, in which H acts by the block whose entry (s, r) is
-    the sum of chi(g) over the arcs s -> g r: D^-1 V^H H V, D = V^H V, up to
-    a diagonal similarity.  `dart_blocks` sums the blocks of one character
-    of each conjugate pair at once over the arcs that leave a
-    representative, one group per orbit with the basis [[1]], keeping the
-    representatives whose v_r survives; the conjugate character's block is
-    the complex conjugate (`Split`).  The block dimensions of all the
-    characters must add up to the number of darts, and the trace of each
-    block must be (1 / |G|) sum_g chi(g) times the number of arcs e -> g e,
-    which counts over all the arcs; else RuntimeError."""
+    and spec H is the union of the spectra of H on the V_chi.  The split is
+    `_character_blocks` over the arcs, each dart its own owner with one
+    slot and the basis [[1]]: a dart that an element fixes keeps its one
+    column for the characters with chi = 1 on its stabiliser, the
+    stabiliser rule for an element that acts as the identity, and the
+    blocks are similar to those of the projection formula by the diagonal
+    of orbit sizes.  The block dimensions of all the characters must add
+    up to the number of darts, and the trace of each solved block must be
+    (1 / |G|) sum_g chi(g) times the number of arcs e -> g e, which counts
+    over all the arcs; else RuntimeError."""
     e, f, d = nb_arcs(graph)
 
     def lifts(perm: np.ndarray) -> np.ndarray | None:
         return dart_map(graph, perm) if is_automorphism(graph, perm) else None
 
-    vertices = graph.n_vertices()
-    kept = _symmetries(_offered(rotation, symmetries, d + 1, vertices), vertices, lifts)
-    group = _orbits([sigma for _, sigma, _ in kept], tuple(order for *_, order in kept), graph.n_darts())
-    n, m = group.maps.shape
-    solved = np.flatnonzero(np.arange(n) <= group.negated)
-    characters = group.characters[solved]
-    valid = ((characters[:, :, None] == 1) | ~group.stabiliser).all(axis=1)  # chi trivial on the stabiliser
-    chosen = group.rep == np.arange(m)
-    leaving = chosen[e]
-    s, r = e[leaving], f[leaving]
-    blocks = dart_blocks(s, r, (np.cumsum(chosen) - 1)[group.rep], np.zeros(m, dtype=np.intp), np.ones((1, 1)),
-                         characters[:, group.negated[group.home[r]]], valid[:, chosen])
-    split = _split(blocks, solved, group.negated, m)
-    expected = characters @ (group.maps[:, e] == f).sum(axis=1) / n
-    if any(abs(np.trace(block) - trace) > 1e-9 * max(1.0, m) for block, trace in zip(blocks, expected)):
+    vertices, darts = graph.n_vertices(), graph.n_darts()
+    sigmas = [(sigma, sigma, order) for _, sigma, order in
+              _symmetries(_offered(rotation, symmetries, d + 1, vertices), vertices, lifts)]
+    split = _character_blocks(e, f, np.arange(darts), darts, np.zeros(darts, dtype=np.intp), np.ones((1, 1)), sigmas)
+    orders = tuple(order for *_, order in sigmas)
+    characters, negated = _character_table(orders)
+    maps = _elements([sigma for sigma, *_ in sigmas], orders, darts)
+    expected = characters[np.arange(len(maps)) <= negated] @ (maps[:, e] == f).sum(axis=1) / len(maps)
+    if any(abs(np.trace(block) - trace) > 1e-9 * max(1.0, darts) for block, trace in zip(split.blocks, expected)):
         raise RuntimeError("a character block failed its trace identity")
     return split
 
@@ -875,7 +866,11 @@ def walks(preds: np.ndarray, start, n: int):
 
 
 def matrix_power_int(a, n: int) -> list[list[int]]:
-    """A^n over the integers (exact), for any square integer matrix."""
+    """A^n over the integers (exact), for any square integer matrix.
+
+    No command reads it.  It stays as the tests' reference for `walk_counts`,
+    and `benchmarks/tracing.TARGETS` wraps it by name (deleting it fails
+    `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`)."""
     if n < 0:
         raise ValueError("need n >= 0")
     return np.linalg.matrix_power(np.asarray(a).astype(object), n).tolist()

@@ -811,3 +811,48 @@ def test_mixing_counts_strips_before_building_the_strip_graph(monkeypatch, capsy
     assert code == 3
     assert stdout == ""
     assert err == "resource cap: exact matrix powers capped at dimension 500\n"
+
+
+# each command that reads a datum, with the arguments it needs besides it
+DATUM_COMMANDS = [["datum"], ["automaton"], ["graph", "--level", "1", "--format", "json"],
+                  ["verify-ramanujan", "--levels", "1"], ["bass-ihara", "--level", "1"], ["subshift-check"],
+                  ["mixing", "--max-n", "2"], ["tiles"]]
+
+
+def _config(text: str) -> dict:
+    """The run configuration a JSON report embeds, or that a DOT, CSV or SVG
+    header line carries."""
+    if text.startswith("{"):
+        return json.loads(text)["config"]
+    return json.loads(re.search(r"config: (\{.*\})", text).group(1))
+
+
+@pytest.mark.parametrize("argv", DATUM_COMMANDS, ids=[argv[0] for argv in DATUM_COMMANDS])
+def test_a_datum_file_run_records_no_field_or_place_options(tmp_path, capsys, argv):
+    # the field and places come from the file: the config leaves out the
+    # options the run never read, and any of them given beside the file is
+    # a usage error that names it; without a file, the defaults are recorded
+    path = tmp_path / "d.json"
+    assert run(capsys, "datum", "--write", str(path), "--no-timestamp")[0] == 0
+    code, stdout, _ = run(capsys, *argv, "--datum", str(path), "--no-timestamp")
+    assert code == 0
+    assert not {"p", "e", "tau", "sigma"} & set(_config(stdout))
+    code, stdout, _ = run(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    assert {key: _config(stdout)[key] for key in ("p", "e", "tau", "sigma")} == {"p": 3, "e": 1, "tau": 1, "sigma": 2}
+    for flag in ("--p", "--e", "--tau", "--sigma"):
+        code, stdout, err = run(capsys, *argv, "--datum", str(path), flag, "1", "--no-timestamp")
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {flag} cannot be given with --datum, which replaces it\n"
+
+
+def test_a_graph_file_run_records_no_datum_options(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    write_ugraph(circular_ladder(4), str(path))
+    code, stdout, _ = run(capsys, "verify-ramanujan", "--graph-json", str(path), "--no-timestamp")
+    assert code == 0
+    assert set(_config(stdout)) == {"command", "dense_cap", "format", "graph_json", "no_timestamp", "tol"}
+    for extra in (["--levels", "1:2"], ["--side", "A"], ["--p", "5"], ["--sigma", "2"], ["--datum", str(path)]):
+        code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", str(path), *extra, "--no-timestamp")
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {extra[0]} cannot be given with --graph-json, which replaces it\n"

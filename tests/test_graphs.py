@@ -86,6 +86,27 @@ def test_ugraph_checks_that_inverse_darts_reverse_their_ends():
         UGraph(["a", "b", "c"], [0, 1], [1, 2], [1, 0], ["g", "g'"])
 
 
+def test_ugraph_darts_are_read_only_copies_with_their_out_stars_sorted_once(monkeypatch):
+    # the caller's int64 arrays stay writable; the graph's cannot change,
+    # so the out-stars it sorted once are the ones every check reads
+    origin = np.array([0, 1, 1, 2, 2, 0], dtype=np.int64)  # a triangle, as UGraph.from_edges numbers it
+    terminus, inv = np.array([1, 0, 2, 1, 0, 2], dtype=np.int64), np.array([1, 0, 3, 2, 5, 4], dtype=np.int64)
+    graph = UGraph(["a", "b", "c"], origin, terminus, inv, list("uvwxyz"))
+    assert origin.flags.writeable and inv.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        graph.origin[0] = 1
+    sorts = []
+    original = graphs._out_stars
+    monkeypatch.setattr(graphs, "_out_stars", lambda *args: sorts.append(args) or original(*args))
+    heads, degree = graph.out_stars
+    assert heads.tolist() == [1, 2, 0, 2, 0, 1] and degree.tolist() == [2, 2, 2]
+    assert not heads.flags.writeable and not degree.flags.writeable
+    rotation = np.array([1, 2, 0])
+    assert graphs.is_automorphism(graph, rotation) and graphs.is_automorphism(graph, rotation[rotation])
+    assert cover_fiber(graph, graph, rotation) == 1
+    assert len(sorts) == 1
+
+
 def test_level_graph_sides_are_a_and_b(d12_q3, monkeypatch):
     with pytest.raises(ValueError, match="side"):
         level_graph(d12_q3, "V-action", 1)
@@ -378,7 +399,8 @@ def test_covering_check_compares_in_stars(d12_q3):
         for parent in (level.parent, level.last_parent):
             cover_fiber(level.graph, lower.graph, parent)
             g, low = level.graph, lower.graph
-            assert graphs._stars_correspond(parent, low.n_vertices(), g.terminus, g.origin, low.terminus, low.origin)
+            stars = graphs._out_stars(low.terminus, low.origin, low.n_vertices())
+            assert graphs._stars_correspond(parent, g.terminus, g.origin, stars)
 
 
 def test_covering_check_needs_every_projected_word(d12_q3):

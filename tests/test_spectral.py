@@ -799,6 +799,53 @@ def test_darts_a_symmetry_fixes_keep_only_its_even_characters():
     assert _matched_distance(eigs, _whole_dart_spectrum(k4)) <= 1e-12
 
 
+def _split_spectrum(split):
+    """The ascending eigenvalues of a split symmetric matrix, each twin's
+    counted twice."""
+    solved = [np.linalg.eigvalsh(spectral._hermitian(block)) for block in split.blocks]
+    return np.sort(np.concatenate([*solved, *(eigs for eigs, twin in zip(solved, split.twins) if twin)]))
+
+
+def _owners(members, n):
+    """(owner, slot) of n points from each owner's points, in slot order."""
+    owner, slot = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for o, points in enumerate(members):
+        owner[list(points)], slot[list(points)] = o, np.arange(len(points))
+    return owner, slot
+
+
+def test_an_element_that_fixes_an_owner_pointwise_keeps_its_trivial_characters():
+    # the reflection v -> -v of C_10 fixes the owner {0, 5} and both its
+    # slots, and swaps {1, 2} with {9, 8} and {3, 4} with {7, 6}: the orbit
+    # of {0, 5} keeps both columns for the trivial character and none for
+    # the sign, so the split is the 6 cosines and 4 sines of C_10
+    graph = cycle(10)
+    owner, slot = _owners([(0, 5), (1, 2), (9, 8), (3, 4), (7, 6)], 10)
+    kept = [(-np.arange(10) % 10, np.array([0, 2, 1, 4, 3]), 2)]
+    split = spectral._character_blocks(graph.origin, graph.terminus, owner, 5, slot, np.eye(2), kept)
+    assert split.dims == (6, 4)
+    assert np.abs(_split_spectrum(split) - np.linalg.eigvalsh(graph.adjacency())).max() < 1e-12
+
+
+def test_an_element_that_is_neither_identity_nor_transpose_on_an_owner_is_dropped():
+    # the prism C_8 x K_2, with two owners of four vertices per layer read
+    # as 2 x 2 grids: the layer swap moves every owner; the reflection
+    # v -> -v in both layers fixes each and sends slot 1 of {0, 1, 4, 7} to
+    # slot 3, neither the identity nor the transpose 1 <-> 2, so it is
+    # dropped and the layer swap splits alone
+    graph = UGraph.from_edges(16, [(v + 8 * a, (v + 1) % 8 + 8 * a) for a in (0, 1) for v in range(8)]
+                              + [(v, v + 8) for v in range(8)])
+    owner, slot = _owners([(0, 1, 4, 7), (2, 3, 5, 6), (8, 9, 12, 15), (10, 11, 13, 14)], 16)
+    h = 1 / sqrt(2)  # columns e_0, e_3, (e_1 + e_2) h, which the transpose fixes, and (e_1 - e_2) h
+    basis = np.array([[1, 0, 0, 0], [0, 0, h, h], [0, 0, h, -h], [0, 1, 0, 0]])
+    swap, reflection = (np.arange(16) + 8) % 16, -np.arange(16) % 8 + np.arange(16) // 8 * 8
+    kept = [(swap, np.array([2, 3, 0, 1]), 2), (reflection, np.arange(4), 2)]
+    split = spectral._character_blocks(graph.origin, graph.terminus, owner, 4, slot, basis, kept,
+                                       slot % 2 * 2 + slot // 2, 3)
+    assert split.dims == (8, 8)
+    assert np.abs(_split_spectrum(split) - np.linalg.eigvalsh(graph.adjacency())).max() < 1e-12
+
+
 def test_dart_blocks_on_loops_and_multiple_edges():
     # two loops at 0 and a double edge 0 = 1 with a loop at 1: the dart
     # maps pair darts by their place among those between the same ends

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ramshift import mealy
-from ramshift.graphs import _stars_correspond, level_graph, nb_matrix
+from ramshift.graphs import _out_stars, _stars_correspond, level_graph, nb_matrix
 from ramshift.spectral import SizeCapExceeded, matrix_power_int, walks
 from ramshift.subshift import (
     MatrixSubshift,
@@ -345,8 +345,8 @@ def test_transition_graphs_form_covering_families(xd_q3):
     def covers(big, small, keep):
         projection = np.array([small.index[pattern[keep]] for pattern in big.patterns])
         (tail, head), (low_tail, low_head) = np.nonzero(big.adjacency), np.nonzero(small.adjacency)
-        return all(_stars_correspond(projection, len(small.patterns), *darts)
-                   for darts in ((tail, head, low_tail, low_head), (head, tail, low_head, low_tail)))
+        return all(_stars_correspond(projection, *darts, _out_stars(*low, len(small.patterns)))
+                   for darts, low in (((tail, head), (low_tail, low_head)), ((head, tail), (low_head, low_tail))))
 
     for direction in ("horizontal", "vertical"):
         big = transition_graph(xd_q3, direction, 3)
