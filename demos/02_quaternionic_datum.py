@@ -9,7 +9,7 @@ around the square must be proportional as elements of the algebra.
 
 from pathlib import Path
 
-from ramshift import build_quaternionic_datum, make_field, validate_datum, verify_relations, wang_tiles
+from ramshift import build_quaternionic_datum, make_field, validate_datum, verify_relations
 from ramshift.quaternion import QuatElem
 from ramshift.vhdatum import export_tiles, write_datum
 
@@ -39,5 +39,5 @@ print(f"  (1 + {datum.V[a]} F)(1 + {datum.H[b]} F) = {lhs}")
 print(f"  (1 + {datum.H[c]} F)(1 + {datum.V[d]} F) = {rhs}")
 
 write_datum(datum, str(out / "d12_q3.json"))
-export_tiles(wang_tiles(datum), str(out / "d12_q3_tiles.svg"))
+export_tiles(datum, str(out / "d12_q3_tiles.svg"))
 print(f"\nwrote {out / 'd12_q3.json'} and {out / 'd12_q3_tiles.svg'}")

@@ -24,7 +24,6 @@ from .vhdatum import (
     read_datum,
     validate_datum,
     verify_relations,
-    wang_tiles,
     write_datum,
     zeta,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "direct_product_datum",
     "validate_datum",
     "verify_relations",
-    "wang_tiles",
     "read_datum",
     "write_datum",
     "Mealy",

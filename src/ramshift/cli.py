@@ -17,7 +17,8 @@ and of the distances that bass-ihara reports can change with the number
 of threads (OPENBLAS_NUM_THREADS).  No color is ever emitted.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
-error (a --tau, --sigma or --s0 place outside 1..q-1 among them), 3
+error (a --tau, --sigma or --s0 place outside 1..q-1, or an empty path
+for --datum, --graph-json, --write or --out, among them), 3
 resource cap exceeded (including any graph that verify-ramanujan skipped
 above --dense-cap).  Sizes are counted before anything is built:
 verify-ramanujan's vertices, bass-ihara's darts and mixing's strips.
@@ -58,7 +59,7 @@ def _resolve_replaced(args: argparse.Namespace) -> None:
     the run's config records exactly the options the run reads."""
     replaced = set()
     for source, names in _REPLACED.items():
-        if not getattr(args, source, None):  # as the commands read it: an empty path is none
+        if getattr(args, source, None) is None:
             continue
         given = next((name for name in names if getattr(args, name, None) is not None), None)
         if given is not None:
@@ -303,9 +304,7 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_tiles(args) -> int:
-    datum = _datum_from_args(args)
-    ts = vhdatum.wang_tiles(datum)
-    _emit(args, vhdatum.tiles_to_svg(ts, header=_header(args)))
+    _emit(args, vhdatum.tiles_to_svg(_datum_from_args(args), header=_header(args)))
     return EXIT_OK
 
 
@@ -320,6 +319,12 @@ def _tol(text: str) -> float:
     return tol
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _dense_cap(text: str) -> int:
     cap = int(text)
     if not 0 <= cap <= spectral.DENSE_EIG_LIMIT:
@@ -330,7 +335,7 @@ def _dense_cap(text: str) -> int:
 
 
 def _add_datum_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--datum", help="read the datum from a JSON file instead of building it")
+    p.add_argument("--datum", type=_path, help="read the datum from a JSON file instead of building it")
     p.add_argument("--p", type=int, help="odd prime characteristic (default 3)")
     p.add_argument("--e", type=int, help="extension degree, q = p^e (default 1)")
     p.add_argument("--tau", type=int, help="first place, canonical encoding (default 1)")
@@ -338,7 +343,7 @@ def _add_datum_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output path (stdout when omitted)")
+    p.add_argument("--out", type=_path, help="output path (stdout when omitted)")
     p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp for byte-identical reruns")
 
 
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("datum", help="build, validate, and verify a quaternionic datum")
     _add_datum_args(p)
-    p.add_argument("--write", help="also write the canonical datum file here")
+    p.add_argument("--write", type=_path, help="also write the canonical datum file here")
     _add_common(p)
     p.set_defaults(func=cmd_datum)
 
@@ -391,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-cap", type=_dense_cap, default=spectral.DENSE_EIG_LIMIT,
                    help="skip levels with more vertices than this "
                         f"(at most {spectral.DENSE_EIG_LIMIT}, the dense eigensolver limit)")
-    p.add_argument("--graph-json", help="verify a single graph from a JSON file instead")
+    p.add_argument("--graph-json", type=_path, help="verify a single graph from a JSON file instead")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="json verdicts or per-graph spectrum CSV")
     _add_common(p)

@@ -90,7 +90,7 @@ def from_datum(datum: VHDatum) -> Mealy:
     report = validate_datum(datum)
     if not report.ok:
         raise ValueError(f"invalid datum: {report.violations[0]}")
-    a, b, c, d = np.array(datum.R, dtype=np.intp).reshape(-1, 4).T
+    a, b, c, d = datum.R.T
     delta, out = np.full((2, len(datum.V), len(datum.H)), -1, dtype=np.intp)
     delta[a, b], out[a, b] = d, c
     return Mealy(list(datum.V), list(datum.H), delta, out, datum.inv_V, datum.inv_H)

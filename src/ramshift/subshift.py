@@ -127,13 +127,13 @@ def build_wang_shift(datum: VHDatum) -> MatrixSubshift:
 
 def _tile_shift(datum: VHDatum, backtracking: bool) -> MatrixSubshift:
     # row t, column t': A needs d = a' (and c' != c^-1), B needs b = c' (and a' != a^-1)
-    a, b, c, d = np.array(datum.R, dtype=np.int64).reshape(-1, 4).T
+    a, b, c, d = datum.R.T
     a_mat = d[:, None] == a[None, :]
     b_mat = b[:, None] == c[None, :]
     if not backtracking:
         a_mat &= c[None, :] != np.array(datum.inv_H)[c][:, None]
         b_mat &= a[None, :] != np.array(datum.inv_V)[a][:, None]
-    return MatrixSubshift([tile_label(datum, t) for t in datum.R], a_mat, b_mat)
+    return MatrixSubshift([tile_label(datum, t) for t in datum.R.tolist()], a_mat, b_mat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """VH-data: relation sets over two alphabets with fixed-point-free
-involutions, their validation, the quaternionic construction, Wang-tile
-export, and the canonical JSON file format.
+involutions, their validation, the quaternionic construction, the SVG of
+their Wang tiles, and the canonical JSON file format.
 
 A VH-datum D = (V, H, R) consists of symbol lists V (size 2m) and H (size
 2n) of distinct labels, involutions a -> a^-1 on each, and a set R of
@@ -12,8 +12,11 @@ quadruples (a, b, c, d) in V x H x H x V subject to:
   (3) the four projections of R to V x H / H x V pairs ((a,b), (c,d),
       (a,c), (b,d)) are bijections, so |R| = |V| * |H|.
 
-Each quadruple is a unit square tile with side colors a (left), b (top),
-c (bottom), d (right); property (3) makes the tileset 4-way deterministic.
+A datum holds R in one form: a read-only (|R|, 4) int64 array of index
+rows, checked and converted once when the datum is built.  Each row is a
+unit square Wang tile with side colors a (left), b (top), c (bottom),
+d (right); property (3) makes the tileset 4-way deterministic, and
+`tiles_to_svg` draws the rows themselves.
 
 The quaternionic datum D_{tau,sigma} has V and H the norm fibers of
 tau^-1 and sigma^-1 in F_q[Z], negation as the involutions, and
@@ -29,9 +32,8 @@ through an encoding-to-index array, and the certification decides all
 relations with one `QuatBatch` product and proportionality test.  `zeta`,
 `QuatElem` and `proportional` remain the element-level reference.
 
-`validate_datum` is array passes too: it reads R as four index columns
-(`_index_columns`) and decides the axioms on them, and renders a violation
-only from a failing row.
+`validate_datum` is array passes too: it decides the axioms on the four
+index columns `R.T`, and renders a violation only from a failing row.
 
 A datum file of a field datum stores each coefficient as an integer in
 0..p-1, and on reading its V and H must be the norm fibers of its places.
@@ -59,23 +61,30 @@ from .quaternion import QuatBatch, QuatElem, proportional_batch
 # datum type
 
 
-@dataclass
+@dataclass(eq=False)
 class VHDatum:
     """A VH-datum: side alphabets V and H (distinct labels on each side)
     with their involutions, and the relation tuples R = {(a, b, c, d)}.
+
+    Construction copies R to a read-only (|R|, 4) int64 array, one index
+    row per tuple, so `len(R)`, `R[r]` and `for a, b, c, d in R` read the
+    tuples and `R.T` gives the four columns as views.  An R that is ragged,
+    not 4 wide, or holds anything but integers within int64 is refused
+    there (ValueError or TypeError; `datum_from_dict` reports the
+    TypeError as a malformed file).
 
     `validate_datum` runs where a datum enters the library:
     `build_quaternionic_datum` checks what it builds, `datum_from_dict`
     (and so `read_datum`) checks what it reads, and `mealy.from_datum`
     checks every datum it turns into an automaton; `direct_product_datum`
     is valid by construction.  Consumers downstream of those (`build_xd`,
-    `build_wang_shift`, `wang_tiles`) trust the datum they are given."""
+    `build_wang_shift`, `tiles_to_svg`) trust the datum they are given."""
 
     V: list[str]
     H: list[str]
     inv_V: list[int]
     inv_H: list[int]
-    R: list[tuple[int, int, int, int]]
+    R: np.ndarray  # (|R|, 4) int64 rows (a, b, c, d), read-only
     # arithmetic tag, present for quaternionic datums
     field: FieldSpec | None = None
     tau: FqElem | None = None
@@ -83,11 +92,22 @@ class VHDatum:
     V_elems: list[Fq2Elem] | None = _field(default=None, repr=False)
     H_elems: list[Fq2Elem] | None = _field(default=None, repr=False)
 
+    def __post_init__(self):
+        # np.array copies, so a caller's own array is never frozen; an int
+        # beyond int64 leaves an object array
+        try:
+            rows = np.array(self.R) if len(self.R) else np.zeros((0, 4), dtype=np.int64)
+        except ValueError:  # ragged
+            rows = None
+        if rows is None or rows.shape[1:] != (4,):
+            raise ValueError("R entries must be 4-tuples")
+        if not np.can_cast(rows.dtype, np.int64):
+            raise TypeError(f"R entries must be integers within int64, got {rows.dtype} entries")
+        self.R = rows.astype(np.int64, copy=False)
+        self.R.setflags(write=False)
+
     def is_arithmetic(self) -> bool:
         return self.field is not None
-
-    def tuple_by_ab(self) -> dict[tuple[int, int], tuple[int, int, int, int]]:
-        return {(a, b): t for t in self.R for a, b in [(t[0], t[1])]}
 
     def __repr__(self) -> str:
         tag = ""
@@ -189,15 +209,13 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
     beta = (h[0][None, :], h[1][None, :])
     gamma, delta = _twisted_pairs(spec, alpha, beta)
     ia, ib = np.divmod(np.arange(len(v_elems) * len(h_elems)), len(h_elems))
-    tuples = list(zip(ia.tolist(), ib.tolist(), indices(h_elems, gamma).tolist(),
-                      indices(v_elems, delta).tolist()))
 
     datum = VHDatum(
         V=fq2_labels(v_elems),
         H=fq2_labels(h_elems),
         inv_V=indices(v_elems, spec.pair_neg(v)).tolist(),
         inv_H=indices(h_elems, spec.pair_neg(h)).tolist(),
-        R=tuples,
+        R=np.stack([ia, ib, indices(h_elems, gamma), indices(v_elems, delta)], axis=1),
         field=spec,
         tau=tau,
         sigma=sigma,
@@ -266,18 +284,15 @@ def validate_datum(datum: VHDatum) -> DatumReport:
     if bad:
         return DatumReport(bad, 2)
 
-    n = len(datum.R)
-    cols = _index_columns(datum.R)
+    R = datum.R
+    n = len(R)
+    cols = R.T
     # a negative index is above every bound as an unsigned int
-    if cols is None or n and cols.view(np.uint64).max() >= min(nv, nh) and any(
-            x >= y for x, y in zip(cols.view(np.uint64).max(axis=1).tolist(), (nv, nh, nh, nv))):
-        if len(set(datum.R)) != n:
+    outside = np.flatnonzero((R.view(np.uint64) >= np.array([nv, nh, nh, nv], dtype=np.uint64)).any(axis=1))
+    if outside.size:
+        if len(np.unique(R, axis=0)) != n:
             bad.append("R contains duplicate tuples")
-        outside = next((t for t in datum.R if not (0 <= t[0] < nv and 0 <= t[3] < nv
-                                                   and 0 <= t[1] < nh and 0 <= t[2] < nh)), None)
-        if outside is None:
-            raise TypeError("R indices must be ints")
-        bad.append(f"tuple {outside} has out-of-range indices")
+        bad.append(f"tuple {tuple(R[outside[0]].tolist())} has out-of-range indices")
         return DatumReport(bad, 2)
 
     # each letter's inverse, looked up in its own alphabet's row
@@ -295,7 +310,7 @@ def validate_datum(datum: VHDatum) -> DatumReport:
         missing = keys[4][keys[0].argsort()[keys[1:4]]] != keys[5:]
     else:
         # two tuples share (a, b), or |R| != |V||H|: property (3) fails
-        rset = set(datum.R)
+        rset = set(map(tuple, R.tolist()))
         if len(rset) != n:
             bad.append("R contains duplicate tuples")
         companions = full[[4, 2, 1, 7, 7, 6, 5, 4, 3, 5, 6, 0]].reshape(3, 4, n).transpose(0, 2, 1)
@@ -324,22 +339,8 @@ def validate_datum(datum: VHDatum) -> DatumReport:
         later, earlier = _collisions(cols[i] * (nh if j in (1, 2) else nv) + cols[j])
         for r, s in zip(later.tolist(), earlier.tolist()):
             bad.append(f"property (3): projection {name} collides on "
-                       f"{label(*cols[:, r].tolist())} and {label(*cols[:, s].tolist())}")
+                       f"{label(*R[r].tolist())} and {label(*R[s].tolist())}")
     return DatumReport(bad, 2 + n + 4)
-
-
-def _index_columns(R) -> np.ndarray | None:
-    """The four index columns a, b, c, d of R as a (4, |R|) int64 array;
-    None when an entry holds something other than an int64 (a float, or an
-    int beyond int64).  Raises ValueError unless every entry has 4 items."""
-    if not R:
-        return np.zeros((4, 0), dtype=np.int64)
-    if set(map(len, R)) != {4}:
-        raise ValueError("R entries must be 4-tuples")
-    cols = np.array(list(zip(*R)))
-    if cols.dtype.kind == "b":
-        cols = cols.astype(np.int64)
-    return cols if cols.dtype.kind == "i" else None
 
 
 def _collisions(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +371,7 @@ def verify_relations(datum: VHDatum) -> DatumReport:
     bad: list[str] = []
     gen = lambda x: QuatElem.one_plus_alpha_f(spec, x)
     v, h = spec.pair(datum.V_elems), spec.pair(datum.H_elems)
-    a, b, c, d = _index_columns(datum.R)
+    a, b, c, d = datum.R.T
     n = len(datum.R)
     xi = (np.concatenate([v[0], h[0]]), np.concatenate([v[1], h[1]]))
     minus_xi = spec.pair_neg(xi)
@@ -379,7 +380,7 @@ def verify_relations(datum: VHDatum) -> DatumReport:
     products = QuatBatch.generators(spec, left) * QuatBatch.generators(spec, right)
     square = proportional_batch(products.rows(slice(0, n)), products.rows(slice(n, 2 * n)))
     for r in np.flatnonzero(~square).tolist():
-        ia, ib, ic, idd = datum.R[r]
+        ia, ib, ic, idd = datum.R[r].tolist()
         lhs = gen(datum.V_elems[ia]) * gen(datum.H_elems[ib])
         rhs = gen(datum.H_elems[ic]) * gen(datum.V_elems[idd])
         bad.append(
@@ -424,57 +425,12 @@ def direct_product_datum(m: int = 2, n: int = 2) -> VHDatum:
 # Wang tiles
 
 
-@dataclass(frozen=True)
-class WangTile:
-    left: str
-    top: str
-    bottom: str
-    right: str
-
-
-@dataclass
-class WangTileSet:
-    tiles: list[WangTile]
-
-    def four_way_deterministic(self) -> bool:
-        """Any two adjacent side colors determine the tile uniquely."""
-        for keys in (
-            lambda t: (t.left, t.top),
-            lambda t: (t.bottom, t.right),
-            lambda t: (t.left, t.bottom),
-            lambda t: (t.top, t.right),
-        ):
-            seen = set()
-            for t in self.tiles:
-                k = keys(t)
-                if k in seen:
-                    return False
-                seen.add(k)
-        return True
-
-    def side_color_counts(self) -> dict[str, dict[str, int]]:
-        counts: dict[str, dict[str, int]] = {s: {} for s in ("left", "top", "bottom", "right")}
-        for t in self.tiles:
-            for side in counts:
-                color = getattr(t, side)
-                counts[side][color] = counts[side].get(color, 0) + 1
-        return counts
-
-
-def wang_tiles(datum: VHDatum) -> WangTileSet:
-    """One tile per relation tuple: left a, top b, bottom c, right d."""
-    tiles = [
-        WangTile(left=datum.V[a], top=datum.H[b], bottom=datum.H[c], right=datum.V[d])
-        for a, b, c, d in datum.R
-    ]
-    return WangTileSet(tiles)
-
-
-def tiles_to_svg(ts: WangTileSet, header: str | None = None) -> str:
-    """Deterministic SVG: 100x100 squares with the four side labels, four
-    tiles per row."""
+def tiles_to_svg(datum: VHDatum, header: str | None = None) -> str:
+    """Deterministic SVG of the datum's Wang tiles, one per row (a, b, c, d)
+    of R in R order: 100x100 squares with the labels of a (left), b (top),
+    c (bottom) and d (right), four tiles per row."""
     size, pad, per_row = 100, 20, 4
-    rows = (len(ts.tiles) + per_row - 1) // per_row
+    rows = (len(datum.R) + per_row - 1) // per_row
     width = per_row * (size + pad) + pad
     height = rows * (size + pad) + pad
     colors = {}
@@ -491,33 +447,34 @@ def tiles_to_svg(ts: WangTileSet, header: str | None = None) -> str:
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
     if header:
         out.append(f"<!-- {header} -->")
-    for idx, t in enumerate(ts.tiles):
+    for idx, (a, b, c, d) in enumerate(datum.R.tolist()):
+        left, top, bottom, right = datum.V[a], datum.H[b], datum.H[c], datum.V[d]
         x0 = pad + (idx % per_row) * (size + pad)
         y0 = pad + (idx // per_row) * (size + pad)
         cx, cy = x0 + size / 2, y0 + size / 2
         # four triangles: left, top, bottom, right
         tri = (
-            (t.left, f"{x0},{y0} {x0},{y0 + size} {cx},{cy}"),
-            (t.top, f"{x0},{y0} {x0 + size},{y0} {cx},{cy}"),
-            (t.bottom, f"{x0},{y0 + size} {x0 + size},{y0 + size} {cx},{cy}"),
-            (t.right, f"{x0 + size},{y0} {x0 + size},{y0 + size} {cx},{cy}"),
+            (left, f"{x0},{y0} {x0},{y0 + size} {cx},{cy}"),
+            (top, f"{x0},{y0} {x0 + size},{y0} {cx},{cy}"),
+            (bottom, f"{x0},{y0 + size} {x0 + size},{y0 + size} {cx},{cy}"),
+            (right, f"{x0 + size},{y0} {x0 + size},{y0 + size} {cx},{cy}"),
         )
         for label, points in tri:
             out.append(
                 f'<polygon points="{points}" fill="{color_for(label)}" stroke="black" stroke-width="0.5"/>'
             )
         style = 'font-size="11" font-family="monospace" text-anchor="middle"'
-        out.append(f'<text x="{x0 + 13}" y="{cy + 4}" {style}>{t.left}</text>')
-        out.append(f'<text x="{cx}" y="{y0 + 14}" {style}>{t.top}</text>')
-        out.append(f'<text x="{cx}" y="{y0 + size - 6}" {style}>{t.bottom}</text>')
-        out.append(f'<text x="{x0 + size - 13}" y="{cy + 4}" {style}>{t.right}</text>')
+        out.append(f'<text x="{x0 + 13}" y="{cy + 4}" {style}>{left}</text>')
+        out.append(f'<text x="{cx}" y="{y0 + 14}" {style}>{top}</text>')
+        out.append(f'<text x="{cx}" y="{y0 + size - 6}" {style}>{bottom}</text>')
+        out.append(f'<text x="{x0 + size - 13}" y="{cy + 4}" {style}>{right}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def export_tiles(ts: WangTileSet, path: str, header: str | None = None) -> None:
-    """Write the tileset SVG atomically (temp file + rename)."""
-    atomic_write(path, tiles_to_svg(ts, header=header))
+def export_tiles(datum: VHDatum, path: str, header: str | None = None) -> None:
+    """Write the datum's tile SVG atomically (temp file + rename)."""
+    atomic_write(path, tiles_to_svg(datum, header=header))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +689,7 @@ def datum_to_dict(datum: VHDatum) -> dict:
     out: dict = {
         "inv_V": list(datum.inv_V),
         "inv_H": list(datum.inv_H),
-        "R": [list(t) for t in datum.R],
+        "R": datum.R.tolist(),
     }
     if datum.is_arithmetic():
         spec = datum.field
@@ -860,14 +817,11 @@ def datum_from_dict(data: dict) -> VHDatum:
     try:
         inv_v = _listed(int, data["inv_V"], "inv_V")
         inv_h = _listed(int, data["inv_H"], "inv_H")
-        if _nested_ints(data["R"], None, 4) is not None:
-            tuples = list(map(tuple, data["R"]))
-        else:  # names the first entry that is no list of ints
-            tuples = [tuple(_listed(int, t, "an R entry")) for t in data["R"]]
-            if set(map(len, tuples)) - {4}:
-                raise ValueError("R entries must be 4-tuples")
+        rows = data["R"]
+        if _nested_ints(rows, None, 4) is None:  # names the first entry that is no list of ints
+            rows = [_listed(int, t, "an R entry") for t in rows]
         if "field" in data:
-            spec = _field_from_dict(data["field"], len(data["V"]), len(data["H"]), len(tuples))
+            spec = _field_from_dict(data["field"], len(data["V"]), len(data["H"]), len(rows))
             v_elems, h_elems = (_side_elements(spec, data[key], key) for key in ("V", "H"))
             tau, sigma = (spec.elem(_coefficients(spec, data[key], key)) for key in ("tau", "sigma"))
             _check_places(spec, tau, sigma, v_elems, h_elems)
@@ -876,7 +830,7 @@ def datum_from_dict(data: dict) -> VHDatum:
                 H=fq2_labels(h_elems),
                 inv_V=inv_v,
                 inv_H=inv_h,
-                R=tuples,
+                R=rows,
                 field=spec,
                 tau=tau,
                 sigma=sigma,
@@ -889,7 +843,7 @@ def datum_from_dict(data: dict) -> VHDatum:
                 H=_listed(str, data["H"], "H"),
                 inv_V=inv_v,
                 inv_H=inv_h,
-                R=tuples,
+                R=rows,
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed datum file: {exc!r}") from exc

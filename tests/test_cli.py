@@ -421,6 +421,25 @@ def test_dense_cap_above_the_eigensolver_limit_is_a_usage_error(tmp_path, capsys
     assert "--dense-cap" in captured.err and "2000" in captured.err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["datum", "--datum", ""], "--datum"),
+    (["datum", "--datum", "", "--p", "5"], "--datum"),
+    (["verify-ramanujan", "--graph-json", "", "--levels", "1:1"], "--graph-json"),
+    (["datum", "--write", ""], "--write"),
+    (["tiles", "--out", ""], "--out"),
+    (["datum", "--write", "d.json", "--out", ""], "--out"),
+], ids=["datum", "datum_beside_p", "graph_json", "write", "out", "out_beside_write"])
+def test_an_empty_path_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"{flag}: an empty path names no file" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_dense_cap_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-ramanujan", "--levels", "1", "--dense-cap", "-1", "--no-timestamp"])
@@ -733,6 +752,26 @@ def test_malformed_datum_file_R_entries_are_named(tmp_path, capsys, edit, expect
     assert code == 2
     assert stdout == ""
     assert err == f"error: {expected(R)}\n"
+
+
+def _labels_with_r_index(value):
+    def edit(data):
+        _without_field(V=list("abcd"), H=list("efgh"))(data)
+        data["R"][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set("R", 4, 2, value=2**70), id="field"),
+    pytest.param(_labels_with_r_index(-2**70), id="labels"),
+])
+def test_a_datum_file_index_beyond_int64_is_an_input_error(tmp_path, capsys, edit):
+    path = _edited_datum_file(tmp_path, capsys, edit)
+    for argv in (["datum"], ["tiles"], ["graph", "--level", "1"]):
+        code, stdout, err = run(capsys, *argv, "--datum", path, "--no-timestamp")
+        assert code == 2, argv
+        assert stdout == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("side", ["V", "H"])

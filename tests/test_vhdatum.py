@@ -1,7 +1,8 @@
-"""Datum construction, the twist formula, validation, relation
-certification, Wang tiles, and the file format."""
+"""Datum construction and its one form of R, the twist formula,
+validation, relation certification, Wang tiles, and the file format."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 
@@ -25,7 +26,6 @@ from ramshift.vhdatum import (
     tiles_to_svg,
     validate_datum,
     verify_relations,
-    wang_tiles,
     write_datum,
     zeta,
 )
@@ -71,6 +71,53 @@ def test_datum_preconditions(f3):
         build_quaternionic_datum(f3, 1, 1)
     with pytest.raises(ValueError, match="nonzero"):
         build_quaternionic_datum(f3, 0, 2)
+
+
+def _hand_built():
+    return VHDatum(V=["a", "a'"], H=["x", "x'"], inv_V=[1, 0], inv_H=[1, 0], R=[(0, 0, 0, 0), [1, 1, 1, 1]])
+
+
+@pytest.mark.parametrize("source", ["built", "read", "direct_product", "hand_built", "empty"])
+def test_r_is_one_read_only_int64_array_of_rows(source, d12_q3):
+    datum = {
+        "built": lambda: d12_q3,
+        "read": lambda: loads_datum(dumps_datum(d12_q3)),
+        "direct_product": lambda: direct_product_datum(2, 3),
+        "hand_built": _hand_built,
+        "empty": lambda: replace(d12_q3, R=[]),
+    }[source]()
+    R = datum.R
+    assert type(R) is np.ndarray and R.dtype == np.int64 and R.shape == (len(R), 4)
+    assert not R.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        R[0:1, 0] = 0
+    assert R.T.base is R  # the four columns are views
+
+
+def test_construction_copies_a_callers_array():
+    rows = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
+    datum = replace(_hand_built(), R=rows)
+    assert rows.flags.writeable and not np.shares_memory(rows, datum.R)
+    assert datum.R.tolist() == rows.tolist()
+
+
+@pytest.mark.parametrize("entry,error,message", [
+    pytest.param((0, 1, 1), ValueError, "4-tuples", id="three_wide"),
+    pytest.param((0, 1, 1, 0, 0), ValueError, "4-tuples", id="five_wide"),
+    pytest.param((0, 1.0, 1, 0), TypeError, "float64", id="float"),
+    pytest.param((0, 2 ** 70, 1, 0), TypeError, "object", id="beyond_int64"),
+    pytest.param((0, "1", 1, 0), TypeError, "integers", id="string"),
+])
+def test_construction_refuses_r_that_is_no_int64_rows(entry, error, message, d12_q3):
+    # one bad entry among valid rows, at construction and in a replace
+    rows = d12_q3.R.tolist()
+    rows[5] = entry
+    with pytest.raises(error, match=message):
+        VHDatum(V=d12_q3.V, H=d12_q3.H, inv_V=d12_q3.inv_V, inv_H=d12_q3.inv_H, R=rows)
+    with pytest.raises(error, match=message):
+        replace(d12_q3, R=rows)
+    with pytest.raises(error, match=message):
+        replace(d12_q3, R=[entry])  # not ragged: the whole R is 3 or 5 wide, or of one bad type
 
 
 def test_validate_flags_degenerate_tuple():
@@ -128,17 +175,18 @@ def loop_validate_datum(datum):
     if bad:
         return DatumReport(bad, checked)
 
-    rset = set(datum.R)
-    if len(rset) != len(datum.R):
+    rows = list(map(tuple, datum.R.tolist()))
+    rset = set(rows)
+    if len(rset) != len(rows):
         bad.append("R contains duplicate tuples")
-    for t in datum.R:
+    for t in rows:
         a, b, c, d = t
         if not (0 <= a < nv and 0 <= d < nv and 0 <= b < nh and 0 <= c < nh):
             bad.append(f"tuple {t} has out-of-range indices")
             return DatumReport(bad, checked)
 
     ia, ih = datum.inv_V, datum.inv_H
-    for t in datum.R:
+    for t in rows:
         a, b, c, d = t
         checked += 1
         for comp in ((ia[a], c, b, ia[d]), (ia[d], ih[c], ih[b], ia[a]), (d, ih[b], ih[c], a)):
@@ -147,8 +195,8 @@ def loop_validate_datum(datum):
         if c == ih[b] and d == ia[a]:
             bad.append(f"property (2): degenerate tuple {tup_label(t)}")
 
-    if len(datum.R) != nv * nh:
-        bad.append(f"|R| = {len(datum.R)} but |V||H| = {nv * nh}")
+    if len(rows) != nv * nh:
+        bad.append(f"|R| = {len(rows)} but |V||H| = {nv * nh}")
     for name, proj in (
         ("(a,b)", lambda t: (t[0], t[1])),
         ("(c,d)", lambda t: (t[2], t[3])),
@@ -157,7 +205,7 @@ def loop_validate_datum(datum):
     ):
         checked += 1
         seen = {}
-        for t in datum.R:
+        for t in rows:
             key = proj(t)
             if key in seen:
                 bad.append(f"property (3): projection {name} collides on {tup_label(t)} and {tup_label(seen[key])}")
@@ -167,8 +215,9 @@ def loop_validate_datum(datum):
 
 def _mutations(datum, rng):
     """Single mutations of a valid datum, each with its name: one kind of
-    fault at a time, at seeded random places."""
-    R, nv, nh = datum.R, len(datum.V), len(datum.H)
+    fault at a time, at seeded random places.  An index beyond int64 is no
+    mutation: construction refuses it (`test_construction_refuses_r_that_is_no_int64_rows`)."""
+    R, nv, nh = list(map(tuple, datum.R.tolist())), len(datum.V), len(datum.H)
     j, k = rng.sample(range(len(R)), 2)
     a, b, c, d = R[k]
     other = R[j]
@@ -179,7 +228,7 @@ def _mutations(datum, rng):
     yield "duplicate", at(other)
     yield "appended_duplicate", replace(datum, R=R + [R[k]])
     yield "short", replace(datum, R=R[:k] + R[k + 1:])
-    for name, value in (("minus_one", -1), ("size", None), ("huge", 2 ** 70)):
+    for name, value in (("minus_one", -1), ("size", None)):
         for pos in range(4):
             t = list(R[k])
             t[pos] = (nv if pos in (0, 3) else nh) if value is None else value
@@ -229,7 +278,7 @@ def test_validation_matches_the_tuple_loop(name, x, y):
             assert got.violations, kind
             assert (got.violations, got.checked) == (want.violations, want.checked), kind
             kinds += 1
-    assert kinds == 3 * 29
+    assert kinds == 3 * 25
 
 
 def test_repeated_labels_are_a_violation():
@@ -243,18 +292,19 @@ def test_repeated_labels_are_a_violation():
 
 
 def test_verify_relations_catches_altered_tuple(f3, d12_q3):
-    broken = VHDatum(
-        V=d12_q3.V, H=d12_q3.H, inv_V=d12_q3.inv_V, inv_H=d12_q3.inv_H,
-        R=list(d12_q3.R), field=d12_q3.field, tau=d12_q3.tau, sigma=d12_q3.sigma,
-        V_elems=d12_q3.V_elems, H_elems=d12_q3.H_elems,
-    )
     # replace the d-entry of the (1, 1+Z) tuple: 2Z -> 2, the misprint
     labels_v = {lbl: i for i, lbl in enumerate(d12_q3.V)}
     labels_h = {lbl: i for i, lbl in enumerate(d12_q3.H)}
     row = (labels_v["1"], labels_h["1+Z"])
-    idx = next(i for i, t in enumerate(broken.R) if (t[0], t[1]) == row)
-    a, b, c, _ = broken.R[idx]
-    broken.R[idx] = (a, b, c, labels_v["2"])
+    R = d12_q3.R.tolist()
+    idx = next(i for i, t in enumerate(R) if (t[0], t[1]) == row)
+    a, b, c, _ = R[idx]
+    R[idx] = (a, b, c, labels_v["2"])
+    broken = VHDatum(
+        V=d12_q3.V, H=d12_q3.H, inv_V=d12_q3.inv_V, inv_H=d12_q3.inv_H,
+        R=R, field=d12_q3.field, tau=d12_q3.tau, sigma=d12_q3.sigma,
+        V_elems=d12_q3.V_elems, H_elems=d12_q3.H_elems,
+    )
     report = verify_relations(broken)
     assert not report.ok
     assert any("square relation fails" in v for v in report.violations)
@@ -267,9 +317,10 @@ def test_property_one_companions_match_the_twist_formula(params, request):
     fixture, tau, sigma = params
     spec = request.getfixturevalue(fixture)
     datum = build_quaternionic_datum(spec, tau, sigma)
-    by_ab = datum.tuple_by_ab()
+    rows = list(map(tuple, datum.R.tolist()))
+    by_ab = {t[:2]: t for t in rows}
     iv, ih = datum.inv_V, datum.inv_H
-    for a, b, c, d in datum.R:
+    for a, b, c, d in rows:
         assert by_ab[(iv[a], c)] == (iv[a], c, b, iv[d])
         assert by_ab[(iv[d], ih[c])] == (iv[d], ih[c], ih[b], iv[a])
         assert by_ab[(d, ih[b])] == (d, ih[b], ih[c], a)
@@ -310,23 +361,20 @@ def test_direct_product_datum_validates():
 
 
 def test_wang_tiles_q3(d12_q3):
-    ts = wang_tiles(d12_q3)
-    assert len(ts.tiles) == 16
-    assert ts.four_way_deterministic()
-    counts = ts.side_color_counts()
+    # the tiles are the labelled rows of R: left a, top b, bottom c, right d
+    tiles = [(d12_q3.V[a], d12_q3.H[b], d12_q3.H[c], d12_q3.V[d]) for a, b, c, d in d12_q3.R.tolist()]
+    assert len(tiles) == 16
+    # 4-way deterministic: any two adjacent side colors determine the tile
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
+        assert len({(t[i], t[j]) for t in tiles}) == len(tiles)
     # (2,2)-datum: every color shows up on each side position in 2d = 4 tiles
-    for side in ("left", "right"):
-        assert set(counts[side].values()) == {4}
-        assert set(counts[side]) == set(d12_q3.V)
-    for side in ("top", "bottom"):
-        assert set(counts[side].values()) == {4}
-        assert set(counts[side]) == set(d12_q3.H)
+    for side, labels in ((0, d12_q3.V), (3, d12_q3.V), (1, d12_q3.H), (2, d12_q3.H)):
+        assert Counter(t[side] for t in tiles) == dict.fromkeys(labels, 4)
 
 
 def test_tiles_svg_is_deterministic(d12_q3):
-    ts = wang_tiles(d12_q3)
-    svg = tiles_to_svg(ts)
-    assert svg == tiles_to_svg(ts)
+    svg = tiles_to_svg(d12_q3)
+    assert svg == tiles_to_svg(d12_q3)
     assert svg.count("<polygon") == 4 * 16
     assert svg.startswith("<svg")
 
@@ -349,7 +397,7 @@ def test_write_read_cycle(tmp_path, d12_q5):
     path = tmp_path / "d12_q5.json"
     write_datum(d12_q5, str(path))
     back = read_datum(str(path))
-    assert back.R == d12_q5.R
+    assert back.R.tolist() == d12_q5.R.tolist()
     assert back.field == d12_q5.field
     assert [str(x) for x in back.H_elems] == [str(x) for x in d12_q5.H_elems]
 
@@ -371,7 +419,7 @@ def test_generic_datum_round_trip(tmp_path):
     path = tmp_path / "f2f2.json"
     write_datum(datum, str(path))
     back = read_datum(str(path))
-    assert back.V == datum.V and back.R == datum.R
+    assert back.V == datum.V and back.R.tolist() == datum.R.tolist()
     assert not back.is_arithmetic()
 
 
@@ -433,8 +481,8 @@ def test_build_matches_the_scalar_zeta_loop(p, e):
         datum = _datum(p, e, tau, sigma)
         v_index = {x: i for i, x in enumerate(datum.V_elems)}
         h_index = {x: i for i, x in enumerate(datum.H_elems)}
-        assert datum.R == [
-            (ia, ib, h_index[zeta(alpha, beta) * beta], v_index[zeta(beta, alpha) * alpha])
+        assert datum.R.tolist() == [
+            [ia, ib, h_index[zeta(alpha, beta) * beta], v_index[zeta(beta, alpha) * alpha]]
             for ia, alpha in enumerate(datum.V_elems)
             for ib, beta in enumerate(datum.H_elems)
         ]
@@ -448,7 +496,7 @@ def test_batched_verdicts_match_scalar_proportional(p, e):
         datum = _datum(p, e, tau, sigma)
         spec, n_h = datum.field, len(datum.H)
         # every relation, then every relation with gamma moved to the next H symbol
-        rows = datum.R + [(a, b, (c + 1) % n_h, d) for a, b, c, d in datum.R]
+        rows = datum.R.tolist() + [(a, b, (c + 1) % n_h, d) for a, b, c, d in datum.R.tolist()]
         sides = (datum.V_elems, datum.H_elems, datum.H_elems, datum.V_elems)
         gens = [QuatBatch.generators(spec, spec.pair([side[row[i]] for row in rows]))
                 for i, side in enumerate(sides)]
