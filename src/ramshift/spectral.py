@@ -51,25 +51,29 @@ directly and blockwise as above, with the quadratic transfer of the
 adjacency spectrum.  `bass-ihara` on q = 3 `A_4` (432 darts) solves six
 blocks of 54 for its eight characters.
 
-Exact paths: `walk_counts` is the one exact kernel.  It advances a block of
+Exact paths: `walks` is the one exact kernel.  It advances a block of
 integer row vectors through x -> x A by predecessor gathers, one sum of d
-entries per column of a d-regular matrix.  Every entry of x A^j, and every
-partial sum that forms it, is bounded by max|x| d^j, so the block steps in
-int64 while that bound is below 2^63 and in Python integers (numpy object
-arrays) from the first step that could pass it.  Deviation norms and
-cylinder correlations are exact rationals with no floating error.  All
-eigensolvers are dense and deterministic; resource caps reject instances
-beyond desk scale.
+entries per column of a d-regular matrix, read off the (m, d) predecessor
+array of the arcs (`arc_predecessors`); no dense matrix is on the path.
+Every entry of x A^j, and every partial sum that forms it, is bounded by
+max|x| d^j, so the block steps in int64 while that bound is below 2^63 and
+in Python integers (numpy object arrays) from the first step that could
+pass it.  `deviation_table` walks the identity in row chunks and keeps only
+each step's largest and smallest entry.  One byte bound, EXACT_BYTES,
+decides what is walked: the m^2 int64 entries a graph's held power rows can
+reach must fit in it (`check_exact_cap`), and a chunk has as many rows as
+make one step's (rows, m, d) gathered entries a sixteenth of it, at 8 bytes
+an entry, an int64 or a pointer to a Python int alike.  Deviation norms and cylinder correlations are exact rationals
+with no floating error.  All eigensolvers are dense and deterministic;
+resource caps reject instances beyond desk scale.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from math import lcm, prod, sqrt
 from typing import NamedTuple
 
@@ -82,7 +86,7 @@ from .graphs import (
 )
 
 DENSE_EIG_LIMIT = 2000
-EXACT_POWER_LIMIT = 500
+EXACT_BYTES = 256 * 2**20
 EIG_RESIDUAL_TOL = 1e-10
 
 
@@ -808,45 +812,59 @@ def second_modulus_directed(a: np.ndarray) -> float:
 # exact walk counts and deviation norms
 
 
-def check_exact_cap(m: int) -> None:
-    """Refuse exact walk counts in a dimension above EXACT_POWER_LIMIT."""
-    if m > EXACT_POWER_LIMIT:
-        raise SizeCapExceeded(f"exact matrix powers capped at dimension {EXACT_POWER_LIMIT}")
+def check_exact_cap(m: int, d: int = 0) -> None:
+    """Refuse exact walks on m vertices of in-degree d unless m^2 int64
+    entries (the most a graph's held power rows reach) and one row's
+    (1, m, d) gather fit in EXACT_BYTES.  A graph of 0/1 arcs has d <= m,
+    so for it m alone decides."""
+    if 8 * m * max(m, d) > EXACT_BYTES:
+        raise SizeCapExceeded(f"exact walk counts capped at {EXACT_BYTES} bytes")
+
+
+def arc_predecessors(tail: np.ndarray, head: np.ndarray, m: int) -> np.ndarray:
+    """The (m, d) predecessor array of the arcs tail -> head of a d-regular
+    graph on m vertices, d >= 1: row j lists the tail of every arc into j,
+    in increasing order, once per arc (multigraphs work)."""
+    out_deg = np.bincount(tail, minlength=m)
+    in_deg = np.bincount(head, minlength=m)
+    if m == 0 or not (out_deg[0] > 0 and (out_deg == out_deg[0]).all() and (in_deg == out_deg[0]).all()):
+        raise ValueError("exact walk counts need a d-regular nonnegative matrix, d >= 1")
+    d = int(out_deg[0])
+    check_exact_cap(m, d)
+    return tail[np.lexsort((tail, head))].reshape(m, d)
 
 
 def predecessors(a) -> np.ndarray:
-    """The (m, d) predecessor array of a d-regular nonnegative integer
-    matrix A of dimension m <= EXACT_POWER_LIMIT: row j lists each i,
-    repeated A[i, j] times (multigraphs work)."""
+    """`arc_predecessors` of a dense d-regular nonnegative integer matrix A,
+    whose entry A[i, j] counts the arcs i -> j."""
     mat = np.asarray(a)
-    m = mat.shape[0]
-    check_exact_cap(m)
-    rows = mat.sum(axis=1)
-    cols = mat.sum(axis=0)
-    d = int(rows[0])
-    if mat.shape != (m, m) or (mat < 0).any() or not ((rows == d).all() and (cols == d).all()):
-        raise ValueError("exact walk counts need a d-regular nonnegative matrix")
-    return np.repeat(np.tile(np.arange(m), m), mat.T.ravel()).reshape(m, d)
+    m = len(mat)
+    if mat.shape != (m, m) or (mat < 0).any():
+        raise ValueError("exact walk counts need a d-regular nonnegative matrix, d >= 1")
+    head, tail = np.nonzero(mat.T)
+    arcs = mat.T[head, tail]
+    return arc_predecessors(np.repeat(tail, arcs), np.repeat(head, arcs), m)
 
 
 def walk_counts(a, start, n: int):
     """Yield start, start A, start A^2, ..., start A^n exactly, for a
-    d-regular nonnegative integer matrix A of dimension m <= EXACT_POWER_LIMIT.
-
-    `start` is a length-m integer vector or a (rows, m) block; a start that
-    is not integer (floats included) is refused, not truncated.  One step
-    is a gather and a sum over the `predecessors` array: rows m d additions
-    instead of rows m^2 multiplications.  Block j is int64 while
-    max|start| d^j < 2^63: a column of A sums d predecessor entries, each at
-    most max|start| d^(j-1) in modulus, so every entry and every partial sum
-    stays within the bound.  From the first step that could pass it, the
-    block holds Python ints in a numpy object array.  Both dtypes step
-    through the same gather-sum."""
+    d-regular nonnegative integer matrix A: `walks` on its `predecessors`."""
     return walks(predecessors(a), start, n)
 
 
 def walks(preds: np.ndarray, start, n: int):
-    """`walk_counts` on a `predecessors` array that is already built."""
+    """Yield start, start A, ..., start A^n exactly for the graph of the
+    (m, d) predecessor array `preds`.
+
+    `start` is a length-m integer vector or a (rows, m) block; a start that
+    is not integer (floats included) is refused, not truncated.  One step
+    gathers the block at each column of `preds` and adds the d gathers:
+    rows m d additions instead of rows m^2 multiplications.  Block j is
+    int64 while max|start| d^j < 2^63: a column of A sums d predecessor
+    entries, each at most max|start| d^(j-1) in modulus, so every entry and
+    every partial sum stays within the bound.  From the first step that could pass it, the
+    block holds Python ints in a numpy object array.  Both dtypes step
+    through the same gather-sum."""
     if n < 0:
         raise ValueError("need n >= 0")
     block = np.asarray(start)
@@ -861,7 +879,10 @@ def walks(preds: np.ndarray, start, n: int):
     for j in range(1, n + 1):
         if block.dtype != object and bound * d**j >= 2**63:
             block = block.astype(object)
-        block = block[..., preds].sum(axis=-1)
+        step = block[..., preds[:, 0]]
+        for column in preds.T[1:]:
+            step += block[..., column]
+        block = step
         yield block
 
 
@@ -876,17 +897,25 @@ def matrix_power_int(a, n: int) -> list[list[int]]:
     return np.linalg.matrix_power(np.asarray(a).astype(object), n).tolist()
 
 
-def _identity_walks(a, n: int):
-    return walk_counts(a, np.eye(len(a), dtype=np.int64), n)
-
-
-def _deviation(power) -> Fraction:
+def _deviations(preds: np.ndarray, n_max: int) -> list[Fraction]:
+    """max_ij | A^n_ij / d^n - 1/m | for n = 0..n_max, from the identity
+    walked in row chunks whose steps gather (rows, m, d) entries, a
+    sixteenth of EXACT_BYTES; only each step's largest and smallest entry
+    is kept."""
+    m, d = preds.shape
+    rows = max(1, EXACT_BYTES // (16 * 8 * m * d))
+    top, low = [0] * (n_max + 1), [d**n for n in range(n_max + 1)]
+    for first in range(0, m, rows):
+        chunk = np.arange(first, min(first + rows, m))
+        start = np.zeros((len(chunk), m), dtype=np.int64)
+        start[np.arange(len(chunk)), chunk] = 1
+        for n, block in enumerate(walks(preds, start, n_max)):
+            top[n] = max(top[n], int(block.max()))
+            low[n] = min(low[n], int(block.min()))
     # every row of A^n sums to d^n, and |x/d^n - 1/m| = |x m - d^n| / (m d^n)
     # is largest at the largest or the smallest entry; all in Python ints,
     # since an int64 block bounds its entries, not m times them
-    m = power.shape[0]
-    dn = sum(power[0].tolist())
-    return Fraction(max(int(power.max()) * m - dn, dn - int(power.min()) * m), m * dn)
+    return [Fraction(max(t * m - d**n, d**n - lo * m), m * d**n) for n, (t, lo) in enumerate(zip(top, low))]
 
 
 def deviation_norm(a, n: int) -> Fraction:
@@ -896,12 +925,19 @@ def deviation_norm(a, n: int) -> Fraction:
     This is the sup-norm distance between the n-step normalized transition
     matrix and the flat matrix J/m, the quantity controlling correlation
     decay of the associated vertex shift."""
-    return _deviation(deque(_identity_walks(a, n), maxlen=1).pop())
+    return _deviations(predecessors(a), n)[-1]
 
 
-def deviation_table(a, n_max: int) -> list[Fraction]:
-    """deviation_norm for n = 1..n_max, sharing the iterated powers."""
-    return [_deviation(power) for power in islice(_identity_walks(a, n_max), 1, None)]
+def deviation_table(preds: np.ndarray, n_max: int) -> list[Fraction]:
+    """`deviation_norm` for n = 1..n_max from one chunked identity walk over
+    the (m, d) predecessor array of a d-regular graph (`predecessors`,
+    `arc_predecessors`).  An array in which some vertex is not a predecessor
+    d times, a dense adjacency for one, is refused."""
+    m, d = np.shape(preds)
+    tallies = np.bincount(np.ravel(preds), minlength=m)
+    if len(tallies) != m or (tallies != d).any():
+        raise ValueError("deviation_table needs the (m, d) predecessor array of a d-regular graph")
+    return _deviations(preds, n_max)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ this shift is (2d-1)-regular and uniquely extendable.  Dropping the two
 non-backtracking clauses gives the full Wang shift of the tileset.
 
 Strips are the words of one matrix (`chains`).  Strip q may follow strip p
-when the other matrix allows p[r] -> q[r] on every row r; `_compatible`
-holds that rule for all pairs at once, as the strip transition graph, and
-the (m, n) patterns are its length-m words over the height-n columns.
+when the other matrix allows p[r] -> q[r] on every row r.  `_strip_arcs`
+builds those pairs as arc arrays, one row at a time from the arcs of the
+strips one row lower, never as a strips-by-strips matrix; they are the
+strip transition graph, and the (m, n) patterns are its length-m words over
+the height-n columns.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ import numpy as np
 
 from .spectral import (
     SizeCapExceeded,
+    arc_predecessors,
+    check_dense_cap,
     check_exact_cap,
     deviation_table,
-    predecessors,
     second_modulus_directed,
     walks,
 )
@@ -63,14 +66,15 @@ class MatrixSubshift:
     here; every consumer reads `report`, so the matrices must not be
     changed after construction.  For the same reason the shift holds each
     strip graph it is asked for, once per (direction, k): `strip_graph`
-    checks the strip count against the exact cap, builds the graph with
-    `transition_graph` and keeps it, with its pattern index, predecessor
-    array and held power rows once they are first read.  The graph depends
-    on A, B, the direction and k alone, and its adjacency is read-only, so
-    every later request gets the graph a fresh build would give.  Each held
-    graph of dimension m keeps at most one m x m power (see
-    `TransitionGraph.power_row`), so the rows `correlation` reads cost at
-    most m^2 entries per strip graph, m <= EXACT_POWER_LIMIT."""
+    checks the strip count against the exact byte bound, builds the graph
+    with `transition_graph` and keeps it, with its pattern index,
+    predecessor array and held power rows once they are first read.  The
+    graph depends on A, B, the direction and k alone, and its arcs are
+    read-only, so every later request gets the graph a fresh build would
+    give.  Each held graph of dimension m keeps at most one m x m power
+    (see `TransitionGraph.power_row`), so the rows `correlation` reads cost
+    at most m^2 entries per strip graph, and `spectral.EXACT_BYTES` admits
+    only an m whose m^2 int64 entries fit in it."""
 
     symbols: list[str]
     A: np.ndarray
@@ -166,8 +170,8 @@ def regularity_report(shift: MatrixSubshift) -> RegularityReport:
     sums = [a.sum(axis=1), a.sum(axis=0), b.sum(axis=1), b.sum(axis=0)]
     if all((s == sums[0][0]).all() for s in sums):
         degree = int(sums[0][0])
-    ab, ba = a @ b, b @ a
-    abt, bta = a @ b.T, b.T @ a
+    ab, ba = _product01(a, b), _product01(b, a)
+    abt, bta = _product01(a, b.T), _product01(b.T, a)
     consistent = bool(((ab > 0) == (ba > 0)).all() and ((abt > 0) == (bta > 0)).all())
     products_01 = bool((ab <= 1).all() and (abt <= 1).all())
     commute = bool((ab == ba).all() and (abt == bta).all())
@@ -179,6 +183,21 @@ def regularity_report(shift: MatrixSubshift) -> RegularityReport:
         commute_exactly=commute,
         uniquely_extendable=consistent and products_01 and commute,
     )
+
+
+def _product01(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for 0/1 matrices without int64 `@`, which has no BLAS: row i
+    sums the rows of y at row i's nonzeros, in one gather from y with a
+    zero row appended to pad the shorter rows.  An entry sums at most
+    x.shape[1] ones, so the smallest unsigned dtype holding that number
+    holds every entry."""
+    rows, cols = np.nonzero(x)
+    width = np.bincount(rows, minlength=len(x))
+    picks = np.full((len(x), width.max(initial=0)), len(y))
+    picks[rows, np.arange(len(rows)) - np.repeat(np.cumsum(width) - width, width)] = cols
+    dtype = np.min_scalar_type(x.shape[1])
+    padded = np.vstack([y, np.zeros(y.shape[1], dtype=y.dtype)]).astype(dtype)
+    return padded[picks].sum(axis=1, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +217,31 @@ def chains(mat: np.ndarray, k: int) -> list[tuple[int, ...]]:
     return list(map(tuple, words.tolist()))
 
 
-def _compatible(along: np.ndarray, strips) -> np.ndarray:
-    """The (N, N) bool matrix of strip pairs (p, q) with along[p[r], q[r]]
-    = 1 on every row r: strip q may follow strip p."""
-    allowed = np.asarray(along, dtype=bool)
-    ok = np.ones((len(strips),) * 2, dtype=bool)
-    for row in np.asarray(strips).T:
-        ok &= allowed[np.ix_(row, row)]
-    return ok
+def _strip_arcs(along: np.ndarray, across: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(words, tail, head): the length-k words of `across` in the order of
+    `chains`, as a (N, k) array, and the arcs tail -> head between them,
+    sorted, where along[p[r], q[r]] = 1 on every row r (strip q may follow
+    strip p).  Each row is added to the arcs of the strips one row lower:
+    (p, x) -> (q, y) is an arc when p -> q is and along[x, y] = 1, so the
+    work is a few gathers of (arcs, s) booleans per row, never N^2."""
+    along, across = np.asarray(along, dtype=bool), np.asarray(across, dtype=bool)
+    rank = np.cumsum(across, axis=1) - 1  # rank[a, x]: x among a's successors
+    words = np.arange(len(across))[:, None]
+    tail, head = np.nonzero(along)
+    for _ in range(k - 1):
+        last = words[:, -1]
+        succ = across[last]
+        # the extensions of word w are numbered from first[w] on, as `chains` orders them
+        n_ext = succ.sum(axis=1)
+        first = np.cumsum(n_ext) - n_ext
+        arc, x = np.nonzero(succ[tail])
+        ext, y = np.nonzero(succ[head[arc]] & along[x])
+        p, q, x = tail[arc[ext]], head[arc[ext]], x[ext]
+        tail, head = first[p] + rank[last[p], x], first[q] + rank[last[q], y]
+        prefix, sym = np.nonzero(succ)
+        words = np.column_stack([words[prefix], sym])
+    order = np.lexsort((head, tail))
+    return words, tail[order], head[order]
 
 
 def _strip_matrices(shift: MatrixSubshift, direction: str) -> tuple[np.ndarray, np.ndarray]:
@@ -219,10 +255,11 @@ def _strip_matrices(shift: MatrixSubshift, direction: str) -> tuple[np.ndarray, 
 
 
 def _check_strip_dimension(shift: MatrixSubshift, direction: str, k: int) -> None:
-    """Refuse a height-k strip graph above the exact kernel's cap before it
-    is built.  The strips are the length-k words of `across`; their number
-    never falls as k grows (no row is zero), so the count stops at the first
-    length past the cap."""
+    """Refuse a height-k strip graph above the exact byte bound before it
+    is built (`check_exact_cap`; a strip graph's degree is at most s, and s
+    is at most its strip count).  The strips are the length-k words of
+    `across`; their number never falls as k grows (no row is zero), so the
+    count stops at the first length past the bound."""
     across = _strip_matrices(shift, direction)[1]
     ends = np.ones(len(across), dtype=np.int64)  # words ending in each symbol
     for _ in range(k - 1):
@@ -238,20 +275,23 @@ class TransitionGraph:
     right neighbor is admissible; for "vertical" the vertices are width-k
     rows and an edge means the upper neighbor is admissible.
 
-    The adjacency is read-only, so the pattern index and the predecessor
-    array derived from it are computed once, when first read.  The rows of
-    one power of the adjacency are held as well (`power_row`): at most m
-    rows of m exact entries, for the last step count asked."""
+    The graph is its arcs tail -> head, read-only arrays sorted by
+    (tail, head), so the pattern index, the predecessor array and the dense
+    adjacency derived from them are computed once, when first read.  The
+    rows of one power of the adjacency are held as well (`power_row`): at
+    most m rows of m exact entries, for the last step count asked."""
 
     direction: str
     k: int
     patterns: list[tuple[int, ...]]
-    adjacency: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
     _rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _row_steps: int | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self.adjacency.setflags(write=False)
+        self.tail.setflags(write=False)
+        self.head.setflags(write=False)
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -259,10 +299,21 @@ class TransitionGraph:
 
     @cached_property
     def preds(self) -> np.ndarray:
-        """`spectral.predecessors` of the adjacency, for exact walks."""
-        preds = predecessors(self.adjacency)
+        """`spectral.arc_predecessors` of the arcs, for exact walks."""
+        preds = arc_predecessors(self.tail, self.head, len(self.patterns))
         preds.setflags(write=False)
         return preds
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The (m, m) int64 0/1 matrix of the arcs, read-only.  No exact
+        path reads it; it is built for the tests, demo 05 and
+        `CorrelationTable.second_modulus`."""
+        m = len(self.patterns)
+        adjacency = np.zeros((m, m), dtype=np.int64)
+        adjacency[self.tail, self.head] = 1
+        adjacency.setflags(write=False)
+        return adjacency
 
     def power_row(self, v: int, j: int) -> np.ndarray:
         """Row v of A^j, exact: walked once by `walks` from e_v and held,
@@ -290,11 +341,10 @@ def transition_graph(shift: MatrixSubshift, direction: str, k: int) -> Transitio
     For non-extendable shifts locally admissible strips need not occur in
     any configuration, so k >= 2 is rejected there; k = 1 is always the
     symbol graph (A or B itself)."""
-    along, across = _strip_matrices(shift, direction)
     if k >= 2 and not shift.report.uniquely_extendable:
         raise ValueError("strip transition graphs beyond k = 1 need unique extendability")
-    patterns = chains(across, k)
-    return TransitionGraph(direction, k, patterns, _compatible(along, patterns).astype(np.int64))
+    words, tail, head = _strip_arcs(*_strip_matrices(shift, direction), k)
+    return TransitionGraph(direction, k, list(map(tuple, words.tolist())), tail, head)
 
 
 def admissible_patterns(shift: MatrixSubshift, m: int, n: int) -> list[Pattern]:
@@ -305,11 +355,13 @@ def admissible_patterns(shift: MatrixSubshift, m: int, n: int) -> list[Pattern]:
         raise ValueError("need m, n >= 1")
     if m * n > 12:
         raise SizeCapExceeded("exhaustive pattern enumeration capped at 12 cells")
-    columns = chains(shift.B, n)
     if m == 1:
-        return list(zip(columns))
-    by_index = np.fromiter(columns, dtype=object, count=len(columns))
-    return list(map(tuple, by_index[chains(_compatible(shift.A, columns), m)]))
+        return list(zip(chains(shift.B, n)))
+    words, tail, head = _strip_arcs(shift.A, shift.B, n)
+    follows = np.zeros((len(words),) * 2, dtype=bool)
+    follows[tail, head] = True
+    columns = np.fromiter(map(tuple, words.tolist()), dtype=object, count=len(words))
+    return list(map(tuple, columns[chains(follows, m)]))
 
 
 def pattern_count(shift: MatrixSubshift, m: int, n: int) -> int:
@@ -490,7 +542,8 @@ class CorrelationTable:
     """Deviation norms of a strip transition matrix against the envelope
     C * n * (1/sqrt(d))^n with C fitted at the first tabulated n.  All
     comparisons are exact (squared rational inequalities); the floats are
-    for display only."""
+    for display only.  The table keeps the strip graph it was read from,
+    for `second_modulus`; tables compare by their numbers alone."""
 
     rows: list[MixingRow]
     d: int
@@ -500,7 +553,16 @@ class CorrelationTable:
     theta: float
     c_float: float
     fitted_r: int
-    second_modulus: float
+    graph: TransitionGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def second_modulus(self) -> float:
+        """lambda of the strip graph (`second_modulus_directed`), a dense
+        float eigensolve run on the first read only, since no command prints
+        it.  Above DENSE_EIG_LIMIT strips the read raises SizeCapExceeded
+        before the dense adjacency is built."""
+        check_dense_cap(self.dimension)
+        return second_modulus_directed(self.graph.adjacency)
 
     @property
     def all_ok(self) -> bool:
@@ -516,9 +578,10 @@ class CorrelationTable:
 
 def _envelope_ok(dev: Fraction, n: int, dev0: Fraction, n0: int, d: int, r: int) -> bool:
     # dev(n) <= C n^r theta^n with theta = 1/sqrt(d) and C = dev0 / (n0^r theta^n0),
-    # compared exactly via squares: dev^2 n0^(2r) d^n <= dev0^2 d^(n0) n^(2r).
-    lhs = dev * dev * n0 ** (2 * r) * d**n
-    rhs = dev0 * dev0 * d**n0 * n ** (2 * r)
+    # compared exactly via squares: dev^2 n0^(2r) d^n <= dev0^2 d^(n0) n^(2r),
+    # in integers once both sides are multiplied by the squared denominators
+    lhs = (dev.numerator * dev0.denominator) ** 2 * n0 ** (2 * r) * d**n
+    rhs = (dev0.numerator * dev.denominator) ** 2 * d**n0 * n ** (2 * r)
     return lhs <= rhs
 
 
@@ -530,8 +593,8 @@ def mixing_table(
 
     Accepts a datum (its nearest-neighbor shift is built) or a
     MatrixSubshift.  Also reports whether even the r = 0 envelope holds
-    over the table (`fitted_r`), and the second-largest modulus of the
-    transition matrix.
+    over the table (`fitted_r`), and holds the strip graph for the
+    second-largest modulus of its transition matrix, solved when first read.
     """
     if isinstance(datum_or_shift, MatrixSubshift):
         shift = datum_or_shift
@@ -539,9 +602,9 @@ def mixing_table(
         shift = build_xd(datum_or_shift)
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    adj = shift.strip_graph(direction, k).adjacency
-    d = int(adj.sum(axis=1)[0])
-    devs = deviation_table(adj, n_max)
+    graph = shift.strip_graph(direction, k)
+    d = graph.preds.shape[1]
+    devs = deviation_table(graph.preds, n_max)
     theta = 1.0 / sqrt(d)
     dev0, n0 = devs[0], 1
     c_float = float(dev0) / (n0 * theta**n0)
@@ -563,12 +626,12 @@ def mixing_table(
         rows=rows,
         d=d,
         k=k,
-        dimension=adj.shape[0],
+        dimension=len(graph.patterns),
         direction=direction,
         theta=theta,
         c_float=c_float,
         fitted_r=0 if r0_holds else 1,
-        second_modulus=second_modulus_directed(adj),
+        graph=graph,
     )
 
 

@@ -238,7 +238,7 @@ def test_criterion_09_mixing_envelope():
             adjacency = graph.adjacency
             d = int(adjacency.sum(axis=1)[0])
             assert d == q
-            devs = deviation_table(adjacency, n_max)
+            devs = deviation_table(graph.preds, n_max)
             dev1 = devs[0]
             for n, dev in enumerate(devs, start=1):
                 # dev(n) <= C n (1/sqrt(q))^n with C = dev(1) sqrt(q), exactly

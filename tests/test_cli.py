@@ -135,7 +135,7 @@ def test_mixing_command(tmp_path, capsys):
 
 
 def test_mixing_resource_cap(capsys):
-    code, _, err = run(capsys, "mixing", "--k", "5", "--max-n", "3")
+    code, _, err = run(capsys, "mixing", "--k", "7", "--max-n", "3")
     assert code == 3
     assert "cap" in err
 
@@ -843,13 +843,13 @@ def test_mixing_counts_strips_before_building_the_strip_graph(monkeypatch, capsy
     from ramshift import subshift
 
     def no_strip_graph(*args):
-        raise AssertionError("a strip graph above the exact cap must not be built")
+        raise AssertionError("a strip graph above the exact byte bound must not be built")
 
     monkeypatch.setattr(subshift, "transition_graph", no_strip_graph)
     code, stdout, err = run(capsys, "mixing", "--k", k, "--max-n", "3", "--no-timestamp")
     assert code == 3
     assert stdout == ""
-    assert err == "resource cap: exact matrix powers capped at dimension 500\n"
+    assert err == "resource cap: exact walk counts capped at 268435456 bytes\n"
 
 
 # each command that reads a datum, with the arguments it needs besides it

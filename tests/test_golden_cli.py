@@ -9,8 +9,10 @@ relative path wherever the suite runs.  To re-record after an intended output ch
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ramshift.cli import main
@@ -67,10 +69,21 @@ CASES = {
 DATUM_FILES = {"datum_file_q9.json": (3, 2), "datum_file_q27.json": (3, 3)}
 
 
+@contextlib.contextmanager
+def _working_directory(path: Path):
+    # contextlib.chdir is new in Python 3.11, and the suite runs on 3.10 too
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def run_case(name: str) -> tuple[int, str]:
     argv, _ = CASES[name]
     out = io.StringIO()
-    with contextlib.chdir(GOLDEN.parent), contextlib.redirect_stdout(out):
+    with _working_directory(GOLDEN.parent), contextlib.redirect_stdout(out):
         code = main(argv + ["--no-timestamp"])
     return code, out.getvalue()
 
@@ -80,6 +93,22 @@ def test_cli_output_matches_golden(name):
     code, text = run_case(name)
     assert code == CASES[name][1]
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("mixing_")))
+def test_mixing_calls_no_eigensolver(name, monkeypatch):
+    # every mixing table is exact: its golden bytes come without one float
+    # eigensolve, which would raise here
+    from ramshift import spectral, subshift
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mixing must not run an eigensolver")
+
+    monkeypatch.setattr(spectral, "second_modulus_directed", refuse)
+    monkeypatch.setattr(subshift, "second_modulus_directed", refuse)
+    for solver in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, refuse)
+    assert run_case(name) == (0, (GOLDEN / name).read_text(encoding="utf-8"))
 
 
 def datum_file_text(name: str) -> str:

@@ -18,9 +18,10 @@ from ramshift.graphs import (
 )
 from ramshift.spectral import (
     DENSE_EIG_LIMIT,
-    EXACT_POWER_LIMIT,
     SizeCapExceeded,
+    arc_predecessors,
     bass_ihara_pairs,
+    check_exact_cap,
     deviation_norm,
     deviation_table,
     eig_symmetric,
@@ -31,6 +32,7 @@ from ramshift.spectral import (
     nb_spectrum,
     nb_spectrum_direct,
     nb_transfer_report,
+    predecessors,
     ramanujan_check,
     second_modulus_directed,
     tower_spectra,
@@ -977,7 +979,7 @@ def test_deviation_norm_envelope(d12_q3):
     # exact comparison of dev(10) <= C * 10 * (1/sqrt(3))^10 with C fitted at
     # n=1: squared form dev10^2 * 3^10 <= dev1^2 * 3 * 100
     assert dev10**2 * 3**10 <= dev1**2 * 3 * 100
-    table = deviation_table(h1, 10)
+    table = deviation_table(predecessors(h1), 10)
     assert table[0] == dev1 and table[9] == dev10
 
 
@@ -987,7 +989,7 @@ def test_deviation_table_matches_matrix_powers(datum, k, request):
 
     adj = transition_graph(build_xd(request.getfixturevalue(datum)), "horizontal", k).adjacency
     n_max = 8
-    assert deviation_table(adj, n_max) == [deviation_from_powers(adj, n) for n in range(1, n_max + 1)]
+    assert deviation_table(predecessors(adj), n_max) == [deviation_from_powers(adj, n) for n in range(1, n_max + 1)]
 
 
 def test_walk_counts_on_a_multigraph():
@@ -1041,20 +1043,54 @@ def test_deviation_table_crosses_the_int64_bound(d12_q3):
     assert 3**39 < 2**63 < 3**40
     blocks = list(walk_counts(adj, np.eye(len(adj), dtype=np.int64), 45))
     assert [block.dtype == object for block in blocks] == [n >= 40 for n in range(46)]
-    assert deviation_table(adj, 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
+    assert deviation_table(predecessors(adj), 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
+
+
+def test_chunked_deviation_table_crosses_the_int64_bound(d12_q3, monkeypatch):
+    # the smallest byte bound that admits the 16 tiles walks one row a
+    # chunk, so every chunk switches from int64 to Python ints at n = 40
+    from ramshift import spectral
+    from ramshift.subshift import build_xd, transition_graph
+
+    adj = transition_graph(build_xd(d12_q3), "horizontal", 1).adjacency
+    m = len(adj)
+    monkeypatch.setattr(spectral, "EXACT_BYTES", 8 * m * m)
+    chunks = []
+    walks = spectral.walks
+
+    def recording(preds, start, n):
+        chunks.append([])
+        for block in walks(preds, start, n):
+            chunks[-1].append(block.dtype == object)
+            yield block
+
+    monkeypatch.setattr(spectral, "walks", recording)
+    assert deviation_table(predecessors(adj), 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
+    assert len(chunks) == m
+    assert all(dtypes == [n >= 40 for n in range(46)] for dtypes in chunks)
 
 
 def test_deviation_norm_caps_and_validation(monkeypatch):
     from ramshift import spectral
 
-    monkeypatch.setattr(spectral, "EXACT_POWER_LIMIT", 3)
+    # m^2 int64 entries and one row's (1, m, d) gather must fit the bound
+    check_exact_cap(5792)
+    check_exact_cap(5792, 5792)
+    for m, d in ((5793, 0), (2, 2**24 + 1)):
+        with pytest.raises(SizeCapExceeded, match=f"capped at {spectral.EXACT_BYTES} bytes"):
+            check_exact_cap(m, d)
+    monkeypatch.setattr(spectral, "EXACT_BYTES", 8 * 3 * 3)
     with pytest.raises(SizeCapExceeded):
         deviation_norm(np.ones((4, 4), dtype=int), 2)
-    monkeypatch.undo()
     with pytest.raises(SizeCapExceeded):
-        deviation_table(np.ones((EXACT_POWER_LIMIT + 1,) * 2, dtype=int), 1)
+        arc_predecessors(np.arange(4).repeat(4), np.tile(np.arange(4), 4), 4)
+    assert deviation_norm(np.ones((3, 3), dtype=int), 2) == 0
+    monkeypatch.undo()
     for bad in (np.array([[1, 1], [1, 0]]), np.array([[2, -1], [-1, 2]])):
         with pytest.raises(ValueError, match="regular"):
             deviation_norm(bad, 2)
         with pytest.raises(ValueError, match="regular"):
-            deviation_table(bad, 2)
+            predecessors(bad)
+    # a dense 0/1 matrix is no predecessor array: its entries name 0 and 1 only
+    with pytest.raises(ValueError, match="predecessor array"):
+        deviation_table(np.ones((3, 3), dtype=int), 2)

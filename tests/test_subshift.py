@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from ramshift import mealy
-from ramshift.graphs import _out_stars, _stars_correspond, level_graph, nb_matrix
-from ramshift.spectral import SizeCapExceeded, matrix_power_int, walks
+from ramshift.graphs import _out_stars, _stars_correspond, level_graph, nb_arcs, nb_matrix
+from ramshift.spectral import SizeCapExceeded, matrix_power_int, second_modulus_directed, walks
 from ramshift.subshift import (
     MatrixSubshift,
+    RegularityReport,
+    _product01,
     admissible_patterns,
     build_wang_shift,
     build_xd,
@@ -28,7 +30,7 @@ from ramshift.subshift import (
     regularity_report,
     transition_graph,
 )
-from ramshift.vhdatum import direct_product_datum
+from ramshift.vhdatum import build_quaternionic_datum, direct_product_datum
 
 # the 2-regular but non-extendable pair of transition matrices
 A4 = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]])
@@ -46,6 +48,39 @@ def test_xd_q3_regularity(xd_q3):
     assert set(np.unique(ab)) <= {0, 1} and set(np.unique(abt)) <= {0, 1}
     assert (ab == xd_q3.B @ xd_q3.A).all()
     assert (abt == xd_q3.B.T @ xd_q3.A).all()
+
+
+def _matmul_report(shift):
+    """The regularity report read off int64 `@` products."""
+    a, b = shift.A, shift.B
+    ab, ba, abt, bta = a @ b, b @ a, a @ b.T, b.T @ a
+    consistent = bool(((ab > 0) == (ba > 0)).all() and ((abt > 0) == (bta > 0)).all())
+    products_01 = bool((ab <= 1).all() and (abt <= 1).all())
+    commute = bool((ab == ba).all() and (abt == bta).all())
+    sums = [a.sum(axis=1), a.sum(axis=0), b.sum(axis=1), b.sum(axis=0)]
+    degree = int(sums[0][0]) if all((x == sums[0][0]).all() for x in sums) else None
+    return RegularityReport(shift.s, degree, consistent, products_01, commute,
+                            consistent and products_01 and commute)
+
+
+@pytest.mark.parametrize("name", ["d12_q3", "d12_q5", "d12_q9", "wang_q3", "non_extendable", "irregular"])
+def test_regularity_products_match_int64_matmul(name, request, f9):
+    if name == "non_extendable":
+        shift = MatrixSubshift([str(i) for i in range(4)], A4, B4)
+    elif name == "irregular":
+        # rows of different weights, so the products pad the shorter rows
+        rng = np.random.default_rng(7)
+        a, b = (rng.random((9, 9)) < 0.4) | np.eye(9, dtype=bool), (rng.random((9, 9)) < 0.3) | np.eye(9, dtype=bool)
+        shift = MatrixSubshift([str(i) for i in range(9)], a, b)
+        assert shift.report.degree is None
+    elif name == "d12_q9":
+        shift = build_xd(build_quaternionic_datum(f9, 1, 2))
+    else:
+        shift = _reference_shift(name, request)
+    a, b = shift.A, shift.B
+    for x, y in ((a, b), (b, a), (a, b.T), (b.T, a)):
+        assert (_product01(x, y) == x @ y).all()
+    assert shift.report == _matmul_report(shift)
 
 
 def test_regularity_report_runs_once_at_construction(d12_q3, monkeypatch):
@@ -241,7 +276,7 @@ def test_single_column_patterns_build_no_compatibility_matrix(xd_q3, monkeypatch
     def refuse(*args):
         raise AssertionError("one column needs no compatibility matrix")
 
-    monkeypatch.setattr(subshift, "_compatible", refuse)
+    monkeypatch.setattr(subshift, "_strip_arcs", refuse)
     assert admissible_patterns(xd_q3, 1, 8) == [(c,) for c in chains(xd_q3.B, 8)]
 
 
@@ -322,6 +357,22 @@ def test_strip_graphs_are_nonbacktracking_dart_graphs(d12_q3, xd_q3, k):
     perm = np.array([row_map(p) for p in vk.patterns])
     nb_a = nb_matrix(level_graph(d12_q3, "A", k)).adjacency
     assert (vk.adjacency == nb_a[np.ix_(perm, perm)]).all()
+
+
+def test_frontier_strip_graphs_are_the_nonbacktracking_arcs(d12_q3, xd_q3):
+    # height 5, above the old cap of 500 strips: the arcs of each strip graph
+    # are the non-backtracking arcs of B_5 or A_5 under the strip-dart map,
+    # compared as arc lists without a dense matrix
+    col_map, row_map = _strip_to_dart_maps(d12_q3, xd_q3, 5)
+    for direction, side, to_dart in (("horizontal", "B", col_map), ("vertical", "A", row_map)):
+        graph = transition_graph(xd_q3, direction, 5)
+        assert len(graph.patterns) == 16 * 3**4 and len(graph.tail) == 3 * len(graph.patterns)
+        perm = np.array([to_dart(p) for p in graph.patterns])
+        e, f, d = nb_arcs(level_graph(d12_q3, side, 5))
+        assert d == 3
+        strip_arcs = np.sort(perm[graph.tail] * len(perm) + perm[graph.head])
+        assert (strip_arcs == np.sort(e * len(perm) + f)).all()
+        assert "adjacency" not in vars(graph)
 
 
 @pytest.mark.parametrize("fixture", ["xd_q3", "d12_q5"])
@@ -728,7 +779,58 @@ def test_mixing_csv_format(d12_q3):
 
 def test_mixing_table_cap(d12_q3):
     with pytest.raises(SizeCapExceeded):
-        mixing_table(d12_q3, 5, 3)  # 16 * 81 = 1296 > 500
+        mixing_table(d12_q3, 7, 3)  # 8 * 11664^2 bytes > 256 MiB
+
+
+@pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+def test_chunked_walks_change_no_number(d12_q3, monkeypatch, direction):
+    # the smallest byte bound that admits the 144 strips of height 3 walks
+    # the identity in chunks of 3 rows; the table must not change
+    from ramshift import spectral
+    from test_spectral import deviation_from_powers
+
+    whole = mixing_table(build_xd(d12_q3), 3, 6, direction=direction)
+    shift = build_xd(d12_q3)
+    m = len(shift.strip_graph(direction, 3).patterns)
+    monkeypatch.setattr(spectral, "EXACT_BYTES", 8 * m * m)
+    rows = []
+
+    def counting(preds, start, n):
+        rows.append(len(start))
+        return walks(preds, start, n)
+
+    monkeypatch.setattr(spectral, "walks", counting)
+    chunked = mixing_table(shift, 3, 6, direction=direction)
+    assert len(rows) >= 4 and sum(rows) == m
+    assert chunked == whole
+    adjacency = shift.strip_graph(direction, 3).adjacency
+    assert [row.deviation for row in chunked.rows] == [deviation_from_powers(adjacency, n) for n in range(1, 7)]
+
+
+def test_second_modulus_is_solved_on_first_read(d12_q3, monkeypatch):
+    from ramshift import subshift
+
+    solved = []
+
+    def counting(a):
+        solved.append(len(a))
+        return second_modulus_directed(a)
+
+    monkeypatch.setattr(subshift, "second_modulus_directed", counting)
+    table = mixing_table(build_xd(d12_q3), 2, 6)
+    assert solved == [] and table == mixing_table(build_xd(d12_q3), 2, 6)
+    assert table.second_modulus == pytest.approx(3**0.5, abs=1e-6)
+    assert table.second_modulus == table.second_modulus and solved == [48]
+    assert table == mixing_table(build_xd(d12_q3), 2, 6)
+
+
+def test_second_modulus_above_the_dense_cap_raises_when_read(d12_q3):
+    # 16 * 3^5 = 3888 strips: the table is exact, the dense eigensolve capped
+    table = mixing_table(d12_q3, 6, 2, direction="vertical")
+    assert table.dimension == 3888 and table.all_ok
+    with pytest.raises(SizeCapExceeded, match="dense eigensolve capped"):
+        table.second_modulus
+    assert "adjacency" not in vars(table.graph)
 
 
 def test_strip_graphs_are_built_once_per_direction_and_height(d12_q3, monkeypatch):
@@ -766,9 +868,13 @@ def test_held_strip_graphs_are_read_only(xd_q3):
     graph = xd_q3.strip_graph("horizontal", 2)
     assert xd_q3.strip_graph("horizontal", 2) is graph
     assert graph.index is graph.index and graph.preds is graph.preds
+    assert graph.adjacency is graph.adjacency
     for array in (graph.adjacency, graph.preds):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
+    for array in (graph.tail, graph.head):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.fixture
@@ -781,14 +887,14 @@ def no_strip_graph(monkeypatch):
     monkeypatch.setattr(subshift, "transition_graph", refuse)
 
 
-@pytest.mark.parametrize("k", [5, 8, 40])
+@pytest.mark.parametrize("k", [7, 8, 40])
 @pytest.mark.parametrize("direction", ["horizontal", "vertical"])
 def test_mixing_counts_strips_before_building_the_strip_graph(d12_q3, no_strip_graph, k, direction):
-    with pytest.raises(SizeCapExceeded, match="capped at dimension 500"):
+    with pytest.raises(SizeCapExceeded, match="capped at 268435456 bytes"):
         mixing_table(d12_q3, k, 3, direction=direction)
 
 
 def test_correlation_counts_strips_before_building_the_strip_graph(xd_q3, no_strip_graph):
-    column = (chains(xd_q3.B, 5)[0],)  # 16 * 3^4 = 1296 strips of height 5
-    with pytest.raises(SizeCapExceeded, match="capped at dimension 500"):
+    column = (chains(xd_q3.B, 7)[0],)  # 16 * 3^6 = 11664 strips of height 7
+    with pytest.raises(SizeCapExceeded, match="capped at 268435456 bytes"):
         correlation(xd_q3, column, column, 3)
