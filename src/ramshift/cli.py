@@ -133,7 +133,7 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def cmd_datum(args) -> int:
-    # building and reading both validate the datum and raise when it is invalid
+    # a datum is validated once, when it is made: an invalid one raises there
     datum = _datum_from_args(args)
     violations = []
     relations_ok = None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vhdatum import VHDatum, dot_escaped, validate_datum
+from .vhdatum import VHDatum, dot_escaped
 
 Word = tuple[int, ...]
 
@@ -87,9 +87,6 @@ def _checked_table(name: str, values, shape: tuple[int, ...], bound: int) -> np.
 def from_datum(datum: VHDatum) -> Mealy:
     """States V, alphabet H; tuple (a, b, c, d) reads as delta(a,b) = d,
     out(a,b) = c.  Property (3) makes both maps total."""
-    report = validate_datum(datum)
-    if not report.ok:
-        raise ValueError(f"invalid datum: {report.violations[0]}")
     a, b, c, d = datum.R.T
     delta, out = np.full((2, len(datum.V), len(datum.H)), -1, dtype=np.intp)
     delta[a, b], out[a, b] = d, c

@@ -341,6 +341,8 @@ def transition_graph(shift: MatrixSubshift, direction: str, k: int) -> Transitio
     For non-extendable shifts locally admissible strips need not occur in
     any configuration, so k >= 2 is rejected there; k = 1 is always the
     symbol graph (A or B itself)."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     if k >= 2 and not shift.report.uniquely_extendable:
         raise ValueError("strip transition graphs beyond k = 1 need unique extendability")
     words, tail, head = _strip_arcs(*_strip_matrices(shift, direction), k)
@@ -376,11 +378,10 @@ def _is_int(x) -> bool:
 
 
 def is_admissible(shift: MatrixSubshift, pattern: Pattern) -> bool:
-    """True for a rectangular pattern of integer symbols in 0..s-1 whose
-    vertical and horizontal neighbours are all allowed."""
-    if len(pattern) == 0 or any(len(col) != len(pattern[0]) for col in pattern):
-        return False
-    if not all(_is_int(x) and 0 <= x < shift.s for col in pattern for x in col):
+    """True for a pattern that `_shape` accepts whose neighbours are all allowed."""
+    try:
+        _shape(shift, pattern)
+    except ValueError:
         return False
     return _neighbours_allowed(shift, pattern)
 

@@ -13,10 +13,10 @@ quadruples (a, b, c, d) in V x H x H x V subject to:
       (a,c), (b,d)) are bijections, so |R| = |V| * |H|.
 
 A datum holds R in one form: a read-only (|R|, 4) int64 array of index
-rows, checked and converted once when the datum is built.  Each row is a
-unit square Wang tile with side colors a (left), b (top), c (bottom),
-d (right); property (3) makes the tileset 4-way deterministic, and
-`tiles_to_svg` draws the rows themselves.
+rows.  A datum is checked once, when it is made, and trusted after (see
+`VHDatum`).  Each row is a unit square Wang tile with side colors a (left),
+b (top), c (bottom), d (right); property (3) makes the tileset 4-way
+deterministic, and `tiles_to_svg` draws the rows themselves.
 
 The quaternionic datum D_{tau,sigma} has V and H the norm fibers of
 tau^-1 and sigma^-1 in F_q[Z], negation as the involutions, and
@@ -71,14 +71,9 @@ class VHDatum:
     tuples and `R.T` gives the four columns as views.  An R that is ragged,
     not 4 wide, or holds anything but integers within int64 is refused
     there (ValueError or TypeError; `datum_from_dict` reports the
-    TypeError as a malformed file).
-
-    `validate_datum` runs where a datum enters the library:
-    `build_quaternionic_datum` checks what it builds, `datum_from_dict`
-    (and so `read_datum`) checks what it reads, and `mealy.from_datum`
-    checks every datum it turns into an automaton; `direct_product_datum`
-    is valid by construction.  Consumers downstream of those (`build_xd`,
-    `build_wang_shift`, `tiles_to_svg`) trust the datum they are given."""
+    TypeError as a malformed file).  Construction then runs `validate_datum`
+    and raises `InvalidDatum` on a datum that fails it, so a datum, built,
+    read or `dataclasses.replace`d, is valid, and nothing checks it again."""
 
     V: list[str]
     H: list[str]
@@ -105,6 +100,8 @@ class VHDatum:
             raise TypeError(f"R entries must be integers within int64, got {rows.dtype} entries")
         self.R = rows.astype(np.int64, copy=False)
         self.R.setflags(write=False)
+        if not (report := validate_datum(self)).ok:
+            raise InvalidDatum(report)
 
     def is_arithmetic(self) -> bool:
         return self.field is not None
@@ -130,6 +127,14 @@ class DatumReport:
     def __repr__(self) -> str:
         state = "ok" if self.ok else f"{len(self.violations)} violations"
         return f"DatumReport({state}, checked={self.checked})"
+
+
+class InvalidDatum(ValueError):
+    """Raised by a `VHDatum` that fails `validate_datum`; `report` holds every violation."""
+
+    def __init__(self, report: DatumReport):
+        super().__init__(f"invalid datum: {report.violations[0]}")
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,7 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
     via the canonical encoding).  gamma = zeta_alpha(beta) beta and
     delta = zeta_beta(alpha) alpha are computed for every (alpha, beta) at
     once, by the shared closed form of `_twisted_pairs`, and found in the
-    fibers by their F_q[Z] encodings.  The result passes `validate_datum`.
+    fibers by their F_q[Z] encodings.
     """
     tau = spec.elem(tau)
     sigma = spec.elem(sigma)
@@ -210,7 +215,7 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
     gamma, delta = _twisted_pairs(spec, alpha, beta)
     ia, ib = np.divmod(np.arange(len(v_elems) * len(h_elems)), len(h_elems))
 
-    datum = VHDatum(
+    return VHDatum(
         V=fq2_labels(v_elems),
         H=fq2_labels(h_elems),
         inv_V=indices(v_elems, spec.pair_neg(v)).tolist(),
@@ -222,10 +227,6 @@ def build_quaternionic_datum(spec: FieldSpec, tau, sigma) -> VHDatum:
         V_elems=v_elems,
         H_elems=h_elems,
     )
-    report = validate_datum(datum)
-    if not report.ok:
-        raise RuntimeError(f"constructed datum is invalid: {report.violations[:3]}")
-    return datum
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +244,8 @@ _PROJECTIONS = (("(a,b)", 0, 1), ("(c,d)", 2, 3), ("(a,c)", 0, 2), ("(b,d)", 1, 
 
 
 def validate_datum(datum: VHDatum) -> DatumReport:
-    """Check the involution axioms, distinct labels on each side, and datum
-    properties (1)-(3).
+    """Check the involution axioms, nonempty sides of even size with
+    distinct labels, and datum properties (1)-(3).
 
     R is decided by whole-array passes over its four index columns: the
     range by one maximum; the (a, b) projection by one `bincount` of its
@@ -258,10 +259,10 @@ def validate_datum(datum: VHDatum) -> DatumReport:
     duplicates and companions through a set of the tuples.  Violations are
     collected into the report rather than raised, so a broken datum can be
     inspected, and each is rendered from its failing row only.  They come
-    in this order: the involutions, even sizes and labels (any of these
-    ends the check); duplicate tuples, or the first tuple out of range
-    (which ends it); per tuple in R order, its missing companions and its
-    degeneracy; |R|; per projection, its collisions in R order.
+    in this order: the involutions, even and nonempty sides, and labels
+    (any of these ends the check); duplicate tuples, or the first tuple out
+    of range (which ends it); per tuple in R order, its missing companions
+    and its degeneracy; |R|; per projection, its collisions in R order.
     """
     bad: list[str] = []
     nv, nh = len(datum.V), len(datum.H)
@@ -276,6 +277,8 @@ def validate_datum(datum: VHDatum) -> DatumReport:
                 bad.append(f"{name} is not an involution at index {i}")
     if nv % 2 or nh % 2:
         bad.append("V and H must have even size")
+    if not (nv and nh):
+        bad.append("V and H must be nonempty")
     for name, labels in (("V", datum.V), ("H", datum.H)):
         if len(set(labels)) != len(labels):
             seen: set = set()
@@ -847,9 +850,8 @@ def datum_from_dict(data: dict) -> VHDatum:
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed datum file: {exc!r}") from exc
-    report = validate_datum(datum)
-    if not report.ok:
-        raise ValueError(f"datum file fails validation: {report.violations[0]}")
+    except InvalidDatum as exc:
+        raise ValueError(f"datum file fails validation: {exc.report.violations[0]}") from exc
     return datum
 
 

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import time
 from functools import reduce
 from itertools import islice
@@ -388,10 +389,24 @@ def test_datum_file_sizes_are_checked_before_any_field_table(tmp_path, capsys, m
     assert code == 2 and "does not fit" in err
 
 
-@pytest.mark.parametrize("extra", [[], ["--datum", "FILE"]])
+# (command line, validate_datum calls): one call per datum made, FILE a
+# written datum file; product-graph makes one datum per place besides tau
+VALIDATIONS = [
+    (["datum"], 1),
+    (["datum", "--datum", "FILE"], 1),
+    *(pytest.param((line.split(), calls), id=line.split()[0]) for line, calls in (
+        ("automaton", 1), ("graph --level 2", 1), ("tiles", 1), ("subshift-check", 1), ("mixing --max-n 4", 1),
+        ("bass-ihara --level 2", 1), ("verify-ramanujan --levels 1:2 --side both", 1),
+        ("product-graph --p 5 --s0 1,2,3 --tau 1 --levels 1,1", 2),
+    )),
+]
+
+
+@pytest.mark.parametrize("extra", VALIDATIONS)
 def test_datum_command_validates_once(tmp_path, capsys, monkeypatch, extra):
     from ramshift import vhdatum
 
+    argv, expected = extra
     path = tmp_path / "d.json"
     assert run(capsys, "datum", "--write", str(path), "--no-timestamp")[0] == 0
     calls = []
@@ -401,11 +416,34 @@ def test_datum_command_validates_once(tmp_path, capsys, monkeypatch, extra):
         calls.append(datum)
         return original(datum)
 
-    monkeypatch.setattr(vhdatum, "validate_datum", counting)
-    argv = [str(path) if a == "FILE" else a for a in extra]
-    code, stdout, _ = run(capsys, "datum", *argv, "--no-timestamp")
-    assert code == 0 and json.loads(stdout)["valid"] is True
-    assert len(calls) == 1
+    # every module that binds the function, as a traced benchmark pass counts it
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ramshift"]:
+        if getattr(module, "validate_datum", None) is original:
+            monkeypatch.setattr(module, "validate_datum", counting)
+    code, stdout, _ = run(capsys, *[str(path) if a == "FILE" else a for a in argv], "--no-timestamp")
+    assert code == 0 and stdout
+    if argv[0] == "datum":
+        assert json.loads(stdout)["valid"] is True
+    assert len(calls) == expected
+
+
+DATUM_COMMANDS = ["datum", "automaton", "graph --level 1", "tiles", "subshift-check", "mixing", "bass-ihara --level 1",
+                  "verify-ramanujan"]
+
+
+@pytest.mark.parametrize("line", DATUM_COMMANDS, ids=[line.split()[0] for line in DATUM_COMMANDS])
+def test_an_empty_datum_file_is_an_input_error(tmp_path, capsys, line):
+    path = tmp_path / "empty.json"
+    path.write_text('{"V":[],"H":[],"inv_V":[],"inv_H":[],"R":[]}', encoding="utf-8")
+    code, stdout, err = run(capsys, *line.split(), "--datum", str(path), "--no-timestamp")
+    assert (code, stdout) == (2, "")
+    assert err == "error: datum file fails validation: V and H must be nonempty\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_mixing_needs_a_positive_strip_height(capsys, k):
+    code, stdout, err = run(capsys, "mixing", "--k", k, "--no-timestamp")
+    assert (code, stdout, err) == (2, "", "error: need k >= 1\n")
 
 
 @pytest.mark.parametrize("source", [["--levels", "6:7", "--side", "A"], ["--graph-json", "G"]])

@@ -16,6 +16,7 @@ from ramshift.subshift import (
     MatrixSubshift,
     RegularityReport,
     _product01,
+    _shape,
     admissible_patterns,
     build_wang_shift,
     build_xd,
@@ -142,6 +143,15 @@ def test_non_extendable_witness_is_a_corner_not_a_rectangle():
         if ba[i, l] > 0 and ab[i, l] == 0
     ]
     assert stuck  # extendability genuinely fails
+
+
+@pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+def test_strip_graphs_need_a_positive_height(xd_q3, direction):
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            xd_q3.strip_graph(direction, k)
+        with pytest.raises(ValueError, match="need k >= 1"):
+            transition_graph(xd_q3, direction, k)
 
 
 def test_non_extendable_strip_graphs_are_primitive():
@@ -285,7 +295,24 @@ def test_is_admissible_edge_shapes(xd_q3):
     assert is_admissible(xd_q3, (col,))
     assert not is_admissible(xd_q3, (col, col[:1]))  # ragged
     assert not is_admissible(xd_q3, ())  # no columns
-    assert is_admissible(xd_q3, ((),)) and is_admissible(xd_q3, ((), ()))  # no pair to violate
+    assert not is_admissible(xd_q3, ((),)) and not is_admissible(xd_q3, ((), ()))  # a column with no cell
+
+
+def test_is_admissible_is_false_exactly_where_shape_raises(xd_q3):
+    col = chains(xd_q3.B, 2)[0]
+    bad = next((a, b) for a in range(xd_q3.s) for b in range(xd_q3.s) if not xd_q3.B[a, b])
+    patterns = {
+        "no_cell": ((),), "no_cells": ((), ()), "ragged": (col, col[:1]), "bool": ((True,),),
+        "negative": ((-1,),), "out_of_range": ((xd_q3.s,),), "admissible": (col,), "inadmissible": (bad,),
+    }
+    for name, pattern in patterns.items():
+        try:
+            _shape(xd_q3, pattern)
+            shaped = True
+        except ValueError:
+            shaped = False
+        assert shaped == (name in ("admissible", "inadmissible")), name
+        assert is_admissible(xd_q3, pattern) == (name == "admissible"), name
 
 
 def test_is_admissible_against_the_definition(xd_q3):

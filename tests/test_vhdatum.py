@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ramshift.ffield import fq2_label, make_field
 from ramshift.quaternion import QuatBatch, QuatElem, proportional, proportional_batch
 from ramshift.vhdatum import (
     DatumReport,
+    InvalidDatum,
     VHDatum,
     _twisted_pairs,
     build_quaternionic_datum,
@@ -74,7 +76,9 @@ def test_datum_preconditions(f3):
 
 
 def _hand_built():
-    return VHDatum(V=["a", "a'"], H=["x", "x'"], inv_V=[1, 0], inv_H=[1, 0], R=[(0, 0, 0, 0), [1, 1, 1, 1]])
+    # the (1, 1) direct product, R given as a mix of tuples and lists
+    return VHDatum(V=["a", "a'"], H=["x", "x'"], inv_V=[1, 0], inv_H=[1, 0],
+                   R=[(0, 0, 0, 0), [0, 1, 1, 0], (1, 0, 0, 1), [1, 1, 1, 1]])
 
 
 @pytest.mark.parametrize("source", ["built", "read", "direct_product", "hand_built", "empty"])
@@ -84,7 +88,8 @@ def test_r_is_one_read_only_int64_array_of_rows(source, d12_q3):
         "read": lambda: loads_datum(dumps_datum(d12_q3)),
         "direct_product": lambda: direct_product_datum(2, 3),
         "hand_built": _hand_built,
-        "empty": lambda: replace(d12_q3, R=[]),
+        # an empty R is never valid (`test_empty_datum_is_refused`): the smallest datum
+        "empty": lambda: direct_product_datum(1, 1),
     }[source]()
     R = datum.R
     assert type(R) is np.ndarray and R.dtype == np.int64 and R.shape == (len(R), 4)
@@ -95,7 +100,7 @@ def test_r_is_one_read_only_int64_array_of_rows(source, d12_q3):
 
 
 def test_construction_copies_a_callers_array():
-    rows = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
+    rows = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
     datum = replace(_hand_built(), R=rows)
     assert rows.flags.writeable and not np.shares_memory(rows, datum.R)
     assert datum.R.tolist() == rows.tolist()
@@ -120,32 +125,52 @@ def test_construction_refuses_r_that_is_no_int64_rows(entry, error, message, d12
         replace(d12_q3, R=[entry])  # not ragged: the whole R is 3 or 5 wide, or of one bad type
 
 
+def _stand_in(V, H, inv_V, inv_H, R):
+    """The five fields of a datum, R as int64 rows, without the check that
+    construction runs: what `validate_datum` and its loop reference read."""
+    return SimpleNamespace(V=V, H=H, inv_V=inv_V, inv_H=inv_H, R=np.array(R, dtype=np.int64).reshape(-1, 4))
+
+
+def _refused(**fields) -> DatumReport:
+    """The report of the `InvalidDatum` that constructing `fields` raises,
+    which equals `validate_datum` of their stand-in."""
+    with pytest.raises(InvalidDatum) as refused:
+        VHDatum(**fields)
+    report = refused.value.report
+    assert str(refused.value) == f"invalid datum: {report.violations[0]}"
+    want = validate_datum(_stand_in(**fields))
+    assert (report.violations, report.checked) == (want.violations, want.checked)
+    return report
+
+
 def test_validate_flags_degenerate_tuple():
     # a lone (a, b, b^-1, a^-1) tuple violates property (2) (and more)
-    datum = VHDatum(
-        V=["a", "a'"], H=["x", "x'"], inv_V=[1, 0], inv_H=[1, 0],
-        R=[(0, 0, 1, 1)],
-    )
-    report = validate_datum(datum)
+    report = _refused(V=["a", "a'"], H=["x", "x'"], inv_V=[1, 0], inv_H=[1, 0], R=[(0, 0, 1, 1)])
     assert not report.ok
     assert any("property (2)" in v for v in report.violations)
 
 
 def test_validate_flags_projection_collision():
-    datum = VHDatum(
+    report = _refused(
         V=["a", "a'"], H=["x", "x'"], inv_V=[1, 0], inv_H=[1, 0],
         R=[(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (1, 1, 0, 0)],
     )
-    report = validate_datum(datum)
     assert any("projection (a,b)" in v for v in report.violations)
 
 
 def test_validate_flags_broken_involution():
-    datum = VHDatum(
-        V=["a", "a'"], H=["x", "x'"], inv_V=[0, 1], inv_H=[1, 0], R=[],
-    )
-    report = validate_datum(datum)
+    report = _refused(V=["a", "a'"], H=["x", "x'"], inv_V=[0, 1], inv_H=[1, 0], R=[])
     assert any("fixed point" in v for v in report.violations)
+
+
+def test_empty_datum_is_refused():
+    # both sides need symbols; the rule ends the check before R is read
+    report = _refused(V=[], H=[], inv_V=[], inv_H=[], R=[])
+    assert (report.violations, report.checked) == (["V and H must be nonempty"], 2)
+    with pytest.raises(InvalidDatum, match="^invalid datum: V and H must be nonempty$"):
+        VHDatum([], [], [], [], [])
+    # one empty side: every other rule holds vacuously for an empty R
+    assert _refused(V=["a", "a'"], H=[], inv_V=[1, 0], inv_H=[], R=[]).violations == ["V and H must be nonempty"]
 
 
 def loop_validate_datum(datum):
@@ -172,6 +197,8 @@ def loop_validate_datum(datum):
                 bad.append(f"{name} is not an involution at index {i}")
     if nv % 2 or nh % 2:
         bad.append("V and H must have even size")
+    if not (nv and nh):
+        bad.append("V and H must be nonempty")
     if bad:
         return DatumReport(bad, checked)
 
@@ -214,20 +241,25 @@ def loop_validate_datum(datum):
 
 
 def _mutations(datum, rng):
-    """Single mutations of a valid datum, each with its name: one kind of
-    fault at a time, at seeded random places.  An index beyond int64 is no
-    mutation: construction refuses it (`test_construction_refuses_r_that_is_no_int64_rows`)."""
+    """Single mutations of a valid datum, each with its name and its five
+    fields: one kind of fault at a time, at seeded random places.  An index
+    beyond int64 is no mutation: construction refuses it as no int64 row
+    (`test_construction_refuses_r_that_is_no_int64_rows`)."""
     R, nv, nh = list(map(tuple, datum.R.tolist())), len(datum.V), len(datum.H)
     j, k = rng.sample(range(len(R)), 2)
     a, b, c, d = R[k]
     other = R[j]
+    fields = dict(V=list(datum.V), H=list(datum.H), inv_V=list(datum.inv_V), inv_H=list(datum.inv_H), R=R)
+
+    def mutated(**changed):
+        return {**fields, **changed}
 
     def at(t):
-        return replace(datum, R=R[:k] + [t] + R[k + 1:])
+        return mutated(R=R[:k] + [t] + R[k + 1:])
 
     yield "duplicate", at(other)
-    yield "appended_duplicate", replace(datum, R=R + [R[k]])
-    yield "short", replace(datum, R=R[:k] + R[k + 1:])
+    yield "appended_duplicate", mutated(R=R + [R[k]])
+    yield "short", mutated(R=R[:k] + R[k + 1:])
     for name, value in (("minus_one", -1), ("size", None)):
         for pos in range(4):
             t = list(R[k])
@@ -244,16 +276,16 @@ def _mutations(datum, rng):
         i = rng.randrange(size)
         fixed = list(inv)
         fixed[i], fixed[inv[i]] = i, inv[i]
-        yield f"fixed_point_{key}", replace(datum, **{key: fixed})
+        yield f"fixed_point_{key}", mutated(**{key: fixed})
         cycle = list(inv)
         x, y = i, next(z for z in range(size) if z not in (i, inv[i]))
         cycle[x], cycle[y] = cycle[y], cycle[x]  # two 2-cycles become a 4-cycle
-        yield f"non_involution_{key}", replace(datum, **{key: cycle})
+        yield f"non_involution_{key}", mutated(**{key: cycle})
         huge = list(inv)
         huge[i] = 2 ** 70
-        yield f"huge_{key}", replace(datum, **{key: huge})
-    yield "odd_V", replace(datum, V=datum.V + ["odd"], inv_V=datum.inv_V + [nv])
-    yield "odd_H", replace(datum, H=datum.H[:-1], inv_H=datum.inv_H[:-1])
+        yield f"huge_{key}", mutated(**{key: huge})
+    yield "odd_V", mutated(V=datum.V + ["odd"], inv_V=datum.inv_V + [nv])
+    yield "odd_H", mutated(H=datum.H[:-1], inv_H=datum.inv_H[:-1])
 
 
 EQUIVALENCE_DATA = [("q3", 3, 1), ("q5", 5, 1), ("q9", 3, 2), ("random_6x6", 6, 6), ("random_4x8", 4, 8),
@@ -273,10 +305,17 @@ def test_validation_matches_the_tuple_loop(name, x, y):
                                                    loop_validate_datum(datum).checked)
     kinds = 0
     for _ in range(3):
-        for kind, broken in _mutations(datum, rng):
+        for kind, fields in _mutations(datum, rng):
+            broken = _stand_in(**fields)
             got, want = validate_datum(broken), loop_validate_datum(broken)
             assert got.violations, kind
             assert (got.violations, got.checked) == (want.violations, want.checked), kind
+            # construction and a replace refuse the same fields with the same report
+            for make in (lambda: VHDatum(**fields), lambda: replace(datum, **fields)):
+                with pytest.raises(InvalidDatum) as refused:
+                    make()
+                assert (refused.value.report.violations, refused.value.report.checked) == \
+                    (got.violations, got.checked), kind
             kinds += 1
     assert kinds == 3 * 25
 
@@ -286,13 +325,15 @@ def test_repeated_labels_are_a_violation():
     for side in ("V", "H"):
         labels = list(getattr(datum, side))
         labels[1] = labels[0]
-        report = validate_datum(replace(datum, **{side: labels}))
+        fields = {**dict(V=datum.V, H=datum.H, inv_V=datum.inv_V, inv_H=datum.inv_H, R=datum.R), side: labels}
+        report = _refused(**fields)
         assert report.violations == [f"{side} labels are not distinct: {labels[0]!r} repeats"]
         assert report.checked == 2
 
 
 def test_verify_relations_catches_altered_tuple(f3, d12_q3):
-    # replace the d-entry of the (1, 1+Z) tuple: 2Z -> 2, the misprint
+    # replace the d-entry of the (1, 1+Z) tuple: 2Z -> 2, the misprint,
+    # which breaks the axioms, so construction refuses it
     labels_v = {lbl: i for i, lbl in enumerate(d12_q3.V)}
     labels_h = {lbl: i for i, lbl in enumerate(d12_q3.H)}
     row = (labels_v["1"], labels_h["1+Z"])
@@ -300,12 +341,16 @@ def test_verify_relations_catches_altered_tuple(f3, d12_q3):
     idx = next(i for i, t in enumerate(R) if (t[0], t[1]) == row)
     a, b, c, _ = R[idx]
     R[idx] = (a, b, c, labels_v["2"])
-    broken = VHDatum(
-        V=d12_q3.V, H=d12_q3.H, inv_V=d12_q3.inv_V, inv_H=d12_q3.inv_H,
-        R=R, field=d12_q3.field, tau=d12_q3.tau, sigma=d12_q3.sigma,
-        V_elems=d12_q3.V_elems, H_elems=d12_q3.H_elems,
-    )
-    report = verify_relations(broken)
+    with pytest.raises(InvalidDatum):
+        VHDatum(
+            V=d12_q3.V, H=d12_q3.H, inv_V=d12_q3.inv_V, inv_H=d12_q3.inv_H,
+            R=R, field=d12_q3.field, tau=d12_q3.tau, sigma=d12_q3.sigma,
+            V_elems=d12_q3.V_elems, H_elems=d12_q3.H_elems,
+        )
+    # two field values swapped: R keeps the axioms, the quaternion oracle fails it
+    h_elems = list(d12_q3.H_elems)
+    h_elems[0], h_elems[1] = h_elems[1], h_elems[0]
+    report = verify_relations(replace(d12_q3, H_elems=h_elems))
     assert not report.ok
     assert any("square relation fails" in v for v in report.violations)
 
@@ -513,19 +558,20 @@ def test_batched_verdicts_match_scalar_proportional(p, e):
 
 @pytest.mark.parametrize("p,e,tau,sigma", [(3, 1, 1, 2), (5, 1, 2, 3), (3, 2, 1, 2), (7, 1, 6, 1)])
 def test_violations_of_altered_relations_match_the_scalar_loop(p, e, tau, sigma):
+    # field values swapped at random on each side: R keeps the axioms (an
+    # altered R is refused when the datum is made), the relations fail
     datum = _datum(p, e, tau, sigma)
     rng = random.Random(p * 100 + tau)
-    R = list(datum.R)
     n_v, n_h = len(datum.V), len(datum.H)
-    for n in rng.sample(range(len(R)), 6):
-        a, b, c, d = R[n]
-        R[n] = rng.choice([(a, b, c, datum.inv_V[d]), (a, b, (c + 1) % n_h, d),
-                           (a, b, c, (d + 2) % n_v), (a, c, b, d)])
-    broken = replace(datum, R=R)
+    sides = {"V_elems": list(datum.V_elems), "H_elems": list(datum.H_elems)}
+    for elems in sides.values():
+        i, j = rng.sample(range(len(elems)), 2)
+        elems[i], elems[j] = elems[j], elems[i]
+    broken = replace(datum, **sides)
     report = verify_relations(broken)
     reference = scalar_verify_relations(broken)
     assert report.violations == reference.violations and report.violations
-    assert report.checked == reference.checked == len(R) + n_v + n_h
+    assert report.checked == reference.checked == len(datum.R) + n_v + n_h
     assert verify_relations(datum).violations == [] and verify_relations(datum).checked == report.checked
 
 
