@@ -4,8 +4,9 @@ Commands: datum, automaton, graph, product-graph, verify-ramanujan,
 bass-ihara, subshift-check, mixing, tiles.  Formats: JSON for reports and
 datum files, DOT for graphs and automata, CSV for spectra and mixing
 tables, SVG for tiles.  Every JSON report goes through one writer,
-`vhdatum.json_text`: stdlib json's sorted-key, one-space-indent text,
-with a graph's dart and adjacency arrays written straight from numpy.
+`vhdatum.json_pieces`: stdlib json's sorted-key, one-space-indent text,
+with a graph's arrays and label codes written straight from numpy, in
+pieces that go to the file or stdout without being joined.
 
 Every output embeds the resolved run configuration for provenance (plus a
 timestamp unless --no-timestamp is given): the options the run read, so
@@ -36,7 +37,7 @@ from itertools import islice
 
 from . import graphs, mealy, spectral, subshift, vhdatum
 from .ffield import make_field
-from .vhdatum import atomic_write, json_text
+from .vhdatum import atomic_write, json_pieces
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -80,16 +81,21 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, text: str) -> None:
+    _emit_pieces(args, [text])
+
+
+def _emit_pieces(args, pieces: list[str]) -> None:
+    """Write a text given as its pieces, never joined, to --out or stdout."""
     if args.out:
-        atomic_write(args.out, text)
+        atomic_write(args.out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(args, payload: dict) -> None:
     payload = dict(payload)
     payload["config"] = _config_dict(args)
-    _emit(args, json_text(payload) + "\n")
+    _emit_pieces(args, [*json_pieces(payload), "\n"])
 
 
 def _header(args) -> str:

@@ -8,7 +8,13 @@ A loop contributes two mutually inverse darts at the same vertex and hence
 two to the degree.  Multi-edges and loops are kept with multiplicities
 everywhere; nothing is simplified.  Darts stay int arrays (origin, terminus,
 inverse) from the lift to the files: the JSON writer formats the arrays
-themselves, and the DOT writer gathers its edge lines from them.
+themselves, and the DOT writer gathers its edge lines from them.  Labels
+stay codes the same way (`vhdatum.Labels`): a level graph's vertex is its
+lift's word, a row of letter codes into the automaton's alphabet, and its
+dart e is state e mod s.  Only a writer renders them: the JSON writer
+gathers each name's encoded bytes by code, block by block, and hands the
+pieces of the text to the file unjoined, and the DOT writer escapes each
+name once.  No verdict renders or checks a label.
 
 Level graphs: A_n is the action graph of the datum automaton on reduced
 words of length n over H (one dart per V-state), glued into an undirected
@@ -37,40 +43,45 @@ from typing import NamedTuple
 import numpy as np
 
 from .ffield import FieldSpec, torus_generator
-from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, lift_levels, word_labels
-from .vhdatum import VHDatum, atomic_write, build_quaternionic_datum, dot_escaped, json_text
+from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, lift_levels
+from .vhdatum import Labels, Rows, VHDatum, atomic_write, build_quaternionic_datum, dot_escaped, json_pieces, json_text
 
 
-@dataclass(eq=False)
 class UGraph:
     """Undirected multigraph on int dart arrays: dart e runs from origin[e]
     to terminus[e] with label dart_labels[e], and inv[e] is its inverse.
     Construction copies the index arrays to read-only int64 arrays once and
     checks them, so every consumer may index with them freely and a graph's
-    darts never change, and checks that every label is a str and that
-    vertex labels are distinct (DOT names vertices by label), so every file
-    written can be read back."""
+    darts never change.
 
-    vertex_labels: list[str]
-    origin: np.ndarray
-    terminus: np.ndarray
-    inv: np.ndarray
-    dart_labels: list[str]
+    Labels have one form, `vhdatum.Labels`: codes into tables of names,
+    rendered only when read (`vertex_labels`, `dart_labels`) or written.
+    Labels given as lists of strings are coded and checked once, here: each
+    must be a str, and vertex labels distinct (DOT names vertices by label).
+    Labels given as codes, a level graph's words and states, are checked
+    by `check_labels` when a writer first renders them, and never on a
+    verdict's path; so every file written can be read back."""
 
-    def __post_init__(self):
-        n = len(self.vertex_labels)
+    def __init__(self, vertex_labels: list[str] | Labels, origin, terminus, inv, dart_labels: list[str] | Labels):
+        n = len(vertex_labels)
         if n == 0:
             raise ValueError("a graph needs at least one vertex")
-        if set(map(type, itertools.chain(self.vertex_labels, self.dart_labels))) - {str}:
-            raise ValueError("vertex and dart labels must be strings")
-        if len(set(self.vertex_labels)) != n:
-            raise ValueError("vertex labels must be distinct")
+        self._labels_checked = not isinstance(vertex_labels, Labels) and not isinstance(dart_labels, Labels)
+        if not isinstance(vertex_labels, Labels):
+            _check_strings(vertex_labels)
+            vertex_labels = Labels.of(vertex_labels)
+            if len(vertex_labels.parts[0][1]) != n:
+                raise ValueError("vertex labels must be distinct")
+        if not isinstance(dart_labels, Labels):
+            _check_strings(dart_labels)
+            dart_labels = Labels.of(dart_labels)
+        self.vertex_names, self.dart_names = vertex_labels, dart_labels
         # an index beyond int64 raises OverflowError in these conversions;
         # ugraph_from_json reports it as a malformed file.  They copy, so a
         # caller's own array is never frozen
-        o, t, inv = (np.array(x, dtype=np.int64) for x in (self.origin, self.terminus, self.inv))
+        o, t, inv = (np.array(x, dtype=np.int64) for x in (origin, terminus, inv))
         m = len(o)
-        if len(t) != m or len(self.dart_labels) != m:
+        if len(t) != m or len(dart_labels) != m:
             raise ValueError("origin, terminus and dart_labels must have one entry per dart")
         if len(inv) != m or ((inv < 0) | (inv >= m)).any():
             raise ValueError(f"dart inversion must give one dart in 0..{m - 1} per dart")
@@ -87,6 +98,28 @@ class UGraph:
             x.setflags(write=False)
         self.origin, self.terminus, self.inv = o, t, inv
 
+    @property
+    def vertex_labels(self) -> list[str]:
+        return self.vertex_names.tolist()
+
+    @property
+    def dart_labels(self) -> list[str]:
+        return self.dart_names.tolist()
+
+    def check_labels(self) -> None:
+        """Raise ValueError unless the labels can be written and read back:
+        every name a str, and the vertex labels distinct.  They are when
+        `Labels.unambiguous` holds, as the code rows are distinct (the
+        lift's index numbers distinct words); otherwise the rendered labels
+        are compared.  Checked once per graph, when a writer first asks."""
+        if self._labels_checked:
+            return
+        for _, names in self.vertex_names.parts + self.dart_names.parts:
+            _check_strings(names)
+        if not self.vertex_names.unambiguous() and len(set(self.vertex_labels)) != self.n_vertices():
+            raise ValueError("vertex labels must be distinct")
+        self._labels_checked = True
+
     @cached_property
     def out_stars(self) -> tuple[np.ndarray, np.ndarray]:
         """`_out_stars` of the darts, read-only, computed once when first
@@ -98,7 +131,7 @@ class UGraph:
         return stars
 
     def n_vertices(self) -> int:
-        return len(self.vertex_labels)
+        return len(self.vertex_names)
 
     def n_darts(self) -> int:
         return len(self.origin)
@@ -128,6 +161,11 @@ class UGraph:
 
     def __repr__(self) -> str:
         return f"UGraph({self.n_vertices()} vertices, {self.n_darts() // 2} edges)"
+
+
+def _check_strings(labels) -> None:
+    if set(map(type, labels)) - {str}:
+        raise ValueError("vertex and dart labels must be strings")
 
 
 @dataclass
@@ -241,10 +279,11 @@ def _lifted_graph(automata: list[Mealy], lifts: list[LevelArrays]) -> UGraph:
         component = vertex // stride % size
         dst += lift.dst[component, state] * stride
         state = lift.end[component, state]
-    labels = itertools.product(*(word_labels(lift.words, auto.alphabet) for lift, auto in zip(lifts, automata)))
+    words = Labels((lift.words, auto.alphabet) for lift, auto in zip(lifts, automata))
+    states = Labels([(np.tile(np.arange(s), total)[:, None], automata[0].states)])  # dart e is state e mod s
     origin = np.repeat(np.arange(total), s)
     inv = (dst * s + np.asarray(automata[0].inv_states)).ravel()
-    return UGraph(list(map("|".join, labels)), origin, dst.ravel(), inv, automata[0].states * total)
+    return UGraph(words, origin, dst.ravel(), inv, states)
 
 
 def _side_automaton(datum: VHDatum, side: str) -> Mealy:
@@ -550,12 +589,12 @@ def digraph_period(adjacency: np.ndarray) -> tuple[bool, int]:
 
 def ugraph_to_dot(graph: UGraph, header: str | None = None) -> str:
     """Undirected DOT; each dart pair collapses to one edge labeled g/g^-1.
-    Every label is escaped once, and the edges are gathered from the dart
-    arrays."""
+    The names are rendered from the graph's codes with every table name
+    escaped once, and the edges are gathered from the dart arrays."""
+    graph.check_labels()
     lines = [f"// {header}"] if header else []
-    names = np.array([dot_escaped(name) for name in graph.vertex_labels], dtype=object)
-    escaped = {label: dot_escaped(label) for label in dict.fromkeys(graph.dart_labels)}
-    labels = np.array(list(map(escaped.__getitem__, graph.dart_labels)), dtype=object)
+    names = np.array(graph.vertex_names.tolist(dot_escaped), dtype=object)
+    labels = np.array(graph.dart_names.tolist(dot_escaped), dtype=object)
     e = np.flatnonzero(np.arange(graph.n_darts()) < graph.inv)
     f = graph.inv[e]
     ends = (x.tolist() for x in (names[graph.origin[e]], names[graph.terminus[e]], labels[e], labels[f]))
@@ -567,21 +606,18 @@ def ugraph_to_dot(graph: UGraph, header: str | None = None) -> str:
 
 
 def ugraph_to_json_dict(graph: UGraph) -> dict:
-    """The graph file's payload for `json_text`, as arrays: `darts` is a
-    record array of (origin, terminus, label) rows, `inv` is the graph's own
-    array and `adjacency_coo` the (K, 3) array of (i, j, multiplicity) rows."""
+    """The graph file's payload for `json_pieces`, from the graph's own
+    arrays and label codes: `vertices` is the vertex `Labels`, `darts` the
+    `Rows` of (origin, terminus, label), `inv` the graph's array and
+    `adjacency_coo` the (K, 3) array of (i, j, multiplicity) rows.  The
+    labels are checked here, before anything is written."""
+    graph.check_labels()
     n = graph.n_vertices()
     # one key per (origin, terminus); np.unique returns them in (i, j) order
     keys, mult = np.unique(graph.origin * n + graph.terminus, return_counts=True)
-    # np.zeros, not np.empty: with an object field np.empty took six times as
-    # long to fill on the 35k darts of A_8 (6.0 against 1.1 ms); json_text
-    # reads the columns and is the same either way
-    record = [("origin", np.int64), ("terminus", np.int64), ("label", object)]
-    darts = np.zeros(graph.n_darts(), dtype=record)
-    darts["origin"], darts["terminus"], darts["label"] = graph.origin, graph.terminus, graph.dart_labels
     return {
-        "vertices": list(graph.vertex_labels),
-        "darts": darts,
+        "vertices": graph.vertex_names,
+        "darts": Rows(graph.origin, graph.terminus, graph.dart_names),
         "inv": graph.inv,
         "adjacency_coo": np.column_stack([keys // n, keys % n, mult]),
     }
@@ -614,7 +650,7 @@ def ugraph_from_json(text: str) -> UGraph:
 
 def write_ugraph(graph: UGraph, path: str, fmt: str = "json", header: str | None = None) -> None:
     if fmt == "json":
-        atomic_write(path, ugraph_to_json(graph))
+        atomic_write(path, [*json_pieces(ugraph_to_json_dict(graph)), "\n"])
     elif fmt == "dot":
         atomic_write(path, ugraph_to_dot(graph, header=header))
     else:

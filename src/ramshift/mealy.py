@@ -371,7 +371,11 @@ def word_label(word: Word, alphabet: list[str]) -> str:
 
 
 def word_labels(words: np.ndarray, alphabet: list[str]) -> list[str]:
-    """`word_label` of every row of an (N, n) letter array."""
+    """`word_label` of every row of an (N, n) letter array.
+
+    No command reads it: a graph keeps its words as codes
+    (`vhdatum.Labels`) and renders them only in a file.  It stays as the
+    string reference the tests compare those files with."""
     if not words.shape[1]:
         return ["e"] * len(words)
     return list(map(".".join, np.array(alphabet, dtype=object)[words].tolist()))

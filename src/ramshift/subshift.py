@@ -391,9 +391,17 @@ def _neighbours_allowed(shift: MatrixSubshift, pattern: Pattern) -> bool:
     symbols are already checked."""
     # pattern[x][y], y upward: B joins a column's neighbours, A a row's
     above, beside = shift.B.item, shift.A.item
-    return all(above(a, b) for col in pattern for a, b in zip(col, col[1:])) and all(
-        beside(a, b) for left, right in zip(pattern, pattern[1:]) for a, b in zip(left, right)
-    )
+    left = None
+    for col in pattern:
+        for y in range(1, len(col)):
+            if not above(col[y - 1], col[y]):
+                return False
+        if left is not None:
+            for a, b in zip(left, col):
+                if not beside(a, b):
+                    return False
+        left = col
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +449,33 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
 
 def _shape(shift: MatrixSubshift, pattern: Pattern) -> tuple[int, int]:
     """(columns, height) of a rectangular pattern with at least one cell in
-    every column and every symbol an integer in the alphabet 0..s-1."""
+    every column and every symbol an integer in the alphabet 0..s-1.  One
+    walk over the cells accepts a valid pattern; a refused one is walked
+    again by `_refuse`, to name its first fault in the order above."""
+    s = shift.s
+    height = len(pattern[0]) if pattern else 0
+    for col in pattern:
+        if len(col) != height:
+            _refuse(shift, pattern)
+        for x in col:
+            if not (type(x) is int or _is_int(x)) or not 0 <= x < s:
+                _refuse(shift, pattern)
+    if not height:
+        _refuse(shift, pattern)
+    return len(pattern), height
+
+
+def _refuse(shift: MatrixSubshift, pattern: Pattern) -> None:
+    """Raise the ValueError for the first fault of a pattern `_shape`
+    refuses: no cell in some column, ragged columns, a symbol that is no
+    integer (a bool, a float, `np.bool_`), or one outside the alphabet."""
     if not pattern or not all(map(len, pattern)):
         raise ValueError("a pattern needs at least one column and a cell in every column")
-    height = len(pattern[0])
-    if any(len(col) != height for col in pattern):
+    if any(len(col) != len(pattern[0]) for col in pattern):
         raise ValueError("pattern columns must all have the same height")
-    cells = [x for col in pattern for x in col]
-    if not all(map(_is_int, cells)):
+    if not all(_is_int(x) for col in pattern for x in col):
         raise ValueError("pattern symbols must be integers")
-    if not all(0 <= x < shift.s for x in cells):
-        raise ValueError(f"pattern symbols must lie in 0..{shift.s - 1}")
-    return len(pattern), height
+    raise ValueError(f"pattern symbols must lie in 0..{shift.s - 1}")
 
 
 def _measured_shape(shift: MatrixSubshift, pattern: Pattern) -> tuple[int, int, bool]:

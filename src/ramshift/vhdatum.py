@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field as _field
-from itertools import chain
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -484,13 +485,14 @@ def export_tiles(datum: VHDatum, path: str, header: str | None = None) -> None:
 # file format
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write `text` to `path` through `<path>.tmp` and a rename; a failed
+def atomic_write(path: str, text: str | list[str]) -> None:
+    """Write `text`, a str or the list of its pieces, to `path` through
+    `<path>.tmp` and a rename, so a text in pieces is never joined; a failed
     write (a lone surrogate in `text`, a full disk) leaves no temp file."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -503,32 +505,111 @@ def dot_escaped(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def json_text(payload) -> str:
-    """The indented JSON text of every report and graph file: byte for byte
+class Labels:
+    """Strings held as codes into tables of names, and rendered only when
+    read.
+
+    Each part is an (N, n) int array of code rows with the table of names
+    that its codes index.  A row stands for its n names joined by "." ("e"
+    for n = 0), and label i joins one row of every part by "|", the parts
+    indexed in mixed radix from i with the first most significant
+    (itertools.product order).  So a level graph's vertex labels are its
+    lift's words over the automaton's alphabet, one part per lift, and
+    strings given one by one are one part of one code each (`Labels.of`).
+    Nothing is checked here: `unambiguous` and `tolist` let a writer decide
+    whether the labels can be read back."""
+
+    def __init__(self, parts):
+        self.parts = tuple((codes, tuple(names)) for codes, names in parts)
+        self.size = math.prod(len(codes) for codes, _ in self.parts)
+
+    @classmethod
+    def of(cls, strings: list) -> "Labels":
+        """The labels `strings`, coded into the table of their distinct
+        values in the order they first appear; raises TypeError for an
+        unhashable entry."""
+        table = dict.fromkeys(strings)
+        for k, s in enumerate(table):
+            table[s] = k
+        codes = np.fromiter(map(table.__getitem__, strings), np.intp, len(strings))
+        return cls([(codes[:, None], table)])
+
+    def __len__(self) -> int:
+        return self.size
+
+    def unambiguous(self) -> bool:
+        """Do distinct code rows give distinct labels?  They do when every
+        table's names are distinct and hold no separator that the rows and
+        parts put between them: "." where a row has two codes or more, "|"
+        where there are two parts or more."""
+        seps = {"|"} if len(self.parts) > 1 else set()
+        if any(codes.shape[1] > 1 for codes, _ in self.parts):
+            seps.add(".")
+        return all(len(set(names)) == len(names) and not any(c in name for name in names for c in seps)
+                   for _, names in self.parts)
+
+    def tolist(self, escape=None) -> list:
+        """Every label as a str, with `escape` applied to each name first
+        (`dot_escaped`, which commutes with joining by "." and "|")."""
+        words = []
+        for codes, names in self.parts:
+            table = np.array([escape(x) for x in names] if escape else names, dtype=object)
+            if not codes.shape[1]:
+                words.append(["e"] * len(codes))
+            elif codes.shape[1] == 1:
+                words.append(table[codes[:, 0]].tolist())
+            else:
+                words.append(list(map(".".join, table[codes].tolist())))
+        return words[0] if len(words) == 1 else list(map("|".join, product(*words)))
+
+
+class Rows:
+    """A list of rows given by its columns, int arrays or `Labels` of one
+    length: `json_text` writes the rows straight from the columns."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def tolist(self) -> list:
+        return [list(row) for row in zip(*(column.tolist() for column in self.columns))]
+
+
+def json_pieces(payload) -> list[str]:
+    """The indented JSON text of every report and graph file, in pieces
+    that a writer hands on without joining them: byte for byte
     `json.dumps(payload, sort_keys=True, indent=1, default=str)` with every
-    numpy array in `payload` first replaced by its `tolist()`.
+    numpy array, `Labels` and `Rows` in `payload` first replaced by its
+    `tolist()`.
 
     The json module drops to its pure-Python encoder whenever an indent is
     given.  Here dicts with str keys are walked by hand, and a flat list of
     exact ints and strs is one C-encoder call with the indent folded into
     the item separator, and so is a scalar or an empty list or dict, whose
-    text no indent changes.  A 1-D or 2-D array, or a 1-D record array (one
-    row per record), whose columns hold ints or strs is rendered as bytes
-    by `_array_pieces`, a block of rows at a time.  Anything else is the
-    stdlib text re-indented by its depth.  The re-indenting replace is safe
-    because an ASCII-encoded JSON string never holds a raw newline.  The
-    pieces are joined once at the end, so no level copies the text of the
-    values inside it.
+    text no indent changes.  A 1-D or 2-D array, a 1-D record array (one
+    row per record), `Labels` or `Rows`, whose columns hold ints or strs,
+    is rendered as bytes by `_array_pieces`, a block of rows at a time.
+    Anything else is the stdlib text re-indented by its depth.  The
+    re-indenting replace is safe because an ASCII-encoded JSON string never
+    holds a raw newline.  No level copies the text of the values inside it.
     """
     pieces: list[str] = []
     _write(payload, "\n", pieces)
-    return "".join(pieces)
+    return pieces
+
+
+def json_text(payload) -> str:
+    """`json_pieces` joined."""
+    return "".join(json_pieces(payload))
 
 
 _SCALARS = {int, str}  # exact types the C encoder writes as stdlib does
 # exact types whose text no indent changes, written without the indenting
 # pure-Python encoder
 _PLAIN = {int, str, float, bool, type(None)}
+_ROWS = {np.ndarray, Labels, Rows}  # types written by `_array_pieces` when their columns allow
 
 
 def _write(value, nl: str, out: list[str]) -> None:
@@ -542,7 +623,7 @@ def _write(value, nl: str, out: list[str]) -> None:
             _write(value[k], inner, out)
             opening = ","
         out.append(nl + "}")
-    elif type(value) is np.ndarray and (pieces := _array_pieces(value, nl)) is not None:
+    elif type(value) in _ROWS and (pieces := _array_pieces(value, nl)) is not None:
         out += pieces
     elif type(value) is list and value and set(map(type, value)) <= _SCALARS:
         out.append("[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + nl + "]")
@@ -553,7 +634,7 @@ def _write(value, nl: str, out: list[str]) -> None:
 
 
 def _listed_or_str(value):
-    return value.tolist() if isinstance(value, np.ndarray) else str(value)
+    return value.tolist() if isinstance(value, (np.ndarray, Labels, Rows)) else str(value)
 
 
 # bytes of padded row text rendered at a time: about 2^14 rows of a graph
@@ -562,44 +643,61 @@ def _listed_or_str(value):
 _BLOCK_BYTES = 1 << 19
 
 
-def _array_pieces(a: np.ndarray, nl: str) -> list[str] | None:
-    """The text of a flat array, or of a 2-D or record array (a row per
-    record), whose columns hold ints or strs, in pieces; None for any other
-    array.
+def _columns(value) -> tuple[list, bool] | None:
+    """(columns, flat) of a value `_array_pieces` may render: one column
+    for a flat array or `Labels`, and a column per field, per array column
+    or per `Rows` column for rows; None for any other array."""
+    if type(value) is Labels:
+        return [value], True
+    if type(value) is Rows:
+        return list(value.columns), False
+    if value.ndim == 1:
+        names = value.dtype.names
+        return ([value], True) if not names else ([value[name] for name in names], False)
+    if value.ndim == 2 and value.shape[1]:
+        return list(value.T), False
+    return None
+
+
+def _array_pieces(value, nl: str) -> list[str] | None:
+    """The text of a flat array or `Labels`, or of the rows of a 2-D or
+    record array or `Rows`, whose columns hold ints or strs, in pieces;
+    None for any other value.
 
     Each block of rows is one `uint8` matrix, a padded row of text per row:
     the separators broadcast into their columns, each int column as digits
-    and each str column as its encoded labels, with NUL bytes as padding.
-    Dropping the NULs leaves the text, since ASCII-encoded JSON never holds
-    a raw NUL."""
-    flat = a.ndim == 1 and not a.dtype.names
-    if flat:
-        columns = [a]
-    elif a.ndim == 1:
-        columns = [a[name] for name in a.dtype.names]
-    elif a.ndim == 2 and a.shape[1]:
-        columns = list(a.T)
-    else:
+    and each label column as its encoded names gathered by code, with NUL
+    bytes as padding.  Dropping the NULs leaves the text, since
+    ASCII-encoded JSON never holds a raw NUL."""
+    split = _columns(value)
+    if split is None:
         return None
-    if not len(a):
+    columns, flat = split
+    if not len(value):
         return ["[]"]
-    renderers = [_renderer(column) for column in columns]
-    if None in renderers:
+    rendered = [_column_parts(column) for column in columns]
+    if None in rendered:
         return None
     inner = nl + " "
     deeper = inner + " "
     # every row starts with ",": the first one's is turned into "["
     head, sep, tail = ("," + inner, "", "") if flat else ("," + inner + "[" + deeper, "," + deeper, inner + "]")
-    parts = [head]  # separators and column renderers, in row order
-    for renderer in renderers:
-        parts += [renderer, sep]
-    parts[-1] = tail
+    row = [head]
+    for column in rendered:
+        row += [*column, sep]
+    row[-1] = tail
+    parts = []  # separators and column renderers, in row order, adjacent separators joined
+    for part in row:
+        if type(part) is not str or not parts or type(parts[-1]) is not str:
+            parts.append(part)
+        else:
+            parts[-1] += part
     width = sum(map(len, parts))
     rows = max(1, _BLOCK_BYTES // width)
     pieces = []
-    for lo in range(0, len(a), rows):
-        block = slice(lo, lo + rows)
-        buf = np.empty((min(rows, len(a) - lo), width), np.uint8)
+    for lo in range(0, len(value), rows):
+        block = slice(lo, min(lo + rows, len(value)))
+        buf = np.empty((block.stop - lo, width), np.uint8)
         start = 0
         for part in parts:
             end = start + len(part)
@@ -616,23 +714,31 @@ def _array_pieces(a: np.ndarray, nl: str) -> list[str] | None:
     return pieces
 
 
-def _renderer(column: np.ndarray) -> _IntColumn | _StrColumn | None:
-    """The renderer of an int column, or of an object column of strs; None
-    for any other column."""
-    if column.ndim != 1:
-        return None
-    if column.dtype.kind in "iu":
-        return _IntColumn(column)
-    if column.dtype.kind != "O":
-        return None
-    values = column.tolist()
-    try:
-        codes = dict.fromkeys(values)
-    except TypeError:  # an unhashable entry is no str
-        return None
-    if any(type(s) is not str for s in codes):
-        return None
-    return _StrColumn(codes, values)
+def _column_parts(column) -> list | None:
+    """The parts of one column's text in a row, fixed strs and renderers:
+    an int column's digits, or a label column's quotes, separators and
+    names (an object column of strs is coded first, one pass over its
+    values); None for any other column."""
+    if type(column) is np.ndarray:
+        if column.ndim != 1:
+            return None
+        if column.dtype.kind in "iu":
+            return [_IntColumn(column)]
+        if column.dtype.kind != "O":
+            return None
+        try:
+            column = Labels.of(column.tolist())
+        except TypeError:  # an unhashable entry is no str
+            return None
+    parts: list = ['"']
+    stride = len(column)
+    for codes, names in column.parts:
+        if any(type(s) is not str for s in names):
+            return None
+        stride //= len(codes)
+        parts += [_WordColumn(codes, names, stride) if codes.shape[1] else "e", "|"]
+    parts[-1] = '"'
+    return parts
 
 
 class _IntColumn:
@@ -669,23 +775,29 @@ class _IntColumn:
             x = q
 
 
-class _StrColumn:
-    """A column of strs as their JSON strings, each distinct label encoded
-    once into a NUL-padded table gathered by label code."""
+class _WordColumn:
+    """One part of a label column: each row of codes as its names' JSON
+    text joined by ".", gathered from a table that encodes each name once,
+    NUL-padded, with a "." after it.  Label i reads row i // stride of the
+    part's codes, modulo their number."""
 
-    def __init__(self, codes: dict, values: list):
-        encoded = [encode_basestring_ascii(s).encode("ascii") for s in codes]
-        for k, s in enumerate(codes):
-            codes[s] = k
-        self.codes = np.fromiter(map(codes.__getitem__, values), np.intp, len(values))
-        table = np.array(encoded)
-        self.table = table.view(np.uint8).reshape(len(encoded), table.itemsize)
+    def __init__(self, codes: np.ndarray, names: tuple, stride: int):
+        encoded = np.array([encode_basestring_ascii(s)[1:-1].encode("ascii") for s in names])
+        self.table = np.empty((len(names), encoded.itemsize + 1), np.uint8)
+        self.table[:, :-1] = encoded.view(np.uint8).reshape(len(names), encoded.itemsize)
+        self.table[:, -1] = ord(".")
+        self.codes, self.stride = codes, stride
 
     def __len__(self) -> int:
-        return self.table.shape[1]
+        return self.codes.shape[1] * self.table.shape[1] - 1
 
     def fill(self, out: np.ndarray, block: slice) -> None:
-        out[...] = self.table[self.codes[block]]
+        if self.stride == 1 and len(self.codes) >= block.stop:
+            rows = self.codes[block]
+        else:
+            rows = self.codes[np.arange(block.start, block.stop) // self.stride % len(self.codes)]
+        # each row's last "." is the one column dropped
+        out[...] = self.table[rows].reshape(len(rows), -1)[:, :-1]
 
 
 def datum_to_dict(datum: VHDatum) -> dict:
@@ -799,7 +911,8 @@ def _check_places(spec: FieldSpec, tau: FqElem, sigma: FqElem,
                   v_elems: list[Fq2Elem], h_elems: list[Fq2Elem]) -> None:
     """A file's V and H must be the norm fibers of tau^-1 and sigma^-1 for
     distinct nonzero places.  With |V| = |H| = q + 1 (checked with the
-    field), distinct elements of the right norm are the whole fiber."""
+    field), distinct elements of the right norm are the whole fiber; the
+    datum's construction decides that they are distinct, as its labels."""
     if tau.is_zero() or sigma.is_zero() or tau == sigma:
         raise ValueError(f"datum file places tau = {tau} and sigma = {sigma} must be nonzero and distinct")
     for key, name, place, elems in (("V", "tau", tau, v_elems), ("H", "sigma", sigma, h_elems)):
@@ -808,8 +921,6 @@ def _check_places(spec: FieldSpec, tau: FqElem, sigma: FqElem,
         if off.size:
             x = elems[off[0]]
             raise ValueError(f"datum file {key}[{off[0]}] = {x} has norm {x.norm()}, not {name}^-1 = {target}")
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"datum file {key} repeats an element")
 
 
 def datum_from_dict(data: dict) -> VHDatum:

@@ -18,7 +18,8 @@ from conftest import random_vh_datum
 from ramshift.graphs import UGraph, level_graph, level_tower, ugraph_to_json, write_ugraph
 from ramshift.mealy import from_datum
 from ramshift.spectral import eig_symmetric, ramanujan_check, spectral_report_to_dict, tower_spectra
-from ramshift.vhdatum import direct_product_datum, dumps_datum, read_datum, write_datum
+from ramshift.ffield import make_field
+from ramshift.vhdatum import build_quaternionic_datum, direct_product_datum, dumps_datum, read_datum, write_datum
 
 
 def run(capsys, *argv):
@@ -833,7 +834,8 @@ def _swap(*keys):
     pytest.param(_set("sigma", value=[0]), "nonzero and distinct", id="zero_sigma"),
     pytest.param(_swap("tau", "sigma"), "has norm", id="swapped_places"),
     pytest.param(lambda data: data["V"].__setitem__(0, data["H"][0]), "V[0]", id="H_element_in_V"),
-    pytest.param(lambda data: data["H"].__setitem__(3, data["H"][0]), "H repeats", id="repeated_H_element"),
+    pytest.param(lambda data: data["H"].__setitem__(3, data["H"][0]), "H labels are not distinct",
+                 id="repeated_H_element"),
 ])
 def test_datum_file_sides_must_be_the_fibers_of_its_places(tmp_path, capsys, edit, message):
     path = _edited_datum_file(tmp_path, capsys, edit)
@@ -894,6 +896,21 @@ def test_mixing_counts_strips_before_building_the_strip_graph(monkeypatch, capsy
 DATUM_COMMANDS = [["datum"], ["automaton"], ["graph", "--level", "1", "--format", "json"],
                   ["verify-ramanujan", "--levels", "1"], ["bass-ihara", "--level", "1"], ["subshift-check"],
                   ["mixing", "--max-n", "2"], ["tiles"]]
+
+
+@pytest.mark.parametrize("side", ["V", "H"])
+def test_a_repeated_element_in_a_field_datum_file_is_a_repeated_label(tmp_path, capsys, side):
+    # a repeated fiber element is decided once, by the datum's
+    # construction, as the repeated label it renders to
+    datum = build_quaternionic_datum(make_field(3, 1), 1, 2)
+    data = json.loads(dumps_datum(datum))
+    data[side][1] = data[side][0]
+    path = _write_json(tmp_path / "repeated.json", data)
+    label = getattr(datum, side)[0]
+    message = f"error: datum file fails validation: {side} labels are not distinct: {label!r} repeats\n"
+    for argv in DATUM_COMMANDS:
+        code, stdout, err = run(capsys, *argv, "--datum", path, "--no-timestamp")
+        assert (code, stdout, err) == (2, "", message), argv
 
 
 def _config(text: str) -> dict:

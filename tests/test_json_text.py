@@ -1,7 +1,8 @@
 """The one indented JSON writer: `json_text(x)` must equal
 `json.dumps(x, sort_keys=True, indent=1, default=str)` byte for byte, with
-every numpy array in `x` first replaced by its `tolist()`, on edge cases, on
-every indent-1 golden file, on graph files and on real CLI payloads."""
+every numpy array, `Labels` and `Rows` in `x` first replaced by its
+`tolist()`, on edge cases, on every indent-1 golden file, on graph files
+and on real CLI payloads."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ import pytest
 
 from ramshift import cli, vhdatum
 from ramshift.graphs import UGraph, level_graph, ugraph_to_json, ugraph_to_json_dict
-from ramshift.vhdatum import direct_product_datum, dumps_datum, json_text
+from ramshift.vhdatum import Labels, Rows, direct_product_datum, dumps_datum, json_pieces, json_text
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -47,8 +48,9 @@ def test_text_comparison_names_the_first_difference():
 
 
 def listed(value):
-    """`value` with every numpy array replaced by its `tolist()`."""
-    if isinstance(value, np.ndarray):
+    """`value` with every numpy array, `Labels` and `Rows` replaced by its
+    `tolist()`."""
+    if isinstance(value, (np.ndarray, Labels, Rows)):
         return value.tolist()
     if isinstance(value, dict):
         return {k: listed(v) for k, v in value.items()}
@@ -171,9 +173,9 @@ def _recorded_run(argv, monkeypatch):
 
     def recording(payload):
         payloads.append(payload)
-        return json_text(payload)
+        return json_pieces(payload)
 
-    monkeypatch.setattr(cli, "json_text", recording)
+    monkeypatch.setattr(cli, "json_pieces", recording)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv + ["--no-timestamp"]) == 0
@@ -188,8 +190,9 @@ def test_real_cli_payloads_match_stdlib(name, monkeypatch):
     if name.startswith("verify"):
         assert all(type(v["ramanujan"]) is bool for v in payload["verdicts"])
         assert '"ramanujan": true' in out
-    else:  # a graph file is written from the graph's arrays
-        assert all(type(payload[key]) is np.ndarray for key in ("darts", "inv", "adjacency_coo"))
+    else:  # a graph file is written from the graph's arrays and label codes
+        assert all(type(payload[key]) is np.ndarray for key in ("inv", "adjacency_coo"))
+        assert type(payload["darts"]) is Rows and type(payload["vertices"]) is Labels
 
 
 def test_graph_file_of_a_datum_with_escaped_labels_matches_stdlib(tmp_path, monkeypatch):
