@@ -100,10 +100,14 @@ class UGraph:
 
     @property
     def vertex_labels(self) -> list[str]:
+        """Every vertex label as a str.  Each read renders them all, so a
+        caller that indexes them holds the list."""
         return self.vertex_names.tolist()
 
     @property
     def dart_labels(self) -> list[str]:
+        """Every dart label as a str.  Each read renders them all, so a
+        caller that indexes them holds the list."""
         return self.dart_names.tolist()
 
     def check_labels(self) -> None:

@@ -449,33 +449,25 @@ def fill_rectangle(shift: MatrixSubshift, h_trace: tuple[int, ...], v_trace: tup
 
 def _shape(shift: MatrixSubshift, pattern: Pattern) -> tuple[int, int]:
     """(columns, height) of a rectangular pattern with at least one cell in
-    every column and every symbol an integer in the alphabet 0..s-1.  One
-    walk over the cells accepts a valid pattern; a refused one is walked
-    again by `_refuse`, to name its first fault in the order above."""
-    s = shift.s
-    height = len(pattern[0]) if pattern else 0
-    for col in pattern:
-        if len(col) != height:
-            _refuse(shift, pattern)
-        for x in col:
-            if not (type(x) is int or _is_int(x)) or not 0 <= x < s:
-                _refuse(shift, pattern)
-    if not height:
-        _refuse(shift, pattern)
-    return len(pattern), height
-
-
-def _refuse(shift: MatrixSubshift, pattern: Pattern) -> None:
-    """Raise the ValueError for the first fault of a pattern `_shape`
-    refuses: no cell in some column, ragged columns, a symbol that is no
-    integer (a bool, a float, `np.bool_`), or one outside the alphabet."""
+    every column and every symbol an integer in the alphabet 0..s-1.  The
+    first fault in that order is named, and the cells are walked once: a
+    symbol that is no integer (a bool, a float, `np.bool_`) is named
+    wherever it lies, before any symbol outside the alphabet."""
     if not pattern or not all(map(len, pattern)):
         raise ValueError("a pattern needs at least one column and a cell in every column")
-    if any(len(col) != len(pattern[0]) for col in pattern):
+    height = len(pattern[0])
+    if any(len(col) != height for col in pattern):
         raise ValueError("pattern columns must all have the same height")
-    if not all(_is_int(x) for col in pattern for x in col):
-        raise ValueError("pattern symbols must be integers")
-    raise ValueError(f"pattern symbols must lie in 0..{shift.s - 1}")
+    s, outside = shift.s, False
+    for col in pattern:
+        for x in col:
+            if not (type(x) is int or _is_int(x)):
+                raise ValueError("pattern symbols must be integers")
+            if not 0 <= x < s:
+                outside = True
+    if outside:
+        raise ValueError(f"pattern symbols must lie in 0..{s - 1}")
+    return len(pattern), height
 
 
 def _measured_shape(shift: MatrixSubshift, pattern: Pattern) -> tuple[int, int, bool]:

@@ -588,9 +588,9 @@ def json_pieces(payload) -> list[str]:
     given.  Here dicts with str keys are walked by hand, and a flat list of
     exact ints and strs is one C-encoder call with the indent folded into
     the item separator, and so is a scalar or an empty list or dict, whose
-    text no indent changes.  A 1-D or 2-D array, a 1-D record array (one
-    row per record), `Labels` or `Rows`, whose columns hold ints or strs,
-    is rendered as bytes by `_array_pieces`, a block of rows at a time.
+    text no indent changes.  A 1-D or 2-D int array, `Labels` of strs, or
+    `Rows` of such columns is rendered as bytes by `_array_pieces`, a block
+    of rows at a time.
     Anything else is the stdlib text re-indented by its depth.  The
     re-indenting replace is safe because an ASCII-encoded JSON string never
     holds a raw newline.  No level copies the text of the values inside it.
@@ -645,24 +645,23 @@ _BLOCK_BYTES = 1 << 19
 
 def _columns(value) -> tuple[list, bool] | None:
     """(columns, flat) of a value `_array_pieces` may render: one column
-    for a flat array or `Labels`, and a column per field, per array column
-    or per `Rows` column for rows; None for any other array."""
+    for a flat array or `Labels`, and a column per array column or per
+    `Rows` column for rows; None for any other array."""
     if type(value) is Labels:
         return [value], True
     if type(value) is Rows:
         return list(value.columns), False
     if value.ndim == 1:
-        names = value.dtype.names
-        return ([value], True) if not names else ([value[name] for name in names], False)
+        return [value], True
     if value.ndim == 2 and value.shape[1]:
         return list(value.T), False
     return None
 
 
 def _array_pieces(value, nl: str) -> list[str] | None:
-    """The text of a flat array or `Labels`, or of the rows of a 2-D or
-    record array or `Rows`, whose columns hold ints or strs, in pieces;
-    None for any other value.
+    """The text of a flat int array or `Labels` of strs, or of the rows of
+    a 2-D int array or of `Rows` of such columns, in pieces; None for any
+    other value.
 
     Each block of rows is one `uint8` matrix, a padded row of text per row:
     the separators broadcast into their columns, each int column as digits
@@ -716,20 +715,10 @@ def _array_pieces(value, nl: str) -> list[str] | None:
 
 def _column_parts(column) -> list | None:
     """The parts of one column's text in a row, fixed strs and renderers:
-    an int column's digits, or a label column's quotes, separators and
-    names (an object column of strs is coded first, one pass over its
-    values); None for any other column."""
+    an int array's digits, or the quotes, separators and names of `Labels`
+    of strs; None for any other column."""
     if type(column) is np.ndarray:
-        if column.ndim != 1:
-            return None
-        if column.dtype.kind in "iu":
-            return [_IntColumn(column)]
-        if column.dtype.kind != "O":
-            return None
-        try:
-            column = Labels.of(column.tolist())
-        except TypeError:  # an unhashable entry is no str
-            return None
+        return [_IntColumn(column)] if column.ndim == 1 and column.dtype.kind in "iu" else None
     parts: list = ['"']
     stride = len(column)
     for codes, names in column.parts:

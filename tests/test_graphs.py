@@ -459,12 +459,13 @@ def test_product_darts_equal_product_act(f5, s0, tau, levels):
     index = {v: i for i, v in enumerate(vertices)}
     s = automata[0].n_states()
     assert g.n_darts() == len(vertices) * s
+    vertex_labels, dart_labels = g.vertex_labels, g.dart_labels
     for i, v in enumerate(vertices):
-        assert g.vertex_labels[i] == "|".join(mealy.word_label(w, d.H) for w, d in zip(v, datums))
+        assert vertex_labels[i] == "|".join(mealy.word_label(w, d.H) for w, d in zip(v, datums))
         for a in range(s):
             out, _ = mealy.product_act(datums, a, v)
             e = i * s + a
-            assert (g.origin[e], g.terminus[e], g.dart_labels[e]) == (i, index[out], automata[0].states[a])
+            assert (g.origin[e], g.terminus[e], dart_labels[e]) == (i, index[out], automata[0].states[a])
 
 
 def test_level_digraph_is_the_reference_action_graph(d12_q3):

@@ -100,6 +100,13 @@ def _records(*rows):
     return out
 
 
+def _dart_rows(*rows):
+    """Rows of (origin, terminus, label) as a graph file's darts hold them:
+    two int columns and the labels as codes."""
+    origin, terminus, labels = zip(*rows)
+    return Rows(np.array(origin, dtype=np.int64), np.array(terminus, dtype=np.int64), Labels.of(list(labels)))
+
+
 LABELS = ['say "hi"', "back\\slash", "\\", '"', "tab\there", "\x00", "end\x00", "\x1f\n",
           "é", "∞", "😀", "100%d", "%s%%", ""]
 ARRAYS = {
@@ -262,16 +269,35 @@ RENDERED = {
     "every_other_column": _MATRIX[:, ::2],
     "transposed": _MATRIX.T,
     "fortran_order": np.asfortranarray(_MATRIX),
-    "uint64_records": np.array([(np.iinfo(np.uint64).max, "a"), (0, "b"), (2**32, "c")],
-                               dtype=[("n", np.uint64), ("s", object)]),
-    "uneven_labels": _records(*((k, k, label) for k, label in enumerate(
+    "uint64_records": Rows(np.array([np.iinfo(np.uint64).max, 0, 2**32], dtype=np.uint64),
+                           Labels.of(["a", "b", "c"])),
+    "uneven_labels": _dart_rows(*((k, k, label) for k, label in enumerate(
         ["", "\x00", "x" * 300, "y", '"' * 50, "", "é" * 20, "\x00" * 3]))),
+    "words": Labels([(np.array([[0, 1], [1, 0], [2, 2]]), LABELS[:3]), (np.zeros((2, 0), np.intp), ())]),
 }
 
 
+def _rendered_at_every_depth(value, monkeypatch):
+    """`_assert_listed_at_every_depth`, and at depths 0 to 2 in dicts also
+    the check that the stdlib's indenting encoder writes no part of
+    `value`: its text would be the same, so only this tells that the
+    renderer wrote it.  (Inside a list, `value` is the stdlib's.)"""
+    _assert_listed_at_every_depth(value)
+    dumps = json.dumps
+
+    def unindented(value, **kwargs):
+        assert kwargs.get("indent") is None, "fell back to the indenting encoder"
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", unindented)
+    for payload in (value, {"k": value}, {"z": {"y": value}}):
+        json_text(payload)
+    monkeypatch.setattr(json, "dumps", dumps)
+
+
 @pytest.mark.parametrize("name", sorted(RENDERED))
-def test_rendered_arrays_are_written_as_their_lists_at_every_depth(name):
-    _assert_listed_at_every_depth(RENDERED[name])
+def test_rendered_arrays_are_written_as_their_lists_at_every_depth(name, monkeypatch):
+    _rendered_at_every_depth(RENDERED[name], monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["ints", "records"])
@@ -283,8 +309,8 @@ def test_rows_on_both_sides_of_every_block_boundary(kind, monkeypatch):
         if kind == "ints":
             value = np.arange(n, dtype=np.int64) * 7 - 20
         else:
-            value = _records(*((k, n - k, LABELS[k % len(LABELS)]) for k in range(n)))
-        _assert_listed_at_every_depth(value)
+            value = _dart_rows(*((k, n - k, LABELS[k % len(LABELS)]) for k in range(n)))
+        _rendered_at_every_depth(value, monkeypatch)
 
 
 def test_full_range_int64_array_spans_real_blocks():

@@ -188,8 +188,9 @@ def test_tower_fibers_have_q_words_and_q_plus_one_over_the_rose(d12_q3):
     assert [np.bincount(parent).tolist() for _, parent, *_ in levels[1:]] == [[4], [3] * 4, [3] * 12]
     for (lower, *_), (graph, parent, *_) in zip(levels[1:], levels[2:]):
         # the parent of a word is the word without its first letter
+        lower_labels = lower.vertex_labels
         assert [label.split(".", 1)[1] for label in graph.vertex_labels] == [
-            lower.vertex_labels[v] for v in parent
+            lower_labels[v] for v in parent
         ]
 
 
@@ -537,8 +538,9 @@ def test_reversal_is_dropped_where_r_is_no_slot_transpose(d12_q3):
     swap = np.arange(three.graph.n_vertices())
     swap[np.flatnonzero(three.parent == m)[:2]] = np.flatnonzero(three.parent == m)[1::-1]
     g = three.graph
+    labels = g.vertex_labels
     three = TowerLevel(
-        UGraph([g.vertex_labels[v] for v in swap], swap[g.origin], swap[g.terminus], g.inv, g.dart_labels),
+        UGraph([labels[v] for v in swap], swap[g.origin], swap[g.terminus], g.inv, g.dart_labels),
         three.parent[swap], three.last_parent[swap], swap[three.inversion[swap]], swap[three.reversal[swap]],
     )
     four = four._replace(parent=swap[four.parent], last_parent=swap[four.last_parent])
@@ -555,10 +557,10 @@ def test_tower_last_parents_and_inversions_follow_the_words(d12_q3):
     assert levels[1].last_parent.tolist() == [0] * 4
     for lower, level in zip(levels[1:], levels[2:]):
         graph = level.graph
-        labels = [label.split(".") for label in graph.vertex_labels]
-        assert [".".join(word[:-1]) for word in labels] == [lower.graph.vertex_labels[v] for v in level.last_parent]
-        assert [".".join(map(inverse.get, word)) for word in labels] == [
-            graph.vertex_labels[v] for v in level.inversion]
+        rendered, lower_rendered = graph.vertex_labels, lower.graph.vertex_labels
+        labels = [label.split(".") for label in rendered]
+        assert [".".join(word[:-1]) for word in labels] == [lower_rendered[v] for v in level.last_parent]
+        assert [".".join(map(inverse.get, word)) for word in labels] == [rendered[v] for v in level.inversion]
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
