@@ -13,9 +13,10 @@ timestamp unless --no-timestamp is given): the options the run read, so
 not those that a --datum or --graph-json file replaces, which are usage
 errors beside it.  Files are written atomically, and nothing is
 randomized, so reruns with the same flags are byte-identical modulo the
-timestamp, for the same BLAS thread count: the last digits of eigenvalues
-and of the distances that bass-ihara reports can change with the number
-of threads (OPENBLAS_NUM_THREADS).  No color is ever emitted.
+timestamp, whatever the BLAS thread count: every eigensolve runs on one
+OpenBLAS thread, so OPENBLAS_NUM_THREADS changes no digit of an
+eigenvalue or of a distance that bass-ihara reports.  No color is ever
+emitted.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
 error (a --tau, --sigma or --s0 place outside 1..q-1, or an empty path

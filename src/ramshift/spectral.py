@@ -63,14 +63,28 @@ each step's largest and smallest entry.  One byte bound, EXACT_BYTES,
 decides what is walked: the m^2 int64 entries a graph's held power rows can
 reach must fit in it (`check_exact_cap`), and a chunk has as many rows as
 make one step's (rows, m, d) gathered entries a sixteenth of it, at 8 bytes
-an entry, an int64 or a pointer to a Python int alike.  Deviation norms and cylinder correlations are exact rationals
-with no floating error.  All eigensolvers are dense and deterministic;
-resource caps reject instances beyond desk scale.
+an entry, an int64 or a pointer to a Python int alike.  Deviation norms
+and cylinder correlations are exact rationals with no floating error.
+
+Threads: all eigensolvers are dense and deterministic, and every LAPACK
+call, with eig_symmetric's residual product, runs on one OpenBLAS thread
+(`_one_blas_thread`, which restores the count after each solve), so no
+digit of a spectrum depends on OPENBLAS_NUM_THREADS.  The blocks solved
+under the dense cap have at most a few hundred rows, where a second thread
+saves little wall time and doubles the CPU.  At the frontier it would
+save more: on a 2-vCPU host two threads ran eigh on random Hermitian
+matrices 1.3 times faster at 512 rows real and 1.6 times complex, and 1.5
+and 1.8 times at the sizes of the q = 3 `A_9` blocks (1,485 rows real,
+1,431 complex).  That wall time is given up; more cores are better spent
+on independent blocks at once.  Resource caps reject instances beyond
+desk scale.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -94,6 +108,44 @@ EIG_RESIDUAL_TOL = 1e-10
 # symmetric spectra
 
 
+@cache
+def _blas_control():
+    """(get, set) of the thread count of the OpenBLAS that numpy's LAPACK
+    module links, found by name in that module's symbols (a numpy wheel's
+    own scipy-openblas, or a system OpenBLAS), or None."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the count before
+    it, also when the body raises (the module docstring says why); nothing
+    where no control is found.  The count is the process's: solves in two
+    threads at once could restore each other's, and the package starts no
+    thread."""
+    control = _blas_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def check_dense_cap(n_vertices: int) -> None:
     """Refuse a dense eigensolve of more than DENSE_EIG_LIMIT vertices."""
     if n_vertices > DENSE_EIG_LIMIT:
@@ -114,9 +166,10 @@ def eig_symmetric(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not (a == (a.T.conj() if hermitian else a.T)).all():
         raise ValueError("eig_symmetric needs a symmetric or Hermitian matrix")
     dense = a.astype(np.complex128 if hermitian else np.float64, copy=False)
-    eigs, vecs = np.linalg.eigh(dense)
+    with _one_blas_thread():
+        eigs, vecs = np.linalg.eigh(dense)
+        residual = np.abs(dense @ vecs - vecs * eigs).max(initial=0)
     scale = max(1.0, float(np.abs(a).max(initial=0)) * a.shape[0])
-    residual = np.abs(dense @ vecs - vecs * eigs).max(initial=0)
     if residual > EIG_RESIDUAL_TOL * scale:
         raise RuntimeError(f"eigensolver residual {residual:.3e} above bound")
     if abs(eigs.sum() - np.trace(a).real) > EIG_RESIDUAL_TOL * scale:
@@ -668,7 +721,8 @@ def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
     and `benchmarks/tracing.TARGETS` wraps it by name (deleting it fails
     `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`)."""
     check_dart_cap(h.n_darts())
-    return np.linalg.eigvals(h.adjacency.astype(np.float64))
+    with _one_blas_thread():
+        return np.linalg.eigvals(h.adjacency.astype(np.float64))
 
 
 def nb_blocks(graph: UGraph, symmetries=(), rotation=None) -> Split:
@@ -720,7 +774,8 @@ def nb_spectrum(graph: UGraph, symmetries=(), rotation=None) -> tuple[np.ndarray
     pair of characters count again, conjugated, for the other."""
     check_dart_cap(graph.n_darts())
     split = nb_blocks(graph, symmetries, rotation)
-    spectra = [np.linalg.eigvals(block) for block in split.blocks]
+    with _one_blas_thread():
+        spectra = [np.linalg.eigvals(block) for block in split.blocks]
     for block, eigs in zip(split.blocks, spectra):
         scale = max(1.0, float(np.abs(block).max(initial=0)) * len(block))
         if abs(eigs.sum() - np.trace(block)) > EIG_RESIDUAL_TOL * scale:
@@ -805,7 +860,8 @@ def second_modulus_directed(a: np.ndarray) -> float:
     if not ((rows == d).all() and (cols == d).all()):
         raise ValueError("matrix must be d-regular (equal row and column sums)")
     centered = a.astype(np.float64) - (d / m) * np.ones((m, m))
-    return float(np.abs(np.linalg.eigvals(centered)).max())
+    with _one_blas_thread():
+        return float(np.abs(np.linalg.eigvals(centered)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -664,10 +664,10 @@ def _array_pieces(value, nl: str) -> list[str] | None:
     other value.
 
     Each block of rows is one `uint8` matrix, a padded row of text per row:
-    the separators broadcast into their columns, each int column as digits
-    and each label column as its encoded names gathered by code, with NUL
-    bytes as padding.  Dropping the NULs leaves the text, since
-    ASCII-encoded JSON never holds a raw NUL."""
+    copies of one template row that holds the separators, then each int
+    column written over it as digits and each label column as its encoded
+    names gathered by code, with NUL bytes as padding.  Dropping the NULs
+    leaves the text, since ASCII-encoded JSON never holds a raw NUL."""
     split = _columns(value)
     if split is None:
         return None
@@ -685,26 +685,21 @@ def _array_pieces(value, nl: str) -> list[str] | None:
     for column in rendered:
         row += [*column, sep]
     row[-1] = tail
-    parts = []  # separators and column renderers, in row order, adjacent separators joined
+    # the separators, with NULs under the columns
+    template = np.frombuffer("".join(p if type(p) is str else "\0" * len(p) for p in row).encode("ascii"), np.uint8)
+    fills, start = [], 0  # each column renderer with its place in the row
     for part in row:
-        if type(part) is not str or not parts or type(parts[-1]) is not str:
-            parts.append(part)
-        else:
-            parts[-1] += part
-    width = sum(map(len, parts))
-    rows = max(1, _BLOCK_BYTES // width)
+        if type(part) is not str:
+            fills.append((part, slice(start, start + len(part))))
+        start += len(part)
+    rows = max(1, _BLOCK_BYTES // len(template))
     pieces = []
     for lo in range(0, len(value), rows):
         block = slice(lo, min(lo + rows, len(value)))
-        buf = np.empty((block.stop - lo, width), np.uint8)
-        start = 0
-        for part in parts:
-            end = start + len(part)
-            if type(part) is str:
-                buf[:, start:end] = np.frombuffer(part.encode("ascii"), np.uint8)
-            else:
-                part.fill(buf[:, start:end], block)
-            start = end
+        buf = np.empty((block.stop - lo, len(template)), np.uint8)
+        buf[:] = template
+        for part, place in fills:
+            part.fill(buf[:, place], block)
         if not lo:
             buf[0, 0] = ord("[")
         text = buf.ravel()

@@ -1,14 +1,17 @@
 """Command surface: exit codes, determinism, and output formats."""
 
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from functools import reduce
 from itertools import islice
 from math import cos, pi
 from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,30 @@ def test_graph_dot_output_is_deterministic(capsys):
     code, second, _ = run(capsys, "graph", "--level", "2", "--side", "A",
                           "--format", "dot", "--no-timestamp")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["bass-ihara", "--p", "5", "--level", "3", "--side", "B"],
+    ["bass-ihara", "--p", "3", "--level", "5"],
+    ["verify-ramanujan", "--graph-json", "A_6", "--format", "csv"],
+], ids=" ".join)
+def test_output_does_not_depend_on_the_blas_thread_count(argv, tmp_path, capsys):
+    # each of these read differently in its last digits between one and two
+    # OpenBLAS threads before every eigensolve ran on one
+    if "A_6" in argv:
+        path = str(tmp_path / "a6.json")
+        assert run(capsys, "graph", "--level", "6", "--format", "json", "--no-timestamp", "--out", path)[0] == 0
+        argv = [path if arg == "A_6" else arg for arg in argv]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "ramshift.cli", *argv, "--no-timestamp"], env=env,
+                                capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_ramanujan_campaign(tmp_path, capsys):

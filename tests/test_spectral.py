@@ -105,6 +105,47 @@ def test_eig_symmetric_on_a_hermitian_circulant():
             eig_symmetric(bad)
 
 
+@pytest.fixture
+def blas_at_two():
+    """The OpenBLAS thread-count getter of `spectral._blas_control`, with
+    the count set to 2 (other than 1, whatever the environment chose) and
+    put back after."""
+    control = spectral._blas_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control found in numpy's LAPACK module")
+    get, put = control
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def test_one_blas_thread_scope_restores_the_count(blas_at_two):
+    get = blas_at_two
+    with spectral._one_blas_thread():
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(ZeroDivisionError), spectral._one_blas_thread():
+        assert get() == 1
+        1 / 0
+    assert get() == 2
+
+
+def test_every_eigensolve_runs_on_one_blas_thread(blas_at_two, monkeypatch, d12_q3):
+    get, seen = blas_at_two, []
+    for name in ("eigh", "eigvals"):
+        def solve(*args, _solve=getattr(np.linalg, name)):
+            seen.append(get())
+            return _solve(*args)
+        monkeypatch.setattr(np.linalg, name, solve)
+    graph = level_graph(d12_q3, "A", 2)
+    eig_symmetric(graph.adjacency())
+    nb_spectrum(graph)
+    nb_spectrum_direct(nb_matrix(graph))
+    second_modulus_directed(np.roll(np.eye(5, dtype=int), 1, axis=1))
+    assert seen == [1, 1, 1, 1] and get() == 2
+
+
 def test_trace_identities(d12_q3):
     a = level_graph(d12_q3, "A", 3).adjacency()
     eigs = eig_symmetric(a)
