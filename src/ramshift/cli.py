@@ -18,6 +18,14 @@ OpenBLAS thread, so OPENBLAS_NUM_THREADS changes no digit of an
 eigenvalue or of a distance that bass-ihara reports.  No color is ever
 emitted.
 
+verify-ramanujan labels each JSON verdict with its "certificate":
+"certified" when two Cholesky factorisations per solved block prove every
+eigenvalue of the level but the trivial q + 1 within 2 sqrt(q) + --tol
+(`spectral`'s module docstring), "float" when the verdict is the float
+comparison second <= bound + --tol, backed by the eigensolver's residual
+and trace checks: on a level where some block fails the proof, and on
+every --graph-json file.  The label changes no verdict and no exit code.
+
 Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
 error (a --tau, --sigma or --s0 place outside 1..q-1, or an empty path
 for --datum, --graph-json, --write or --out, among them), 3
@@ -208,12 +216,12 @@ def _tower_checks(datum, side: str, tol: float):
     """ramanujan_check of a level of one side, from a covering tower built
     from level 1 up to the highest level asked for so far: a level's
     spectrum does not depend on which levels were requested."""
-    tower, built = spectral.tower_spectra(graphs.level_tower(datum, side)), []
+    tower, built = spectral.tower_spectra(graphs.level_tower(datum, side), tol), []
 
     def check(level: int) -> spectral.SpectralReport:
         built.extend(islice(tower, max(0, level - len(built))))
-        graph, eigs, _ = built[level - 1]
-        return spectral.ramanujan_check(graph, tol=tol, eigenvalues=eigs)
+        graph, eigs, _, certified = built[level - 1]
+        return spectral.ramanujan_check(graph, tol=tol, eigenvalues=eigs, certified=certified)
 
     return check
 

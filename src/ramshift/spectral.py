@@ -6,9 +6,12 @@ mixing tables.
 Tolerance policy: which eigenvalues are trivial is decided exactly, from the
 graph's structure, never from the float spectrum: d+1 is the first
 eigenvalue of a connected graph and -(d+1) the last of a bipartite one.
-The tolerance (default 1e-8) enters one comparison only, second <= bound +
-tol, and every Ramanujan verdict also reports the margin 2 sqrt(d) -
-max|lambda_nontrivial| so borderline cases stay visible.
+The tolerance (default 1e-8) enters the bound beta = 2 sqrt(d) + tol: a
+level of a covering tower is "certified" when a proof, below, places every
+eigenvalue but the rose's d+1 in [-beta, beta]; any other verdict is
+"float", the comparison second <= bound + tol.  Every Ramanujan verdict
+also reports the margin 2 sqrt(d) - max|lambda_nontrivial| so borderline
+cases stay visible.
 
 Covering tower: each level graph covers the one below by the drop-first
 map, so its spectrum is the lower level's together with that of the new
@@ -19,9 +22,41 @@ level's new spectrum together with that of the doubly-new block: A on the
 functions with zero row and column sums in each middle word's grid of
 words x.m.y (dimension N_{n-2} (q - 1)^2).  `tower_spectra` starts at the
 rose, whose one eigenvalue d+1 is exact, checks both coverings and the
-grid, and eigensolves only the new blocks of levels 1 and 2 and the
-doubly-new blocks after them, with eig_symmetric's residual and trace
-checks.  A graph with no known cover is solved whole.
+grid, and solves only the new blocks of levels 1 and 2 and the doubly-new
+blocks after them (`_block_spectra`).  A graph with no known cover is
+solved whole by `eig_symmetric`, whose residual and trace checks guard a
+float verdict.
+
+Certificate: every eigenvalue of a Hermitian block H lies in [-beta, beta]
+exactly when beta I - H and beta I + H are positive semidefinite, and a
+float Cholesky factorisation that succeeds proves that.  Rump
+("Verification of positive definiteness", BIT 46, 2006) bounds its
+backward error: if the factorisation of an n x n Hermitian G runs to the
+end, then lambda_min(G) >= -gamma/(1 - gamma) tr(G), with gamma_j = j eps /
+(1 - j eps) and eps = 2^-52, here with j = 2n + 4 where Rump has n + 1,
+which also covers complex arithmetic and the rounded diagonal of G =
+fl(s I -+ H~).  The block is not H but its float assembly H~ (`dart_blocks`
+with the Helmert, grid and character bases), and a priori, as in Higham
+("Accuracy and Stability of Numerical Algorithms", ch. 3), ||H - H~||_2 <=
+2 gamma_(k + 2g + 16) g k sqrt(s): each count sums at most the k arcs that
+leave a point, B^T C B sums 2g products for a basis B of g rows, the basis
+entries and weights carry at most 16 roundings, |B| <= 1 with ||B||_F^2 <=
+g, the rows and columns of the weighted counts sum to at most k sqrt(s) for
+a largest stabiliser of order s, and the 2 covers the real and imaginary
+parts and the Hermitian part taken.  So with m = max|H~_ij| the shift
+
+    c = 2 (gamma_(2n+4) / (1 - gamma_(2n+4)) n (beta + m) + ||H - H~||_2 bound),
+
+the 2 covering the rounding of beta and of beta - c, makes a successful
+factorisation of both fl((beta - c) I -+ H~) a proof.  At the sizes under
+the dense cap c is at most 5.2e-10 (q = 11, level 3, with g = 121 slots),
+far below the default tol, at which every level under the cap of the data
+with places (1, 2) over the odd prime powers q from 3 to 31 is certified.  Where beta < d + 1, that is tol < (sqrt(d) - 1)^2,
+a certified level is also connected (d+1 is simple) and not bipartite
+(-(d+1) is no eigenvalue), so `ramanujan_check` runs no search on it.  A
+block that fails, at a boundary eigenvalue (q = 9 at tol 0) or on a level
+that is bipartite or not Ramanujan, is solved again by `eig_symmetric`,
+and its level is float.
 
 Character split: the rotation u (multiply every letter by a generator of
 the norm-one torus, of order q + 1), letter-wise inversion
@@ -67,7 +102,8 @@ an entry, an int64 or a pointer to a Python int alike.  Deviation norms
 and cylinder correlations are exact rationals with no floating error.
 
 Threads: all eigensolvers are dense and deterministic, and every LAPACK
-call, with eig_symmetric's residual product, runs on one OpenBLAS thread
+call, eigvalsh, Cholesky and eig_symmetric's residual product among them,
+runs on one OpenBLAS thread
 (`_one_blas_thread`, which restores the count after each solve), so no
 digit of a spectrum depends on OPENBLAS_NUM_THREADS.  The blocks solved
 under the dense cap have at most a few hundred rows, where a second thread
@@ -102,6 +138,7 @@ from .graphs import (
 DENSE_EIG_LIMIT = 2000
 EXACT_BYTES = 256 * 2**20
 EIG_RESIDUAL_TOL = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +266,9 @@ def dart_blocks(origin: np.ndarray, terminus: np.ndarray, group: np.ndarray, slo
 
 
 def _hermitian(block: np.ndarray) -> np.ndarray:
-    """(M + M^H) / 2, exactly Hermitian."""
-    return (block + (block.T.conj() if block.dtype.kind == "c" else block.T)) / 2
+    """(M + M^H) / 2, exactly Hermitian, for a matrix or a stack of them."""
+    transposed = block.swapaxes(-1, -2)
+    return (block + (transposed.conj() if block.dtype.kind == "c" else transposed)) / 2
 
 
 def _powers(perm: np.ndarray, order: int) -> np.ndarray:
@@ -404,16 +442,23 @@ class Split(NamedTuple):
     blocks: list[np.ndarray]  # one per self-conjugate character or conjugate pair, in character order
     twins: tuple[bool, ...]   # per block: does it stand for a second, conjugate character too
     dims: tuple[int, ...]     # the block dimension of every character, the conjugates included
+    error: float              # a priori bound on the spectral norm of each block's assembly error
 
 
-def _split(blocks: list[np.ndarray], solved: np.ndarray, negated: np.ndarray, total: int) -> Split:
+def _gamma(j: int) -> float:
+    """Higham's gamma_j = j u / (1 - j u), here with u the machine epsilon
+    2^-52, twice the unit roundoff."""
+    return j * _EPS / (1 - j * _EPS)
+
+
+def _split(blocks: list[np.ndarray], solved: np.ndarray, negated: np.ndarray, total: int, error: float) -> Split:
     """The `Split` of the blocks of the characters solved, those of `_Group`
-    index at most their conjugate's.  The dimensions of all the characters'
-    blocks, the conjugates' included, must add up to total, the dimension
-    of the matrix split; else RuntimeError."""
+    index at most their conjugate's, each assembled within error.  The
+    dimensions of all the characters' blocks, the conjugates' included, must
+    add up to total, the dimension of the matrix split; else RuntimeError."""
     dims = np.array([len(block) for block in blocks], dtype=np.intp)
     position = np.searchsorted(solved, np.minimum(np.arange(len(negated)), negated))
-    split = Split(blocks, tuple((negated[solved] != solved).tolist()), tuple(dims[position].tolist()))
+    split = Split(blocks, tuple((negated[solved] != solved).tolist()), tuple(dims[position].tolist()), error)
     if sum(split.dims) != total:
         raise RuntimeError(f"the character blocks add up to {sum(split.dims)} dimensions, not {total}")
     return split
@@ -439,8 +484,13 @@ def _character_blocks(origin: np.ndarray, terminus: np.ndarray, owner: np.ndarra
     every identity s and sign k for every transposing s.  Where an element
     acts otherwise, the last kept map is dropped.  Characters that keep the
     same columns share one assembly, and one block is assembled per
-    conjugate pair of characters (`Split`), checked by `_split`."""
+    conjugate pair of characters (`Split`), checked by `_split`.  With no
+    map kept, the whole matrix is one block, assembled with unit weights."""
     n, width = len(owner), basis.shape[1]
+    if not kept:
+        trivial = np.zeros(1, dtype=np.intp)  # the one character, its own conjugate
+        blocks = dart_blocks(origin, terminus, owner, slot, basis, np.ones((1, len(origin))))
+        return _split(blocks, trivial, trivial, n_owners * width, _assembly_error(origin, basis, 1))
     while True:
         orders = tuple(order for *_, order in kept)
         group = _orbits([image for _, image, _ in kept], orders, n_owners)
@@ -483,7 +533,18 @@ def _character_blocks(origin: np.ndarray, terminus: np.ndarray, owner: np.ndarra
             built = dart_blocks(origin, terminus, orbit, slot, basis[:, used], weights[these], mask[:, used].ravel())
             for c, block in zip(these, built):
                 blocks[c] = block
-    return _split(blocks, solved, group.negated, n_owners * width)
+    error = _assembly_error(origin, basis, int(fixing.max(initial=1)))
+    return _split(blocks, solved, group.negated, n_owners * width, error)
+
+
+def _assembly_error(origin: np.ndarray, basis: np.ndarray, stabiliser: int) -> float:
+    """The a priori bound 2 gamma_(k + 2 g + 16) g k sqrt(s) on the spectral
+    norm of the error of a block that `dart_blocks` assembles from arcs
+    leaving origin, at most k from a point, with a basis of g rows, where s
+    is the largest stabiliser of an owner (the module docstring derives it)."""
+    g = basis.shape[0]
+    k = int(np.bincount(origin).max(initial=0))
+    return 2 * _gamma(k + 2 * g + 16) * g * k * sqrt(stabiliser)
 
 
 def _moves_owners(graph: UGraph, ways: tuple[np.ndarray, ...], n_lower: int, owner: np.ndarray, n_owners: int):
@@ -569,14 +630,68 @@ class TowerSpectrum(NamedTuple):
     graph: UGraph
     eigenvalues: np.ndarray  # descending
     blocks: tuple[int, ...]  # this level's block dimension per character (`Split.dims`), conjugates included
+    certified: bool          # every eigenvalue but the rose's is proved within the bound plus tol, here and below
 
 
-def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
-    """(graph, spectrum, block dimensions) for every level after the first
-    of a covering tower, such as `graphs.level_tower`: the rose, then each
-    level with its drop-first and drop-last parents into the one before and
-    an optional inversion, reversal and rotation.  Both parents are checked
-    as coverings with equal fibers (`graphs.cover_fiber`) on every level.
+def _shift(n: int, size: np.ndarray, beta: float, error: float) -> np.ndarray:
+    """The shift c of a certificate for blocks of n rows whose largest
+    entries are size, assembled within error (module docstring)."""
+    gamma = _gamma(2 * n + 4)
+    return 2 * (gamma / (1 - gamma) * n * (beta + size) + error)
+
+
+def _factorises(shifted: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Per block H of the stack, does a float Cholesky factorisation of
+    shifted I - H and of shifted I + H succeed?  All of them are factorised
+    in one call, and block by block only when that fails."""
+    m, n = len(stack), stack.shape[-1]
+    both = np.concatenate([-stack, stack]).reshape(2 * m, n * n)
+    both[:, ::n + 1] += np.concatenate([shifted, shifted])[:, None]  # the diagonals
+    try:
+        np.linalg.cholesky(both.reshape(2 * m, n, n))
+    except np.linalg.LinAlgError:
+        if m == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_factorises(shifted[i:i + 1], stack[i:i + 1]) for i in range(m)])
+    return np.ones(m, dtype=bool)
+
+
+def _block_spectra(blocks: list[np.ndarray], beta: float, error: float) -> tuple[list[np.ndarray], bool]:
+    """The descending spectrum of the Hermitian part of each block,
+    assembled within error, and whether every block is certified to have
+    its spectrum in [-beta, beta].
+
+    Blocks of one dimension and dtype are solved as one stack: one
+    `eigvalsh`, each block's eigenvalues checked by the trace identity, and
+    the Cholesky factorisations of (beta - c) I -+ H (module docstring).
+    A block that is not certified is solved again by `eig_symmetric`, with
+    its residual and trace checks, and its spectrum is that one."""
+    spectra, certified, groups = [None] * len(blocks), True, {}
+    for i, block in enumerate(blocks):
+        groups.setdefault((len(block), block.dtype), []).append(i)
+    with _one_blas_thread():
+        for (n, _), members in groups.items():
+            stack = _hermitian(np.stack([blocks[i] for i in members]))
+            eigs = np.linalg.eigvalsh(stack)  # ascending
+            flat = stack.reshape(len(members), n * n)
+            size = np.abs(flat).max(axis=1, initial=0)
+            if (np.abs(eigs.sum(axis=1) - flat[:, ::n + 1].sum(axis=1).real)
+                    > EIG_RESIDUAL_TOL * np.maximum(1.0, size * n)).any():
+                raise RuntimeError("eigensolver failed the trace identity")
+            passed = _factorises(beta - _shift(n, size, beta, error), stack)
+            for i, values, ok, block in zip(members, eigs, passed, stack):
+                spectra[i] = values[::-1] if ok else eig_symmetric(block)
+            certified = certified and bool(passed.all())
+    return spectra, certified
+
+
+def tower_spectra(levels: Iterator[TowerLevel], tol: float = 1e-8) -> Iterator[TowerSpectrum]:
+    """(graph, spectrum, block dimensions, certified) for every level after
+    the first of a covering tower, such as `graphs.level_tower`: the rose,
+    then each level with its drop-first and drop-last parents into the one
+    before and an optional inversion, reversal and rotation.  Both parents
+    are checked as coverings with equal fibers (`graphs.cover_fiber`) on
+    every level.
 
     The rose, one vertex with k loop darts, contributes the trivial
     eigenvalue k exactly.  Levels 1 and 2 eigensolve the new block of the
@@ -591,12 +706,16 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
     D / (2 (q + 1)), when they check out, else in the Klein quarters,
     halves or whole.  One block of each pair of conjugate characters is
     eigensolved, and its eigenvalues count for both.  Every solved block
-    goes through `eig_symmetric`'s checks.  Spectra are descending, and
-    each level is capped like a dense eigensolve of its vertices."""
+    goes through `_block_spectra` with beta = 2 sqrt(k - 1) + tol: a level
+    is certified when every block solved on it and on the levels below it
+    is.  Spectra are descending, and each level is capped like a dense
+    eigensolve of its vertices."""
     lower = next(levels)
     if lower.graph.n_vertices() != 1:
         raise ValueError("a covering tower starts at a one-vertex rose")
-    eigs, new = np.array([float(lower.graph.n_darts())]), np.empty(0)
+    k = lower.graph.n_darts()
+    eigs, new, certified = np.array([float(k)]), np.empty(0), True
+    beta = 2.0 * sqrt(max(k - 1, 0)) + tol
     below = None  # the graph two levels down
     for n, level in enumerate(levels, 1):
         graph = level.graph
@@ -607,10 +726,11 @@ def tower_spectra(levels: Iterator[TowerLevel]) -> Iterator[TowerSpectrum]:
             split, new = _fiber_blocks(level, lower.graph.n_vertices(), f), np.empty(0)
         else:
             split = _grid_blocks(level, lower, below.n_vertices())
-        solved = [eig_symmetric(_hermitian(block)) for block in split.blocks]
+        solved, passed = _block_spectra(split.blocks, beta, split.error)
+        certified = certified and passed
         new = np.concatenate([new, *solved, *(eig for eig, twin in zip(solved, split.twins) if twin)])
         eigs = np.sort(np.concatenate([eigs, new]))[::-1]
-        yield TowerSpectrum(graph, eigs, split.dims)
+        yield TowerSpectrum(graph, eigs, split.dims, certified)
         below, lower = lower.graph, level
 
 
@@ -625,6 +745,7 @@ class SpectralReport:
     ramanujan: bool
     bipartite: bool             # structure.bipartite: -(d+1) is the last eigenvalue
     structure: StructureReport
+    certificate: str = "float"  # "certified" (`tower_spectra` proved it) or "float" (second <= bound + tol)
 
     def __repr__(self) -> str:
         verdict = "ramanujan" if self.ramanujan else "NOT ramanujan"
@@ -634,7 +755,8 @@ class SpectralReport:
         )
 
 
-def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | None = None) -> SpectralReport:
+def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | None = None,
+                    certified: bool = False) -> SpectralReport:
     """Is a connected (d+1)-regular graph Ramanujan: every eigenvalue either
     +-(d+1) or of modulus at most 2 sqrt(d) (within tol)?
 
@@ -648,10 +770,20 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | 
     The spectrum is `eig_symmetric` of the adjacency, unless the graph is a
     level of a covering tower whose descending spectrum `tower_spectra` has
     already merged from its new blocks: then that is `eigenvalues`, and
-    its first entry is the rose's exact d+1.
+    its first entry is the rose's exact d+1.  When `tower_spectra` also
+    certified the level at this tol, the verdict is labelled "certified"
+    (its nontrivial eigenvalues are proved within bound + tol), and where
+    beta = 2 sqrt(d) + tol < d + 1 the structure is read from the
+    certificate instead of a search: every eigenvalue but the rose's lies
+    in [-beta, beta], so d+1 is simple (the graph is connected) and -(d+1)
+    is none (it is not bipartite).
     """
     check_dense_cap(graph.n_vertices())
-    structure = structure_predicates(graph)
+    k = graph.regular_degree() if certified else None
+    if k is not None and k >= 1 and 2.0 * sqrt(k - 1) + tol < k:
+        structure = StructureReport(connected=True, n_components=1, bipartite=False, aperiodic=True, regular_degree=k)
+    else:
+        structure = structure_predicates(graph)
     if not structure.connected:
         raise ValueError(f"graph is disconnected ({structure.n_components} components)")
     if structure.regular_degree is None:
@@ -674,6 +806,7 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | 
         ramanujan=bool(second <= bound + tol),
         bipartite=structure.bipartite,
         structure=structure,
+        certificate="certified" if certified else "float",
     )
 
 
@@ -1021,4 +1154,5 @@ def spectral_report_to_dict(report: SpectralReport) -> dict:
         "margin": report.margin,
         "ramanujan": report.ramanujan,
         "bipartite": report.bipartite,
+        "certificate": report.certificate,
     }

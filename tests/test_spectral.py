@@ -15,6 +15,7 @@ from ramshift.cli import main
 from ramshift.ffield import torus_generator
 from ramshift.graphs import (
     TowerLevel, UGraph, cover_fiber, dart_map, is_automorphism, level_graph, level_size, level_tower, nb_matrix,
+    structure_predicates,
 )
 from ramshift.spectral import (
     DENSE_EIG_LIMIT,
@@ -38,6 +39,7 @@ from ramshift.spectral import (
     tower_spectra,
     walk_counts,
 )
+from ramshift.vhdatum import write_datum
 from conftest import letter_map, random_vh_datum
 from test_graphs import complete_bipartite, cycle, petersen
 
@@ -133,9 +135,9 @@ def test_one_blas_thread_scope_restores_the_count(blas_at_two):
 
 def test_every_eigensolve_runs_on_one_blas_thread(blas_at_two, monkeypatch, d12_q3):
     get, seen = blas_at_two, []
-    for name in ("eigh", "eigvals"):
-        def solve(*args, _solve=getattr(np.linalg, name)):
-            seen.append(get())
+    for name in ("eigh", "eigvals", "eigvalsh", "cholesky"):
+        def solve(*args, _solve=getattr(np.linalg, name), _name=name):
+            seen.append((_name, get()))
             return _solve(*args)
         monkeypatch.setattr(np.linalg, name, solve)
     graph = level_graph(d12_q3, "A", 2)
@@ -143,7 +145,14 @@ def test_every_eigensolve_runs_on_one_blas_thread(blas_at_two, monkeypatch, d12_
     nb_spectrum(graph)
     nb_spectrum_direct(nb_matrix(graph))
     second_modulus_directed(np.roll(np.eye(5, dtype=int), 1, axis=1))
-    assert seen == [1, 1, 1, 1] and get() == 2
+    assert seen == [("eigh", 1)] + [("eigvals", 1)] * 3
+    seen.clear()
+    list(islice(tower_spectra(level_tower(d12_q3, "A")), 4))
+    assert {name for name, _ in seen} == {"eigvalsh", "cholesky"}  # every level certified: no eigh
+    assert {threads for _, threads in seen} == {1} and get() == 2
+    seen.clear()
+    list(islice(tower_spectra(level_tower(d12_q3, "A"), tol=-3.0), 1))  # a bound below 1 certifies no level
+    assert {"eigvalsh", "eigh"} <= {name for name, _ in seen} and {threads for _, threads in seen} == {1}
 
 
 def test_trace_identities(d12_q3):
@@ -211,7 +220,7 @@ def test_tower_spectrum_equals_the_full_eigensolve(q, side):
     levels = list(islice(level_tower(datum, side), top + 1))  # the rose and levels 1..top
     spectra = list(tower_spectra(iter(levels)))
     assert len(spectra) == top
-    for n, (below, lower, (graph, *_), (same, eigs, blocks)) in enumerate(
+    for n, (below, lower, (graph, *_), (same, eigs, blocks, _)) in enumerate(
             zip([None] + levels, levels, levels[1:], spectra), 1):
         assert same is graph
         # levels 1 and 2 solve the new block of the drop-first cover, later
@@ -262,9 +271,9 @@ def _tower_against_whole_graphs(datum, side, top):
     """The tower's spectra of levels 1..top, each checked against the
     eigensolve of the whole adjacency; returns the solved block dimensions."""
     spectra = list(islice(tower_spectra(level_tower(datum, side)), top))
-    for graph, eigs, _ in spectra:
+    for graph, eigs, *_ in spectra:
         assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
-    return [blocks for _, _, blocks in spectra]
+    return [spectrum.blocks for spectrum in spectra]
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -312,7 +321,7 @@ def test_tower_splits_every_quaternionic_level_from_3_on(q, side):
     # fibers), and from level 3 on `_torus_characters`
     p, e, top = TOWER_FIELDS[q]
     datum = build_quaternionic_datum(make_field(p, e), 1, 2)
-    blocks = [b for _, _, b in islice(tower_spectra(level_tower(datum, side)), top)]
+    blocks = [spectrum.blocks for spectrum in islice(tower_spectra(level_tower(datum, side)), top)]
     assert blocks[:2] == [(q,), (q - 1,) * (q + 1)][:top]
     for n, dims in enumerate(blocks[2:], 3):
         assert dims == _torus_characters(datum, q, side, n)
@@ -327,8 +336,8 @@ def test_without_the_rotation_the_tower_keeps_the_klein_quarters(q, side):
     datum = build_quaternionic_datum(make_field(p, e), 1, 2)
     levels = list(islice(level_tower(datum, side), top + 1))
     spectra = list(tower_spectra(iter([level._replace(rotation=None) for level in levels])))
-    assert [dims for *_, dims in spectra[:2]] == [(q,), ((q + 1) * (q - 1),)][:top]
-    for n, (graph, eigs, dims), (_, split, _) in zip(range(1, top + 1), spectra, tower_spectra(iter(levels))):
+    assert [spectrum.blocks for spectrum in spectra[:2]] == [(q,), ((q + 1) * (q - 1),)][:top]
+    for n, (graph, eigs, dims, _), (_, split, *_) in zip(range(1, top + 1), spectra, tower_spectra(iter(levels))):
         assert n < 3 or dims == _klein_quarters(datum, q, side, n)
         assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
         assert np.abs(eigs - split).max() < 1e-9  # the split by the rotation has the same spectrum
@@ -349,7 +358,7 @@ def test_the_rotation_splits_the_tower_at_every_place_pair(q):
     for tau, sigma in permutations(range(1, q), 2):
         datum = build_quaternionic_datum(spec, tau, sigma)
         for side in "AB":
-            for n, (graph, eigs, dims) in enumerate(islice(tower_spectra(level_tower(datum, side)), top), 1):
+            for n, (graph, eigs, dims, _) in enumerate(islice(tower_spectra(level_tower(datum, side)), top), 1):
                 assert len(dims) == (1, q + 1, 2 * (q + 1))[min(n, 3) - 1]
                 assert np.abs(eigs - np.linalg.eigvalsh(graph.adjacency())[::-1]).max() < 1e-9
 
@@ -404,7 +413,7 @@ def test_a_refused_rotation_leaves_the_klein_split(d12_q5):
                 darts = nb_spectrum(level.graph, (iota, rho))
                 assert blocks == darts[1] and np.array_equal(eigs, darts[0])
             else:
-                *_, (_, eigs, blocks) = tower_spectra(iter(levels[:4] + [level._replace(rotation=rotation)]))
+                *_, (_, eigs, blocks, _) = tower_spectra(iter(levels[:4] + [level._replace(rotation=rotation)]))
                 assert blocks == klein.blocks and np.array_equal(eigs, klein.eigenvalues)
 
 
@@ -459,8 +468,8 @@ def test_a_datum_without_a_field_is_split_as_before(datum_without_inversion):
             levels = list(islice(level_tower(datum, side), 5))
             assert all(level.rotation is None for level in levels)
             spectra = list(tower_spectra(iter(levels)))
-            assert expected is None or [dims for *_, dims in spectra[2:]] == expected
-            for graph, eigs, dims in spectra:
+            assert expected is None or [spectrum.blocks for spectrum in spectra[2:]] == expected
+            for graph, eigs, dims, _ in spectra:
                 assert len(dims) <= 4
                 assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
 
@@ -475,7 +484,7 @@ def test_blocks_of_the_largest_levels_under_the_cap():
         datum = build_quaternionic_datum(make_field(p, e), 1, 2)
         for side in "AB":
             levels = list(islice(level_tower(datum, side), n + 1))
-            *_, (graph, eigs, dims) = tower_spectra(iter(levels))
+            *_, (graph, eigs, dims, _) = tower_spectra(iter(levels))
             assert (len(dims), sum(dims), max(dims)) == (count, total, largest)
             split = (spectral._fiber_blocks(levels[n], levels[n - 1].graph.n_vertices(), p ** e) if n == 2 else
                      spectral._grid_blocks(levels[n], levels[n - 1], levels[n - 2].graph.n_vertices()))
@@ -525,7 +534,7 @@ def _level_4_with_broken(datum, *names):
     for name in names:
         broken[name] = getattr(levels[4], name).copy()
         broken[name][[0, 1]] = broken[name][[1, 0]]
-    (graph, eigs, blocks), = islice(tower_spectra(iter(levels[:4] + [levels[4]._replace(**broken)])), 3, 4)
+    (graph, eigs, blocks, _), = islice(tower_spectra(iter(levels[:4] + [levels[4]._replace(**broken)])), 3, 4)
     assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
     return blocks
 
@@ -562,7 +571,7 @@ def test_a_malformed_reversal_is_refused_without_a_sound(d12_q3):
         for name, other in (("reversal", "inversion"), ("inversion", "reversal")):
             for offered in (np.arange(n + 1), getattr(top, name).astype(float), np.arange(n), getattr(top, other)):
                 tower = levels[:4] + [top._replace(**{name: offered})]
-                (graph, eigs, blocks), = islice(tower_spectra(iter(tower)), 3, 4)
+                (graph, eigs, blocks, _), = islice(tower_spectra(iter(tower)), 3, 4)
                 assert blocks == ((whole // 2,) * 2 if top.rotation is None else expected[name])
                 assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
 
@@ -587,8 +596,8 @@ def test_reversal_is_dropped_where_r_is_no_slot_transpose(d12_q3):
     four = four._replace(parent=swap[four.parent], last_parent=swap[four.last_parent])
     spectra = list(tower_spectra(iter(levels[:3] + [three, four])))
     # level 3 offers no rotation here; level 4 keeps the rotation's characters
-    assert [blocks for _, _, blocks in spectra[2:]] == [(6, 2, 2, 6), (12, 12, 12, 12)]
-    for graph, eigs, _ in spectra:
+    assert [spectrum.blocks for spectrum in spectra[2:]] == [(6, 2, 2, 6), (12, 12, 12, 12)]
+    for graph, eigs, *_ in spectra:
         assert np.abs(eigs - eig_symmetric(graph.adjacency())).max() < 1e-9
 
 
@@ -649,6 +658,103 @@ def test_reversal_is_an_automorphism_of_every_valid_datum():
     assert fails[True] == 0 and fails[False] > 0
 
 
+def test_a_certified_level_runs_no_search(monkeypatch, capsys):
+    # the certificate proves every level connected and not bipartite, so no
+    # breadth-first search runs; a level it leaves to float still runs one
+    searched = []
+
+    def search(graph):
+        searched.append(graph.n_vertices())
+        return structure_predicates(graph)
+
+    monkeypatch.setattr(spectral, "structure_predicates", search)
+    assert main(["verify-ramanujan", "--p", "3", "--levels", "1:4", "--no-timestamp"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["certificate"] for v in verdicts] == ["certified"] * 8 and searched == []
+    # at tol 0 the boundary eigenvalues +-6 of q = 9 defeat the certificate
+    assert main(["verify-ramanujan", "--p", "3", "--e", "2", "--levels", "1:3", "--tol", "0", "--no-timestamp"]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["certificate"] for v in verdicts] == ["float"] * 6 and len(searched) == 6
+
+
+def test_the_shift_keeps_a_margin_below_the_bound():
+    # a diagonal block factorises exactly, so only the shift c decides: an
+    # eigenvalue within c of beta, on either side of 0, is not certified,
+    # and one 2c inside is; the uncertified block's spectrum is eig_symmetric's
+    beta, error = 2 * sqrt(3) + 1e-8, 1e-12
+    c = spectral._shift(3, np.array([beta]), beta, error)[0]
+    assert 2 * error < c < 1e-10
+    for sign, (inside, certified) in product((1, -1), ((c / 2, False), (2 * c, True))):
+        block = np.diag([sign * (beta - inside), 1.0, 0.0])
+        (eigs,), passed = spectral._block_spectra([block], beta, error)
+        assert passed == certified and np.array_equal(np.sort(eigs), np.sort(np.diag(block)))
+
+
+@pytest.mark.parametrize("q,side,n", [(3, "A", 6), (9, "B", 3)])
+def test_stacked_solves_equal_one_call_per_block(q, side, n):
+    # q = 3 A_6 holds the sweep's largest real blocks (57 rows), q = 9 B_3
+    # its largest complex stack (4 blocks of 36); the shift stays far below
+    # the default tol
+    p, e, _ = TOWER_FIELDS[q]
+    levels = list(islice(level_tower(build_quaternionic_datum(make_field(p, e), 1, 2), side), n + 1))
+    split = spectral._grid_blocks(levels[n], levels[n - 1], levels[n - 2].graph.n_vertices())
+    groups = {}
+    for block in split.blocks:
+        groups.setdefault((len(block), block.dtype), []).append(spectral._hermitian(block))
+    assert max(map(len, groups.values())) >= 2
+    for members in groups.values():
+        stack = np.stack(members)
+        assert np.array_equal(np.linalg.eigvalsh(stack), [np.linalg.eigvalsh(block) for block in members])
+        shifted = 2 * sqrt(q) * np.eye(len(stack[0])) - stack
+        assert np.array_equal(np.linalg.cholesky(shifted), [np.linalg.cholesky(block) for block in shifted])
+        size = np.abs(stack).max(axis=(1, 2))
+        assert (spectral._shift(len(stack[0]), size, 2 * sqrt(q) + 1e-8, split.error) < 1e-9).all()
+    spectra, certified = spectral._block_spectra(split.blocks, 2 * sqrt(q) + 1e-8, split.error)
+    assert certified
+    for block, eigs in zip(split.blocks, spectra):
+        assert np.array_equal(eigs, np.linalg.eigvalsh(spectral._hermitian(block))[::-1])
+        assert np.abs(eigs - eig_symmetric(spectral._hermitian(block))).max() < 1e-13
+
+
+def test_certified_levels_of_random_data_pass_the_dense_check():
+    # negative controls: random VH-data make levels that violate the bound,
+    # are bipartite or are disconnected; none of them is certified, each
+    # keeps the verdict of the dense check, and every certified level passes it
+    labels = {}
+    for seed, side, n in product(range(40), "AB", (1, 2)):
+        datum = random_vh_datum(random.Random(seed), 6, 6)
+        graph, eigs, _, certified = list(islice(tower_spectra(level_tower(datum, side)), n))[-1]
+        structure = structure_predicates(graph)
+        if not structure.connected:
+            assert not certified
+            labels["disconnected"] = labels.get("disconnected", 0) + 1
+            continue
+        dense = ramanujan_check(graph)
+        report = ramanujan_check(graph, eigenvalues=eigs, certified=certified)
+        assert (report.ramanujan, report.bipartite) == (dense.ramanujan, dense.bipartite)
+        assert report.certificate == ("certified" if certified else "float")
+        if certified:
+            assert dense.ramanujan and not dense.bipartite and dense.second_modulus <= dense.bound + 1e-8
+        else:
+            assert not dense.ramanujan or dense.bipartite
+        key = "certified" if certified else "bipartite" if dense.bipartite else "violated"
+        labels[key] = labels.get(key, 0) + 1
+    assert labels == {"certified": 61, "violated": 55, "bipartite": 6, "disconnected": 38}
+
+
+@pytest.mark.parametrize("seed,side,code,certificate", [
+    (35, "A", 1, "float"), (3, "B", 1, "float"), (35, "B", 0, "certified"), (3, "A", 0, "certified"),
+])
+def test_verify_ramanujan_on_random_data_at_level_2(tmp_path, capsys, seed, side, code, certificate):
+    # seed 35 A_2 (margin -0.0208) and seed 3 B_2 (margin -0.0869) violate the bound
+    path = tmp_path / f"random_{seed}.json"
+    write_datum(random_vh_datum(random.Random(seed), 6, 6), str(path))
+    argv = ["verify-ramanujan", "--datum", str(path), "--levels", "2", "--side", side, "--no-timestamp"]
+    assert main(argv) == code
+    verdict, = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict["certificate"] == certificate and verdict["ramanujan"] == (code == 0)
+
+
 def test_verify_ramanujan_level_does_not_depend_on_the_range(capsys):
     entries = {}
     for levels in ("4:4", "1:4"):
@@ -663,7 +769,7 @@ def test_verify_ramanujan_level_does_not_depend_on_the_range(capsys):
 def test_bass_ihara_transfer_of_the_tower_spectrum(d12_q3, side):
     # an independent check of the split: the dart spectrum, solved directly,
     # against the transfer of the merged tower spectrum
-    for n, (graph, eigs, _) in zip(range(1, 5), tower_spectra(level_tower(d12_q3, side))):
+    for n, (graph, eigs, *_) in zip(range(1, 5), tower_spectra(level_tower(d12_q3, side))):
         direct = nb_spectrum_direct(nb_matrix(graph))
         transfer = np.array([x for x, _ in bass_ihara_pairs(eigs, 3)])
         assert len(direct) == 4 * graph.n_vertices()
@@ -870,6 +976,18 @@ def test_an_element_that_fixes_an_owner_pointwise_keeps_its_trivial_characters()
     split = spectral._character_blocks(graph.origin, graph.terminus, owner, 5, slot, np.eye(2), kept)
     assert split.dims == (6, 4)
     assert np.abs(_split_spectrum(split) - np.linalg.eigvalsh(graph.adjacency())).max() < 1e-12
+
+
+def test_the_trivial_group_assembles_the_bits_of_the_group_of_order_one(d12_q3):
+    # with no map kept, the whole block is one unit-weight assembly; the
+    # general path, handed the identity as a map of order 1, gives the same bits
+    level = list(islice(level_tower(d12_q3, "A"), 3))[2]
+    graph, parent = level.graph, level.parent
+    identity = [(np.arange(graph.n_vertices()), np.arange(4), 1)]
+    args = graph.origin, graph.terminus, parent, 4, spectral._fiber_slots(parent, 3), spectral._helmert(3)
+    whole, general = spectral._character_blocks(*args, []), spectral._character_blocks(*args, identity)
+    assert whole.dims == general.dims == (8,) and whole.twins == general.twins == (False,)
+    assert whole.blocks[0].tobytes() == general.blocks[0].tobytes() and whole.error == general.error
 
 
 def test_an_element_that_is_neither_identity_nor_transpose_on_an_owner_is_dropped():
