@@ -14,18 +14,16 @@ from . import ffield, graphs, mealy, quaternion, spectral, subshift, vhdatum
 from .ffield import FieldSpec, Fq2Elem, FqElem, make_field, norm_fiber
 from .graphs import UGraph, level_graph, nb_matrix, product_level_graph, structure_predicates
 from .mealy import Mealy
-from .quaternion import QuatElem, proportional, reduced_norm
-from .spectral import bass_ihara_pairs, deviation_norm, eig_symmetric, ramanujan_check
+from .quaternion import QuatElem, proportional
+from .spectral import bass_ihara_pairs, eig_symmetric, ramanujan_check
 from .subshift import MatrixSubshift, build_xd, mixing_table, regularity_report
 from .vhdatum import (
     VHDatum,
     build_quaternionic_datum,
-    direct_product_datum,
     read_datum,
     validate_datum,
     verify_relations,
     write_datum,
-    zeta,
 )
 
 __version__ = "0.1.0"
@@ -38,11 +36,8 @@ __all__ = [
     "norm_fiber",
     "QuatElem",
     "proportional",
-    "reduced_norm",
     "VHDatum",
-    "zeta",
     "build_quaternionic_datum",
-    "direct_product_datum",
     "validate_datum",
     "verify_relations",
     "read_datum",
@@ -56,7 +51,6 @@ __all__ = [
     "eig_symmetric",
     "ramanujan_check",
     "bass_ihara_pairs",
-    "deviation_norm",
     "MatrixSubshift",
     "build_xd",
     "regularity_report",

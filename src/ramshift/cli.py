@@ -31,7 +31,8 @@ error (a --tau, --sigma or --s0 place outside 1..q-1, or an empty path
 for --datum, --graph-json, --write or --out, among them), 3
 resource cap exceeded (including any graph that verify-ramanujan skipped
 above --dense-cap).  Sizes are counted before anything is built:
-verify-ramanujan's vertices, bass-ihara's darts and mixing's strips.
+verify-ramanujan's vertices, the darts of bass-ihara, graph and
+product-graph, and mixing's strips.
 """
 
 from __future__ import annotations

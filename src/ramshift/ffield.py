@@ -222,9 +222,6 @@ class FieldSpec:
         """Coerce an int (canonical encoding) or coefficient sequence."""
         return FqElem(self, self._code(value))
 
-    def zero(self) -> "FqElem":
-        return FqElem(self, 0)
-
     def one(self) -> "FqElem":
         return FqElem(self, 1)
 
@@ -234,11 +231,6 @@ class FieldSpec:
     def elements(self) -> list["FqElem"]:
         """All of F_q in canonical order."""
         return [FqElem(self, n) for n in range(self.q)]
-
-    def ext_elements(self) -> list["Fq2Elem"]:
-        """All of F_q[Z] in canonical order (u varies fastest)."""
-        q = self.q
-        return [Fq2Elem(self, n % q, n // q) for n in range(q * q)]
 
     def ext(self, u, v=0) -> "Fq2Elem":
         """u + vZ from encodings, coefficient sequences or elements."""

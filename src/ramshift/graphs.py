@@ -27,8 +27,8 @@ Coverings between levels are checked on the graphs' darts, for
 Dart v * s + a leaves vertex v with state a, and its inverse is dart
 dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
-reproducible across runs.  Both traversals, `structure_predicates` and
-`digraph_period`, run one breadth-first search, a whole frontier per step.
+reproducible across runs.  The one traversal, `structure_predicates`, runs
+one breadth-first search, a whole frontier per step.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ffield import FieldSpec, torus_generator
+from .ffield import FieldSpec, SizeCapExceeded, torus_generator
 from .mealy import LevelArrays, Mealy, dual, from_datum, lift_arrays, lift_levels
-from .vhdatum import Labels, Rows, VHDatum, atomic_write, build_quaternionic_datum, dot_escaped, json_pieces, json_text
+from .vhdatum import Labels, Rows, VHDatum, build_quaternionic_datum, dot_escaped
 
 
 class UGraph:
@@ -55,7 +55,7 @@ class UGraph:
     darts never change.
 
     Labels have one form, `vhdatum.Labels`: codes into tables of names,
-    rendered only when read (`vertex_labels`, `dart_labels`) or written.
+    rendered only when read (`vertex_labels`) or written.
     Labels given as lists of strings are coded and checked once, here: each
     must be a str, and vertex labels distinct (DOT names vertices by label).
     Labels given as codes, a level graph's words and states, are checked
@@ -103,12 +103,6 @@ class UGraph:
         """Every vertex label as a str.  Each read renders them all, so a
         caller that indexes them holds the list."""
         return self.vertex_names.tolist()
-
-    @property
-    def dart_labels(self) -> list[str]:
-        """Every dart label as a str.  Each read renders them all, so a
-        caller that indexes them holds the list."""
-        return self.dart_names.tolist()
 
     def check_labels(self) -> None:
         """Raise ValueError unless the labels can be written and read back:
@@ -246,6 +240,23 @@ def dart_map(graph: UGraph, perm: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # level graphs
 
+# the most darts `level_graph` and `product_level_graph` build; a `graph`
+# or `product-graph` file near it peaks at 0.5-1.3 GB (README, CLI section)
+MAX_DARTS = 2**22
+
+
+def _check_darts(letters: list[int], levels: list[int], n_states: int) -> None:
+    """Refuse a graph of more than MAX_DARTS darts, counted in closed form:
+    one dart per state at each vertex, a tuple of reduced words, one per
+    component, of s (s - 1)^(n - 1) words of length n >= 1 over s letters
+    and one of length 0.  A length past 64 is counted as 64, which already
+    passes the bound unless s = 2, where every length has 2 words."""
+    darts = n_states
+    for s, n in zip(letters, levels):
+        darts *= s * (s - 1) ** (min(n, 64) - 1) if n else 1
+    if darts > MAX_DARTS:
+        raise SizeCapExceeded(f"graphs capped at {MAX_DARTS} darts")
+
 
 def _check_level(side: str, n: int) -> None:
     if n < 1:
@@ -300,6 +311,7 @@ def level_graph(datum: VHDatum, side: str, n: int) -> UGraph:
     dart per state, since the lift drops none)."""
     _check_level(side, n)
     auto = _side_automaton(datum, side)
+    _check_darts([auto.n_letters()], [n], auto.n_states())
     return _lifted_graph([auto], [lift_arrays(auto, n)])
 
 
@@ -402,6 +414,8 @@ def product_level_graph(spec: FieldSpec, s0: list, tau, levels: tuple[int, ...])
         raise ValueError(f"need one level per sigma ({len(sigmas)}), got {len(levels)}")
     if any(lv < 0 for lv in levels):
         raise ValueError("levels must be nonnegative")
+    # every norm fiber of F_q[Z] has q + 1 elements: the states and each alphabet
+    _check_darts([spec.q + 1] * len(levels), levels, spec.q + 1)
 
     automata = [from_datum(build_quaternionic_datum(spec, tau, sigma)) for sigma in sigmas]
     return _lifted_graph(automata, [lift_arrays(auto, lv) for auto, lv in zip(automata, levels)])
@@ -573,20 +587,6 @@ def structure_predicates(graph: UGraph) -> StructureReport:
     )
 
 
-def digraph_period(adjacency: np.ndarray) -> tuple[bool, int]:
-    """(strongly_connected, period) for a directed graph given by its
-    adjacency matrix.  It is strongly connected iff the searches along and
-    against the arcs each reach every vertex from vertex 0 alone; the
-    period is then the gcd of |d(u) + 1 - d(v)| over the arcs u -> v, for
-    d the depth along the arcs."""
-    a = np.asarray(adjacency)
-    tail, head = np.nonzero(a)
-    depth, roots = _bfs_depths(len(a), tail, head)
-    if roots != 1 or _bfs_depths(len(a), head, tail)[1] != 1:
-        return False, 0
-    return True, int(np.gcd.reduce(np.abs(depth[tail] + 1 - depth[head])))
-
-
 # ---------------------------------------------------------------------------
 # export
 
@@ -627,10 +627,6 @@ def ugraph_to_json_dict(graph: UGraph) -> dict:
     }
 
 
-def ugraph_to_json(graph: UGraph) -> str:
-    return json_text(ugraph_to_json_dict(graph)) + "\n"
-
-
 def ugraph_from_json(text: str) -> UGraph:
     """Read a graph file.  Nothing is coerced: every dart must be an
     [origin, terminus, label] row and every index a JSON integer, and
@@ -650,12 +646,3 @@ def ugraph_from_json(text: str) -> UGraph:
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed graph file: {exc!r}") from exc
     return graph
-
-
-def write_ugraph(graph: UGraph, path: str, fmt: str = "json", header: str | None = None) -> None:
-    if fmt == "json":
-        atomic_write(path, [*json_pieces(ugraph_to_json_dict(graph)), "\n"])
-    elif fmt == "dot":
-        atomic_write(path, ugraph_to_dot(graph, header=header))
-    else:
-        raise ValueError("format must be 'json' or 'dot'")

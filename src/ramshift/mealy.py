@@ -5,8 +5,8 @@ transition a --b/c--> d per relation tuple (a, b, c, d).  Such automata are
 bireversible and respect the involutions: a --b/c--> d iff
 d --b^-1/c^-1--> a, which is what lets action graphs be glued into
 undirected level graphs.  `Mealy` holds its tables as int arrays checked
-once, when it is built; duals, compositions, the lift and the level graphs
-read them without converting.
+once, when it is built; the dual, the lift and the level graphs read them
+without converting.
 
 Words are tuples of letter indices, and a word is *reduced* when no letter
 is followed by its inverse.  An action graph has one form, `LevelArrays`:
@@ -97,41 +97,6 @@ def dual(m: Mealy) -> Mealy:
     """Swap the roles of states and letters:
     delta*(x, a) = out(a, x), out*(x, a) = delta(a, x)."""
     return Mealy(list(m.alphabet), list(m.states), m.out.T, m.delta.T, m.inv_alphabet, m.inv_states)
-
-
-def compose(m1: Mealy, m2: Mealy) -> Mealy:
-    """Serial composition: input goes through m2 first, its output through m1.
-
-    States are pairs (a1, a2), at index a1 * |m2 states| + a2, with
-        delta((a1,a2), x) = (delta1(a1, out2(a2,x)), delta2(a2, x)),
-        out((a1,a2), x)   = out1(a1, out2(a2,x)).
-    Acting from (a1, a2) equals acting with a2 then a1.
-    """
-    if m1.alphabet != m2.alphabet:
-        raise ValueError("composition needs identical alphabets")
-    n2 = m2.n_states()
-    shape = (m1.n_states() * n2, m1.n_letters())
-    # with shared states, the inverse of "a2 then a1" is "a1^-1 then a2^-1"
-    shared = m1.states == m2.states and m1.inv_states is not None and np.array_equal(m1.inv_states, m2.inv_states)
-    # [a1, a2, x]: m1 reads the letter y = out2(a2, x)
-    return Mealy(
-        states=[f"({s1},{s2})" for s1 in m1.states for s2 in m2.states],
-        alphabet=list(m1.alphabet),
-        delta=(m1.delta[:, m2.out] * n2 + m2.delta).reshape(shape),
-        out=m1.out[:, m2.out].reshape(shape),
-        inv_states=(m1.inv_states * n2 + m1.inv_states[:, None]).ravel() if shared else None,
-        inv_alphabet=m1.inv_alphabet,
-    )
-
-
-def iterate(m: Mealy, n: int) -> Mealy:
-    """n-fold composition of m with itself (n >= 1)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    result = m
-    for _ in range(n - 1):
-        result = compose(result, m)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +259,6 @@ def lift_levels(m: Mealy) -> Iterator[LevelArrays]:
         yield LevelArrays(words, dst, end, np.flatnonzero(keep) % size)
 
 
-def dual_negation_check(d_ts: VHDatum, d_st: VHDatum) -> bool:
-    """Does xi -> -xi define an automaton isomorphism from the dual of
-    M(d_ts) onto M(d_st)?
-
-    For quaternionic datums this holds with d_st built from the swapped
-    places (sigma, tau): inverting each square relation (1+a F)(1+b F) =
-    (1+c F)(1+d F) yields (1-b F)(1-a F) = (1-d F)(1-c F), and uniqueness of
-    normal forms identifies the negated tuple inside the swapped datum.
-    Only this explicit map is checked; no isomorphism search is performed.
-    """
-    if not (d_ts.is_arithmetic() and d_st.is_arithmetic()):
-        raise ValueError("negation check needs arithmetic datums")
-    dm = dual(from_datum(d_ts))
-    m2 = from_datum(d_st)
-    try:
-        v_index = {x: i for i, x in enumerate(d_st.V_elems)}
-        h_index = {x: i for i, x in enumerate(d_st.H_elems)}
-        phi_states = np.array([v_index[-x] for x in d_ts.H_elems], dtype=np.intp)
-        phi_letters = np.array([h_index[-x] for x in d_ts.V_elems], dtype=np.intp)
-    except KeyError:
-        return False  # fibers do not match up
-    mapped = np.ix_(phi_states, phi_letters)
-    return bool((m2.delta[mapped] == phi_states[dm.delta]).all() and (m2.out[mapped] == phi_letters[dm.out]).all())
-
-
 # ---------------------------------------------------------------------------
 # product (diagonal) actions
 
@@ -368,14 +308,3 @@ def mealy_to_dot(m: Mealy, header: str | None = None) -> str:
 
 def word_label(word: Word, alphabet: list[str]) -> str:
     return ".".join(alphabet[x] for x in word) if word else "e"
-
-
-def word_labels(words: np.ndarray, alphabet: list[str]) -> list[str]:
-    """`word_label` of every row of an (N, n) letter array.
-
-    No command reads it: a graph keeps its words as codes
-    (`vhdatum.Labels`) and renders them only in a file.  It stays as the
-    string reference the tests compare those files with."""
-    if not words.shape[1]:
-        return ["e"] * len(words)
-    return list(map(".".join, np.array(alphabet, dtype=object)[words].tolist()))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import FieldSpec, Fq2Elem, FqElem, Pair, fq2_label
+from .ffield import FieldSpec, Fq2Elem, Pair, fq2_label
 
 
 Poly = tuple[Fq2Elem, ...]
@@ -50,10 +50,6 @@ def p_add(a: Poly, b: Poly) -> Poly:
     for i, bi in enumerate(b):
         out[i] = out[i] + bi
     return _trim(out)
-
-
-def p_neg(a: Poly) -> Poly:
-    return tuple(-ai for ai in a)
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
@@ -148,22 +144,6 @@ class QuatElem:
 
     def __repr__(self) -> str:
         return f"Quat({self})"
-
-
-def reduced_norm(g: QuatElem) -> tuple[FqElem, ...]:
-    """Nrd(u + xF) = N(u) - t N(x) as a polynomial in t over F_q.
-
-    N is the F_q[Z] norm pushed through the polynomial arithmetic, i.e.
-    N(u)(t) = u(t) * conj(u)(t).  The result always has zero Z-part, which
-    is asserted, and the F_q coefficients are returned.
-    """
-    nu = p_mul(g.u, p_conj(g.u))
-    nx = p_mul(g.x, p_conj(g.x))
-    nrd = p_add(nu, p_neg(p_shift(nx)))
-    for coeff in nrd:
-        if not coeff.v.is_zero():
-            raise RuntimeError("reduced norm left the base field")  # impossible
-    return tuple(coeff.u for coeff in nrd)
 
 
 def proportional(g1: QuatElem, g2: QuatElem) -> bool:

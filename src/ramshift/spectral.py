@@ -86,10 +86,12 @@ directly and blockwise as above, with the quadratic transfer of the
 adjacency spectrum.  `bass-ihara` on q = 3 `A_4` (432 darts) solves six
 blocks of 54 for its eight characters.
 
-Exact paths: `walks` is the one exact kernel.  It advances a block of
-integer row vectors through x -> x A by predecessor gathers, one sum of d
-entries per column of a d-regular matrix, read off the (m, d) predecessor
-array of the arcs (`arc_predecessors`); no dense matrix is on the path.
+Exact paths: `walks` is the one exact kernel, and the (m, d) predecessor
+array of a graph's arcs (`arc_predecessors`) the one way into it.  It
+advances a block of integer row vectors through x -> x A by predecessor
+gathers, one sum of d entries per column of a d-regular matrix; no dense
+matrix is on the path.  `matrix_power_int`, dense powers in Python ints,
+is not on it either: it stays as the tests' reference for `walks`.
 Every entry of x A^j, and every partial sum that forms it, is bounded by
 max|x| d^j, so the block steps in int64 while that bound is below 2^63 and
 in Python integers (numpy object arrays) from the first step that could
@@ -998,7 +1000,7 @@ def second_modulus_directed(a: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact walk counts and deviation norms
+# exact walks and deviation tables
 
 
 def check_exact_cap(m: int, d: int = 0) -> None:
@@ -1021,24 +1023,6 @@ def arc_predecessors(tail: np.ndarray, head: np.ndarray, m: int) -> np.ndarray:
     d = int(out_deg[0])
     check_exact_cap(m, d)
     return tail[np.lexsort((tail, head))].reshape(m, d)
-
-
-def predecessors(a) -> np.ndarray:
-    """`arc_predecessors` of a dense d-regular nonnegative integer matrix A,
-    whose entry A[i, j] counts the arcs i -> j."""
-    mat = np.asarray(a)
-    m = len(mat)
-    if mat.shape != (m, m) or (mat < 0).any():
-        raise ValueError("exact walk counts need a d-regular nonnegative matrix, d >= 1")
-    head, tail = np.nonzero(mat.T)
-    arcs = mat.T[head, tail]
-    return arc_predecessors(np.repeat(tail, arcs), np.repeat(head, arcs), m)
-
-
-def walk_counts(a, start, n: int):
-    """Yield start, start A, start A^2, ..., start A^n exactly, for a
-    d-regular nonnegative integer matrix A: `walks` on its `predecessors`."""
-    return walks(predecessors(a), start, n)
 
 
 def walks(preds: np.ndarray, start, n: int):
@@ -1078,7 +1062,7 @@ def walks(preds: np.ndarray, start, n: int):
 def matrix_power_int(a, n: int) -> list[list[int]]:
     """A^n over the integers (exact), for any square integer matrix.
 
-    No command reads it.  It stays as the tests' reference for `walk_counts`,
+    No command reads it.  It stays as the tests' reference for `walks`,
     and `benchmarks/tracing.TARGETS` wraps it by name (deleting it fails
     `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`)."""
     if n < 0:
@@ -1086,12 +1070,20 @@ def matrix_power_int(a, n: int) -> list[list[int]]:
     return np.linalg.matrix_power(np.asarray(a).astype(object), n).tolist()
 
 
-def _deviations(preds: np.ndarray, n_max: int) -> list[Fraction]:
-    """max_ij | A^n_ij / d^n - 1/m | for n = 0..n_max, from the identity
-    walked in row chunks whose steps gather (rows, m, d) entries, a
-    sixteenth of EXACT_BYTES; only each step's largest and smallest entry
-    is kept."""
-    m, d = preds.shape
+def deviation_table(preds: np.ndarray, n_max: int) -> list[Fraction]:
+    """max_ij | A^n_ij / d^n - 1/m | for n = 1..n_max, as exact rationals,
+    for the (m, d) predecessor array of a d-regular graph
+    (`arc_predecessors`): the sup-norm distance between the n-step
+    normalized transition matrix and the flat matrix J/m, which controls
+    the correlation decay of the vertex shift.  The identity is walked in
+    row chunks whose steps gather (rows, m, d) entries, a sixteenth of
+    EXACT_BYTES, and only each step's largest and smallest entry is kept.
+    An array in which some vertex is not a predecessor d times, a dense
+    adjacency for one, is refused."""
+    m, d = np.shape(preds)
+    tallies = np.bincount(np.ravel(preds), minlength=m)
+    if len(tallies) != m or (tallies != d).any():
+        raise ValueError("deviation_table needs the (m, d) predecessor array of a d-regular graph")
     rows = max(1, EXACT_BYTES // (16 * 8 * m * d))
     top, low = [0] * (n_max + 1), [d**n for n in range(n_max + 1)]
     for first in range(0, m, rows):
@@ -1104,29 +1096,7 @@ def _deviations(preds: np.ndarray, n_max: int) -> list[Fraction]:
     # every row of A^n sums to d^n, and |x/d^n - 1/m| = |x m - d^n| / (m d^n)
     # is largest at the largest or the smallest entry; all in Python ints,
     # since an int64 block bounds its entries, not m times them
-    return [Fraction(max(t * m - d**n, d**n - lo * m), m * d**n) for n, (t, lo) in enumerate(zip(top, low))]
-
-
-def deviation_norm(a, n: int) -> Fraction:
-    """max_ij | A^n_ij / d^n - 1/m | as an exact rational, for a d-regular
-    nonnegative integer matrix A of dimension m.
-
-    This is the sup-norm distance between the n-step normalized transition
-    matrix and the flat matrix J/m, the quantity controlling correlation
-    decay of the associated vertex shift."""
-    return _deviations(predecessors(a), n)[-1]
-
-
-def deviation_table(preds: np.ndarray, n_max: int) -> list[Fraction]:
-    """`deviation_norm` for n = 1..n_max from one chunked identity walk over
-    the (m, d) predecessor array of a d-regular graph (`predecessors`,
-    `arc_predecessors`).  An array in which some vertex is not a predecessor
-    d times, a dense adjacency for one, is refused."""
-    m, d = np.shape(preds)
-    tallies = np.bincount(np.ravel(preds), minlength=m)
-    if len(tallies) != m or (tallies != d).any():
-        raise ValueError("deviation_table needs the (m, d) predecessor array of a d-regular graph")
-    return _deviations(preds, n_max)[1:]
+    return [Fraction(max(t * m - d**n, d**n - lo * m), m * d**n) for n, (t, lo) in enumerate(zip(top, low))][1:]
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,8 @@ import numpy as np
 from .spectral import (
     SizeCapExceeded,
     arc_predecessors,
-    check_dense_cap,
     check_exact_cap,
     deviation_table,
-    second_modulus_directed,
     walks,
 )
 from .vhdatum import VHDatum
@@ -120,23 +118,10 @@ def tile_label(datum: VHDatum, t: tuple[int, int, int, int]) -> str:
 def build_xd(datum: VHDatum) -> MatrixSubshift:
     """The nearest-neighbor shift of a datum over the tile alphabet R,
     with backtracking (consecutive inverse colors) forbidden."""
-    return _tile_shift(datum, backtracking=False)
-
-
-def build_wang_shift(datum: VHDatum) -> MatrixSubshift:
-    """The full tiling shift of the datum's Wang tileset (colors must match,
-    backtracking allowed)."""
-    return _tile_shift(datum, backtracking=True)
-
-
-def _tile_shift(datum: VHDatum, backtracking: bool) -> MatrixSubshift:
-    # row t, column t': A needs d = a' (and c' != c^-1), B needs b = c' (and a' != a^-1)
+    # row t, column t': A needs d = a' and c' != c^-1, B needs b = c' and a' != a^-1
     a, b, c, d = datum.R.T
-    a_mat = d[:, None] == a[None, :]
-    b_mat = b[:, None] == c[None, :]
-    if not backtracking:
-        a_mat &= c[None, :] != np.array(datum.inv_H)[c][:, None]
-        b_mat &= a[None, :] != np.array(datum.inv_V)[a][:, None]
+    a_mat = (d[:, None] == a[None, :]) & (c[None, :] != np.array(datum.inv_H)[c][:, None])
+    b_mat = (b[:, None] == c[None, :]) & (a[None, :] != np.array(datum.inv_V)[a][:, None])
     return MatrixSubshift([tile_label(datum, t) for t in datum.R.tolist()], a_mat, b_mat)
 
 
@@ -276,10 +261,11 @@ class TransitionGraph:
     rows and an edge means the upper neighbor is admissible.
 
     The graph is its arcs tail -> head, read-only arrays sorted by
-    (tail, head), so the pattern index, the predecessor array and the dense
-    adjacency derived from them are computed once, when first read.  The
-    rows of one power of the adjacency are held as well (`power_row`): at
-    most m rows of m exact entries, for the last step count asked."""
+    (tail, head), so the pattern index and the predecessor array derived
+    from them are computed once, when first read; no dense m x m matrix is
+    ever built.  The rows of one power of the transition matrix are held as
+    well (`power_row`): at most m rows of m exact entries, for the last
+    step count asked."""
 
     direction: str
     k: int
@@ -303,17 +289,6 @@ class TransitionGraph:
         preds = arc_predecessors(self.tail, self.head, len(self.patterns))
         preds.setflags(write=False)
         return preds
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """The (m, m) int64 0/1 matrix of the arcs, read-only.  No exact
-        path reads it; it is built for the tests, demo 05 and
-        `CorrelationTable.second_modulus`."""
-        m = len(self.patterns)
-        adjacency = np.zeros((m, m), dtype=np.int64)
-        adjacency[self.tail, self.head] = 1
-        adjacency.setflags(write=False)
-        return adjacency
 
     def power_row(self, v: int, j: int) -> np.ndarray:
         """Row v of A^j, exact: walked once by `walks` from e_v and held,
@@ -558,8 +533,7 @@ class CorrelationTable:
     """Deviation norms of a strip transition matrix against the envelope
     C * n * (1/sqrt(d))^n with C fitted at the first tabulated n.  All
     comparisons are exact (squared rational inequalities); the floats are
-    for display only.  The table keeps the strip graph it was read from,
-    for `second_modulus`; tables compare by their numbers alone."""
+    for display only."""
 
     rows: list[MixingRow]
     d: int
@@ -569,16 +543,6 @@ class CorrelationTable:
     theta: float
     c_float: float
     fitted_r: int
-    graph: TransitionGraph = field(repr=False, compare=False)
-
-    @cached_property
-    def second_modulus(self) -> float:
-        """lambda of the strip graph (`second_modulus_directed`), a dense
-        float eigensolve run on the first read only, since no command prints
-        it.  Above DENSE_EIG_LIMIT strips the read raises SizeCapExceeded
-        before the dense adjacency is built."""
-        check_dense_cap(self.dimension)
-        return second_modulus_directed(self.graph.adjacency)
 
     @property
     def all_ok(self) -> bool:
@@ -609,8 +573,9 @@ def mixing_table(
 
     Accepts a datum (its nearest-neighbor shift is built) or a
     MatrixSubshift.  Also reports whether even the r = 0 envelope holds
-    over the table (`fitted_r`), and holds the strip graph for the
-    second-largest modulus of its transition matrix, solved when first read.
+    over the table (`fitted_r`).  The strip graph is walked exactly, from
+    its predecessor array (`spectral.deviation_table`); no float
+    eigensolve runs.
     """
     if isinstance(datum_or_shift, MatrixSubshift):
         shift = datum_or_shift
@@ -647,7 +612,6 @@ def mixing_table(
         theta=theta,
         c_float=c_float,
         fitted_r=0 if r0_holds else 1,
-        graph=graph,
     )
 
 

@@ -29,8 +29,9 @@ Every tuple is certified against the quaternion identity
 Both steps run on whole fibers at once: the build computes every gamma and
 delta as pairs of int arrays (`ffield.Pair`) and finds them in the fibers
 through an encoding-to-index array, and the certification decides all
-relations with one `QuatBatch` product and proportionality test.  `zeta`,
-`QuatElem` and `proportional` remain the element-level reference.
+relations with one `QuatBatch` product and proportionality test.
+`QuatElem` and `proportional` remain the element-level reference, and the
+element-wise twist, once `zeta`, is the tests' reference for the build.
 
 `validate_datum` is array passes too: it decides the axioms on the four
 index columns `R.T`, and renders a violation only from a failing row.
@@ -140,21 +141,6 @@ class InvalidDatum(ValueError):
 
 # ---------------------------------------------------------------------------
 # quaternionic construction
-
-
-def zeta(alpha: Fq2Elem, beta: Fq2Elem) -> Fq2Elem:
-    """The twist zeta_alpha(beta) = (1 + alpha/beta) / (1 + conj(alpha)/conj(beta)).
-
-    Requires beta nonzero and N(alpha) != N(beta), which guarantees
-    alpha != -beta so numerator and denominator are both nonzero.  The
-    result always has norm 1.
-    """
-    if beta.is_zero():
-        raise ValueError("zeta twist needs beta nonzero")
-    if alpha.norm() == beta.norm():
-        raise ValueError("zeta twist needs N(alpha) != N(beta)")
-    one = beta.spec.ext(1, 0)
-    return (one + alpha / beta) / (one + alpha.conj() / beta.conj())
 
 
 def _twisted_pairs(spec: FieldSpec, alpha: Pair, beta: Pair) -> tuple[Pair, Pair]:
@@ -399,33 +385,6 @@ def verify_relations(datum: VHDatum) -> DatumReport:
 
 
 # ---------------------------------------------------------------------------
-# generic datums
-
-
-def direct_product_datum(m: int = 2, n: int = 2) -> VHDatum:
-    """The (m,n)-datum of a direct product of free groups F_m x F_n.
-
-    All relations are commutations a*x = x*a, so R consists of the tuples
-    (a, x, x, a).  Symbols are a1, a1', ... on the V side and x1, x1', ...
-    on the H side, with ' marking inverses.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
-
-    def side(prefix, count):
-        labels, inv = [], []
-        for i in range(count):
-            labels += [f"{prefix}{i + 1}", f"{prefix}{i + 1}'"]
-            inv += [2 * i + 1, 2 * i]
-        return labels, inv
-
-    v_labels, inv_v = side("a", m)
-    h_labels, inv_h = side("x", n)
-    tuples = [(a, b, b, a) for a in range(2 * m) for b in range(2 * n)]
-    return VHDatum(V=v_labels, H=h_labels, inv_V=inv_v, inv_H=inv_h, R=tuples)
-
-
-# ---------------------------------------------------------------------------
 # Wang tiles
 
 
@@ -565,7 +524,7 @@ class Labels:
 
 class Rows:
     """A list of rows given by its columns, int arrays or `Labels` of one
-    length: `json_text` writes the rows straight from the columns."""
+    length: `json_pieces` writes the rows straight from the columns."""
 
     def __init__(self, *columns):
         self.columns = columns
@@ -598,11 +557,6 @@ def json_pieces(payload) -> list[str]:
     pieces: list[str] = []
     _write(payload, "\n", pieces)
     return pieces
-
-
-def json_text(payload) -> str:
-    """`json_pieces` joined."""
-    return "".join(json_pieces(payload))
 
 
 _SCALARS = {int, str}  # exact types the C encoder writes as stdlib does

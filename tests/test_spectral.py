@@ -23,7 +23,6 @@ from ramshift.spectral import (
     arc_predecessors,
     bass_ihara_pairs,
     check_exact_cap,
-    deviation_norm,
     deviation_table,
     eig_symmetric,
     matrix_power_int,
@@ -33,14 +32,14 @@ from ramshift.spectral import (
     nb_spectrum,
     nb_spectrum_direct,
     nb_transfer_report,
-    predecessors,
     ramanujan_check,
     second_modulus_directed,
     tower_spectra,
-    walk_counts,
+    walks,
 )
 from ramshift.vhdatum import write_datum
 from conftest import letter_map, random_vh_datum
+from reference import preds_of, strip_adjacency
 from test_graphs import complete_bipartite, cycle, petersen
 
 
@@ -590,7 +589,7 @@ def test_reversal_is_dropped_where_r_is_no_slot_transpose(d12_q3):
     g = three.graph
     labels = g.vertex_labels
     three = TowerLevel(
-        UGraph([labels[v] for v in swap], swap[g.origin], swap[g.terminus], g.inv, g.dart_labels),
+        UGraph([labels[v] for v in swap], swap[g.origin], swap[g.terminus], g.inv, g.dart_names.tolist()),
         three.parent[swap], three.last_parent[swap], swap[three.inversion[swap]], swap[three.reversal[swap]],
     )
     four = four._replace(parent=swap[four.parent], last_parent=swap[four.last_parent])
@@ -1123,53 +1122,47 @@ def deviation_from_powers(a, n: int) -> Fraction:
 
 
 def test_deviation_norm_basics():
-    j3 = np.ones((3, 3), dtype=int)
-    # n = 0: identity, deviation 1 - 1/m
-    assert deviation_norm(j3, 0) == Fraction(2, 3)
     # complete-with-loops: J^n / d^n equals J / m exactly
-    for n in (1, 2, 5):
-        assert deviation_norm(j3, n) == 0
+    assert deviation_table(preds_of(np.ones((3, 3), dtype=int)), 5) == [0] * 5
 
 
 def test_deviation_norm_envelope(d12_q3):
     from ramshift.subshift import build_xd, transition_graph
 
-    h1 = transition_graph(build_xd(d12_q3), "horizontal", 1).adjacency
-    dev1 = deviation_norm(h1, 1)
-    dev10 = deviation_norm(h1, 10)
+    table = deviation_table(transition_graph(build_xd(d12_q3), "horizontal", 1).preds, 10)
+    dev1, dev10 = table[0], table[9]
     # exact comparison of dev(10) <= C * 10 * (1/sqrt(3))^10 with C fitted at
     # n=1: squared form dev10^2 * 3^10 <= dev1^2 * 3 * 100
     assert dev10**2 * 3**10 <= dev1**2 * 3 * 100
-    table = deviation_table(predecessors(h1), 10)
-    assert table[0] == dev1 and table[9] == dev10
 
 
 @pytest.mark.parametrize("datum, k", [("d12_q3", 2), ("d12_q5", 1)])
 def test_deviation_table_matches_matrix_powers(datum, k, request):
     from ramshift.subshift import build_xd, transition_graph
 
-    adj = transition_graph(build_xd(request.getfixturevalue(datum)), "horizontal", k).adjacency
-    n_max = 8
-    assert deviation_table(predecessors(adj), n_max) == [deviation_from_powers(adj, n) for n in range(1, n_max + 1)]
+    graph = transition_graph(build_xd(request.getfixturevalue(datum)), "horizontal", k)
+    adj, n_max = strip_adjacency(graph), 8
+    assert deviation_table(graph.preds, n_max) == [deviation_from_powers(adj, n) for n in range(1, n_max + 1)]
 
 
 def test_walk_counts_on_a_multigraph():
     # 3-regular with a double loop: A^n has (3^n + 1) / 2 on the diagonal
     # and (3^n - 1) / 2 off it, so the deviation is 1 / (2 * 3^n)
     a = np.array([[2, 1], [1, 2]])
-    for n in range(6):
-        assert deviation_norm(a, n) == deviation_from_powers(a, n) == Fraction(1, 2 * 3**n)
-    rows = [row.tolist() for row in walk_counts(a, [1, 0], 5)]
+    want = [Fraction(1, 2 * 3**n) for n in range(6)]
+    assert [deviation_from_powers(a, n) for n in range(6)] == want
+    assert deviation_table(preds_of(a), 5) == want[1:]
+    rows = [row.tolist() for row in walks(preds_of(a), [1, 0], 5)]
     assert rows == [matrix_power_int(a, n)[0] for n in range(6)]
 
 
 def test_walk_counts_refuses_a_non_integer_start():
-    a = [[1, 1], [1, 1]]
+    preds = preds_of([[1, 1], [1, 1]])
     for start in ([0.5, 0.5], [1.0, 0.0], np.array([1, 0.5], dtype=object), ["1", "0"]):
         with pytest.raises(ValueError, match="integer start"):
-            list(walk_counts(a, start, 2))
+            list(walks(preds, start, 2))
     for start in ([True, False], [1, 0], np.array([1, 0], dtype=object)):
-        assert [row.tolist() for row in walk_counts(a, start, 2)] == [[1, 0], [1, 1], [2, 2]]
+        assert [row.tolist() for row in walks(preds, start, 2)] == [[1, 0], [1, 1], [2, 2]]
 
 
 # two 2-regular matrices: a double loop, whose entries reach d^j exactly
@@ -1188,7 +1181,7 @@ def test_walk_counts_switch_to_python_ints_at_the_overflow_bound(a, big, last_in
         start[0], start[-1] = -(2**40 - 5), 2**39 + 7  # max|start| = 2^40 - 5
     bound = max(map(abs, start))
     assert bound * 2**last_int64 < 2**63 <= bound * 2 ** (last_int64 + 1)
-    blocks = list(walk_counts(a, start, 70))
+    blocks = list(walks(preds_of(a), start, 70))
     for j, block in enumerate(blocks):
         assert block.dtype == (np.int64 if j <= last_int64 else object)
         want = np.array(start, dtype=object) @ np.array(matrix_power_int(a, j), dtype=object)
@@ -1200,11 +1193,12 @@ def test_deviation_table_crosses_the_int64_bound(d12_q3):
     # and in Python ints from n = 40 on
     from ramshift.subshift import build_xd, transition_graph
 
-    adj = transition_graph(build_xd(d12_q3), "horizontal", 1).adjacency
+    graph = transition_graph(build_xd(d12_q3), "horizontal", 1)
+    adj = strip_adjacency(graph)
     assert 3**39 < 2**63 < 3**40
-    blocks = list(walk_counts(adj, np.eye(len(adj), dtype=np.int64), 45))
+    blocks = list(walks(graph.preds, np.eye(len(adj), dtype=np.int64), 45))
     assert [block.dtype == object for block in blocks] == [n >= 40 for n in range(46)]
-    assert deviation_table(predecessors(adj), 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
+    assert deviation_table(graph.preds, 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
 
 
 def test_chunked_deviation_table_crosses_the_int64_bound(d12_q3, monkeypatch):
@@ -1213,7 +1207,8 @@ def test_chunked_deviation_table_crosses_the_int64_bound(d12_q3, monkeypatch):
     from ramshift import spectral
     from ramshift.subshift import build_xd, transition_graph
 
-    adj = transition_graph(build_xd(d12_q3), "horizontal", 1).adjacency
+    graph = transition_graph(build_xd(d12_q3), "horizontal", 1)
+    adj = strip_adjacency(graph)
     m = len(adj)
     monkeypatch.setattr(spectral, "EXACT_BYTES", 8 * m * m)
     chunks = []
@@ -1226,7 +1221,7 @@ def test_chunked_deviation_table_crosses_the_int64_bound(d12_q3, monkeypatch):
             yield block
 
     monkeypatch.setattr(spectral, "walks", recording)
-    assert deviation_table(predecessors(adj), 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
+    assert deviation_table(graph.preds, 45) == [deviation_from_powers(adj, n) for n in range(1, 46)]
     assert len(chunks) == m
     assert all(dtypes == [n >= 40 for n in range(46)] for dtypes in chunks)
 
@@ -1242,16 +1237,11 @@ def test_deviation_norm_caps_and_validation(monkeypatch):
             check_exact_cap(m, d)
     monkeypatch.setattr(spectral, "EXACT_BYTES", 8 * 3 * 3)
     with pytest.raises(SizeCapExceeded):
-        deviation_norm(np.ones((4, 4), dtype=int), 2)
-    with pytest.raises(SizeCapExceeded):
         arc_predecessors(np.arange(4).repeat(4), np.tile(np.arange(4), 4), 4)
-    assert deviation_norm(np.ones((3, 3), dtype=int), 2) == 0
+    assert deviation_table(preds_of(np.ones((3, 3), dtype=int)), 2) == [0, 0]
     monkeypatch.undo()
-    for bad in (np.array([[1, 1], [1, 0]]), np.array([[2, -1], [-1, 2]])):
-        with pytest.raises(ValueError, match="regular"):
-            deviation_norm(bad, 2)
-        with pytest.raises(ValueError, match="regular"):
-            predecessors(bad)
+    with pytest.raises(ValueError, match="regular"):
+        preds_of(np.array([[1, 1], [1, 0]]))
     # a dense 0/1 matrix is no predecessor array: its entries name 0 and 1 only
     with pytest.raises(ValueError, match="predecessor array"):
         deviation_table(np.ones((3, 3), dtype=int), 2)

@@ -5,20 +5,21 @@ tables."""
 import itertools
 import warnings
 from fractions import Fraction
+from math import sqrt
+from random import Random
 
 import numpy as np
 import pytest
 
 from ramshift import mealy
-from ramshift.graphs import _out_stars, _stars_correspond, level_graph, nb_arcs, nb_matrix
-from ramshift.spectral import SizeCapExceeded, matrix_power_int, second_modulus_directed, walks
+from ramshift.graphs import _out_stars, _stars_correspond, level_graph, nb_arcs, nb_matrix, structure_predicates
+from ramshift.spectral import SizeCapExceeded, eig_symmetric, matrix_power_int, second_modulus_directed, walks
 from ramshift.subshift import (
     MatrixSubshift,
     RegularityReport,
     _product01,
     _shape,
     admissible_patterns,
-    build_wang_shift,
     build_xd,
     chains,
     correlation,
@@ -31,7 +32,9 @@ from ramshift.subshift import (
     regularity_report,
     transition_graph,
 )
-from ramshift.vhdatum import build_quaternionic_datum, direct_product_datum
+from ramshift.vhdatum import build_quaternionic_datum
+from conftest import random_vh_datum
+from reference import digraph_period, direct_product_datum, strip_adjacency, wang_shift
 
 # the 2-regular but non-extendable pair of transition matrices
 A4 = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]])
@@ -110,7 +113,7 @@ def test_matrix_subshift_needs_both_directions():
 def test_tile_shift_matrices_match_the_definition(datum, request):
     datum = direct_product_datum(2, 2) if datum == "f2f2" else request.getfixturevalue(datum)
     r, ih, iv = datum.R, datum.inv_H, datum.inv_V
-    xd, wang = build_xd(datum), build_wang_shift(datum)
+    xd, wang = build_xd(datum), wang_shift(datum)
     for i, (a, b, c, d) in enumerate(r):
         for j, (a2, b2, c2, d2) in enumerate(r):
             assert wang.A[i, j] == (d == a2) and wang.B[i, j] == (b == c2)
@@ -155,8 +158,6 @@ def test_strip_graphs_need_a_positive_height(xd_q3, direction):
 
 
 def test_non_extendable_strip_graphs_are_primitive():
-    from ramshift.graphs import digraph_period
-
     shift = MatrixSubshift([str(i) for i in range(4)], A4, B4)
     for mat in (shift.A, shift.B):
         assert digraph_period(mat) == (True, 1)
@@ -164,7 +165,7 @@ def test_non_extendable_strip_graphs_are_primitive():
 
 def test_f2xf2_shifts():
     datum = direct_product_datum(2, 2)
-    full = build_wang_shift(datum)
+    full = wang_shift(datum)
     rep_full = regularity_report(full)
     assert rep_full.degree == 4 and rep_full.uniquely_extendable
     sub = build_xd(datum)
@@ -188,9 +189,9 @@ def test_zero_line_rejected():
 def test_transition_graph_k1(xd_q3):
     h1 = transition_graph(xd_q3, "horizontal", 1)
     assert len(h1.patterns) == 16
-    assert (h1.adjacency == xd_q3.A).all()
+    assert (strip_adjacency(h1) == xd_q3.A).all()
     v1 = transition_graph(xd_q3, "vertical", 1)
-    assert (v1.adjacency == xd_q3.B).all()
+    assert (strip_adjacency(v1) == xd_q3.B).all()
 
 
 def test_transition_graph_counts(xd_q3):
@@ -198,13 +199,13 @@ def test_transition_graph_counts(xd_q3):
         for direction in ("horizontal", "vertical"):
             g = transition_graph(xd_q3, direction, k)
             assert len(g.patterns) == 16 * 3 ** (k - 1)  # s d^(k-1)
-            assert (g.adjacency.sum(axis=1) == 3).all()
-            assert (g.adjacency.sum(axis=0) == 3).all()
+            assert (strip_adjacency(g).sum(axis=1) == 3).all()
+            assert (strip_adjacency(g).sum(axis=0) == 3).all()
 
 
 def test_transition_graph_rejects_non_extendable_beyond_k1():
     shift = MatrixSubshift([str(i) for i in range(4)], A4, B4)
-    assert transition_graph(shift, "horizontal", 1).adjacency.shape == (4, 4)
+    assert len(transition_graph(shift, "horizontal", 1).patterns) == 4
     with pytest.raises(ValueError, match="unique extendability"):
         transition_graph(shift, "horizontal", 2)
 
@@ -254,7 +255,7 @@ def reference_admissible_patterns(shift, m, n):
 
 def _reference_shift(name, request):
     if name == "wang_q3":
-        return build_wang_shift(request.getfixturevalue("d12_q3"))
+        return wang_shift(request.getfixturevalue("d12_q3"))
     if name == "f2f2":
         return build_xd(direct_product_datum(2, 2))
     return build_xd(request.getfixturevalue(name))
@@ -268,7 +269,7 @@ def test_strip_graphs_match_the_candidate_product_reference(name, k_max, directi
         graph = transition_graph(shift, direction, k)
         patterns, adj = reference_transition_graph(shift, direction, k)
         assert graph.patterns == patterns == chains(shift.B if direction == "horizontal" else shift.A, k)
-        assert graph.adjacency.dtype == np.int64 and (graph.adjacency == adj).all()
+        assert (strip_adjacency(graph) == adj).all()
 
 
 @pytest.mark.parametrize("name", ["xd_q3", "non_extendable"])
@@ -379,11 +380,11 @@ def test_strip_graphs_are_nonbacktracking_dart_graphs(d12_q3, xd_q3, k):
     hk = transition_graph(xd_q3, "horizontal", k)
     perm = np.array([col_map(p) for p in hk.patterns])
     nb_b = nb_matrix(level_graph(d12_q3, "B", k)).adjacency
-    assert (hk.adjacency == nb_b[np.ix_(perm, perm)]).all()
+    assert (strip_adjacency(hk) == nb_b[np.ix_(perm, perm)]).all()
     vk = transition_graph(xd_q3, "vertical", k)
     perm = np.array([row_map(p) for p in vk.patterns])
     nb_a = nb_matrix(level_graph(d12_q3, "A", k)).adjacency
-    assert (vk.adjacency == nb_a[np.ix_(perm, perm)]).all()
+    assert (strip_adjacency(vk) == nb_a[np.ix_(perm, perm)]).all()
 
 
 def test_frontier_strip_graphs_are_the_nonbacktracking_arcs(d12_q3, xd_q3):
@@ -399,7 +400,6 @@ def test_frontier_strip_graphs_are_the_nonbacktracking_arcs(d12_q3, xd_q3):
         assert d == 3
         strip_arcs = np.sort(perm[graph.tail] * len(perm) + perm[graph.head])
         assert (strip_arcs == np.sort(e * len(perm) + f)).all()
-        assert "adjacency" not in vars(graph)
 
 
 @pytest.mark.parametrize("fixture", ["xd_q3", "d12_q5"])
@@ -422,7 +422,7 @@ def test_transition_graphs_form_covering_families(xd_q3):
     # out-star and the in-star of every strip map onto those of its image
     def covers(big, small, keep):
         projection = np.array([small.index[pattern[keep]] for pattern in big.patterns])
-        (tail, head), (low_tail, low_head) = np.nonzero(big.adjacency), np.nonzero(small.adjacency)
+        (tail, head), (low_tail, low_head) = (big.tail, big.head), (small.tail, small.head)
         return all(_stars_correspond(projection, *darts, _out_stars(*low, len(small.patterns)))
                    for darts, low in (((tail, head), (low_tail, low_head)), ((head, tail), (low_head, low_tail))))
 
@@ -689,7 +689,7 @@ def _correlation_oracle(shift):
         (m1, k), m2 = (len(p1), len(p1[0])), len(p2)
         if (k, n - m1) not in powers:
             graph = transition_graph(shift, "horizontal", k)
-            powers[k, n - m1] = graph.patterns, matrix_power_int(graph.adjacency, n - m1 + 1)
+            powers[k, n - m1] = graph.patterns, matrix_power_int(strip_adjacency(graph), n - m1 + 1)
         patterns, power = powers[k, n - m1]
         paths = power[patterns.index(tuple(p1[-1]))][patterns.index(tuple(p2[0]))]
         joint = Fraction(paths, s * d ** (n + m2 - 1) * d ** (k - 1))
@@ -736,7 +736,7 @@ def test_held_rows_on_vertical_offsets_match_the_oracle(xd_q3):
                 for r2 in rows[::4]:
                     assert correlation(transposed, (r1,), (r2,), n) == oracle((r1,), (r2,), n)
     vertical = transition_graph(xd_q3, "vertical", 2)
-    assert (transposed.strip_graph("horizontal", 2).adjacency == vertical.adjacency).all()
+    assert (strip_adjacency(transposed.strip_graph("horizontal", 2)) == strip_adjacency(vertical)).all()
 
 
 def test_a_tile_sweep_walks_once_per_start_tile(d12_q3, monkeypatch):
@@ -775,7 +775,6 @@ def test_mixing_tables_q3(d12_q3):
         table = mixing_table(d12_q3, k, 20)
         assert table.d == 3
         assert table.all_ok
-        assert table.second_modulus == pytest.approx(3**0.5, abs=1e-6)
         assert table.dimension == 16 * 3 ** (k - 1)
     vertical = mixing_table(d12_q3, 1, 10, direction="vertical")
     assert vertical.all_ok
@@ -785,7 +784,32 @@ def test_mixing_table_q5(d12_q5):
     table = mixing_table(d12_q5, 1, 15)
     assert table.d == 5 and table.all_ok
     assert table.theta == pytest.approx(5**-0.5)
-    assert table.second_modulus == pytest.approx(5**0.5, abs=1e-6)
+
+
+def test_strip_modulus_is_the_ihara_transfer_of_the_level():
+    # a height-k strip is a dart of A_k (read vertical) or B_k (horizontal),
+    # and the strip graph is their non-backtracking graph: on a connected,
+    # non-bipartite level its modulus is max |mu| over mu^2 - lambda mu + q
+    # = 0 for the level's nontrivial lambda; on a bipartite level it is q
+    q, checked, bipartite = 5, 0, 0
+    for seed in range(40):
+        datum = random_vh_datum(Random(seed), 6, 6)
+        shift = build_xd(datum)
+        for k in (1, 2):
+            for side, direction in (("A", "vertical"), ("B", "horizontal")):
+                graph = level_graph(datum, side, k)
+                structure = structure_predicates(graph)
+                modulus = second_modulus_directed(strip_adjacency(shift.strip_graph(direction, k)))
+                if structure.bipartite:
+                    assert modulus == pytest.approx(q, abs=1e-9), (seed, side, k)
+                    bipartite += 1
+                elif structure.connected:
+                    nontrivial = eig_symmetric(graph.adjacency())[1:]
+                    ihara = max(sqrt(q) if lam * lam <= 4 * q else (abs(lam) + sqrt(lam * lam - 4 * q)) / 2
+                                for lam in nontrivial)
+                    assert modulus == pytest.approx(ihara, abs=1e-9), (seed, side, k)
+                    checked += 1
+    assert (checked, bipartite) == (116, 12)
 
 
 def test_mixing_table_needs_r1(d12_q3):
@@ -807,6 +831,9 @@ def test_mixing_csv_format(d12_q3):
 def test_mixing_table_cap(d12_q3):
     with pytest.raises(SizeCapExceeded):
         mixing_table(d12_q3, 7, 3)  # 8 * 11664^2 bytes > 256 MiB
+    # 16 * 3^5 = 3888 strips, above the dense eigensolver's 2000: the table is exact
+    table = mixing_table(d12_q3, 6, 2, direction="vertical")
+    assert table.dimension == 3888 and table.all_ok
 
 
 @pytest.mark.parametrize("direction", ["horizontal", "vertical"])
@@ -830,34 +857,8 @@ def test_chunked_walks_change_no_number(d12_q3, monkeypatch, direction):
     chunked = mixing_table(shift, 3, 6, direction=direction)
     assert len(rows) >= 4 and sum(rows) == m
     assert chunked == whole
-    adjacency = shift.strip_graph(direction, 3).adjacency
+    adjacency = strip_adjacency(shift.strip_graph(direction, 3))
     assert [row.deviation for row in chunked.rows] == [deviation_from_powers(adjacency, n) for n in range(1, 7)]
-
-
-def test_second_modulus_is_solved_on_first_read(d12_q3, monkeypatch):
-    from ramshift import subshift
-
-    solved = []
-
-    def counting(a):
-        solved.append(len(a))
-        return second_modulus_directed(a)
-
-    monkeypatch.setattr(subshift, "second_modulus_directed", counting)
-    table = mixing_table(build_xd(d12_q3), 2, 6)
-    assert solved == [] and table == mixing_table(build_xd(d12_q3), 2, 6)
-    assert table.second_modulus == pytest.approx(3**0.5, abs=1e-6)
-    assert table.second_modulus == table.second_modulus and solved == [48]
-    assert table == mixing_table(build_xd(d12_q3), 2, 6)
-
-
-def test_second_modulus_above_the_dense_cap_raises_when_read(d12_q3):
-    # 16 * 3^5 = 3888 strips: the table is exact, the dense eigensolve capped
-    table = mixing_table(d12_q3, 6, 2, direction="vertical")
-    assert table.dimension == 3888 and table.all_ok
-    with pytest.raises(SizeCapExceeded, match="dense eigensolve capped"):
-        table.second_modulus
-    assert "adjacency" not in vars(table.graph)
 
 
 def test_strip_graphs_are_built_once_per_direction_and_height(d12_q3, monkeypatch):
@@ -895,10 +896,8 @@ def test_held_strip_graphs_are_read_only(xd_q3):
     graph = xd_q3.strip_graph("horizontal", 2)
     assert xd_q3.strip_graph("horizontal", 2) is graph
     assert graph.index is graph.index and graph.preds is graph.preds
-    assert graph.adjacency is graph.adjacency
-    for array in (graph.adjacency, graph.preds):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        graph.preds[0, 0] = 0
     for array in (graph.tail, graph.head):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

@@ -21,7 +21,6 @@ from ramshift.vhdatum import (
     build_quaternionic_datum,
     datum_from_dict,
     datum_to_dict,
-    direct_product_datum,
     dumps_datum,
     loads_datum,
     read_datum,
@@ -29,8 +28,8 @@ from ramshift.vhdatum import (
     validate_datum,
     verify_relations,
     write_datum,
-    zeta,
 )
+from reference import direct_product_datum, zeta
 
 GOLDEN = "tests/data/d12_q3.json"
 
