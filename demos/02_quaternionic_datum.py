@@ -11,7 +11,7 @@ from pathlib import Path
 
 from ramshift import build_quaternionic_datum, make_field, validate_datum, verify_relations
 from ramshift.quaternion import QuatElem
-from ramshift.vhdatum import export_tiles, write_datum
+from ramshift.vhdatum import atomic_write, tiles_to_svg, write_datum
 
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
@@ -39,5 +39,5 @@ print(f"  (1 + {datum.V[a]} F)(1 + {datum.H[b]} F) = {lhs}")
 print(f"  (1 + {datum.H[c]} F)(1 + {datum.V[d]} F) = {rhs}")
 
 write_datum(datum, str(out / "d12_q3.json"))
-export_tiles(datum, str(out / "d12_q3_tiles.svg"))
+atomic_write(str(out / "d12_q3_tiles.svg"), tiles_to_svg(datum))
 print(f"\nwrote {out / 'd12_q3.json'} and {out / 'd12_q3_tiles.svg'}")

@@ -227,6 +227,20 @@ def _tower_checks(datum, side: str, tol: float):
     return check
 
 
+def _count(n: int) -> int | str:
+    """n, or, when it has more digits than Python converts to a str, its
+    scientific form to four digits from its float log10, such as
+    "1.780e+47712": no JSON integer that long could be written, nor read
+    back."""
+    try:
+        str(n)
+    except ValueError:
+        digits = math.log10(n)
+        mantissa, carry = f"{10 ** (digits % 1):.3e}".split("e")
+        return f"{mantissa}e+{int(digits) + int(carry)}"
+    return n
+
+
 def cmd_verify_ramanujan(args) -> int:
     # one job per graph: (entry tags, CSV block name, vertex count, check);
     # a level is checked, and its tower built up to it, only when its
@@ -250,7 +264,7 @@ def cmd_verify_ramanujan(args) -> int:
     spectra = []
     for tags, name, n_vertices, check in jobs:
         if n_vertices > args.dense_cap:
-            verdicts.append({"skipped": True, "n_vertices": n_vertices, **tags})
+            verdicts.append({"skipped": True, "n_vertices": _count(n_vertices), **tags})
             continue
         report = check()
         entry = spectral.spectral_report_to_dict(report)

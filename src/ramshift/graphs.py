@@ -1,6 +1,7 @@
 """Undirected multigraphs with formal edge inverses (darts), level graphs of
-a VH-datum, their multi-dimensional product versions, non-backtracking dart
-graphs, covering-map verification, and structural predicates.
+a VH-datum, their multi-dimensional product versions, non-backtracking arcs
+(and their dense 0/1 array, the tests' reference), covering-map
+verification, and structural predicates.
 
 A dart is a directed half of an undirected edge; dart inversion is a
 fixed-point-free involution pairing (v --g--> u) with (u --g^-1--> v).
@@ -28,7 +29,8 @@ Dart v * s + a leaves vertex v with state a, and its inverse is dart
 dst * s + a^-1.  Vertices carry canonical integer ids coming from the
 lexicographic enumeration of reduced words, so adjacency matrices are
 reproducible across runs.  The one traversal, `structure_predicates`, runs
-one breadth-first search, a whole frontier per step.
+one breadth-first search, a whole frontier per step, restarted at the first
+unreached vertex.
 """
 
 from __future__ import annotations
@@ -147,16 +149,6 @@ class UGraph:
         d = int(degrees[0])
         return d if bool((degrees == d).all()) else None
 
-    @staticmethod
-    def from_edges(n_vertices: int, edges: list[tuple[int, int]], labels: list[str] | None = None) -> "UGraph":
-        """Build from an undirected edge list (loops allowed): edge k = (u, v)
-        gives dart 2k from u to v, labelled ek, and its inverse 2k + 1."""
-        if labels is None:
-            labels = [str(i) for i in range(n_vertices)]
-        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        names = [f"e{k}{tick}" for k in range(len(ends)) for tick in ("", "'")]
-        return UGraph(labels, ends.ravel(), ends[:, ::-1].ravel(), np.arange(2 * len(ends)) ^ 1, names)
-
     def __repr__(self) -> str:
         return f"UGraph({self.n_vertices()} vertices, {self.n_darts() // 2} edges)"
 
@@ -164,21 +156,6 @@ class UGraph:
 def _check_strings(labels) -> None:
     if set(map(type, labels)) - {str}:
         raise ValueError("vertex and dart labels must be strings")
-
-
-@dataclass
-class DartGraph:
-    """The non-backtracking dart graph of an undirected regular graph:
-    H[e, f] = 1 iff t(e) = o(f) and f != e^-1."""
-
-    adjacency: np.ndarray
-    degree: int  # = d, one less than the base regularity
-
-    def n_darts(self) -> int:
-        return self.adjacency.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DartGraph({self.n_darts()} darts, {self.degree}-regular)"
 
 
 def nb_arcs(graph: UGraph) -> tuple[np.ndarray, np.ndarray, int]:
@@ -197,20 +174,21 @@ def nb_arcs(graph: UGraph) -> tuple[np.ndarray, np.ndarray, int]:
     return e[keep], f[keep], deg - 1
 
 
-def nb_matrix(graph: UGraph) -> DartGraph:
-    """Non-backtracking (Bass-Hashimoto) matrix on the darts of a regular
-    graph; rows and columns each sum to d for a (d+1)-regular base.
+def nb_matrix(graph: UGraph) -> np.ndarray:
+    """The non-backtracking (Bass-Hashimoto) matrix of a (d+1)-regular
+    graph as a dense int64 0/1 array on its darts, H[e, f] = 1 iff
+    t(e) = o(f) and f != e^-1; each row and column sums to d.
 
     No command reads it: `spectral.nb_blocks` sums its blocks from
     `nb_arcs`.  It stays as the dense reference the tests compare the blocks
     with, and because `benchmarks/tracing.TARGETS` wraps it by name, so
     deleting it breaks
     `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`."""
-    e, f, d = nb_arcs(graph)
+    e, f, _ = nb_arcs(graph)
     n = graph.n_darts()
     h = np.zeros((n, n), dtype=np.int64)
     h[e, f] = 1
-    return DartGraph(h, d)
+    return h
 
 
 def dart_map(graph: UGraph, perm: np.ndarray) -> np.ndarray:
@@ -494,35 +472,20 @@ class StructureReport:
     regular_degree: int | None
 
 
-_SMALL_FRONTIER = 32  # a frontier below this size is a small step
-_SMALL_STEPS = 64  # small steps taken as arrays before the search goes on in plain Python
-
-
 def _bfs_depths(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, int]:
-    """Breadth-first depths over the darts tail -> head, one frontier at a
-    time from a root, restarted from the first unreached vertex until every
-    vertex is reached; returns the depths and the number of roots.  A
-    vertex with no dart to another vertex is a root at depth 0 from the
-    start (in an undirected graph it is a component by itself), which
-    spares a restart per vertex of the all-loop levels of a direct product.
-    Frontiers are stepped as arrays, which pays numpy's call overhead per
-    step: after _SMALL_STEPS steps from frontiers of fewer than
-    _SMALL_FRONTIER vertices (every search starts with one), as on a long
-    cycle or on many small components, the search goes on in plain Python
-    (`_bfs_on_lists`).  The next root is looked for after the last one."""
+    """Breadth-first depths over the darts tail -> head, a whole frontier
+    per step from a root, restarted at the first unreached vertex until
+    every vertex is reached; returns the depths and the number of roots.
+    Each step and each restart pays numpy's call overhead, so a long cycle
+    or many small components cost more than their size: no command builds
+    either."""
     heads, degree = head[np.argsort(tail, kind="stable")], np.bincount(tail, minlength=n)
     first = np.cumsum(degree) - degree  # the first of each vertex's darts in heads
-    alone = np.bincount(tail[tail != head], minlength=n) == 0
-    depth = np.where(alone, 0, -1)
-    roots, root, slot, small = int(alone.sum()), 0, np.empty(n, dtype=np.intp), 0
-    while (root := _next_unreached(depth, root)) < n:
+    depth, roots, root, slot = np.full(n, -1), 0, 0, np.empty(n, dtype=np.intp)
+    while root < n:
         depth[root], roots = 0, roots + 1
         frontier, level = np.array([root]), 0
         while frontier.size:
-            small += frontier.size < _SMALL_FRONTIER
-            if small > _SMALL_STEPS:
-                lists = (x.tolist() for x in (depth, frontier, heads, first, first + degree))
-                return _bfs_on_lists(*lists, level, root, roots)
             counts, level = degree[frontier], level + 1
             darts = np.arange(counts.sum()) + np.repeat(first[frontier] - np.cumsum(counts) + counts, counts)
             reached = heads[darts]
@@ -530,42 +493,9 @@ def _bfs_depths(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray,
             slot[reached] = np.arange(len(reached))  # one of the writes to each vertex wins
             frontier = reached[slot[reached] == np.arange(len(reached))]
             depth[frontier] = level
+        unreached = np.flatnonzero(depth[root:] < 0)
+        root += int(unreached[0]) if unreached.size else n
     return depth, roots
-
-
-def _next_unreached(depth: np.ndarray, start: int) -> int:
-    """The first vertex from start on with no depth yet (len(depth) when
-    there is none), scanned in windows that double in length."""
-    width = _SMALL_FRONTIER
-    while start < len(depth):
-        window = depth[start:start + width] < 0
-        if window.any():
-            return start + int(window.argmax())
-        start, width = start + width, 2 * width
-    return len(depth)
-
-
-def _bfs_on_lists(depth: list, frontier: list, heads: list, start: list, stop: list,
-                  level: int, root: int, roots: int) -> tuple[np.ndarray, int]:
-    """`_bfs_depths` continued vertex by vertex on Python lists, from the
-    frontier at depth level of the search from root: the heads of v's
-    darts are heads[start[v]:stop[v]]."""
-    n = len(depth)
-    while True:
-        while frontier:
-            level += 1
-            reached = []
-            for v in frontier:
-                for u in heads[start[v]:stop[v]]:
-                    if depth[u] < 0:
-                        depth[u] = level
-                        reached.append(u)
-            frontier = reached
-        while root < n and depth[root] >= 0:
-            root += 1
-        if root == n:
-            return np.array(depth), roots
-        depth[root], roots, frontier, level = 0, roots + 1, [root], 0
 
 
 def structure_predicates(graph: UGraph) -> StructureReport:

@@ -133,7 +133,7 @@ import numpy as np
 
 from .ffield import SizeCapExceeded
 from .graphs import (
-    DartGraph, StructureReport, TowerLevel, UGraph, cover_fiber, dart_map, is_automorphism, nb_arcs,
+    StructureReport, TowerLevel, UGraph, cover_fiber, dart_map, is_automorphism, nb_arcs,
     structure_predicates,
 )
 
@@ -848,16 +848,17 @@ def check_dart_cap(n_darts: int) -> None:
         )
 
 
-def nb_spectrum_direct(h: DartGraph) -> np.ndarray:
-    """Dense nonsymmetric eigensolve of a dart adjacency; eigenvalues may be
-    complex.  Only for small instances; above DENSE_EIG_LIMIT use bass_ihara_pairs.
+def nb_spectrum_direct(h: np.ndarray) -> np.ndarray:
+    """Dense nonsymmetric eigensolve of a dart adjacency h, the array
+    `graphs.nb_matrix` returns; eigenvalues may be complex.  Only for small
+    instances; above DENSE_EIG_LIMIT darts use bass_ihara_pairs.
 
     No command reads it.  It stays as the tests' reference for `nb_spectrum`,
     and `benchmarks/tracing.TARGETS` wraps it by name (deleting it fails
     `benchmarks/test_benchmark.py::test_traced_pass_accounts_for_its_wall_time`)."""
-    check_dart_cap(h.n_darts())
+    check_dart_cap(len(h))
     with _one_blas_thread():
-        return np.linalg.eigvals(h.adjacency.astype(np.float64))
+        return np.linalg.eigvals(h.astype(np.float64))
 
 
 def nb_blocks(graph: UGraph, symmetries=(), rotation=None) -> Split:

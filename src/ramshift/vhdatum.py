@@ -435,11 +435,6 @@ def tiles_to_svg(datum: VHDatum, header: str | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def export_tiles(datum: VHDatum, path: str, header: str | None = None) -> None:
-    """Write the datum's tile SVG atomically (temp file + rename)."""
-    atomic_write(path, tiles_to_svg(datum, header=header))
-
-
 # ---------------------------------------------------------------------------
 # file format
 
@@ -544,12 +539,11 @@ def json_pieces(payload) -> list[str]:
     `tolist()`.
 
     The json module drops to its pure-Python encoder whenever an indent is
-    given.  Here dicts with str keys are walked by hand, and a flat list of
-    exact ints and strs is one C-encoder call with the indent folded into
-    the item separator, and so is a scalar or an empty list or dict, whose
-    text no indent changes.  A 1-D or 2-D int array, `Labels` of strs, or
-    `Rows` of such columns is rendered as bytes by `_array_pieces`, a block
-    of rows at a time.
+    given.  Here dicts with str keys are walked by hand, and a scalar or an
+    empty list or dict, whose text no indent changes, is one C-encoder
+    call.  A 1-D or 2-D int array, `Labels` of strs, or `Rows` of such
+    columns is rendered as bytes by `_array_pieces`, a block of rows at a
+    time.
     Anything else is the stdlib text re-indented by its depth.  The
     re-indenting replace is safe because an ASCII-encoded JSON string never
     holds a raw newline.  No level copies the text of the values inside it.
@@ -559,7 +553,6 @@ def json_pieces(payload) -> list[str]:
     return pieces
 
 
-_SCALARS = {int, str}  # exact types the C encoder writes as stdlib does
 # exact types whose text no indent changes, written without the indenting
 # pure-Python encoder
 _PLAIN = {int, str, float, bool, type(None)}
@@ -579,8 +572,6 @@ def _write(value, nl: str, out: list[str]) -> None:
         out.append(nl + "}")
     elif type(value) in _ROWS and (pieces := _array_pieces(value, nl)) is not None:
         out += pieces
-    elif type(value) is list and value and set(map(type, value)) <= _SCALARS:
-        out.append("[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + nl + "]")
     elif type(value) in _PLAIN or type(value) in (list, dict) and not value:
         out.append(json.dumps(value))
     else:

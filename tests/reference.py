@@ -183,6 +183,16 @@ def preds_of(a) -> np.ndarray:
     return arc_predecessors(np.repeat(tail, a[tail, head]), np.repeat(head, a[tail, head]), len(a))
 
 
+def from_edges(n_vertices: int, edges: list[tuple[int, int]], labels: list[str] | None = None) -> UGraph:
+    """Build from an undirected edge list (loops allowed): edge k = (u, v)
+    gives dart 2k from u to v, labelled ek, and its inverse 2k + 1."""
+    if labels is None:
+        labels = [str(i) for i in range(n_vertices)]
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    names = [f"e{k}{tick}" for k in range(len(ends)) for tick in ("", "'")]
+    return UGraph(labels, ends.ravel(), ends[:, ::-1].ravel(), np.arange(2 * len(ends)) ^ 1, names)
+
+
 def json_text(payload) -> str:
     """`json_pieces` joined."""
     return "".join(json_pieces(payload))

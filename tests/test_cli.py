@@ -23,7 +23,7 @@ from ramshift.mealy import from_datum
 from ramshift.spectral import eig_symmetric, ramanujan_check, spectral_report_to_dict, tower_spectra
 from ramshift.ffield import make_field
 from ramshift.vhdatum import build_quaternionic_datum, dumps_datum, read_datum, write_datum
-from reference import direct_product_datum, graph_file
+from reference import direct_product_datum, from_edges, graph_file
 
 
 def run(capsys, *argv):
@@ -100,7 +100,7 @@ def circular_ladder(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(n + i, n + (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
-    return UGraph.from_edges(2 * n, edges)
+    return from_edges(2 * n, edges)
 
 
 def test_verify_ramanujan_flags_violation(tmp_path, capsys):
@@ -225,6 +225,22 @@ def test_verify_ramanujan_skipped_level_is_not_a_pass(capsys):
     assert not payload["all_pass"]
     assert payload["verdicts"][0]["skipped"]
     assert "skipped" in err
+
+
+def test_verify_ramanujan_skips_a_level_too_large_to_print(capsys):
+    # A_9000 has 4 * 3^8999 vertices, 4,294 digits, which Python still
+    # prints; A_100000's count is over its int-to-str limit, so the entry
+    # holds it to four digits, and the report is still written and read
+    for fmt in ("json", "csv"):
+        code, stdout, err = run(capsys, "verify-ramanujan", "--levels", "9000,100000", "--side", "A",
+                                "--format", fmt, "--no-timestamp")
+        assert code == 3 and err.startswith("resource cap:")
+    payload = json.loads(run(capsys, "verify-ramanujan", "--levels", "9000,100000", "--side", "A",
+                             "--no-timestamp")[1])
+    assert not payload["all_pass"]
+    exact, huge = payload["verdicts"]
+    assert exact["skipped"] and exact["n_vertices"] == 4 * 3 ** 8999
+    assert huge["skipped"] and huge["n_vertices"] == "1.780e+47712"
 
 
 def test_verify_ramanujan_zero_dense_cap_is_not_a_pass(capsys):
@@ -386,7 +402,7 @@ def test_graph_json_with_an_index_beyond_int64_is_an_input_error(tmp_path, capsy
 )
 def test_graph_json_without_exact_integer_indices_is_an_input_error(tmp_path, capsys, keys, value):
     # the triangle passes as it stands, so only the edit can fail it
-    data = json.loads(graph_file(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
+    data = json.loads(graph_file(from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
     good = _write_json(tmp_path / "triangle.json", data)
     assert run(capsys, "verify-ramanujan", "--graph-json", good, "--no-timestamp")[0] == 0
     reduce(getitem, keys[:-1], data)[keys[-1]] = value
@@ -602,7 +618,7 @@ def test_verify_ramanujan_small_tol_passes_on_connected_levels(capsys):
 def double_cycle(n):
     """C_n with every edge doubled: 4-regular, and a cover of the rose with
     two loops (every fiber is all of it)."""
-    return UGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] * 2)
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)] * 2)
 
 
 def test_levels_and_files_share_the_verdict(tmp_path, capsys, monkeypatch):
@@ -724,7 +740,7 @@ def test_datum_file_values_of_the_wrong_json_type_are_an_input_error(tmp_path, c
          "duplicate_vertex"],
 )
 def test_graph_json_without_distinct_string_labels_is_an_input_error(tmp_path, capsys, keys, value):
-    data = json.loads(graph_file(UGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
+    data = json.loads(graph_file(from_edges(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])))
     reduce(getitem, keys[:-1], data)[keys[-1]] = value
     path = _write_json(tmp_path / "edited.json", data)
     code, stdout, err = run(capsys, "verify-ramanujan", "--graph-json", path, "--no-timestamp")

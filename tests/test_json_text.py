@@ -17,7 +17,7 @@ import pytest
 from ramshift import cli, vhdatum
 from ramshift.graphs import UGraph, level_graph, ugraph_to_json_dict
 from ramshift.vhdatum import Labels, Rows, dumps_datum, json_pieces
-from reference import direct_product_datum, graph_file, json_text
+from reference import direct_product_datum, from_edges, graph_file, json_text
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -218,7 +218,7 @@ def test_graph_file_of_a_datum_with_escaped_labels_matches_stdlib(tmp_path, monk
 
 def test_graph_file_matches_stdlib_and_coo_counts_darts():
     # a multigraph: a double edge, a loop and a vertex with no edges
-    g = UGraph.from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 2)])
+    g = from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 2)])
     data = json.loads(graph_file(g))
     counts = Counter(zip(g.origin.tolist(), g.terminus.tolist()))
     assert data["adjacency_coo"] == [[i, j, m] for (i, j), m in sorted(counts.items())]
@@ -228,7 +228,7 @@ def test_graph_file_matches_stdlib_and_coo_counts_darts():
 
 GRAPHS = {
     "one_vertex_no_darts": UGraph(["v"], [], [], [], []),
-    "loops_and_double_edges": UGraph.from_edges(3, [(0, 0), (0, 1), (1, 0), (2, 2), (2, 2), (0, 0)]),
+    "loops_and_double_edges": from_edges(3, [(0, 0), (0, 1), (1, 0), (2, 2), (2, 2), (0, 0)]),
     "labels": UGraph(LABELS[:4], [0, 1, 2, 2, 3, 0], [1, 0, 2, 2, 0, 3], [1, 0, 3, 2, 5, 4], LABELS[4:10]),
 }
 

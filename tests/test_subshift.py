@@ -379,11 +379,11 @@ def test_strip_graphs_are_nonbacktracking_dart_graphs(d12_q3, xd_q3, k):
     col_map, row_map = _strip_to_dart_maps(d12_q3, xd_q3, k)
     hk = transition_graph(xd_q3, "horizontal", k)
     perm = np.array([col_map(p) for p in hk.patterns])
-    nb_b = nb_matrix(level_graph(d12_q3, "B", k)).adjacency
+    nb_b = nb_matrix(level_graph(d12_q3, "B", k))
     assert (strip_adjacency(hk) == nb_b[np.ix_(perm, perm)]).all()
     vk = transition_graph(xd_q3, "vertical", k)
     perm = np.array([row_map(p) for p in vk.patterns])
-    nb_a = nb_matrix(level_graph(d12_q3, "A", k)).adjacency
+    nb_a = nb_matrix(level_graph(d12_q3, "A", k))
     assert (strip_adjacency(vk) == nb_a[np.ix_(perm, perm)]).all()
 
 
