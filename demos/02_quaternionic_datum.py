@@ -39,5 +39,5 @@ print(f"  (1 + {datum.V[a]} F)(1 + {datum.H[b]} F) = {lhs}")
 print(f"  (1 + {datum.H[c]} F)(1 + {datum.V[d]} F) = {rhs}")
 
 write_datum(datum, str(out / "d12_q3.json"))
-atomic_write(str(out / "d12_q3_tiles.svg"), tiles_to_svg(datum))
+atomic_write(str(out / "d12_q3_tiles.svg"), [tiles_to_svg(datum).encode()])
 print(f"\nwrote {out / 'd12_q3.json'} and {out / 'd12_q3_tiles.svg'}")

@@ -5,8 +5,10 @@ bass-ihara, subshift-check, mixing, tiles.  Formats: JSON for reports and
 datum files, DOT for graphs and automata, CSV for spectra and mixing
 tables, SVG for tiles.  Every JSON report goes through one writer,
 `vhdatum.json_pieces`: stdlib json's sorted-key, one-space-indent text,
-with a graph's arrays and label codes written straight from numpy, in
-pieces that go to the file or stdout without being joined.
+with a graph's arrays and label codes written straight from numpy, as
+bytes pieces never joined.  Every output is written as bytes (a text one
+encoded once as UTF-8), so a file and stdout get the same bytes on every
+platform: no newline translation.
 
 Every output embeds the resolved run configuration for provenance (plus a
 timestamp unless --no-timestamp is given): the options the run read, so
@@ -91,21 +93,21 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    _emit_pieces(args, [text])
+    _emit_pieces(args, [text.encode()])
 
 
-def _emit_pieces(args, pieces: list[str]) -> None:
-    """Write a text given as its pieces, never joined, to --out or stdout."""
+def _emit_pieces(args, pieces: list[bytes]) -> None:
+    """Write bytes pieces, never joined, to --out or stdout's binary layer."""
     if args.out:
         atomic_write(args.out, pieces)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(pieces)
 
 
 def _emit_json(args, payload: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = _config_dict(args)
-    _emit_pieces(args, [*json_pieces(payload), "\n"])
+    payload = {**payload, "config": _config_dict(args)}
+    _emit_pieces(args, [*json_pieces(payload), b"\n"])
 
 
 def _header(args) -> str:

@@ -49,6 +49,7 @@ import contextlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field as _field
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
@@ -439,14 +440,14 @@ def tiles_to_svg(datum: VHDatum, header: str | None = None) -> str:
 # file format
 
 
-def atomic_write(path: str, text: str | list[str]) -> None:
-    """Write `text`, a str or the list of its pieces, to `path` through
-    `<path>.tmp` and a rename, so a text in pieces is never joined; a failed
-    write (a lone surrogate in `text`, a full disk) leaves no temp file."""
-    tmp = f"{path}.tmp"
+def atomic_write(path: str, pieces: list[bytes]) -> None:
+    """Write the bytes `pieces`, never joined, to `path` through a temp file
+    of this process and thread beside it and a rename; a failed write (a
+    piece that is not bytes, a full disk) leaves no temp file."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_native_id()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with open(tmp, "wb") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -531,24 +532,23 @@ class Rows:
         return [list(row) for row in zip(*(column.tolist() for column in self.columns))]
 
 
-def json_pieces(payload) -> list[str]:
-    """The indented JSON text of every report and graph file, in pieces
-    that a writer hands on without joining them: byte for byte
-    `json.dumps(payload, sort_keys=True, indent=1, default=str)` with every
-    numpy array, `Labels` and `Rows` in `payload` first replaced by its
-    `tolist()`.
+def json_pieces(payload) -> list[bytes]:
+    """The indented JSON text of every report and graph file as ASCII
+    bytes, in pieces that a writer hands on without joining them: byte for
+    byte `json.dumps(payload, sort_keys=True, indent=1, default=str)` with
+    every numpy array, `Labels` and `Rows` in `payload` first replaced by
+    its `tolist()`.
 
     The json module drops to its pure-Python encoder whenever an indent is
     given.  Here dicts with str keys are walked by hand, and a scalar or an
     empty list or dict, whose text no indent changes, is one C-encoder
     call.  A 1-D or 2-D int array, `Labels` of strs, or `Rows` of such
     columns is rendered as bytes by `_array_pieces`, a block of rows at a
-    time.
-    Anything else is the stdlib text re-indented by its depth.  The
+    time.  Anything else is the stdlib text re-indented by its depth.  The
     re-indenting replace is safe because an ASCII-encoded JSON string never
     holds a raw newline.  No level copies the text of the values inside it.
     """
-    pieces: list[str] = []
+    pieces: list[bytes] = []
     _write(payload, "\n", pieces)
     return pieces
 
@@ -559,23 +559,23 @@ _PLAIN = {int, str, float, bool, type(None)}
 _ROWS = {np.ndarray, Labels, Rows}  # types written by `_array_pieces` when their columns allow
 
 
-def _write(value, nl: str, out: list[str]) -> None:
+def _write(value, nl: str, out: list[bytes]) -> None:
     """Append the pieces of `value`'s text, whose line breaks are `nl`
     (newline + its depth), to `out`."""
     inner = nl + " "
     if type(value) is dict and value and {type(k) for k in value} == {str}:
         opening = "{"
         for k in sorted(value):
-            out.append(opening + inner + encode_basestring_ascii(k) + ": ")
+            out.append((opening + inner + encode_basestring_ascii(k) + ": ").encode())
             _write(value[k], inner, out)
             opening = ","
-        out.append(nl + "}")
+        out.append((nl + "}").encode())
     elif type(value) in _ROWS and (pieces := _array_pieces(value, nl)) is not None:
         out += pieces
     elif type(value) in _PLAIN or type(value) in (list, dict) and not value:
-        out.append(json.dumps(value))
+        out.append(json.dumps(value).encode())
     else:
-        out.append(json.dumps(value, sort_keys=True, indent=1, default=_listed_or_str).replace("\n", nl))
+        out.append(json.dumps(value, sort_keys=True, indent=1, default=_listed_or_str).replace("\n", nl).encode())
 
 
 def _listed_or_str(value):
@@ -603,10 +603,9 @@ def _columns(value) -> tuple[list, bool] | None:
     return None
 
 
-def _array_pieces(value, nl: str) -> list[str] | None:
-    """The text of a flat int array or `Labels` of strs, or of the rows of
-    a 2-D int array or of `Rows` of such columns, in pieces; None for any
-    other value.
+def _array_pieces(value, nl: str) -> list[bytes] | None:
+    """The ASCII text of a flat int array or `Labels` of strs, or of the rows
+    of a 2-D int array or of `Rows` of such columns, in pieces; None otherwise.
 
     Each block of rows is one `uint8` matrix, a padded row of text per row:
     copies of one template row that holds the separators, then each int
@@ -618,7 +617,7 @@ def _array_pieces(value, nl: str) -> list[str] | None:
         return None
     columns, flat = split
     if not len(value):
-        return ["[]"]
+        return [b"[]"]
     rendered = [_column_parts(column) for column in columns]
     if None in rendered:
         return None
@@ -647,9 +646,8 @@ def _array_pieces(value, nl: str) -> list[str] | None:
             part.fill(buf[:, place], block)
         if not lo:
             buf[0, 0] = ord("[")
-        text = buf.ravel()
-        pieces.append(str(text[text != 0], "ascii"))
-    pieces.append(nl + "]")
+        pieces.append(bytes(buf).replace(b"\0", b""))
+    pieces.append((nl + "]").encode())
     return pieces
 
 
@@ -906,7 +904,7 @@ def loads_datum(text: str) -> VHDatum:
 
 
 def write_datum(datum: VHDatum, path: str) -> None:
-    atomic_write(path, dumps_datum(datum))
+    atomic_write(path, [dumps_datum(datum).encode()])
 
 
 def read_datum(path: str) -> VHDatum:

@@ -5,8 +5,12 @@ tests read from package objects."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 
+from ramshift.cli import main
 from ramshift.ffield import FieldSpec, Fq2Elem, FqElem
 from ramshift.graphs import UGraph, _bfs_depths, ugraph_to_json_dict
 from ramshift.mealy import Mealy, dual, from_datum
@@ -194,8 +198,18 @@ def from_edges(n_vertices: int, edges: list[tuple[int, int]], labels: list[str] 
 
 
 def json_text(payload) -> str:
-    """`json_pieces` joined."""
-    return "".join(json_pieces(payload))
+    """`json_pieces`, bytes joined, read as the ASCII text they are."""
+    return b"".join(json_pieces(payload)).decode("ascii")
+
+
+def cli_stdout(argv: list[str]) -> tuple[int, bytes]:
+    """(exit code, stdout bytes) of one in-process CLI run, on a stdout
+    that is a UTF-8 text layer over a byte stream, as a real one is."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue()
 
 
 def graph_file(graph: UGraph) -> str:

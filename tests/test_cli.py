@@ -16,14 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ramshift import cli
 from ramshift.cli import main
 from conftest import random_vh_datum
 from ramshift.graphs import UGraph, level_graph, level_tower
 from ramshift.mealy import from_datum
 from ramshift.spectral import eig_symmetric, ramanujan_check, spectral_report_to_dict, tower_spectra
 from ramshift.ffield import make_field
-from ramshift.vhdatum import build_quaternionic_datum, dumps_datum, read_datum, write_datum
-from reference import direct_product_datum, from_edges, graph_file
+from ramshift.vhdatum import build_quaternionic_datum, dumps_datum, json_pieces, read_datum, write_datum
+from reference import cli_stdout, direct_product_datum, from_edges, graph_file
 
 
 def run(capsys, *argv):
@@ -692,6 +693,45 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
     assert stdout == ""
     assert "surrogate" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "edited.json"]
+
+
+def test_a_write_failing_in_the_writer_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
+    # the temp file already holds the first piece when the second, not
+    # bytes, fails: the writer removes it and the old --out file stays
+    out = tmp_path / "report.json"
+    argv = ["subshift-check", "--out", str(out), "--no-timestamp"]
+    assert run(capsys, *argv)[0] == 0
+    before = out.read_bytes()
+    monkeypatch.setattr(cli, "json_pieces", lambda payload: [json_pieces(payload)[0], "not bytes"])
+    with pytest.raises(TypeError):
+        main(argv)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_a_writer_leaves_another_writers_temp_file_alone(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    other = tmp_path / "out.csv.tmp"
+    other.write_bytes(b"a table half written by another run\n")
+    code, stdout, _ = run(capsys, "mixing", "--max-n", "5", "--out", str(out), "--no-timestamp")
+    assert (code, stdout) == (0, "")
+    assert other.read_bytes() == b"a table half written by another run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--level", "3", "--format", "json"],
+    ["graph", "--level", "3", "--format", "dot"],
+    ["mixing", "--max-n", "5"],
+], ids=" ".join)
+def test_stdout_and_out_get_the_same_bytes(argv, tmp_path):
+    # the config of the --out run records its path, in a DOT or CSV header
+    # line as in a JSON report, and nothing else differs
+    path = tmp_path / "out"
+    code, stdout = cli_stdout([*argv, "--no-timestamp"])
+    assert code == 0 and cli_stdout([*argv, "--no-timestamp", "--out", str(path)]) == (0, b"")
+    written, n = re.subn(rb'\s+"out": "[^"]*",', b"", path.read_bytes())
+    assert n == 1 and written == stdout
 
 
 def _set(*keys, value):

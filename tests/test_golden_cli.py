@@ -8,16 +8,17 @@ relative path wherever the suite runs.  To re-record after an intended output ch
 """
 
 import contextlib
-import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ramshift.cli import main
 from ramshift.ffield import make_field
 from ramshift.vhdatum import build_quaternionic_datum, dumps_datum
+from reference import cli_stdout
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -80,19 +81,27 @@ def _working_directory(path: Path):
         os.chdir(previous)
 
 
-def run_case(name: str) -> tuple[int, str]:
+def run_case(name: str) -> tuple[int, bytes]:
     argv, _ = CASES[name]
-    out = io.StringIO()
-    with _working_directory(GOLDEN.parent), contextlib.redirect_stdout(out):
-        code = main(argv + ["--no-timestamp"])
-    return code, out.getvalue()
+    with _working_directory(GOLDEN.parent):
+        return cli_stdout(argv + ["--no-timestamp"])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    code, text = run_case(name)
+    code, out = run_case(name)
     assert code == CASES[name][1]
-    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+    assert out == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["graph_q3_A3.json", "graph_q3_A3.dot", "verify_ramanujan_q3_1_4.json"])
+def test_a_real_process_writes_the_golden_bytes_to_stdout(name):
+    # the bytes reach the binary layer of a real process's stdout, a pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "ramshift.cli", *CASES[name][0], "--no-timestamp"],
+                            cwd=GOLDEN.parent, env=env, capture_output=True, timeout=120)
+    assert (result.returncode, result.stdout) == (CASES[name][1], (GOLDEN / name).read_bytes())
 
 
 @pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("mixing_")))
@@ -107,7 +116,7 @@ def test_mixing_calls_no_eigensolver(name, monkeypatch):
     monkeypatch.setattr(spectral, "second_modulus_directed", refuse)
     for solver in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, solver, refuse)
-    assert run_case(name) == (0, (GOLDEN / name).read_text(encoding="utf-8"))
+    assert run_case(name) == (0, (GOLDEN / name).read_bytes())
 
 
 def datum_file_text(name: str) -> str:
@@ -122,9 +131,9 @@ def test_datum_file_matches_golden(name):
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in sorted(CASES):
-        code, text = run_case(name)
+        code, out = run_case(name)
         if code != CASES[name][1]:
             raise SystemExit(f"{name}: exit code {code}, expected {CASES[name][1]}")
-        (GOLDEN / name).write_text(text, encoding="utf-8")
+        (GOLDEN / name).write_bytes(out)
     for name in sorted(DATUM_FILES):
         (GOLDEN / name).write_text(datum_file_text(name), encoding="utf-8")

@@ -4,8 +4,6 @@ every numpy array, `Labels` and `Rows` in `x` first replaced by its
 `tolist()`, on edge cases, on every indent-1 golden file, on graph files
 and on real CLI payloads."""
 
-import contextlib
-import io
 import json
 import os
 from collections import Counter
@@ -17,7 +15,7 @@ import pytest
 from ramshift import cli, vhdatum
 from ramshift.graphs import UGraph, level_graph, ugraph_to_json_dict
 from ramshift.vhdatum import Labels, Rows, dumps_datum, json_pieces
-from reference import direct_product_datum, from_edges, graph_file, json_text
+from reference import cli_stdout, direct_product_datum, from_edges, graph_file, json_text
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -184,11 +182,10 @@ def _recorded_run(argv, monkeypatch):
         return json_pieces(payload)
 
     monkeypatch.setattr(cli, "json_pieces", recording)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv + ["--no-timestamp"]) == 0
+    code, out = cli_stdout(argv + ["--no-timestamp"])
+    assert code == 0
     (payload,) = payloads
-    return payload, out.getvalue()
+    return payload, out.decode("ascii")
 
 
 @pytest.mark.parametrize("name", sorted(REAL))

@@ -6,8 +6,6 @@ reach, with an independent reference: the list payload built from
 `reference.word_labels` and string dart labels, written by
 `json.dumps(..., sort_keys=True, indent=1)`."""
 
-import contextlib
-import io
 import itertools
 import json
 from collections import Counter
@@ -20,14 +18,13 @@ from ramshift.ffield import make_field
 from ramshift.graphs import UGraph, level_graph, product_level_graph, ugraph_from_json
 from ramshift.mealy import dual, from_datum, lift_arrays
 from ramshift.vhdatum import Labels, build_quaternionic_datum, dot_escaped, dumps_datum
-from reference import graph_file, json_text, word_labels
+from reference import cli_stdout, graph_file, json_text, word_labels
 
 
 def _stdout(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv + ["--no-timestamp"]) == 0
-    return out.getvalue()
+    code, out = cli_stdout(argv + ["--no-timestamp"])
+    assert code == 0
+    return out.decode("utf-8")
 
 
 def _reference_json(vertices: list, states: list, graph: UGraph, rest: dict) -> str:

@@ -1,7 +1,9 @@
 """Datum construction and its one form of R, the twist formula,
 validation, relation certification, Wang tiles, and the file format."""
 
+import os
 import random
+import threading
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -18,6 +20,7 @@ from ramshift.vhdatum import (
     InvalidDatum,
     VHDatum,
     _twisted_pairs,
+    atomic_write,
     build_quaternionic_datum,
     datum_from_dict,
     datum_to_dict,
@@ -440,10 +443,38 @@ def test_golden_file_matches_fresh_build(d12_q3):
 def test_write_read_cycle(tmp_path, d12_q5):
     path = tmp_path / "d12_q5.json"
     write_datum(d12_q5, str(path))
+    assert path.read_bytes() == dumps_datum(d12_q5).encode()
     back = read_datum(str(path))
     assert back.R.tolist() == d12_q5.R.tolist()
     assert back.field == d12_q5.field
     assert [str(x) for x in back.H_elems] == [str(x) for x in d12_q5.H_elems]
+
+
+def test_two_writers_of_one_path_never_share_a_temp_file(tmp_path):
+    # a second writer of the same path runs from start to end while the
+    # first, in a thread of its own, is half written: each publishes its
+    # own whole text
+    path = tmp_path / "out.json"
+    started, release = threading.Event(), threading.Event()
+
+    def first_pieces():
+        yield b"first "
+        started.set()
+        assert release.wait(60)
+        yield b"writer\n"
+
+    first = threading.Thread(target=atomic_write, args=(str(path), first_pieces()))
+    first.start()
+    try:
+        assert started.wait(60)
+        atomic_write(str(path), [b"second writer\n"])
+        assert path.read_bytes() == b"second writer\n"
+    finally:
+        release.set()
+        first.join(60)
+    assert not first.is_alive()
+    assert path.read_bytes() == b"first writer\n"
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 def test_read_rejects_non_involutive_inv(d12_q3):
