@@ -24,7 +24,6 @@ from ramshift.subshift import (
     fill_rectangle,
     mixing_table,
     mixing_table_to_csv,
-    pattern_count,
     regularity_report,
 )
 
@@ -38,7 +37,7 @@ print(regularity_report(shift))
 
 print("\nPattern counts (m, n) -> s d^(m-1) d^(n-1):")
 for m, n in [(1, 1), (2, 2), (2, 3), (3, 3)]:
-    print(f"  ({m},{n}): {pattern_count(shift, m, n)}")
+    print(f"  ({m},{n}): {len(admissible_patterns(shift, m, n))}")
 
 pattern = admissible_patterns(shift, 2, 2)[0]
 print(f"\nmu of one 2x2 cylinder: {cylinder_measure(shift, pattern)}")

@@ -28,13 +28,14 @@ comparison second <= bound + --tol, backed by the eigensolver's residual
 and trace checks: on a level where some block fails the proof, and on
 every --graph-json file.  The label changes no verdict and no exit code.
 
-Exit codes: 0 all checks pass, 1 verified violation, 2 usage or input
-error (a --tau, --sigma or --s0 place outside 1..q-1, or an empty path
-for --datum, --graph-json, --write or --out, among them), 3
-resource cap exceeded (including any graph that verify-ramanujan skipped
-above --dense-cap).  Sizes are counted before anything is built:
-verify-ramanujan's vertices, the darts of bass-ihara, graph and
-product-graph, and mixing's strips.
+Exit codes: 0 all checks pass, 1 verified violation (a disconnected
+level or graph among them), 2 usage or input error (a --tau, --sigma or
+--s0 place outside 1..q-1, or an empty path for --datum, --graph-json,
+--write or --out, among them), 3 resource cap exceeded (including any
+graph that verify-ramanujan skipped above --dense-cap, and a mixing table
+whose denominators have more digits than Python prints).  Sizes are
+counted before anything is built: verify-ramanujan's vertices, the darts
+of bass-ihara, graph and product-graph, and mixing's strips.
 """
 
 from __future__ import annotations

@@ -466,9 +466,7 @@ def _stars_correspond(pmap: np.ndarray, tail: np.ndarray, head: np.ndarray, star
 @dataclass
 class StructureReport:
     connected: bool
-    n_components: int
     bipartite: bool
-    aperiodic: bool
     regular_degree: int | None
 
 
@@ -499,20 +497,14 @@ def _bfs_depths(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray,
 
 
 def structure_predicates(graph: UGraph) -> StructureReport:
-    """Components are the roots of one breadth-first search, and the graph
-    is bipartite iff no dart joins two depths of equal parity (a loop or any
-    odd closed walk makes one).  As a shift, a connected undirected graph
-    has period 2 when bipartite and 1 otherwise, so aperiodic = connected
-    and non-bipartite."""
-    depth, components = _bfs_depths(graph.n_vertices(), graph.origin, graph.terminus)
+    """The graph is connected iff one breadth-first search needs one root,
+    and bipartite iff no dart joins two depths of equal parity (a loop or
+    any odd closed walk makes one)."""
+    depth, roots = _bfs_depths(graph.n_vertices(), graph.origin, graph.terminus)
     parity = depth % 2
-    bipartite = not (parity[graph.origin] == parity[graph.terminus]).any()
-    connected = components == 1
     return StructureReport(
-        connected=connected,
-        n_components=components,
-        bipartite=bipartite,
-        aperiodic=connected and not bipartite,
+        connected=roots == 1,
+        bipartite=not (parity[graph.origin] == parity[graph.terminus]).any(),
         regular_degree=graph.regular_degree(),
     )
 

@@ -744,7 +744,7 @@ class SpectralReport:
     second_modulus: float       # max |lambda| over the nontrivial spectrum
     bound: float                # 2 sqrt(d)
     margin: float               # bound - second_modulus
-    ramanujan: bool
+    ramanujan: bool             # structure.connected and second_modulus <= bound + tol
     bipartite: bool             # structure.bipartite: -(d+1) is the last eigenvalue
     structure: StructureReport
     certificate: str = "float"  # "certified" (`tower_spectra` proved it) or "float" (second <= bound + tol)
@@ -759,15 +759,18 @@ class SpectralReport:
 
 def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | None = None,
                     certified: bool = False) -> SpectralReport:
-    """Is a connected (d+1)-regular graph Ramanujan: every eigenvalue either
-    +-(d+1) or of modulus at most 2 sqrt(d) (within tol)?
+    """Is a (d+1)-regular graph Ramanujan: connected, and every eigenvalue
+    either +-(d+1) or of modulus at most 2 sqrt(d) (within tol)?
 
     The size cap is checked before any work; connectivity, regularity and
     bipartiteness come exactly from one `structure_predicates` pass, and
     they place the trivial eigenvalues in the descending spectrum: d+1 is
-    simple and first because the graph is connected, and -(d+1) is last
+    first, and simple when the graph is connected, and -(d+1) is last
     exactly when it is bipartite.  The nontrivial spectrum is the slice
-    between them, and tol enters only the verdict second <= bound + tol.
+    between them, and tol enters only the verdict connected and second <=
+    bound + tol.  A disconnected graph is no Ramanujan graph: its verdict
+    fails, even at d = 1, where the bound 2 equals the degree, so two
+    disjoint cycles would otherwise pass.
 
     The spectrum is `eig_symmetric` of the adjacency, unless the graph is a
     level of a covering tower whose descending spectrum `tower_spectra` has
@@ -783,11 +786,9 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | 
     check_dense_cap(graph.n_vertices())
     k = graph.regular_degree() if certified else None
     if k is not None and k >= 1 and 2.0 * sqrt(k - 1) + tol < k:
-        structure = StructureReport(connected=True, n_components=1, bipartite=False, aperiodic=True, regular_degree=k)
+        structure = StructureReport(connected=True, bipartite=False, regular_degree=k)
     else:
         structure = structure_predicates(graph)
-    if not structure.connected:
-        raise ValueError(f"graph is disconnected ({structure.n_components} components)")
     if structure.regular_degree is None:
         raise ValueError("ramanujan_check needs a regular graph")
     k = structure.regular_degree  # k = d + 1
@@ -805,7 +806,7 @@ def ramanujan_check(graph: UGraph, tol: float = 1e-8, eigenvalues: np.ndarray | 
         second_modulus=second,
         bound=bound,
         margin=bound - second,
-        ramanujan=bool(second <= bound + tol),
+        ramanujan=bool(structure.connected and second <= bound + tol),
         bipartite=structure.bipartite,
         structure=structure,
         certificate="certified" if certified else "float",
@@ -822,22 +823,18 @@ def nontrivial_spectrum(eigs: np.ndarray, bipartite: bool) -> np.ndarray:
 # Bass-Ihara transfer
 
 
-def bass_ihara_pairs(spectrum, d: int) -> list[tuple[complex, float | None]]:
+def bass_ihara_pairs(spectrum, d: int) -> np.ndarray:
     """Transfer a base spectrum to the non-backtracking spectrum: each
-    lambda contributes both roots of x^2 - lambda x + d, tagged with their
-    source eigenvalue; the trailing +-1 carry source None.  This is a set
-    description; multiplicities are not tracked."""
+    lambda contributes both roots of x^2 - lambda x + d, in turn, and the
+    trailing +-1 close the array.  This is a set description;
+    multiplicities are not tracked."""
     if d < 1:
         raise ValueError("need d >= 1")
-    pairs: list[tuple[complex, float | None]] = []
-    for lam in spectrum:
-        lam = complex(lam).real
-        root = np.sqrt(complex(lam * lam - 4 * d))
-        pairs.append(((lam + root) / 2, lam))
-        pairs.append(((lam - root) / 2, lam))
-    pairs.append((1.0 + 0j, None))
-    pairs.append((-1.0 + 0j, None))
-    return pairs
+    lam = np.asarray(spectrum).real.astype(np.float64)
+    root = np.sqrt((lam * lam - 4 * d).astype(complex))
+    out = np.empty(2 * len(lam) + 2, dtype=complex)
+    out[0:-2:2], out[1:-2:2], out[-2:] = (lam + root) / 2, (lam - root) / 2, (1, -1)
+    return out
 
 
 def check_dart_cap(n_darts: int) -> None:
@@ -967,7 +964,7 @@ def nb_transfer_report(graph: UGraph, symmetries=(), rotation=None) -> TransferR
     checks the dart count against the cap before anything is built."""
     direct, blocks = nb_spectrum(graph, symmetries, rotation)
     d = graph.regular_degree() - 1
-    transfer = np.array([value for value, _ in bass_ihara_pairs(eig_symmetric(graph.adjacency()), d)])
+    transfer = bass_ihara_pairs(eig_symmetric(graph.adjacency()), d)
     return TransferReport(
         n_darts=graph.n_darts(),
         d=d,

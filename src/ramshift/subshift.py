@@ -34,6 +34,7 @@ the height-n columns.
 from __future__ import annotations
 
 import operator
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -327,7 +328,8 @@ def transition_graph(shift: MatrixSubshift, direction: str, k: int) -> Transitio
 def admissible_patterns(shift: MatrixSubshift, m: int, n: int) -> list[Pattern]:
     """Explicitly enumerate all admissible (m, n) patterns (m columns of
     height n): the length-m words of the column compatibility matrix.
-    Exhaustive; capped at m*n <= 12 cells."""
+    Exhaustive; capped at m*n <= 12 cells.  A regular uniquely extendable
+    shift has s * d^(m-1) * d^(n-1) of them."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     if m * n > 12:
@@ -339,12 +341,6 @@ def admissible_patterns(shift: MatrixSubshift, m: int, n: int) -> list[Pattern]:
     follows[tail, head] = True
     columns = np.fromiter(map(tuple, words.tolist()), dtype=object, count=len(words))
     return list(map(tuple, columns[chains(follows, m)]))
-
-
-def pattern_count(shift: MatrixSubshift, m: int, n: int) -> int:
-    """Number of admissible (m, n) patterns by explicit enumeration; equals
-    s * d^(m-1) * d^(n-1) for regular uniquely extendable shifts."""
-    return len(admissible_patterns(shift, m, n))
 
 
 def _is_int(x) -> bool:
@@ -540,9 +536,7 @@ class CorrelationTable:
     k: int
     dimension: int
     direction: str
-    theta: float
     c_float: float
-    fitted_r: int
 
     @property
     def all_ok(self) -> bool:
@@ -556,12 +550,12 @@ class CorrelationTable:
         )
 
 
-def _envelope_ok(dev: Fraction, n: int, dev0: Fraction, n0: int, d: int, r: int) -> bool:
-    # dev(n) <= C n^r theta^n with theta = 1/sqrt(d) and C = dev0 / (n0^r theta^n0),
-    # compared exactly via squares: dev^2 n0^(2r) d^n <= dev0^2 d^(n0) n^(2r),
-    # in integers once both sides are multiplied by the squared denominators
-    lhs = (dev.numerator * dev0.denominator) ** 2 * n0 ** (2 * r) * d**n
-    rhs = (dev0.numerator * dev.denominator) ** 2 * d**n0 * n ** (2 * r)
+def _envelope_ok(dev: Fraction, n: int, dev0: Fraction, d: int) -> bool:
+    # dev(n) <= C n theta^n with theta = 1/sqrt(d) and C = dev0 / theta,
+    # compared exactly via squares: dev^2 d^n <= dev0^2 d n^2, in integers
+    # once both sides are multiplied by the squared denominators
+    lhs = (dev.numerator * dev0.denominator) ** 2 * d**n
+    rhs = (dev0.numerator * dev.denominator) ** 2 * d * n**2
     return lhs <= rhs
 
 
@@ -572,10 +566,12 @@ def mixing_table(
     matrix for n = 1..n_max and check the n * (1/sqrt(d))^n envelope.
 
     Accepts a datum (its nearest-neighbor shift is built) or a
-    MatrixSubshift.  Also reports whether even the r = 0 envelope holds
-    over the table (`fitted_r`).  The strip graph is walked exactly, from
-    its predecessor array (`spectral.deviation_table`); no float
-    eigensolve runs.
+    MatrixSubshift.  The strip graph is walked exactly, from its
+    predecessor array (`spectral.deviation_table`); no float eigensolve
+    runs.  A table that could not be printed is refused before the walk
+    (SizeCapExceeded): one whose largest unreduced denominator, m d^n_max
+    for m strips, has more digits than Python converts an int to a str
+    with (`sys.get_int_max_str_digits`).
     """
     if isinstance(datum_or_shift, MatrixSubshift):
         shift = datum_or_shift
@@ -585,33 +581,32 @@ def mixing_table(
         raise ValueError("need n_max >= 1")
     graph = shift.strip_graph(direction, k)
     d = graph.preds.shape[1]
+    # 0, no limit, also where Python (before 3.10.7) has none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # d^n_max >= 2^(4 limit) > 10^limit spares the power's computation
+    if limit and d > 1 and (n_max >= 4 * limit or len(graph.patterns) * d**n_max >= 10**limit):
+        raise SizeCapExceeded(f"mixing tables capped at denominators of {limit} digits, "
+                              f"the most Python prints; n = {n_max} exceeds it")
     devs = deviation_table(graph.preds, n_max)
-    theta = 1.0 / sqrt(d)
-    dev0, n0 = devs[0], 1
-    c_float = float(dev0) / (n0 * theta**n0)
-    rows = []
-    r0_holds = True
-    for n, dev in enumerate(devs, start=1):
-        ok = _envelope_ok(dev, n, dev0, n0, d, r=1)
-        r0_holds = r0_holds and _envelope_ok(dev, n, dev0, n0, d, r=0)
-        rows.append(
-            MixingRow(
-                n=n,
-                deviation=dev,
-                deviation_float=float(dev),
-                envelope_float=c_float * n * theta**n,
-                ok=ok,
-            )
+    dev0, theta = devs[0], 1.0 / sqrt(d)
+    c_float = float(dev0) / theta
+    rows = [
+        MixingRow(
+            n=n,
+            deviation=dev,
+            deviation_float=float(dev),
+            envelope_float=c_float * n * theta**n,
+            ok=_envelope_ok(dev, n, dev0, d),
         )
+        for n, dev in enumerate(devs, start=1)
+    ]
     return CorrelationTable(
         rows=rows,
         d=d,
         k=k,
         dimension=len(graph.patterns),
         direction=direction,
-        theta=theta,
         c_float=c_float,
-        fitted_r=0 if r0_holds else 1,
     )
 
 

@@ -443,15 +443,18 @@ def tiles_to_svg(datum: VHDatum, header: str | None = None) -> str:
 def atomic_write(path: str, pieces: list[bytes]) -> None:
     """Write the bytes `pieces`, never joined, to `path` through a temp file
     of this process and thread beside it and a rename; a failed write (a
-    piece that is not bytes, a full disk) leaves no temp file."""
+    piece that is not bytes, a full disk) leaves no temp file.  An OSError
+    names `path`, never the temp file."""
     tmp = f"{path}.{os.getpid()}.{threading.get_native_id()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -653,10 +656,15 @@ def _array_pieces(value, nl: str) -> list[bytes] | None:
 
 def _column_parts(column) -> list | None:
     """The parts of one column's text in a row, fixed strs and renderers:
-    an int array's digits, or the quotes, separators and names of `Labels`
-    of strs; None for any other column."""
+    the digits of an int array whose entries lie in [0, 2^32), or the
+    quotes, separators and names of `Labels` of strs; None for any other
+    column (a negative or larger int among them: no written file holds
+    one, since every index stays below `graphs.MAX_DARTS`)."""
     if type(column) is np.ndarray:
-        return [_IntColumn(column)] if column.ndim == 1 and column.dtype.kind in "iu" else None
+        if column.ndim != 1 or column.dtype.kind not in "iu":
+            return None
+        low, high = int(column.min()), int(column.max())
+        return [_IntColumn(column, high)] if 0 <= low and high < 2**32 else None
     parts: list = ['"']
     stride = len(column)
     for codes, names in column.parts:
@@ -669,34 +677,23 @@ def _column_parts(column) -> list | None:
 
 
 class _IntColumn:
-    """An int column as right-aligned decimal digits, a `-` in a sign column
-    when the column holds a negative value, and NULs for leading zeros."""
+    """An int column of entries in [0, 2^32) as right-aligned decimal
+    digits, with NULs for leading zeros; `high` is its largest entry."""
 
-    def __init__(self, column: np.ndarray):
+    def __init__(self, column: np.ndarray, high: int):
         self.column = column
-        low, high = int(column.min()), int(column.max())
-        self.signed = low < 0
-        top = max(high, -low)
-        self.digits = len(str(top))
-        self.dtype = np.uint32 if top < 2**32 else np.uint64
+        self.digits = len(str(high))
 
     def __len__(self) -> int:
-        return self.signed + self.digits
+        return self.digits
 
     def fill(self, out: np.ndarray, block: slice) -> None:
-        values = self.column[block]
-        if self.signed:
-            negative = values < 0
-            out[:, 0] = negative * ord("-")
-            # the magnitude of the unsigned view is exact for int64's minimum too
-            bits = values.astype(np.int64).view(np.uint64)
-            values = np.where(negative, -bits, bits)
-        x = values.astype(self.dtype)
-        for k in range(len(self) - 1, self.signed - 1, -1):
+        x = self.column[block].astype(np.uint32)
+        for k in range(self.digits - 1, -1, -1):
             q = x // 10
             digit = x - q * 10
             digit += ord("0")
-            if k < len(self) - 1:
+            if k < self.digits - 1:
                 digit *= x != 0  # a leading zero: the value has no digit here
             out[:, k] = digit
             x = q

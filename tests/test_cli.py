@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from math import cos, pi
@@ -117,6 +118,22 @@ def test_verify_ramanujan_flags_violation(tmp_path, capsys):
     assert not payload["all_pass"]
     verdict = payload["verdicts"][0]
     assert abs(verdict["offending_eigenvalue"]) > verdict["bound"]
+
+
+def test_verify_ramanujan_reports_a_disconnected_level(tmp_path, capsys):
+    # B_1 of the seed-0 random datum has two components: a failed verdict
+    # (exit 1) beside the other levels' verdicts, not a usage error
+    path = tmp_path / "random_0.json"
+    write_datum(random_vh_datum(random.Random(0), 6, 6), str(path))
+    code, stdout, err = run(capsys, "verify-ramanujan", "--datum", str(path), "--levels", "1",
+                            "--side", "B", "--no-timestamp")
+    assert (code, err) == (1, "")
+    verdict, = json.loads(stdout)["verdicts"]
+    assert not verdict["connected"] and not verdict["ramanujan"]
+    assert verdict["second_modulus"] == pytest.approx(6)  # the other component's degree
+    code, stdout, _ = run(capsys, "verify-ramanujan", "--datum", str(path), "--levels", "1:2", "--no-timestamp")
+    verdicts = json.loads(stdout)["verdicts"]
+    assert code == 1 and len(verdicts) == 4 and not any(v["skipped"] for v in verdicts)
 
 
 def test_verify_ramanujan_csv_spectra(capsys):
@@ -709,6 +726,19 @@ def test_a_write_failing_in_the_writer_keeps_the_previous_file(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_an_out_path_that_cannot_be_opened_is_named(tmp_path, capsys):
+    # the writer opens a temp file beside --out; the error names --out
+    out = tmp_path / "missing" / "x.svg"
+    code, stdout, err = run(capsys, "tiles", "--out", str(out), "--no-timestamp")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    # the rename over a directory fails after the temp file was written
+    code, stdout, err = run(capsys, "tiles", "--out", str(tmp_path), "--no-timestamp")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert list(tmp_path.parent.glob(tmp_path.name + ".*.tmp")) == []
+
+
 def test_a_writer_leaves_another_writers_temp_file_alone(tmp_path, capsys):
     out = tmp_path / "out.csv"
     other = tmp_path / "out.csv.tmp"
@@ -998,6 +1028,36 @@ def test_mixing_counts_strips_before_building_the_strip_graph(monkeypatch, capsy
     assert code == 3
     assert stdout == ""
     assert err == "resource cap: exact walk counts capped at 268435456 bytes\n"
+
+
+@pytest.mark.parametrize("k,max_n", [("1", 9010), ("2", 9009), ("1", 20000), ("1", 10**9)])
+def test_mixing_refuses_a_table_too_long_to_print_before_the_walk(monkeypatch, capsys, k, max_n):
+    # a denominator m d^n of more than 4300 digits, Python's default limit
+    # for printing an int, refuses the table before the walk: with d = 3,
+    # n = 9010 is the first at k = 1 (m = 16) and n = 9009 at k = 2 (m = 48)
+    from ramshift import subshift
+
+    def no_walk(*args):
+        raise AssertionError("a table too long to print must not be walked")
+
+    monkeypatch.setattr(subshift, "deviation_table", no_walk)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code, stdout, err = run(capsys, "mixing", "--k", k, "--max-n", str(max_n), "--no-timestamp")
+    assert (code, stdout) == (3, "")
+    assert err == ("resource cap: mixing tables capped at denominators of 4300 digits, "
+                   f"the most Python prints; n = {max_n} exceeds it\n")
+
+
+@pytest.mark.parametrize("k,max_n", [("1", 9009), ("2", 9008)])
+def test_mixing_walks_the_longest_tables_that_print(monkeypatch, capsys, k, max_n):
+    # the walk is replaced by a table of 1/3s, which violates the envelope
+    # (exit 1): the refusal stops at the limit
+    from ramshift import subshift
+
+    monkeypatch.setattr(subshift, "deviation_table", lambda preds, n_max: [Fraction(1, 3)] * n_max)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code, stdout, _ = run(capsys, "mixing", "--k", k, "--max-n", str(max_n), "--no-timestamp")
+    assert code == 1 and stdout.endswith(f"\n{max_n},1,3,0.3333333333333333,0.0,VIOLATION\n")
 
 
 # each command that reads a datum, with the arguments it needs besides it

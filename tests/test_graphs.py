@@ -178,17 +178,17 @@ def test_level_graph_connectivity(d12_q3):
     g = level_graph(d12_q3, "A", 4)
     assert g.n_vertices() == 108
     report = structure_predicates(g)
-    assert report.connected and not report.bipartite and report.aperiodic
+    assert report.connected and not report.bipartite
 
 
 def test_structure_predicates_on_classics():
     c6 = structure_predicates(cycle(6))
-    assert c6.connected and c6.bipartite and not c6.aperiodic
+    assert c6.connected and c6.bipartite
     assert c6.regular_degree == 2
     pet = structure_predicates(petersen())
     assert pet.connected and not pet.bipartite and pet.regular_degree == 3
-    two = structure_predicates(from_edges(4, [(0, 1), (2, 3)]))
-    assert not two.connected and two.n_components == 2
+    two = from_edges(4, [(0, 1), (2, 3)])
+    assert not structure_predicates(two).connected and components(two) == 2
 
 
 def test_digraph_period():
@@ -230,6 +230,12 @@ def nullity(m):
     return len(m) - np.linalg.matrix_rank(m)
 
 
+def components(graph):
+    """The number of roots of the breadth-first search behind
+    `structure_predicates`: the graph's components."""
+    return graphs._bfs_depths(graph.n_vertices(), graph.origin, graph.terminus)[1]
+
+
 def test_structure_predicates_match_the_laplacians():
     rng = np.random.default_rng(19)
     seen = set()
@@ -238,18 +244,18 @@ def test_structure_predicates_match_the_laplacians():
         a = g.adjacency()
         degree = np.diag(a.sum(axis=1))
         report = structure_predicates(g)
-        assert report.n_components == nullity(degree - a)
+        assert components(g) == nullity(degree - a)
+        assert report.connected == (components(g) == 1)
         assert report.bipartite == (nullity(degree + a) == nullity(degree - a))
-        assert report.aperiodic == (report.connected and not report.bipartite)
-        seen.add((report.n_components, report.bipartite))
+        seen.add((components(g), report.bipartite))
     assert seen == {(k, b) for k in (1, 2, 3) for b in (False, True)}
 
 
 def test_structure_predicates_on_loops_and_isolated_vertices():
-    lone = structure_predicates(from_edges(3, [(1, 1), (0, 2)]))
-    assert lone.n_components == 2 and not lone.bipartite
-    bare = structure_predicates(from_edges(3, [(0, 2)]))
-    assert bare.n_components == 2 and bare.bipartite
+    lone = from_edges(3, [(1, 1), (0, 2)])
+    assert components(lone) == 2 and not structure_predicates(lone).bipartite
+    bare = from_edges(3, [(0, 2)])
+    assert components(bare) == 2 and structure_predicates(bare).bipartite
 
 
 def _reference_depths(n, tail, head):
@@ -304,9 +310,10 @@ def test_structure_of_long_and_scattered_graphs(shape):
     n = 20000 if shape != "disjoint_edges" else 4000
     edges = {"cycle": [(i, (i + 1) % n) for i in range(n)], "path": [(i, i + 1) for i in range(n - 1)],
              "disjoint_edges": [(2 * i, 2 * i + 1) for i in range(n // 2)]}[shape]
-    report = structure_predicates(from_edges(n, edges))
-    assert report.n_components == (2000 if shape == "disjoint_edges" else 1)
-    assert report.bipartite and not report.aperiodic
+    graph = from_edges(n, edges)
+    report = structure_predicates(graph)
+    assert components(graph) == (2000 if shape == "disjoint_edges" else 1)
+    assert report.connected == (shape != "disjoint_edges") and report.bipartite
     # the same shapes directed, on 3000 vertices as a dense matrix
     m = 3000
     a = np.zeros((m, m), dtype=bool)
@@ -506,7 +513,7 @@ def test_array_consumers_match_the_dart_loops(d12_q3):
         if g.regular_degree() is not None:
             assert (nb_matrix(g) == _loop_nb_matrix(g)).all()
     report = structure_predicates(multi)
-    assert (report.n_components, report.bipartite, report.regular_degree) == (2, False, None)
+    assert (components(multi), report.connected, report.bipartite, report.regular_degree) == (2, False, False, None)
 
 
 def test_product_level_graph_validation(f5):

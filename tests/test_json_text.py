@@ -252,18 +252,19 @@ def _assert_listed_at_every_depth(value):
         assert_same_text(json_text(payload), stdlib(listed(payload)))
 
 
-_BOUNDARIES = [x for k in range(19) for x in (10**k - 1, 10**k, -(10**k))]
-_MATRIX = np.arange(-40, 80, dtype=np.int64).reshape(10, 12) * 987_654
+# the renderer writes int columns of entries in [0, 2^32)
+_BOUNDARIES = [x for k in range(10) for x in (10**k - 1, 10**k)] + [2**32 - 1]
+_MATRIX = np.arange(120, dtype=np.int64).reshape(10, 12) * 987_654
 
 
 RENDERED = {
     "digit_boundaries": np.array(_BOUNDARIES, dtype=np.int64),
-    "digit_boundary_rows": np.array(_BOUNDARIES[:57]).reshape(19, 3),
+    "digit_boundary_rows": np.array(_BOUNDARIES).reshape(7, 3),
     "zeros_only": np.zeros(7, dtype=np.int64),
     "all_negative": np.array([-1, -10, -9, -123456789]),
     "int8_min": np.array([np.iinfo(np.int8).min, 0, np.iinfo(np.int8).max], dtype=np.int8),
     "int16_min": np.array([[np.iinfo(np.int16).min, 5], [1, -1]], dtype=np.int16),
-    "big_endian": np.array([-(2**40), 2**40, 3], dtype=">i8"),
+    "big_endian": np.array([2**31, 2**32 - 1, 3], dtype=">i8"),
     "every_other_column": _MATRIX[:, ::2],
     "transposed": _MATRIX.T,
     "fortran_order": np.asfortranarray(_MATRIX),
@@ -272,30 +273,39 @@ RENDERED = {
     "uneven_labels": _dart_rows(*((k, k, label) for k, label in enumerate(
         ["", "\x00", "x" * 300, "y", '"' * 50, "", "é" * 20, "\x00" * 3]))),
     "words": Labels([(np.array([[0, 1], [1, 0], [2, 2]]), LABELS[:3]), (np.zeros((2, 0), np.intp), ())]),
+    "beyond_uint32": np.array([x for k in range(19) for x in (10**k - 1, 10**k, -(10**k))], dtype=np.int64),
 }
+# a negative entry or one of 2^32 or more: no file holds one, and the
+# stdlib's indenting encoder writes the column
+FALLBACK = {"all_negative", "int8_min", "int16_min", "uint64_records", "beyond_uint32"}
 
 
-def _rendered_at_every_depth(value, monkeypatch):
+def _rendered_at_every_depth(value, monkeypatch, fallback=False):
     """`_assert_listed_at_every_depth`, and at depths 0 to 2 in dicts also
     the check that the stdlib's indenting encoder writes no part of
     `value`: its text would be the same, so only this tells that the
-    renderer wrote it.  (Inside a list, `value` is the stdlib's.)"""
+    renderer wrote it.  (Inside a list, `value` is the stdlib's.)  With
+    `fallback`, the check is the reverse: the indenting encoder writes
+    `value` at each of those depths."""
     _assert_listed_at_every_depth(value)
     dumps = json.dumps
+    indented = []
 
-    def unindented(value, **kwargs):
-        assert kwargs.get("indent") is None, "fell back to the indenting encoder"
+    def counting(value, **kwargs):
+        indented.append(kwargs.get("indent") is not None)
         return dumps(value, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", unindented)
+    monkeypatch.setattr(json, "dumps", counting)
     for payload in (value, {"k": value}, {"z": {"y": value}}):
+        indented.clear()
         json_text(payload)
+        assert any(indented) == fallback, f"the indenting encoder wrote it: {any(indented)}"
     monkeypatch.setattr(json, "dumps", dumps)
 
 
 @pytest.mark.parametrize("name", sorted(RENDERED))
 def test_rendered_arrays_are_written_as_their_lists_at_every_depth(name, monkeypatch):
-    _rendered_at_every_depth(RENDERED[name], monkeypatch)
+    _rendered_at_every_depth(RENDERED[name], monkeypatch, fallback=name in FALLBACK)
 
 
 @pytest.mark.parametrize("kind", ["ints", "records"])
@@ -305,16 +315,16 @@ def test_rows_on_both_sides_of_every_block_boundary(kind, monkeypatch):
     monkeypatch.setattr(vhdatum, "_BLOCK_BYTES", 120)
     for n in range(1, 60):
         if kind == "ints":
-            value = np.arange(n, dtype=np.int64) * 7 - 20
+            value = np.arange(n, dtype=np.int64) * 7
         else:
             value = _dart_rows(*((k, n - k, LABELS[k % len(LABELS)]) for k in range(n)))
         _rendered_at_every_depth(value, monkeypatch)
 
 
 def test_full_range_int64_array_spans_real_blocks():
-    values = np.random.default_rng(20260).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
-                                                   size=10**5, endpoint=True, dtype=np.int64)
-    assert len(values) > 2 * vhdatum._BLOCK_BYTES // len(",\n  -9223372036854775808")
+    # the renderer's full range, [0, 2^32), in an int64 array
+    values = np.random.default_rng(20260).integers(0, 2**32, size=10**5, dtype=np.int64)
+    assert len(values) > 2 * vhdatum._BLOCK_BYTES // len(",\n  4294967295")
     _assert_listed_at_every_depth(values)
 
 

@@ -28,7 +28,6 @@ from ramshift.subshift import (
     is_admissible,
     mixing_table,
     mixing_table_to_csv,
-    pattern_count,
     regularity_report,
     transition_graph,
 )
@@ -137,7 +136,7 @@ def test_non_extendable_witness_is_a_corner_not_a_rectangle():
     # with s d^(m-1) d^(n-1) here; the obstruction is an admissible
     # up-then-right corner configuration with no lower-right completion
     shift = MatrixSubshift([str(i) for i in range(4)], A4, B4)
-    assert pattern_count(shift, 2, 2) == 4 * 2 * 2
+    assert len(admissible_patterns(shift, 2, 2)) == 4 * 2 * 2
     ab, ba = A4 @ B4, B4 @ A4
     stuck = [
         (i, l)
@@ -450,23 +449,23 @@ def brute_force_pattern_count_2x2(shift):
 
 def test_pattern_counts_match_formula(xd_q3):
     for m, n in [(1, 1), (2, 2), (2, 3), (3, 2)]:
-        assert pattern_count(xd_q3, m, n) == 16 * 3 ** (m - 1) * 3 ** (n - 1)
+        assert len(admissible_patterns(xd_q3, m, n)) == 16 * 3 ** (m - 1) * 3 ** (n - 1)
 
 
 def test_pattern_count_2x2_against_brute_force(xd_q3):
-    assert pattern_count(xd_q3, 2, 2) == brute_force_pattern_count_2x2(xd_q3) == 144
+    assert len(admissible_patterns(xd_q3, 2, 2)) == brute_force_pattern_count_2x2(xd_q3) == 144
 
 
 def test_pattern_count_cap(xd_q3):
     with pytest.raises(SizeCapExceeded):
-        pattern_count(xd_q3, 4, 4)
+        admissible_patterns(xd_q3, 4, 4)
 
 
 def test_zero_entropy_signature(xd_q3):
     import math
 
     rates = [
-        math.log(pattern_count(xd_q3, n, n)) / n**2 for n in (1, 2, 3)
+        math.log(len(admissible_patterns(xd_q3, n, n))) / n**2 for n in (1, 2, 3)
     ]
     assert rates[0] > rates[1] > rates[2]
 
@@ -783,7 +782,9 @@ def test_mixing_tables_q3(d12_q3):
 def test_mixing_table_q5(d12_q5):
     table = mixing_table(d12_q5, 1, 15)
     assert table.d == 5 and table.all_ok
-    assert table.theta == pytest.approx(5**-0.5)
+    # C is fitted at n = 1 with theta = 1/sqrt(5)
+    assert table.c_float == pytest.approx(float(table.rows[0].deviation) * sqrt(5))
+    assert table.rows[1].envelope_float == pytest.approx(table.c_float * 2 / 5)
 
 
 def test_strip_modulus_is_the_ihara_transfer_of_the_level():
@@ -813,9 +814,12 @@ def test_strip_modulus_is_the_ihara_transfer_of_the_level():
 
 
 def test_mixing_table_needs_r1(d12_q3):
-    # the linear factor genuinely matters: the r = 0 envelope fails somewhere
+    # the linear factor genuinely matters: the r = 0 envelope dev(n) <=
+    # dev(1) theta^(n-1), exactly dev(n)^2 d^n <= dev(1)^2 d, fails somewhere
     table = mixing_table(d12_q3, 1, 20)
-    assert table.fitted_r == 1
+    dev1, d = table.rows[0].deviation, table.d
+    assert table.all_ok
+    assert any(row.deviation**2 * d**row.n > dev1**2 * d for row in table.rows)
 
 
 def test_mixing_csv_format(d12_q3):
